@@ -148,13 +148,17 @@ void BM_E2ERecord(benchmark::State& state, const char* mix) {
       static_cast<double>(run.queries_shed);
 }
 BENCHMARK_CAPTURE(BM_E2ERecord, market_rush, "market_rush")
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_E2ERecord, governance_wave, "governance_wave")
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_E2ERecord, report_storm, "report_storm")
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK_CAPTURE(BM_E2ERecord, mixed_city, "mixed_city")
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /// Replay cost of a pre-recorded trace across stack configurations — the
 /// regression oracle's own overhead. Arg 0: serial+inline; 1: 4-thread
@@ -193,7 +197,12 @@ void BM_E2EReplay(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(committed));
 }
-BENCHMARK(BM_E2EReplay)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_E2EReplay)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /// Cross-shard-heavy multi-world mix through the sharded harness: 4 worlds,
 /// every round carries lock-and-mint receipt traffic alongside intra-world
@@ -235,7 +244,11 @@ void BM_E2EMultiWorldReplay(benchmark::State& state) {
   state.counters["cross_transfers"] =
       static_cast<double>(rec.value().cross_transfers);
 }
-BENCHMARK(BM_E2EMultiWorldReplay)->Arg(0)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_E2EMultiWorldReplay)
+    ->Arg(0)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -97,7 +97,7 @@ void BM_Sha256_1KiB(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
 }
-BENCHMARK(BM_Sha256_1KiB);
+BENCHMARK(BM_Sha256_1KiB)->UseRealTime();
 
 void BM_SchnorrSign(benchmark::State& state) {
   Rng rng(1);
@@ -107,7 +107,7 @@ void BM_SchnorrSign(benchmark::State& state) {
     benchmark::DoNotOptimize(crypto::sign(kp.priv, msg, rng));
   }
 }
-BENCHMARK(BM_SchnorrSign);
+BENCHMARK(BM_SchnorrSign)->UseRealTime();
 
 void BM_SchnorrVerify(benchmark::State& state) {
   Rng rng(2);
@@ -118,7 +118,7 @@ void BM_SchnorrVerify(benchmark::State& state) {
     benchmark::DoNotOptimize(crypto::verify(kp.pub, msg, sig));
   }
 }
-BENCHMARK(BM_SchnorrVerify);
+BENCHMARK(BM_SchnorrVerify)->UseRealTime();
 
 void BM_TxApplyTransfer(benchmark::State& state) {
   Rng rng(3);
@@ -133,7 +133,7 @@ void BM_TxApplyTransfer(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_TxApplyTransfer);
+BENCHMARK(BM_TxApplyTransfer)->UseRealTime();
 
 // Hot path of block production: assemble a 256-tx block on top of a ledger
 // with `range(0)` funded accounts, then fully validate it. The per-block cost
@@ -174,7 +174,8 @@ BENCHMARK(BM_BlockAssembleValidate)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Parallel block validation: fully validate a 512-tx low-conflict block
 // (distinct senders, distinct recipients) over a world of `range(0)` funded
@@ -218,7 +219,8 @@ void BM_ParallelBlockValidate(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelBlockValidate)
     ->ArgsProduct({{1000, 100000}, {1, 2, 4, 8}})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Incremental commitment after touching a handful of accounts in a world of
 // `range(0)`: cost must track the touched set (O(touched · log n)), not the
@@ -245,7 +247,8 @@ void BM_CommitmentAfterTouch(benchmark::State& state) {
 BENCHMARK(BM_CommitmentAfterTouch)
     ->Arg(1000)
     ->Arg(100000)
-    ->Unit(benchmark::kMicrosecond);
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 // Mempool admission/selection/eviction at pool size `range(0)`: select a
 // 256-tx block worth and evict it. Cost must scale with the selected txs,
@@ -289,7 +292,11 @@ void BM_MempoolSelectRemove(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kBlock));
 }
-BENCHMARK(BM_MempoolSelectRemove)->Arg(1024)->Arg(16384)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_MempoolSelectRemove)
+    ->Arg(1024)
+    ->Arg(16384)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 // Account proof round trip at a `range(0)`-account tip: full node builds the
 // proof (prove_account), light client checks it against the header's state
@@ -328,7 +335,8 @@ void BM_AccountProofRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_AccountProofRoundTrip)
     ->Arg(1000)
     ->Arg(100000)
-    ->Unit(benchmark::kMicrosecond);
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 // ---- snapshot sync: O(state) catch-up vs O(history) replay ----
 
@@ -416,7 +424,8 @@ void BM_CatchUpFullReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_CatchUpFullReplay)
     ->ArgsProduct({{1000, 100000}, {100, 1000}})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Snapshot sync: the source exports a verified snapshot at tip − history/10,
 // the replica installs it and replays only the suffix. O(state) for the
@@ -456,7 +465,8 @@ void BM_CatchUpSnapshotSuffix(benchmark::State& state) {
 }
 BENCHMARK(BM_CatchUpSnapshotSuffix)
     ->ArgsProduct({{1000, 100000}, {100, 1000}})
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // ---- swarm catch-up: striped multi-peer transfer and diff snapshots ----
 
@@ -664,7 +674,8 @@ void BM_SnapshotExportImport(benchmark::State& state) {
 BENCHMARK(BM_SnapshotExportImport)
     ->Arg(1000)
     ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Steady-state block validation with the verified-signature cache off
 // (range(0) == 0) vs on (1). With the cache, every signature in a re-validated
@@ -698,7 +709,11 @@ void BM_BlockValidateSigCache(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kTxs));
 }
-BENCHMARK(BM_BlockValidateSigCache)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BlockValidateSigCache)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // One sharded commit round — per-shard select/assemble/append fanned out on
 // a JobQueue (one worker per shard), then receipt-tree refresh and beacon
@@ -762,7 +777,8 @@ BENCHMARK(BM_ShardedPipeline)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Raw job-queue dispatch cost: a 256-task batch of near-empty jobs through
 // `range(0)` workers. 0 = inline mode (the floor: admission + telemetry,
@@ -789,7 +805,8 @@ BENCHMARK(BM_JobQueueDispatch)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
-    ->Unit(benchmark::kMicrosecond);
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 // Mixed-priority overload: each iteration floods the three lowest classes
 // past their depth ceilings while a consensus batch pushes through, the
@@ -839,7 +856,8 @@ void BM_JobQueueMixedOverload(benchmark::State& state) {
 BENCHMARK(BM_JobQueueMixedOverload)
     ->Arg(1)
     ->Arg(2)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Streaming fan-out: one commit push, serialized once, shared by pointer
 // across N subscribers — the zero-copy claim the subscription read path
@@ -898,7 +916,8 @@ BENCHMARK(BM_SubscriptionFanout)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_MerkleProof256(benchmark::State& state) {
   std::vector<crypto::Digest> leaves;
@@ -911,7 +930,7 @@ void BM_MerkleProof256(benchmark::State& state) {
     benchmark::DoNotOptimize(tree.prove(i++ % 256));
   }
 }
-BENCHMARK(BM_MerkleProof256);
+BENCHMARK(BM_MerkleProof256)->UseRealTime();
 
 }  // namespace
 

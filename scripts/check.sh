@@ -110,9 +110,11 @@ fi
 echo "== gate: scenario replay regression (golden traces, codec fuzz, invariants) =="
 # The macro-workload harness (DESIGN.md §12): checked-in golden traces must
 # replay byte-identically, every single-byte trace mutation must be rejected,
-# the determinism sweep must agree across stack configurations, and the
-# cross-module invariant checker must pass on every replayed block.
-scen_out="$(ctest --test-dir build -R 'Scenario(Trace|Golden|Invariant|Harness)' --no-tests=error --output-on-failure 2>&1)" || {
+# the determinism sweep must agree across stack configurations, the
+# cross-module invariant checker must pass on every replayed block, and a
+# proposer committing sealed proposals must match a fully validating
+# follower at every height (DESIGN.md §7).
+scen_out="$(ctest --test-dir build -R 'Scenario(Trace|Golden|Invariant|Harness|Sealed)' --no-tests=error --output-on-failure 2>&1)" || {
   echo "${scen_out}"
   echo "FAIL: scenario replay-regression tests did not run or did not pass"
   exit 1
@@ -139,6 +141,26 @@ if echo "${shard_out}" | grep -qi 'skipped'; then
   exit 1
 fi
 
+echo "== lint: benches with off-thread work report wall-clock rates =="
+# A benchmark whose work runs on JobQueue/ThreadPool workers must not derive
+# its rates from the benchmark thread's CPU time: every registration in a
+# bench file that uses either needs UseRealTime() (or UseManualTime()).
+lint_fail=0
+for f in bench/*.cpp; do
+  grep -qE 'JobQueue|ThreadPool' "${f}" || continue
+  missing="$(tr '\n' ' ' < "${f}" | grep -oE 'BENCHMARK(_CAPTURE)?\([^;]*;' \
+    | grep -vE 'UseRealTime|UseManualTime' | grep -oE '^BENCHMARK(_CAPTURE)?\([^,)]*' || true)"
+  if [[ -n "${missing}" ]]; then
+    echo "${f}: registered without UseRealTime():"
+    echo "${missing}"
+    lint_fail=1
+  fi
+done
+if [[ "${lint_fail}" -ne 0 ]]; then
+  echo "FAIL: bench timing lint"
+  exit 1
+fi
+
 echo "== bench: e2e macro workloads -> BENCH_e2e.json =="
 MV_BENCH_NO_TABLE=1 ./build/bench/bench_e2e \
   --benchmark_out=BENCH_e2e.json \
@@ -162,7 +184,7 @@ ctest --test-dir build-asan --output-on-failure -j "${jobs}"
 echo "== configure + build: tsan =="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMV_TSAN=ON
 cmake --build build-tsan -j "${jobs}" --target \
-  common_test job_queue_test crypto_test parallel_test ledger_test snapshot_test subscription_test net_test scenario_test shard_test
+  common_test job_queue_test crypto_test parallel_test ledger_test snapshot_test subscription_test net_test scenario_test shard_test sealed_test
 
 echo "== tsan: suites touching the parallel validation engine =="
 # halt_on_error turns the first data race into a non-zero exit instead of a
@@ -170,8 +192,9 @@ echo "== tsan: suites touching the parallel validation engine =="
 # queue (priority/shedding under real workers, destructor-during-batch), the
 # parallel apply/merge paths, consensus replicas in parallel mode, the
 # queue-routed gossip/snapshot paths, the subscription fan-out (worker-thread
-# pushes racing subscribe/ack handling), and the end-to-end scenarios.
-for t in common_test job_queue_test crypto_test parallel_test ledger_test snapshot_test subscription_test net_test scenario_test shard_test; do
+# pushes racing subscribe/ack handling), the end-to-end scenarios, and the
+# sealed-proposal differential (parallel assembly on queue workers).
+for t in common_test job_queue_test crypto_test parallel_test ledger_test snapshot_test subscription_test net_test scenario_test shard_test sealed_test; do
   echo "-- tsan: ${t}"
   TSAN_OPTIONS="halt_on_error=1" "./build-tsan/tests/${t}"
 done

@@ -4,6 +4,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace mv::ledger {
 
@@ -86,10 +87,13 @@ Block Blockchain::assemble(const crypto::Wallet& proposer,
   block.header.tx_root = Block::compute_tx_root(block.txs);
   block.header.state_root = scratch.commitment().root;
   block.header.proposer_sig = proposer.sign(block.header.signing_bytes(), rng);
+  // Skipped candidates left no delta (LedgerView::apply is atomic), so the
+  // overlay holds exactly this block's post-state over the current tip.
+  sealed_.emplace(Sealed{block.header.hash(), std::move(scratch)});
   return block;
 }
 
-Status Blockchain::check(const Block& block, LedgerStateOverlay& scratch) const {
+Status Blockchain::check_header(const Block& block) const {
   const auto& h = block.header;
   if (h.height != height()) {
     return Status::fail("block.bad_height",
@@ -111,6 +115,12 @@ Status Blockchain::check(const Block& block, LedgerStateOverlay& scratch) const 
   if (h.tx_root != Block::compute_tx_root(block.txs)) {
     return Status::fail("block.bad_tx_root", "Merkle root mismatch");
   }
+  return {};
+}
+
+Status Blockchain::check(const Block& block, LedgerStateOverlay& scratch) const {
+  if (auto s = check_header(block); !s.ok()) return s;
+  const auto& h = block.header;
   const auto outcome =
       apply_block(scratch, block.txs, *contracts_, h.height, config_.validation,
                   pool_.get(), ApplyMode::kAllOrNothing);
@@ -132,23 +142,49 @@ Status Blockchain::validate(const Block& block) const {
 }
 
 Status Blockchain::append(const Block& block) {
+  // Whatever the outcome, the seal is used up here: a commit moves the tip
+  // under it, and a rejected block leaves no reason to keep it.
+  std::optional<Sealed> seal = std::exchange(sealed_, std::nullopt);
+  const bool sealed = seal.has_value() && seal->hash == block.header.hash();
   // First committed block: materialize the working copy of the shared
   // genesis (a no-op on the copying constructor path).
   LedgerState& state = mutable_state();
   auto scratch = LedgerStateOverlay::writer(state);
-  if (auto s = check(block, scratch); !s.ok()) return s;
+  if (sealed) {
+    // The header hash binds tx_root and state_root, but not the tx list
+    // itself, so the header checks (tx_root included) still run.
+    if (auto s = check_header(block); !s.ok()) return s;
+    // The delta was computed over state() at assembly time; that may have
+    // been the shared genesis, which mutable_state() has since copied.
+    scratch = std::move(seal->post);
+    scratch.rebase_writer(state);
+  } else if (auto s = check(block, scratch); !s.ok()) {
+    return s;
+  }
   // The inverse delta must be read off the pre-commit base; it feeds the
   // retention ring that serves historical proofs and snapshot export, and
-  // tells the commit hook which accounts/stores the block touched.
+  // tells the commit hook which accounts/stores the block touched. The
+  // sealed path always captures it: it is the rollback below.
   StateUndo undo;
   const bool want_undo =
-      config_.state_retention > 0 || static_cast<bool>(commit_hook_);
+      sealed || config_.state_retention > 0 || static_cast<bool>(commit_hook_);
   if (want_undo) undo = scratch.capture_undo(state);
   scratch.commit();
+  std::optional<StateCommitment> committed;
+  if (sealed || config_.state_retention > 0) committed = state.commitment();
+  if (sealed) {
+    // Last line of defence: a sealed post-state that does not reproduce the
+    // signed state_root never stays committed.
+    if (committed->root != block.header.state_root) {
+      state.apply_undo(undo);
+      return Status::fail("block.bad_state_root", "sealed post-state mismatch");
+    }
+    ++vstats_.sealed_commits;
+  }
   blocks_.push_back(block);
   if (commit_hook_) commit_hook_(block, undo);
   if (config_.state_retention > 0) {
-    retained_.push_back(Retained{std::move(undo), state.commitment()});
+    retained_.push_back(Retained{std::move(undo), *committed});
     if (retained_.size() > config_.state_retention) retained_.pop_front();
   }
   return {};
@@ -308,6 +344,7 @@ Result<Snapshot> Blockchain::export_snapshot(std::int64_t height,
 Status Blockchain::init_from_snapshot(const SnapshotManifest& manifest,
                                       const std::vector<Bytes>& chunks,
                                       const BlockHeader& anchor) {
+  sealed_.reset();
   if (height() != 0) {
     return Status::fail(errc::kChainNotFresh,
                         "snapshot install requires a chain with no blocks");

@@ -79,11 +79,28 @@ class Blockchain {
 
   /// Proposer side: trial-apply candidates in order, drop any that fail, and
   /// build a signed block on top of the current tip.
+  ///
+  /// The proposal is sealed: the chain keeps {header hash, post-state
+  /// overlay} in one slot, so appending this block commits the state that
+  /// assembly already computed instead of executing it a second time. A new
+  /// assemble() replaces the seal; append() and init_from_snapshot() drop
+  /// it. validate() leaves it alone. Because it writes the seal, calls to
+  /// assemble() and append() on one chain must not overlap.
   [[nodiscard]] Block assemble(const crypto::Wallet& proposer,
                                const std::vector<Transaction>& candidates,
                                Tick timestamp, Rng& rng) const;
 
-  /// Full validation + commit. On any failure the chain is unchanged.
+  /// Validate + commit. On any failure the chain is unchanged.
+  ///
+  /// A block whose header hash matches the seal left by assemble() skips
+  /// re-execution but still passes every check that needs none: height,
+  /// parent hash, proposer schedule, proposer signature, max_txs_per_block
+  /// and the tx_root recomputed from block.txs. After the sealed post-state
+  /// is committed its root must equal header.state_root, or the commit is
+  /// rolled back and the block rejected. Every other block (followers,
+  /// import_blocks, a tampered or re-signed proposal, a proposal whose seal
+  /// was replaced or went stale) takes the full re-executing validation.
+  /// ValidationStats::sealed_commits counts the sealed commits.
   [[nodiscard]] Status append(const Block& block);
 
   /// Observer of successful commits: the block just appended plus the
@@ -163,6 +180,9 @@ class Blockchain {
   [[nodiscard]] Result<std::size_t> import_blocks(const Bytes& data);
 
  private:
+  /// The checks that need no execution: height, parent, proposer schedule
+  /// and signature, block size, tx_root.
+  [[nodiscard]] Status check_header(const Block& block) const;
   /// Validate the block by trial-applying it onto `scratch` (an overlay over
   /// the current state). On success the overlay holds the block's delta.
   [[nodiscard]] Status check(const Block& block, LedgerStateOverlay& scratch) const;
@@ -202,6 +222,15 @@ class Blockchain {
   std::deque<Retained> retained_;
   std::shared_ptr<ThreadPool> pool_;  ///< null when validation.threads <= 1
   mutable ValidationStats vstats_;
+  /// The last assembled proposal: its header hash and the post-state delta
+  /// computed over the state it was assembled on. Only append() and
+  /// init_from_snapshot() change that state, and both drop the seal, so a
+  /// live seal always describes the current tip.
+  struct Sealed {
+    crypto::Digest hash;
+    LedgerStateOverlay post;
+  };
+  mutable std::optional<Sealed> sealed_;
   CommitHook commit_hook_;
 };
 

@@ -118,6 +118,9 @@ struct ValidationStats {
   std::uint64_t conflict_groups = 0;   ///< summed partition sizes
   std::uint64_t sig_cache_hits = 0;    ///< signature checks skipped via cache
   std::uint64_t sig_cache_misses = 0;  ///< signature checks actually performed
+  /// append()s that committed the proposal sealed by assemble() instead of
+  /// re-executing it (Blockchain::append; not an apply_block outcome).
+  std::uint64_t sealed_commits = 0;
 
   void record(const BlockApplyOutcome& outcome) {
     ++applies;

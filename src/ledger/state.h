@@ -350,6 +350,11 @@ class LedgerStateOverlay final : public LedgerView {
   [[nodiscard]] StateCommitment commitment_with(
       const CommitmentDelta& delta) const override;
 
+  /// Re-point this overlay at `base` as a writer. `base` must hold exactly
+  /// the state the delta was computed over (a sealed proposal moving from
+  /// the shared genesis to the chain's materialized copy of it). O(1).
+  void rebase_writer(LedgerView& base) { base_ = writable_ = &base; }
+
   /// Fold the delta into the (writable) base. O(touched entries).
   void commit();
 

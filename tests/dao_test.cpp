@@ -9,6 +9,14 @@
 #include "ledger/consensus.h"
 
 namespace mv::dao {
+
+// Prints a voting-scheme test parameter by its name. Without it the
+// parameterised test names carry heap addresses, which change every build.
+inline void PrintTo(const std::shared_ptr<const VotingScheme>& scheme,
+                    std::ostream* os) {
+  *os << scheme->name();
+}
+
 namespace {
 
 Member make_member(std::uint64_t id, std::uint64_t tokens = 1,

@@ -289,6 +289,8 @@ TEST(ScenarioGolden, MarketRushReplaysByteIdentically) {
   EXPECT_EQ(run.value().mismatched_blocks, 0u);
   EXPECT_TRUE(run.value().violations.empty());
   EXPECT_EQ(run.value().committed_txs, 10000u);
+  // The harness proposes every block, so every append commits a seal.
+  EXPECT_EQ(run.value().validation.sealed_commits, 50u);
   EXPECT_EQ(crypto::to_hex(trace.value().rounds.back().commitment_root),
             "6c43883703b218366a8817522db86b5f259a6d11527fac6ea54c3897b037e445");
 }

@@ -1255,14 +1255,26 @@ TEST(SigCache, ValidateThenAppendVerifiesEachSignatureOnce) {
   // Assembly verified (and remembered) each signature once...
   EXPECT_EQ(vs.sig_cache_misses, 3u);
   EXPECT_EQ(vs.sig_cache_hits, 0u);
-  // ...validation and commit both ride the cache.
+  // ...validation rides the cache...
   ASSERT_TRUE(chain.validate(block).ok());
   EXPECT_EQ(vs.sig_cache_hits, 3u);
   EXPECT_EQ(vs.sig_cache_misses, 3u);
+  // ...and the proposer's commit does not execute the block again: it
+  // commits the post-state sealed at assembly.
   ASSERT_TRUE(chain.append(block).ok());
-  EXPECT_EQ(vs.sig_cache_hits, 6u);
+  EXPECT_EQ(vs.sig_cache_hits, 3u);
   EXPECT_EQ(vs.sig_cache_misses, 3u);
+  EXPECT_EQ(vs.sealed_commits, 1u);
   EXPECT_EQ(chain.state().nonce(f.alice.address()), 3u);
+
+  // A follower sharing the cache re-executes the block in full, and every
+  // signature it checks is a hit.
+  Blockchain follower = f.make_chain();
+  ASSERT_TRUE(follower.append(block).ok());
+  EXPECT_EQ(follower.validation_stats().sig_cache_hits, 3u);
+  EXPECT_EQ(follower.validation_stats().sig_cache_misses, 0u);
+  EXPECT_EQ(follower.validation_stats().sealed_commits, 0u);
+  EXPECT_EQ(follower.state().commitment(), chain.state().commitment());
 }
 
 TEST(SigCache, MempoolAdmissionFeedsBlockValidation) {
@@ -1285,9 +1297,19 @@ TEST(SigCache, MempoolAdmissionFeedsBlockValidation) {
   // Admission already verified every signature: assembly is all hits.
   EXPECT_EQ(chain.validation_stats().sig_cache_hits, 4u);
   EXPECT_EQ(chain.validation_stats().sig_cache_misses, 0u);
+  // The proposer commits its sealed proposal without re-executing it.
   ASSERT_TRUE(chain.append(block).ok());
-  EXPECT_EQ(chain.validation_stats().sig_cache_hits, 8u);
+  EXPECT_EQ(chain.validation_stats().sig_cache_hits, 4u);
   EXPECT_EQ(chain.validation_stats().sig_cache_misses, 0u);
+  EXPECT_EQ(chain.validation_stats().sealed_commits, 1u);
+
+  // A follower on the same cache validates in full: all hits, no misses.
+  Blockchain follower = f.make_chain();
+  ASSERT_TRUE(follower.append(block).ok());
+  EXPECT_EQ(follower.validation_stats().sig_cache_hits, 4u);
+  EXPECT_EQ(follower.validation_stats().sig_cache_misses, 0u);
+  EXPECT_EQ(follower.validation_stats().sealed_commits, 0u);
+  EXPECT_EQ(follower.state().commitment(), chain.state().commitment());
 }
 
 TEST(SigCache, TamperingMissesTheCache) {
