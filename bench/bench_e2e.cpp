@@ -41,13 +41,12 @@ ScenarioConfig city_config(const std::string& mix, std::uint64_t avatars,
   return config;
 }
 
-/// The full stack: parallel validation, threaded queue lanes, push-fed
+/// The full stack: parallel validation on 4 queue workers, push-fed
 /// subscribers, and per-round proof queries. The O(n) full-rehash
 /// cross-check is a test-only safety net, off here so the numbers measure
 /// the pipeline, not the auditor.
 ReplayOptions city_stack() {
   ReplayOptions opts;
-  opts.validation_threads = 4;
   opts.schedule_seed = 0x653136;  // "e16"
   opts.use_job_queue = true;
   opts.queue_workers = 4;
@@ -80,9 +79,9 @@ void print_row(const char* label, const RecordResult& rec, bool replay_ok) {
 void print_table() {
   std::printf("=== E16: city-at-scale macro workloads (src/scenario/) ===\n");
   std::printf(
-      "full stack: 4 validation threads, 4 queue workers, 64 subscribers,\n"
-      "64 proof queries/round; every trace replayed serial+inline and\n"
-      "compared block-by-block against the recording.\n\n");
+      "full stack: 4 queue workers, 64 subscribers, 64 proof queries/round;\n"
+      "every trace replayed serial+inline and compared block-by-block\n"
+      "against the recording.\n\n");
   std::printf("%-16s %8s %10s %9s %9s %9s %9s %9s %7s %s\n", "mix", "txs",
               "txs/sec", "q_p50us", "q_p99us", "shed", "fan_p50", "fan_p99",
               "scams", "replay");
@@ -161,8 +160,8 @@ BENCHMARK_CAPTURE(BM_E2ERecord, mixed_city, "mixed_city")
     ->UseRealTime();
 
 /// Replay cost of a pre-recorded trace across stack configurations — the
-/// regression oracle's own overhead. Arg 0: serial+inline; 1: 4-thread
-/// validation; 2: 4-thread validation + 4 queue workers + subscribers.
+/// regression oracle's own overhead. Arg 0: serial, no queue; 1: 4 queue
+/// workers; 2: 4 queue workers + subscribers and proof queries.
 void BM_E2EReplay(benchmark::State& state) {
   auto rec = record(city_config("mixed_city", 10'000, 10, 256));
   if (!rec.ok()) {
@@ -173,12 +172,11 @@ void BM_E2EReplay(benchmark::State& state) {
   ReplayOptions opts;
   opts.check_full_rehash = false;
   if (state.range(0) >= 1) {
-    opts.validation_threads = 4;
+    opts.use_job_queue = true;
+    opts.queue_workers = 4;
     opts.schedule_seed = 0x653136;
   }
   if (state.range(0) >= 2) {
-    opts.use_job_queue = true;
-    opts.queue_workers = 4;
     opts.subscribers = 64;
     opts.client_queries_per_round = 64;
   }

@@ -179,10 +179,11 @@ BENCHMARK(BM_BlockAssembleValidate)
 
 // Parallel block validation: fully validate a 512-tx low-conflict block
 // (distinct senders, distinct recipients) over a world of `range(0)` funded
-// accounts with `range(1)` worker threads. threads == 1 is the serial
-// baseline; the speedup at 4-8 threads is the tentpole claim of the parallel
-// engine. The candidate set and the block are built once outside the timed
-// loop, so the measurement isolates validation (signature pre-verification,
+// accounts with `range(1)` worker threads. threads == 1 runs with no job
+// queue, the exact serial baseline; threads > 1 validates on a JobQueue of
+// that many workers, and the speedup at 4-8 is the parallel engine's claim.
+// The candidate set and the block are built once outside the timed loop, so
+// the measurement isolates validation (signature pre-verification,
 // partitioning, group execution, merge).
 void BM_ParallelBlockValidate(benchmark::State& state) {
   const auto accounts = static_cast<std::size_t>(state.range(0));
@@ -208,7 +209,11 @@ void BM_ParallelBlockValidate(benchmark::State& state) {
   ChainConfig config;
   config.validators = {validator.public_key()};
   config.max_txs_per_block = kTxs;
-  config.validation.threads = threads;
+  if (threads > 1) {
+    JobQueueConfig qc;
+    qc.threads = threads;
+    config.validation.job_queue = std::make_shared<JobQueue>(qc);
+  }
   Blockchain chain(config, contracts, genesis);
   const Block block = chain.assemble(validator, candidates, 0, rng);
   for (auto _ : state) {

@@ -188,8 +188,8 @@ cmake --build build-tsan -j "${jobs}" --target \
 
 echo "== tsan: suites touching the parallel validation engine =="
 # halt_on_error turns the first data race into a non-zero exit instead of a
-# warning that scrolls past; the suites below cover the thread pool, the job
-# queue (priority/shedding under real workers, destructor-during-batch), the
+# warning that scrolls past; the suites below cover the job queue
+# (priority/shedding under real workers, destructor-during-batch), the
 # parallel apply/merge paths, consensus replicas in parallel mode, the
 # queue-routed gossip/snapshot paths, the subscription fan-out (worker-thread
 # pushes racing subscribe/ack handling), the end-to-end scenarios, and the

@@ -4,10 +4,11 @@
 // block validation, gossip relay, snapshot chunk serving, and client proof
 // queries all compete for the same cores. This queue (modeled on rippled's
 // JobQueue/LoadMonitor) gives each traffic class its own FIFO lane, executes
-// the highest-priority non-empty lane first on a worker pool layered on
-// ThreadPool, and sheds new work at admission when a lane backs up past its
-// configured ceiling — a rejected job is counted, never queued, so overload
-// degrades the lowest classes first instead of stalling consensus.
+// the highest-priority non-empty lane first on its own worker threads, and
+// sheds new work at admission when a lane backs up past its configured
+// ceiling — a rejected job is counted, never queued, so overload degrades
+// the lowest classes first instead of stalling consensus. It is the
+// process's only worker pool: block validation fans out through run_batch().
 //
 // Execution modes:
 //   threads == 0  — inline: submit()/run()/run_batch() execute the job
@@ -16,10 +17,9 @@
 //                   byte-identically to calling the work directly (telemetry
 //                   is still recorded; depth is always 0, so depth/wait
 //                   ceilings never trigger).
-//   threads >= 1  — queued: jobs are pulled by `threads` workers (one
-//                   long-lived ThreadPool batch driven from an internal
-//                   thread). Per-class FIFO order is start order; jobs of
-//                   different classes overlap freely.
+//   threads >= 1  — queued: jobs are pulled by `threads` worker threads
+//                   the queue owns. Per-class FIFO order is start order;
+//                   jobs of different classes overlap freely.
 //
 // Shedding policy (per class, both knobs 0 = unlimited):
 //   - depth ceiling: a submit()/run() while the class already holds
@@ -50,9 +50,9 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "common/stats.h"
-#include "common/thread_pool.h"
 
 namespace mv {
 
@@ -145,8 +145,8 @@ class JobQueue {
   /// Run fn(0)..fn(tasks-1) as `tasks` jobs of `cls` and block until all
   /// finished. Never shed. Tasks may run concurrently and in any order
   /// (inline mode: ascending order on the calling thread) — callers needing
-  /// determinism write to disjoint slots, exactly as with
-  /// ThreadPool::parallel.
+  /// determinism write to disjoint slots and fold on the calling thread
+  /// after the batch returns.
   void run_batch(JobClass cls, std::size_t tasks,
                  const std::function<void(std::size_t)>& fn);
 
@@ -211,11 +211,8 @@ class JobQueue {
   std::size_t running_ = 0;  ///< jobs currently executing on workers
   bool stop_ = false;
 
-  /// The workers: one long-lived ThreadPool batch of `threads` tasks, each
-  /// running worker_loop() until stop; driver_ parks inside
-  /// ThreadPool::parallel for the queue's whole life.
-  std::unique_ptr<ThreadPool> pool_;
-  std::thread driver_;
+  /// `threads` workers, each running worker_loop() until stop.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace mv

@@ -26,11 +26,6 @@ Blockchain::Blockchain(ChainConfig config,
   if (config_.validators.empty()) {
     throw std::invalid_argument("Blockchain: empty validator set");
   }
-  // A configured job queue brings its own workers (shared, prioritized);
-  // only the queue-less parallel configuration spawns a dedicated pool.
-  if (config_.validation.job_queue == nullptr && config_.validation.threads > 1) {
-    pool_ = std::make_shared<ThreadPool>(config_.validation.threads);
-  }
   ByteWriter w;
   w.str("genesis");
   w.raw(genesis_->commitment().root);
@@ -70,7 +65,7 @@ Block Blockchain::assemble(const crypto::Wallet& proposer,
   if (candidates.size() <= config_.max_txs_per_block) {
     const auto outcome =
         apply_block(scratch, candidates, *contracts_, block.header.height,
-                    config_.validation, pool_.get(), ApplyMode::kSkipFailures);
+                    config_.validation, ApplyMode::kSkipFailures);
     vstats_.record(outcome);
     for (const std::size_t i : outcome.applied) block.txs.push_back(candidates[i]);
   } else {
@@ -123,7 +118,7 @@ Status Blockchain::check(const Block& block, LedgerStateOverlay& scratch) const 
   const auto& h = block.header;
   const auto outcome =
       apply_block(scratch, block.txs, *contracts_, h.height, config_.validation,
-                  pool_.get(), ApplyMode::kAllOrNothing);
+                  ApplyMode::kAllOrNothing);
   vstats_.record(outcome);
   if (!outcome.status.ok()) {
     return Status::fail("block.bad_tx",

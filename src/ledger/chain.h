@@ -23,12 +23,12 @@ namespace mv::ledger {
 struct ChainConfig {
   std::vector<crypto::PublicKey> validators;  ///< round-robin proposer order
   std::size_t max_txs_per_block = 256;
-  /// Parallel block application (ledger/parallel.h). threads == 1 keeps the
-  /// historical single-overlay path; > 1 spawns a per-chain worker pool.
-  /// Setting validation.job_queue instead routes validation units, signature
-  /// batches, and prove_account queries through a shared prioritized
-  /// JobQueue (common/job_queue.h) — no per-chain pool is spawned, and a
-  /// queue with workers()==0 reproduces the inline path byte-identically.
+  /// Block application (ledger/parallel.h). Without validation.job_queue
+  /// the chain keeps the historical single-overlay path inline. Setting it
+  /// routes validation units, signature batches, and prove_account queries
+  /// through a shared prioritized JobQueue (common/job_queue.h): more than
+  /// one worker runs disjoint conflict groups in parallel, and a queue with
+  /// workers()==0 reproduces the inline path byte-identically.
   ValidationConfig validation;
   /// How many recent heights behind the tip stay reconstructible (a ring of
   /// per-block undo deltas + commitments): prove_account and export_snapshot
@@ -220,7 +220,6 @@ class Blockchain {
   /// Undo ring, oldest first; back() reverts the tip block. Capped at
   /// config.state_retention.
   std::deque<Retained> retained_;
-  std::shared_ptr<ThreadPool> pool_;  ///< null when validation.threads <= 1
   mutable ValidationStats vstats_;
   /// The last assembled proposal: its header hash and the post-state delta
   /// computed over the state it was assembled on. Only append() and

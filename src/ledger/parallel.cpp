@@ -263,34 +263,21 @@ bool access_interferes(const AccessSet& a, const AccessSet& b) {
   return writes_touch(a, b) || writes_touch(b, a);
 }
 
-/// How apply_block fans out CPU-bound work: through the prioritized job
-/// queue when one is configured (class-tagged, so ledger work competes with
-/// gossip/snapshot/client traffic under one scheduler), else the plain pool,
-/// else inline. Batch semantics are identical across all three — block until
-/// every task ran, tasks write disjoint slots — so results do not depend on
-/// which executor is wired in.
-struct Dispatch {
-  JobQueue* queue = nullptr;
-  ThreadPool* pool = nullptr;
-
-  void batch(JobClass cls, std::size_t tasks,
-             const std::function<void(std::size_t)>& fn) const {
-    if (queue != nullptr) {
-      queue->run_batch(cls, tasks, fn);
-    } else if (pool != nullptr) {
-      pool->parallel(tasks, fn);
-    } else {
-      for (std::size_t i = 0; i < tasks; ++i) fn(i);
-    }
+/// How apply_block fans out CPU-bound work: through the job queue's `cls`
+/// lane when one is configured (so ledger work competes with
+/// gossip/snapshot/client traffic under one scheduler; run_batch blocks until
+/// every task ran and is never shed), else inline in ascending order. Tasks
+/// write disjoint slots, so results do not depend on which path ran.
+void fan_out(JobQueue* queue, JobClass cls, std::size_t tasks,
+             const std::function<void(std::size_t)>& fn) {
+  if (queue != nullptr) {
+    queue->run_batch(cls, tasks, fn);
+  } else {
+    for (std::size_t i = 0; i < tasks; ++i) fn(i);
   }
+}
 
-  [[nodiscard]] std::size_t workers() const {
-    if (queue != nullptr) return queue->workers();
-    return pool != nullptr ? pool->workers() : 0;
-  }
-};
-
-/// The historical serial loop, shared by the threads==1 path and the
+/// The historical serial loop, shared by the single-worker path and the
 /// fallback. `sig_ok` (when present) carries pre-verified signature results
 /// so the fallback does not re-verify.
 BlockApplyOutcome serial_apply(LedgerStateOverlay& scratch,
@@ -314,15 +301,14 @@ BlockApplyOutcome serial_apply(LedgerStateOverlay& scratch,
 
 /// Resolve every transaction's signature through the verified-digest cache:
 /// hits are vouched for, misses are verified (fanned out as kValidation work
-/// on the dispatcher) and the valid ones remembered. Cache lookups and
+/// through fan_out) and the valid ones remembered. Cache lookups and
 /// inserts stay on the calling thread — only the pure verifications fan out.
 /// An invalid signature leaves its sig_ok slot 0; apply() then re-verifies
 /// and produces the authoritative error.
 void consult_sig_cache(crypto::DigestLruSet& cache,
                        const std::vector<Transaction>& txs,
-                       std::vector<unsigned char>& sig_ok,
-                       const Dispatch& dispatch, std::size_t& hits,
-                       std::size_t& misses) {
+                       std::vector<unsigned char>& sig_ok, JobQueue* queue,
+                       std::size_t& hits, std::size_t& misses) {
   std::vector<crypto::Digest> digests(txs.size());
   std::vector<std::size_t> miss_idx;
   for (std::size_t i = 0; i < txs.size(); ++i) {
@@ -339,7 +325,7 @@ void consult_sig_cache(crypto::DigestLruSet& cache,
     const std::size_t i = miss_idx[j];
     sig_ok[i] = txs[i].signature_valid() ? 1 : 0;
   };
-  dispatch.batch(JobClass::kValidation, miss_idx.size(), verify);
+  fan_out(queue, JobClass::kValidation, miss_idx.size(), verify);
   for (const std::size_t i : miss_idx) {
     if (sig_ok[i] != 0) cache.insert(digests[i]);
   }
@@ -394,15 +380,14 @@ std::vector<std::vector<std::size_t>> partition_conflicts(
 BlockApplyOutcome apply_block(LedgerStateOverlay& scratch,
                               const std::vector<Transaction>& txs,
                               const ContractRegistry& contracts, Tick height,
-                              const ValidationConfig& config, ThreadPool* pool,
-                              ApplyMode mode) {
-  const Dispatch dispatch{config.job_queue.get(), pool};
-  // With a job queue, its worker count decides serial-vs-parallel (an inline
-  // queue still routes work through the class lanes for telemetry, but the
-  // execution order is exactly the historical serial path).
+                              const ValidationConfig& config, ApplyMode mode) {
+  JobQueue* const queue = config.job_queue.get();
+  // The queue's worker count decides serial-vs-parallel (an inline or
+  // single-worker queue still routes work through the class lanes for
+  // telemetry, but the execution order is exactly the historical serial
+  // path).
   const bool concurrent =
-      (config.job_queue != nullptr ? config.job_queue->workers() > 1
-                                   : (pool != nullptr && config.threads > 1)) &&
+      queue != nullptr && queue->workers() > 1 &&
       txs.size() >= std::max<std::size_t>(config.min_parallel_txs, 2);
   if (!concurrent) {
     // With a queue, even the serial path runs as one kConsensus unit: the
@@ -413,13 +398,9 @@ BlockApplyOutcome apply_block(LedgerStateOverlay& scratch,
     const auto serial_unit =
         [&](const std::vector<unsigned char>* sig_ok_ptr) -> BlockApplyOutcome {
       BlockApplyOutcome out;
-      if (JobQueue* queue = config.job_queue.get(); queue != nullptr) {
-        queue->run_batch(JobClass::kConsensus, 1, [&](std::size_t) {
-          out = serial_apply(scratch, txs, contracts, height, mode, sig_ok_ptr);
-        });
-      } else {
+      fan_out(queue, JobClass::kConsensus, 1, [&](std::size_t) {
         out = serial_apply(scratch, txs, contracts, height, mode, sig_ok_ptr);
-      }
+      });
       return out;
     };
     if (config.sig_cache == nullptr) {
@@ -428,7 +409,7 @@ BlockApplyOutcome apply_block(LedgerStateOverlay& scratch,
     std::vector<unsigned char> sig_ok(txs.size(), 0);
     std::size_t hits = 0;
     std::size_t misses = 0;
-    consult_sig_cache(*config.sig_cache, txs, sig_ok, dispatch, hits, misses);
+    consult_sig_cache(*config.sig_cache, txs, sig_ok, queue, hits, misses);
     auto out = serial_unit(&sig_ok);
     out.sig_hits = hits;
     out.sig_misses = misses;
@@ -442,10 +423,10 @@ BlockApplyOutcome apply_block(LedgerStateOverlay& scratch,
   std::size_t sig_hits = 0;
   std::size_t sig_misses = 0;
   if (config.sig_cache != nullptr) {
-    consult_sig_cache(*config.sig_cache, txs, sig_ok, dispatch, sig_hits,
+    consult_sig_cache(*config.sig_cache, txs, sig_ok, queue, sig_hits,
                       sig_misses);
   } else {
-    dispatch.batch(JobClass::kValidation, txs.size(), [&](std::size_t i) {
+    queue->run_batch(JobClass::kValidation, txs.size(), [&](std::size_t i) {
       sig_ok[i] = txs[i].signature_valid() ? 1 : 0;
     });
   }
@@ -463,10 +444,7 @@ BlockApplyOutcome apply_block(LedgerStateOverlay& scratch,
   // groups in order, balanced by tx count). A unit executes its indices in
   // ascending block order, so intra-unit cross-group touches — which the
   // interference check cannot see — still replay the serial order exactly.
-  const std::size_t width =
-      config.job_queue != nullptr ? config.job_queue->workers() : config.threads;
-  const std::size_t unit_target =
-      std::min(groups.size(), std::max<std::size_t>(width * 4, 1));
+  const std::size_t unit_target = std::min(groups.size(), queue->workers() * 4);
   std::vector<UnitRun> runs;
   runs.reserve(unit_target);
   {
@@ -481,7 +459,7 @@ BlockApplyOutcome apply_block(LedgerStateOverlay& scratch,
     for (auto& run : runs) std::sort(run.txs.begin(), run.txs.end());
   }
 
-  // Hand units to the pool in a (deterministically) permuted order when a
+  // Hand units to the queue in a (deterministically) permuted order when a
   // schedule seed is set; results must not depend on it.
   std::vector<std::size_t> order(runs.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -492,7 +470,7 @@ BlockApplyOutcome apply_block(LedgerStateOverlay& scratch,
 
   // Unit execution is the consensus-critical lane: under mixed load it must
   // win the cores over relays, chunk serving, and client queries.
-  dispatch.batch(JobClass::kConsensus, runs.size(), [&](std::size_t t) {
+  queue->run_batch(JobClass::kConsensus, runs.size(), [&](std::size_t t) {
     UnitRun& run = runs[order[t]];
     for (const std::size_t idx : run.txs) {
       run.view.begin_tx(idx);

@@ -23,19 +23,18 @@
 #include <vector>
 
 #include "common/job_queue.h"
-#include "common/thread_pool.h"
 #include "crypto/digest_lru.h"
 #include "ledger/state.h"
 #include "ledger/transaction.h"
 
 namespace mv::ledger {
 
-/// Knobs for block application. threads == 1 preserves the serial path
-/// exactly (no pool, no partitioning, no tracking overhead).
+/// Knobs for block application. Without a job queue (or with one that has
+/// at most one worker) the serial path runs exactly (no partitioning, no
+/// tracking overhead).
 struct ValidationConfig {
-  std::size_t threads = 1;           ///< worker threads; 1 = serial
   std::size_t min_parallel_txs = 8;  ///< below this, serial is cheaper
-  /// Permutes the order in which conflict groups are handed to the pool.
+  /// Permutes the order in which conflict groups are handed to the queue.
   /// Results are independent of it by construction; the determinism tests
   /// sweep it to prove that. 0 = canonical order.
   std::uint64_t schedule_seed = 0;
@@ -46,15 +45,16 @@ struct ValidationConfig {
   /// replica (with its mempool); tampering changes the digest, so a hit is as
   /// strong as re-verifying. null = verify every time.
   std::shared_ptr<crypto::DigestLruSet> sig_cache;
-  /// Prioritized executor (common/job_queue.h). When set it REPLACES the
-  /// plain pool: signature pre-verification batches run as kValidation jobs
-  /// and block-application units as kConsensus jobs, so ledger work competes
-  /// with gossip/snapshot/client traffic under one scheduler instead of
-  /// owning dedicated threads. The queue's worker count (not `threads`)
-  /// decides serial-vs-parallel; a queue with workers()==0 executes inline —
-  /// byte-identical to the historical serial path. Batches are never shed.
-  /// Share one instance per process (replicas may share it with net-side
-  /// users); results stay bit-identical either way (DESIGN.md §10).
+  /// The executor (common/job_queue.h): signature pre-verification batches
+  /// run as kValidation jobs and block-application units as kConsensus
+  /// jobs, so ledger work competes with gossip/snapshot/client traffic under
+  /// one scheduler instead of owning dedicated threads. The queue's worker
+  /// count decides serial-vs-parallel and sets the unit-packing width; a
+  /// queue with workers() <= 1 runs the serial path (an inline queue,
+  /// workers()==0, is byte-identical to no queue at all). Batches are never
+  /// shed. Share one instance per process (replicas may share it with
+  /// net-side users); results stay bit-identical either way (DESIGN.md §10).
+  /// null = serial, inline on the calling thread.
   std::shared_ptr<JobQueue> job_queue;
 };
 
@@ -134,10 +134,10 @@ struct ValidationStats {
 };
 
 /// Apply `txs` onto `scratch` (an overlay the caller constructed over the
-/// base state), equivalent to applying them one-by-one in order. With
-/// config.threads > 1 and a pool, disjoint conflict groups run concurrently;
-/// the commitment of `scratch` afterwards is byte-identical to the serial
-/// result in every case. `scratch` must be freshly constructed (no prior
+/// base state), equivalent to applying them one-by-one in order. With a
+/// config.job_queue of more than one worker, disjoint conflict groups run
+/// concurrently on it; the commitment of `scratch` afterwards is
+/// byte-identical to the serial result in every case. `scratch` must be freshly constructed (no prior
 /// writes): group workers read through it concurrently, so it has to stay
 /// untouched until the merge.
 [[nodiscard]] BlockApplyOutcome apply_block(LedgerStateOverlay& scratch,
@@ -145,6 +145,6 @@ struct ValidationStats {
                                             const ContractRegistry& contracts,
                                             Tick height,
                                             const ValidationConfig& config,
-                                            ThreadPool* pool, ApplyMode mode);
+                                            ApplyMode mode);
 
 }  // namespace mv::ledger

@@ -35,10 +35,11 @@ namespace mv::scenario {
 /// Stack configuration swept by the determinism tests. Every combination
 /// must replay a trace to the same commitment roots.
 struct ReplayOptions {
-  /// ValidationConfig::threads (per-chain pool) when no queue is used.
-  std::size_t validation_threads = 1;
+  /// ValidationConfig::schedule_seed; only moves anything when the queue
+  /// has more than one worker.
   std::uint64_t schedule_seed = 0;
   /// Route validation/consensus/client work through one shared JobQueue.
+  /// Without one, blocks apply serially on the calling thread.
   bool use_job_queue = false;
   std::size_t queue_workers = 0;  ///< 0 = deterministic inline execution
   JobQueueConfig::Limit client_query_limit{};  ///< kClientQuery shedding

@@ -2,12 +2,9 @@
 // bus, statistics.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <set>
-#include <thread>
 #include <unordered_set>
 
 #include "common/bytes.h"
@@ -17,7 +14,6 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 
 namespace mv {
 namespace {
@@ -428,64 +424,6 @@ TEST_P(RngUniformityTest, ChiSquareWithinBound) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RngUniformityTest,
                          ::testing::Values(1, 2, 3, 42, 1000, 0xdeadbeef));
-
-// ---------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.workers(), 4u);
-  std::vector<int> hits(1000, 0);
-  pool.parallel(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i], 1) << "task " << i;
-  }
-}
-
-TEST(ThreadPool, ReusableAcrossBatches) {
-  ThreadPool pool(3);
-  for (int batch = 0; batch < 50; ++batch) {
-    std::vector<std::size_t> out(7, 0);
-    pool.parallel(out.size(), [&](std::size_t i) { out[i] = i * i; });
-    for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
-  }
-  pool.parallel(0, [](std::size_t) { FAIL() << "no tasks, no calls"; });
-}
-
-TEST(ThreadPool, ZeroWorkersRunsInline) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.workers(), 0u);
-  std::vector<int> hits(16, 0);
-  pool.parallel(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (const int h : hits) EXPECT_EQ(h, 1);
-}
-
-// Regression: destroying the pool while another thread's parallel() batch was
-// in flight could strand the caller — workers honored stop_ before finishing
-// the batch, so completed_ never reached tasks_ and the caller waited on
-// done_cv_ forever. The destructor now serializes with in-flight batches and
-// workers drain the current batch before exiting.
-TEST(ThreadPool, DestructorDrainsInFlightBatch) {
-  std::vector<std::atomic<int>> hits(64);
-  std::atomic<bool> batch_done{false};
-  std::thread caller;
-  {
-    ThreadPool pool(3);
-    std::atomic<bool> started{false};
-    caller = std::thread([&] {
-      pool.parallel(hits.size(), [&](std::size_t i) {
-        started.store(true);
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        hits[i].fetch_add(1);
-      });
-      batch_done.store(true);
-    });
-    while (!started.load()) std::this_thread::yield();
-    // ~ThreadPool runs here, mid-batch.
-  }
-  caller.join();
-  EXPECT_TRUE(batch_done.load());
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
 
 }  // namespace
 }  // namespace mv

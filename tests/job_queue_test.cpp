@@ -1,14 +1,16 @@
 // JobQueue tests: inline-mode determinism, strict priority and per-class
-// FIFO under a single worker, depth/wait shedding and recovery, never-shed
-// batches, stats consistency, absence of consensus starvation under a mixed
-// overload, destructor abandonment, and the ledger integration (queue-routed
-// block application bit-identical to serial; prove_account shed under
-// overload).
+// FIFO under a single worker, depth/wait shedding and recovery, run_batch as
+// a thread pool (every task once, reuse across batches, inline on 0 workers),
+// exactly the configured number of worker threads, never-shed batches, stats
+// consistency, absence of consensus starvation under a mixed overload,
+// destructor abandonment, and the ledger integration (queue-routed block
+// application bit-identical to serial; prove_account shed under overload).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <mutex>
 #include <numeric>
 #include <thread>
@@ -213,6 +215,103 @@ TEST(JobQueueThreaded, WaitCeilingShedsUnderBacklogAndRecoversWhenDrained) {
   EXPECT_EQ(ran.load(), kJobs + 1);
 }
 
+// ---------------------------------------------------------------- thread pool
+// run_batch is the thread pool every parallel ledger path fans out on: each
+// task runs exactly once, one queue serves batch after batch, an empty batch
+// calls nothing, and zero workers runs the batch inline on the caller.
+
+TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
+  JobQueueConfig config;
+  config.threads = 4;
+  JobQueue q(config);
+  EXPECT_EQ(q.workers(), 4u);
+  std::vector<int> hits(1000, 0);
+  q.run_batch(JobClass::kValidation, hits.size(),
+              [&](std::size_t i) { ++hits[i]; });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i], 1) << "task " << i;
+  }
+  EXPECT_EQ(q.stats().completed(), hits.size());
+}
+
+TEST(ThreadPool, ReusableAcrossBatches) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    JobQueueConfig config;
+    config.threads = workers;
+    JobQueue q(config);
+    for (int batch = 0; batch < 50; ++batch) {
+      std::vector<std::size_t> out(7, 0);
+      q.run_batch(JobClass::kConsensus, out.size(),
+                  [&](std::size_t i) { out[i] = i * i; });
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(out[i], i * i) << "batch " << batch;
+      }
+    }
+    q.run_batch(JobClass::kConsensus, 0,
+                [](std::size_t) { ADD_FAILURE() << "no tasks, no calls"; });
+    EXPECT_EQ(q.stats().completed(), 50u * 7u);
+  }
+}
+
+TEST(ThreadPool, ZeroWorkersRunsInline) {
+  JobQueueConfig config;
+  config.threads = 0;
+  JobQueue q(config);
+  EXPECT_EQ(q.workers(), 0u);
+  const auto caller = std::this_thread::get_id();
+  std::vector<int> hits(16, 0);
+  q.run_batch(JobClass::kValidation, hits.size(), [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller) << "task " << i;
+    ++hits[i];
+  });
+  for (const int h : hits) EXPECT_EQ(h, 1);
+  EXPECT_EQ(q.stats().completed(), hits.size());
+}
+
+/// Threads in this process, or 0 where /proc is unavailable.
+std::size_t live_threads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return 0;
+  std::size_t n = 0;
+  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) ++n;
+  return n;
+}
+
+// The queue owns exactly `threads` threads, all of them workers: that many
+// tasks can be in flight at once, no helper thread is spawned beside them,
+// and the destructor joins every one.
+TEST(JobQueueThreaded, OwnsExactlyTheConfiguredWorkerThreads) {
+  constexpr std::size_t kWorkers = 4;
+  const std::size_t before = live_threads();
+  {
+    JobQueueConfig config;
+    config.threads = kWorkers;
+    JobQueue q(config);
+    if (before != 0) {
+      EXPECT_EQ(live_threads(), before + kWorkers);
+    }
+
+    std::mutex m;
+    std::condition_variable cv;
+    std::size_t arrived = 0;
+    bool all_met = true;
+    q.run_batch(JobClass::kConsensus, kWorkers, [&](std::size_t) {
+      std::unique_lock<std::mutex> lock(m);
+      ++arrived;
+      cv.notify_all();
+      if (!cv.wait_for(lock, 5s, [&] { return arrived == kWorkers; })) {
+        all_met = false;
+      }
+    });
+    EXPECT_TRUE(all_met) << "fewer than " << kWorkers << " concurrent workers";
+  }
+  if (before != 0) {
+    EXPECT_EQ(live_threads(), before);
+  }
+}
+
 TEST(JobQueueThreaded, RunBatchIsNeverShed) {
   JobQueueConfig config;
   config.threads = 2;
@@ -280,6 +379,10 @@ TEST(JobQueueThreaded, ConsensusNeverStarvesUnderMixedOverload) {
       ++low_attempts;
     }
   });
+  // Start the consensus jobs only once the flood is running: otherwise all
+  // 50 can finish before the flooder is first scheduled, and the test would
+  // measure an idle queue.
+  EXPECT_TRUE(eventually([&] { return low_attempts.load() > 0; }));
 
   // Every consensus job must be admitted (no ceiling on the class) and must
   // complete — the flood may only slow it down, never reject or starve it.

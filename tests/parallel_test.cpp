@@ -97,7 +97,11 @@ struct ParallelFixture {
     config.validators = {proposer.public_key()};
     config.max_txs_per_block = max_txs;
     config.validation = ValidationConfig{
-        .threads = threads, .min_parallel_txs = 8, .schedule_seed = seed};
+        .min_parallel_txs = 8,
+        .schedule_seed = seed,
+        .job_queue = threads > 1 ? std::make_shared<JobQueue>(
+                                       JobQueueConfig{.threads = threads})
+                                 : nullptr};
     return Blockchain(config, contracts, genesis);
   }
 
@@ -503,7 +507,9 @@ TEST(ParallelValidation, CommitteeWithParallelReplicasStaysConsistent) {
   }
   ValidatorCommittee committee(
       network, 4, contracts, genesis, 128, rng,
-      ValidationConfig{.threads = 4, .min_parallel_txs = 4});
+      ValidationConfig{
+          .min_parallel_txs = 4,
+          .job_queue = std::make_shared<JobQueue>(JobQueueConfig{.threads = 4})});
 
   // Mostly-disjoint workload (distinct senders paying fresh addresses) so the
   // partitioner actually finds parallelism; the bump calls all share the

@@ -329,13 +329,15 @@ TEST(ScenarioGolden, DeterminismSweepAcrossStackConfigurations) {
   const auto& baseline = rec.value().run.commitments;
   ASSERT_EQ(baseline.size(), trace.rounds.size());
 
-  // serial / parallel validation × inline / threaded queue × subscribers:
-  // every configuration must reproduce the recorded commitment sequence.
+  // inline / single-worker / parallel queue × schedule seeds × subscribers:
+  // every configuration must reproduce the recorded (queue-less) commitment
+  // sequence.
   std::vector<ReplayOptions> sweep;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     ReplayOptions o;
-    o.validation_threads = threads;
-    o.schedule_seed = 0xfeed + threads;
+    o.use_job_queue = true;
+    o.queue_workers = workers;
+    o.schedule_seed = 0xfeed + workers;
     sweep.push_back(o);
   }
   for (const std::size_t workers : {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
