@@ -125,6 +125,22 @@ if echo "${scen_out}" | grep -qi 'skipped'; then
   exit 1
 fi
 
+echo "== gate: follower rollback (forged state roots leave no trace) =="
+# An unsealed append commits first and checks the state root on the
+# committed state; a forged root is rolled back through the undo. These
+# cases pin that state, commitment, tip, retention ring, commit hook and
+# account proofs are exactly as before a rejected block (DESIGN.md §7).
+rollback_out="$(ctest --test-dir build -R 'FollowerRollback' --no-tests=error --output-on-failure 2>&1)" || {
+  echo "${rollback_out}"
+  echo "FAIL: follower rollback tests did not run or did not pass"
+  exit 1
+}
+if echo "${rollback_out}" | grep -qi 'skipped'; then
+  echo "${rollback_out}"
+  echo "FAIL: follower rollback tests were skipped"
+  exit 1
+fi
+
 echo "== gate: sharded ledger (beacon anchors, cross-shard receipts, multi-world) =="
 # The shard split's contract: N=1 byte-identity with the plain chain, beacon
 # roots stable across thread counts, lock-and-mint receipts with replay and

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstring>
 #include <span>
+#include <tuple>
 
 namespace mv::crypto {
 
@@ -278,6 +280,20 @@ bool remove(NodePtr& slot, int depth, std::uint64_t key) {
   return true;
 }
 
+/// MerkleMap::leaf_hash of `n` (key, value) pairs in one batched pass:
+/// `at(i)` yields pair i. The preimages (0x00 || key || value, 41 bytes) all
+/// fit a single compression block, so pairs of them run in interleaved SHA
+/// lanes — roughly half the cost of hashing one by one.
+template <typename At>
+std::vector<Digest> batch_leaf_hashes(std::size_t n, At at) {
+  return sha256_fixed_batch<1 + 8 + 32>(n, [&](std::size_t i, std::uint8_t* p) {
+    const auto& [key, value] = at(i);
+    p[0] = 0x00;
+    store_le64(p + 1, key);
+    std::memcpy(p + 9, value.data(), 32);
+  });
+}
+
 }  // namespace
 
 MerkleMap::MerkleMap() = default;
@@ -305,7 +321,11 @@ Digest MerkleMap::leaf_hash(std::uint64_t key, const Digest& value) {
 }
 
 void MerkleMap::put(std::uint64_t key, const Digest& value) {
-  const Digest lh = leaf_hash(key, value);
+  put_hashed(key, value, leaf_hash(key, value));
+}
+
+void MerkleMap::put_hashed(std::uint64_t key, const Digest& value,
+                           const Digest& lh) {
   if (!root_) {
     root_ = make_leaf(key, value, lh);
     size_ = 1;
@@ -323,27 +343,35 @@ MerkleMap MerkleMap::from_sorted_leaves(
 #endif
   MerkleMap m;
   if (leaves.empty()) return m;
-  // Leaf hashes in one batched pass: the preimages (0x00 || key || value,
-  // 41 bytes) all fit a single compression block, so pairs of them run in
-  // interleaved SHA lanes — roughly half the cost of hashing one by one
-  // inside the build recursion.
-  constexpr std::size_t kPreimage = 1 + 8 + 32;
-  std::vector<std::uint8_t> preimages(leaves.size() * kPreimage);
-  std::vector<ShortInput> inputs(leaves.size());
-  for (std::size_t i = 0; i < leaves.size(); ++i) {
-    std::uint8_t* p = preimages.data() + i * kPreimage;
-    p[0] = 0x00;
-    for (int b = 0; b < 8; ++b) {
-      p[1 + b] = static_cast<std::uint8_t>(leaves[i].first >> (8 * b));
-    }
-    std::memcpy(p + 9, leaves[i].second.data(), 32);
-    inputs[i] = {p, kPreimage};
-  }
-  std::vector<Digest> leaf_hashes(leaves.size());
-  sha256_short_batch(inputs, leaf_hashes.data());
+  const std::vector<Digest> leaf_hashes =
+      batch_leaf_hashes(leaves.size(), [&](std::size_t i) {
+        return std::tie(leaves[i].first, leaves[i].second);
+      });
   m.root_ = build_nodes(0, leaves, leaf_hashes);
   m.size_ = leaves.size();
   return m;
+}
+
+void MerkleMap::update(
+    std::span<const std::pair<std::uint64_t, std::optional<Digest>>> entries) {
+  std::vector<std::size_t> puts;
+  puts.reserve(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].second.has_value()) puts.push_back(i);
+  }
+  const std::vector<Digest> leaf_hashes =
+      batch_leaf_hashes(puts.size(), [&](std::size_t j) {
+        const auto& [key, value] = entries[puts[j]];
+        return std::tie(key, *value);
+      });
+  std::size_t j = 0;
+  for (const auto& [key, value] : entries) {
+    if (value.has_value()) {
+      put_hashed(key, *value, leaf_hashes[j++]);
+    } else {
+      erase(key);
+    }
+  }
 }
 
 void MerkleMap::erase(std::uint64_t key) {

@@ -97,6 +97,13 @@ class MerkleMap {
   /// assert-checked in debug builds.
   [[nodiscard]] static MerkleMap from_sorted_leaves(
       std::span<const std::pair<std::uint64_t, Digest>> leaves);
+  /// Batched point updates: put (engaged value) or erase (nullopt) each
+  /// key, in order — the same result as the equivalent put()/erase() calls,
+  /// but the leaf hashes of all puts run in one sha256_short_batch pass.
+  /// Committing a block into the ledger state refreshes its touched account
+  /// leaves through this.
+  void update(
+      std::span<const std::pair<std::uint64_t, std::optional<Digest>>> entries);
   /// Remove a key (no-op when absent).
   void erase(std::uint64_t key);
   [[nodiscard]] bool contains(std::uint64_t key) const;
@@ -130,6 +137,9 @@ class MerkleMap {
   struct Node;  ///< opaque; defined in merkle_map.cpp
 
  private:
+  /// put() with the leaf hash `lh` of (key, value) already computed.
+  void put_hashed(std::uint64_t key, const Digest& value, const Digest& lh);
+
   std::unique_ptr<Node> root_;
   std::size_t size_ = 0;
 };

@@ -12,6 +12,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/bytes.h"
 
@@ -66,6 +67,30 @@ struct ShortInput {
 /// the intended caller. `out` must hold msgs.size() digests.
 void sha256_short_batch(std::span<const ShortInput> msgs, Digest* out);
 
+/// sha256_short_batch over `n` preimages of one fixed width: `pack(i, p)`
+/// writes preimage i into the `Width`-byte buffer `p`, and result[i] is its
+/// digest. Leaf hashing (account leaves, MerkleMap leaves) lays its fixed
+/// preimages out through this one buffer-and-batch routine.
+template <std::size_t Width, typename Pack>
+[[nodiscard]] std::vector<Digest> sha256_fixed_batch(std::size_t n, Pack&& pack) {
+  static_assert(Width <= kSha256ShortMax, "preimage must fit one block");
+  std::vector<std::uint8_t> preimages(n * Width);
+  std::vector<ShortInput> inputs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint8_t* p = preimages.data() + i * Width;
+    pack(i, p);
+    inputs[i] = {p, Width};
+  }
+  std::vector<Digest> out(n);
+  sha256_short_batch(inputs, out.data());
+  return out;
+}
+
+/// Little-endian u64 store: the byte order HashWriter::u64 streams.
+inline void store_le64(std::uint8_t* p, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) p[b] = static_cast<std::uint8_t>(v >> (8 * b));
+}
+
 /// Hash two independent messages of any length: out_a = sha256(a), out_b =
 /// sha256(b). On CPUs with the SHA extensions the two compressions run in
 /// interleaved lanes while both messages still have blocks left (maximally
@@ -89,7 +114,7 @@ class HashWriter {
   }
   void u64(std::uint64_t v) {
     std::uint8_t b[8];
-    for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    store_le64(b, v);
     append(b, 8);
   }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }

@@ -113,73 +113,69 @@ Status Blockchain::check_header(const Block& block) const {
   return {};
 }
 
-Status Blockchain::check(const Block& block, LedgerStateOverlay& scratch) const {
-  if (auto s = check_header(block); !s.ok()) return s;
-  const auto& h = block.header;
+Status Blockchain::execute(const Block& block, LedgerStateOverlay& scratch) const {
   const auto outcome =
-      apply_block(scratch, block.txs, *contracts_, h.height, config_.validation,
-                  ApplyMode::kAllOrNothing);
+      apply_block(scratch, block.txs, *contracts_, block.header.height,
+                  config_.validation, ApplyMode::kAllOrNothing);
   vstats_.record(outcome);
   if (!outcome.status.ok()) {
     return Status::fail("block.bad_tx",
                         "tx " + std::to_string(outcome.failed_index) + ": " +
                             outcome.status.error().to_string());
   }
-  if (scratch.commitment().root != h.state_root) {
-    return Status::fail("block.bad_state_root", "post-state mismatch");
-  }
   return {};
 }
 
 Status Blockchain::validate(const Block& block) const {
+  if (auto s = check_header(block); !s.ok()) return s;
   auto scratch = LedgerStateOverlay::reader(state());
-  return check(block, scratch);
+  if (auto s = execute(block, scratch); !s.ok()) return s;
+  if (scratch.commitment().root != block.header.state_root) {
+    return Status::fail("block.bad_state_root", "post-state mismatch");
+  }
+  // A replica that votes for a proposal appends it next: keep the verified
+  // post-state as the seal so that append commits it without re-executing.
+  // An existing seal (this chain's own proposal) is left alone.
+  if (!sealed_.has_value()) {
+    sealed_.emplace(Sealed{block.header.hash(), std::move(scratch)});
+  }
+  return {};
 }
 
 Status Blockchain::append(const Block& block) {
   // Whatever the outcome, the seal is used up here: a commit moves the tip
   // under it, and a rejected block leaves no reason to keep it.
   std::optional<Sealed> seal = std::exchange(sealed_, std::nullopt);
-  const bool sealed = seal.has_value() && seal->hash == block.header.hash();
+  // The header hash binds tx_root and state_root, but not the tx list
+  // itself, so the header checks (tx_root included) run on both paths.
+  if (auto s = check_header(block); !s.ok()) return s;
   // First committed block: materialize the working copy of the shared
   // genesis (a no-op on the copying constructor path).
   LedgerState& state = mutable_state();
   auto scratch = LedgerStateOverlay::writer(state);
+  const bool sealed = seal.has_value() && seal->hash == block.header.hash();
   if (sealed) {
-    // The header hash binds tx_root and state_root, but not the tx list
-    // itself, so the header checks (tx_root included) still run.
-    if (auto s = check_header(block); !s.ok()) return s;
-    // The delta was computed over state() at assembly time; that may have
+    // The delta was computed over state() when it was sealed; that may have
     // been the shared genesis, which mutable_state() has since copied.
     scratch = std::move(seal->post);
     scratch.rebase_writer(state);
-  } else if (auto s = check(block, scratch); !s.ok()) {
+  } else if (auto s = execute(block, scratch); !s.ok()) {
     return s;
   }
-  // The inverse delta must be read off the pre-commit base; it feeds the
-  // retention ring that serves historical proofs and snapshot export, and
-  // tells the commit hook which accounts/stores the block touched. The
-  // sealed path always captures it: it is the rollback below.
-  StateUndo undo;
-  const bool want_undo =
-      sealed || config_.state_retention > 0 || static_cast<bool>(commit_hook_);
-  if (want_undo) undo = scratch.capture_undo(state);
-  scratch.commit();
-  std::optional<StateCommitment> committed;
-  if (sealed || config_.state_retention > 0) committed = state.commitment();
-  if (sealed) {
-    // Last line of defence: a sealed post-state that does not reproduce the
-    // signed state_root never stays committed.
-    if (committed->root != block.header.state_root) {
-      state.apply_undo(undo);
-      return Status::fail("block.bad_state_root", "sealed post-state mismatch");
-    }
-    ++vstats_.sealed_commits;
+  // Commit first, then check the root once, on the committed state. The
+  // undo recorded by the commit is the rollback of a mismatch; it also
+  // feeds the retention ring and tells the commit hook what was touched.
+  StateUndo undo = state.absorb(scratch);
+  StateCommitment committed = state.commitment();
+  if (committed.root != block.header.state_root) {
+    state.apply_undo(undo);
+    return Status::fail("block.bad_state_root", "post-state mismatch");
   }
+  if (sealed) ++vstats_.sealed_commits;
   blocks_.push_back(block);
   if (commit_hook_) commit_hook_(block, undo);
   if (config_.state_retention > 0) {
-    retained_.push_back(Retained{std::move(undo), *committed});
+    retained_.push_back(Retained{std::move(undo), std::move(committed)});
     if (retained_.size() > config_.state_retention) retained_.pop_front();
   }
   return {};

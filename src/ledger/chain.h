@@ -84,23 +84,26 @@ class Blockchain {
   /// overlay} in one slot, so appending this block commits the state that
   /// assembly already computed instead of executing it a second time. A new
   /// assemble() replaces the seal; append() and init_from_snapshot() drop
-  /// it. validate() leaves it alone. Because it writes the seal, calls to
-  /// assemble() and append() on one chain must not overlap.
+  /// it. validate() fills an empty slot and leaves a held seal alone.
+  /// Because they write the seal, calls to assemble(), validate() and
+  /// append() on one chain must not overlap.
   [[nodiscard]] Block assemble(const crypto::Wallet& proposer,
                                const std::vector<Transaction>& candidates,
                                Tick timestamp, Rng& rng) const;
 
   /// Validate + commit. On any failure the chain is unchanged.
   ///
-  /// A block whose header hash matches the seal left by assemble() skips
-  /// re-execution but still passes every check that needs none: height,
+  /// Every block first passes the checks that need no execution: height,
   /// parent hash, proposer schedule, proposer signature, max_txs_per_block
-  /// and the tx_root recomputed from block.txs. After the sealed post-state
-  /// is committed its root must equal header.state_root, or the commit is
-  /// rolled back and the block rejected. Every other block (followers,
-  /// import_blocks, a tampered or re-signed proposal, a proposal whose seal
-  /// was replaced or went stale) takes the full re-executing validation.
-  /// ValidationStats::sealed_commits counts the sealed commits.
+  /// and the tx_root recomputed from block.txs. A block whose header hash
+  /// matches the seal (left by assemble() or validate()) then commits the
+  /// sealed post-state; every other block (followers, import_blocks, a
+  /// tampered or re-signed proposal, a seal that was replaced or went stale)
+  /// is executed once, all-or-nothing, and committed. Either way the root
+  /// of the committed state must equal header.state_root, or the commit is
+  /// rolled back (LedgerState::apply_undo) and the block rejected with
+  /// "block.bad_state_root". ValidationStats::sealed_commits counts the
+  /// sealed commits.
   [[nodiscard]] Status append(const Block& block);
 
   /// Observer of successful commits: the block just appended plus the
@@ -113,7 +116,10 @@ class Blockchain {
   using CommitHook = std::function<void(const Block&, const StateUndo&)>;
   void set_commit_hook(CommitHook hook) { commit_hook_ = std::move(hook); }
 
-  /// Validate without committing (votes in the BFT round use this).
+  /// Validate without committing (votes in the BFT round use this): header
+  /// checks, execution on a read-only overlay, and the state_root check.
+  /// On success with no seal held, the verified post-state becomes the seal,
+  /// so the append() that follows the vote does not execute the block again.
   [[nodiscard]] Status validate(const Block& block) const;
 
   /// Merkle inclusion proof for tx `tx_index` of block `block_height`.
@@ -183,9 +189,10 @@ class Blockchain {
   /// The checks that need no execution: height, parent, proposer schedule
   /// and signature, block size, tx_root.
   [[nodiscard]] Status check_header(const Block& block) const;
-  /// Validate the block by trial-applying it onto `scratch` (an overlay over
-  /// the current state). On success the overlay holds the block's delta.
-  [[nodiscard]] Status check(const Block& block, LedgerStateOverlay& scratch) const;
+  /// Apply the block's transactions all-or-nothing onto `scratch` (an
+  /// overlay over the current state); "block.bad_tx" names the first that
+  /// fails. On success the overlay holds the block's delta.
+  [[nodiscard]] Status execute(const Block& block, LedgerStateOverlay& scratch) const;
 
   /// The proof construction itself (prove_account minus queue admission).
   [[nodiscard]] Result<AccountProof> prove_account_now(
@@ -221,10 +228,11 @@ class Blockchain {
   /// config.state_retention.
   std::deque<Retained> retained_;
   mutable ValidationStats vstats_;
-  /// The last assembled proposal: its header hash and the post-state delta
-  /// computed over the state it was assembled on. Only append() and
-  /// init_from_snapshot() change that state, and both drop the seal, so a
-  /// live seal always describes the current tip.
+  /// The last assembled (or, with no proposal of its own, validated) block:
+  /// its header hash and the post-state delta computed over the state it
+  /// was built on. Only append() and init_from_snapshot() change that
+  /// state, and both drop the seal, so a live seal always describes the
+  /// current tip.
   struct Sealed {
     crypto::Digest hash;
     LedgerStateOverlay post;

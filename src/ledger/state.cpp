@@ -1,6 +1,8 @@
 #include "ledger/state.h"
 
 #include <cstdlib>
+#include <span>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -50,6 +52,40 @@ void merge_maps(const BaseMap& base, const DeltaMap& delta, Emit emit) {
       ++dit;
     }
   }
+}
+
+/// One account entry during a commit: with `value`, write it into
+/// `map[addr]` and record the entry it replaces (nullopt = absent) in
+/// `prior` — one try_emplace for both; without, just read the entry.
+/// Returns the entry after the commit.
+std::optional<std::uint64_t> swap_entry(
+    std::map<crypto::Address, std::uint64_t>& map,
+    std::map<crypto::Address, std::optional<std::uint64_t>>& prior,
+    crypto::Address addr, const std::uint64_t* value) {
+  if (value == nullptr) {
+    const auto it = map.find(addr);
+    return it == map.end() ? std::nullopt : std::optional(it->second);
+  }
+  const auto [it, fresh] = map.try_emplace(addr, *value);
+  prior.emplace_hint(
+      prior.end(), addr,
+      fresh ? std::nullopt : std::optional(std::exchange(it->second, *value)));
+  return *value;
+}
+
+/// account_leaf_digest of every account in one batched pass: the preimage
+/// (flag || balance || nonce, 17 bytes — the byte stream account_leaf_digest
+/// hashes) fits a single compression block, so pairs run in interleaved SHA
+/// lanes.
+std::vector<crypto::Digest> account_leaf_digests(
+    std::span<const AccountSeed> accounts) {
+  return crypto::sha256_fixed_batch<1 + 8 + 8>(
+      accounts.size(), [&](std::size_t i, std::uint8_t* p) {
+        const AccountSeed& s = accounts[i];
+        p[0] = s.balance.has_value() ? 1 : 0;
+        crypto::store_le64(p + 1, s.balance.value_or(0));
+        crypto::store_le64(p + 9, s.nonce);
+      });
 }
 
 }  // namespace
@@ -205,25 +241,7 @@ void LedgerState::load_accounts(const std::vector<AccountSeed>& sorted) {
   std::vector<std::pair<std::uint64_t, crypto::Digest>> leaves;
   balances.reserve(sorted.size());
   leaves.reserve(sorted.size());
-  // Value digests in one batched pass: the preimage (flag || balance ||
-  // nonce, 17 bytes — the exact byte stream account_leaf_digest hashes) fits
-  // a single compression block, so pairs run in interleaved SHA lanes.
-  constexpr std::size_t kPreimage = 1 + 8 + 8;
-  std::vector<std::uint8_t> preimages(sorted.size() * kPreimage);
-  std::vector<crypto::ShortInput> inputs(sorted.size());
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    const AccountSeed& s = sorted[i];
-    std::uint8_t* p = preimages.data() + i * kPreimage;
-    p[0] = s.balance.has_value() ? 1 : 0;
-    const std::uint64_t bal = s.balance.value_or(0);
-    for (int b = 0; b < 8; ++b) {
-      p[1 + b] = static_cast<std::uint8_t>(bal >> (8 * b));
-      p[9 + b] = static_cast<std::uint8_t>(s.nonce >> (8 * b));
-    }
-    inputs[i] = {p, kPreimage};
-  }
-  std::vector<crypto::Digest> digests(sorted.size());
-  crypto::sha256_short_batch(inputs, digests.data());
+  const std::vector<crypto::Digest> digests = account_leaf_digests(sorted);
   for (std::size_t i = 0; i < sorted.size(); ++i) {
     const AccountSeed& s = sorted[i];
     if (s.balance.has_value()) balances.emplace_back(s.addr, *s.balance);
@@ -236,6 +254,57 @@ void LedgerState::load_accounts(const std::vector<AccountSeed>& sorted) {
   nonces_ = std::map<crypto::Address, std::uint64_t>(nonces.begin(),
                                                      nonces.end());
   accounts_ = crypto::MerkleMap::from_sorted_leaves(leaves);
+}
+
+StateUndo LedgerState::absorb(LedgerStateOverlay& overlay) {
+  if (overlay.writable_ != this) {
+    MV_LOG_ERROR << "LedgerState::absorb() of an overlay over another view ("
+                 << overlay.touched() << " touched entries)";
+    std::clog.flush();  // abort() skips stream teardown; surface the message
+    std::abort();
+  }
+  StateUndo undo;
+  // Accounts: one ordered walk over every touched address, collecting each
+  // one's post-state to rebuild its leaf once.
+  std::vector<AccountSeed> touched;
+  touched.reserve(overlay.balances_.size() + overlay.nonces_.size());
+  merge_maps(
+      overlay.balances_, overlay.nonces_,
+      [&](crypto::Address addr, const std::uint64_t* bal, const std::uint64_t* n) {
+        touched.push_back(
+            {addr, swap_entry(balances_, undo.balances, addr, bal),
+             swap_entry(nonces_, undo.nonces, addr, n).value_or(0)});
+      });
+  const std::vector<crypto::Digest> digests = account_leaf_digests(touched);
+  std::vector<std::pair<std::uint64_t, std::optional<crypto::Digest>>> leaves;
+  leaves.reserve(touched.size());
+  for (std::size_t i = 0; i < touched.size(); ++i) {
+    const bool live = touched[i].balance.has_value() || touched[i].nonce != 0;
+    leaves.emplace_back(touched[i].addr.value,
+                        live ? std::optional(digests[i]) : std::nullopt);
+  }
+  accounts_.update(leaves);
+
+  for (auto& [contract, delta] : overlay.stores_) {
+    StateUndo::StoreUndo& su = undo.stores[contract];
+    su.existed = contracts_.contains(contract);
+    for (auto& [key, value] : delta) {
+      su.entries.emplace_hint(su.entries.end(), key,
+                              write_store_entry(contract, key, std::move(value)));
+    }
+  }
+  undo.audit_count = audit_log_.size();
+  undo.audit_digest = audit_digest_;
+  for (auto& rec : overlay.audit_appended_) append_audit(std::move(rec));
+  undo.burned_delta = overlay.burned_delta_;
+  burned_fees_ += overlay.burned_delta_;
+
+  overlay.balances_.clear();
+  overlay.nonces_.clear();
+  overlay.audit_appended_.clear();
+  overlay.stores_.clear();
+  overlay.burned_delta_ = 0;
+  return undo;
 }
 
 void LedgerState::append_audit(StoredAuditRecord record) {
@@ -256,32 +325,41 @@ const Bytes* LedgerState::store_get(const std::string& contract,
   return it == store->end() ? nullptr : &it->second;
 }
 
-void LedgerState::store_put(const std::string& contract, const std::string& key,
-                            Bytes value) {
+std::optional<Bytes> LedgerState::write_store_entry(const std::string& contract,
+                                                    const std::string& key,
+                                                    std::optional<Bytes> value) {
   ContractStore& store = contracts_[contract];
   StoreDigest& sd = store_digests_[contract];
-  const auto it = store.find(key);
+  std::optional<Bytes> prior;
+  auto it = store.find(key);
   if (it != store.end()) {
     sd.sum.remove(store_entry_hash(key, it->second));
     --sd.count;
+    prior = std::move(it->second);
+    if (!value.has_value()) store.erase(it);
   }
-  sd.sum.add(store_entry_hash(key, value));
-  ++sd.count;
-  store[key] = std::move(value);
+  if (value.has_value()) {
+    sd.sum.add(store_entry_hash(key, *value));
+    ++sd.count;
+    if (it != store.end()) {
+      it->second = std::move(*value);
+    } else {
+      store.emplace(key, std::move(*value));
+    }
+  }
+  return prior;
+}
+
+void LedgerState::store_put(const std::string& contract, const std::string& key,
+                            Bytes value) {
+  (void)write_store_entry(contract, key, std::move(value));
 }
 
 void LedgerState::store_erase(const std::string& contract,
                               const std::string& key) {
   // Deliberately creates the (empty) store if missing — matches the
   // historical CallContext::erase semantics that the commitment covers.
-  ContractStore& store = contracts_[contract];
-  StoreDigest& sd = store_digests_[contract];
-  const auto it = store.find(key);
-  if (it != store.end()) {
-    sd.sum.remove(store_entry_hash(key, it->second));
-    --sd.count;
-    store.erase(it);
-  }
+  (void)write_store_entry(contract, key, std::nullopt);
 }
 
 void LedgerState::materialize_store(const std::string& contract) {
@@ -325,7 +403,14 @@ void LedgerState::apply_undo(const StateUndo& undo) {
       refresh_account_leaf(addr);
     }
   }
-  for (const auto& [addr, prior] : undo.nonces) set_nonce(addr, prior);
+  for (const auto& [addr, prior] : undo.nonces) {
+    if (prior.has_value()) {
+      set_nonce(addr, *prior);
+    } else {
+      nonces_.erase(addr);
+      refresh_account_leaf(addr);
+    }
+  }
   // The audit chain hash cannot be un-chained; restore the captured digest
   // and truncate the log back to its pre-block length.
   audit_log_.resize(undo.audit_count);
@@ -593,33 +678,6 @@ void LedgerStateOverlay::commit() {
   audit_appended_.clear();
   stores_.clear();
   burned_delta_ = 0;
-}
-
-StateUndo LedgerStateOverlay::capture_undo(const LedgerState& base) const {
-  StateUndo undo;
-  for (const auto& [addr, value] : balances_) {
-    (void)value;
-    undo.balances.emplace(addr, base.find_balance(addr));
-  }
-  for (const auto& [addr, value] : nonces_) {
-    (void)value;
-    undo.nonces.emplace(addr, base.nonce(addr));
-  }
-  for (const auto& [contract, delta] : stores_) {
-    StateUndo::StoreUndo su;
-    su.existed = base.find_store(contract) != nullptr;
-    for (const auto& [key, value] : delta) {
-      (void)value;
-      const Bytes* prior = base.store_get(contract, key);
-      su.entries.emplace(key, prior != nullptr ? std::optional<Bytes>(*prior)
-                                               : std::nullopt);
-    }
-    undo.stores.emplace(contract, std::move(su));
-  }
-  undo.audit_count = base.audit_log().size();
-  undo.audit_digest = base.audit_digest();
-  undo.burned_delta = burned_delta_;
-  return undo;
 }
 
 std::size_t LedgerStateOverlay::touched() const {

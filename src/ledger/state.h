@@ -74,8 +74,8 @@ struct StateCommitment {
                                                  std::uint64_t balance,
                                                  std::uint64_t nonce);
 
-/// Inverse of one committed block's delta, captured *before* the commit
-/// (LedgerStateOverlay::capture_undo). Blockchain keeps a bounded ring of
+/// Inverse of one committed block's delta, recorded while the commit writes
+/// it (LedgerState::absorb). Blockchain keeps a bounded ring of
 /// these so recent historical states can be reconstructed for snapshot
 /// export and stale-height account proofs — O(touched) to capture, O(sum of
 /// touched) to roll back, instead of a full per-height state copy.
@@ -83,9 +83,9 @@ struct StateUndo {
   /// Prior balance entries for every balance the block wrote
   /// (nullopt = the account had no balance entry).
   std::map<crypto::Address, std::optional<std::uint64_t>> balances;
-  /// Prior nonces for every nonce the block wrote (0 and "absent" are
-  /// commitment-equivalent, so a plain value suffices).
-  std::map<crypto::Address, std::uint64_t> nonces;
+  /// Prior nonce entries for every nonce the block wrote (nullopt = the
+  /// account had no nonce entry).
+  std::map<crypto::Address, std::optional<std::uint64_t>> nonces;
   struct StoreUndo {
     bool existed = true;  ///< store was materialized before the block
     /// Prior values for every key the block wrote (nullopt = absent).
@@ -180,6 +180,8 @@ class LedgerView {
 
 /// One account's full content, used to bulk-load the account section on
 /// snapshot install (LedgerState::load_accounts).
+class LedgerStateOverlay;
+
 struct AccountSeed {
   crypto::Address addr;
   std::optional<std::uint64_t> balance;  ///< engaged = balance entry exists
@@ -205,6 +207,16 @@ class LedgerState final : public LedgerView {
   /// leaf presence are the caller's contract (the strict snapshot decoder
   /// enforces both before calling).
   void load_accounts(const std::vector<AccountSeed>& sorted);
+
+  /// Commit a writer overlay over this state in one pass and return the
+  /// inverse of what it wrote. Balances and nonces are walked in one ordered
+  /// merge: each written entry costs one try_emplace, which records the
+  /// prior value and writes the new one, and each touched account's leaf is
+  /// refreshed exactly once (digests and Merkle leaf hashes batched). Store
+  /// entries, audit records and burned fees follow. The overlay is left
+  /// empty; its base must be this state (a hard failure otherwise).
+  /// apply_undo(result) restores the pre-commit state exactly.
+  [[nodiscard]] StateUndo absorb(LedgerStateOverlay& overlay);
 
   // ---- audit log (§II-D) ----
   [[nodiscard]] const std::vector<StoredAuditRecord>& audit_log() const {
@@ -287,6 +299,13 @@ class LedgerState final : public LedgerView {
     std::uint64_t count = 0;   ///< live entries
   };
 
+  /// Put (engaged) or erase (nullopt) `key` in `contract`'s store, creating
+  /// the store if missing and keeping its digest in step. Returns the prior
+  /// value (nullopt = absent).
+  std::optional<Bytes> write_store_entry(const std::string& contract,
+                                         const std::string& key,
+                                         std::optional<Bytes> value);
+
   std::map<crypto::Address, std::uint64_t> balances_;
   std::map<crypto::Address, std::uint64_t> nonces_;
   std::vector<StoredAuditRecord> audit_log_;
@@ -355,19 +374,17 @@ class LedgerStateOverlay final : public LedgerView {
   /// the shared genesis to the chain's materialized copy of it). O(1).
   void rebase_writer(LedgerView& base) { base_ = writable_ = &base; }
 
-  /// Fold the delta into the (writable) base. O(touched entries).
+  /// Fold the delta into the (writable) base. O(touched entries). A block's
+  /// overlay over the materialized state commits through
+  /// LedgerState::absorb instead, which also returns the undo.
   void commit();
-
-  /// Capture the inverse of this overlay's delta against `base`, which must
-  /// be the materialized state this overlay was constructed over. Call
-  /// *before* commit(); applying the result to the post-commit state
-  /// restores `base` exactly (LedgerState::apply_undo). O(touched).
-  [[nodiscard]] StateUndo capture_undo(const LedgerState& base) const;
 
   /// Number of accounts/keys recorded in the delta (diagnostics).
   [[nodiscard]] std::size_t touched() const;
 
  private:
+  friend class LedgerState;  // absorb() consumes the delta directly
+
   LedgerStateOverlay(const LedgerView* base, LedgerView* writable)
       : base_(base), writable_(writable) {}
 

@@ -374,6 +374,57 @@ TEST(MerkleMap, MatchesReferenceOracleUnderRandomChurn) {
   }
 }
 
+TEST(MerkleMap, BatchedUpdateMatchesSequentialPuts) {
+  // update() hashes every put's leaf in one batch, then applies the entries
+  // in order. It must build exactly what the same put()/erase() calls build:
+  // from an empty map, and on a populated map mixing updates to existing
+  // keys, fresh inserts (dense low keys force splits) and erases (present
+  // and absent).
+  Rng rng(606);
+  MerkleMap batched;
+  MerkleMap sequential;
+  std::map<std::uint64_t, Digest> model;
+  for (int round = 0; round < 30; ++round) {
+    std::vector<std::pair<std::uint64_t, std::optional<Digest>>> entries;
+    const std::uint64_t n = round == 0 ? 200 : rng.next_below(80);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const bool existing = !model.empty() && rng.chance(0.5);
+      const std::uint64_t key =
+          existing ? std::next(model.begin(), static_cast<std::ptrdiff_t>(
+                                                  rng.next_below(model.size())))
+                         ->first
+                   : (rng.chance(0.5) ? rng.next_below(512) : rng.next_u64());
+      if (round > 0 && rng.chance(0.25)) {
+        entries.emplace_back(key, std::nullopt);
+      } else {
+        entries.emplace_back(key, value_digest(rng.next_u64()));
+      }
+    }
+    batched.update(entries);
+    for (const auto& [key, value] : entries) {
+      if (value.has_value()) {
+        sequential.put(key, *value);
+        model[key] = *value;
+      } else {
+        sequential.erase(key);
+        model.erase(key);
+      }
+    }
+    ASSERT_EQ(batched.size(), model.size()) << "round " << round;
+    ASSERT_EQ(batched.root(), sequential.root()) << "round " << round;
+    ASSERT_EQ(batched.root(), reference_of(model)) << "round " << round;
+  }
+  // An empty batch is a no-op; a batch erasing everything empties the map.
+  const Digest before = batched.root();
+  batched.update({});
+  EXPECT_EQ(batched.root(), before);
+  std::vector<std::pair<std::uint64_t, std::optional<Digest>>> wipe;
+  for (const auto& [key, value] : model) wipe.emplace_back(key, std::nullopt);
+  batched.update(wipe);
+  EXPECT_EQ(batched.size(), 0u);
+  EXPECT_EQ(batched.root(), Digest{});
+}
+
 TEST(MerkleMap, RootWithMatchesMaterializedApplication) {
   Rng rng(91);
   MerkleMap base;

@@ -828,6 +828,105 @@ TEST(LedgerState, DifferentialCommitmentMatchesFullRehashOracle) {
   }
 }
 
+/// Every raw section of two states, and both commitments, agree exactly.
+void expect_same_state(const LedgerState& a, const LedgerState& b,
+                       const std::string& where) {
+  EXPECT_EQ(a.balances(), b.balances()) << where;
+  EXPECT_EQ(a.nonces(), b.nonces()) << where;
+  EXPECT_EQ(a.stores(), b.stores()) << where;
+  EXPECT_EQ(a.audit_log().size(), b.audit_log().size()) << where;
+  EXPECT_EQ(a.audit_digest(), b.audit_digest()) << where;
+  EXPECT_EQ(a.burned_fees(), b.burned_fees()) << where;
+  EXPECT_EQ(a.commitment(), b.commitment()) << where;
+  EXPECT_EQ(a.full_rehash_commitment(), b.full_rehash_commitment()) << where;
+}
+
+TEST(LedgerState, AbsorbDifferentialMatchesPerKeyCommit) {
+  // absorb() commits a block's overlay in one pass (one try_emplace per
+  // written entry, one batched leaf refresh per touched account). The
+  // oracle commits the same overlay key by key through commit(), i.e.
+  // set_balance/set_nonce/store_put/store_erase on a copy. Both must agree
+  // on every section and commitment, and absorb's undo must restore the
+  // pre-state exactly — per block, and chained back to the empty state.
+  Rng rng(1515);
+  LedgerState state;   // absorb side
+  LedgerState oracle;  // per-key side
+  std::vector<LedgerState> pre_states;
+  std::vector<StateUndo> undos;
+  const std::array<std::string, 3> contracts{"nft", "dao", "reg"};
+  for (int block = 0; block < 120; ++block) {
+    // Both overlays are staged from the same seed, so they hold one delta.
+    const std::uint64_t seed = rng.next_u64();
+    const auto stage = [&contracts, block, seed](LedgerView& v) {
+      Rng r(seed);
+      // Funded accounts 1..40; 41..56 only ever get nonces, so writing one
+      // back to 0 must erase its leaf; 57+ are brand new when first hit.
+      const auto funded = [&r] { return crypto::Address{r.next_below(40) + 1}; };
+      const auto bare = [&r] { return crypto::Address{r.next_below(16) + 41}; };
+      const std::uint64_t ops = 1 + r.next_below(60);
+      for (std::uint64_t i = 0; i < ops; ++i) {
+        switch (r.next_below(9)) {
+          case 0:  // balance only
+            v.credit(funded(), r.next_below(1000));
+            break;
+          case 1:
+            (void)v.debit(funded(), r.next_below(500));
+            break;
+          case 2:  // nonce only, on a funded account
+            v.set_nonce(funded(), r.next_below(4));
+            break;
+          case 3:  // nonce only, no balance entry: 0 erases the leaf
+            v.set_nonce(bare(), r.next_below(3));
+            break;
+          case 4:  // brand-new account
+            v.set_balance(crypto::Address{57 + r.next_below(1'000'000)},
+                          r.next_below(100));
+            break;
+          case 5: {
+            Bytes value(1 + r.next_below(4), static_cast<std::uint8_t>(r.next_u64()));
+            v.store_put(contracts[r.next_below(3)],
+                        "k" + std::to_string(r.next_below(12)), std::move(value));
+            break;
+          }
+          case 6:
+            v.store_erase(contracts[r.next_below(3)],
+                          "k" + std::to_string(r.next_below(12)));
+            break;
+          case 7:
+            v.append_audit(StoredAuditRecord{
+                funded(), {"gaze", "ads", r.next_below(10), "none"},
+                static_cast<Tick>(block)});
+            break;
+          default:
+            v.add_burned_fees(r.next_below(5));
+            break;
+        }
+      }
+    };
+    const std::string where = "block " + std::to_string(block);
+    auto a = LedgerStateOverlay::writer(state);
+    stage(a);
+    auto b = LedgerStateOverlay::writer(oracle);
+    stage(b);
+    const StateCommitment expected = a.commitment();
+    pre_states.push_back(state);
+    undos.push_back(state.absorb(a));
+    b.commit();
+    EXPECT_EQ(a.touched(), 0u) << where;
+    ASSERT_EQ(state.commitment(), expected) << where;
+    expect_same_state(state, oracle, where);
+    ASSERT_EQ(state.commitment(), state.full_rehash_commitment()) << where;
+
+    LedgerState rolled = state;
+    rolled.apply_undo(undos.back());
+    expect_same_state(rolled, pre_states.back(), where + " undo");
+    if (HasFailure()) return;
+  }
+  // Newest-first through every undo lands on the empty state.
+  for (std::size_t i = undos.size(); i-- > 0;) state.apply_undo(undos[i]);
+  expect_same_state(state, LedgerState{}, "fully rolled back");
+}
+
 // ---------------------------------------------------------- mempool TTL/cap
 
 TEST(Mempool, SweepExpiredDropsOnlyStaleEntries) {

@@ -540,5 +540,73 @@ TEST(ParallelValidation, CommitteeWithParallelReplicasStaysConsistent) {
   EXPECT_GT(committee.chain(0).validation_stats().parallel_applies, 0u);
 }
 
+TEST(ParallelValidation, CommitteeReplicasCommitTheirValidatedSeal) {
+  // A non-leader replica validates the proposal before voting; that
+  // validation's post-state is the seal its append commits, so every replica
+  // executes each block once, and the roots equal a plain follower's.
+  Rng rng{4040};
+  SimClock clock;
+  net::Network network{clock, Rng(505),
+                       net::LinkParams{.base_latency = 1.0, .jitter = 1.0, .drop_rate = 0.0}};
+  auto contracts = std::make_shared<ContractRegistry>();
+  contracts->install(std::make_shared<ScratchpadContract>());
+  std::vector<crypto::Wallet> wallets;
+  LedgerState genesis;
+  for (int i = 0; i < 8; ++i) {
+    wallets.emplace_back(rng);
+    genesis.credit(wallets.back().address(), 1'000'000);
+  }
+  ValidatorCommittee committee(
+      network, 4, contracts, genesis, 128, rng,
+      ValidationConfig{
+          .min_parallel_txs = 4,
+          .job_queue = std::make_shared<JobQueue>(JobQueueConfig{.threads = 2})});
+  constexpr int kRounds = 4;
+  std::vector<std::uint64_t> nonces(wallets.size(), 0);
+  for (int round = 0; round < kRounds; ++round) {
+    for (int i = 0; i < 16; ++i) {
+      const std::size_t w = static_cast<std::size_t>(i) % wallets.size();
+      if (i % 4 == 0) {
+        committee.submit(make_contract_call(wallets[w], nonces[w]++, "pad", "bump",
+                                            key_args("k" + std::to_string(i % 3)), 1,
+                                            rng));
+      } else {
+        const crypto::Address fresh{70'000u + static_cast<std::uint64_t>(round) * 100u +
+                                    static_cast<std::uint64_t>(i)};
+        committee.submit(make_transfer(wallets[w], nonces[w]++, fresh, 10, 1, rng));
+      }
+    }
+    ASSERT_TRUE(committee.run_round()) << "round " << round;
+  }
+  ASSERT_TRUE(committee.replicas_consistent());
+
+  ChainConfig plain = committee.chain(0).config();
+  plain.validation = {};
+  Blockchain follower(plain, contracts, genesis);
+  for (const Block& block : committee.chain(0).blocks()) {
+    ASSERT_TRUE(follower.append(block).ok());
+  }
+  EXPECT_EQ(follower.validation_stats().sealed_commits, 0u);
+
+  std::uint64_t applies = 0;
+  for (std::size_t i = 0; i < committee.size(); ++i) {
+    const Blockchain& replica = committee.chain(i);
+    ASSERT_EQ(replica.height(), kRounds);
+    // Leaders commit their assembled seal, everyone else its validated one.
+    EXPECT_EQ(replica.validation_stats().sealed_commits,
+              static_cast<std::uint64_t>(kRounds))
+        << "replica " << i;
+    applies += replica.validation_stats().applies;
+    for (std::int64_t h = 0; h < kRounds; ++h) {
+      EXPECT_EQ(*replica.commitment_at(h), *follower.commitment_at(h))
+          << "replica " << i << " height " << h;
+    }
+    EXPECT_EQ(replica.state().commitment(), replica.state().full_rehash_commitment());
+  }
+  // Per round: one validation on each replica plus the leader's assembly;
+  // no append re-executes.
+  EXPECT_EQ(applies, static_cast<std::uint64_t>(kRounds) * (committee.size() + 1));
+}
+
 }  // namespace
 }  // namespace mv::ledger

@@ -20,6 +20,7 @@
 #include "common/job_queue.h"
 #include "crypto/digest_lru.h"
 #include "ledger/chain.h"
+#include "ledger/light_client.h"
 #include "ledger/mempool.h"
 #include "ledger/shard.h"
 #include "scenario/harness.h"
@@ -236,6 +237,203 @@ TEST(SealedProposal, SharedGenesisStaysUntouched) {
   EXPECT_EQ(chain.validation_stats().sealed_commits, 1u);
   EXPECT_EQ(genesis->commitment(), before);
   EXPECT_EQ(chain.state().commitment().root, block.header.state_root);
+}
+
+// ------------------------------------------------------- FollowerRollback
+//
+// A follower commits an unsealed block first and checks its state root on
+// the committed state, so a block whose root is forged is committed and then
+// rolled back. These cases pin that the rollback leaves nothing behind.
+
+/// Writes `args` (one string) as both key and value of its own store; "fail"
+/// writes and then fails, so the call's writes must be discarded.
+class NoteContract final : public Contract {
+ public:
+  [[nodiscard]] std::string name() const override { return "note"; }
+  [[nodiscard]] Status call(CallContext& ctx, const std::string& method,
+                            const Bytes& args) const override {
+    ctx.put(std::string(args.begin(), args.end()), args);
+    if (method == "fail") return Status::fail("note.failed", "after a write");
+    return {};
+  }
+};
+
+/// Everything a rejected append must leave as it was.
+struct ChainImage {
+  LedgerState state;
+  std::int64_t height = 0;
+  crypto::Digest tip{};
+  std::vector<StateCommitment> ring;  ///< commitment_at(h) for held heights
+  std::uint64_t hook_calls = 0;
+};
+
+struct RollbackFixture : SealFixture {
+  std::shared_ptr<ContractRegistry> contracts = [] {
+    auto registry = std::make_shared<ContractRegistry>();
+    registry->install(std::make_shared<NoteContract>());
+    return registry;
+  }();
+  crypto::Wallet carol{rng};  ///< never funded: the blocks below create her
+  Blockchain source{config, contracts, genesis};    ///< proposes honest blocks
+  Blockchain follower{config, contracts, genesis};  ///< only ever appends
+  std::uint64_t hook_calls = 0;
+
+  RollbackFixture() {
+    follower.set_commit_hook(
+        [this](const Block&, const StateUndo&) { ++hook_calls; });
+  }
+
+  /// A block touching every state section: a transfer to a fresh account, a
+  /// store write (a fresh store on the first block), an audit record, fees.
+  [[nodiscard]] std::vector<Transaction> busy_txs(std::uint64_t amount) {
+    const std::uint64_t a = follower.state().nonce(alice.address());
+    const std::uint64_t b = follower.state().nonce(bob.address());
+    const std::string key = "k" + std::to_string(follower.height());
+    return {make_transfer(alice, a, carol.address(), amount, 1, rng),
+            make_contract_call(bob, b, "note", "put", Bytes(key.begin(), key.end()),
+                               2, rng),
+            make_audit_record(alice, a + 1, {"gaze", "ads", 3, "none"}, 1, rng)};
+  }
+
+  /// Propose `txs` on the source and hand the block to the follower.
+  [[nodiscard]] bool advance(std::uint64_t amount) {
+    const Block block = source.assemble(proposer_for(source), busy_txs(amount),
+                                        source.height(), rng);
+    return block.txs.size() == 3 && source.append(block).ok() &&
+           follower.append(block).ok();
+  }
+
+  /// `txs` in a block the scheduled proposer signed correctly, claiming
+  /// `state_root`.
+  [[nodiscard]] Block forge(std::vector<Transaction> txs,
+                            const crypto::Digest& state_root) {
+    Block block;
+    block.header.height = follower.height();
+    block.header.prev_hash = follower.tip_hash();
+    block.header.timestamp = follower.height();
+    block.header.proposer_pub = proposer_for(follower).public_key();
+    block.txs = std::move(txs);
+    block.header.tx_root = Block::compute_tx_root(block.txs);
+    block.header.state_root = state_root;
+    block.header.proposer_sig =
+        proposer_for(follower).sign(block.header.signing_bytes(), rng);
+    return block;
+  }
+
+  [[nodiscard]] ChainImage image() const {
+    ChainImage img{follower.state(), follower.height(), follower.tip_hash(), {},
+                   hook_calls};
+    for (std::int64_t h = 0; h < follower.height(); ++h) {
+      if (const StateCommitment* c = follower.commitment_at(h)) img.ring.push_back(*c);
+    }
+    return img;
+  }
+
+  /// The follower is exactly as `before` left it, and its proofs still serve.
+  void expect_untouched(const ChainImage& before) const {
+    const LedgerState& now = follower.state();
+    EXPECT_EQ(now.commitment(), before.state.commitment());
+    EXPECT_EQ(now.commitment(), now.full_rehash_commitment());
+    EXPECT_EQ(now.balances(), before.state.balances());
+    EXPECT_EQ(now.nonces(), before.state.nonces());
+    EXPECT_EQ(now.stores(), before.state.stores());
+    EXPECT_EQ(now.audit_log().size(), before.state.audit_log().size());
+    EXPECT_EQ(now.audit_digest(), before.state.audit_digest());
+    EXPECT_EQ(now.burned_fees(), before.state.burned_fees());
+    EXPECT_EQ(follower.height(), before.height);
+    EXPECT_EQ(follower.tip_hash(), before.tip);
+    EXPECT_EQ(image().ring, before.ring);
+    EXPECT_EQ(hook_calls, before.hook_calls);
+    // Tip and historical account proofs still verify against their headers.
+    for (const std::int64_t h : {follower.height() - 1, std::int64_t{0}}) {
+      for (const crypto::Address addr : {alice.address(), carol.address()}) {
+        const auto ap = follower.prove_account(addr, h);
+        ASSERT_TRUE(ap.ok()) << ap.error().to_string();
+        EXPECT_TRUE(
+            verify_account_proof(ap.value(), follower.block_at(h)->header.state_root)
+                .ok())
+            << "height " << h;
+      }
+    }
+  }
+};
+
+TEST(FollowerRollback, ForgedStateRootIsRolledBackBitForBit) {
+  RollbackFixture f;
+  for (std::uint64_t b = 0; b < 3; ++b) ASSERT_TRUE(f.advance(10 + b));
+  const ChainImage before = f.image();
+  ASSERT_EQ(before.ring.size(), 3u);
+
+  // The honest next block, and the same block re-signed by the scheduled
+  // proposer with one bit of its state root flipped.
+  const Block honest = f.source.assemble(f.proposer_for(f.source), f.busy_txs(20),
+                                         f.source.height(), f.rng);
+  crypto::Digest forged_root = honest.header.state_root;
+  forged_root[31] ^= 0x01;
+  const Block forged = f.forge(honest.txs, forged_root);
+
+  const std::uint64_t applies = f.follower.validation_stats().applies;
+  const Status s = f.follower.append(forged);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.error().code, "block.bad_state_root");
+  EXPECT_EQ(f.follower.validation_stats().applies, applies + 1);  // executed once
+  f.expect_untouched(before);
+
+  // The honest block still appends on both chains and they agree.
+  ASSERT_TRUE(f.follower.append(honest).ok());
+  ASSERT_TRUE(f.source.append(honest).ok());
+  EXPECT_EQ(f.hook_calls, before.hook_calls + 1);
+  EXPECT_EQ(f.follower.state().commitment().root, honest.header.state_root);
+  EXPECT_EQ(f.follower.state().commitment(), f.source.state().commitment());
+  EXPECT_EQ(f.follower.state().commitment(),
+            f.follower.state().full_rehash_commitment());
+  EXPECT_EQ(f.follower.validation_stats().sealed_commits, 0u);
+}
+
+TEST(FollowerRollback, ForgedRootOnTheFirstBlockKeepsTheGenesis) {
+  RollbackFixture f;
+  const ChainImage before = f.image();
+  // A stale root (the pre-state's own) on a block that creates an account,
+  // a store and the first audit record: the rollback must un-create them.
+  const Block forged =
+      f.forge(f.busy_txs(10), f.follower.state().commitment().root);
+  const Status s = f.follower.append(forged);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.error().code, "block.bad_state_root");
+  EXPECT_EQ(f.follower.state().find_balance(f.carol.address()), std::nullopt);
+  EXPECT_EQ(f.follower.state().find_store("note"), nullptr);
+  EXPECT_TRUE(f.follower.state().audit_log().empty());
+  EXPECT_EQ(f.follower.state().commitment(), before.state.commitment());
+  EXPECT_EQ(f.follower.state().balances(), before.state.balances());
+  EXPECT_EQ(f.follower.state().nonces(), before.state.nonces());
+  EXPECT_EQ(f.follower.height(), 0);
+  EXPECT_EQ(f.hook_calls, 0u);
+  ASSERT_TRUE(f.advance(10));
+  EXPECT_EQ(f.follower.state().commitment(), f.source.state().commitment());
+}
+
+TEST(FollowerRollback, FailingTxMidBlockLeavesStateUntouched) {
+  RollbackFixture f;
+  for (std::uint64_t b = 0; b < 2; ++b) ASSERT_TRUE(f.advance(10 + b));
+  const ChainImage before = f.image();
+
+  // A valid transfer, then a contract call that writes and fails, then a
+  // transfer that would be valid: the block fails at tx 1 whatever its root.
+  std::vector<Transaction> txs = f.busy_txs(30);
+  const std::uint64_t b = f.follower.state().nonce(f.bob.address());
+  txs[1] = make_contract_call(f.bob, b, "note", "fail", Bytes{'z'}, 2, f.rng);
+  const Block forged = f.forge(txs, f.follower.state().commitment().root);
+  const std::uint64_t applies = f.follower.validation_stats().applies;
+  const Status s = f.follower.append(forged);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.error().code, "block.bad_tx");
+  EXPECT_EQ(f.follower.validation_stats().applies, applies + 1);
+  f.expect_untouched(before);
+  EXPECT_EQ(f.follower.state().store_get("note", "z"), nullptr);
+
+  ASSERT_TRUE(f.advance(31));
+  EXPECT_EQ(f.follower.state().commitment(), f.source.state().commitment());
+  EXPECT_EQ(f.hook_calls, before.hook_calls + 1);
 }
 
 }  // namespace
