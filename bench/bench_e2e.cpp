@@ -3,11 +3,11 @@
 // Each named mix drives the scenario generator's avatars — NFT churn with
 // scam-pattern injection, DAO proposal/ballot waves, moderation report
 // storms, reputation updates, privacy-audit records — through real Mempool
-// admission, Blockchain assembly/append (parallel validation), JobQueue
-// lanes, and subscription fan-out. The table records end-to-end throughput
-// plus the queue/fan-out observability the paper's governance story depends
-// on; every recording is then replayed serial+inline and must reproduce the
-// per-block commitment roots bit for bit (the §12 determinism contract).
+// admission, Blockchain assembly/append, JobQueue lanes, and subscription
+// fan-out. The table records end-to-end throughput plus the queue/fan-out
+// observability the paper's governance story depends on; every recording
+// is then replayed serial+inline and must reproduce the per-block
+// commitment roots bit for bit (the §12 determinism contract).
 //
 // The timed benchmarks re-run the same mixes at a reduced round count and
 // export throughput, per-class queue p50/p99 waits, shed rates, and fan-out
@@ -41,13 +41,12 @@ ScenarioConfig city_config(const std::string& mix, std::uint64_t avatars,
   return config;
 }
 
-/// The full stack: parallel validation on 4 queue workers, push-fed
+/// The full stack: a 4-worker queue serving proof queries, push-fed
 /// subscribers, and per-round proof queries. The O(n) full-rehash
 /// cross-check is a test-only safety net, off here so the numbers measure
 /// the pipeline, not the auditor.
 ReplayOptions city_stack() {
   ReplayOptions opts;
-  opts.schedule_seed = 0x653136;  // "e16"
   opts.use_job_queue = true;
   opts.queue_workers = 4;
   opts.subscribers = 64;
@@ -174,7 +173,6 @@ void BM_E2EReplay(benchmark::State& state) {
   if (state.range(0) >= 1) {
     opts.use_job_queue = true;
     opts.queue_workers = 4;
-    opts.schedule_seed = 0x653136;
   }
   if (state.range(0) >= 2) {
     opts.subscribers = 64;

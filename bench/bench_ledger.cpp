@@ -177,17 +177,13 @@ BENCHMARK(BM_BlockAssembleValidate)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Parallel block validation: fully validate a 512-tx low-conflict block
-// (distinct senders, distinct recipients) over a world of `range(0)` funded
-// accounts with `range(1)` worker threads. threads == 1 runs with no job
-// queue, the exact serial baseline; threads > 1 validates on a JobQueue of
-// that many workers, and the speedup at 4-8 is the parallel engine's claim.
+// Block validation: fully validate a 512-tx low-conflict block (distinct
+// senders, distinct recipients) over a world of `range(0)` funded accounts.
 // The candidate set and the block are built once outside the timed loop, so
-// the measurement isolates validation (signature pre-verification,
-// partitioning, group execution, merge).
-void BM_ParallelBlockValidate(benchmark::State& state) {
+// the measurement isolates validation: header checks, signature checks and
+// the serial apply loop, plus the overlay commitment.
+void BM_BlockValidate(benchmark::State& state) {
   const auto accounts = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
   constexpr std::size_t kTxs = 512;
   Rng rng(13);
   auto contracts = std::make_shared<ContractRegistry>();
@@ -209,11 +205,6 @@ void BM_ParallelBlockValidate(benchmark::State& state) {
   ChainConfig config;
   config.validators = {validator.public_key()};
   config.max_txs_per_block = kTxs;
-  if (threads > 1) {
-    JobQueueConfig qc;
-    qc.threads = threads;
-    config.validation.job_queue = std::make_shared<JobQueue>(qc);
-  }
   Blockchain chain(config, contracts, genesis);
   const Block block = chain.assemble(validator, candidates, 0, rng);
   for (auto _ : state) {
@@ -222,8 +213,9 @@ void BM_ParallelBlockValidate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kTxs));
 }
-BENCHMARK(BM_ParallelBlockValidate)
-    ->ArgsProduct({{1000, 100000}, {1, 2, 4, 8}})
+BENCHMARK(BM_BlockValidate)
+    ->Arg(1000)
+    ->Arg(100000)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

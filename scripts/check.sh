@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Build and test three configurations: the normal RelWithDebInfo build, the
 # ASan+UBSan build, and a ThreadSanitizer build that runs the suites
-# exercising the parallel block-validation engine. Also emits ledger
+# exercising the job queue's worker threads. Also emits ledger
 # benchmark medians to BENCH_ledger.json. Run from the repository root.
 # Exits non-zero on the first failing build, test, or missing gate.
 set -euo pipefail
@@ -184,7 +184,7 @@ MV_BENCH_NO_TABLE=1 ./build/bench/bench_e2e \
 
 echo "== bench: ledger microbenchmarks -> BENCH_ledger.json (median of 3) =="
 MV_BENCH_NO_TABLE=1 ./build/bench/bench_ledger \
-  --benchmark_filter='BM_BlockAssembleValidate|BM_ParallelBlockValidate|BM_CommitmentAfterTouch|BM_TxApplyTransfer|BM_MempoolSelectRemove|BM_AccountProofRoundTrip|BM_CatchUp|BM_DiffSnapshot|BM_SnapshotExportImport|BM_BlockValidateSigCache|BM_JobQueue|BM_SubscriptionFanout|BM_ShardedPipeline' \
+  --benchmark_filter='BM_BlockAssembleValidate|BM_BlockValidate|BM_CommitmentAfterTouch|BM_TxApplyTransfer|BM_MempoolSelectRemove|BM_AccountProofRoundTrip|BM_CatchUp|BM_DiffSnapshot|BM_SnapshotExportImport|BM_BlockValidateSigCache|BM_JobQueue|BM_SubscriptionFanout|BM_ShardedPipeline' \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
   --benchmark_out=BENCH_ledger.json \
@@ -202,14 +202,15 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMV_TSAN=ON
 cmake --build build-tsan -j "${jobs}" --target \
   common_test job_queue_test crypto_test parallel_test ledger_test snapshot_test subscription_test net_test scenario_test shard_test sealed_test
 
-echo "== tsan: suites touching the parallel validation engine =="
+echo "== tsan: suites that run work on job queue workers =="
 # halt_on_error turns the first data race into a non-zero exit instead of a
 # warning that scrolls past; the suites below cover the job queue
-# (priority/shedding under real workers, destructor-during-batch), the
-# parallel apply/merge paths, consensus replicas in parallel mode, the
-# queue-routed gossip/snapshot paths, the subscription fan-out (worker-thread
-# pushes racing subscribe/ack handling), the end-to-end scenarios, and the
-# sealed-proposal differential (parallel assembly on queue workers).
+# (priority/shedding under real workers, destructor-during-batch), chains and
+# consensus replicas configured with threaded queues (proof queries on
+# workers while blocks apply inline), the queue-routed gossip/snapshot paths,
+# the subscription fan-out (worker-thread pushes racing subscribe/ack
+# handling), the end-to-end scenarios, and the sharded commit fan-out and
+# sealed-proposal differential (shard chains on queue workers).
 for t in common_test job_queue_test crypto_test parallel_test ledger_test snapshot_test subscription_test net_test scenario_test shard_test sealed_test; do
   echo "-- tsan: ${t}"
   TSAN_OPTIONS="halt_on_error=1" "./build-tsan/tests/${t}"

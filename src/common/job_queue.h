@@ -58,8 +58,12 @@ namespace mv {
 
 /// Traffic classes, highest priority first (enum order IS the priority).
 enum class JobClass : std::uint8_t {
-  kConsensus = 0,     ///< block validation units on the consensus path
-  kValidation = 1,    ///< signature pre-verification batches
+  /// Consensus-critical fan-out: ShardedLedger::commit_round runs one job
+  /// per shard here. Block application itself never enters the queue.
+  kConsensus = 0,
+  /// Batches of pure verification work. No ledger path submits here: block
+  /// application verifies signatures inline.
+  kValidation = 1,
   kGossipRelay = 2,   ///< rumor relays (net/gossip.h)
   kSnapshotServe = 3, ///< snapshot chunk serving (net/snapshot_transfer.h)
   kClientQuery = 4,   ///< client proof queries (Blockchain::prove_account)

@@ -11,8 +11,8 @@
 // on lookup, so a prefix collision can only cause a spurious miss (the
 // colliding entry is displaced on insert), never a false hit. Not
 // thread-safe: callers consult and populate it from their single-threaded
-// control path (ledger/parallel.cpp fans verification out but touches the
-// cache only from the calling thread).
+// control path (ledger/parallel.cpp looks up, verifies and inserts inline on
+// the thread applying the block).
 #pragma once
 
 #include <cstdint>

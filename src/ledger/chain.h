@@ -23,12 +23,11 @@ namespace mv::ledger {
 struct ChainConfig {
   std::vector<crypto::PublicKey> validators;  ///< round-robin proposer order
   std::size_t max_txs_per_block = 256;
-  /// Block application (ledger/parallel.h). Without validation.job_queue
-  /// the chain keeps the historical single-overlay path inline. Setting it
-  /// routes validation units, signature batches, and prove_account queries
-  /// through a shared prioritized JobQueue (common/job_queue.h): more than
-  /// one worker runs disjoint conflict groups in parallel, and a queue with
-  /// workers()==0 reproduces the inline path byte-identically.
+  /// Block application (ledger/parallel.h). Blocks always apply serially,
+  /// inline on the calling thread; validation.sig_cache lets them skip
+  /// signatures verified before. validation.job_queue only routes
+  /// prove_account queries through the shared JobQueue's sheddable
+  /// kClientQuery lane (common/job_queue.h).
   ValidationConfig validation;
   /// How many recent heights behind the tip stay reconstructible (a ring of
   /// per-block undo deltas + commitments): prove_account and export_snapshot

@@ -38,9 +38,9 @@ struct ConsensusStats {
 class ValidatorCommittee {
  public:
   /// Creates `n` validators with fresh wallets, replicas of the same genesis,
-  /// and nodes on `network`. `validation` configures parallel block
-  /// application on every replica (ledger/parallel.h); the default keeps the
-  /// serial path.
+  /// and nodes on `network`. `validation` configures block application on
+  /// every replica (ledger/parallel.h): the sig cache and the queue that
+  /// serves proof queries. Blocks apply serially either way.
   ValidatorCommittee(net::Network& network, std::size_t n,
                      std::shared_ptr<const ContractRegistry> contracts,
                      const LedgerState& genesis, std::size_t max_txs_per_block,

@@ -315,8 +315,10 @@ ShardedLedger::ShardedLedger(
     chain_config.max_txs_per_block = config_.max_txs_per_block;
     chain_config.state_retention = config_.state_retention;
     chain_config.validation = config_.validation;
-    // The shared queue drives the cross-shard fan-out; a shard's own
-    // apply_block must not re-enter it from a worker (self-wait deadlock).
+    // The shared queue drives the cross-shard fan-out only. A shard chain's
+    // block application never enters a queue anyway; without one its
+    // prove_account (called from ShardedLedger::prove_account) also runs
+    // inline instead of taking a kClientQuery hop per shard proof.
     chain_config.validation.job_queue = nullptr;
     if (config_.validation.sig_cache != nullptr) {
       // The LRU is single-threaded; shards committing concurrently each get

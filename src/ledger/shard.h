@@ -63,10 +63,11 @@ struct ShardConfig {
   std::size_t max_txs_per_block = 256;
   /// Per-shard validation knobs. The job_queue is lifted to the sharded
   /// level — commit_round fans the shards out as one kConsensus batch — and
-  /// is NOT passed into the per-shard chains (a queue job must not call
-  /// run_batch on its own queue). A non-null sig_cache requests per-shard
-  /// verified-signature caches (the LRU is single-threaded; shards get one
-  /// each instead of sharing the instance).
+  /// is NOT passed into the per-shard chains, so a composed prove_account
+  /// builds its shard proof inline rather than through a kClientQuery hop.
+  /// A non-null sig_cache requests per-shard verified-signature caches (the
+  /// LRU is single-threaded; shards get one each instead of sharing the
+  /// instance).
   ValidationConfig validation;
   std::size_t state_retention = 8;
   MempoolConfig mempool;

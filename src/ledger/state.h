@@ -172,7 +172,7 @@ class LedgerView {
   /// run in a nested overlay that is committed only on success).
   /// `signature_preverified` skips the in-line signature check; pass true
   /// only when signature_valid() was already observed true for `tx` (the
-  /// parallel block engine verifies signatures in a concurrent pre-pass).
+  /// block loop vouches for it through the verified-signature cache).
   [[nodiscard]] Status apply(const Transaction& tx,
                              const ContractRegistry& contracts, Tick height,
                              bool signature_preverified = false);

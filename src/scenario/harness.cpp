@@ -46,7 +46,6 @@ Result<ReplayResult> execute(const ScenarioEnv& env, const TraceHeader& header,
   ledger::ChainConfig cc;
   cc.validators = env.validator_keys();
   cc.max_txs_per_block = header.max_txs_per_block;
-  cc.validation.schedule_seed = opts.schedule_seed;
   cc.validation.sig_cache = sig_cache;
   cc.validation.job_queue = queue;
   ledger::Blockchain chain(cc, env.contracts, env.genesis);

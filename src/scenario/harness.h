@@ -7,9 +7,9 @@
 // genesis root differs), feeds the recorded rounds through a freshly
 // configured stack, and compares every per-block StateCommitment root
 // against the recording. Because the recorded roots are a pure function of
-// (genesis, transaction sequence), ANY replay configuration — serial or
-// parallel validation, inline or threaded JobQueue, with or without
-// subscribers — must reproduce them bit for bit; a mismatch localizes a
+// (genesis, transaction sequence), ANY replay configuration — no queue,
+// inline or threaded JobQueue, with or without subscribers — must
+// reproduce them bit for bit; a mismatch localizes a
 // regression to the block where the roots first diverge.
 //
 // The determinism contract (DESIGN.md §12), concretely:
@@ -35,11 +35,8 @@ namespace mv::scenario {
 /// Stack configuration swept by the determinism tests. Every combination
 /// must replay a trace to the same commitment roots.
 struct ReplayOptions {
-  /// ValidationConfig::schedule_seed; only moves anything when the queue
-  /// has more than one worker.
-  std::uint64_t schedule_seed = 0;
-  /// Route validation/consensus/client work through one shared JobQueue.
-  /// Without one, blocks apply serially on the calling thread.
+  /// Route proof queries and subscription fan-out through one shared
+  /// JobQueue. Blocks apply serially on the calling thread either way.
   bool use_job_queue = false;
   std::size_t queue_workers = 0;  ///< 0 = deterministic inline execution
   JobQueueConfig::Limit client_query_limit{};  ///< kClientQuery shedding

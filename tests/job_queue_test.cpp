@@ -216,7 +216,7 @@ TEST(JobQueueThreaded, WaitCeilingShedsUnderBacklogAndRecoversWhenDrained) {
 }
 
 // ---------------------------------------------------------------- thread pool
-// run_batch is the thread pool every parallel ledger path fans out on: each
+// run_batch is the fan-out the sharded ledger commits its shards on: each
 // task runs exactly once, one queue serves batch after batch, an empty batch
 // calls nothing, and zero workers runs the batch inline on the caller.
 
@@ -437,7 +437,6 @@ ChainConfig queue_chain_config(const crypto::Wallet& proposer,
                                std::shared_ptr<JobQueue> queue) {
   ChainConfig config;
   config.validators = {proposer.public_key()};
-  config.validation.min_parallel_txs = 2;
   config.validation.job_queue = std::move(queue);
   return config;
 }
@@ -489,10 +488,23 @@ TEST(JobQueueLedger, QueueRoutedApplicationMatchesSerialCommitments) {
   EXPECT_EQ(serial.state().commitment().root,
             threaded_chain.state().commitment().root);
 
-  // The work really went through the queues.
-  EXPECT_GT(inline_queue->stats().completed(), 0u);
-  EXPECT_GT(threaded_queue->stats().completed(), 0u);
-  EXPECT_GT(threaded_queue->stats().of(JobClass::kValidation).completed, 0u);
+  // Block application never entered either queue: it runs inline on the
+  // appending thread, so no ledger path can wait on a queue from one of its
+  // own jobs.
+  for (const JobQueue* queue : {inline_queue.get(), threaded_queue.get()}) {
+    const JobQueueStats stats = queue->stats();
+    EXPECT_EQ(stats.of(JobClass::kConsensus).completed, 0u);
+    EXPECT_EQ(stats.of(JobClass::kValidation).completed, 0u);
+  }
+  // Every apply is one serial group; the engine counters stay at zero.
+  for (const Blockchain* chain : {&inline_chain, &threaded_chain}) {
+    const ValidationStats& v = chain->validation_stats();
+    EXPECT_GT(v.applies, 0u);
+    EXPECT_EQ(v.conflict_groups, v.applies);
+    EXPECT_EQ(v.parallel_applies, 0u);
+    EXPECT_EQ(v.serial_fallbacks, 0u);
+    EXPECT_EQ(v.repairs, 0u);
+  }
 }
 
 TEST(JobQueueLedger, ProveAccountShedsWhenClientLaneIsFull) {

@@ -1,13 +1,12 @@
-// Parallel block validation tests: partitioner invariants over randomized
-// transaction sets, differential equivalence against the serial oracle and
-// full_rehash_commitment(), scheduling determinism across thread counts and
-// seeds, dynamic-conflict serial fallback, error parity on invalid blocks,
-// and a consensus committee running every replica in parallel mode.
+// Block application tests: apply_block is one serial loop, so every queue
+// configuration must reproduce the queue-less serial oracle byte for byte —
+// a conflict-heavy differential (including contract payouts to accounts the
+// transactions never name) against the serial chain and
+// full_rehash_commitment(), commitment equality across queue worker counts,
+// error parity on invalid blocks, and consensus committees whose replicas
+// run threaded queues.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
-#include <numeric>
 #include <vector>
 
 #include "ledger/chain.h"
@@ -30,10 +29,9 @@ Bytes pay_args(crypto::Address to, std::uint64_t amount) {
   return w.take();
 }
 
-/// Test contract covering the three access patterns the parallel engine must
-/// get right: read-modify-write on colliding store keys ("bump"), payouts to
-/// accounts named only in the arguments — invisible to the static conflict
-/// footprint ("pay") — and erases ("drop").
+/// Test contract covering three access patterns: read-modify-write on
+/// colliding store keys ("bump"), payouts to accounts named only in the
+/// arguments ("pay"), and erases ("drop").
 class ScratchpadContract final : public Contract {
  public:
   [[nodiscard]] std::string name() const override { return "pad"; }
@@ -73,7 +71,17 @@ class ScratchpadContract final : public Contract {
   }
 };
 
-struct ParallelFixture {
+/// Queue worker counts every test sweeps; 0 is the inline queue.
+constexpr std::size_t kWorkerCounts[] = {0, 1, 2, 4, 8};
+
+/// Validation on a JobQueue of `workers` threads (0 = inline), no sig cache.
+ValidationConfig on_queue(std::size_t workers) {
+  ValidationConfig config;
+  config.job_queue = std::make_shared<JobQueue>(JobQueueConfig{.threads = workers});
+  return config;
+}
+
+struct BlockFixture {
   Rng rng{2026};
   std::shared_ptr<ContractRegistry> contracts = std::make_shared<ContractRegistry>();
   crypto::Wallet proposer{rng};
@@ -81,7 +89,7 @@ struct ParallelFixture {
   std::vector<std::uint64_t> nonces;
   LedgerState genesis;
 
-  explicit ParallelFixture(std::size_t n) {
+  explicit BlockFixture(std::size_t n) {
     contracts->install(std::make_shared<ScratchpadContract>());
     wallets.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -91,17 +99,20 @@ struct ParallelFixture {
     nonces.assign(n, 0);
   }
 
-  [[nodiscard]] Blockchain chain(std::size_t threads, std::uint64_t seed = 0,
-                                 std::size_t max_txs = 256) const {
+  /// The serial oracle: no queue, no sig cache.
+  [[nodiscard]] Blockchain serial_chain() const {
     ChainConfig config;
     config.validators = {proposer.public_key()};
-    config.max_txs_per_block = max_txs;
-    config.validation = ValidationConfig{
-        .min_parallel_txs = 8,
-        .schedule_seed = seed,
-        .job_queue = threads > 1 ? std::make_shared<JobQueue>(
-                                       JobQueueConfig{.threads = threads})
-                                 : nullptr};
+    return Blockchain(config, contracts, genesis);
+  }
+
+  /// A chain on a JobQueue of `workers` threads with its own sig cache, so
+  /// the cache's skip path is differentially checked too.
+  [[nodiscard]] Blockchain queue_chain(std::size_t workers) const {
+    ChainConfig config;
+    config.validators = {proposer.public_key()};
+    config.validation = on_queue(workers);
+    config.validation.sig_cache = std::make_shared<crypto::DigestLruSet>();
     return Blockchain(config, contracts, genesis);
   }
 
@@ -160,119 +171,36 @@ struct ParallelFixture {
     }
     return txs;
   }
-};
 
-// ----------------------------------------------------------- partitioner
-
-TEST(ParallelPartitioner, RandomizedPartitionInvariants) {
-  Rng rng(8080);
-  std::vector<crypto::Wallet> wallets;
-  for (int i = 0; i < 6; ++i) wallets.emplace_back(rng);
-  const char* contracts[] = {"pad", "dao", "nft"};
-  for (int iter = 0; iter < 1200; ++iter) {
-    const std::size_t n = rng.next_below(40);
-    std::vector<Transaction> txs;
-    txs.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      Transaction tx;  // partitioning never checks signatures; leave unsigned
-      tx.sender_pub = wallets[rng.next_below(wallets.size())].public_key();
-      tx.nonce = rng.next_below(4);
-      const std::uint64_t roll = rng.next_below(10);
-      if (roll < 5) {
-        tx.kind = TxKind::kTransfer;
-        tx.payload =
-            TransferBody{wallets[rng.next_below(wallets.size())].address(), 1}
-                .encode();
-      } else if (roll < 7) {
-        tx.kind = TxKind::kAuditRecord;
-        tx.payload = AuditRecordBody{"gaze", "presence", 1, "none"}.encode();
-      } else {
-        tx.kind = TxKind::kContractCall;
-        tx.contract = contracts[rng.next_below(3)];
-        tx.method = "m";
-      }
-      txs.push_back(std::move(tx));
-    }
-
-    const auto groups = partition_conflicts(txs);
-
-    // Exact cover: every index appears in exactly one group, groups are
-    // ordered by smallest member, and each group's indices are ascending.
-    std::vector<std::size_t> seen;
-    std::size_t prev_front = 0;
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-      ASSERT_FALSE(groups[gi].empty()) << "iter " << iter;
-      EXPECT_TRUE(std::is_sorted(groups[gi].begin(), groups[gi].end()));
-      if (gi > 0) {
-        EXPECT_GT(groups[gi].front(), prev_front) << "iter " << iter;
-      }
-      prev_front = groups[gi].front();
-      seen.insert(seen.end(), groups[gi].begin(), groups[gi].end());
-    }
-    std::sort(seen.begin(), seen.end());
-    std::vector<std::size_t> want(n);
-    std::iota(want.begin(), want.end(), 0);
-    ASSERT_EQ(seen, want) << "iter " << iter;
-
-    // No conflict key spans two groups: a shared account or store — even
-    // transitively shared — forces co-residence.
-    std::map<ConflictKey, std::size_t> owner;
-    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-      for (const std::size_t idx : groups[gi]) {
-        for (const ConflictKey& key : conflict_keys(txs[idx])) {
-          const auto [it, inserted] = owner.emplace(key, gi);
-          EXPECT_EQ(it->second, gi)
-              << "iter " << iter << ": key spans groups " << it->second
-              << " and " << gi;
-        }
-      }
+  /// Appends contract payouts from wallets 16..19 to the hot recipients
+  /// 0..3: credits to accounts the transactions never name.
+  void add_dynamic_payouts(std::vector<Transaction>& txs, Rng& r) {
+    for (std::size_t extra = 0; extra < 4; ++extra) {
+      const std::size_t payer = extra + 16;
+      txs.push_back(make_contract_call(
+          wallets[payer], nonces[payer]++, "pad", "pay",
+          pay_args(wallets[extra].address(), 10 + extra), 1, r));
     }
   }
-}
-
-TEST(ParallelPartitioner, EmptyAndSingletonBlocks) {
-  EXPECT_TRUE(partition_conflicts({}).empty());
-  Rng rng(7);
-  crypto::Wallet w(rng);
-  std::vector<Transaction> one = {
-      make_transfer(w, 0, crypto::Address{42}, 1, 1, rng)};
-  const auto groups = partition_conflicts(one);
-  ASSERT_EQ(groups.size(), 1u);
-  EXPECT_EQ(groups[0], std::vector<std::size_t>{0});
-}
-
-TEST(ParallelPartitioner, SharedKeysMergeGroups) {
-  Rng rng(11);
-  crypto::Wallet a(rng), b(rng), c(rng), d(rng), e(rng);
-  // a->b and b->c chain through b's account; d and e bump different keys of
-  // the same store, and d's self-transfer rides on d's account — so the five
-  // transactions collapse into exactly two groups.
-  std::vector<Transaction> txs;
-  txs.push_back(make_transfer(a, 0, b.address(), 1, 1, rng));
-  txs.push_back(make_transfer(b, 0, c.address(), 1, 1, rng));
-  txs.push_back(make_contract_call(e, 0, "pad", "bump", key_args("k"), 1, rng));
-  txs.push_back(make_contract_call(d, 0, "pad", "bump", key_args("q"), 1, rng));
-  txs.push_back(make_transfer(d, 1, d.address(), 1, 1, rng));
-  const auto groups = partition_conflicts(txs);
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[0], (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(groups[1], (std::vector<std::size_t>{2, 3, 4}));
-}
+};
 
 // ----------------------------------------------------------- differential
 
 TEST(ParallelValidation, DifferentialManyBlocksMatchSerialOracle) {
-  ParallelFixture f(24);
-  Blockchain serial = f.chain(1);
-  std::vector<Blockchain> par;
-  par.push_back(f.chain(2, 11));
-  par.push_back(f.chain(4, 0));
-  par.push_back(f.chain(8, 977));
+  BlockFixture f(24);
+  Blockchain serial = f.serial_chain();
+  std::vector<Blockchain> queued;
+  for (const std::size_t workers : kWorkerCounts) {
+    queued.push_back(f.queue_chain(workers));
+  }
 
   Rng workload(424242);
   std::size_t total_candidates = 0;
   for (std::int64_t b = 0; b < 50; ++b) {
-    const auto candidates = f.make_candidates(110, workload);
+    auto candidates = f.make_candidates(110, workload);
+    // Every other block also carries payouts to hot recipients that reach
+    // their accounts only through the contract's arguments.
+    if (b % 2 == 1) f.add_dynamic_payouts(candidates, workload);
     total_candidates += candidates.size();
     // Identically seeded per-chain assembly RNGs: the proposer signatures —
     // and so the full block encodings — must come out byte-identical.
@@ -280,7 +208,7 @@ TEST(ParallelValidation, DifferentialManyBlocksMatchSerialOracle) {
     const Block block =
         serial.assemble(f.proposer, candidates, static_cast<Tick>(b), serial_rng);
     ASSERT_GE(block.txs.size(), 80u) << "block " << b;
-    for (auto& chain : par) {
+    for (auto& chain : queued) {
       Rng pr(7000 + static_cast<std::uint64_t>(b));
       const Block pblock =
           chain.assemble(f.proposer, candidates, static_cast<Tick>(b), pr);
@@ -288,7 +216,7 @@ TEST(ParallelValidation, DifferentialManyBlocksMatchSerialOracle) {
     }
     ASSERT_TRUE(serial.append(block).ok()) << "block " << b;
     const StateCommitment want = serial.state().commitment();
-    for (auto& chain : par) {
+    for (auto& chain : queued) {
       ASSERT_TRUE(chain.append(block).ok()) << "block " << b;
       ASSERT_EQ(chain.state().commitment(), want) << "block " << b;
     }
@@ -296,198 +224,89 @@ TEST(ParallelValidation, DifferentialManyBlocksMatchSerialOracle) {
   EXPECT_GE(total_candidates, 5000u);
 
   // Incremental commitments on every replica agree with the from-scratch
-  // oracle, and the parallel path actually ran.
+  // oracle.
   EXPECT_EQ(serial.state().commitment(), serial.state().full_rehash_commitment());
-  EXPECT_EQ(serial.validation_stats().parallel_applies, 0u);
-  for (auto& chain : par) {
+  for (auto& chain : queued) {
     EXPECT_EQ(chain.state().commitment(), chain.state().full_rehash_commitment());
-    EXPECT_GT(chain.validation_stats().parallel_applies, 0u);
   }
 }
 
 // ----------------------------------------------------------- determinism
 
 TEST(ParallelValidation, CommitmentsBitIdenticalAcrossThreadsAndSeeds) {
-  ParallelFixture f(16);
-  Rng workload(5150);
-  const auto candidates = f.make_candidates(120, workload);
-  Blockchain serial = f.chain(1);
-  Rng assemble_rng(31);
-  const Block block = serial.assemble(f.proposer, candidates, 0, assemble_rng);
-  ASSERT_GE(block.txs.size(), 80u);
-  ASSERT_TRUE(serial.append(block).ok());
-  const StateCommitment want = serial.state().commitment();
-  ASSERT_EQ(want, serial.state().full_rehash_commitment());
-
-  // Thread count, worker-schedule seed, and run repetition must all be
-  // invisible in the result: every section digest, including the
-  // order-sensitive audit chain hash, is bit-identical to serial.
-  const std::pair<std::size_t, std::uint64_t> configs[] = {
-      {2, 0}, {2, 7}, {4, 0}, {4, 99}, {4, 424242}, {8, 1}, {8, 31337}};
-  for (const auto& [threads, seed] : configs) {
-    for (int repeat = 0; repeat < 2; ++repeat) {
-      Blockchain chain = f.chain(threads, seed);
-      ASSERT_TRUE(chain.append(block).ok())
-          << threads << " threads, seed " << seed << ", run " << repeat;
-      const StateCommitment got = chain.state().commitment();
-      EXPECT_EQ(got.audit_digest, want.audit_digest)
-          << threads << " threads, seed " << seed;
-      EXPECT_EQ(got, want) << threads << " threads, seed " << seed;
-    }
-  }
-}
-
-// ----------------------------------------------------------- fallback
-
-TEST(ParallelValidation, DisjointTransfersRunParallelWithoutFallback) {
-  ParallelFixture f(16);
-  std::vector<Transaction> txs;
-  for (std::size_t i = 0; i < f.wallets.size(); ++i) {
-    // Fresh, pairwise-distinct recipients: fully disjoint footprints.
-    txs.push_back(make_transfer(f.wallets[i], 0, crypto::Address{9'000 + i}, 10,
-                                1, f.rng));
-  }
-  Blockchain serial = f.chain(1);
-  Blockchain parallel = f.chain(4);
-  Rng r1(5), r2(5);
-  const Block block = serial.assemble(f.proposer, txs, 0, r1);
-  ASSERT_EQ(block.encode(), parallel.assemble(f.proposer, txs, 0, r2).encode());
-  ASSERT_EQ(block.txs.size(), txs.size());
-  ASSERT_TRUE(serial.append(block).ok());
-  ASSERT_TRUE(parallel.append(block).ok());
-  EXPECT_EQ(parallel.validation_stats().serial_fallbacks, 0u);
-  EXPECT_GT(parallel.validation_stats().parallel_applies, 0u);
-  EXPECT_EQ(parallel.state().commitment(), serial.state().commitment());
-  EXPECT_EQ(parallel.state().commitment(),
-            parallel.state().full_rehash_commitment());
-}
-
-TEST(ParallelValidation, DynamicContractConflictIsRepairedInPlace) {
-  ParallelFixture f(10);
-  // tx0 pays wallet 9 through the contract: that credit is named only in the
-  // call arguments, so tx0 and tx1 (a direct transfer to wallet 9) land in
-  // different static groups while writing the same account. The tracked-run
-  // interference check must catch it; the repair path re-runs just the two
-  // entangled units in block order — the independent transfers' unit
-  // overlays are kept, and no full serial fallback happens.
-  std::vector<Transaction> txs;
-  txs.push_back(make_contract_call(f.wallets[0], 0, "pad", "pay",
-                                   pay_args(f.wallets[9].address(), 500), 1,
-                                   f.rng));
-  txs.push_back(make_transfer(f.wallets[1], 0, f.wallets[9].address(), 300, 1,
-                              f.rng));
-  for (std::size_t i = 2; i < 8; ++i) {
-    txs.push_back(make_transfer(f.wallets[i], 0, f.wallets[i].address(), 1, 1,
-                                f.rng));
-  }
-  Blockchain serial = f.chain(1);
-  Blockchain parallel = f.chain(4);
-  Rng r1(5), r2(5);
-  const Block block = serial.assemble(f.proposer, txs, 0, r1);
-  ASSERT_EQ(block.encode(), parallel.assemble(f.proposer, txs, 0, r2).encode());
-  ASSERT_EQ(block.txs.size(), txs.size());
-  ASSERT_TRUE(serial.append(block).ok());
-  ASSERT_TRUE(parallel.append(block).ok());
-  EXPECT_GE(parallel.validation_stats().repairs, 1u);
-  EXPECT_EQ(parallel.validation_stats().serial_fallbacks, 0u);
-  EXPECT_EQ(parallel.state().commitment(), serial.state().commitment());
-  // Both credits landed exactly once.
-  EXPECT_EQ(parallel.state().balance(f.wallets[9].address()),
-            10'000'000u + 500u + 300u);
-}
-
-TEST(ParallelValidation, RepairedCommitmentsMatchSerialByteForByte) {
-  // Differential oracle for the repair path: a conflict-heavy randomized
-  // mix (dynamic contract payouts guarantee cross-unit entanglement) runs
-  // through a serial chain and parallel chains across thread counts and
-  // schedule seeds. Every appended block must leave byte-identical
-  // commitments, whether the block was repaired, fully parallel, or fell
-  // back — and the workload must actually exercise the repair path.
-  ParallelFixture f(24);
-  Blockchain serial = f.chain(1);
-  Blockchain par_a = f.chain(4);
-  Blockchain par_b = f.chain(8, /*seed=*/0xfeed);
-  Rng candidate_rng(909);
-  std::uint64_t repairs = 0;
-  for (int round = 0; round < 6; ++round) {
-    auto txs = f.make_candidates(48, candidate_rng);
-    // Stack extra dynamic payouts aimed at hot recipients so several static
-    // groups collide at run time in every round.
-    for (int extra = 0; extra < 4; ++extra) {
-      const std::size_t payer = extra + 16;
-      txs.push_back(make_contract_call(
-          f.wallets[payer], f.nonces[payer]++, "pad", "pay",
-          pay_args(f.wallets[extra].address(), 10 + extra), 1, f.rng));
-    }
-    Rng r1(1000 + round), r2(1000 + round), r3(1000 + round);
-    const Block block = serial.assemble(f.proposer, txs, round, r1);
-    ASSERT_EQ(block.encode(), par_a.assemble(f.proposer, txs, round, r2).encode());
-    ASSERT_EQ(block.encode(), par_b.assemble(f.proposer, txs, round, r3).encode());
+  // Blocks from several workload seeds; queue worker count and run
+  // repetition must be invisible in the result: every section digest,
+  // including the order-sensitive audit chain hash, is bit-identical to
+  // serial.
+  for (const std::uint64_t seed : {5150u, 77u, 9001u}) {
+    BlockFixture f(16);
+    Rng workload(seed);
+    const auto candidates = f.make_candidates(120, workload);
+    Blockchain serial = f.serial_chain();
+    Rng assemble_rng(31);
+    const Block block = serial.assemble(f.proposer, candidates, 0, assemble_rng);
+    ASSERT_GE(block.txs.size(), 80u) << "seed " << seed;
     ASSERT_TRUE(serial.append(block).ok());
-    ASSERT_TRUE(par_a.append(block).ok());
-    ASSERT_TRUE(par_b.append(block).ok());
-    ASSERT_EQ(par_a.state().commitment(), serial.state().commitment())
-        << "round " << round;
-    ASSERT_EQ(par_b.state().commitment(), serial.state().commitment())
-        << "round " << round;
-    repairs = par_a.validation_stats().repairs + par_b.validation_stats().repairs;
-  }
-  EXPECT_GT(repairs, 0u);
-  EXPECT_EQ(par_a.state().commitment(), par_a.state().full_rehash_commitment());
-}
+    const StateCommitment want = serial.state().commitment();
+    ASSERT_EQ(want, serial.state().full_rehash_commitment());
 
-TEST(ParallelValidation, SmallBlocksStaySerial) {
-  ParallelFixture f(4);
-  Blockchain chain = f.chain(4);  // min_parallel_txs = 8
-  std::vector<Transaction> txs;
-  for (std::size_t i = 0; i < 3; ++i) {
-    txs.push_back(make_transfer(f.wallets[i], 0, crypto::Address{100 + i}, 1, 1,
-                                f.rng));
+    for (const std::size_t workers : kWorkerCounts) {
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        Blockchain chain = f.queue_chain(workers);
+        ASSERT_TRUE(chain.append(block).ok())
+            << workers << " workers, seed " << seed << ", run " << repeat;
+        const StateCommitment got = chain.state().commitment();
+        EXPECT_EQ(got.audit_digest, want.audit_digest)
+            << workers << " workers, seed " << seed;
+        EXPECT_EQ(got, want) << workers << " workers, seed " << seed;
+      }
+    }
   }
-  Rng ar(3);
-  const Block block = chain.assemble(f.proposer, txs, 0, ar);
-  ASSERT_TRUE(chain.append(block).ok());
-  EXPECT_GT(chain.validation_stats().applies, 0u);
-  EXPECT_EQ(chain.validation_stats().parallel_applies, 0u);
-  EXPECT_EQ(chain.state().commitment(), chain.state().full_rehash_commitment());
 }
 
 // ----------------------------------------------------------- error parity
 
 TEST(ParallelValidation, InvalidBlockErrorsMatchSerialExactly) {
-  ParallelFixture f(10);
-  Blockchain serial = f.chain(1);
-  Blockchain parallel = f.chain(4);
-  // Hand-built block whose tx 5 carries a bad nonce. Validation must report
-  // the same failing index, code, and message on both paths (the parallel
-  // engine re-applies serially on failure precisely for this).
-  std::vector<Transaction> txs;
-  for (std::size_t i = 0; i < 10; ++i) {
-    const std::uint64_t nonce = (i == 5) ? 3 : 0;
-    txs.push_back(make_transfer(f.wallets[i], nonce,
-                                f.wallets[(i + 1) % 10].address(), 5, 1, f.rng));
-  }
-  Block block;
-  block.txs = txs;
-  block.header.height = 0;
-  block.header.prev_hash = serial.tip_hash();
-  block.header.tx_root = Block::compute_tx_root(txs);
-  block.header.state_root = {};  // never reached: the bad tx fails first
-  block.header.timestamp = 0;
-  block.header.proposer_pub = f.proposer.public_key();
-  block.header.proposer_sig =
-      f.proposer.sign(block.header.signing_bytes(), f.rng);
+  BlockFixture f(10);
+  Blockchain serial = f.serial_chain();
+  // Hand-built blocks whose tx 5 carries a bad nonce, or a corrupted
+  // signature (which a sig cache must not vouch for). Every queue
+  // configuration must report the serial chain's error code and message.
+  for (const bool bad_sig : {false, true}) {
+    std::vector<Transaction> txs;
+    for (std::size_t i = 0; i < 10; ++i) {
+      const std::uint64_t nonce = (i == 5 && !bad_sig) ? 3 : 0;
+      txs.push_back(make_transfer(f.wallets[i], nonce,
+                                  f.wallets[(i + 1) % 10].address(), 5, 1, f.rng));
+    }
+    if (bad_sig) txs[5].sig.s ^= 1;
+    Block block;
+    block.txs = txs;
+    block.header.height = 0;
+    block.header.prev_hash = serial.tip_hash();
+    block.header.tx_root = Block::compute_tx_root(txs);
+    block.header.state_root = {};  // never reached: the bad tx fails first
+    block.header.timestamp = 0;
+    block.header.proposer_pub = f.proposer.public_key();
+    block.header.proposer_sig =
+        f.proposer.sign(block.header.signing_bytes(), f.rng);
 
-  const Status s1 = serial.validate(block);
-  const Status s2 = parallel.validate(block);
-  ASSERT_FALSE(s1.ok());
-  ASSERT_FALSE(s2.ok());
-  EXPECT_EQ(s1.error().code, s2.error().code);
-  EXPECT_EQ(s1.error().message, s2.error().message);
-  // Rejection left both chains untouched and consistent.
-  EXPECT_EQ(serial.height(), 0);
-  EXPECT_EQ(parallel.height(), 0);
-  EXPECT_EQ(parallel.state().commitment(), serial.state().commitment());
+    const Status want = serial.validate(block);
+    ASSERT_FALSE(want.ok());
+    for (const std::size_t workers : kWorkerCounts) {
+      Blockchain chain = f.queue_chain(workers);
+      const Status got = chain.validate(block);
+      ASSERT_FALSE(got.ok()) << workers << " workers";
+      EXPECT_EQ(got.error().code, want.error().code) << workers << " workers";
+      EXPECT_EQ(got.error().message, want.error().message)
+          << workers << " workers";
+      EXPECT_FALSE(chain.append(block).ok()) << workers << " workers";
+      // Rejection left the chain untouched and consistent with serial.
+      EXPECT_EQ(chain.height(), 0);
+      EXPECT_EQ(chain.state().commitment(), serial.state().commitment());
+    }
+    EXPECT_EQ(serial.height(), 0);
+  }
 }
 
 // ----------------------------------------------------------- consensus
@@ -507,13 +326,9 @@ TEST(ParallelValidation, CommitteeWithParallelReplicasStaysConsistent) {
   }
   ValidatorCommittee committee(
       network, 4, contracts, genesis, 128, rng,
-      ValidationConfig{
-          .min_parallel_txs = 4,
-          .job_queue = std::make_shared<JobQueue>(JobQueueConfig{.threads = 4})});
+      on_queue(4));
 
-  // Mostly-disjoint workload (distinct senders paying fresh addresses) so the
-  // partitioner actually finds parallelism; the bump calls all share the
-  // contract store and ride along as one group.
+  // Distinct senders paying fresh addresses, with store bumps riding along.
   std::vector<std::uint64_t> nonces(wallets.size(), 0);
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 20; ++i) {
@@ -537,7 +352,6 @@ TEST(ParallelValidation, CommitteeWithParallelReplicasStaysConsistent) {
     EXPECT_EQ(committee.chain(i).state().commitment(),
               committee.chain(i).state().full_rehash_commitment());
   }
-  EXPECT_GT(committee.chain(0).validation_stats().parallel_applies, 0u);
 }
 
 TEST(ParallelValidation, CommitteeReplicasCommitTheirValidatedSeal) {
@@ -558,9 +372,7 @@ TEST(ParallelValidation, CommitteeReplicasCommitTheirValidatedSeal) {
   }
   ValidatorCommittee committee(
       network, 4, contracts, genesis, 128, rng,
-      ValidationConfig{
-          .min_parallel_txs = 4,
-          .job_queue = std::make_shared<JobQueue>(JobQueueConfig{.threads = 2})});
+      on_queue(2));
   constexpr int kRounds = 4;
   std::vector<std::uint64_t> nonces(wallets.size(), 0);
   for (int round = 0; round < kRounds; ++round) {

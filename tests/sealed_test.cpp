@@ -562,7 +562,7 @@ TEST(ScenarioSealed, MarketRushProposerMatchesFollower) {
 
 TEST(ScenarioSealed, GovernanceWaveProposerMatchesFollower) {
   DiffOptions o;
-  o.queue_workers = 2;  // parallel apply_block on the proposer
+  o.queue_workers = 2;  // a threaded queue on the proposer
   proposer_follower_differential(golden("governance_wave_1k.trace"), o);
 }
 
