@@ -19,7 +19,6 @@
 #include <string>
 
 #include "scenario/harness.h"
-#include "scenario/shard_harness.h"
 
 namespace {
 
@@ -45,10 +44,15 @@ ScenarioConfig city_config(const std::string& mix, std::uint64_t avatars,
 /// subscribers, and per-round proof queries. The O(n) full-rehash
 /// cross-check is a test-only safety net, off here so the numbers measure
 /// the pipeline, not the auditor.
+std::shared_ptr<JobQueue> make_queue(std::size_t workers) {
+  JobQueueConfig qc;
+  qc.threads = workers;
+  return std::make_shared<JobQueue>(qc);
+}
+
 ReplayOptions city_stack() {
   ReplayOptions opts;
-  opts.use_job_queue = true;
-  opts.queue_workers = 4;
+  opts.job_queue = make_queue(4);
   opts.subscribers = 64;
   opts.client_queries_per_round = 64;
   opts.check_full_rehash = false;
@@ -170,10 +174,7 @@ void BM_E2EReplay(benchmark::State& state) {
   const Trace trace = std::move(rec).value().trace;
   ReplayOptions opts;
   opts.check_full_rehash = false;
-  if (state.range(0) >= 1) {
-    opts.use_job_queue = true;
-    opts.queue_workers = 4;
-  }
+  if (state.range(0) >= 1) opts.job_queue = make_queue(4);
   if (state.range(0) >= 2) {
     opts.subscribers = 64;
     opts.client_queries_per_round = 64;
@@ -200,37 +201,35 @@ BENCHMARK(BM_E2EReplay)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-/// Cross-shard-heavy multi-world mix through the sharded harness: 4 worlds,
-/// every round carries lock-and-mint receipt traffic alongside intra-world
-/// transfers, and each iteration replays the recorded trace end to end
-/// (beacon roots verified against the recording). Arg = JobQueue workers
-/// fanning the per-shard commits out (0 = serial). Single-core container:
-/// worker counts > 0 price the fan-out, not wall-clock speedup.
+/// Cross-shard-heavy multi-world mix: 4 worlds, every round carries
+/// lock-and-mint receipt traffic alongside intra-world transfers, and each
+/// iteration replays the recorded trace end to end (beacon roots verified
+/// against the recording). Arg = JobQueue workers fanning the per-shard
+/// commits out (0 = serial).
 void BM_E2EMultiWorldReplay(benchmark::State& state) {
-  MultiWorldConfig config;
-  config.num_shards = 4;
+  ScenarioConfig config;
+  config.mix = "multi_world:4";
   config.seed = 2022;
   config.avatars = 64;
   config.validators = 3;
   config.rounds = 10;
-  config.intra_per_round = 16;
-  config.cross_per_round = 8;
-  auto rec = record_multi_world(config);
+  config.txs_per_round = 24;  // 16 intra-world transfers + 8 locks
+  auto rec = record(config);
   if (!rec.ok()) {
     state.SkipWithError(rec.error().to_string().c_str());
     return;
   }
-  MultiWorldOptions opts;
-  opts.queue_workers = static_cast<std::size_t>(state.range(0));
-  opts.check_invariants = false;  // measure the pipeline, not the auditor
+  ReplayOptions opts;
+  opts.job_queue = make_queue(static_cast<std::size_t>(state.range(0)));
+  opts.check_full_rehash = false;  // measure the pipeline, not the auditor
   std::size_t committed = 0;
   for (auto _ : state) {
-    auto run = replay_multi_world(rec.value().trace, opts);
+    auto run = replay(rec.value().trace, opts);
     if (!run.ok()) {
       state.SkipWithError(run.error().to_string().c_str());
       return;
     }
-    if (run.value().mismatched_rounds != 0) {
+    if (run.value().mismatched_blocks != 0) {
       state.SkipWithError("multi-world replay diverged from recording");
       return;
     }
@@ -238,7 +237,7 @@ void BM_E2EMultiWorldReplay(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(committed));
   state.counters["cross_transfers"] =
-      static_cast<double>(rec.value().cross_transfers);
+      static_cast<double>(rec.value().generated.cross_transfers);
 }
 BENCHMARK(BM_E2EMultiWorldReplay)
     ->Arg(0)

@@ -17,95 +17,59 @@ cmake --build build -j "${jobs}"
 echo "== ctest: default =="
 ctest --test-dir build --output-on-failure -j "${jobs}"
 
+# gate <label> <regex>: run the ctest cases matching <regex>. Fails if the
+# filter matches nothing (--no-tests=error, so a rename cannot silently empty
+# a gate), if any case fails, or if gtest reports one skipped.
+gate() {
+  local label="$1" regex="$2" out verb="was"
+  if [[ "${label}" == *tests ]]; then verb="were"; fi
+  out="$(ctest --test-dir build -R "${regex}" --no-tests=error --output-on-failure 2>&1)" || {
+    echo "${out}"
+    echo "FAIL: ${label} did not run or did not pass"
+    exit 1
+  }
+  if echo "${out}" | grep -qi 'skipped'; then
+    echo "${out}"
+    echo "FAIL: ${label} ${verb} skipped"
+    exit 1
+  fi
+}
+
 echo "== gate: differential commitment test must run (not be skipped) =="
 # The incremental-vs-full-rehash differential test is the commitment format's
 # safety net; --no-tests=error fails if a rename makes the filter match
 # nothing, and the grep fails if gtest reports it skipped.
-diff_out="$(ctest --test-dir build -R 'Differential' --no-tests=error --output-on-failure 2>&1)" || {
-  echo "${diff_out}"
-  echo "FAIL: differential commitment test did not run or did not pass"
-  exit 1
-}
-if echo "${diff_out}" | grep -qi 'skipped'; then
-  echo "${diff_out}"
-  echo "FAIL: differential commitment test was skipped"
-  exit 1
-fi
+gate "differential commitment test" 'Differential'
 
 echo "== gate: proof fuzz (10k keys + mutation sweep) must run (not be skipped) =="
 # Every present key must prove, every absent key must non-membership-prove,
 # and no single-byte mutation of an encoded proof may survive verification.
-fuzz_out="$(ctest --test-dir build -R 'ProofFuzz' --no-tests=error --output-on-failure 2>&1)" || {
-  echo "${fuzz_out}"
-  echo "FAIL: proof fuzz test did not run or did not pass"
-  exit 1
-}
-if echo "${fuzz_out}" | grep -qi 'skipped'; then
-  echo "${fuzz_out}"
-  echo "FAIL: proof fuzz test was skipped"
-  exit 1
-fi
+gate "proof fuzz test" 'ProofFuzz'
 
 echo "== gate: snapshot differential + mutation fuzz must run (not be skipped) =="
 # The snapshot codec's safety net: decode must reproduce the commitment
 # byte-identically (differential vs full_rehash_commitment) and no
 # single-byte mutation of a manifest or chunk may survive the trust chain.
-snap_out="$(ctest --test-dir build -R 'Snapshot(Codec|ManifestCodec|Assembly)' --no-tests=error --output-on-failure 2>&1)" || {
-  echo "${snap_out}"
-  echo "FAIL: snapshot codec/mutation tests did not run or did not pass"
-  exit 1
-}
-if echo "${snap_out}" | grep -qi 'skipped'; then
-  echo "${snap_out}"
-  echo "FAIL: snapshot codec/mutation tests were skipped"
-  exit 1
-fi
+gate "snapshot codec/mutation tests" 'Snapshot(Codec|ManifestCodec|Assembly)'
 
 echo "== gate: job queue battery (priority, shedding, determinism) must run =="
 # The queue is the scheduler under every subsystem; its suite must never be
 # silently renamed away or skipped.
-jq_out="$(ctest --test-dir build -R 'JobQueue' --no-tests=error --output-on-failure 2>&1)" || {
-  echo "${jq_out}"
-  echo "FAIL: job queue tests did not run or did not pass"
-  exit 1
-}
-if echo "${jq_out}" | grep -qi 'skipped'; then
-  echo "${jq_out}"
-  echo "FAIL: job queue tests were skipped"
-  exit 1
-fi
+gate "job queue tests" 'JobQueue'
 
 echo "== gate: subscription read path + client API taxonomy must run =="
 # The streaming read path's contract: lifecycle edge cases (eviction,
 # unsubscribe-during-push, stale rejection), flood isolation (consensus
 # never sheds while pushes do), gap recovery, the ClientApi error taxonomy,
 # and the snapshot server's busy-NACK backoff.
-sub_out="$(ctest --test-dir build -R 'Subscription|ClientApi|SnapshotBusyNack' --no-tests=error --output-on-failure 2>&1)" || {
-  echo "${sub_out}"
-  echo "FAIL: subscription/client-api tests did not run or did not pass"
-  exit 1
-}
-if echo "${sub_out}" | grep -qi 'skipped'; then
-  echo "${sub_out}"
-  echo "FAIL: subscription/client-api tests were skipped"
-  exit 1
-fi
+gate "subscription/client-api tests" 'Subscription|ClientApi|SnapshotBusyNack'
 
 echo "== gate: swarm catch-up (striping, byzantine demotion, diff snapshots) =="
 # The multi-peer transfer's contract: striped fetch over a lossy network must
 # converge byte-identically, a corrupt peer must be demoted while the sync
 # still completes, busy NACKs must reroute instead of dead-ending, and diff
 # snapshots must fetch exactly the changed chunks.
-swarm_out="$(ctest --test-dir build -R 'SnapshotSwarm|SnapshotDiff|SnapshotExportCachePinning' --no-tests=error --output-on-failure 2>&1)" || {
-  echo "${swarm_out}"
-  echo "FAIL: swarm catch-up tests did not run or did not pass"
-  exit 1
-}
-if echo "${swarm_out}" | grep -qi 'skipped'; then
-  echo "${swarm_out}"
-  echo "FAIL: swarm catch-up tests were skipped"
-  exit 1
-fi
+gate "swarm catch-up tests" 'SnapshotSwarm|SnapshotDiff|SnapshotExportCachePinning'
 
 echo "== gate: scenario replay regression (golden traces, codec fuzz, invariants) =="
 # The macro-workload harness (DESIGN.md §12): checked-in golden traces must
@@ -114,48 +78,22 @@ echo "== gate: scenario replay regression (golden traces, codec fuzz, invariants
 # cross-module invariant checker must pass on every replayed block, and a
 # proposer committing sealed proposals must match a fully validating
 # follower at every height (DESIGN.md §7).
-scen_out="$(ctest --test-dir build -R 'Scenario(Trace|Golden|Invariant|Harness|Sealed)' --no-tests=error --output-on-failure 2>&1)" || {
-  echo "${scen_out}"
-  echo "FAIL: scenario replay-regression tests did not run or did not pass"
-  exit 1
-}
-if echo "${scen_out}" | grep -qi 'skipped'; then
-  echo "${scen_out}"
-  echo "FAIL: scenario replay-regression tests were skipped"
-  exit 1
-fi
+gate "scenario replay-regression tests" 'Scenario(Trace|Golden|Invariant|Harness|Sealed)'
 
 echo "== gate: follower rollback (forged state roots leave no trace) =="
 # An unsealed append commits first and checks the state root on the
 # committed state; a forged root is rolled back through the undo. These
 # cases pin that state, commitment, tip, retention ring, commit hook and
 # account proofs are exactly as before a rejected block (DESIGN.md §7).
-rollback_out="$(ctest --test-dir build -R 'FollowerRollback' --no-tests=error --output-on-failure 2>&1)" || {
-  echo "${rollback_out}"
-  echo "FAIL: follower rollback tests did not run or did not pass"
-  exit 1
-}
-if echo "${rollback_out}" | grep -qi 'skipped'; then
-  echo "${rollback_out}"
-  echo "FAIL: follower rollback tests were skipped"
-  exit 1
-fi
+gate "follower rollback tests" 'FollowerRollback'
 
 echo "== gate: sharded ledger (beacon anchors, cross-shard receipts, multi-world) =="
 # The shard split's contract: N=1 byte-identity with the plain chain, beacon
 # roots stable across thread counts, lock-and-mint receipts with replay and
-# stale/foreign-root rejection, the receipt-codec mutation fuzz, and the
-# multi-world trace replaying byte-identically through the sharded harness.
-shard_out="$(ctest --test-dir build -R 'Shard|Beacon|CrossShard|MultiWorld' --no-tests=error --output-on-failure 2>&1)" || {
-  echo "${shard_out}"
-  echo "FAIL: sharded ledger tests did not run or did not pass"
-  exit 1
-}
-if echo "${shard_out}" | grep -qi 'skipped'; then
-  echo "${shard_out}"
-  echo "FAIL: sharded ledger tests were skipped"
-  exit 1
-fi
+# stale/foreign-root rejection, the receipt-codec mutation fuzz, and
+# multi_world:<n> traces replaying byte-identically through the scenario
+# harness at every queue worker count.
+gate "sharded ledger tests" 'Shard|Beacon|CrossShard|MultiWorld'
 
 echo "== lint: benches with off-thread work report wall-clock rates =="
 # A benchmark whose work runs on JobQueue/ThreadPool workers must not derive

@@ -62,23 +62,12 @@ Block Blockchain::assemble(const crypto::Wallet& proposer,
   block.header.proposer_pub = proposer.public_key();
 
   auto scratch = LedgerStateOverlay::reader(state());
-  if (candidates.size() <= config_.max_txs_per_block) {
-    const auto outcome =
-        apply_block(scratch, candidates, *contracts_, block.header.height,
-                    config_.validation, ApplyMode::kSkipFailures);
-    vstats_.record(outcome);
-    for (const std::size_t i : outcome.applied) block.txs.push_back(candidates[i]);
-  } else {
-    // Over-full candidate lists keep the historical serial loop: the block
-    // cap cuts off mid-list, and "first max_txs successes" is inherently
-    // order-sequential.
-    for (const auto& tx : candidates) {
-      if (block.txs.size() >= config_.max_txs_per_block) break;
-      if (scratch.apply(tx, *contracts_, block.header.height).ok()) {
-        block.txs.push_back(tx);
-      }
-    }
-  }
+  const auto outcome =
+      apply_block(scratch, candidates, *contracts_, block.header.height,
+                  config_.validation, ApplyMode::kSkipFailures,
+                  config_.max_txs_per_block);
+  vstats_.record(outcome);
+  for (const std::size_t i : outcome.applied) block.txs.push_back(candidates[i]);
   block.header.tx_root = Block::compute_tx_root(block.txs);
   block.header.state_root = scratch.commitment().root;
   block.header.proposer_sig = proposer.sign(block.header.signing_bytes(), rng);

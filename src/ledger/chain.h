@@ -76,8 +76,9 @@ class Blockchain {
   /// Expected proposer public key for a given height (round-robin PoA).
   [[nodiscard]] const crypto::PublicKey& expected_proposer(std::int64_t height) const;
 
-  /// Proposer side: trial-apply candidates in order, drop any that fail, and
-  /// build a signed block on top of the current tip.
+  /// Proposer side: trial-apply candidates in order, drop any that fail,
+  /// stop at max_txs_per_block successes, and build a signed block on top of
+  /// the current tip.
   ///
   /// The proposal is sealed: the chain keeps {header hash, post-state
   /// overlay} in one slot, so appending this block commits the state that

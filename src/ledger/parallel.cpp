@@ -27,10 +27,12 @@ bool signature_vouched(crypto::DigestLruSet& cache, const Transaction& tx,
 BlockApplyOutcome apply_block(LedgerStateOverlay& scratch,
                               const std::vector<Transaction>& txs,
                               const ContractRegistry& contracts, Tick height,
-                              const ValidationConfig& config, ApplyMode mode) {
+                              const ValidationConfig& config, ApplyMode mode,
+                              std::size_t max_applied) {
   BlockApplyOutcome out;
   crypto::DigestLruSet* const cache = config.sig_cache.get();
-  for (std::size_t i = 0; i < txs.size(); ++i) {
+  for (std::size_t i = 0; i < txs.size() && out.applied.size() < max_applied;
+       ++i) {
     const bool preverified =
         cache != nullptr && signature_vouched(*cache, txs[i], out);
     if (Status s = scratch.apply(txs[i], contracts, height, preverified); s.ok()) {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -79,15 +80,29 @@ struct ValidationStats {
     sig_cache_hits += outcome.sig_hits;
     sig_cache_misses += outcome.sig_misses;
   }
+  /// Fold another chain's counters in (a sharded ledger's per-shard sum).
+  ValidationStats& operator+=(const ValidationStats& o) {
+    applies += o.applies;
+    parallel_applies += o.parallel_applies;
+    serial_fallbacks += o.serial_fallbacks;
+    repairs += o.repairs;
+    conflict_groups += o.conflict_groups;
+    sig_cache_hits += o.sig_cache_hits;
+    sig_cache_misses += o.sig_cache_misses;
+    sealed_commits += o.sealed_commits;
+    return *this;
+  }
 };
 
 /// Apply `txs` onto `scratch` (an overlay the caller constructed over the
-/// base state) one by one in block order, on the calling thread.
-[[nodiscard]] BlockApplyOutcome apply_block(LedgerStateOverlay& scratch,
-                                            const std::vector<Transaction>& txs,
-                                            const ContractRegistry& contracts,
-                                            Tick height,
-                                            const ValidationConfig& config,
-                                            ApplyMode mode);
+/// base state) one by one in block order, on the calling thread. In
+/// kSkipFailures mode application stops once `max_applied` transactions
+/// have succeeded (assembly passes the block cap), so an over-full candidate
+/// list yields exactly its first max_applied successes.
+[[nodiscard]] BlockApplyOutcome apply_block(
+    LedgerStateOverlay& scratch, const std::vector<Transaction>& txs,
+    const ContractRegistry& contracts, Tick height,
+    const ValidationConfig& config, ApplyMode mode,
+    std::size_t max_applied = std::numeric_limits<std::size_t>::max());
 
 }  // namespace mv::ledger

@@ -292,9 +292,8 @@ Status verify_sharded_account_proof(const ShardedAccountProof& proof,
 
 // ----------------------------------------------------------- ShardedLedger
 
-ShardedLedger::ShardedLedger(
-    ShardConfig config, const LedgerState& genesis,
-    std::vector<std::shared_ptr<const Contract>> extra_contracts)
+ShardedLedger::ShardedLedger(ShardConfig config, const LedgerState& genesis,
+                             std::shared_ptr<const ContractRegistry> contracts)
     : config_(std::move(config)), archive_(std::make_shared<BeaconArchive>()) {
   if (config_.num_shards == 0) config_.num_shards = 1;
   auto genesis_states = partition_genesis(genesis, config_.num_shards);
@@ -305,8 +304,9 @@ ShardedLedger::ShardedLedger(
   for (std::uint32_t s = 0; s < config_.num_shards; ++s) {
     Shard& sh = shards_[s];
 
-    auto registry = std::make_shared<ContractRegistry>();
-    for (const auto& contract : extra_contracts) registry->install(contract);
+    auto registry = contracts != nullptr
+                        ? std::make_shared<ContractRegistry>(*contracts)
+                        : std::make_shared<ContractRegistry>();
     registry->install(std::make_shared<XShardContract>(
         s, static_cast<std::uint32_t>(config_.num_shards), archive_));
 
@@ -389,9 +389,10 @@ Result<BeaconHeader> ShardedLedger::commit_round(const crypto::Wallet& proposer,
 
   // Shards validate concurrently on the shared queue's consensus lane; each
   // task touches only its own shard, and run_batch is a barrier, so the
-  // driver-side beacon fold below sees every shard's committed tip.
+  // driver-side beacon fold below sees every shard's committed tip. A
+  // one-task batch would buy nothing and only move the commit onto a worker.
   JobQueue* queue = config_.validation.job_queue.get();
-  if (queue != nullptr && queue->workers() > 0) {
+  if (shards_.size() > 1 && queue != nullptr && queue->workers() > 0) {
     queue->run_batch(JobClass::kConsensus, shards_.size(), commit_shard);
   } else {
     for (std::size_t s = 0; s < shards_.size(); ++s) commit_shard(s);

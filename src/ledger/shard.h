@@ -29,6 +29,9 @@
 // Conservation becomes a cross-shard sum: Σ balances + Σ burned_fees +
 // Σ locked_total − Σ minted_total == total supply
 // (scenario/invariants.h::check_sharded_invariants holds this).
+//
+// The scenario harness (scenario/harness.h) records and replays every trace
+// on a ShardedLedger: one shard for a catalog mix, n for "multi_world:<n>".
 #pragma once
 
 #include <memory>
@@ -177,17 +180,22 @@ struct ShardedAccountProof {
 
 class ShardedLedger {
  public:
-  /// `extra_contracts` are installed into every shard's registry alongside
-  /// the shard's own XShardContract (a multi-world scenario installs the
-  /// nft/dao/... set here). num_shards == 0 is clamped to 1.
+  /// Every shard's registry starts as a copy of `contracts` (when given;
+  /// the scenario harness passes the nft/dao/... set) and then gets the
+  /// shard's own XShardContract. num_shards == 0 is clamped to 1.
   ShardedLedger(ShardConfig config, const LedgerState& genesis,
-                std::vector<std::shared_ptr<const Contract>> extra_contracts = {});
+                std::shared_ptr<const ContractRegistry> contracts = nullptr);
 
   [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
   [[nodiscard]] const ShardConfig& config() const { return config_; }
   [[nodiscard]] const Blockchain& shard(std::uint32_t s) const {
     return *shards_[s].chain;
   }
+  /// Mutable shard chain, for hanging a commit hook (the scenario harness's
+  /// SubscriptionPublisher rides shard 0). Appending blocks through it
+  /// bypasses commit_round, so that shard's chain and the beacon go out of
+  /// step: never append through this handle.
+  [[nodiscard]] Blockchain& shard(std::uint32_t s) { return *shards_[s].chain; }
   [[nodiscard]] const Mempool& mempool(std::uint32_t s) const {
     return shards_[s].pool;
   }
@@ -209,8 +217,10 @@ class ShardedLedger {
 
   /// Commit one round: every shard selects, assembles, and appends a block
   /// (possibly empty — shard heights stay aligned with beacon heights),
-  /// concurrently on the configured JobQueue's kConsensus lane when it has
-  /// workers, serially otherwise; results are byte-identical either way.
+  /// concurrently on the configured JobQueue's kConsensus lane when there
+  /// are several shards and the queue has workers, serially on the calling
+  /// thread otherwise; results are byte-identical either way. A single shard
+  /// always commits on the calling thread, so its commit hook does too.
   /// Then the receipt trees are refreshed and the round's BeaconHeader is
   /// built, signed by `proposer` (the round-robin validator for this
   /// height), archived, and returned. A shard failure fails the round

@@ -191,7 +191,8 @@ std::vector<std::string> check_sharded_invariants(
 
   for (std::uint32_t s = 0; s < n; ++s) {
     const ledger::LedgerState& state = ledger.state(s);
-    for (std::string& v : check_invariants(state, per_shard)) {
+    for (std::string& v :
+         check_invariants(state, per_shard, &ledger.mempool(s))) {
       out.push_back("shard " + std::to_string(s) + ": " + std::move(v));
     }
     for (const auto& [addr, balance] : state.balances()) circulating += balance;

@@ -49,8 +49,9 @@ struct InvariantOptions {
     const ledger::LedgerState& state, const InvariantOptions& opts,
     const ledger::Mempool* pool = nullptr);
 
-/// Sharded extension: runs the per-shard module checks on every shard, then
-/// asserts the invariants that only make sense across the whole fleet —
+/// Sharded extension: runs the per-shard module checks (each shard's mempool
+/// self_check included) on every shard, then asserts the invariants that
+/// only make sense across the whole fleet —
 ///
 ///   - cross-shard conservation: Σ balances + Σ burned_fees
 ///     + Σ locked_total − Σ minted_total == total_supply

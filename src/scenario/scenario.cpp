@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <unordered_set>
 
 #include "nft/contract.h"
 
@@ -15,6 +16,10 @@ namespace {
 constexpr std::uint64_t kEnvSalt = 0x6d762e656e762e31ULL;
 /// Salt for the generator decision stream.
 constexpr std::uint64_t kGenSalt = 0x6d762e67656e2e31ULL;
+
+/// Salts for the multi-world decision and signing streams.
+constexpr std::uint64_t kWorldMixSalt = 0x6d772e6d69782e31ULL;  // "mw.mix.1"
+constexpr std::uint64_t kWorldSigSalt = 0x6d772e7369672e31ULL;  // "mw.sig.1"
 
 constexpr const char* kNftName = "nft";
 
@@ -55,6 +60,16 @@ std::vector<crypto::Wallet> derive_env_wallets(std::uint64_t stream_seed,
   while (s.wallets.size() < count) s.wallets.emplace_back(s.rng);
   return {s.wallets.begin(),
           s.wallets.begin() + static_cast<std::ptrdiff_t>(count)};
+}
+
+/// Up to 4n draws from [0, n) until `accept` takes one; nullopt if none did.
+template <typename Accept>
+std::optional<std::size_t> draw(Rng& rng, std::size_t n, Accept accept) {
+  for (std::size_t attempt = 0; attempt < 4 * n; ++attempt) {
+    const std::size_t i = rng.next_below(n);
+    if (accept(i)) return i;
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -726,7 +741,8 @@ bool ScenarioGenerator::step_rug(RugOp& op) {
   return true;
 }
 
-void ScenarioGenerator::on_round_committed(const ledger::LedgerState& state) {
+void ScenarioGenerator::on_round_committed(const ledger::ShardedLedger& ledger) {
+  const ledger::LedgerState& state = ledger.state(0);
   // Settle money: reserved spends become real, deferred credits land.
   for (const auto& [idx, credit] : pending_credits_) {
     avatars_[idx].balance += credit;
@@ -780,6 +796,90 @@ void ScenarioGenerator::on_round_committed(const ledger::LedgerState& state) {
   known_reports_ = committed_reports;
 
   ++height_;
+}
+
+// ------------------------------------------------------------ multi-world
+
+MultiWorldGenerator::MultiWorldGenerator(const ScenarioConfig& config,
+                                         std::size_t num_shards,
+                                         const ScenarioEnv& env)
+    : env_(env),
+      cross_(config.txs_per_round / 3),
+      intra_(config.txs_per_round - cross_),
+      mix_(config.seed ^ kWorldMixSalt),
+      sig_(config.seed ^ kWorldSigSalt),
+      home_(env.avatars.size()),
+      by_shard_(num_shards),
+      nonces_(env.avatars.size(), 0),
+      proven_(num_shards, 0) {
+  for (std::size_t i = 0; i < env_.avatars.size(); ++i) {
+    home_[i] = ledger::shard_of(env_.avatars[i].address(), num_shards);
+    by_shard_[home_[i]].push_back(i);
+    index_of_[env_.avatars[i].address().value] = i;
+  }
+  for (std::uint32_t s = 0; s < num_shards; ++s) {
+    if (by_shard_[s].size() >= 2) pair_shards_.push_back(s);
+  }
+}
+
+std::vector<ledger::Transaction> MultiWorldGenerator::next_round() {
+  std::unordered_set<std::size_t> used(minters_.begin(), minters_.end());
+  std::vector<ledger::Transaction> txs = std::move(mints_);
+  stats_.cross_transfers += txs.size();
+  mints_.clear();
+  minters_.clear();
+
+  for (std::uint32_t t = 0; t < intra_ && !pair_shards_.empty(); ++t) {
+    const auto& group =
+        by_shard_[pair_shards_[mix_.next_below(pair_shards_.size())]];
+    const auto from = draw(mix_, group.size(),
+                           [&](std::size_t i) { return !used.contains(group[i]); });
+    if (!from) continue;
+    const auto to =
+        draw(mix_, group.size(), [&](std::size_t i) { return i != *from; });
+    if (!to) continue;
+    const std::size_t sender = group[*from];
+    used.insert(sender);
+    txs.push_back(ledger::make_transfer(
+        env_.avatars[sender], nonces_[sender]++,
+        env_.avatars[group[*to]].address(), 1 + mix_.next_below(64),
+        /*fee=*/1, sig_));
+    ++stats_.transfers;
+  }
+
+  const std::size_t n = env_.avatars.size();
+  for (std::uint32_t t = 0; t < cross_ && by_shard_.size() > 1; ++t) {
+    const auto from =
+        draw(mix_, n, [&](std::size_t i) { return !used.contains(i); });
+    if (!from) continue;
+    // A recipient on any other world.
+    const auto to =
+        draw(mix_, n, [&](std::size_t i) { return home_[i] != home_[*from]; });
+    if (!to) continue;
+    used.insert(*from);
+    txs.push_back(ledger::make_xshard_lock(
+        env_.avatars[*from], nonces_[*from]++, home_[*to],
+        env_.avatars[*to].address(), 1 + mix_.next_below(64), /*fee=*/1, sig_));
+  }
+  return txs;
+}
+
+void MultiWorldGenerator::on_round_committed(
+    const ledger::ShardedLedger& ledger) {
+  for (std::uint32_t s = 0; s < proven_.size(); ++s) {
+    for (; proven_[s] < ledger.receipt_count(s); ++proven_[s]) {
+      auto bundle = ledger.prove_receipt(s, proven_[s]);
+      if (!bundle.ok()) continue;  // unreachable: the beacon covers the id
+      const auto receipt =
+          ledger::CrossShardReceipt::decode(bundle.value().receipt);
+      if (!receipt.ok()) continue;
+      const std::size_t recipient = index_of_.at(receipt.value().to.value);
+      mints_.push_back(ledger::make_xshard_mint(
+          env_.avatars[recipient], nonces_[recipient]++, bundle.value(),
+          /*fee=*/1, sig_));
+      minters_.push_back(recipient);
+    }
+  }
 }
 
 }  // namespace mv::scenario

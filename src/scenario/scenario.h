@@ -38,6 +38,7 @@
 
 #include "crypto/wallet.h"
 #include "dao/contract.h"
+#include "ledger/shard.h"
 #include "ledger/state.h"
 #include "ledger/transaction.h"
 #include "moderation/contract.h"
@@ -60,7 +61,8 @@ struct ScenarioMix {
 };
 
 /// The scenario catalog (DESIGN.md §12): named mixes the tests and
-/// bench_e2e run by name.
+/// bench_e2e run by name. "multi_world:<n>" (MultiWorldGenerator) is the
+/// one parameterized entry and is not listed here.
 [[nodiscard]] ScenarioMix market_rush_mix();     ///< NFT churn + scam heavy
 [[nodiscard]] ScenarioMix governance_wave_mix(); ///< DAO ballot waves
 [[nodiscard]] ScenarioMix report_storm_mix();    ///< moderation storms
@@ -69,7 +71,7 @@ struct ScenarioMix {
 [[nodiscard]] std::vector<std::string> mix_catalog();
 
 struct ScenarioConfig {
-  std::string mix = "mixed_city";
+  std::string mix = "mixed_city";  ///< a catalog mix or "multi_world:<n>"
   std::uint64_t seed = 1;
   std::uint64_t avatars = 1000;
   std::uint32_t validators = 4;
@@ -126,6 +128,7 @@ struct GeneratorStats {
   std::uint64_t scam_txs = 0;     ///< emitted by scam machines (subset of above)
   std::uint64_t wash_trades = 0;  ///< completed wash buy legs
   std::uint64_t rug_pulls = 0;    ///< completed rug-pull exits
+  std::uint64_t cross_transfers = 0;  ///< multi_world lock -> mint pairs
 
   [[nodiscard]] std::uint64_t total() const;
 };
@@ -143,8 +146,9 @@ class ScenarioGenerator {
   [[nodiscard]] std::vector<ledger::Transaction> next_round();
 
   /// Reconcile contract-assigned ids and settle balances from the committed
-  /// post-block state.
-  void on_round_committed(const ledger::LedgerState& state);
+  /// post-block state. A catalog mix runs on one shard, so shard 0 holds
+  /// every account and store.
+  void on_round_committed(const ledger::ShardedLedger& ledger);
 
   [[nodiscard]] const GeneratorStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t scam_avatars() const { return scam_count_; }
@@ -261,6 +265,43 @@ class ScenarioGenerator {
   std::vector<std::pair<std::size_t, std::uint64_t>> pending_credits_;
   std::vector<ledger::Transaction> round_txs_;
   std::int64_t height_ = 0;  ///< height of the round being emitted
+  GeneratorStats stats_;
+};
+
+/// The "multi_world:<n>" traffic source, driven through the same
+/// next_round() / on_round_committed() pair as ScenarioGenerator on an
+/// n-shard ShardedLedger. Each round splits txs_per_round 2:1 between
+/// transfers inside one world and cross-world locks; the mints for round
+/// r's locks (receipt bytes plus a proof against the round-r beacon) lead
+/// round r+1. Every sender sends one tx per round, except a recipient
+/// minting several receipts, whose nonces the mempool orders.
+class MultiWorldGenerator {
+ public:
+  /// `env` must outlive the generator; every decision derives from
+  /// config.seed.
+  MultiWorldGenerator(const ScenarioConfig& config, std::size_t num_shards,
+                      const ScenarioEnv& env);
+
+  [[nodiscard]] std::vector<ledger::Transaction> next_round();
+  /// Queue a mint for every receipt the round's beacon now covers.
+  void on_round_committed(const ledger::ShardedLedger& ledger);
+
+  [[nodiscard]] const GeneratorStats& stats() const { return stats_; }
+
+ private:
+  const ScenarioEnv& env_;
+  std::uint32_t cross_;  ///< locks per round
+  std::uint32_t intra_;  ///< same-world transfers per round
+  Rng mix_;
+  Rng sig_;
+  std::vector<std::uint32_t> home_;  ///< avatar -> shard
+  std::vector<std::vector<std::size_t>> by_shard_;
+  std::vector<std::uint32_t> pair_shards_;  ///< worlds with >= 2 avatars
+  std::unordered_map<std::uint64_t, std::size_t> index_of_;  ///< address -> idx
+  std::vector<std::uint64_t> nonces_;
+  std::vector<std::uint64_t> proven_;  ///< per shard: receipts already minted
+  std::vector<ledger::Transaction> mints_;
+  std::vector<std::size_t> minters_;
   GeneratorStats stats_;
 };
 

@@ -1,18 +1,25 @@
 // Event-sourced scenario traces ("mv.trace.v1").
 //
-// A scenario IS a trace, and the trace IS the regression test: the generator
+// A scenario IS a trace, and the trace IS the regression test: a generator
 // (scenario/scenario.h) emits per-round transaction batches, the harness
 // (scenario/harness.h) executes them, and this module freezes the whole run
 // into one append-only byte stream — environment derivation parameters, every
-// submitted transaction round by round, and the per-block StateCommitment
-// root the execution produced. Replaying the trace through a fresh stack must
-// reproduce the recorded root sequence bit for bit; any divergence is a
-// whole-stack regression (ledger, contracts, mempool, scheduler — anything).
+// submitted transaction round by round, and the per-round root the execution
+// produced. Replaying the trace through a fresh stack must reproduce the
+// recorded root sequence bit for bit; any divergence is a whole-stack
+// regression (ledger, contracts, mempool, scheduler — anything).
+//
+// The root column. Every trace runs on a ShardedLedger. On one shard (every
+// catalog mix, and "multi_world:1") a round's commitment_root is that
+// shard's post-block StateCommitment root, exactly what a plain Blockchain
+// would commit. On n > 1 shards ("multi_world:<n>") it is the round's beacon
+// root (ledger/beacon.h), which pins every shard's state root and receipt
+// root. This rule keeps every single-chain trace byte-compatible.
 //
 // Wire format (strict; little-endian, length-prefixed via common/bytes.h):
 //
 //   u32  version            (kTraceVersion)
-//   str  scenario           mix name, provenance + mix lookup at replay
+//   str  scenario           mix name; replay reads the shard count from it
 //   u64  seed               every wallet/decision stream derives from this
 //   u64  avatars
 //   u32  validators
@@ -23,7 +30,7 @@
 //   per round:
 //     u32  tx_count
 //     per tx: bytes         Transaction::encode()
-//     raw  commitment_root[32]   post-block state root
+//     raw  commitment_root[32]   the round's root (the rule above)
 //   raw  checksum[32]       sha256("mv.trace.v1" || all preceding bytes)
 //
 // The trailing checksum is what makes the "no semantically inert bytes"
@@ -47,7 +54,7 @@ inline constexpr const char* kTraceDomain = "mv.trace.v1";
 /// Environment derivation parameters: everything replay needs to rebuild the
 /// exact genesis state, wallets, and contract registry the recorder used.
 struct TraceHeader {
-  std::string scenario;  ///< mix name (scenario/scenario.h catalog)
+  std::string scenario;  ///< catalog mix name or "multi_world:<n>"
   std::uint64_t seed = 0;
   std::uint64_t avatars = 0;
   std::uint32_t validators = 0;
@@ -61,7 +68,7 @@ struct TraceHeader {
 };
 
 /// One consensus round: the transactions submitted (in submission order) and
-/// the state root the committed block produced.
+/// the root the committed round produced (the root-column rule above).
 struct TraceRound {
   std::vector<ledger::Transaction> txs;
   crypto::Digest commitment_root{};

@@ -150,7 +150,6 @@ TEST(Scenario, AFullDayInTheMetaverse) {
 
 #include "scenario/harness.h"
 #include "scenario/invariants.h"
-#include "scenario/shard_harness.h"
 
 namespace mv::scenario {
 namespace {
@@ -163,6 +162,12 @@ ScenarioConfig small_config() {
   config.rounds = 8;
   config.txs_per_round = 60;
   return config;
+}
+
+std::shared_ptr<JobQueue> make_queue(std::size_t workers) {
+  JobQueueConfig qc;
+  qc.threads = workers;
+  return std::make_shared<JobQueue>(qc);
 }
 
 Trace small_trace() {
@@ -326,24 +331,21 @@ TEST(ScenarioGolden, DeterminismSweepAcrossStackConfigurations) {
   auto rec = record(small_config());
   ASSERT_TRUE(rec.ok()) << rec.error().to_string();
   const Trace& trace = rec.value().trace;
-  const auto& baseline = rec.value().run.commitments;
+  const auto& baseline = rec.value().run.roots;
   ASSERT_EQ(baseline.size(), trace.rounds.size());
 
   // inline / single-worker / threaded queue × subscribers: every
-  // configuration must reproduce the recorded (queue-less) commitment
-  // sequence.
+  // configuration must reproduce the recorded (queue-less) root sequence.
   std::vector<ReplayOptions> sweep;
   for (const std::size_t workers :
        {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     ReplayOptions o;
-    o.use_job_queue = true;
-    o.queue_workers = workers;
+    o.job_queue = make_queue(workers);
     sweep.push_back(o);
   }
   {
     ReplayOptions o;
-    o.use_job_queue = true;
-    o.queue_workers = 2;
+    o.job_queue = make_queue(2);
     o.subscribers = 4;
     o.client_queries_per_round = 4;
     sweep.push_back(o);
@@ -353,12 +355,34 @@ TEST(ScenarioGolden, DeterminismSweepAcrossStackConfigurations) {
     auto run = replay(trace, sweep[i]);
     ASSERT_TRUE(run.ok()) << "config " << i << ": " << run.error().to_string();
     EXPECT_EQ(run.value().mismatched_blocks, 0u) << "config " << i;
-    ASSERT_EQ(run.value().commitments.size(), baseline.size()) << "config " << i;
+    ASSERT_EQ(run.value().roots.size(), baseline.size()) << "config " << i;
     for (std::size_t r = 0; r < baseline.size(); ++r) {
-      ASSERT_TRUE(run.value().commitments[r] == baseline[r])
+      ASSERT_EQ(run.value().roots[r], baseline[r])
           << "config " << i << " diverged at block " << r;
     }
   }
+}
+
+TEST(ScenarioGolden, MultiWorldTraceReplaysByteIdentically) {
+  auto trace = load_trace(std::string(kTraceDir) + "/multi_world_3.trace");
+  ASSERT_TRUE(trace.ok()) << trace.error().to_string();
+  EXPECT_EQ(trace.value().header.scenario, "multi_world:3");
+  EXPECT_EQ(trace.value().header.avatars, 24u);
+  EXPECT_EQ(trace.value().rounds.size(), 6u);
+  // Serial and fanned out across queue workers alike, every beacon root —
+  // and so shard_of, the beacon layout and every receipt byte — must match.
+  for (const std::size_t workers : {0u, 2u, 4u}) {
+    ReplayOptions opts;
+    opts.job_queue = make_queue(workers);
+    auto run = replay(trace.value(), opts);
+    ASSERT_TRUE(run.ok()) << run.error().to_string();
+    EXPECT_EQ(run.value().mismatched_blocks, 0u) << "workers=" << workers;
+    EXPECT_EQ(run.value().committed_txs, trace.value().total_txs());
+    EXPECT_TRUE(run.value().violations.empty())
+        << run.value().violations.front();
+  }
+  EXPECT_EQ(crypto::to_hex(trace.value().rounds.back().commitment_root),
+            "c0e8eec4b069e40f14a2dbed71f7b5b2c54d78ea8dd052b4887ea123cbd066ac");
 }
 
 // -------------------------------------------------------------- invariants
@@ -474,8 +498,7 @@ TEST(ScenarioHarness, GenesisDriftIsRefusedBeforeReplay) {
 
 TEST(ScenarioHarness, SubscribersFollowEveryCommit) {
   ReplayOptions opts;
-  opts.use_job_queue = true;
-  opts.queue_workers = 0;  // inline: deterministic fan-out, nothing shed
+  opts.job_queue = make_queue(0);  // inline: deterministic fan-out, nothing shed
   opts.subscribers = 6;
   opts.client_queries_per_round = 8;
   auto rec = record(small_config(), opts);
@@ -557,36 +580,92 @@ TEST(ScenarioHarness, UnknownMixAndBadPopulationRejected) {
   EXPECT_EQ(rec.error().code, errc::kTraceBadCount);
 }
 
+Trace tiny_worlds() {
+  ScenarioConfig config;
+  config.mix = "multi_world:2";
+  config.avatars = 8;
+  config.rounds = 2;
+  config.txs_per_round = 6;
+  auto rec = record(config);
+  EXPECT_TRUE(rec.ok()) << (rec.ok() ? "" : rec.error().to_string());
+  return std::move(rec).value().trace;
+}
+
+/// tiny_worlds() with the header field `field` bytes past the scenario name
+/// overwritten by `value` (little-endian, `width` bytes) and the checksum
+/// re-sealed, so the trace decodes and reaches replay's environment bounds.
+Trace resealed_worlds(std::size_t field, std::uint64_t value,
+                      std::size_t width) {
+  const Trace trace = tiny_worlds();
+  Bytes b = trace.encode();
+  const std::size_t off = 4 + 4 + trace.header.scenario.size() + field;
+  for (std::size_t i = 0; i < width; ++i) {
+    b[off + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+  auto decoded = Trace::decode(reseal(std::move(b)));
+  EXPECT_TRUE(decoded.ok()) << (decoded.ok() ? "" : decoded.error().to_string());
+  return std::move(decoded).value();
+}
+
+TEST(ScenarioHarness, MultiWorldHeaderBoundsRefusedBeforeDerivation) {
+  // avatars (u64 after the seed): 2^40 wallets would exhaust memory if the
+  // environment were derived before its bounds were checked.
+  auto huge = replay(resealed_worlds(8, std::uint64_t{1} << 40, 8));
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.error().code, errc::kTraceBadCount);
+  // validators (u32 after avatars): above the 64-validator cap.
+  auto crowd = replay(resealed_worlds(16, 65, 4));
+  ASSERT_FALSE(crowd.ok());
+  EXPECT_EQ(crowd.error().code, errc::kTraceBadCount);
+}
+
+TEST(ScenarioHarness, BadWorldCountsRefused) {
+  Trace trace = tiny_worlds();
+  for (const char* name : {"multi_world:0", "multi_world:x", "multi_world:1025",
+                           "multi_world:", "multi_world:3x"}) {
+    ScenarioConfig config = small_config();
+    config.mix = name;
+    auto rec = record(config);
+    ASSERT_FALSE(rec.ok()) << name;
+    EXPECT_EQ(rec.error().code, errc::kShardBadConfig) << name;
+    trace.header.scenario = name;
+    auto run = replay(trace);
+    ASSERT_FALSE(run.ok()) << name;
+    EXPECT_EQ(run.error().code, errc::kShardBadConfig) << name;
+  }
+}
+
 // ------------------------------------------------------------ multi-world
 
-MultiWorldConfig small_worlds() {
-  MultiWorldConfig config;
-  config.num_shards = 3;
+/// 3 worlds, 24 avatars, 6 rounds of 9 txs: 6 intra-world transfers and 3
+/// cross-world locks a round (the same run tests/data/multi_world_3.trace
+/// holds).
+ScenarioConfig small_worlds() {
+  ScenarioConfig config;
+  config.mix = "multi_world:3";
   config.seed = 42;
   config.avatars = 24;
-  config.validators = 3;
   config.rounds = 6;
-  config.intra_per_round = 6;
-  config.cross_per_round = 3;
+  config.txs_per_round = 9;
   return config;
 }
 
 TEST(MultiWorldShard, RecordDrivesCrossShardTrafficCleanly) {
-  auto rec = record_multi_world(small_worlds());
+  auto rec = record(small_worlds());
   ASSERT_TRUE(rec.ok()) << rec.error().to_string();
   EXPECT_EQ(rec.value().trace.header.scenario, "multi_world:3");
   EXPECT_EQ(rec.value().trace.rounds.size(), 6u);
-  EXPECT_GT(rec.value().committed_txs, 0u);
+  EXPECT_GT(rec.value().run.committed_txs, 0u);
   // Locks produced receipts that minted on their destination worlds.
-  EXPECT_GT(rec.value().cross_transfers, 0u);
+  EXPECT_GT(rec.value().generated.cross_transfers, 0u);
   // check_sharded_invariants ran over the final fleet state: conservation
   // across shards, receipt ledger shape, spent-marker integrity.
-  EXPECT_TRUE(rec.value().violations.empty())
-      << rec.value().violations.front();
+  EXPECT_TRUE(rec.value().run.violations.empty())
+      << rec.value().run.violations.front();
 }
 
 TEST(MultiWorldShard, TraceCodecRoundTripsAndReplaysByteIdentically) {
-  auto rec = record_multi_world(small_worlds());
+  auto rec = record(small_worlds());
   ASSERT_TRUE(rec.ok()) << rec.error().to_string();
 
   // The multi-world trace rides the unmodified mv.trace.v1 codec.
@@ -596,54 +675,54 @@ TEST(MultiWorldShard, TraceCodecRoundTripsAndReplaysByteIdentically) {
   EXPECT_EQ(decoded.value().encode(), encoded);
 
   // Replay from the decoded bytes: every beacon root must match, serial and
-  // fanned out across JobQueue worker counts alike.
+  // fanned out across JobQueue worker counts alike, with shard 0's commit
+  // hook feeding subscribers and composed proofs served on the client lane.
   for (const std::size_t workers : {0u, 2u, 4u}) {
-    MultiWorldOptions opts;
-    opts.queue_workers = workers;
-    auto run = replay_multi_world(decoded.value(), opts);
+    ReplayOptions opts;
+    opts.job_queue = make_queue(workers);
+    opts.subscribers = 4;
+    opts.client_queries_per_round = 4;
+    auto run = replay(decoded.value(), opts);
     ASSERT_TRUE(run.ok()) << run.error().to_string();
-    EXPECT_EQ(run.value().mismatched_rounds, 0u) << "workers=" << workers;
-    EXPECT_EQ(run.value().beacon_roots, rec.value().beacon_roots);
+    EXPECT_EQ(run.value().mismatched_blocks, 0u) << "workers=" << workers;
+    EXPECT_EQ(run.value().roots, rec.value().run.roots);
     EXPECT_TRUE(run.value().violations.empty())
         << run.value().violations.front();
+    EXPECT_EQ(run.value().subscriptions.commits_published, 6u);
+    EXPECT_EQ(run.value().queries_served, 6u * 4u);
   }
 }
 
 TEST(MultiWorldShard, SameSeedSameTraceDifferentSeedDifferentTrace) {
-  auto a = record_multi_world(small_worlds());
-  auto b = record_multi_world(small_worlds());
+  auto a = record(small_worlds());
+  auto b = record(small_worlds());
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a.value().trace.encode(), b.value().trace.encode());
 
-  MultiWorldConfig other = small_worlds();
+  ScenarioConfig other = small_worlds();
   other.seed = 43;
-  auto c = record_multi_world(other);
+  auto c = record(other);
   ASSERT_TRUE(c.ok());
   EXPECT_NE(c.value().trace.encode(), a.value().trace.encode());
 }
 
 TEST(MultiWorldShard, TamperedBeaconRootIsReported) {
-  auto rec = record_multi_world(small_worlds());
+  auto rec = record(small_worlds());
   ASSERT_TRUE(rec.ok());
   Trace trace = rec.value().trace;
   trace.rounds[2].commitment_root[0] ^= 0x01;
-  auto run = replay_multi_world(trace);
+  auto run = replay(trace);
   ASSERT_TRUE(run.ok()) << run.error().to_string();
-  EXPECT_EQ(run.value().mismatched_rounds, 1u);
+  EXPECT_EQ(run.value().mismatched_blocks, 1u);
 }
 
 TEST(MultiWorldShard, ForeignAndMalformedTracesRefused) {
-  // A plain single-chain trace is not a multi-world trace.
-  auto run = replay_multi_world(small_trace());
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.error().code, errc::kShardBadConfig);
-
   // Genesis drift (tampered header) is refused before any round replays.
-  auto rec = record_multi_world(small_worlds());
+  auto rec = record(small_worlds());
   ASSERT_TRUE(rec.ok());
   Trace trace = rec.value().trace;
   trace.header.genesis_root[0] ^= 0x01;
-  auto drift = replay_multi_world(trace);
+  auto drift = replay(trace);
   ASSERT_FALSE(drift.ok());
   EXPECT_EQ(drift.error().code, errc::kTraceGenesisMismatch);
 }

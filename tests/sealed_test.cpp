@@ -576,8 +576,8 @@ TEST(ScenarioSealed, MixedCityWithFailingCandidatesMatchesFollower) {
   config.max_txs_per_block = 128;
   auto rec = record(config);
   ASSERT_TRUE(rec.ok()) << rec.error().to_string();
-  // Even rounds stay under the block cap (apply_block path); odd rounds
-  // overflow it (the serial first-max-successes loop).
+  // Even rounds stay under the block cap; odd rounds overflow it, so
+  // apply_block stops at the cap's first max_txs_per_block successes.
   for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
     SCOPED_TRACE("queue workers " + std::to_string(workers));
     DiffOptions o;

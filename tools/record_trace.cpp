@@ -1,7 +1,8 @@
-// Golden-trace recorder: records a named scenario and writes the trace file
-// the regression tests replay (tests/data/*.trace). Prints the per-class
-// generator stats and the final commitment root so the expected constants in
-// scenario_test.cpp can be refreshed alongside the file.
+// Golden-trace recorder: records a named scenario (a catalog mix or
+// "multi_world:<n>") and writes the trace file the regression tests replay
+// (tests/data/*.trace). Prints the per-class generator stats and the final
+// root so the expected constants in scenario_test.cpp can be refreshed
+// alongside the file.
 //
 //   record_trace <mix> <seed> <avatars> <rounds> <txs_per_round> <out.trace>
 //
@@ -23,7 +24,7 @@ int main(int argc, char** argv) {
     for (const auto& name : mv::scenario::mix_catalog()) {
       std::fprintf(stderr, " %s", name.c_str());
     }
-    std::fprintf(stderr, "\n");
+    std::fprintf(stderr, " multi_world:<n>\n");
     return 2;
   }
   mv::scenario::ScenarioConfig config;
@@ -104,6 +105,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(g.scam_txs),
               static_cast<unsigned long long>(g.wash_trades),
               static_cast<unsigned long long>(g.rug_pulls));
+  std::printf("worlds     cross_transfers=%llu\n",
+              static_cast<unsigned long long>(g.cross_transfers));
   std::printf("final_root %s\n",
               mv::crypto::to_hex(
                   rec.trace.rounds.back().commitment_root).c_str());
