@@ -219,6 +219,83 @@ BENCHMARK(BM_BlockValidate)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+// Follower commit: the unsealed append() of a 512-transfer block over 10^5
+// funded accounts — header checks, execution with a cold signature cache,
+// the commit into the ledger state and the committed-state root check,
+// which is where state layout shows. Blocks come from a proposer chain
+// built before the timed loop; each block moves 512 distinct senders to 512
+// distinct recipients. When the pre-built blocks run out, a fresh follower
+// (and a fresh signature cache) is set up untimed and takes block 0
+// untimed too, since the first append also copies the genesis state.
+void BM_FollowerAppend(benchmark::State& state) {
+  constexpr std::size_t kAccounts = 100'000;
+  constexpr std::size_t kTxs = 512;
+  constexpr std::size_t kBlocks = 24;
+  Rng rng(19);
+  auto contracts = std::make_shared<ContractRegistry>();
+  crypto::Wallet validator(rng);
+  std::vector<crypto::Wallet> senders;
+  senders.reserve(kTxs);
+  auto genesis = std::make_shared<LedgerState>();
+  for (std::size_t i = 0; i < kTxs; ++i) {
+    senders.emplace_back(rng);
+    genesis->credit(senders.back().address(), 1'000'000);
+  }
+  std::vector<crypto::Address> recipients;
+  while (genesis->account_count() < kAccounts) {
+    const crypto::Address a{rng.next_u64() | 1};
+    if (genesis->has_account(a)) continue;
+    genesis->credit(a, 1'000);
+    recipients.push_back(a);
+  }
+  ChainConfig config;
+  config.validators = {validator.public_key()};
+  config.max_txs_per_block = kTxs;
+  std::shared_ptr<const LedgerState> shared = genesis;
+  std::vector<Block> blocks;
+  {
+    Blockchain proposer(config, contracts, shared);
+    for (std::size_t h = 0; h < kBlocks; ++h) {
+      std::vector<Transaction> txs;
+      txs.reserve(kTxs);
+      for (std::size_t i = 0; i < kTxs; ++i) {
+        txs.push_back(make_transfer(senders[i], h,
+                                    recipients[(h * kTxs + i) % recipients.size()],
+                                    1 + i % 100, 1, rng));
+      }
+      blocks.push_back(proposer.assemble(validator, txs, static_cast<Tick>(h), rng));
+      if (!proposer.append(blocks.back()).ok()) {
+        state.SkipWithError("proposer rejected its own block");
+        return;
+      }
+    }
+  }
+  const auto fresh_follower = [&] {
+    ChainConfig fc = config;
+    fc.validation.sig_cache = std::make_shared<crypto::DigestLruSet>();
+    auto follower = std::make_unique<Blockchain>(fc, contracts, shared);
+    (void)follower->append(blocks[0]);
+    return follower;
+  };
+  std::unique_ptr<Blockchain> follower = fresh_follower();
+  std::size_t next = 1;
+  for (auto _ : state) {
+    if (next == kBlocks) {
+      state.PauseTiming();
+      follower = fresh_follower();
+      next = 1;
+      state.ResumeTiming();
+    }
+    if (!follower->append(blocks[next++]).ok()) {
+      state.SkipWithError("follower rejected a block");
+      return;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kTxs));
+}
+BENCHMARK(BM_FollowerAppend)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 // Incremental commitment after touching a handful of accounts in a world of
 // `range(0)`: cost must track the touched set (O(touched · log n)), not the
 // world ("the seed re-hashed every account, store entry, and audit record

@@ -46,6 +46,13 @@ echo "== gate: proof fuzz (10k keys + mutation sweep) must run (not be skipped) 
 # and no single-byte mutation of an encoded proof may survive verification.
 gate "proof fuzz test" 'ProofFuzz'
 
+echo "== gate: ledger state layout (account table + arena Merkle map) =="
+# The flat state's safety net: the open-addressing AccountTable against a
+# std::map model (growth, erases inside probe chains, undo), and the arena
+# MerkleMap against the structural oracle under erase-heavy churn that
+# reuses freed slots, including proofs and copies with dirty hash caches.
+gate "ledger state layout tests" 'AccountTable|MerkleMap'
+
 echo "== gate: snapshot differential + mutation fuzz must run (not be skipped) =="
 # The snapshot codec's safety net: decode must reproduce the commitment
 # byte-identically (differential vs full_rehash_commitment) and no
@@ -122,7 +129,7 @@ MV_BENCH_NO_TABLE=1 ./build/bench/bench_e2e \
 
 echo "== bench: ledger microbenchmarks -> BENCH_ledger.json (median of 3) =="
 MV_BENCH_NO_TABLE=1 ./build/bench/bench_ledger \
-  --benchmark_filter='BM_BlockAssembleValidate|BM_BlockValidate|BM_CommitmentAfterTouch|BM_TxApplyTransfer|BM_MempoolSelectRemove|BM_AccountProofRoundTrip|BM_CatchUp|BM_DiffSnapshot|BM_SnapshotExportImport|BM_BlockValidateSigCache|BM_JobQueue|BM_SubscriptionFanout|BM_ShardedPipeline' \
+  --benchmark_filter='BM_BlockAssembleValidate|BM_BlockValidate|BM_FollowerAppend|BM_CommitmentAfterTouch|BM_TxApplyTransfer|BM_MempoolSelectRemove|BM_AccountProofRoundTrip|BM_CatchUp|BM_DiffSnapshot|BM_SnapshotExportImport|BM_BlockValidateSigCache|BM_JobQueue|BM_SubscriptionFanout|BM_ShardedPipeline' \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
   --benchmark_out=BENCH_ledger.json \

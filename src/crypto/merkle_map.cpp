@@ -16,60 +16,6 @@ unsigned nibble(std::uint64_t key, int depth) {
   return static_cast<unsigned>((key >> (60 - 4 * depth)) & 0xF);
 }
 
-}  // namespace
-
-struct MerkleMap::Node {
-  bool leaf = true;
-  std::uint64_t key = 0;  ///< leaf only
-  Digest value{};         ///< leaf only: value digest (leaf-hash preimage,
-                          ///< kept so proofs can expose colliding leaves)
-  /// Leaf: exact leaf_hash (always fresh). Inner: cached subtree digest,
-  /// valid when !dirty. Mutable so a const tree can flush its cache.
-  mutable Digest hash{};
-  mutable bool dirty = false;  ///< inner only
-  std::uint32_t count = 1;     ///< keys in this subtree
-  /// Children, allocated for inner nodes only (keeps leaves small).
-  std::unique_ptr<std::array<std::unique_ptr<Node>, 16>> kids;
-};
-
-namespace {
-
-using Node = MerkleMap::Node;
-using NodePtr = std::unique_ptr<Node>;
-
-NodePtr make_leaf(std::uint64_t key, const Digest& value, const Digest& leaf_hash) {
-  auto n = std::make_unique<Node>();
-  n->key = key;
-  n->value = value;
-  n->hash = leaf_hash;
-  return n;
-}
-
-NodePtr make_inner() {
-  auto n = std::make_unique<Node>();
-  n->leaf = false;
-  n->dirty = true;
-  n->count = 0;
-  n->kids = std::make_unique<std::array<NodePtr, 16>>();
-  return n;
-}
-
-NodePtr clone(const Node* n) {
-  if (n == nullptr) return nullptr;
-  auto c = std::make_unique<Node>();
-  c->leaf = n->leaf;
-  c->key = n->key;
-  c->value = n->value;
-  c->hash = n->hash;
-  c->dirty = n->dirty;
-  c->count = n->count;
-  if (n->kids) {
-    c->kids = std::make_unique<std::array<NodePtr, 16>>();
-    for (int i = 0; i < 16; ++i) (*c->kids)[i] = clone((*n->kids)[i].get());
-  }
-  return c;
-}
-
 /// Combine child digests into an inner commitment. `present` marks non-empty
 /// children; their digests appear in index order after a 16-bit bitmap.
 Digest inner_hash(const std::array<const Digest*, 16>& children) {
@@ -86,30 +32,6 @@ Digest inner_hash(const std::array<const Digest*, 16>& children) {
   }
   return w.digest();
 }
-
-/// Re-hash a dirty subtree bottom-up. After this, every node's cached hash
-/// equals its canonical commitment (a count-1 subtree commits as its single
-/// leaf, regardless of how many inner nodes physically wrap it).
-void ensure(const Node* n) {
-  if (n->leaf || !n->dirty) return;
-  const Node* single = nullptr;
-  std::array<const Digest*, 16> children{};
-  for (int i = 0; i < 16; ++i) {
-    const Node* kid = (*n->kids)[i].get();
-    if (kid == nullptr) continue;
-    ensure(kid);
-    children[i] = &kid->hash;
-    single = kid;
-  }
-  n->hash = (n->count == 1) ? single->hash : inner_hash(children);
-  n->dirty = false;
-}
-
-/// Either an update (leaf hash) or a tombstone, pre-hashed from a Delta.
-struct DeltaEntry {
-  std::uint64_t key = 0;
-  std::optional<Digest> leaf;  ///< nullopt = erase
-};
 
 /// Canonical commitment of an explicit (key, leaf_hash) set at `depth`.
 /// `leaves` must be sorted by key and unique. Shared by the virtual-merge
@@ -134,152 +56,6 @@ Digest build_from_leaves(int depth,
   return inner_hash(children);
 }
 
-struct MergeResult {
-  Digest digest{};
-  std::size_t count = 0;
-};
-
-/// Commitment of (subtree at `node`) ⊕ (delta `entries`), computed without
-/// touching the tree. Cached hashes must be fresh (root() flushed) before
-/// the top-level call.
-MergeResult merge(const Node* node, int depth, std::span<const DeltaEntry> entries) {
-  if (entries.empty()) {
-    if (node == nullptr) return {};
-    return {node->hash, node->leaf ? 1u : node->count};
-  }
-  if (node == nullptr || node->leaf) {
-    // Materialize the merged leaf set: the node's leaf (unless overridden by
-    // a delta entry with the same key) plus every delta insert. Collision
-    // regions are small — at most |delta| + 1 leaves — so building them
-    // explicitly keeps this path simple without hurting the O(touched·log n)
-    // bound.
-    std::vector<std::pair<std::uint64_t, Digest>> leaves;
-    leaves.reserve(entries.size() + 1);
-    bool node_pending = node != nullptr;
-    for (const auto& e : entries) {
-      if (node_pending && node->key <= e.key) {
-        if (node->key < e.key) leaves.emplace_back(node->key, node->hash);
-        node_pending = false;  // equal key: delta overrides the base leaf
-        if (node->key == e.key && !e.leaf.has_value()) continue;
-      }
-      if (e.leaf.has_value()) leaves.emplace_back(e.key, *e.leaf);
-    }
-    if (node_pending) leaves.emplace_back(node->key, node->hash);
-    return {build_from_leaves(depth, leaves), leaves.size()};
-  }
-  // Inner node: partition the (sorted) delta by this depth's nibble and
-  // recurse; untouched children contribute their cached digest for free.
-  std::array<Digest, 16> slots;
-  std::array<const Digest*, 16> children{};
-  std::size_t total = 0;
-  const Digest* single = nullptr;
-  std::size_t i = 0;
-  for (unsigned nib = 0; nib < 16; ++nib) {
-    std::size_t j = i;
-    while (j < entries.size() && nibble(entries[j].key, depth) == nib) ++j;
-    const MergeResult r =
-        merge((*node->kids)[nib].get(), depth + 1, entries.subspan(i, j - i));
-    i = j;
-    if (r.count == 0) continue;
-    slots[nib] = r.digest;
-    children[nib] = &slots[nib];
-    single = &slots[nib];
-    total += r.count;
-  }
-  if (total == 0) return {};
-  if (total == 1) return {*single, 1};
-  return {inner_hash(children), total};
-}
-
-/// Build the physical subtree for a strictly ascending leaf span at `depth`.
-/// Mirrors the partition loop of build_from_leaves, but materializes Nodes.
-/// `leaf_hashes` runs parallel to `leaves` (precomputed in one batched pass —
-/// see from_sorted_leaves). Inner hashes are computed eagerly on the way back
-/// up while the children are cache-hot, so the built tree is fully clean and
-/// root() afterwards is a cache read, not an O(n) deferred hash pass.
-NodePtr build_nodes(int depth,
-                    std::span<const std::pair<std::uint64_t, Digest>> leaves,
-                    std::span<const Digest> leaf_hashes) {
-  if (leaves.size() == 1) {
-    return make_leaf(leaves[0].first, leaves[0].second, leaf_hashes[0]);
-  }
-  assert(depth < 16);
-  auto inner = make_inner();
-  inner->count = static_cast<std::uint32_t>(leaves.size());
-  std::array<const Digest*, 16> children{};
-  std::size_t i = 0;
-  for (unsigned nib = 0; nib < 16 && i < leaves.size(); ++nib) {
-    std::size_t j = i;
-    while (j < leaves.size() && nibble(leaves[j].first, depth) == nib) ++j;
-    if (j > i) {
-      (*inner->kids)[nib] = build_nodes(depth + 1, leaves.subspan(i, j - i),
-                                        leaf_hashes.subspan(i, j - i));
-      children[nib] = &(*inner->kids)[nib]->hash;
-      i = j;
-    }
-  }
-  // leaves.size() >= 2 here, so the count-1 single-leaf rule never applies.
-  inner->hash = inner_hash(children);
-  inner->dirty = false;
-  return inner;
-}
-
-/// Push two distinct leaves down until their paths diverge.
-NodePtr split(NodePtr a, NodePtr b, int depth) {
-  assert(depth < 16);
-  auto inner = make_inner();
-  inner->count = 2;
-  const unsigned na = nibble(a->key, depth);
-  const unsigned nb = nibble(b->key, depth);
-  if (na == nb) {
-    (*inner->kids)[na] = split(std::move(a), std::move(b), depth + 1);
-  } else {
-    (*inner->kids)[na] = std::move(a);
-    (*inner->kids)[nb] = std::move(b);
-  }
-  return inner;
-}
-
-/// Returns true when a new key was added (vs updated in place).
-bool insert(NodePtr& slot, int depth, std::uint64_t key, const Digest& value,
-            const Digest& leaf) {
-  Node* n = slot.get();
-  if (n->leaf) {
-    if (n->key == key) {
-      n->value = value;
-      n->hash = leaf;
-      return false;
-    }
-    slot = split(std::move(slot), make_leaf(key, value, leaf), depth);
-    return true;
-  }
-  n->dirty = true;
-  NodePtr& kid = (*n->kids)[nibble(key, depth)];
-  bool added = true;
-  if (!kid) {
-    kid = make_leaf(key, value, leaf);
-  } else {
-    added = insert(kid, depth + 1, key, value, leaf);
-  }
-  if (added) ++n->count;
-  return added;
-}
-
-/// Returns true when the key was found and removed.
-bool remove(NodePtr& slot, int depth, std::uint64_t key) {
-  Node* n = slot.get();
-  if (n->leaf) {
-    if (n->key != key) return false;
-    slot.reset();
-    return true;
-  }
-  NodePtr& kid = (*n->kids)[nibble(key, depth)];
-  if (!kid || !remove(kid, depth + 1, key)) return false;
-  n->dirty = true;
-  if (--n->count == 0) slot.reset();
-  return true;
-}
-
 /// MerkleMap::leaf_hash of `n` (key, value) pairs in one batched pass:
 /// `at(i)` yields pair i. The preimages (0x00 || key || value, 41 bytes) all
 /// fit a single compression block, so pairs of them run in interleaved SHA
@@ -294,21 +70,216 @@ std::vector<Digest> batch_leaf_hashes(std::size_t n, At at) {
   });
 }
 
+/// Start offset of each nibble's run in a key-sorted span at `depth`;
+/// run `nib` is [bounds[nib], bounds[nib + 1]).
+template <typename Item, typename Key>
+std::array<std::size_t, 17> nibble_runs(std::span<const Item> items, int depth,
+                                        Key key) {
+  std::array<std::size_t, 17> bounds{};
+  std::size_t i = 0;
+  for (unsigned nib = 0; nib < 16; ++nib) {
+    bounds[nib] = i;
+    while (i < items.size() && nibble(key(items[i]), depth) == nib) ++i;
+  }
+  bounds[16] = i;
+  return bounds;
+}
+
 }  // namespace
 
-MerkleMap::MerkleMap() = default;
-MerkleMap::~MerkleMap() = default;
-MerkleMap::MerkleMap(MerkleMap&&) noexcept = default;
-MerkleMap& MerkleMap::operator=(MerkleMap&&) noexcept = default;
+/// One root_with() entry with its leaf hash computed: an update or a tombstone.
+struct MerkleMap::DeltaEntry {
+  std::uint64_t key = 0;
+  std::optional<Digest> leaf;  ///< nullopt = erase
+};
 
-MerkleMap::MerkleMap(const MerkleMap& other)
-    : root_(clone(other.root_.get())), size_(other.size_) {}
+MerkleMap::Ref MerkleMap::new_leaf(std::uint64_t key, const Digest& value,
+                                   const Digest& hash) {
+  std::uint32_t index = 0;
+  if (free_leaves_.empty()) {
+    index = static_cast<std::uint32_t>(leaves_.size());
+    assert(index < kLeafBit);
+    leaves_.push_back(Leaf{key, value, hash});
+  } else {
+    index = free_leaves_.back();
+    free_leaves_.pop_back();
+    leaves_[index] = Leaf{key, value, hash};
+  }
+  return leaf_ref(index);
+}
+
+MerkleMap::Ref MerkleMap::new_inner(std::uint32_t count) {
+  Inner n;
+  n.count = count;
+  if (free_inners_.empty()) {
+    assert(inners_.size() < kLeafBit);
+    inners_.push_back(n);
+    return static_cast<Ref>(inners_.size() - 1);
+  }
+  const Ref index = free_inners_.back();
+  free_inners_.pop_back();
+  inners_[index] = n;
+  return index;
+}
+
+void MerkleMap::ensure(Ref r) const {
+  if (r == kNone || is_leaf(r) || !inners_[r].dirty) return;
+  const Inner& n = inners_[r];
+  std::array<const Digest*, 16> children{};
+  for (int i = 0; i < 16; ++i) {
+    const Ref kid = n.kids[i];
+    if (kid == kNone) continue;
+    ensure(kid);
+    children[i] = &hash_of(kid);
+  }
+  n.hash = inner_hash(children);
+  n.dirty = false;
+}
+
+MerkleMap::Committed MerkleMap::merge(Ref node, int depth,
+                                      std::span<const DeltaEntry> entries) const {
+  if (entries.empty()) {
+    if (node == kNone) return {};
+    return {hash_of(node), count_of(node)};
+  }
+  if (node == kNone || is_leaf(node)) {
+    // Materialize the merged leaf set: the node's leaf (unless overridden by
+    // a delta entry with the same key) plus every delta insert. Collision
+    // regions are small — at most |delta| + 1 leaves — so building them
+    // explicitly keeps this path simple without hurting the O(touched·log n)
+    // bound.
+    std::vector<std::pair<std::uint64_t, Digest>> leaves;
+    leaves.reserve(entries.size() + 1);
+    const Leaf* pending = node != kNone ? &leaf(node) : nullptr;
+    for (const auto& e : entries) {
+      if (pending != nullptr && pending->key <= e.key) {
+        if (pending->key < e.key) leaves.emplace_back(pending->key, pending->hash);
+        const bool overridden = pending->key == e.key;
+        pending = nullptr;  // equal key: delta overrides the base leaf
+        if (overridden && !e.leaf.has_value()) continue;
+      }
+      if (e.leaf.has_value()) leaves.emplace_back(e.key, *e.leaf);
+    }
+    if (pending != nullptr) leaves.emplace_back(pending->key, pending->hash);
+    return {build_from_leaves(depth, leaves), leaves.size()};
+  }
+  // Inner node: partition the (sorted) delta by this depth's nibble and
+  // recurse; untouched children contribute their cached digest for free.
+  const Inner& n = inners_[node];
+  const auto runs = nibble_runs(entries, depth,
+                                [](const DeltaEntry& e) { return e.key; });
+  std::array<Digest, 16> slots;
+  std::array<const Digest*, 16> children{};
+  std::size_t total = 0;
+  const Digest* single = nullptr;
+  for (unsigned nib = 0; nib < 16; ++nib) {
+    const Committed r = merge(n.kids[nib], depth + 1,
+                              entries.subspan(runs[nib], runs[nib + 1] - runs[nib]));
+    if (r.count == 0) continue;
+    slots[nib] = r.root;
+    children[nib] = &slots[nib];
+    single = &slots[nib];
+    total += r.count;
+  }
+  if (total == 0) return {};
+  if (total == 1) return {*single, 1};
+  return {inner_hash(children), total};
+}
+
+void MerkleMap::build_children(
+    Ref dst, int depth, std::span<const std::pair<std::uint64_t, Digest>> leaves,
+    std::span<const Digest> leaf_hashes) {
+  assert(depth < 16);
+  const auto runs = nibble_runs(leaves, depth,
+                                [](const auto& kv) { return kv.first; });
+  // Siblings first, side by side in their arenas; then each inner sibling's
+  // own children.
+  for (unsigned nib = 0; nib < 16; ++nib) {
+    const std::size_t len = runs[nib + 1] - runs[nib];
+    if (len == 0) continue;
+    const std::size_t at = runs[nib];
+    inners_[dst].kids[nib] =
+        len == 1 ? new_leaf(leaves[at].first, leaves[at].second, leaf_hashes[at])
+                 : new_inner(static_cast<std::uint32_t>(len));
+  }
+  for (unsigned nib = 0; nib < 16; ++nib) {
+    const Ref kid = inners_[dst].kids[nib];
+    if (kid == kNone || is_leaf(kid)) continue;
+    const std::size_t at = runs[nib];
+    const std::size_t len = runs[nib + 1] - at;
+    build_children(kid, depth + 1, leaves.subspan(at, len),
+                   leaf_hashes.subspan(at, len));
+  }
+  // Hash on the way back up while the children are cache-hot; every child
+  // is final now, so the arenas no longer move under these pointers.
+  std::array<const Digest*, 16> children{};
+  for (unsigned nib = 0; nib < 16; ++nib) {
+    const Ref kid = inners_[dst].kids[nib];
+    if (kid != kNone) children[nib] = &hash_of(kid);
+  }
+  inners_[dst].hash = inner_hash(children);
+  inners_[dst].dirty = false;
+}
+
+MerkleMap::Ref MerkleMap::split(Ref a, Ref b, int depth) {
+  const std::uint64_t ka = leaf(a).key;
+  const std::uint64_t kb = leaf(b).key;
+  const Ref top = new_inner(2);
+  Ref n = top;
+  for (;; ++depth) {
+    assert(depth < 16);
+    const unsigned na = nibble(ka, depth);
+    const unsigned nb = nibble(kb, depth);
+    if (na != nb) {
+      inners_[n].kids[na] = a;
+      inners_[n].kids[nb] = b;
+      return top;
+    }
+    const Ref next = new_inner(2);
+    inners_[n].kids[na] = next;
+    n = next;
+  }
+}
+
+void MerkleMap::copy_children(const MerkleMap& from, Ref src, Ref dst) {
+  const Inner& s = from.inners_[src];
+  for (unsigned nib = 0; nib < 16; ++nib) {
+    const Ref kid = s.kids[nib];
+    if (kid == kNone) continue;
+    Ref copy = kNone;
+    if (is_leaf(kid)) {
+      copy = leaf_ref(static_cast<std::uint32_t>(leaves_.size()));
+      leaves_.push_back(from.leaf(kid));
+    } else {
+      copy = static_cast<Ref>(inners_.size());
+      inners_.push_back(from.inners_[kid]);
+    }
+    inners_[dst].kids[nib] = copy;
+  }
+  for (unsigned nib = 0; nib < 16; ++nib) {
+    const Ref kid = s.kids[nib];
+    if (kid != kNone && !is_leaf(kid)) {
+      copy_children(from, kid, inners_[dst].kids[nib]);
+    }
+  }
+}
+
+MerkleMap::MerkleMap(const MerkleMap& other) : size_(other.size_) {
+  if (other.root_ == kNone) return;
+  leaves_.reserve(other.leaves_.size() - other.free_leaves_.size());
+  inners_.reserve(other.inners_.size() - other.free_inners_.size());
+  if (is_leaf(other.root_)) {
+    root_ = leaf_ref(0);
+    leaves_.push_back(other.leaf(other.root_));
+    return;
+  }
+  root_ = 0;
+  inners_.push_back(other.inners_[other.root_]);
+  copy_children(other, other.root_, root_);
+}
 
 MerkleMap& MerkleMap::operator=(const MerkleMap& other) {
-  if (this != &other) {
-    root_ = clone(other.root_.get());
-    size_ = other.size_;
-  }
+  if (this != &other) *this = MerkleMap(other);
   return *this;
 }
 
@@ -326,12 +297,39 @@ void MerkleMap::put(std::uint64_t key, const Digest& value) {
 
 void MerkleMap::put_hashed(std::uint64_t key, const Digest& value,
                            const Digest& lh) {
-  if (!root_) {
-    root_ = make_leaf(key, value, lh);
-    size_ = 1;
-    return;
+  // Descend to the key's slot, remembering the inner nodes on the way.
+  std::array<Ref, 16> path;
+  int depth = 0;
+  Ref r = root_;
+  while (r != kNone && !is_leaf(r)) {
+    path[depth] = r;
+    r = inners_[r].kids[nibble(key, depth)];
+    ++depth;
   }
-  if (insert(root_, 0, key, value, lh)) ++size_;
+  bool added = true;
+  Ref replacement = kNone;  // new subtree for the slot, if it changes
+  if (r == kNone) {
+    replacement = new_leaf(key, value, lh);
+  } else if (Leaf& l = leaf(r); l.key == key) {
+    l.value = value;
+    l.hash = lh;
+    added = false;
+  } else {
+    replacement = split(r, new_leaf(key, value, lh), depth);
+  }
+  if (replacement != kNone) {
+    if (depth == 0) {
+      root_ = replacement;
+    } else {
+      inners_[path[depth - 1]].kids[nibble(key, depth - 1)] = replacement;
+    }
+  }
+  for (int d = 0; d < depth; ++d) {
+    Inner& n = inners_[path[d]];
+    n.dirty = true;
+    if (added) ++n.count;
+  }
+  if (added) ++size_;
 }
 
 MerkleMap MerkleMap::from_sorted_leaves(
@@ -347,13 +345,18 @@ MerkleMap MerkleMap::from_sorted_leaves(
       batch_leaf_hashes(leaves.size(), [&](std::size_t i) {
         return std::tie(leaves[i].first, leaves[i].second);
       });
-  m.root_ = build_nodes(0, leaves, leaf_hashes);
   m.size_ = leaves.size();
+  m.leaves_.reserve(leaves.size());
+  if (leaves.size() == 1) {
+    m.root_ = m.new_leaf(leaves[0].first, leaves[0].second, leaf_hashes[0]);
+    return m;
+  }
+  m.root_ = m.new_inner(static_cast<std::uint32_t>(leaves.size()));
+  m.build_children(m.root_, 0, leaves, leaf_hashes);
   return m;
 }
 
-void MerkleMap::update(
-    std::span<const std::pair<std::uint64_t, std::optional<Digest>>> entries) {
+void MerkleMap::update(std::span<const Entry> entries) {
   std::vector<std::size_t> puts;
   puts.reserve(entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -375,63 +378,85 @@ void MerkleMap::update(
 }
 
 void MerkleMap::erase(std::uint64_t key) {
-  if (root_ && remove(root_, 0, key)) --size_;
+  std::array<Ref, 16> path;
+  int depth = 0;
+  Ref r = root_;
+  while (r != kNone && !is_leaf(r)) {
+    path[depth] = r;
+    r = inners_[r].kids[nibble(key, depth)];
+    ++depth;
+  }
+  if (r == kNone || leaf(r).key != key) return;
+  free_leaves_.push_back(r & ~kLeafBit);
+  --size_;
+  // Walk back up. While `relink` holds, the slot on the path changes: first
+  // to empty, then to the sole leaf of each node the erase left with one key
+  // (that node is freed), which keeps the shape canonical. Above the first
+  // node that keeps >= 2 keys, only counts and dirty flags change.
+  Ref replacement = kNone;
+  bool relink = true;
+  for (int d = depth - 1; d >= 0; --d) {
+    Inner& n = inners_[path[d]];
+    n.dirty = true;
+    --n.count;
+    if (!relink) continue;
+    n.kids[nibble(key, d)] = replacement;
+    if (n.count == 1) {
+      // Its one remaining child is a leaf: an inner child spans >= 2 keys.
+      replacement = kNone;
+      for (const Ref kid : n.kids) {
+        if (kid != kNone) replacement = kid;
+      }
+      free_inners_.push_back(path[d]);
+    } else {
+      relink = false;
+    }
+  }
+  if (relink) root_ = replacement;
+  if (root_ == kNone) *this = MerkleMap();  // drop the arenas with the last key
 }
 
 bool MerkleMap::contains(std::uint64_t key) const {
-  const Node* n = root_.get();
-  for (int depth = 0; n != nullptr; ++depth) {
-    if (n->leaf) return n->key == key;
-    n = (*n->kids)[nibble(key, depth)].get();
+  Ref r = root_;
+  for (int depth = 0; r != kNone; ++depth) {
+    if (is_leaf(r)) return leaf(r).key == key;
+    r = inners_[r].kids[nibble(key, depth)];
   }
   return false;
 }
 
 Digest MerkleMap::root() const {
-  if (!root_) return Digest{};
-  ensure(root_.get());
-  return root_->hash;
+  if (root_ == kNone) return Digest{};
+  ensure(root_);
+  return hash_of(root_);
 }
 
 MerkleMapProof MerkleMap::prove(std::uint64_t key) const {
   (void)root();  // flush cached hashes so every node digest is canonical
   MerkleMapProof proof;
-  const Node* n = root_.get();
+  Ref r = root_;
   int depth = 0;
-  // Descend while the subtree holds >= 2 keys: each such level is an inner
-  // node in the canonical commitment and contributes one proof step.
-  while (n != nullptr && !n->leaf && n->count >= 2) {
+  // Every inner node spans >= 2 keys, so each one on the path is an inner
+  // node of the canonical commitment and contributes one proof step.
+  while (r != kNone && !is_leaf(r)) {
+    const Inner& n = inners_[r];
     MerkleMapProofStep step;
     const unsigned nib = nibble(key, depth);
-    const Node* next = nullptr;
     for (unsigned i = 0; i < 16; ++i) {
-      const Node* kid = (*n->kids)[i].get();
-      if (kid == nullptr) continue;
+      const Ref kid = n.kids[i];
+      if (kid == kNone) continue;
       step.bitmap |= static_cast<std::uint16_t>(1u << i);
-      if (i == nib) {
-        next = kid;
-      } else {
-        step.siblings.push_back(kid->hash);
-      }
+      if (i != nib) step.siblings.push_back(hash_of(kid));
     }
     proof.steps.push_back(std::move(step));
-    if (next == nullptr) return proof;  // absent slot: non-membership
-    n = next;
+    r = n.kids[nib];
+    if (r == kNone) return proof;  // absent slot: non-membership
     ++depth;
   }
-  // A count-1 subtree commits as its single leaf regardless of how many
-  // physical inner nodes wrap it (erase leaves such chains behind).
-  while (n != nullptr && !n->leaf) {
-    const Node* single = nullptr;
-    for (unsigned i = 0; i < 16; ++i) {
-      if (const Node* kid = (*n->kids)[i].get(); kid != nullptr) single = kid;
-    }
-    n = single;
-  }
-  if (n == nullptr || n->key == key) return proof;  // empty map / membership
+  if (r == kNone || leaf(r).key == key) return proof;  // empty map / membership
   proof.has_terminal_leaf = true;  // non-membership: path ends at another key
-  proof.terminal_key = n->key;
-  proof.terminal_value = n->value;
+  proof.terminal_key = leaf(r).key;
+  proof.terminal_value = leaf(r).value;
   return proof;
 }
 
@@ -593,27 +618,29 @@ Result<MerkleMapProof> MerkleMapProof::decode(const Bytes& bytes) {
   return proof;
 }
 
-Digest MerkleMap::root_with(const Delta& delta) const {
-  if (delta.empty()) return root();
+MerkleMap::Committed MerkleMap::root_with(std::span<const Entry> delta) const {
+#ifndef NDEBUG
+  for (std::size_t i = 1; i < delta.size(); ++i) {
+    assert(delta[i - 1].first < delta[i].first);
+  }
+#endif
+  if (delta.empty()) return {root(), size_};
   (void)root();  // flush cached hashes so merge() can trust them
+  std::vector<std::pair<std::uint64_t, Digest>> puts;
+  puts.reserve(delta.size());
+  for (const auto& [key, value] : delta) {
+    if (value.has_value()) puts.emplace_back(key, *value);
+  }
+  const std::vector<Digest> leaf_hashes = batch_leaf_hashes(
+      puts.size(), [&](std::size_t i) { return std::tie(puts[i].first, puts[i].second); });
   std::vector<DeltaEntry> entries;
   entries.reserve(delta.size());
+  std::size_t j = 0;
   for (const auto& [key, value] : delta) {
     entries.push_back(DeltaEntry{
-        key, value.has_value() ? std::optional(leaf_hash(key, *value))
-                               : std::nullopt});
+        key, value.has_value() ? std::optional(leaf_hashes[j++]) : std::nullopt});
   }
-  return merge(root_.get(), 0, entries).digest;
-}
-
-std::size_t MerkleMap::size_with(const Delta& delta) const {
-  std::size_t n = size_;
-  for (const auto& [key, value] : delta) {
-    const bool present = contains(key);
-    if (value.has_value() && !present) ++n;
-    if (!value.has_value() && present) --n;
-  }
-  return n;
+  return merge(root_, 0, entries);
 }
 
 Digest merkle_map_reference_root(

@@ -10,9 +10,11 @@
 //
 // The in-memory tree caches every subtree digest and re-hashes only dirtied
 // paths, so after m point updates the next root() costs O(m · log n) hashing
-// instead of O(n). root_with() computes the root of "this map plus a delta"
-// without mutating the map at all — the ledger state overlay uses it to
-// commit to a block's post-state in O(touched · log n).
+// instead of O(n). Its nodes live in two flat arenas (leaves, inner nodes)
+// linked by 32-bit indices, not one heap allocation per node. root_with()
+// computes the root of "this map plus a delta" without mutating the map at
+// all — the ledger state overlay uses it to commit to a block's post-state
+// in O(touched · log n).
 //
 // prove(key) produces a compact inclusion proof — the present-children
 // bitmap and sibling digests of every inner node on the key's nibble path —
@@ -24,8 +26,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -74,27 +74,35 @@ struct MerkleMapProof {
 
 class MerkleMap {
  public:
-  /// Overlay delta: key -> new value digest, or nullopt to erase the key.
-  using Delta = std::map<std::uint64_t, std::optional<Digest>>;
+  /// One point update: key -> new value digest, or nullopt to erase the key.
+  using Entry = std::pair<std::uint64_t, std::optional<Digest>>;
 
-  MerkleMap();
-  ~MerkleMap();
+  /// Root and key count of the map with a delta applied (root_with).
+  struct Committed {
+    Digest root{};
+    std::size_t count = 0;
+  };
+
+  MerkleMap() = default;
+  /// Copies are laid out afresh, depth first with every node's children
+  /// adjacent, so a copy of a churned map is as compact as a bulk-built one.
+  /// Cached (and dirty) inner hashes are copied as they are.
   MerkleMap(const MerkleMap& other);
   MerkleMap& operator=(const MerkleMap& other);
-  MerkleMap(MerkleMap&&) noexcept;
-  MerkleMap& operator=(MerkleMap&&) noexcept;
+  MerkleMap(MerkleMap&&) noexcept = default;
+  MerkleMap& operator=(MerkleMap&&) noexcept = default;
 
-  /// Insert or update. O(log n) pointer work; hashing is deferred to root().
+  /// Insert or update. O(log n) index work; hashing is deferred to root().
   void put(std::uint64_t key, const Digest& value);
 
   /// Bulk construction from strictly ascending (key, value-digest) pairs:
   /// the tree is built by structural recursion over the sorted span — one
-  /// node allocation per node, no descents, no splits — so loading n keys
-  /// costs O(n) pointer work instead of n incremental puts. Inner hashing is
-  /// deferred to root() exactly as with put(). The root of the resulting map
-  /// is identical to n puts of the same pairs (the commitment is defined on
-  /// the key set alone). Ascending order is the caller's contract; it is
-  /// assert-checked in debug builds.
+  /// arena slot per node, no descents, no splits — so loading n keys costs
+  /// O(n) instead of n incremental puts. Leaf hashes run batched and inner
+  /// hashes are computed eagerly, so root() afterwards is a cache read. The
+  /// root is identical to n puts of the same pairs (the commitment is
+  /// defined on the key set alone). Ascending order is the caller's
+  /// contract; it is assert-checked in debug builds.
   [[nodiscard]] static MerkleMap from_sorted_leaves(
       std::span<const std::pair<std::uint64_t, Digest>> leaves);
   /// Batched point updates: put (engaged value) or erase (nullopt) each
@@ -102,8 +110,7 @@ class MerkleMap {
   /// but the leaf hashes of all puts run in one sha256_short_batch pass.
   /// Committing a block into the ledger state refreshes its touched account
   /// leaves through this.
-  void update(
-      std::span<const std::pair<std::uint64_t, std::optional<Digest>>> entries);
+  void update(std::span<const Entry> entries);
   /// Remove a key (no-op when absent).
   void erase(std::uint64_t key);
   [[nodiscard]] bool contains(std::uint64_t key) const;
@@ -113,12 +120,12 @@ class MerkleMap {
   /// Lazily re-hashes dirty paths: O(dirty · log n), O(1) when clean.
   [[nodiscard]] Digest root() const;
 
-  /// Root of this map with `delta` applied on top, without mutating the map.
-  /// O(|delta| · log n) hashing against the cached tree.
-  [[nodiscard]] Digest root_with(const Delta& delta) const;
-
-  /// Number of keys after applying `delta` (erases of absent keys ignored).
-  [[nodiscard]] std::size_t size_with(const Delta& delta) const;
+  /// Root and key count of this map with `delta` (strictly ascending keys)
+  /// applied on top — erases of absent keys ignored — without mutating the
+  /// map. O(|delta| · log n) hashing against the cached tree; the count
+  /// falls out of the same descent. Ascending order is the caller's
+  /// contract; it is assert-checked in debug builds.
+  [[nodiscard]] Committed root_with(std::span<const Entry> delta) const;
 
   /// Inclusion proof for a present key, non-membership proof otherwise.
   /// O(log n); flushes dirty hash caches like root().
@@ -134,13 +141,73 @@ class MerkleMap {
   /// Leaf commitment; exposed so oracles can reproduce the format.
   [[nodiscard]] static Digest leaf_hash(std::uint64_t key, const Digest& value);
 
-  struct Node;  ///< opaque; defined in merkle_map.cpp
-
  private:
+  // The tree lives in two index arenas. A node reference (Ref) is a 32-bit
+  // index into inners_, or into leaves_ when kLeafBit is set; kNone marks an
+  // empty child slot. Erased slots go on a free list and are reused. The
+  // shape is canonical: every inner node spans >= 2 keys (erase collapses a
+  // node left with one key into that key's leaf).
+  using Ref = std::uint32_t;
+  static constexpr Ref kNone = 0xFFFFFFFFu;
+  static constexpr Ref kLeafBit = 0x80000000u;
+
+  struct Leaf {
+    std::uint64_t key = 0;
+    Digest value{};  ///< leaf-hash preimage, kept for non-membership proofs
+    Digest hash{};   ///< leaf_hash(key, value), always fresh
+  };
+  static constexpr std::array<Ref, 16> kNoKids = [] {
+    std::array<Ref, 16> kids{};
+    kids.fill(kNone);
+    return kids;
+  }();
+  struct Inner {
+    std::array<Ref, 16> kids = kNoKids;  ///< by the next nibble of the key
+    std::uint32_t count = 0;   ///< keys in this subtree (>= 2)
+    /// Cached subtree digest, valid when !dirty. Mutable so a const tree
+    /// can flush its cache.
+    mutable bool dirty = true;
+    mutable Digest hash{};
+  };
+
+  static bool is_leaf(Ref r) { return (r & kLeafBit) != 0; }
+  static Ref leaf_ref(std::uint32_t index) { return index | kLeafBit; }
+  const Leaf& leaf(Ref r) const { return leaves_[r & ~kLeafBit]; }
+  Leaf& leaf(Ref r) { return leaves_[r & ~kLeafBit]; }
+  /// Cached digest of a non-empty subtree (fresh only after ensure()).
+  const Digest& hash_of(Ref r) const {
+    return is_leaf(r) ? leaf(r).hash : inners_[r].hash;
+  }
+  std::size_t count_of(Ref r) const {
+    return r == kNone ? 0 : is_leaf(r) ? 1 : inners_[r].count;
+  }
+
+  Ref new_leaf(std::uint64_t key, const Digest& value, const Digest& hash);
+  Ref new_inner(std::uint32_t count);
+  /// Re-hash the dirty inner nodes below (and including) `r`.
+  void ensure(Ref r) const;
   /// put() with the leaf hash `lh` of (key, value) already computed.
   void put_hashed(std::uint64_t key, const Digest& value, const Digest& lh);
+  /// Inner chain from `depth` down to where the keys of the leaves `a` and
+  /// `b` diverge; returns its top.
+  Ref split(Ref a, Ref b, int depth);
+  /// Lay out copies of the children of `from`'s inner `src` next to each
+  /// other, link them under this map's inner `dst`, then descend.
+  void copy_children(const MerkleMap& from, Ref src, Ref dst);
+  /// Build the children of inner `dst` at `depth` from a sorted leaf span
+  /// (adjacent, then descend) and hash `dst` eagerly.
+  void build_children(Ref dst, int depth,
+                      std::span<const std::pair<std::uint64_t, Digest>> leaves,
+                      std::span<const Digest> leaf_hashes);
+  struct DeltaEntry;
+  [[nodiscard]] Committed merge(Ref node, int depth,
+                                std::span<const DeltaEntry> entries) const;
 
-  std::unique_ptr<Node> root_;
+  std::vector<Leaf> leaves_;
+  std::vector<Inner> inners_;
+  std::vector<std::uint32_t> free_leaves_;
+  std::vector<std::uint32_t> free_inners_;
+  Ref root_ = kNone;
   std::size_t size_ = 0;
 };
 

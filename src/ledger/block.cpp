@@ -96,18 +96,19 @@ Result<Block> Block::decode(const Bytes& bytes) {
   return block;
 }
 
-crypto::Digest Block::compute_tx_root(const std::vector<Transaction>& txs) {
-  std::vector<crypto::Digest> leaves;
-  leaves.reserve(txs.size());
-  for (const auto& tx : txs) leaves.push_back(tx.digest());
-  return crypto::MerkleTree(std::move(leaves)).root();
+std::vector<crypto::Digest> Block::tx_digests(const std::vector<Transaction>& txs) {
+  std::vector<crypto::Digest> digests;
+  digests.reserve(txs.size());
+  for (const auto& tx : txs) digests.push_back(tx.digest());
+  return digests;
+}
+
+crypto::Digest Block::compute_tx_root(std::vector<crypto::Digest> digests) {
+  return crypto::MerkleTree(std::move(digests)).root();
 }
 
 crypto::MerkleTree Block::tx_tree() const {
-  std::vector<crypto::Digest> leaves;
-  leaves.reserve(txs.size());
-  for (const auto& tx : txs) leaves.push_back(tx.digest());
-  return crypto::MerkleTree(std::move(leaves));
+  return crypto::MerkleTree(tx_digests(txs));
 }
 
 }  // namespace mv::ledger

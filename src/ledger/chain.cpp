@@ -1,6 +1,7 @@
 #include "ledger/chain.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -77,7 +78,8 @@ Block Blockchain::assemble(const crypto::Wallet& proposer,
   return block;
 }
 
-Status Blockchain::check_header(const Block& block) const {
+Status Blockchain::check_header(const Block& block,
+                                const std::vector<crypto::Digest>& digests) const {
   const auto& h = block.header;
   if (h.height != height()) {
     return Status::fail("block.bad_height",
@@ -96,16 +98,18 @@ Status Blockchain::check_header(const Block& block) const {
   if (block.txs.size() > config_.max_txs_per_block) {
     return Status::fail("block.too_many_txs", "exceeds max_txs_per_block");
   }
-  if (h.tx_root != Block::compute_tx_root(block.txs)) {
+  if (h.tx_root != Block::compute_tx_root(digests)) {
     return Status::fail("block.bad_tx_root", "Merkle root mismatch");
   }
   return {};
 }
 
-Status Blockchain::execute(const Block& block, LedgerStateOverlay& scratch) const {
+Status Blockchain::execute(const Block& block, LedgerStateOverlay& scratch,
+                           std::span<const crypto::Digest> digests) const {
   const auto outcome =
       apply_block(scratch, block.txs, *contracts_, block.header.height,
-                  config_.validation, ApplyMode::kAllOrNothing);
+                  config_.validation, ApplyMode::kAllOrNothing,
+                  std::numeric_limits<std::size_t>::max(), digests);
   vstats_.record(outcome);
   if (!outcome.status.ok()) {
     return Status::fail("block.bad_tx",
@@ -116,9 +120,10 @@ Status Blockchain::execute(const Block& block, LedgerStateOverlay& scratch) cons
 }
 
 Status Blockchain::validate(const Block& block) const {
-  if (auto s = check_header(block); !s.ok()) return s;
+  const std::vector<crypto::Digest> digests = Block::tx_digests(block.txs);
+  if (auto s = check_header(block, digests); !s.ok()) return s;
   auto scratch = LedgerStateOverlay::reader(state());
-  if (auto s = execute(block, scratch); !s.ok()) return s;
+  if (auto s = execute(block, scratch, digests); !s.ok()) return s;
   if (scratch.commitment().root != block.header.state_root) {
     return Status::fail("block.bad_state_root", "post-state mismatch");
   }
@@ -137,7 +142,8 @@ Status Blockchain::append(const Block& block) {
   std::optional<Sealed> seal = std::exchange(sealed_, std::nullopt);
   // The header hash binds tx_root and state_root, but not the tx list
   // itself, so the header checks (tx_root included) run on both paths.
-  if (auto s = check_header(block); !s.ok()) return s;
+  const std::vector<crypto::Digest> digests = Block::tx_digests(block.txs);
+  if (auto s = check_header(block, digests); !s.ok()) return s;
   // First committed block: materialize the working copy of the shared
   // genesis (a no-op on the copying constructor path).
   LedgerState& state = mutable_state();
@@ -148,7 +154,7 @@ Status Blockchain::append(const Block& block) {
     // been the shared genesis, which mutable_state() has since copied.
     scratch = std::move(seal->post);
     scratch.rebase_writer(state);
-  } else if (auto s = execute(block, scratch); !s.ok()) {
+  } else if (auto s = execute(block, scratch, digests); !s.ok()) {
     return s;
   }
   // Commit first, then check the root once, on the committed state. The

@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "ledger/block.h"
@@ -187,12 +188,17 @@ class Blockchain {
 
  private:
   /// The checks that need no execution: height, parent, proposer schedule
-  /// and signature, block size, tx_root.
-  [[nodiscard]] Status check_header(const Block& block) const;
+  /// and signature, block size, tx_root. `digests` is
+  /// Block::tx_digests(block.txs), computed once per block check and shared
+  /// with execute().
+  [[nodiscard]] Status check_header(const Block& block,
+                                    const std::vector<crypto::Digest>& digests) const;
   /// Apply the block's transactions all-or-nothing onto `scratch` (an
   /// overlay over the current state); "block.bad_tx" names the first that
-  /// fails. On success the overlay holds the block's delta.
-  [[nodiscard]] Status execute(const Block& block, LedgerStateOverlay& scratch) const;
+  /// fails. On success the overlay holds the block's delta. `digests` feeds
+  /// the verified-signature cache lookups.
+  [[nodiscard]] Status execute(const Block& block, LedgerStateOverlay& scratch,
+                               std::span<const crypto::Digest> digests) const;
 
   /// The proof construction itself (prove_account minus queue admission).
   [[nodiscard]] Result<AccountProof> prove_account_now(

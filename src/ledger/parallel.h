@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/job_queue.h"
@@ -98,11 +99,14 @@ struct ValidationStats {
 /// base state) one by one in block order, on the calling thread. In
 /// kSkipFailures mode application stops once `max_applied` transactions
 /// have succeeded (assembly passes the block cap), so an over-full candidate
-/// list yields exactly its first max_applied successes.
+/// list yields exactly its first max_applied successes. `digests`, when
+/// non-empty, holds txs[i].digest() at index i (a block check computes them
+/// once for tx_root too); empty = each cache lookup hashes its tx.
 [[nodiscard]] BlockApplyOutcome apply_block(
     LedgerStateOverlay& scratch, const std::vector<Transaction>& txs,
     const ContractRegistry& contracts, Tick height,
     const ValidationConfig& config, ApplyMode mode,
-    std::size_t max_applied = std::numeric_limits<std::size_t>::max());
+    std::size_t max_applied = std::numeric_limits<std::size_t>::max(),
+    std::span<const crypto::Digest> digests = {});
 
 }  // namespace mv::ledger

@@ -64,11 +64,12 @@ std::vector<LedgerState> partition_genesis(const LedgerState& genesis,
                                            std::size_t num_shards) {
   if (num_shards == 0) num_shards = 1;
   std::vector<LedgerState> out(num_shards);
-  for (const auto& [addr, balance] : genesis.balances()) {
-    out[shard_of(addr, num_shards)].set_balance(addr, balance);
-  }
-  for (const auto& [addr, nonce] : genesis.nonces()) {
-    if (nonce != 0) out[shard_of(addr, num_shards)].set_nonce(addr, nonce);
+  // An unordered walk: a shard's table and tree do not depend on the order
+  // its accounts arrive in.
+  for (const Account& a : genesis.accounts()) {
+    LedgerState& shard = out[shard_of(a.addr, num_shards)];
+    if (a.has_balance) shard.set_balance(a.addr, a.balance);
+    if (a.nonce != 0) shard.set_nonce(a.addr, a.nonce);
   }
   // Non-account sections have no per-account home; they stay on shard 0.
   // A normal genesis carries none of them.

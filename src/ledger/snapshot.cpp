@@ -163,43 +163,16 @@ Bytes encode_snapshot_payload(const LedgerState& state) {
   ByteWriter w;
   w.str(kPayloadTag);
 
-  // Accounts, in strictly ascending address order. Only leaf-bearing entries
-  // are emitted (a balance entry, or a nonzero nonce) — exactly the set the
-  // accounts commitment covers — so encoding is canonical even when the raw
-  // maps hold commitment-inert zero-nonce entries.
-  struct AccountEntry {
-    std::uint64_t addr;
-    bool has_balance;
-    std::uint64_t balance;
-    std::uint64_t nonce;
-  };
-  std::vector<AccountEntry> entries;
-  entries.reserve(state.balances().size() + state.nonces().size());
-  auto bit = state.balances().begin();
-  auto nit = state.nonces().begin();
-  const auto bend = state.balances().end();
-  const auto nend = state.nonces().end();
-  while (bit != bend || nit != nend) {
-    AccountEntry e{0, false, 0, 0};
-    if (nit == nend || (bit != bend && bit->first < nit->first)) {
-      e = {bit->first.value, true, bit->second, 0};
-      ++bit;
-    } else if (bit == bend || nit->first < bit->first) {
-      e = {nit->first.value, false, 0, nit->second};
-      ++nit;
-    } else {
-      e = {bit->first.value, true, bit->second, nit->second};
-      ++bit;
-      ++nit;
-    }
-    if (e.has_balance || e.nonce != 0) entries.push_back(e);
-  }
-  w.u64(entries.size());
-  for (const auto& e : entries) {
-    w.u64(e.addr);
-    w.u8(e.has_balance ? 1 : 0);
-    if (e.has_balance) w.u64(e.balance);
-    w.u64(e.nonce);
+  // Accounts, in strictly ascending address order. The state holds only
+  // live accounts (a balance entry, or a nonzero nonce) — exactly the set
+  // the accounts commitment covers — so the encoding is canonical.
+  const std::vector<Account> accounts = state.sorted_accounts();
+  w.u64(accounts.size());
+  for (const Account& a : accounts) {
+    w.u64(a.addr.value);
+    w.u8(a.has_balance ? 1 : 0);
+    if (a.has_balance) w.u64(a.balance);
+    w.u64(a.nonce);
   }
 
   // Audit log, oldest first (the order the chain hash folds in).
@@ -245,7 +218,7 @@ Result<LedgerState> decode_snapshot_payload(const Bytes& bytes) {
   // Entries are validated into a sorted seed list and bulk-loaded in one
   // pass (LedgerState::load_accounts) — per-entry set_balance/set_nonce
   // round trips through the Merkle tree made install O(state)-rehash-bound.
-  std::vector<AccountSeed> seeds;
+  std::vector<Account> seeds;
   seeds.reserve(std::min<std::uint64_t>(account_count.value(), 1u << 20));
   for (std::uint64_t i = 0; i < account_count.value(); ++i) {
     const auto addr = r.u64();
@@ -272,9 +245,8 @@ Result<LedgerState> decode_snapshot_payload(const Bytes& bytes) {
       // A leafless entry would be semantically inert — not canonical.
       return make_error("snapshot.bad_entry", "entry carries no account leaf");
     }
-    seeds.push_back(AccountSeed{
-        crypto::Address{addr.value()},
-        has_balance ? std::optional(balance) : std::nullopt, nonce.value()});
+    seeds.push_back(Account{crypto::Address{addr.value()}, balance,
+                            nonce.value(), has_balance});
   }
   state.load_accounts(seeds);
 

@@ -54,38 +54,31 @@ void merge_maps(const BaseMap& base, const DeltaMap& delta, Emit emit) {
   }
 }
 
-/// One account entry during a commit: with `value`, write it into
-/// `map[addr]` and record the entry it replaces (nullopt = absent) in
-/// `prior` — one try_emplace for both; without, just read the entry.
-/// Returns the entry after the commit.
-std::optional<std::uint64_t> swap_entry(
-    std::map<crypto::Address, std::uint64_t>& map,
-    std::map<crypto::Address, std::optional<std::uint64_t>>& prior,
-    crypto::Address addr, const std::uint64_t* value) {
-  if (value == nullptr) {
-    const auto it = map.find(addr);
-    return it == map.end() ? std::nullopt : std::optional(it->second);
-  }
-  const auto [it, fresh] = map.try_emplace(addr, *value);
-  prior.emplace_hint(
-      prior.end(), addr,
-      fresh ? std::nullopt : std::optional(std::exchange(it->second, *value)));
-  return *value;
-}
-
 /// account_leaf_digest of every account in one batched pass: the preimage
 /// (flag || balance || nonce, 17 bytes — the byte stream account_leaf_digest
 /// hashes) fits a single compression block, so pairs run in interleaved SHA
 /// lanes.
-std::vector<crypto::Digest> account_leaf_digests(
-    std::span<const AccountSeed> accounts) {
+std::vector<crypto::Digest> account_leaf_digests(std::span<const Account> accounts) {
   return crypto::sha256_fixed_batch<1 + 8 + 8>(
       accounts.size(), [&](std::size_t i, std::uint8_t* p) {
-        const AccountSeed& s = accounts[i];
-        p[0] = s.balance.has_value() ? 1 : 0;
-        crypto::store_le64(p + 1, s.balance.value_or(0));
-        crypto::store_le64(p + 9, s.nonce);
+        const Account& a = accounts[i];
+        p[0] = a.has_balance ? 1 : 0;
+        crypto::store_le64(p + 1, a.balance);
+        crypto::store_le64(p + 9, a.nonce);
       });
+}
+
+/// Merkle leaf updates for accounts whose content changed: put the leaf of
+/// each live account, erase the leaf of each leafless one.
+std::vector<crypto::MerkleMap::Entry> account_leaves(std::span<const Account> accounts) {
+  const std::vector<crypto::Digest> digests = account_leaf_digests(accounts);
+  std::vector<crypto::MerkleMap::Entry> leaves;
+  leaves.reserve(accounts.size());
+  for (std::size_t i = 0; i < accounts.size(); ++i) {
+    leaves.emplace_back(accounts[i].addr.value,
+                        accounts[i].live() ? std::optional(digests[i]) : std::nullopt);
+  }
+  return leaves;
 }
 
 }  // namespace
@@ -205,55 +198,55 @@ Status LedgerView::apply(const Transaction& tx,
 // ------------------------------------------------------------ LedgerState
 
 std::optional<std::uint64_t> LedgerState::find_balance(crypto::Address a) const {
-  const auto it = balances_.find(a);
-  if (it == balances_.end()) return std::nullopt;
-  return it->second;
+  const Account* account = accounts_.find(a);
+  return account != nullptr ? account->balance_entry() : std::nullopt;
 }
 
 std::uint64_t LedgerState::nonce(crypto::Address a) const {
-  const auto it = nonces_.find(a);
-  return it == nonces_.end() ? 0 : it->second;
+  const Account* account = accounts_.find(a);
+  return account != nullptr ? account->nonce : 0;
 }
 
-void LedgerState::refresh_account_leaf(crypto::Address a) {
-  const auto bal = find_balance(a);
-  const std::uint64_t n = nonce(a);
-  if (bal.has_value() || n != 0) {
-    accounts_.put(a.value, account_leaf_digest(bal.has_value(), bal.value_or(0), n));
+void LedgerState::refresh_account_leaf(const Account& account) {
+  if (account.live()) {
+    account_tree_.put(account.addr.value,
+                      account_leaf_digest(account.has_balance, account.balance,
+                                          account.nonce));
   } else {
-    accounts_.erase(a.value);
+    account_tree_.erase(account.addr.value);
   }
 }
 
 void LedgerState::set_balance(crypto::Address a, std::uint64_t value) {
-  balances_[a] = value;
-  refresh_account_leaf(a);
+  Account next;
+  accounts_.update(a, [&](Account& account) {
+    account.has_balance = true;
+    account.balance = value;
+    next = account;
+  });
+  refresh_account_leaf(next);
 }
 
 void LedgerState::set_nonce(crypto::Address a, std::uint64_t value) {
-  nonces_[a] = value;
-  refresh_account_leaf(a);
+  Account next;
+  accounts_.update(a, [&](Account& account) {
+    account.nonce = value;
+    next = account;
+  });
+  refresh_account_leaf(next);
 }
 
-void LedgerState::load_accounts(const std::vector<AccountSeed>& sorted) {
-  std::vector<std::pair<const crypto::Address, std::uint64_t>> balances;
-  std::vector<std::pair<const crypto::Address, std::uint64_t>> nonces;
+void LedgerState::load_accounts(const std::vector<Account>& sorted) {
+  accounts_ = AccountTable();
+  accounts_.reserve(sorted.size());
   std::vector<std::pair<std::uint64_t, crypto::Digest>> leaves;
-  balances.reserve(sorted.size());
   leaves.reserve(sorted.size());
   const std::vector<crypto::Digest> digests = account_leaf_digests(sorted);
   for (std::size_t i = 0; i < sorted.size(); ++i) {
-    const AccountSeed& s = sorted[i];
-    if (s.balance.has_value()) balances.emplace_back(s.addr, *s.balance);
-    if (s.nonce != 0) nonces.emplace_back(s.addr, s.nonce);
-    leaves.emplace_back(s.addr.value, digests[i]);
+    accounts_.put(sorted[i]);
+    leaves.emplace_back(sorted[i].addr.value, digests[i]);
   }
-  // Range construction of a std::map from a sorted range is O(n).
-  balances_ = std::map<crypto::Address, std::uint64_t>(balances.begin(),
-                                                       balances.end());
-  nonces_ = std::map<crypto::Address, std::uint64_t>(nonces.begin(),
-                                                     nonces.end());
-  accounts_ = crypto::MerkleMap::from_sorted_leaves(leaves);
+  account_tree_ = crypto::MerkleMap::from_sorted_leaves(leaves);
 }
 
 StateUndo LedgerState::absorb(LedgerStateOverlay& overlay) {
@@ -264,26 +257,25 @@ StateUndo LedgerState::absorb(LedgerStateOverlay& overlay) {
     std::abort();
   }
   StateUndo undo;
-  // Accounts: one ordered walk over every touched address, collecting each
-  // one's post-state to rebuild its leaf once.
-  std::vector<AccountSeed> touched;
+  // Accounts: one ordered walk over every touched address; one table probe
+  // each records the prior content and writes the post-state, whose leaf is
+  // then rebuilt once.
+  std::vector<Account> touched;
   touched.reserve(overlay.balances_.size() + overlay.nonces_.size());
+  undo.accounts.reserve(touched.capacity());
   merge_maps(
       overlay.balances_, overlay.nonces_,
       [&](crypto::Address addr, const std::uint64_t* bal, const std::uint64_t* n) {
-        touched.push_back(
-            {addr, swap_entry(balances_, undo.balances, addr, bal),
-             swap_entry(nonces_, undo.nonces, addr, n).value_or(0)});
+        undo.accounts.push_back(accounts_.update(addr, [&](Account& account) {
+          if (bal != nullptr) {
+            account.has_balance = true;
+            account.balance = *bal;
+          }
+          if (n != nullptr) account.nonce = *n;
+          touched.push_back(account);
+        }));
       });
-  const std::vector<crypto::Digest> digests = account_leaf_digests(touched);
-  std::vector<std::pair<std::uint64_t, std::optional<crypto::Digest>>> leaves;
-  leaves.reserve(touched.size());
-  for (std::size_t i = 0; i < touched.size(); ++i) {
-    const bool live = touched[i].balance.has_value() || touched[i].nonce != 0;
-    leaves.emplace_back(touched[i].addr.value,
-                        live ? std::optional(digests[i]) : std::nullopt);
-  }
-  accounts_.update(leaves);
+  account_tree_.update(account_leaves(touched));
 
   for (auto& [contract, delta] : overlay.stores_) {
     StateUndo::StoreUndo& su = undo.stores[contract];
@@ -369,8 +361,7 @@ void LedgerState::materialize_store(const std::string& contract) {
 
 LedgerState LedgerState::content_clone() const {
   LedgerState copy;
-  copy.balances_ = balances_;
-  copy.nonces_ = nonces_;
+  copy.accounts_ = accounts_;
   copy.audit_log_ = audit_log_;
   copy.contracts_ = contracts_;
   copy.burned_fees_ = burned_fees_;
@@ -395,22 +386,8 @@ void LedgerState::apply_undo(const StateUndo& undo) {
       store_digests_.erase(contract);
     }
   }
-  for (const auto& [addr, prior] : undo.balances) {
-    if (prior.has_value()) {
-      set_balance(addr, *prior);
-    } else {
-      balances_.erase(addr);
-      refresh_account_leaf(addr);
-    }
-  }
-  for (const auto& [addr, prior] : undo.nonces) {
-    if (prior.has_value()) {
-      set_nonce(addr, *prior);
-    } else {
-      nonces_.erase(addr);
-      refresh_account_leaf(addr);
-    }
-  }
+  for (const Account& prior : undo.accounts) accounts_.put(prior);
+  account_tree_.update(account_leaves(undo.accounts));
   // The audit chain hash cannot be un-chained; restore the captured digest
   // and truncate the log back to its pre-block length.
   audit_log_.resize(undo.audit_count);
@@ -434,33 +411,23 @@ StateCommitment LedgerState::commitment_with(const CommitmentDelta& delta) const
   StateCommitment c;
 
   // Accounts: cached Merkle tree plus the delta's touched leaves.
-  if (delta.balances.empty() && delta.nonces.empty()) {
-    c.accounts_root = accounts_.root();
-    c.account_count = accounts_.size();
-  } else {
-    crypto::MerkleMap::Delta acc;
-    merge_maps(delta.balances, delta.nonces,
-               [&](crypto::Address addr, const std::uint64_t* dbal,
-                   const std::uint64_t* dnon) {
-                 bool has_bal = true;
-                 std::uint64_t bal = 0;
-                 if (dbal != nullptr) {
-                   bal = *dbal;
-                 } else {
-                   const auto base_bal = find_balance(addr);
-                   has_bal = base_bal.has_value();
-                   bal = base_bal.value_or(0);
-                 }
-                 const std::uint64_t n = dnon != nullptr ? *dnon : nonce(addr);
-                 if (has_bal || n != 0) {
-                   acc[addr.value] = account_leaf_digest(has_bal, bal, n);
-                 } else {
-                   acc[addr.value] = std::nullopt;
-                 }
-               });
-    c.accounts_root = accounts_.root_with(acc);
-    c.account_count = accounts_.size_with(acc);
-  }
+  std::vector<Account> touched;
+  touched.reserve(delta.balances.size() + delta.nonces.size());
+  merge_maps(delta.balances, delta.nonces,
+             [&](crypto::Address addr, const std::uint64_t* dbal,
+                 const std::uint64_t* dnon) {
+               const Account* base = accounts_.find(addr);
+               Account account = base != nullptr ? *base : Account{addr};
+               if (dbal != nullptr) {
+                 account.has_balance = true;
+                 account.balance = *dbal;
+               }
+               if (dnon != nullptr) account.nonce = *dnon;
+               touched.push_back(account);
+             });
+  const auto accounts = account_tree_.root_with(account_leaves(touched));
+  c.accounts_root = accounts.root;
+  c.account_count = accounts.count;
 
   // Audit log: extend the running chain hash with the appended records.
   crypto::Digest h = audit_digest_;
@@ -517,18 +484,11 @@ StateCommitment LedgerState::full_rehash_commitment() const {
   // Accounts: independent structural recursion over an explicit leaf list
   // (no cached tree involved).
   std::vector<std::pair<std::uint64_t, crypto::Digest>> leaves;
-  leaves.reserve(balances_.size() + nonces_.size());
-  merge_maps(balances_, nonces_,
-             [&leaves](crypto::Address addr, const std::uint64_t* bal,
-                       const std::uint64_t* n) {
-               const bool has_bal = bal != nullptr;
-               const std::uint64_t nonce_value = n != nullptr ? *n : 0;
-               if (has_bal || nonce_value != 0) {
-                 leaves.emplace_back(
-                     addr.value,
-                     account_leaf_digest(has_bal, has_bal ? *bal : 0, nonce_value));
-               }
-             });
+  leaves.reserve(accounts_.size());
+  for (const Account& a : accounts_) {
+    leaves.emplace_back(a.addr.value,
+                        account_leaf_digest(a.has_balance, a.balance, a.nonce));
+  }
   c.account_count = leaves.size();
   c.accounts_root = crypto::merkle_map_reference_root(std::move(leaves));
 

@@ -10,8 +10,9 @@
 //    proportional to the block, not to the world. Contract-call atomicity
 //    uses a nested overlay the same way.
 //
-// State commitment is incremental (DESIGN.md §"State commitment"): the
-// account map is Merkleized (crypto::MerkleMap), the audit log carries a
+// The materialized accounts live in one flat AccountTable (one probe per
+// account). State commitment is incremental (DESIGN.md §"State commitment"):
+// the accounts are Merkleized (crypto::MerkleMap), the audit log carries a
 // running chain hash, and each contract store an additive multiset digest,
 // so commitment() costs O(touched · log n) on an overlay instead of
 // re-hashing the world. full_rehash_commitment() recomputes everything from
@@ -29,6 +30,7 @@
 #include "crypto/merkle_map.h"
 #include "crypto/set_hash.h"
 #include "crypto/sha256.h"
+#include "ledger/account_table.h"
 #include "ledger/transaction.h"
 
 namespace mv::ledger {
@@ -80,12 +82,9 @@ struct StateCommitment {
 /// export and stale-height account proofs — O(touched) to capture, O(sum of
 /// touched) to roll back, instead of a full per-height state copy.
 struct StateUndo {
-  /// Prior balance entries for every balance the block wrote
-  /// (nullopt = the account had no balance entry).
-  std::map<crypto::Address, std::optional<std::uint64_t>> balances;
-  /// Prior nonce entries for every nonce the block wrote (nullopt = the
-  /// account had no nonce entry).
-  std::map<crypto::Address, std::optional<std::uint64_t>> nonces;
+  /// Prior content of every account the block wrote, ascending by address
+  /// (a leafless Account = the account did not exist).
+  std::vector<Account> accounts;
   struct StoreUndo {
     bool existed = true;  ///< store was materialized before the block
     /// Prior values for every key the block wrote (nullopt = absent).
@@ -178,15 +177,7 @@ class LedgerView {
                              bool signature_preverified = false);
 };
 
-/// One account's full content, used to bulk-load the account section on
-/// snapshot install (LedgerState::load_accounts).
 class LedgerStateOverlay;
-
-struct AccountSeed {
-  crypto::Address addr;
-  std::optional<std::uint64_t> balance;  ///< engaged = balance entry exists
-  std::uint64_t nonce = 0;
-};
 
 class LedgerState final : public LedgerView {
  public:
@@ -198,21 +189,21 @@ class LedgerState final : public LedgerView {
   void set_nonce(crypto::Address a, std::uint64_t value) override;
 
   /// Snapshot-install fast path: replace the whole account section from
-  /// entries in strictly ascending address order. The balance/nonce maps are
-  /// range-constructed (O(n) on sorted input) and the accounts Merkle tree
-  /// is bulk-built from sorted leaves (MerkleMap::from_sorted_leaves) —
-  /// one leaf hash per account, no per-key descents — instead of n
-  /// set_balance/set_nonce round trips through refresh_account_leaf. Every
-  /// entry must carry a leaf (a balance entry or nonzero nonce); order and
-  /// leaf presence are the caller's contract (the strict snapshot decoder
-  /// enforces both before calling).
-  void load_accounts(const std::vector<AccountSeed>& sorted);
+  /// entries in strictly ascending address order. The table is filled once
+  /// at its final size and the accounts Merkle tree is bulk-built from
+  /// sorted leaves (MerkleMap::from_sorted_leaves) — one leaf hash per
+  /// account, no per-key descents — instead of n set_balance/set_nonce
+  /// round trips through refresh_account_leaf. Every entry must be live()
+  /// (a balance entry or nonzero nonce); order and liveness are the
+  /// caller's contract (the strict snapshot decoder enforces both before
+  /// calling).
+  void load_accounts(const std::vector<Account>& sorted);
 
   /// Commit a writer overlay over this state in one pass and return the
   /// inverse of what it wrote. Balances and nonces are walked in one ordered
-  /// merge: each written entry costs one try_emplace, which records the
-  /// prior value and writes the new one, and each touched account's leaf is
-  /// refreshed exactly once (digests and Merkle leaf hashes batched). Store
+  /// merge: each touched account costs one table probe, which records its
+  /// prior content and writes the new one, and its leaf is refreshed exactly
+  /// once (digests and Merkle leaf hashes batched). Store
   /// entries, audit records and burned fees follow. The overlay is left
   /// empty; its base must be this state (a hard failure otherwise).
   /// apply_undo(result) restores the pre-commit state exactly.
@@ -251,14 +242,16 @@ class LedgerState final : public LedgerView {
 
   [[nodiscard]] std::uint64_t burned_fees() const override { return burned_fees_; }
   void add_burned_fees(std::uint64_t amount) override { burned_fees_ += amount; }
-  [[nodiscard]] std::size_t account_count() const { return balances_.size(); }
+  /// Accounts with a leaf (a balance entry or a nonzero nonce); equals
+  /// commitment().account_count.
+  [[nodiscard]] std::size_t account_count() const { return accounts_.size(); }
 
   // ---- raw section access (snapshot export / undo capture) ----
-  [[nodiscard]] const std::map<crypto::Address, std::uint64_t>& balances() const {
-    return balances_;
-  }
-  [[nodiscard]] const std::map<crypto::Address, std::uint64_t>& nonces() const {
-    return nonces_;
+  /// Every account, unordered.
+  [[nodiscard]] const AccountTable& accounts() const { return accounts_; }
+  /// Every account, ascending by address (sorts a copy: O(n log n)).
+  [[nodiscard]] std::vector<Account> sorted_accounts() const {
+    return accounts_.sorted();
   }
   [[nodiscard]] const std::map<std::string, ContractStore>& stores() const {
     return contracts_;
@@ -272,7 +265,7 @@ class LedgerState final : public LedgerView {
   void apply_undo(const StateUndo& undo);
 
   /// Snapshot-export fast path: a copy carrying the raw content sections
-  /// (balances, nonces, audit log, stores, burned fees, cached section
+  /// (accounts, audit log, stores, burned fees, cached section
   /// digests) but an EMPTY accounts Merkle tree — cloning the tree is the
   /// dominant cost of a full copy, and the exporter takes the manifest
   /// commitment from the chain's retention ring instead. apply_undo works on
@@ -285,13 +278,13 @@ class LedgerState final : public LedgerView {
   /// non-membership proof when the account has no leaf). Pair with
   /// commitment() for the section digests a verifier recombines.
   [[nodiscard]] crypto::MerkleMapProof prove_account(crypto::Address a) const {
-    return accounts_.prove(a.value);
+    return account_tree_.prove(a.value);
   }
 
  private:
-  /// Re-derive the Merkle leaf for `a` from balances_/nonces_ (absent when
-  /// the account has neither a balance entry nor a nonzero nonce).
-  void refresh_account_leaf(crypto::Address a);
+  /// Re-derive the Merkle leaf of `account`'s address from its content
+  /// (absent when the account is not live()).
+  void refresh_account_leaf(const Account& account);
 
   /// Incrementally maintained digest of one contract store.
   struct StoreDigest {
@@ -306,14 +299,13 @@ class LedgerState final : public LedgerView {
                                          const std::string& key,
                                          std::optional<Bytes> value);
 
-  std::map<crypto::Address, std::uint64_t> balances_;
-  std::map<crypto::Address, std::uint64_t> nonces_;
+  AccountTable accounts_;
   std::vector<StoredAuditRecord> audit_log_;
   std::map<std::string, ContractStore> contracts_;
   std::uint64_t burned_fees_ = 0;
 
   // Maintained commitment sections (see DESIGN.md §"State commitment").
-  crypto::MerkleMap accounts_;                      ///< addr -> account leaf
+  crypto::MerkleMap account_tree_;                  ///< addr -> account leaf
   crypto::Digest audit_digest_{};                   ///< running chain hash
   std::map<std::string, StoreDigest> store_digests_;  ///< mirrors contracts_
 };

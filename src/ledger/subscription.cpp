@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
 #include <utility>
 
 namespace mv::ledger {
@@ -94,12 +93,12 @@ void SubscriptionPublisher::on_commit(const Block& block,
   // never through the chain's queue-routed query path.
   const auto interests = server_.account_interests();
   if (!interests.empty()) {
-    std::set<std::uint64_t> touched;
-    for (const auto& [addr, prior] : undo.balances) touched.insert(addr.value);
-    for (const auto& [addr, prior] : undo.nonces) touched.insert(addr.value);
     const LedgerState& state = chain_.state();
     for (const auto key : interests) {
-      if (touched.count(key) == 0) continue;
+      const bool touched = std::binary_search(
+          undo.accounts.begin(), undo.accounts.end(), Account{crypto::Address{key}},
+          [](const Account& a, const Account& b) { return a.addr < b.addr; });
+      if (!touched) continue;
       const crypto::Address addr{key};
       AccountProof ap;
       ap.address = addr;

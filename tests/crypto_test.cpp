@@ -313,6 +313,131 @@ TEST(MerkleMap, DeepCopyIsIndependent) {
   b.erase(50);
   EXPECT_EQ(a.root(), before);
   EXPECT_NE(b.root(), before);
+
+  // A copy taken while hash caches are dirty — after puts and erases (some
+  // of which freed arena slots) and before any root() — carries those dirty
+  // caches over. Mutating both sides afterwards must leave each exactly
+  // equal to its own model.
+  Rng rng(808);
+  std::map<std::uint64_t, Digest> model_a;
+  for (std::uint64_t k = 0; k < 100; ++k) model_a[k] = value_digest(k);
+  for (int i = 0; i < 300; ++i) {
+    const std::uint64_t key = rng.chance(0.5) ? rng.next_below(200) : rng.next_u64();
+    if (rng.chance(0.4)) {
+      a.erase(key);
+      model_a.erase(key);
+    } else {
+      a.put(key, value_digest(key ^ 1));
+      model_a[key] = value_digest(key ^ 1);
+    }
+  }
+  MerkleMap c = a;  // a is dirty here
+  auto model_c = model_a;
+  for (int i = 0; i < 300; ++i) {
+    const std::uint64_t ka = rng.next_below(300);
+    const std::uint64_t kc = rng.next_below(300);
+    if (rng.chance(0.5)) {
+      a.erase(ka);
+      model_a.erase(ka);
+      c.put(kc, value_digest(kc + 7));
+      model_c[kc] = value_digest(kc + 7);
+    } else {
+      a.put(ka, value_digest(ka + 3));
+      model_a[ka] = value_digest(ka + 3);
+      c.erase(kc);
+      model_c.erase(kc);
+    }
+    if (i % 50 == 0) {  // flush one side's caches mid-way, not the other's
+      ASSERT_EQ(c.root(), reference_of(model_c)) << "step " << i;
+    }
+  }
+  EXPECT_EQ(a.size(), model_a.size());
+  EXPECT_EQ(c.size(), model_c.size());
+  EXPECT_EQ(a.root(), reference_of(model_a));
+  EXPECT_EQ(c.root(), reference_of(model_c));
+  // Copy assignment over a populated map replaces it wholesale.
+  b = c;
+  EXPECT_EQ(b.root(), c.root());
+  EXPECT_EQ(b.size(), c.size());
+  b.erase(model_c.begin()->first);
+  EXPECT_EQ(c.root(), reference_of(model_c));
+}
+
+TEST(MerkleMap, ArenaChurnMatchesReferenceOracle) {
+  // Erase-heavy churn: each round erases most keys (emptying whole subtrees
+  // and collapsing inner nodes, which frees arena slots) and inserts fresh
+  // ones that reuse those slots. Root, size, lookups and proofs must match
+  // the structural oracle every round, and so must a copy and a bulk build
+  // of the same set. The map is emptied completely once and rebuilt.
+  Rng rng(5150);
+  MerkleMap m;
+  std::map<std::uint64_t, Digest> model;
+  const auto fresh_key = [&rng] {
+    return rng.chance(0.5) ? rng.next_below(4096) : rng.next_u64();
+  };
+  for (int round = 0; round < 40; ++round) {
+    if (round == 20) {
+      for (const auto& [key, value] : model) m.erase(key);
+      model.clear();
+      ASSERT_EQ(m.size(), 0u);
+      ASSERT_EQ(m.root(), Digest{});
+    }
+    std::vector<std::uint64_t> keys;
+    for (const auto& [key, value] : model) keys.push_back(key);
+    rng.shuffle(keys);
+    const std::size_t erase = keys.size() * 3 / 4;
+    for (std::size_t i = 0; i < erase; ++i) {
+      m.erase(keys[i]);
+      model.erase(keys[i]);
+    }
+    for (int i = 0; i < 30; ++i) {  // present or absent
+      const std::uint64_t key = fresh_key();
+      m.erase(key);
+      model.erase(key);
+    }
+    for (auto& [key, value] : model) {  // refresh a few survivors
+      if (rng.chance(0.1)) {
+        value = value_digest(rng.next_u64());
+        m.put(key, value);
+      }
+    }
+    for (int i = 0; i < 1500; ++i) {
+      const std::uint64_t key = fresh_key();
+      const Digest v = value_digest(rng.next_u64());
+      m.put(key, v);
+      model[key] = v;
+    }
+    // Erases after the inserts, before the next root(): collapses on paths
+    // whose caches are still dirty.
+    for (int i = 0; i < 200 && !model.empty(); ++i) {
+      const auto victim = std::next(
+          model.begin(), static_cast<std::ptrdiff_t>(rng.next_below(model.size())));
+      m.erase(victim->first);
+      model.erase(victim);
+    }
+    const std::string where = "round " + std::to_string(round);
+    ASSERT_EQ(m.size(), model.size()) << where;
+    const Digest root = reference_of(model);
+    ASSERT_EQ(m.root(), root) << where;
+    const MerkleMap copy = m;
+    ASSERT_EQ(copy.root(), root) << where;
+    const std::vector<std::pair<std::uint64_t, Digest>> leaves(model.begin(),
+                                                               model.end());
+    ASSERT_EQ(MerkleMap::from_sorted_leaves(leaves).root(), root) << where;
+    for (int i = 0; i < 40; ++i) {
+      const auto it = std::next(
+          model.begin(), static_cast<std::ptrdiff_t>(rng.next_below(model.size())));
+      ASSERT_TRUE(m.contains(it->first));
+      ASSERT_TRUE(MerkleMap::verify(root, it->first, it->second, m.prove(it->first)))
+          << where;
+      ASSERT_EQ(copy.prove(it->first), m.prove(it->first)) << where;
+      const std::uint64_t absent = fresh_key();
+      if (model.contains(absent)) continue;
+      ASSERT_FALSE(m.contains(absent));
+      ASSERT_TRUE(MerkleMap::verify(root, absent, std::nullopt, m.prove(absent)))
+          << where;
+    }
+  }
 }
 
 TEST(MerkleMap, FromSortedLeavesMatchesIncrementalBuild) {
@@ -436,7 +561,7 @@ TEST(MerkleMap, RootWithMatchesMaterializedApplication) {
     model[key] = v;
   }
   for (int round = 0; round < 20; ++round) {
-    MerkleMap::Delta delta;
+    std::map<std::uint64_t, std::optional<Digest>> delta;
     auto expected = model;
     for (int op = 0; op < 30; ++op) {
       const std::uint64_t key =
@@ -455,9 +580,12 @@ TEST(MerkleMap, RootWithMatchesMaterializedApplication) {
       }
     }
     const Digest before = base.root();
-    ASSERT_EQ(base.root_with(delta), reference_of(expected)) << "round " << round;
-    ASSERT_EQ(base.size_with(delta), expected.size());
+    const std::vector<MerkleMap::Entry> entries(delta.begin(), delta.end());
+    const MerkleMap::Committed with = base.root_with(entries);
+    ASSERT_EQ(with.root, reference_of(expected)) << "round " << round;
+    ASSERT_EQ(with.count, expected.size()) << "round " << round;
     ASSERT_EQ(base.root(), before);  // root_with must not mutate the map
+    ASSERT_EQ(base.size(), model.size());
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 
 #include "ledger/audit.h"
 #include "ledger/chain.h"
@@ -165,6 +166,154 @@ TEST(LedgerState, StateRootDeterministicAcrossCopies) {
   Fixture f;
   LedgerState copy = f.state;
   EXPECT_EQ(copy.commitment().root, f.state.commitment().root);
+}
+
+TEST(LedgerState, NonceOnlyAccountIsCounted) {
+  // A zero-amount, zero-fee transfer from a never-funded sender is valid: it
+  // commits the sender with nonce 1 and no balance entry. That account has a
+  // leaf, so account_count() must count it like the commitment does.
+  Fixture f;
+  const crypto::Wallet carol(f.rng);
+  const auto tx = make_transfer(carol, 0, f.bob.address(), 0, 0, f.rng);
+  ASSERT_TRUE(f.state.apply(tx, *f.contracts, 0).ok());
+  EXPECT_EQ(f.state.find_balance(carol.address()), std::nullopt);
+  EXPECT_EQ(f.state.nonce(carol.address()), 1u);
+  EXPECT_EQ(f.state.account_count(), 3u);
+  EXPECT_EQ(f.state.account_count(), f.state.commitment().account_count);
+  EXPECT_EQ(f.state.commitment(), f.state.full_rehash_commitment());
+  const Account* account = f.state.accounts().find(carol.address());
+  ASSERT_NE(account, nullptr);
+  EXPECT_EQ(*account, (Account{carol.address(), 0, 1, false}));
+}
+
+// ------------------------------------------------------------ account table
+
+namespace {
+/// The table's content as an ordered model, for whole-table comparisons.
+std::map<crypto::Address, Account> model_of(const AccountTable& table) {
+  std::map<crypto::Address, Account> out;
+  for (const Account& a : table) {
+    EXPECT_TRUE(a.live());
+    EXPECT_TRUE(out.emplace(a.addr, a).second) << "address walked twice";
+  }
+  return out;
+}
+}  // namespace
+
+TEST(AccountTable, DifferentialAgainstMapModel) {
+  // 10^5+ random operations against a std::map model: full puts, partial
+  // edits through update(), erases (a leafless result), and undo — batches
+  // rolled back by putting their returned priors newest-first. Addresses
+  // mix a dense low range (long probe chains, erases in their middle) with
+  // random 64-bit values; the table grows from empty along the way.
+  Rng rng(2718);
+  AccountTable table;
+  std::map<crypto::Address, Account> model;
+  const auto pick = [&] {
+    return crypto::Address{rng.chance(0.7) ? rng.next_below(6000)
+                                           : rng.next_u64()};
+  };
+  const auto expect_prior = [&](const Account& prior, crypto::Address addr) {
+    const auto it = model.find(addr);
+    const Account want = it == model.end() ? Account{addr} : it->second;
+    ASSERT_EQ(prior, want);
+  };
+  std::size_t ops = 0;
+  for (int batch = 0; batch < 400; ++batch) {
+    const bool undo = rng.chance(0.3);
+    const auto before = undo ? model : std::map<crypto::Address, Account>{};
+    std::vector<Account> priors;
+    const std::size_t n = 1 + rng.next_below(600);
+    for (std::size_t i = 0; i < n; ++i, ++ops) {
+      const crypto::Address addr = pick();
+      Account prior;
+      switch (rng.next_below(4)) {
+        case 0: {  // full put of a live account
+          Account a{addr, 0, rng.next_below(5), rng.chance(0.8)};
+          if (a.has_balance) a.balance = rng.next_below(1000);
+          if (!a.live()) a.nonce = 1;
+          prior = table.put(a);
+          ASSERT_NO_FATAL_FAILURE(expect_prior(prior, addr));
+          model[addr] = a;
+          break;
+        }
+        case 1: {  // erase: put a leafless account
+          prior = table.put(Account{addr});
+          ASSERT_NO_FATAL_FAILURE(expect_prior(prior, addr));
+          model.erase(addr);
+          break;
+        }
+        default: {  // partial edit; a nonce write of 0 may erase
+          const std::uint64_t nonce = rng.next_below(3);
+          prior = table.update(addr, [&](Account& a) { a.nonce = nonce; });
+          ASSERT_NO_FATAL_FAILURE(expect_prior(prior, addr));
+          Account next = prior;
+          next.nonce = nonce;
+          if (next.live()) {
+            model[addr] = next;
+          } else {
+            model.erase(addr);
+          }
+          break;
+        }
+      }
+      priors.push_back(prior);
+      ASSERT_EQ(table.size(), model.size()) << "op " << ops;
+    }
+    if (undo) {
+      for (std::size_t i = priors.size(); i-- > 0;) (void)table.put(priors[i]);
+      model = before;
+    }
+    ASSERT_EQ(table.size(), model.size()) << "batch " << batch;
+    if (!undo && batch % 8 != 0) continue;
+    ASSERT_EQ(model_of(table), model) << "batch " << batch;
+    for (const auto& [addr, account] : model) {
+      const Account* found = table.find(addr);
+      ASSERT_NE(found, nullptr) << "batch " << batch;
+      ASSERT_EQ(*found, account);
+    }
+    for (int probe = 0; probe < 50; ++probe) {
+      const crypto::Address addr = pick();
+      const Account* found = table.find(addr);
+      ASSERT_EQ(found != nullptr, model.contains(addr)) << "batch " << batch;
+    }
+  }
+  EXPECT_GE(ops, 100'000u);
+  const std::vector<Account> sorted = table.sorted();
+  ASSERT_EQ(sorted.size(), model.size());
+  std::size_t i = 0;
+  for (const auto& [addr, account] : model) EXPECT_EQ(sorted[i++], account);
+}
+
+TEST(AccountTable, EraseInsideFullProbeChainsKeepsEveryKeyReachable) {
+  // Fill tables to exactly the 7/8 load bound — where linear-probing chains
+  // are longest — then erase in random order. After each erase every
+  // remaining address must still be found (backward shift moved the right
+  // entries) and the erased one must be gone.
+  Rng rng(31);
+  for (const std::size_t capacity : {16u, 64u, 256u, 1024u}) {
+    AccountTable table;
+    table.reserve(capacity * 7 / 8);
+    std::vector<crypto::Address> keys;
+    while (keys.size() < capacity * 7 / 8) {
+      const crypto::Address addr{rng.chance(0.5) ? keys.size() + 1 : rng.next_u64()};
+      if (table.find(addr) != nullptr) continue;
+      (void)table.put(Account{addr, 0, 1, false});
+      keys.push_back(addr);
+    }
+    rng.shuffle(keys);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      (void)table.put(Account{keys[i]});
+      ASSERT_EQ(table.find(keys[i]), nullptr) << "capacity " << capacity;
+      ASSERT_EQ(table.size(), keys.size() - i - 1);
+      for (std::size_t j = i + 1; j < keys.size(); ++j) {
+        ASSERT_NE(table.find(keys[j]), nullptr)
+            << "capacity " << capacity << " lost a key after " << i + 1 << " erases";
+      }
+    }
+    EXPECT_EQ(table.size(), 0u);
+    EXPECT_EQ(table.begin(), table.end());
+  }
 }
 
 // ---------------------------------------------------------------- mempool
@@ -867,8 +1016,7 @@ TEST(LedgerState, DifferentialCommitmentMatchesFullRehashOracle) {
 /// Every raw section of two states, and both commitments, agree exactly.
 void expect_same_state(const LedgerState& a, const LedgerState& b,
                        const std::string& where) {
-  EXPECT_EQ(a.balances(), b.balances()) << where;
-  EXPECT_EQ(a.nonces(), b.nonces()) << where;
+  EXPECT_EQ(a.sorted_accounts(), b.sorted_accounts()) << where;
   EXPECT_EQ(a.stores(), b.stores()) << where;
   EXPECT_EQ(a.audit_log().size(), b.audit_log().size()) << where;
   EXPECT_EQ(a.audit_digest(), b.audit_digest()) << where;
@@ -878,8 +1026,8 @@ void expect_same_state(const LedgerState& a, const LedgerState& b,
 }
 
 TEST(LedgerState, AbsorbDifferentialMatchesPerKeyCommit) {
-  // absorb() commits a block's overlay in one pass (one try_emplace per
-  // written entry, one batched leaf refresh per touched account). The
+  // absorb() commits a block's overlay in one pass (one table probe and
+  // one batched leaf refresh per touched account). The
   // oracle commits the same overlay key by key through commit(), i.e.
   // set_balance/set_nonce/store_put/store_erase on a copy. Both must agree
   // on every section and commitment, and absorb's undo must restore the
@@ -952,6 +1100,7 @@ TEST(LedgerState, AbsorbDifferentialMatchesPerKeyCommit) {
     ASSERT_EQ(state.commitment(), expected) << where;
     expect_same_state(state, oracle, where);
     ASSERT_EQ(state.commitment(), state.full_rehash_commitment()) << where;
+    ASSERT_EQ(state.account_count(), expected.account_count) << where;
 
     LedgerState rolled = state;
     rolled.apply_undo(undos.back());

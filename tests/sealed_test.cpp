@@ -334,8 +334,7 @@ struct RollbackFixture : SealFixture {
     const LedgerState& now = follower.state();
     EXPECT_EQ(now.commitment(), before.state.commitment());
     EXPECT_EQ(now.commitment(), now.full_rehash_commitment());
-    EXPECT_EQ(now.balances(), before.state.balances());
-    EXPECT_EQ(now.nonces(), before.state.nonces());
+    EXPECT_EQ(now.sorted_accounts(), before.state.sorted_accounts());
     EXPECT_EQ(now.stores(), before.state.stores());
     EXPECT_EQ(now.audit_log().size(), before.state.audit_log().size());
     EXPECT_EQ(now.audit_digest(), before.state.audit_digest());
@@ -404,8 +403,7 @@ TEST(FollowerRollback, ForgedRootOnTheFirstBlockKeepsTheGenesis) {
   EXPECT_EQ(f.follower.state().find_store("note"), nullptr);
   EXPECT_TRUE(f.follower.state().audit_log().empty());
   EXPECT_EQ(f.follower.state().commitment(), before.state.commitment());
-  EXPECT_EQ(f.follower.state().balances(), before.state.balances());
-  EXPECT_EQ(f.follower.state().nonces(), before.state.nonces());
+  EXPECT_EQ(f.follower.state().sorted_accounts(), before.state.sorted_accounts());
   EXPECT_EQ(f.follower.height(), 0);
   EXPECT_EQ(f.hook_calls, 0u);
   ASSERT_TRUE(f.advance(10));

@@ -172,7 +172,7 @@ TEST(Shard, PartitionGenesisConservesBalances) {
   ASSERT_EQ(parts.size(), 4u);
   std::uint64_t sum = 0;
   for (const auto& part : parts) {
-    for (const auto& [addr, bal] : part.balances()) sum += bal;
+    for (const auto& account : part.accounts()) sum += account.balance;
   }
   EXPECT_EQ(sum, total);
   for (const auto addr : addrs) {
@@ -302,7 +302,7 @@ struct CrossShardFixture {
   std::uint64_t total_balances() const {
     std::uint64_t sum = 0;
     for (std::uint32_t s = 0; s < 2; ++s) {
-      for (const auto& [addr, bal] : ledger->state(s).balances()) sum += bal;
+      for (const auto& account : ledger->state(s).accounts()) sum += account.balance;
     }
     return sum;
   }
