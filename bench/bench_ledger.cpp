@@ -227,7 +227,11 @@ BENCHMARK(BM_BlockValidate)
 // distinct recipients. When the pre-built blocks run out, a fresh follower
 // (and a fresh signature cache) is set up untimed and takes block 0
 // untimed too, since the first append also copies the genesis state.
+// `range(0)` is the follower's queue workers: 0 runs the serial block check,
+// workers spread its signature checks and accounts re-hash over the queue
+// (the calling thread helping).
 void BM_FollowerAppend(benchmark::State& state) {
+  const auto workers = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kAccounts = 100'000;
   constexpr std::size_t kTxs = 512;
   constexpr std::size_t kBlocks = 24;
@@ -270,9 +274,11 @@ void BM_FollowerAppend(benchmark::State& state) {
       }
     }
   }
+  const auto queue = std::make_shared<JobQueue>(JobQueueConfig{.threads = workers});
   const auto fresh_follower = [&] {
     ChainConfig fc = config;
     fc.validation.sig_cache = std::make_shared<crypto::DigestLruSet>();
+    fc.validation.job_queue = queue;
     auto follower = std::make_unique<Blockchain>(fc, contracts, shared);
     (void)follower->append(blocks[0]);
     return follower;
@@ -294,7 +300,11 @@ void BM_FollowerAppend(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kTxs));
 }
-BENCHMARK(BM_FollowerAppend)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_FollowerAppend)
+    ->Arg(0)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Incremental commitment after touching a handful of accounts in a world of
 // `range(0)`: cost must track the touched set (O(touched · log n)), not the

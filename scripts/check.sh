@@ -87,6 +87,14 @@ echo "== gate: scenario replay regression (golden traces, codec fuzz, invariants
 # follower at every height (DESIGN.md §7).
 gate "scenario replay-regression tests" 'Scenario(Trace|Golden|Invariant|Harness|Sealed)'
 
+echo "== gate: parallel block check (caller-helps batches, byte-identical results) =="
+# On a threaded queue a block check verifies signatures and re-hashes the
+# accounts tree as caller-helps run_batch tasks. These cases pin that the
+# signature look-ahead keeps the serial loop's outcome and cache behaviour,
+# that the parallel re-hash gives the serial root at every worker count,
+# and that a batch finishes nested in a job or with every worker busy.
+gate "parallel block check tests" 'ParallelBlockCheck|ParallelFlush|RunBatchNested|RunBatchCompletes'
+
 echo "== gate: follower rollback (forged state roots leave no trace) =="
 # An unsealed append commits first and checks the state root on the
 # committed state; a forged root is rolled back through the undo. These
@@ -152,7 +160,9 @@ echo "== tsan: suites that run work on job queue workers =="
 # warning that scrolls past; the suites below cover the job queue
 # (priority/shedding under real workers, destructor-during-batch), chains and
 # consensus replicas configured with threaded queues (proof queries on
-# workers while blocks apply inline), the queue-routed gossip/snapshot paths,
+# workers, signature checks and the accounts re-hash as caller-helps batches
+# while blocks apply on the calling thread), the parallel Merkle flush, the
+# queue-routed gossip/snapshot paths,
 # the subscription fan-out (worker-thread pushes racing subscribe/ack
 # handling), the end-to-end scenarios, and the sharded commit fan-out and
 # sealed-proposal differential (shard chains on queue workers).

@@ -130,7 +130,7 @@ bool JobQueue::submit(JobClass cls, std::function<void()> fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_ || !admit_locked(cs, limit)) return false;
-    enqueue_locked(cs, Job{std::move(fn), nullptr, Clock::now()});
+    enqueue_locked(cs, Job{std::move(fn), nullptr, nullptr, Clock::now()});
   }
   work_cv_.notify_one();
   return true;
@@ -148,15 +148,15 @@ bool JobQueue::run(JobClass cls, const std::function<void()>& fn) {
     execute_inline(cs, fn);
     return true;
   }
-  auto batch = std::make_shared<Batch>(1);
+  auto ran = std::make_shared<bool>(false);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_ || !admit_locked(cs, limit)) return false;
-    enqueue_locked(cs, Job{fn, batch, Clock::now()});
+    enqueue_locked(cs, Job{fn, ran, nullptr, Clock::now()});
   }
   work_cv_.notify_one();
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return batch->remaining == 0; });
+  done_cv_.wait(lock, [&] { return *ran; });
   return true;
 }
 
@@ -174,17 +174,55 @@ void JobQueue::run_batch(JobClass cls, std::size_t tasks,
     }
     return;
   }
-  auto batch = std::make_shared<Batch>(tasks);
+  auto batch = std::make_shared<Batch>();
+  batch->fn = &fn;
+  batch->tasks = tasks;
+  batch->cs = &cs;
+  batch->start = Clock::now();
+  std::size_t helpers = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto now = Clock::now();
-    for (std::size_t i = 0; i < tasks; ++i) {
-      enqueue_locked(cs, Job{[&fn, i] { fn(i); }, batch, now});
+    // Every task counts as one submitted job; the helpers are lanes, not
+    // work, so they are queued without being counted.
+    cs.submitted += tasks;
+    if (!stop_) {
+      helpers = std::min(config_.threads, tasks - 1);
+      for (std::size_t h = 0; h < helpers; ++h) {
+        cs.queue.push_back(Job{{}, nullptr, batch, batch->start});
+      }
+      pending_ += helpers;
     }
   }
-  work_cv_.notify_all();
+  for (std::size_t h = 0; h < helpers; ++h) work_cv_.notify_one();
+  run_lane(*batch);
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return batch->remaining == 0; });
+  // Every task is claimed now, so a helper no worker has started would find
+  // nothing to do: take it back out of the lane.
+  const std::size_t queued = cs.queue.size();
+  std::erase_if(cs.queue, [&](const Job& job) { return job.batch == batch; });
+  pending_ -= queued - cs.queue.size();
+  if (pending_ == 0 && running_ == 0) done_cv_.notify_all();
+  done_cv_.wait(lock, [&] { return batch->done == tasks; });
+}
+
+void JobQueue::run_lane(Batch& batch) noexcept {
+  std::vector<std::pair<double, double>> samples;  // (wait, run) per task
+  for (std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
+       i < batch.tasks; i = batch.next.fetch_add(1, std::memory_order_relaxed)) {
+    const auto t0 = Clock::now();
+    (*batch.fn)(i);
+    const auto t1 = Clock::now();
+    samples.emplace_back(elapsed_us(batch.start, t0), elapsed_us(t0, t1));
+  }
+  if (samples.empty()) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [wait_us, run_us] : samples) {
+    batch.cs->record_wait(wait_us);
+    batch.cs->record_run(run_us);
+  }
+  batch.cs->completed += samples.size();
+  batch.done += samples.size();
+  if (batch.done == batch.tasks) done_cv_.notify_all();
 }
 
 void JobQueue::drain() {
@@ -238,17 +276,23 @@ void JobQueue::worker_loop() {
     cs->queue.pop_front();
     --pending_;
     ++running_;
-    cs->record_wait(elapsed_us(job.enqueued, Clock::now()));
+    if (job.batch == nullptr) cs->record_wait(elapsed_us(job.enqueued, Clock::now()));
     lock.unlock();
-    const auto t0 = Clock::now();
-    job.fn();
-    const double run_us = elapsed_us(t0, Clock::now());
-    lock.lock();
-    cs->record_run(run_us);
-    ++cs->completed;
+    if (job.batch != nullptr) {
+      run_lane(*job.batch);  // records its own tasks
+      lock.lock();
+    } else {
+      const auto t0 = Clock::now();
+      job.fn();
+      const double run_us = elapsed_us(t0, Clock::now());
+      lock.lock();
+      cs->record_run(run_us);
+      ++cs->completed;
+    }
     --running_;
     bool wake_waiters = pending_ == 0 && running_ == 0;
-    if (job.batch != nullptr && --job.batch->remaining == 0) {
+    if (job.ran != nullptr) {
+      *job.ran = true;
       wake_waiters = true;
     }
     if (wake_waiters) done_cv_.notify_all();

@@ -33,14 +33,24 @@
 //     work (e.g. a block's signature verifications) and partial execution
 //     would corrupt it. Admission control belongs at the batch's submitter.
 //
+// Caller-helps batches: run_batch() does not park its caller. The caller and
+// at most min(workers, tasks - 1) helper jobs, queued on the batch's lane,
+// claim tasks from one shared index until none is left; the caller then takes
+// back the helpers no worker has started and waits only for tasks already
+// claimed. So a batch completes even when every worker is busy, and a job may
+// run_batch() on its own queue: in the worst case its own thread runs every
+// task.
+//
 // Threading contract: submit/run/run_batch/drain/stats are safe from any
-// thread. A job must not call run()/run_batch()/drain() on its own queue
-// (with few workers that self-wait deadlocks). The destructor abandons jobs
+// thread, and run_batch() may nest inside a job. A job must not call run()
+// or drain() on its own queue: those wait for work only workers run, and
+// with few workers that self-wait deadlocks. The destructor abandons jobs
 // still queued (counted per class) after finishing the ones already running;
 // drain() first if completion matters.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -58,11 +68,12 @@ namespace mv {
 
 /// Traffic classes, highest priority first (enum order IS the priority).
 enum class JobClass : std::uint8_t {
-  /// Consensus-critical fan-out: ShardedLedger::commit_round runs one job
-  /// per shard here. Block application itself never enters the queue.
+  /// Consensus-critical fan-out: ShardedLedger::commit_round runs one task
+  /// per shard here.
   kConsensus = 0,
-  /// Batches of pure verification work. No ledger path submits here: block
-  /// application verifies signatures inline.
+  /// Batches of pure block-check work on a chain with a threaded queue:
+  /// apply_block's signature checks and the accounts tree re-hash of
+  /// Blockchain::append (ledger/parallel.h).
   kValidation = 1,
   kGossipRelay = 2,   ///< rumor relays (net/gossip.h)
   kSnapshotServe = 3, ///< snapshot chunk serving (net/snapshot_transfer.h)
@@ -146,11 +157,13 @@ class JobQueue {
   /// the admission-control shape for request/response work (client queries).
   bool run(JobClass cls, const std::function<void()>& fn);
 
-  /// Run fn(0)..fn(tasks-1) as `tasks` jobs of `cls` and block until all
-  /// finished. Never shed. Tasks may run concurrently and in any order
-  /// (inline mode: ascending order on the calling thread) — callers needing
-  /// determinism write to disjoint slots and fold on the calling thread
-  /// after the batch returns.
+  /// Run fn(0)..fn(tasks-1) as `tasks` tasks of `cls` and return once all
+  /// finished. Never shed; stats count each task as one submitted and
+  /// completed job. The caller runs tasks itself alongside helper jobs on
+  /// the workers (see the file comment), so tasks may run concurrently and
+  /// in any order (inline mode: ascending order on the calling thread) —
+  /// callers needing determinism write to disjoint slots and fold on the
+  /// calling thread after the batch returns. Tasks must not throw.
   void run_batch(JobClass cls, std::size_t tasks,
                  const std::function<void(std::size_t)>& fn);
 
@@ -162,16 +175,25 @@ class JobQueue {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// Completion latch shared by the jobs of one run()/run_batch() call;
-  /// `remaining` is guarded by mu_ and done_cv_ fires when it hits zero.
+  struct ClassState;
+
+  /// One run_batch() call. Its lanes (the caller and helper jobs) claim
+  /// tasks from `next`; `done` counts finished tasks and done_cv_ fires when
+  /// it reaches `tasks`. `fn` is dereferenced only for a claimed index below
+  /// `tasks`, i.e. while the caller is still waiting.
   struct Batch {
-    explicit Batch(std::size_t n) : remaining(n) {}
-    std::size_t remaining;
+    const std::function<void(std::size_t)>* fn;
+    std::size_t tasks;
+    ClassState* cs;
+    Clock::time_point start;
+    std::atomic<std::size_t> next{0};
+    std::size_t done = 0;  ///< guarded by mu_
   };
 
   struct Job {
-    std::function<void()> fn;
-    std::shared_ptr<Batch> batch;  ///< null for fire-and-forget submits
+    std::function<void()> fn;      ///< submit()/run() work; empty for a helper
+    std::shared_ptr<bool> ran;     ///< run()'s completion flag, guarded by mu_
+    std::shared_ptr<Batch> batch;  ///< set for a run_batch() helper
     Clock::time_point enqueued;
   };
 
@@ -201,8 +223,14 @@ class JobQueue {
   bool admit_locked(ClassState& cs, const JobQueueConfig::Limit& limit);
   /// Inline-mode execution: record a zero wait, time the run, count it.
   void execute_inline(ClassState& cs, const std::function<void()>& fn);
-  /// Enqueue under mu_ (caller already admitted) and wake a worker.
+  /// Enqueue under mu_ (caller already admitted) and count it submitted.
   void enqueue_locked(ClassState& cs, Job job);
+  /// Claim and run `batch`'s tasks until none is left, then record their
+  /// latencies and completions under one lock. Called without mu_ held.
+  /// noexcept: a task that throws ends the process on the caller's lane as
+  /// it does on a worker's, instead of unwinding the caller while other
+  /// lanes still run its fn.
+  void run_lane(Batch& batch) noexcept;
   void worker_loop();
 
   JobQueueConfig config_;

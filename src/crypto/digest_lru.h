@@ -11,8 +11,8 @@
 // on lookup, so a prefix collision can only cause a spurious miss (the
 // colliding entry is displaced on insert), never a false hit. Not
 // thread-safe: callers consult and populate it from their single-threaded
-// control path (ledger/parallel.cpp looks up, verifies and inserts inline on
-// the thread applying the block).
+// control path (ledger/parallel.cpp looks up and inserts on the thread
+// applying the block; only the signature checks themselves run on workers).
 #pragma once
 
 #include <cstdint>
@@ -29,6 +29,13 @@ class DigestLruSet {
   /// transactions; memory is ~56 bytes per entry.
   explicit DigestLruSet(std::size_t capacity = 1u << 16)
       : capacity_(capacity == 0 ? 1 : capacity) {}
+
+  /// True when `d` is in the set. Leaves recency alone, so a look-ahead
+  /// (which signatures will a block check verify?) does not reorder the LRU.
+  [[nodiscard]] bool contains(const Digest& d) const {
+    const auto it = index_.find(digest_prefix64(d));
+    return it != index_.end() && *it->second == d;
+  }
 
   /// True when `d` is in the set; refreshes its recency on a hit.
   [[nodiscard]] bool contains_and_touch(const Digest& d) {

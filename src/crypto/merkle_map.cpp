@@ -7,6 +7,8 @@
 #include <span>
 #include <tuple>
 
+#include "common/job_queue.h"
+
 namespace mv::crypto {
 
 namespace {
@@ -429,6 +431,23 @@ Digest MerkleMap::root() const {
   if (root_ == kNone) return Digest{};
   ensure(root_);
   return hash_of(root_);
+}
+
+void MerkleMap::flush(JobQueue& queue) const {
+  if (root_ == kNone || is_leaf(root_) || !inners_[root_].dirty) return;
+  // A clean node's whole subtree is clean (put and erase dirty every node on
+  // their path), so only dirty depth-1 nodes can lead to dirty subtrees.
+  std::vector<Ref> subtrees;
+  for (const Ref kid : inners_[root_].kids) {
+    if (kid == kNone || is_leaf(kid) || !inners_[kid].dirty) continue;
+    for (const Ref grandkid : inners_[kid].kids) {
+      if (grandkid != kNone && !is_leaf(grandkid) && inners_[grandkid].dirty) {
+        subtrees.push_back(grandkid);
+      }
+    }
+  }
+  queue.run_batch(JobClass::kValidation, subtrees.size(),
+                  [&](std::size_t i) { ensure(subtrees[i]); });
 }
 
 MerkleMapProof MerkleMap::prove(std::uint64_t key) const {

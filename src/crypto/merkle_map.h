@@ -33,6 +33,10 @@
 
 #include "crypto/sha256.h"
 
+namespace mv {
+class JobQueue;
+}  // namespace mv
+
 namespace mv::crypto {
 
 /// One inner node on a key's lookup path, root-first at consecutive depths.
@@ -119,6 +123,13 @@ class MerkleMap {
   /// Commitment to the current contents; the empty map commits to all-zero.
   /// Lazily re-hashes dirty paths: O(dirty · log n), O(1) when clean.
   [[nodiscard]] Digest root() const;
+
+  /// Re-hash the dirty paths below depth 2 as one kValidation batch on
+  /// `queue`, one task per dirty depth-2 subtree (tasks touch disjoint
+  /// nodes); root() then folds only the top two levels. Every cached digest
+  /// ends up exactly as root() alone would compute it. Like root(), it must
+  /// not overlap any other use of the map.
+  void flush(JobQueue& queue) const;
 
   /// Root and key count of this map with `delta` (strictly ascending keys)
   /// applied on top — erases of absent keys ignored — without mutating the

@@ -161,6 +161,9 @@ Status Blockchain::append(const Block& block) {
   // undo recorded by the commit is the rollback of a mismatch; it also
   // feeds the retention ring and tells the commit hook what was touched.
   StateUndo undo = state.absorb(scratch);
+  if (JobQueue* queue = config_.validation.threaded_queue(); queue != nullptr) {
+    state.flush_account_tree(*queue);
+  }
   StateCommitment committed = state.commitment();
   if (committed.root != block.header.state_root) {
     state.apply_undo(undo);

@@ -24,11 +24,12 @@ namespace mv::ledger {
 struct ChainConfig {
   std::vector<crypto::PublicKey> validators;  ///< round-robin proposer order
   std::size_t max_txs_per_block = 256;
-  /// Block application (ledger/parallel.h). Blocks always apply serially,
-  /// inline on the calling thread; validation.sig_cache lets them skip
-  /// signatures verified before. validation.job_queue only routes
-  /// prove_account queries through the shared JobQueue's sheddable
-  /// kClientQuery lane (common/job_queue.h).
+  /// Block application (ledger/parallel.h). Blocks always apply serially
+  /// on the calling thread; validation.sig_cache lets them skip signatures
+  /// verified before. validation.job_queue routes prove_account queries
+  /// through the shared JobQueue's sheddable kClientQuery lane
+  /// (common/job_queue.h) and, when it has workers, spreads a block check's
+  /// signature checks and append's accounts tree re-hash over them.
   ValidationConfig validation;
   /// How many recent heights behind the tip stay reconstructible (a ring of
   /// per-block undo deltas + commitments): prove_account and export_snapshot

@@ -5,8 +5,11 @@
 // caller's scratch overlay and on the calling thread. The only shortcut is
 // the verified-signature cache: a transaction whose digest was verified
 // before (at mempool admission, at assembly) skips its signature check; a
-// miss is verified inline and remembered. The result is therefore the serial
-// result by construction, whatever executor the process runs (DESIGN.md §7).
+// miss is verified and remembered. On a threaded job queue a block check
+// verifies the misses it can foresee as one parallel batch before the loop
+// and the loop takes those verdicts; nothing else leaves the calling thread.
+// The result is therefore the serial result by construction, whatever
+// executor the process runs (DESIGN.md §7).
 #pragma once
 
 #include <cstdint>
@@ -31,13 +34,22 @@ struct ValidationConfig {
   /// replica (with its mempool); tampering changes the digest, so a hit is as
   /// strong as re-verifying. null = verify every time.
   std::shared_ptr<crypto::DigestLruSet> sig_cache;
-  /// The process executor (common/job_queue.h). apply_block never submits
-  /// to it: block application always runs inline on the calling thread, so
-  /// no ledger path can wait on the queue from inside one of its own jobs.
-  /// Blockchain::prove_account serves its queries on the kClientQuery lane
-  /// (sheddable), and ShardedLedger::commit_round fans its shards out on the
-  /// kConsensus lane. null = both run inline.
+  /// The process executor (common/job_queue.h). With workers, a block
+  /// check uses its kValidation lane for two stages that share no state:
+  /// apply_block's signature checks (kAllOrNothing mode with a sig_cache)
+  /// and the accounts tree re-hash in Blockchain::append. Both are
+  /// caller-helps batches, so they may run inside another job of the same
+  /// queue. Blockchain::prove_account serves its queries on the
+  /// kClientQuery lane (sheddable), and ShardedLedger::commit_round fans its
+  /// shards out on the kConsensus lane. null (or no workers) = all inline,
+  /// the serial code.
   std::shared_ptr<JobQueue> job_queue;
+
+  /// job_queue when it has worker threads, else null.
+  [[nodiscard]] JobQueue* threaded_queue() const {
+    return job_queue != nullptr && job_queue->workers() > 0 ? job_queue.get()
+                                                            : nullptr;
+  }
 };
 
 enum class ApplyMode {

@@ -316,10 +316,11 @@ ShardedLedger::ShardedLedger(ShardConfig config, const LedgerState& genesis,
     chain_config.max_txs_per_block = config_.max_txs_per_block;
     chain_config.state_retention = config_.state_retention;
     chain_config.validation = config_.validation;
-    // The shared queue drives the cross-shard fan-out only. A shard chain's
-    // block application never enters a queue anyway; without one its
-    // prove_account (called from ShardedLedger::prove_account) also runs
-    // inline instead of taking a kClientQuery hop per shard proof.
+    // The shared queue drives the cross-shard fan-out only: the shards
+    // already keep its lanes busy, so a shard chain checks its blocks on the
+    // committing thread, and its prove_account (called from
+    // ShardedLedger::prove_account) runs inline instead of taking a
+    // kClientQuery hop per shard proof.
     chain_config.validation.job_queue = nullptr;
     if (config_.validation.sig_cache != nullptr) {
       // The LRU is single-threaded; shards committing concurrently each get
@@ -388,12 +389,12 @@ Result<BeaconHeader> ShardedLedger::commit_round(const crypto::Wallet& proposer,
     sh.pool.prune(sh.chain->state());
   };
 
-  // Shards validate concurrently on the shared queue's consensus lane; each
-  // task touches only its own shard, and run_batch is a barrier, so the
-  // driver-side beacon fold below sees every shard's committed tip. A
-  // one-task batch would buy nothing and only move the commit onto a worker.
-  JobQueue* queue = config_.validation.job_queue.get();
-  if (shards_.size() > 1 && queue != nullptr && queue->workers() > 0) {
+  // Shards validate concurrently on the shared queue's consensus lane and on
+  // this thread; each task touches only its own shard, and run_batch is a
+  // barrier, so the driver-side beacon fold below sees every shard's
+  // committed tip. A one-task batch would only add bookkeeping.
+  JobQueue* queue = config_.validation.threaded_queue();
+  if (shards_.size() > 1 && queue != nullptr) {
     queue->run_batch(JobClass::kConsensus, shards_.size(), commit_shard);
   } else {
     for (std::size_t s = 0; s < shards_.size(); ++s) commit_shard(s);

@@ -65,9 +65,11 @@ struct ShardConfig {
   std::vector<crypto::PublicKey> validators;  ///< shared round-robin order
   std::size_t max_txs_per_block = 256;
   /// Per-shard validation knobs. The job_queue is lifted to the sharded
-  /// level — commit_round fans the shards out as one kConsensus batch — and
-  /// is NOT passed into the per-shard chains, so a composed prove_account
-  /// builds its shard proof inline rather than through a kClientQuery hop.
+  /// level — commit_round fans the shards out as one kConsensus batch, the
+  /// calling thread committing shards too — and is NOT passed into the
+  /// per-shard chains, so a composed prove_account builds its shard proof
+  /// inline rather than through a kClientQuery hop, and shard blocks check
+  /// on the thread that commits them.
   /// A non-null sig_cache requests per-shard verified-signature caches (the
   /// LRU is single-threaded; shards get one each instead of sharing the
   /// instance).

@@ -274,6 +274,11 @@ class LedgerState final : public LedgerView {
   /// construction: the clone must stay local to the export path.
   [[nodiscard]] LedgerState content_clone() const;
 
+  /// Re-hash the accounts tree's dirty paths as parallel tasks on `queue`
+  /// (crypto::MerkleMap::flush), so that the next commitment() folds only
+  /// its top two levels. The commitment is the same with or without it.
+  void flush_account_tree(JobQueue& queue) const { account_tree_.flush(queue); }
+
   /// Merkle inclusion proof for `a` against the current accounts_root (a
   /// non-membership proof when the account has no leaf). Pair with
   /// commitment() for the section digests a verifier recombines.

@@ -6,6 +6,7 @@
 
 #include <map>
 
+#include "common/job_queue.h"
 #include "crypto/merkle.h"
 #include "crypto/merkle_map.h"
 #include "crypto/schnorr.h"
@@ -496,6 +497,67 @@ TEST(MerkleMap, MatchesReferenceOracleUnderRandomChurn) {
     }
     ASSERT_EQ(m.size(), model.size());
     ASSERT_EQ(m.root(), reference_of(model)) << "round " << round;
+  }
+}
+
+TEST(MerkleMap, ParallelFlushMatchesSerialRoot) {
+  // flush() re-hashes the dirty depth-2 subtrees as parallel queue tasks.
+  // Under put/update/erase churn (erases collapse inner nodes, clustered
+  // keys build deep subtrees), the root it leaves must equal a twin map's
+  // serial root() and the oracle at every worker count, and proofs from the
+  // flushed map must verify against it.
+  for (const std::size_t workers : {0u, 1u, 2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    JobQueue queue(JobQueueConfig{.threads = workers});
+    Rng rng(0xf1a5);
+    MerkleMap flushed;
+    MerkleMap serial;
+    std::map<std::uint64_t, Digest> model;
+    const auto fresh_key = [&rng] {
+      return rng.chance(0.3) ? rng.next_below(1u << 20) << 40 : rng.next_u64();
+    };
+    flushed.flush(queue);  // empty map: nothing to do
+    for (int round = 0; round < 12; ++round) {
+      std::vector<std::uint64_t> keys;
+      for (const auto& [key, value] : model) keys.push_back(key);
+      rng.shuffle(keys);
+      for (std::size_t i = 0; i < keys.size() * 3 / 10; ++i) {
+        flushed.erase(keys[i]);
+        serial.erase(keys[i]);
+        model.erase(keys[i]);
+      }
+      for (int i = 0; i < (round == 0 ? 3000 : 600); ++i) {
+        const std::uint64_t key =
+            rng.chance(0.2) && !model.empty()
+                ? std::next(model.begin(), static_cast<std::ptrdiff_t>(
+                                               rng.next_below(model.size())))
+                      ->first
+                : fresh_key();
+        const Digest v = value_digest(rng.next_u64());
+        flushed.put(key, v);
+        serial.put(key, v);
+        model[key] = v;
+      }
+      const std::string where = "round " + std::to_string(round);
+      flushed.flush(queue);
+      flushed.flush(queue);  // clean now: a no-op
+      const Digest root = reference_of(model);
+      ASSERT_EQ(serial.root(), root) << where;
+      ASSERT_EQ(flushed.root(), root) << where;
+      for (int i = 0; i < 20; ++i) {
+        const auto it = std::next(
+            model.begin(), static_cast<std::ptrdiff_t>(rng.next_below(model.size())));
+        ASSERT_TRUE(MerkleMap::verify(root, it->first, it->second,
+                                      flushed.prove(it->first)))
+            << where;
+        const std::uint64_t absent = fresh_key();
+        if (model.contains(absent)) continue;
+        ASSERT_TRUE(MerkleMap::verify(root, absent, std::nullopt,
+                                      flushed.prove(absent)))
+            << where;
+      }
+    }
+    EXPECT_GT(queue.stats().of(JobClass::kValidation).completed, 0u);
   }
 }
 

@@ -1,6 +1,7 @@
 // JobQueue tests: inline-mode determinism, strict priority and per-class
 // FIFO under a single worker, depth/wait shedding and recovery, run_batch as
 // a thread pool (every task once, reuse across batches, inline on 0 workers),
+// caller-helps batches (nested in a job, with every worker busy),
 // exactly the configured number of worker threads, never-shed batches, stats
 // consistency, absence of consensus starvation under a mixed overload,
 // destructor abandonment, and the ledger integration (queue-routed block
@@ -330,6 +331,69 @@ TEST(JobQueueThreaded, RunBatchIsNeverShed) {
   EXPECT_EQ(cs.shed(), 0u);
 }
 
+// A batch never waits for a free worker: the caller claims tasks itself, so
+// a batch finishes with every worker busy and may nest inside a job.
+
+TEST(JobQueueThreaded, RunBatchNestedInsideAJobCompletes) {
+  JobQueueConfig config;
+  config.threads = 1;
+  JobQueue q(config);
+  std::vector<int> hits(8, 0);
+  std::thread::id job_thread;
+  std::vector<std::thread::id> ran_on(hits.size());
+  ASSERT_TRUE(q.run(JobClass::kConsensus, [&] {
+    job_thread = std::this_thread::get_id();
+    // The only worker is running this job: the batch's helper can never
+    // start, so the job's own thread runs every task.
+    q.run_batch(JobClass::kValidation, hits.size(), [&](std::size_t i) {
+      ++hits[i];
+      ran_on[i] = std::this_thread::get_id();
+    });
+  }));
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i], 1) << "task " << i;
+    EXPECT_EQ(ran_on[i], job_thread) << "task " << i;
+  }
+  const JobQueueStats stats = q.stats();
+  EXPECT_EQ(stats.of(JobClass::kValidation).submitted, hits.size());
+  EXPECT_EQ(stats.of(JobClass::kValidation).completed, hits.size());
+  EXPECT_EQ(stats.of(JobClass::kValidation).depth, 0u);  // helper taken back
+  EXPECT_EQ(stats.of(JobClass::kConsensus).completed, 1u);
+}
+
+TEST(JobQueueThreaded, RunBatchCompletesWhileWorkersAreBusy) {
+  constexpr std::size_t kWorkers = 2;
+  JobQueueConfig config;
+  config.threads = kWorkers;
+  JobQueue q(config);
+  Gate gate;
+  std::atomic<std::size_t> parked{0};
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    ASSERT_TRUE(q.submit(JobClass::kConsensus, [&] {
+      ++parked;
+      gate.wait();
+    }));
+  }
+  ASSERT_TRUE(eventually([&] { return parked.load() == kWorkers; }));
+
+  const auto caller = std::this_thread::get_id();
+  std::vector<int> hits(10, 0);
+  q.run_batch(JobClass::kValidation, hits.size(), [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller) << "task " << i;
+    ++hits[i];
+  });
+  for (const int h : hits) EXPECT_EQ(h, 1);
+  const JobClassStats during = q.stats().of(JobClass::kValidation);
+  EXPECT_EQ(during.submitted, hits.size());
+  EXPECT_EQ(during.completed, hits.size());
+  EXPECT_EQ(during.depth, 0u);  // unstarted helpers were taken back
+
+  gate.release(kWorkers);
+  q.drain();
+  EXPECT_EQ(q.stats().of(JobClass::kConsensus).completed, kWorkers);
+  EXPECT_EQ(q.stats().of(JobClass::kValidation).completed, hits.size());
+}
+
 // ---------------------------------------------------------------- stats
 
 TEST(JobQueueThreaded, StatsConsistentAfterDrain) {
@@ -488,9 +552,9 @@ TEST(JobQueueLedger, QueueRoutedApplicationMatchesSerialCommitments) {
   EXPECT_EQ(serial.state().commitment().root,
             threaded_chain.state().commitment().root);
 
-  // Block application never entered either queue: it runs inline on the
-  // appending thread, so no ledger path can wait on a queue from one of its
-  // own jobs.
+  // Neither chain fanned work out: the inline queue has no workers, and the
+  // threaded chain has no sig cache (no signature batch) and too few
+  // accounts for a depth-2 subtree to re-hash (no flush tasks).
   for (const JobQueue* queue : {inline_queue.get(), threaded_queue.get()}) {
     const JobQueueStats stats = queue->stats();
     EXPECT_EQ(stats.of(JobClass::kConsensus).completed, 0u);

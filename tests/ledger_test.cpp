@@ -487,39 +487,56 @@ TEST(Blockchain, AssembleDropsInvalidTxs) {
 }
 
 TEST(Blockchain, OverfullCandidatesAssembleFirstSuccessesInOnePass) {
-  ChainFixture f;
-  f.config.validation.sig_cache = std::make_shared<crypto::DigestLruSet>();
-  Blockchain chain = f.make_chain();
-  const std::size_t cap = f.config.max_txs_per_block;
-  // 2x the cap, every fourth candidate (from index 1) a nonce-gapped reject:
-  // 24 would succeed, so the cap cuts the list off after its 16th success.
-  std::vector<Transaction> candidates;
-  std::vector<Transaction> successes;
-  std::uint64_t nonce = 0;
-  for (std::size_t i = 0; i < 2 * cap; ++i) {
-    if (i % 4 == 1) {
-      candidates.push_back(make_transfer(f.bob, 99, f.alice.address(), 1, 0, f.rng));
-    } else {
-      candidates.push_back(make_transfer(f.alice, nonce++, f.bob.address(), 1, 0, f.rng));
-      successes.push_back(candidates.back());
+  // Without a queue and on a threaded one: assembly checks signatures inline
+  // either way, so a look-ahead cannot verify candidates past the cap.
+  for (const std::size_t workers : {0u, 2u}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    ChainFixture f;
+    f.config.validation.sig_cache = std::make_shared<crypto::DigestLruSet>();
+    if (workers > 0) {
+      f.config.validation.job_queue =
+          std::make_shared<JobQueue>(JobQueueConfig{.threads = workers});
     }
-  }
-  successes.resize(cap);
+    Blockchain chain = f.make_chain();
+    const std::size_t cap = f.config.max_txs_per_block;
+    // 2x the cap, every fourth candidate (from index 1) a nonce-gapped
+    // reject: 24 would succeed, so the cap cuts the list off after its 16th
+    // success.
+    std::vector<Transaction> candidates;
+    std::vector<Transaction> successes;
+    std::uint64_t nonce = 0;
+    for (std::size_t i = 0; i < 2 * cap; ++i) {
+      if (i % 4 == 1) {
+        candidates.push_back(make_transfer(f.bob, 99, f.alice.address(), 1, 0, f.rng));
+      } else {
+        candidates.push_back(
+            make_transfer(f.alice, nonce++, f.bob.address(), 1, 0, f.rng));
+        successes.push_back(candidates.back());
+      }
+    }
+    successes.resize(cap);
 
-  const Block block = chain.assemble(f.v0, candidates, 0, f.rng);
-  ASSERT_EQ(block.txs.size(), cap);
-  for (std::size_t i = 0; i < cap; ++i) {
-    EXPECT_EQ(block.txs[i].digest(), successes[i].digest()) << "tx " << i;
-  }
-  ASSERT_TRUE(chain.append(block).ok());
-  EXPECT_EQ(chain.state().nonce(f.alice.address()), cap);
+    const Block block = chain.assemble(f.v0, candidates, 0, f.rng);
+    ASSERT_EQ(block.txs.size(), cap);
+    for (std::size_t i = 0; i < cap; ++i) {
+      EXPECT_EQ(block.txs[i].digest(), successes[i].digest()) << "tx " << i;
+    }
+    if (workers > 0) {
+      EXPECT_EQ(f.config.validation.job_queue->stats()
+                    .of(JobClass::kValidation)
+                    .submitted,
+                0u);
+    }
+    ASSERT_TRUE(chain.append(block).ok());
+    EXPECT_EQ(chain.state().nonce(f.alice.address()), cap);
 
-  // One apply_block pass through the sig cache, stopping at the 16th
-  // success (candidate 20); the sealed append does not apply again.
-  const ValidationStats& stats = chain.validation_stats();
-  EXPECT_EQ(stats.applies, 1u);
-  EXPECT_EQ(stats.sealed_commits, 1u);
-  EXPECT_EQ(stats.sig_cache_hits + stats.sig_cache_misses, 21u);
+    // One apply_block pass through the sig cache, stopping at the 16th
+    // success (candidate 20); the sealed append does not apply again.
+    const ValidationStats& stats = chain.validation_stats();
+    EXPECT_EQ(stats.applies, 1u);
+    EXPECT_EQ(stats.sealed_commits, 1u);
+    EXPECT_EQ(stats.sig_cache_hits + stats.sig_cache_misses, 21u);
+  }
 }
 
 TEST(Blockchain, RejectsWrongProposer) {

@@ -3,10 +3,15 @@
 // a conflict-heavy differential (including contract payouts to accounts the
 // transactions never name) against the serial chain and
 // full_rehash_commitment(), commitment equality across queue worker counts,
-// error parity on invalid blocks, and consensus committees whose replicas
-// run threaded queues.
+// error parity on invalid blocks, the parallel block check (signature
+// look-ahead against the serial loop's cache behaviour, follower appends at
+// every worker count), and consensus committees whose replicas run threaded
+// queues.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "ledger/chain.h"
@@ -306,6 +311,188 @@ TEST(ParallelValidation, InvalidBlockErrorsMatchSerialExactly) {
       EXPECT_EQ(chain.state().commitment(), serial.state().commitment());
     }
     EXPECT_EQ(serial.height(), 0);
+  }
+}
+
+// ------------------------------------------------ parallel block check
+
+/// The cache's entries among `candidates`, least recently used first: fresh
+/// inserts (one per capacity slot) evict them in LRU order. Consumes the
+/// cache's contents.
+std::vector<crypto::Digest> lru_order(crypto::DigestLruSet& cache,
+                                      const std::vector<crypto::Digest>& candidates) {
+  std::vector<crypto::Digest> order;
+  std::vector<crypto::Digest> live;
+  for (const auto& d : candidates) {
+    if (cache.contains(d)) live.push_back(d);
+  }
+  for (std::size_t n = 0; n < cache.capacity() && !live.empty(); ++n) {
+    cache.insert(crypto::sha256(std::to_string(n) + "-fresh"));
+    for (auto it = live.begin(); it != live.end();) {
+      if (cache.contains(*it)) {
+        ++it;
+      } else {
+        order.push_back(*it);
+        it = live.erase(it);
+      }
+    }
+  }
+  return order;
+}
+
+TEST(ParallelBlockCheck, SigPreverifyMatchesSerialLoop) {
+  // On a threaded queue apply_block verifies the cache misses it foresees as
+  // one parallel batch before the loop. Every observable of the serial loop
+  // must survive that: status, failed index and error (which make execute()'s
+  // "tx k" message), applied indices, hit and miss counts, the post-state and
+  // the cache's contents and LRU order. Tiny caches make the loop's own
+  // inserts evict prewarmed entries the look-ahead counted as hits, so those
+  // misses take the inline fallback.
+  BlockFixture f(12);
+  std::vector<Transaction> valid;
+  for (std::size_t i = 0; i < 12; ++i) {
+    valid.push_back(make_transfer(f.wallets[i], 0,
+                                  f.wallets[(i + 1) % 12].address(), 5, 1, f.rng));
+  }
+  struct Case {
+    std::string name;
+    std::vector<Transaction> txs;
+    std::vector<std::size_t> prewarm;  ///< indices whose digests start cached
+  };
+  std::vector<Case> cases = {
+      {"all misses", valid, {}},
+      {"prewarmed hits", valid, {2, 5, 9, 11}},
+      {"duplicate tx", {valid[0], valid[1], valid[2], valid[1], valid[3]}, {0}},
+  };
+  for (const std::size_t k : {0u, 4u, 11u}) {
+    Case c{"bad signature at " + std::to_string(k), valid, {1, k, 7}};
+    c.txs[k].sig.s ^= 1;  // tampering also changes the digest: never cached
+    cases.push_back(std::move(c));
+  }
+
+  for (const Case& c : cases) {
+    const std::vector<crypto::Digest> digests = Block::tx_digests(c.txs);
+    std::vector<crypto::Digest> candidates = digests;
+    for (const std::size_t i : c.prewarm) candidates.push_back(valid[i].digest());
+    for (const std::size_t capacity :
+         {std::size_t{1}, std::size_t{2}, crypto::DigestLruSet().capacity()}) {
+      // Run the block on a fresh, prewarmed cache of `capacity`.
+      const auto run = [&](ValidationConfig config, bool pass_digests) {
+        config.sig_cache = std::make_shared<crypto::DigestLruSet>(capacity);
+        for (const std::size_t i : c.prewarm) config.sig_cache->insert(valid[i].digest());
+        auto scratch = LedgerStateOverlay::reader(f.genesis);
+        const BlockApplyOutcome out = apply_block(
+            scratch, c.txs, *f.contracts, 0, config, ApplyMode::kAllOrNothing,
+            std::numeric_limits<std::size_t>::max(),
+            pass_digests ? std::span<const crypto::Digest>(digests)
+                         : std::span<const crypto::Digest>());
+        return std::tuple(out, scratch.commitment(), config.sig_cache);
+      };
+      const auto [want, want_state, want_cache] = run({}, true);
+      const std::size_t want_size = want_cache->size();
+      std::vector<bool> want_members;
+      for (const auto& d : candidates) want_members.push_back(want_cache->contains(d));
+      const std::vector<crypto::Digest> want_order =
+          capacity <= 2 ? lru_order(*want_cache, candidates)
+                        : std::vector<crypto::Digest>{};
+      for (const std::size_t workers : {0u, 1u, 2u, 4u}) {
+        for (const bool pass_digests : {true, false}) {
+          SCOPED_TRACE(testing::Message()
+                       << c.name << ", capacity " << capacity << ", " << workers
+                       << " workers, digests " << (pass_digests ? "given" : "hashed"));
+          const auto [got, got_state, got_cache] = run(on_queue(workers), pass_digests);
+          ASSERT_EQ(got.status.ok(), want.status.ok());
+          if (!want.status.ok()) {
+            EXPECT_EQ(got.failed_index, want.failed_index);
+            EXPECT_EQ(got.status.error().to_string(), want.status.error().to_string());
+          }
+          EXPECT_EQ(got.applied, want.applied);
+          EXPECT_EQ(got.sig_hits, want.sig_hits);
+          EXPECT_EQ(got.sig_misses, want.sig_misses);
+          EXPECT_EQ(got_state, want_state);
+          EXPECT_EQ(got_cache->size(), want_size);
+          for (std::size_t i = 0; i < candidates.size(); ++i) {
+            EXPECT_EQ(got_cache->contains(candidates[i]), want_members[i]) << "digest " << i;
+          }
+          if (capacity <= 2) {
+            EXPECT_EQ(lru_order(*got_cache, candidates), want_order);
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Digest-level equality of two undos (StateUndo has no operator==).
+void expect_same_undo(const StateUndo& a, const StateUndo& b) {
+  EXPECT_EQ(a.accounts, b.accounts);
+  EXPECT_EQ(a.audit_count, b.audit_count);
+  EXPECT_EQ(a.audit_digest, b.audit_digest);
+  EXPECT_EQ(a.burned_delta, b.burned_delta);
+  ASSERT_EQ(a.stores.size(), b.stores.size());
+  for (auto ia = a.stores.begin(), ib = b.stores.begin(); ia != a.stores.end();
+       ++ia, ++ib) {
+    EXPECT_EQ(ia->first, ib->first);
+    EXPECT_EQ(ia->second.existed, ib->second.existed);
+    EXPECT_EQ(ia->second.entries, ib->second.entries);
+  }
+}
+
+TEST(ParallelBlockCheck, UnsealedFollowerAppendsMatchAcrossWorkerCounts) {
+  // Followers appending a proposer's blocks unsealed: with enough accounts
+  // that every block dirties many depth-2 subtrees, the parallel signature
+  // batch and the parallel re-hash must leave every worker count with the
+  // serial roots and byte-identical undos.
+  BlockFixture f(1200);
+  Blockchain proposer = f.serial_chain();
+  std::vector<StateUndo> want_undos;
+  proposer.set_commit_hook(
+      [&](const Block&, const StateUndo& undo) { want_undos.push_back(undo); });
+  Rng workload(8080);
+  std::vector<Block> blocks;
+  for (std::int64_t b = 0; b < 4; ++b) {
+    std::vector<Transaction> txs;
+    for (int t = 0; t < 250; ++t) {  // within max_txs_per_block
+      const std::size_t w = workload.next_below(f.wallets.size());
+      // A few transfers create fresh accounts (new leaves, node splits).
+      const crypto::Address to =
+          workload.chance(0.05)
+              ? crypto::Address{workload.next_u64()}
+              : f.wallets[workload.next_below(f.wallets.size())].address();
+      txs.push_back(make_transfer(f.wallets[w], f.nonces[w]++, to,
+                                  1 + workload.next_below(100), 1, workload));
+    }
+    Rng assemble_rng(900 + static_cast<std::uint64_t>(b));
+    blocks.push_back(
+        proposer.assemble(f.proposer, txs, static_cast<Tick>(b), assemble_rng));
+    ASSERT_EQ(blocks.back().txs.size(), txs.size()) << "block " << b;
+    ASSERT_TRUE(proposer.append(blocks.back()).ok()) << "block " << b;
+  }
+
+  for (const std::size_t workers : {0u, 1u, 2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    Blockchain follower = f.queue_chain(workers);
+    std::vector<StateUndo> undos;
+    follower.set_commit_hook(
+        [&](const Block&, const StateUndo& undo) { undos.push_back(undo); });
+    for (const Block& block : blocks) {
+      ASSERT_TRUE(follower.append(block).ok()) << "height " << block.header.height;
+      const std::int64_t h = block.header.height;
+      EXPECT_EQ(*follower.commitment_at(h), *proposer.commitment_at(h)) << "height " << h;
+    }
+    ASSERT_EQ(undos.size(), want_undos.size());
+    for (std::size_t i = 0; i < undos.size(); ++i) expect_same_undo(undos[i], want_undos[i]);
+    EXPECT_EQ(follower.state().commitment(), follower.state().full_rehash_commitment());
+    EXPECT_EQ(follower.validation_stats().sig_cache_misses,
+              blocks.size() * blocks.front().txs.size());
+    // With workers both stages ran as queue batches; inline, neither did.
+    const JobClassStats v =
+        follower.config().validation.job_queue->stats().of(JobClass::kValidation);
+    if (workers == 0) {
+      EXPECT_EQ(v.completed, 0u);
+    } else {
+      EXPECT_GT(v.completed, blocks.size() * 2);
+    }
   }
 }
 

@@ -274,13 +274,37 @@ struct RollbackFixture : SealFixture {
     return registry;
   }();
   crypto::Wallet carol{rng};  ///< never funded: the blocks below create her
-  Blockchain source{config, contracts, genesis};    ///< proposes honest blocks
-  Blockchain follower{config, contracts, genesis};  ///< only ever appends
+  Blockchain source;    ///< proposes honest blocks
+  Blockchain follower;  ///< only ever appends
   std::uint64_t hook_calls = 0;
 
-  RollbackFixture() {
+  /// `queue` with workers puts the follower's block checks on the parallel
+  /// paths (a sig cache rides along); the genesis then also holds `fillers`
+  /// spread-out accounts, so that its accounts tree has depth-2 subtrees to
+  /// re-hash.
+  explicit RollbackFixture(std::shared_ptr<JobQueue> queue = nullptr,
+                           std::size_t fillers = 0)
+      : source(config, contracts, padded(genesis, fillers)),
+        follower(follower_config(config, std::move(queue)), contracts,
+                 padded(genesis, fillers)) {
     follower.set_commit_hook(
         [this](const Block&, const StateUndo&) { ++hook_calls; });
+  }
+
+  static LedgerState padded(LedgerState genesis, std::size_t fillers) {
+    for (std::uint64_t i = 1; i <= fillers; ++i) {
+      genesis.credit(crypto::Address{i * 0x9E3779B97F4A7C15ull}, 1000);
+    }
+    return genesis;
+  }
+
+  static ChainConfig follower_config(ChainConfig config,
+                                     std::shared_ptr<JobQueue> queue) {
+    if (queue != nullptr) {
+      config.validation.job_queue = std::move(queue);
+      config.validation.sig_cache = std::make_shared<crypto::DigestLruSet>();
+    }
+    return config;
   }
 
   /// A block touching every state section: a transfer to a fresh account, a
@@ -408,6 +432,40 @@ TEST(FollowerRollback, ForgedRootOnTheFirstBlockKeepsTheGenesis) {
   EXPECT_EQ(f.hook_calls, 0u);
   ASSERT_TRUE(f.advance(10));
   EXPECT_EQ(f.follower.state().commitment(), f.source.state().commitment());
+}
+
+TEST(FollowerRollback, ForgedRootsOnAThreadedQueueAreRolledBack) {
+  // The same rollbacks with the follower's signature checks and accounts
+  // re-hash running as queue batches: the undo must also restore the
+  // parallel-flushed tree, including the leaf (and the node collapse) of an
+  // account the rejected block created.
+  auto queue = std::make_shared<JobQueue>(JobQueueConfig{.threads = 2});
+  RollbackFixture f(queue, /*fillers=*/1000);
+  const ChainImage genesis = f.image();
+  const Status first = f.follower.append(
+      f.forge(f.busy_txs(10), f.follower.state().commitment().root));
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.error().code, "block.bad_state_root");
+  EXPECT_EQ(f.follower.state().find_balance(f.carol.address()), std::nullopt);
+  EXPECT_EQ(f.follower.state().commitment(), genesis.state.commitment());
+
+  for (std::uint64_t b = 0; b < 3; ++b) ASSERT_TRUE(f.advance(10 + b));
+  const ChainImage before = f.image();
+  const Block honest = f.source.assemble(f.proposer_for(f.source), f.busy_txs(20),
+                                         f.source.height(), f.rng);
+  crypto::Digest forged_root = honest.header.state_root;
+  forged_root[0] ^= 0x80;
+  const Status s = f.follower.append(f.forge(honest.txs, forged_root));
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.error().code, "block.bad_state_root");
+  f.expect_untouched(before);
+
+  ASSERT_TRUE(f.follower.append(honest).ok());
+  ASSERT_TRUE(f.source.append(honest).ok());
+  EXPECT_EQ(f.follower.state().commitment(), f.source.state().commitment());
+  EXPECT_EQ(f.follower.state().commitment(),
+            f.follower.state().full_rehash_commitment());
+  EXPECT_GT(queue->stats().of(JobClass::kValidation).completed, 0u);
 }
 
 TEST(FollowerRollback, FailingTxMidBlockLeavesStateUntouched) {
