@@ -422,6 +422,50 @@ BENCHMARK(BM_AccountProofRoundTrip)
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 
+// The same round trip across the wire, as a light client sees it: the full
+// node proves and encodes, the client decodes the bytes and verifies them.
+// Measures the strict AccountProof/MerkleMapProof decoders on top of the
+// proof work BM_AccountProofRoundTrip covers.
+void BM_AccountProofWire(benchmark::State& state) {
+  const auto accounts = static_cast<std::size_t>(state.range(0));
+  Rng rng(31337);
+  LedgerState genesis;
+  for (std::size_t i = 0; i < accounts; ++i) {
+    genesis.credit(crypto::Address{0x100000 + i}, 1 + i % 997);
+  }
+  crypto::Wallet validator(rng);
+  ChainConfig config;
+  config.validators = {validator.public_key()};
+  Blockchain chain(config, std::make_shared<ContractRegistry>(), genesis);
+  if (!chain.append(chain.assemble(validator, {}, 0, rng)).ok()) {
+    state.SkipWithError("genesis block append failed");
+    return;
+  }
+  const crypto::Digest state_root = chain.blocks()[0].header.state_root;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto ap =
+        chain.prove_account(crypto::Address{0x100000 + i++ % accounts}, 0);
+    if (!ap.ok()) {
+      state.SkipWithError("prove_account failed");
+      return;
+    }
+    const Bytes wire = ap.value().encode();
+    const auto decoded = AccountProof::decode(wire);
+    if (!decoded.ok() || !verify_account_proof(decoded.value(), state_root).ok()) {
+      state.SkipWithError("decoded account proof did not verify");
+      return;
+    }
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_AccountProofWire)
+    ->Arg(1000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+
 // ---- snapshot sync: O(state) catch-up vs O(history) replay ----
 
 // A committed source chain, built once per (accounts, history) combination

@@ -44,7 +44,9 @@ gate "differential commitment test" 'Differential'
 echo "== gate: proof fuzz (10k keys + mutation sweep) must run (not be skipped) =="
 # Every present key must prove, every absent key must non-membership-prove,
 # and no single-byte mutation of an encoded proof may survive verification.
-gate "proof fuzz test" 'ProofFuzz'
+# WireIdentity pins the encoding of every public wire type to a SHA-256 and
+# requires decode + re-encode to reproduce it byte for byte.
+gate "proof fuzz test" 'ProofFuzz|WireIdentity'
 
 echo "== gate: ledger state layout (account table + arena Merkle map) =="
 # The flat state's safety net: the open-addressing AccountTable against a
@@ -137,7 +139,7 @@ MV_BENCH_NO_TABLE=1 ./build/bench/bench_e2e \
 
 echo "== bench: ledger microbenchmarks -> BENCH_ledger.json (median of 3) =="
 MV_BENCH_NO_TABLE=1 ./build/bench/bench_ledger \
-  --benchmark_filter='BM_BlockAssembleValidate|BM_BlockValidate|BM_FollowerAppend|BM_CommitmentAfterTouch|BM_TxApplyTransfer|BM_MempoolSelectRemove|BM_AccountProofRoundTrip|BM_CatchUp|BM_DiffSnapshot|BM_SnapshotExportImport|BM_BlockValidateSigCache|BM_JobQueue|BM_SubscriptionFanout|BM_ShardedPipeline' \
+  --benchmark_filter='BM_BlockAssembleValidate|BM_BlockValidate|BM_FollowerAppend|BM_CommitmentAfterTouch|BM_TxApplyTransfer|BM_MempoolSelectRemove|BM_AccountProofRoundTrip|BM_AccountProofWire|BM_CatchUp|BM_DiffSnapshot|BM_SnapshotExportImport|BM_BlockValidateSigCache|BM_JobQueue|BM_SubscriptionFanout|BM_ShardedPipeline' \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
   --benchmark_out=BENCH_ledger.json \

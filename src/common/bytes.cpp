@@ -1,5 +1,7 @@
 #include "common/bytes.h"
 
+#include <algorithm>
+
 namespace mv {
 
 namespace {
@@ -67,27 +69,42 @@ Result<double> ByteReader::f64() {
   return v;
 }
 
-Result<std::string> ByteReader::str() {
-  auto len = u32();
-  if (!len.ok()) return len.error();
-  if (!need(len.value())) return truncated();
-  std::string out(reinterpret_cast<const char*>(data_.data() + pos_), len.value());
-  pos_ += len.value();
+Result<std::span<const std::uint8_t>> ByteReader::take(std::size_t n) {
+  if (!need(n)) return truncated();
+  const auto out = data_.subspan(pos_, n);
+  pos_ += n;
   return out;
+}
+
+Result<std::string> ByteReader::str() {
+  auto v = view();
+  if (!v.ok()) return v.error();
+  return std::string(reinterpret_cast<const char*>(v.value().data()), v.value().size());
 }
 
 Result<Bytes> ByteReader::bytes() {
+  auto v = view();
+  if (!v.ok()) return v.error();
+  return Bytes(v.value().begin(), v.value().end());
+}
+
+Result<std::span<const std::uint8_t>> ByteReader::view() {
   auto len = u32();
   if (!len.ok()) return len.error();
-  return raw(len.value());
+  return take(len.value());
+}
+
+Status ByteReader::fixed(std::span<std::uint8_t> out) {
+  auto v = take(out.size());
+  if (!v.ok()) return v.error();
+  std::copy(v.value().begin(), v.value().end(), out.begin());
+  return {};
 }
 
 Result<Bytes> ByteReader::raw(std::size_t n) {
-  if (!need(n)) return truncated();
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
+  auto v = take(n);
+  if (!v.ok()) return v.error();
+  return Bytes(v.value().begin(), v.value().end());
 }
 
 std::string to_hex(std::span<const std::uint8_t> data) {

@@ -48,7 +48,14 @@ class ByteReader {
   [[nodiscard]] Result<std::int64_t> i64();
   [[nodiscard]] Result<double> f64();
   [[nodiscard]] Result<std::string> str();
+  /// Length-prefixed field, copied out.
   [[nodiscard]] Result<Bytes> bytes();
+  /// Length-prefixed field as a view into the buffer (no copy): valid only
+  /// while the buffer lives. Nested objects decode straight from it.
+  [[nodiscard]] Result<std::span<const std::uint8_t>> view();
+  /// Fixed-size field without a length prefix (digests): fills `out`
+  /// exactly, with no heap allocation.
+  [[nodiscard]] Status fixed(std::span<std::uint8_t> out);
   /// Read exactly n raw bytes (no length prefix).
   [[nodiscard]] Result<Bytes> raw(std::size_t n);
 
@@ -56,7 +63,9 @@ class ByteReader {
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
-  [[nodiscard]] bool need(std::size_t n) const { return pos_ + n <= data_.size(); }
+  [[nodiscard]] bool need(std::size_t n) const { return n <= data_.size() - pos_; }
+  /// The next n bytes, consumed.
+  [[nodiscard]] Result<std::span<const std::uint8_t>> take(std::size_t n);
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

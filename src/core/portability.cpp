@@ -15,7 +15,7 @@ Bytes GovernancePack::encode() const {
   return w.take();
 }
 
-Result<GovernancePack> GovernancePack::decode(const Bytes& bytes) {
+Result<GovernancePack> GovernancePack::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   auto tag = r.str();
   if (!tag.ok()) return tag.error();

@@ -21,7 +21,7 @@ struct GovernancePack {
   std::map<std::string, std::string> region_regulations;  ///< region → module name
 
   [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<GovernancePack> decode(const Bytes& bytes);
+  [[nodiscard]] static Result<GovernancePack> decode(std::span<const std::uint8_t> bytes);
 
   friend bool operator==(const GovernancePack&, const GovernancePack&) = default;
 };

@@ -574,7 +574,7 @@ Bytes MerkleMapProof::encode() const {
   return w.take();
 }
 
-Result<MerkleMapProof> MerkleMapProof::decode(const Bytes& bytes) {
+Result<MerkleMapProof> MerkleMapProof::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   const auto version = r.u8();
   if (!version.ok()) return version.error();
@@ -607,17 +607,13 @@ Result<MerkleMapProof> MerkleMapProof::decode(const Bytes& bytes) {
     // An honest step carries either every present child (terminating
     // absent-slot step) or all but the one on the path.
     if (sibling_count.value() > present ||
-        sibling_count.value() + 1 < present) {
+        sibling_count.value() + 1u < present) {
       return make_error("proof.bad_sibling_count",
                         "sibling count inconsistent with bitmap");
     }
-    step.siblings.reserve(sibling_count.value());
-    for (unsigned s = 0; s < sibling_count.value(); ++s) {
-      auto raw = r.raw(32);
-      if (!raw.ok()) return raw.error();
-      Digest d;
-      std::copy(raw.value().begin(), raw.value().end(), d.begin());
-      step.siblings.push_back(d);
+    step.siblings.resize(sibling_count.value());
+    for (Digest& d : step.siblings) {
+      if (Status s = r.fixed(d); !s.ok()) return s.error();
     }
     proof.steps.push_back(std::move(step));
   }
@@ -626,10 +622,7 @@ Result<MerkleMapProof> MerkleMapProof::decode(const Bytes& bytes) {
     const auto key = r.u64();
     if (!key.ok()) return key.error();
     proof.terminal_key = key.value();
-    auto raw = r.raw(32);
-    if (!raw.ok()) return raw.error();
-    std::copy(raw.value().begin(), raw.value().end(),
-              proof.terminal_value.begin());
+    if (Status s = r.fixed(proof.terminal_value); !s.ok()) return s.error();
   }
   if (!r.exhausted()) {
     return make_error("proof.trailing_bytes", "proof has trailing bytes");

@@ -73,7 +73,7 @@ struct MerkleMapProof {
   /// bitmap cannot support, and trailing bytes — so that no byte of an
   /// encoded proof is semantically inert.
   [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<MerkleMapProof> decode(const Bytes& bytes);
+  [[nodiscard]] static Result<MerkleMapProof> decode(std::span<const std::uint8_t> bytes);
 };
 
 class MerkleMap {

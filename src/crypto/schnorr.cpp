@@ -99,4 +99,20 @@ bool verify(const PublicKey& pub, std::span<const std::uint8_t> message,
   return challenge(r, message) == sig.e;
 }
 
+Status read_key(ByteReader& r, PublicKey& out) {
+  auto y = r.u64();
+  if (!y.ok()) return y.error();
+  out.y = y.value();
+  return {};
+}
+
+Status read_signature(ByteReader& r, Signature& out) {
+  auto e = r.u64();
+  if (!e.ok()) return e.error();
+  auto s = r.u64();
+  if (!s.ok()) return s.error();
+  out = Signature{e.value(), s.value()};
+  return {};
+}
+
 }  // namespace mv::crypto

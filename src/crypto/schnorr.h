@@ -12,6 +12,7 @@
 
 #include <cstdint>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "crypto/sha256.h"
 
@@ -46,6 +47,22 @@ struct Signature {
   std::uint64_t e = 0;  ///< challenge = H(r || m) mod q
   std::uint64_t s = 0;  ///< response  = (k - x*e) mod q
 };
+
+/// Wire layout of keys and signatures, the one codec every signed object
+/// (transactions, block and beacon headers, consensus votes) uses: a key is
+/// u64(y), a signature u64(e) || u64(s). The writers take any writer with
+/// the ByteWriter field interface (ByteWriter, HashWriter).
+template <typename Writer>
+void write_key(Writer& w, PublicKey key) {
+  w.u64(key.y);
+}
+template <typename Writer>
+void write_signature(Writer& w, const Signature& sig) {
+  w.u64(sig.e);
+  w.u64(sig.s);
+}
+[[nodiscard]] Status read_key(ByteReader& r, PublicKey& out);
+[[nodiscard]] Status read_signature(ByteReader& r, Signature& out);
 
 /// Sample a fresh keypair.
 [[nodiscard]] KeyPair generate_keypair(Rng& rng);

@@ -12,7 +12,7 @@ std::string Address::to_string() const {
 
 Address address_of(const PublicKey& pub) {
   ByteWriter w;
-  w.u64(pub.y);
+  write_key(w, pub);
   const Digest d = sha256(w.data());
   std::uint64_t v = digest_prefix64(d);
   if (v == 0) v = 1;  // reserve 0 as the null address

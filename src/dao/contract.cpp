@@ -47,7 +47,7 @@ struct Meta {
     return w.take();
   }
 
-  [[nodiscard]] static Result<Meta> decode(const Bytes& bytes) {
+  [[nodiscard]] static Result<Meta> decode(std::span<const std::uint8_t> bytes) {
     ByteReader r(bytes);
     Meta m;
     auto title = r.str();

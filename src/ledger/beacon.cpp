@@ -15,12 +15,6 @@ constexpr std::string_view kAnchorDomain = "mv.shard.anchor.v1";
 /// any deployment, low enough that a forged count cannot drive allocation.
 constexpr std::uint32_t kMaxShards = 1u << 16;
 
-crypto::Digest digest_from(const Bytes& raw) {
-  crypto::Digest d{};
-  std::copy(raw.begin(), raw.end(), d.begin());
-  return d;
-}
-
 }  // namespace
 
 crypto::Digest shard_anchor_digest(const ShardAnchor& anchor) {
@@ -75,21 +69,18 @@ Bytes BeaconHeader::signing_bytes() const {
 Bytes BeaconHeader::encode() const {
   ByteWriter w;
   w.raw(signing_bytes());
-  w.u64(proposer_pub.y);
-  w.u64(proposer_sig.e);
-  w.u64(proposer_sig.s);
+  crypto::write_key(w, proposer_pub);
+  crypto::write_signature(w, proposer_sig);
   return w.take();
 }
 
-Result<BeaconHeader> BeaconHeader::decode(const Bytes& bytes) {
+Result<BeaconHeader> BeaconHeader::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   BeaconHeader h;
   auto height = r.i64();
   if (!height.ok()) return height.error();
   h.height = height.value();
-  auto prev = r.raw(32);
-  if (!prev.ok()) return prev.error();
-  h.prev_hash = digest_from(prev.value());
+  if (Status s = r.fixed(h.prev_hash); !s.ok()) return s.error();
   auto ts = r.i64();
   if (!ts.ok()) return ts.error();
   h.timestamp = ts.value();
@@ -99,33 +90,23 @@ Result<BeaconHeader> BeaconHeader::decode(const Bytes& bytes) {
       static_cast<std::size_t>(count.value()) * 64 > r.remaining()) {
     return make_error(errc::kBeaconBadCount, "shard count out of range");
   }
-  h.shards.reserve(count.value());
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    ShardAnchor a;
-    auto state = r.raw(32);
-    if (!state.ok()) return state.error();
-    a.state_root = digest_from(state.value());
-    auto receipts = r.raw(32);
-    if (!receipts.ok()) return receipts.error();
-    a.receipts_root = digest_from(receipts.value());
-    h.shards.push_back(a);
+  h.shards.resize(count.value());
+  for (ShardAnchor& a : h.shards) {
+    if (Status s = r.fixed(a.state_root); !s.ok()) return s.error();
+    if (Status s = r.fixed(a.receipts_root); !s.ok()) return s.error();
   }
-  auto root = r.raw(32);
-  if (!root.ok()) return root.error();
+  crypto::Digest root{};
+  if (Status s = r.fixed(root); !s.ok()) return s.error();
   // The root is derived state: recompute it and refuse a stream whose
   // claimed root disagrees — no semantically inert bytes.
   h.beacon_root = combine_beacon_root(h.shards);
-  if (digest_from(root.value()) != h.beacon_root) {
+  if (root != h.beacon_root) {
     return make_error(errc::kBeaconBadRoot, "beacon root does not recombine");
   }
-  auto pub = r.u64();
-  if (!pub.ok()) return pub.error();
-  h.proposer_pub.y = pub.value();
-  auto e = r.u64();
-  if (!e.ok()) return e.error();
-  auto s = r.u64();
-  if (!s.ok()) return s.error();
-  h.proposer_sig = crypto::Signature{e.value(), s.value()};
+  if (Status s = crypto::read_key(r, h.proposer_pub); !s.ok()) return s.error();
+  if (Status s = crypto::read_signature(r, h.proposer_sig); !s.ok()) {
+    return s.error();
+  }
   if (!r.exhausted()) {
     return make_error(errc::kBeaconTrailing, "trailing bytes after header");
   }

@@ -83,7 +83,7 @@ struct BeaconHeader {
   [[nodiscard]] Bytes encode() const;
   /// Strict decode: bounded shard count, beacon_root recomputed, exhausted
   /// check. Every failure names a beacon.* code.
-  [[nodiscard]] static Result<BeaconHeader> decode(const Bytes& bytes);
+  [[nodiscard]] static Result<BeaconHeader> decode(std::span<const std::uint8_t> bytes);
   /// sha256 over the full encoding (the next beacon's prev_hash).
   [[nodiscard]] crypto::Digest hash() const;
 };

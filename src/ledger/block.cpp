@@ -9,48 +9,35 @@ Bytes BlockHeader::signing_bytes() const {
   w.raw(tx_root);
   w.raw(state_root);
   w.i64(timestamp);
-  w.u64(proposer_pub.y);
+  crypto::write_key(w, proposer_pub);
   return w.take();
 }
 
 Bytes BlockHeader::encode() const {
   ByteWriter w;
   w.raw(signing_bytes());
-  w.u64(proposer_sig.e);
-  w.u64(proposer_sig.s);
+  crypto::write_signature(w, proposer_sig);
   return w.take();
 }
 
 crypto::Digest BlockHeader::hash() const { return crypto::sha256(encode()); }
 
-Result<BlockHeader> BlockHeader::decode(const Bytes& bytes) {
+Result<BlockHeader> BlockHeader::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   BlockHeader header;
   auto height = r.i64();
   if (!height.ok()) return height.error();
   header.height = height.value();
-  auto prev = r.raw(32);
-  if (!prev.ok()) return prev.error();
-  std::copy(prev.value().begin(), prev.value().end(), header.prev_hash.begin());
-  auto tx_root = r.raw(32);
-  if (!tx_root.ok()) return tx_root.error();
-  std::copy(tx_root.value().begin(), tx_root.value().end(),
-            header.tx_root.begin());
-  auto state_root = r.raw(32);
-  if (!state_root.ok()) return state_root.error();
-  std::copy(state_root.value().begin(), state_root.value().end(),
-            header.state_root.begin());
+  if (Status s = r.fixed(header.prev_hash); !s.ok()) return s.error();
+  if (Status s = r.fixed(header.tx_root); !s.ok()) return s.error();
+  if (Status s = r.fixed(header.state_root); !s.ok()) return s.error();
   auto ts = r.i64();
   if (!ts.ok()) return ts.error();
   header.timestamp = ts.value();
-  auto pub = r.u64();
-  if (!pub.ok()) return pub.error();
-  header.proposer_pub.y = pub.value();
-  auto e = r.u64();
-  if (!e.ok()) return e.error();
-  auto s = r.u64();
-  if (!s.ok()) return s.error();
-  header.proposer_sig = crypto::Signature{e.value(), s.value()};
+  if (Status s = crypto::read_key(r, header.proposer_pub); !s.ok()) return s.error();
+  if (Status s = crypto::read_signature(r, header.proposer_sig); !s.ok()) {
+    return s.error();
+  }
   if (!r.exhausted()) {
     return make_error("block.trailing_bytes", "unparsed trailing header data");
   }
@@ -65,9 +52,9 @@ Bytes Block::encode() const {
   return w.take();
 }
 
-Result<Block> Block::decode(const Bytes& bytes) {
+Result<Block> Block::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  auto header_bytes = r.bytes();
+  auto header_bytes = r.view();
   if (!header_bytes.ok()) return header_bytes.error();
 
   Block block;
@@ -84,7 +71,7 @@ Result<Block> Block::decode(const Bytes& bytes) {
   }
   block.txs.reserve(count.value());
   for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto tx_bytes = r.bytes();
+    auto tx_bytes = r.view();
     if (!tx_bytes.ok()) return tx_bytes.error();
     auto tx = Transaction::decode(tx_bytes.value());
     if (!tx.ok()) return tx.error();

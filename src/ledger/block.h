@@ -27,7 +27,7 @@ struct BlockHeader {
   [[nodiscard]] Bytes encode() const;
   /// Strict inverse of encode(): the whole buffer must be one header.
   /// Subscription pushes and block decoding both parse headers through this.
-  [[nodiscard]] static Result<BlockHeader> decode(const Bytes& bytes);
+  [[nodiscard]] static Result<BlockHeader> decode(std::span<const std::uint8_t> bytes);
   [[nodiscard]] crypto::Digest hash() const;
   [[nodiscard]] crypto::Address proposer() const {
     return crypto::address_of(proposer_pub);
@@ -39,7 +39,7 @@ struct Block {
   std::vector<Transaction> txs;
 
   [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<Block> decode(const Bytes& bytes);
+  [[nodiscard]] static Result<Block> decode(std::span<const std::uint8_t> bytes);
 
   /// Digest of every tx in `txs`, in order: the leaves of tx_root.
   [[nodiscard]] static std::vector<crypto::Digest> tx_digests(

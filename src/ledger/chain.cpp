@@ -27,9 +27,10 @@ Blockchain::Blockchain(ChainConfig config,
   if (config_.validators.empty()) {
     throw std::invalid_argument("Blockchain: empty validator set");
   }
+  tip_commitment_ = genesis_->commitment();
   ByteWriter w;
   w.str("genesis");
-  w.raw(genesis_->commitment().root);
+  w.raw(tip_commitment_.root);
   genesis_hash_ = crypto::sha256(w.data());
   base_hash_ = genesis_hash_;
 }
@@ -170,44 +171,42 @@ Status Blockchain::append(const Block& block) {
     return Status::fail("block.bad_state_root", "post-state mismatch");
   }
   if (sealed) ++vstats_.sealed_commits;
+  StateCommitment restored = std::exchange(tip_commitment_, std::move(committed));
   blocks_.push_back(block);
   if (commit_hook_) commit_hook_(block, undo);
   if (config_.state_retention > 0) {
-    retained_.push_back(Retained{std::move(undo), std::move(committed)});
+    retained_.push_back(Retained{std::move(undo), std::move(restored)});
     if (retained_.size() > config_.state_retention) retained_.pop_front();
   }
   return {};
 }
 
-bool Blockchain::retains(std::int64_t height) const {
-  const std::int64_t tip = this->height() - 1;
-  if (height > tip) return false;
-  if (height == tip) return true;  // the tip state is state_ itself
-  // Rolling back to `height` consumes the undos of blocks (height, tip].
-  return tip - height <= static_cast<std::int64_t>(retained_.size());
-}
-
 const StateCommitment* Blockchain::commitment_at(std::int64_t height) const {
   const std::int64_t tip = this->height() - 1;
-  const std::int64_t back = tip - height;  // slots behind the ring's back()
-  if (height > tip || back >= static_cast<std::int64_t>(retained_.size())) {
-    return nullptr;
+  if (height < 0 || height > tip) return nullptr;
+  if (height == tip) return &tip_commitment_;
+  // Rolling back to `height` consumes the undos of blocks (height, tip]; the
+  // last of them, block height + 1's, restores this commitment.
+  const std::int64_t back = tip - height;  // slots from the ring's end
+  if (back > static_cast<std::int64_t>(retained_.size())) return nullptr;
+  return &retained_[retained_.size() - static_cast<std::size_t>(back)].restored;
+}
+
+void Blockchain::roll_back(LedgerState& state, std::int64_t height) const {
+  // back() reverts the tip block; one slot per block in (height, tip].
+  const auto blocks = static_cast<std::size_t>(this->height() - 1 - height);
+  for (std::size_t i = 1; i <= blocks; ++i) {
+    state.apply_undo(retained_[retained_.size() - i].undo);
   }
-  return &retained_[retained_.size() - 1 - static_cast<std::size_t>(back)].commitment;
 }
 
 Result<LedgerState> Blockchain::state_at(std::int64_t height) const {
-  const std::int64_t tip = this->height() - 1;
   LedgerState state = this->state();
-  for (std::int64_t h = tip; h > height; --h) {
-    const std::size_t slot =
-        retained_.size() - 1 - static_cast<std::size_t>(tip - h);
-    state.apply_undo(retained_[slot].undo);
-  }
-  // Sanity anchor: a retained commitment for `height` must be reproduced
-  // exactly (absent only at the very edge of the window).
+  roll_back(state, height);
+  // Sanity anchor: the ring's commitment for `height` must be reproduced
+  // exactly.
   if (const StateCommitment* expected = commitment_at(height);
-      expected != nullptr && state.commitment() != *expected) {
+      expected == nullptr || state.commitment() != *expected) {
     return make_error(errc::kChainRetentionCorrupt,
                       "rolled-back state does not match retained commitment");
   }
@@ -230,24 +229,22 @@ Result<crypto::MerkleProof> Blockchain::prove_tx(std::int64_t block_height,
   return block->tx_tree().prove(tx_index);
 }
 
-namespace {
-/// Fill an AccountProof from any state that holds `addr`'s section.
-AccountProof make_account_proof(const LedgerState& state, crypto::Address addr,
-                                std::int64_t block_height) {
+AccountProof make_account_proof(const LedgerState& state,
+                                const StateCommitment& commitment,
+                                crypto::Address addr, std::int64_t height) {
   AccountProof ap;
   ap.address = addr;
-  ap.height = block_height;
+  ap.height = height;
   const auto bal = state.find_balance(addr);
   const std::uint64_t nonce = state.nonce(addr);
   ap.statement.has_balance = bal.has_value();
   ap.statement.balance = bal.value_or(0);
   ap.statement.nonce = nonce;
   ap.statement.exists = bal.has_value() || nonce != 0;
-  ap.commitment = state.commitment();
+  ap.commitment = commitment;
   ap.proof = state.prove_account(addr);
   return ap;
 }
-}  // namespace
 
 Result<AccountProof> Blockchain::prove_account(crypto::Address addr,
                                                std::int64_t block_height) const {
@@ -277,7 +274,8 @@ Result<AccountProof> Blockchain::prove_account_now(
   if (block_height < 0 || block_height >= height()) {
     return make_error(errc::kChainBadHeight, "no such block");
   }
-  if (!retains(block_height)) {
+  const StateCommitment* commitment = commitment_at(block_height);
+  if (commitment == nullptr) {
     return make_error(errc::kChainStaleHeight,
                       "height " + std::to_string(block_height) +
                           " is beyond the retention window (tip " +
@@ -285,11 +283,11 @@ Result<AccountProof> Blockchain::prove_account_now(
                           std::to_string(config_.state_retention) + ")");
   }
   if (block_height == height() - 1) {
-    return make_account_proof(state(), addr, block_height);
+    return make_account_proof(state(), *commitment, addr, block_height);
   }
   auto state = state_at(block_height);
   if (!state.ok()) return state.error();
-  return make_account_proof(state.value(), addr, block_height);
+  return make_account_proof(state.value(), *commitment, addr, block_height);
 }
 
 Result<Snapshot> Blockchain::export_snapshot(std::int64_t height,
@@ -297,37 +295,24 @@ Result<Snapshot> Blockchain::export_snapshot(std::int64_t height,
   if (height < 0 || height >= this->height()) {
     return make_error(errc::kChainBadHeight, "no such block");
   }
-  if (!retains(height)) {
+  const StateCommitment* commitment = commitment_at(height);
+  if (commitment == nullptr) {
     return make_error(errc::kChainStaleHeight,
                       "height " + std::to_string(height) +
                           " is beyond the retention window");
   }
   if (height == this->height() - 1) {
-    return build_snapshot(state(), height, chunk_size);
+    return build_snapshot(state(), height, *commitment, chunk_size);
   }
-  // Historical export fast path: roll the undo ring back over a content-only
-  // copy (no O(state) Merkle-tree clone) and take the manifest commitment
-  // from the retention ring, which holds the post-state commitment of every
-  // retained height. The receiver's trust chain (header.state_root ==
-  // manifest root → per-chunk digests → decoded-state commitment re-check)
-  // verifies the result end to end, so a corrupt ring cannot produce an
+  // Historical export: roll the undo ring back over a content-only copy (no
+  // O(state) Merkle-tree clone) and take the manifest commitment from the
+  // ring. The receiver's trust chain (header.state_root == manifest root →
+  // per-chunk digests → decoded-state commitment re-check) verifies the
+  // result end to end, so a corrupt ring cannot produce an
   // installable-but-wrong snapshot — it produces one every receiver rejects.
-  if (const StateCommitment* commitment = commitment_at(height);
-      commitment != nullptr) {
-    LedgerState content = state().content_clone();
-    const std::int64_t tip = this->height() - 1;
-    for (std::int64_t h = tip; h > height; --h) {
-      const std::size_t slot =
-          retained_.size() - 1 - static_cast<std::size_t>(tip - h);
-      content.apply_undo(retained_[slot].undo);
-    }
-    return build_snapshot(content, height, *commitment, chunk_size);
-  }
-  // Edge of the window: the undo chain still reaches `height` but its own
-  // commitment has left the ring — fall back to the verifying full copy.
-  auto state = state_at(height);
-  if (!state.ok()) return state.error();
-  return build_snapshot(state.value(), height, chunk_size);
+  LedgerState content = state().content_clone();
+  roll_back(content, height);
+  return build_snapshot(content, height, *commitment, chunk_size);
 }
 
 Status Blockchain::init_from_snapshot(const SnapshotManifest& manifest,
@@ -364,6 +349,7 @@ Status Blockchain::init_from_snapshot(const SnapshotManifest& manifest,
   base_height_ = anchor.height + 1;
   base_hash_ = anchor.hash();
   retained_.clear();
+  tip_commitment_ = manifest.commitment;
   return {};
 }
 
@@ -389,7 +375,7 @@ Result<std::size_t> Blockchain::import_blocks(const Bytes& data) {
   }
   std::size_t appended = 0;
   for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto block_bytes = r.bytes();
+    auto block_bytes = r.view();
     if (!block_bytes.ok()) return block_bytes.error();
     auto block = Block::decode(block_bytes.value());
     if (!block.ok()) return block.error();

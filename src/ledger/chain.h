@@ -32,12 +32,19 @@ struct ChainConfig {
   /// signature checks and append's accounts tree re-hash over them.
   ValidationConfig validation;
   /// How many recent heights behind the tip stay reconstructible (a ring of
-  /// per-block undo deltas + commitments): prove_account and export_snapshot
-  /// serve heights in [tip - state_retention, tip]. Capture costs O(touched)
-  /// per committed block; 0 disables retention (tip-only, the historical
-  /// behaviour).
+  /// per-block undo deltas, each with the commitment it restores):
+  /// prove_account, export_snapshot and commitment_at serve heights in
+  /// [tip - state_retention, tip]. Capture costs O(touched) per committed
+  /// block; 0 disables retention (tip-only, the historical behaviour).
   std::size_t state_retention = 8;
 };
+
+/// Account proof of `addr` in `state`, anchored at block `height` whose
+/// post-state `state` is and whose recorded commitment is `commitment`.
+[[nodiscard]] AccountProof make_account_proof(const LedgerState& state,
+                                              const StateCommitment& commitment,
+                                              crypto::Address addr,
+                                              std::int64_t height);
 
 class Blockchain {
  public:
@@ -146,8 +153,11 @@ class Blockchain {
   [[nodiscard]] Result<AccountProof> prove_account(crypto::Address addr,
                                                    std::int64_t block_height) const;
 
-  /// Post-state commitment of block `height`, when the retention ring still
-  /// covers it (the tip always is). nullptr otherwise.
+  /// Post-state commitment of block `height`: the tip's at any retention,
+  /// and every height the retention ring covers ([tip - state_retention,
+  /// tip], the heights prove_account and export_snapshot serve). nullptr
+  /// otherwise. On a snapshot-initialized chain the tip before the first
+  /// block is the anchor height, with the manifest's commitment.
   [[nodiscard]] const StateCommitment* commitment_at(std::int64_t height) const;
 
   /// Build a verified snapshot of the state as of block `height` (the tip or
@@ -206,16 +216,20 @@ class Blockchain {
       crypto::Address addr, std::int64_t block_height) const;
 
   /// One retention-ring slot: how to revert the block at its height, plus
-  /// the post-block commitment (reconstruction sanity anchor).
+  /// the commitment that revert restores (the parent's post-state
+  /// commitment: the reconstruction sanity anchor).
   struct Retained {
     StateUndo undo;
-    StateCommitment commitment;
+    StateCommitment restored;
   };
-  /// True when the retention ring covers block `height`'s post-state.
-  [[nodiscard]] bool retains(std::int64_t height) const;
+  /// Revert `state` (a copy of the tip state) to block `height`'s post-state
+  /// through the ring's undos of blocks (height, tip]; `height` must have a
+  /// commitment_at.
+  void roll_back(LedgerState& state, std::int64_t height) const;
   /// Reconstruct the post-state of block `height` by rolling the tip state
   /// back through the ring (O(state) copy + O(touched) per rolled-back
-  /// block). `height` must be retained and strictly below the tip.
+  /// block) and checking it against commitment_at(height). `height` must
+  /// have a commitment_at and lie strictly below the tip.
   [[nodiscard]] Result<LedgerState> state_at(std::int64_t height) const;
 
   /// The working state, or nullopt while the chain still *is* the genesis
@@ -234,6 +248,9 @@ class Blockchain {
   /// Undo ring, oldest first; back() reverts the tip block. Capped at
   /// config.state_retention.
   std::deque<Retained> retained_;
+  /// Post-state commitment of the tip (of genesis before the first block),
+  /// kept at every retention.
+  StateCommitment tip_commitment_;
   mutable ValidationStats vstats_;
   /// The last assembled (or, with no proposal of its own, validated) block:
   /// its header hash and the post-state delta computed over the state it

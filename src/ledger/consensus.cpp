@@ -24,29 +24,20 @@ struct VoteMsg {
     ByteWriter w;
     w.i64(height);
     w.raw(block_hash);
-    w.u64(voter.y);
-    w.u64(sig.e);
-    w.u64(sig.s);
+    crypto::write_key(w, voter);
+    crypto::write_signature(w, sig);
     return w.take();
   }
 
-  [[nodiscard]] static Result<VoteMsg> decode(const Bytes& bytes) {
+  [[nodiscard]] static Result<VoteMsg> decode(std::span<const std::uint8_t> bytes) {
     ByteReader r(bytes);
     VoteMsg v;
     auto h = r.i64();
     if (!h.ok()) return h.error();
     v.height = h.value();
-    auto hash = r.raw(32);
-    if (!hash.ok()) return hash.error();
-    std::copy(hash.value().begin(), hash.value().end(), v.block_hash.begin());
-    auto pub = r.u64();
-    if (!pub.ok()) return pub.error();
-    v.voter.y = pub.value();
-    auto e = r.u64();
-    if (!e.ok()) return e.error();
-    auto s = r.u64();
-    if (!s.ok()) return s.error();
-    v.sig = crypto::Signature{e.value(), s.value()};
+    if (Status s = r.fixed(v.block_hash); !s.ok()) return s.error();
+    if (Status s = crypto::read_key(r, v.voter); !s.ok()) return s.error();
+    if (Status s = crypto::read_signature(r, v.sig); !s.ok()) return s.error();
     return v;
   }
 };

@@ -16,17 +16,12 @@ Bytes AccountProof::encode() const {
   w.u64(statement.balance);
   w.u64(statement.nonce);
   // Commitment sections only; the combined root is derived, not transported.
-  w.raw(commitment.accounts_root);
-  w.u64(commitment.account_count);
-  w.raw(commitment.audit_digest);
-  w.u64(commitment.audit_count);
-  w.raw(commitment.stores_digest);
-  w.u64(commitment.burned_fees);
+  write_commitment_sections(w, commitment);
   w.bytes(proof.encode());
   return w.take();
 }
 
-Result<AccountProof> AccountProof::decode(const Bytes& bytes) {
+Result<AccountProof> AccountProof::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   AccountProof ap;
   auto addr = r.u64();
@@ -51,27 +46,10 @@ Result<AccountProof> AccountProof::decode(const Bytes& bytes) {
   if (!nonce.ok()) return nonce.error();
   ap.statement.nonce = nonce.value();
 
-  auto read_digest = [&r](crypto::Digest& out) -> Status {
-    auto raw = r.raw(out.size());
-    if (!raw.ok()) return raw.error();
-    std::copy(raw.value().begin(), raw.value().end(), out.begin());
-    return {};
-  };
-  if (Status s = read_digest(ap.commitment.accounts_root); !s.ok()) return s.error();
-  auto account_count = r.u64();
-  if (!account_count.ok()) return account_count.error();
-  ap.commitment.account_count = account_count.value();
-  if (Status s = read_digest(ap.commitment.audit_digest); !s.ok()) return s.error();
-  auto audit_count = r.u64();
-  if (!audit_count.ok()) return audit_count.error();
-  ap.commitment.audit_count = audit_count.value();
-  if (Status s = read_digest(ap.commitment.stores_digest); !s.ok()) return s.error();
-  auto burned = r.u64();
-  if (!burned.ok()) return burned.error();
-  ap.commitment.burned_fees = burned.value();
-  ap.commitment.root = combine_commitment_root(ap.commitment);
-
-  auto proof_bytes = r.bytes();
+  if (Status s = read_commitment_sections(r, ap.commitment); !s.ok()) {
+    return s.error();
+  }
+  auto proof_bytes = r.view();
   if (!proof_bytes.ok()) return proof_bytes.error();
   auto proof = crypto::MerkleMapProof::decode(proof_bytes.value());
   if (!proof.ok()) return proof.error();

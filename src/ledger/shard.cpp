@@ -96,7 +96,7 @@ Bytes CrossShardReceipt::encode() const {
   return w.take();
 }
 
-Result<CrossShardReceipt> CrossShardReceipt::decode(const Bytes& bytes) {
+Result<CrossShardReceipt> CrossShardReceipt::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   auto magic = r.str();
   if (!magic.ok()) return magic.error();
@@ -139,7 +139,7 @@ Bytes XShardLockArgs::encode() const {
   return w.take();
 }
 
-Result<XShardLockArgs> XShardLockArgs::decode(const Bytes& bytes) {
+Result<XShardLockArgs> XShardLockArgs::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   XShardLockArgs a;
   auto dest = r.u32();
@@ -166,7 +166,7 @@ Bytes XShardMintArgs::encode() const {
   return w.take();
 }
 
-Result<XShardMintArgs> XShardMintArgs::decode(const Bytes& bytes) {
+Result<XShardMintArgs> XShardMintArgs::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   XShardMintArgs a;
   auto height = r.i64();
@@ -175,12 +175,12 @@ Result<XShardMintArgs> XShardMintArgs::decode(const Bytes& bytes) {
   auto source = r.u32();
   if (!source.ok()) return source.error();
   a.source_shard = source.value();
-  auto receipt = r.bytes();
+  auto receipt = r.view();
   if (!receipt.ok()) return receipt.error();
-  a.receipt = std::move(receipt).value();
-  auto proof = r.bytes();
+  a.receipt = receipt.value();
+  auto proof = r.view();
   if (!proof.ok()) return proof.error();
-  a.proof = std::move(proof).value();
+  a.proof = proof.value();
   if (!r.exhausted()) {
     return make_error(errc::kXShardBadArgs, "trailing bytes after mint args");
   }
@@ -491,11 +491,9 @@ Transaction make_xshard_lock(const crypto::Wallet& from, std::uint64_t nonce,
 Transaction make_xshard_mint(const crypto::Wallet& from, std::uint64_t nonce,
                              const ReceiptProofBundle& bundle,
                              std::uint64_t fee, Rng& rng) {
-  XShardMintArgs args;
-  args.beacon_height = bundle.beacon_height;
-  args.source_shard = bundle.source_shard;
-  args.receipt = bundle.receipt;
-  args.proof = bundle.proof.encode();
+  const Bytes proof = bundle.proof.encode();
+  const XShardMintArgs args{bundle.beacon_height, bundle.source_shard,
+                            bundle.receipt, proof};
   return make_contract_call(from, nonce, kXShardContractName, "mint",
                             args.encode(), fee, rng);
 }

@@ -98,7 +98,7 @@ struct CrossShardReceipt {
   /// bearing — the mint path hashes the exact wire bytes into the proof
   /// check, and decode rejects trailing bytes, bad magic, and zero amounts.
   [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<CrossShardReceipt> decode(const Bytes& bytes);
+  [[nodiscard]] static Result<CrossShardReceipt> decode(std::span<const std::uint8_t> bytes);
 };
 
 /// Args for xshard "lock": burn `amount` from the caller on this shard and
@@ -109,20 +109,22 @@ struct XShardLockArgs {
   std::uint64_t amount = 0;
 
   [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<XShardLockArgs> decode(const Bytes& bytes);
+  [[nodiscard]] static Result<XShardLockArgs> decode(std::span<const std::uint8_t> bytes);
 };
 
 /// Args for xshard "mint": present source-shard receipt bytes plus a
 /// MerkleMapProof of them against the source shard's receipts_root anchored
-/// at `beacon_height`.
+/// at `beacon_height`. The byte fields are views: encode() reads whatever
+/// buffers they name, and decode() points them into the decoded buffer, so
+/// a decoded value is valid only while that buffer lives.
 struct XShardMintArgs {
   std::int64_t beacon_height = 0;
   std::uint32_t source_shard = 0;  ///< explicit claim; must match the receipt
-  Bytes receipt;                   ///< CrossShardReceipt wire bytes
-  Bytes proof;                     ///< MerkleMapProof wire bytes
+  std::span<const std::uint8_t> receipt;  ///< CrossShardReceipt wire bytes
+  std::span<const std::uint8_t> proof;    ///< MerkleMapProof wire bytes
 
   [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<XShardMintArgs> decode(const Bytes& bytes);
+  [[nodiscard]] static Result<XShardMintArgs> decode(std::span<const std::uint8_t> bytes);
 };
 
 /// Reserved xshard store keys (also read by the invariant checker).

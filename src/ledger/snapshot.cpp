@@ -84,12 +84,7 @@ Bytes SnapshotManifest::encode() const {
   ByteWriter w;
   w.u8(kManifestVersion);
   w.i64(height);
-  w.raw(commitment.accounts_root);
-  w.u64(commitment.account_count);
-  w.raw(commitment.audit_digest);
-  w.u64(commitment.audit_count);
-  w.raw(commitment.stores_digest);
-  w.u64(commitment.burned_fees);
+  write_commitment_sections(w, commitment);
   w.u32(chunk_size);
   w.u64(total_bytes);
   w.u32(chunk_count());
@@ -97,7 +92,8 @@ Bytes SnapshotManifest::encode() const {
   return w.take();
 }
 
-Result<SnapshotManifest> SnapshotManifest::decode(const Bytes& bytes) {
+Result<SnapshotManifest> SnapshotManifest::decode(
+    std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   const auto version = r.u8();
   if (!version.ok()) return version.error();
@@ -109,27 +105,11 @@ Result<SnapshotManifest> SnapshotManifest::decode(const Bytes& bytes) {
   if (!height.ok()) return height.error();
   m.height = height.value();
   if (m.height < 0) return make_error("snapshot.bad_height", "negative height");
-  auto read_digest = [&r](crypto::Digest& out) -> Status {
-    auto raw = r.raw(out.size());
-    if (!raw.ok()) return Status::fail(raw.error().code, raw.error().message);
-    std::copy(raw.value().begin(), raw.value().end(), out.begin());
-    return {};
-  };
-  if (auto s = read_digest(m.commitment.accounts_root); !s.ok()) return s.error();
-  const auto account_count = r.u64();
-  if (!account_count.ok()) return account_count.error();
-  m.commitment.account_count = account_count.value();
-  if (auto s = read_digest(m.commitment.audit_digest); !s.ok()) return s.error();
-  const auto audit_count = r.u64();
-  if (!audit_count.ok()) return audit_count.error();
-  m.commitment.audit_count = audit_count.value();
-  if (auto s = read_digest(m.commitment.stores_digest); !s.ok()) return s.error();
-  const auto burned = r.u64();
-  if (!burned.ok()) return burned.error();
-  m.commitment.burned_fees = burned.value();
   // The root is recombined, never transported: a manifest whose sections
   // disagree with its root cannot exist by construction.
-  m.commitment.root = combine_commitment_root(m.commitment);
+  if (Status s = read_commitment_sections(r, m.commitment); !s.ok()) {
+    return s.error();
+  }
 
   const auto chunk_size = r.u32();
   if (!chunk_size.ok()) return chunk_size.error();
@@ -147,11 +127,9 @@ Result<SnapshotManifest> SnapshotManifest::decode(const Bytes& bytes) {
   if (count.value() > r.remaining() / crypto::Digest{}.size()) {
     return make_error("snapshot.bad_geometry", "chunk count exceeds payload");
   }
-  m.chunk_digests.reserve(count.value());
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    crypto::Digest d;
-    if (auto s = read_digest(d); !s.ok()) return s.error();
-    m.chunk_digests.push_back(d);
+  m.chunk_digests.resize(count.value());
+  for (crypto::Digest& d : m.chunk_digests) {
+    if (Status s = r.fixed(d); !s.ok()) return s.error();
   }
   if (!r.exhausted()) {
     return make_error("snapshot.trailing_bytes", "manifest has trailing bytes");
@@ -200,7 +178,7 @@ Bytes encode_snapshot_payload(const LedgerState& state) {
   return w.take();
 }
 
-Result<LedgerState> decode_snapshot_payload(const Bytes& bytes) {
+Result<LedgerState> decode_snapshot_payload(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   const auto tag = r.str();
   if (!tag.ok()) return tag.error();
@@ -258,14 +236,14 @@ Result<LedgerState> decode_snapshot_payload(const Bytes& bytes) {
   for (std::uint64_t i = 0; i < audit_count.value(); ++i) {
     const auto collector = r.u64();
     if (!collector.ok()) return collector.error();
-    const auto body_bytes = r.bytes();
+    const auto body_bytes = r.view();
     if (!body_bytes.ok()) return body_bytes.error();
     auto body = AuditRecordBody::decode(body_bytes.value());
     if (!body.ok()) return body.error();
     // AuditRecordBody::decode tolerates trailing bytes (it reads embedded
     // framings elsewhere); the snapshot's framing is strict, so require the
     // canonical re-encoding to reproduce the wire bytes exactly.
-    if (body.value().encode() != body_bytes.value()) {
+    if (!std::ranges::equal(body.value().encode(), body_bytes.value())) {
       return make_error("snapshot.bad_entry", "audit body not canonical");
     }
     const auto height = r.i64();

@@ -99,13 +99,25 @@ crypto::Digest account_leaf_digest(bool has_balance, std::uint64_t balance,
 crypto::Digest combine_commitment_root(const StateCommitment& c) {
   crypto::HashWriter w;
   w.str("mv.state.v2");
-  w.raw(c.accounts_root);
-  w.u64(c.account_count);
-  w.raw(c.audit_digest);
-  w.u64(c.audit_count);
-  w.raw(c.stores_digest);
-  w.u64(c.burned_fees);
+  write_commitment_sections(w, c);
   return w.digest();
+}
+
+Status read_commitment_sections(ByteReader& r, StateCommitment& out) {
+  if (Status s = r.fixed(out.accounts_root); !s.ok()) return s;
+  auto account_count = r.u64();
+  if (!account_count.ok()) return account_count.error();
+  out.account_count = account_count.value();
+  if (Status s = r.fixed(out.audit_digest); !s.ok()) return s;
+  auto audit_count = r.u64();
+  if (!audit_count.ok()) return audit_count.error();
+  out.audit_count = audit_count.value();
+  if (Status s = r.fixed(out.stores_digest); !s.ok()) return s;
+  auto burned = r.u64();
+  if (!burned.ok()) return burned.error();
+  out.burned_fees = burned.value();
+  out.root = combine_commitment_root(out);
+  return {};
 }
 
 // ------------------------------------------------------------- LedgerView

@@ -68,6 +68,23 @@ struct StateCommitment {
 /// this to check a served section breakdown against a header's state_root.
 [[nodiscard]] crypto::Digest combine_commitment_root(const StateCommitment& c);
 
+/// The section layout, in the one order the root hashes them and every wire
+/// format (account proofs, snapshot manifests) carries them. `root` is not
+/// written: it is derived.
+template <typename Writer>
+void write_commitment_sections(Writer& w, const StateCommitment& c) {
+  w.raw(c.accounts_root);
+  w.u64(c.account_count);
+  w.raw(c.audit_digest);
+  w.u64(c.audit_count);
+  w.raw(c.stores_digest);
+  w.u64(c.burned_fees);
+}
+/// Inverse of write_commitment_sections. `out.root` is recombined from the
+/// sections (combine_commitment_root), never read off the wire, so a served
+/// root that disagrees with its sections cannot exist.
+[[nodiscard]] Status read_commitment_sections(ByteReader& r, StateCommitment& out);
+
 /// Digest of one account leaf as committed in the accounts MerkleMap:
 /// sha256(u8(has_balance) || u64(balance) || u64(nonce)). A leaf exists iff
 /// the account has a balance entry or a nonzero nonce. Exposed so account

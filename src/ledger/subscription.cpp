@@ -22,7 +22,7 @@ Bytes CommitPush::encode() const {
   return w.take();
 }
 
-Result<CommitPush> CommitPush::decode(const Bytes& bytes) {
+Result<CommitPush> CommitPush::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   const auto version = r.u32();
   if (!version.ok()) return version.error();
@@ -31,7 +31,7 @@ Result<CommitPush> CommitPush::decode(const Bytes& bytes) {
                                                 std::to_string(version.value()));
   }
   CommitPush push;
-  auto header_bytes = r.bytes();
+  auto header_bytes = r.view();
   if (!header_bytes.ok()) return header_bytes.error();
   auto header = BlockHeader::decode(header_bytes.value());
   if (!header.ok()) return header.error();
@@ -45,7 +45,7 @@ Result<CommitPush> CommitPush::decode(const Bytes& bytes) {
   }
   push.proofs.reserve(n_proofs.value());
   for (std::uint32_t i = 0; i < n_proofs.value(); ++i) {
-    auto proof_bytes = r.bytes();
+    auto proof_bytes = r.view();
     if (!proof_bytes.ok()) return proof_bytes.error();
     auto proof = AccountProof::decode(proof_bytes.value());
     if (!proof.ok()) return proof.error();
@@ -89,28 +89,20 @@ void SubscriptionPublisher::on_commit(const Block& block,
   // Touched = every account whose balance or nonce the block wrote (the undo
   // delta is exactly that set); proofs go out only for the ones someone
   // watches. The tip state IS the block's post-state here — the hook runs
-  // inside append(), so proofs are built directly (public LedgerState API),
-  // never through the chain's queue-routed query path.
+  // inside append(), after the chain recorded the tip's commitment — so
+  // proofs are built directly, never through the chain's queue-routed query
+  // path.
   const auto interests = server_.account_interests();
   if (!interests.empty()) {
-    const LedgerState& state = chain_.state();
+    const StateCommitment& commitment = *chain_.commitment_at(block.header.height);
     for (const auto key : interests) {
       const bool touched = std::binary_search(
           undo.accounts.begin(), undo.accounts.end(), Account{crypto::Address{key}},
           [](const Account& a, const Account& b) { return a.addr < b.addr; });
       if (!touched) continue;
-      const crypto::Address addr{key};
-      AccountProof ap;
-      ap.address = addr;
-      ap.height = block.header.height;
-      const auto bal = state.find_balance(addr);
-      ap.statement.has_balance = bal.has_value();
-      ap.statement.balance = bal.value_or(0);
-      ap.statement.nonce = state.nonce(addr);
-      ap.statement.exists = bal.has_value() || ap.statement.nonce != 0;
-      ap.commitment = state.commitment();
-      ap.proof = state.prove_account(addr);
-      push.proofs.push_back(std::move(ap));
+      push.proofs.push_back(make_account_proof(chain_.state(), commitment,
+                                               crypto::Address{key},
+                                               block.header.height));
     }
   }
 

@@ -56,7 +56,7 @@ struct CommitPush {
 
   [[nodiscard]] Bytes encode() const;
   /// Strict versioned decode (rejects unknown versions, trailing bytes).
-  [[nodiscard]] static Result<CommitPush> decode(const Bytes& bytes);
+  [[nodiscard]] static Result<CommitPush> decode(std::span<const std::uint8_t> bytes);
 };
 
 /// Server side: bridges Blockchain commits into SubscriptionServer pushes.

@@ -9,7 +9,7 @@ Bytes TransferBody::encode() const {
   return w.take();
 }
 
-Result<TransferBody> TransferBody::decode(const Bytes& bytes) {
+Result<TransferBody> TransferBody::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   auto to = r.u64();
   if (!to.ok()) return to.error();
@@ -27,7 +27,7 @@ Bytes AuditRecordBody::encode() const {
   return w.take();
 }
 
-Result<AuditRecordBody> AuditRecordBody::decode(const Bytes& bytes) {
+Result<AuditRecordBody> AuditRecordBody::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   auto category = r.str();
   if (!category.ok()) return category.error();
@@ -47,7 +47,7 @@ namespace {
 /// writer with the ByteWriter field interface (ByteWriter, HashWriter).
 template <typename Writer>
 void write_signing_fields(Writer& w, const Transaction& tx) {
-  w.u64(tx.sender_pub.y);
+  crypto::write_key(w, tx.sender_pub);
   w.u64(tx.nonce);
   w.u8(static_cast<std::uint8_t>(tx.kind));
   w.str(tx.contract);
@@ -74,17 +74,14 @@ Bytes Transaction::encode() const {
   ByteWriter w;
   w.reserve(signing_fields_size(*this) + 16);
   write_signing_fields(w, *this);
-  w.u64(sig.e);
-  w.u64(sig.s);
+  crypto::write_signature(w, sig);
   return w.take();
 }
 
-Result<Transaction> Transaction::decode(const Bytes& bytes) {
+Result<Transaction> Transaction::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   Transaction tx;
-  auto pub = r.u64();
-  if (!pub.ok()) return pub.error();
-  tx.sender_pub.y = pub.value();
+  if (Status s = crypto::read_key(r, tx.sender_pub); !s.ok()) return s.error();
   auto nonce = r.u64();
   if (!nonce.ok()) return nonce.error();
   tx.nonce = nonce.value();
@@ -96,21 +93,17 @@ Result<Transaction> Transaction::decode(const Bytes& bytes) {
   tx.kind = static_cast<TxKind>(kind.value());
   auto contract = r.str();
   if (!contract.ok()) return contract.error();
-  tx.contract = contract.value();
+  tx.contract = std::move(contract).value();
   auto method = r.str();
   if (!method.ok()) return method.error();
-  tx.method = method.value();
+  tx.method = std::move(method).value();
   auto payload = r.bytes();
   if (!payload.ok()) return payload.error();
-  tx.payload = payload.value();
+  tx.payload = std::move(payload).value();
   auto fee = r.u64();
   if (!fee.ok()) return fee.error();
   tx.fee = fee.value();
-  auto e = r.u64();
-  if (!e.ok()) return e.error();
-  auto s = r.u64();
-  if (!s.ok()) return s.error();
-  tx.sig = crypto::Signature{e.value(), s.value()};
+  if (Status s = crypto::read_signature(r, tx.sig); !s.ok()) return s.error();
   if (!r.exhausted()) {
     return make_error("tx.trailing_bytes", "unparsed trailing data");
   }
@@ -121,8 +114,7 @@ crypto::Digest Transaction::digest() const {
   // Streams the exact encode() byte sequence; no intermediate buffer.
   crypto::HashWriter w;
   write_signing_fields(w, *this);
-  w.u64(sig.e);
-  w.u64(sig.s);
+  crypto::write_signature(w, sig);
   return w.digest();
 }
 

@@ -30,7 +30,7 @@ struct TransferBody {
   std::uint64_t amount = 0;
 
   [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<TransferBody> decode(const Bytes& bytes);
+  [[nodiscard]] static Result<TransferBody> decode(std::span<const std::uint8_t> bytes);
 };
 
 /// Body of a kAuditRecord: who collected what, from whom, why, and which
@@ -42,7 +42,7 @@ struct AuditRecordBody {
   std::string pet_applied;    ///< e.g. "laplace(eps=1.0)", "none"
 
   [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<AuditRecordBody> decode(const Bytes& bytes);
+  [[nodiscard]] static Result<AuditRecordBody> decode(std::span<const std::uint8_t> bytes);
 };
 
 struct Transaction {
@@ -59,7 +59,7 @@ struct Transaction {
   [[nodiscard]] Bytes signing_bytes() const;
   /// Full wire encoding.
   [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<Transaction> decode(const Bytes& bytes);
+  [[nodiscard]] static Result<Transaction> decode(std::span<const std::uint8_t> bytes);
 
   /// Transaction id: SHA-256 over the full encoding.
   [[nodiscard]] crypto::Digest digest() const;

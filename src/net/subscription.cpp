@@ -20,7 +20,7 @@ Bytes SubscriptionRequest::encode() const {
 }
 
 std::optional<SubscriptionRequest> SubscriptionRequest::decode(
-    const Bytes& payload) {
+    std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
   SubscriptionRequest req;
   const auto version = r.u32();
@@ -64,7 +64,7 @@ Bytes SubscriptionResponse::encode() const {
 }
 
 std::optional<SubscriptionResponse> SubscriptionResponse::decode(
-    const Bytes& payload) {
+    std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
   SubscriptionResponse resp;
   const auto version = r.u32();

@@ -77,7 +77,8 @@ struct SubscriptionRequest {
   std::vector<std::string> stores;       ///< contract stores (e.g. proposals)
 
   [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static std::optional<SubscriptionRequest> decode(const Bytes&);
+  [[nodiscard]] static std::optional<SubscriptionRequest> decode(
+      std::span<const std::uint8_t> payload);
 };
 
 /// Server's answer to a subscribe. `code` is empty on success, otherwise an
@@ -92,7 +93,8 @@ struct SubscriptionResponse {
 
   [[nodiscard]] bool ok() const { return code.empty(); }
   [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static std::optional<SubscriptionResponse> decode(const Bytes&);
+  [[nodiscard]] static std::optional<SubscriptionResponse> decode(
+      std::span<const std::uint8_t> payload);
 };
 
 struct SubscriptionConfig {

@@ -20,14 +20,6 @@ crypto::Digest body_checksum(std::span<const std::uint8_t> body) {
   return h.finalize();
 }
 
-Result<crypto::Digest> read_digest(ByteReader& r) {
-  auto raw = r.raw(32);
-  if (!raw.ok()) return make_error(errc::kTraceTruncated, "digest");
-  crypto::Digest d;
-  std::copy(raw.value().begin(), raw.value().end(), d.begin());
-  return d;
-}
-
 }  // namespace
 
 std::size_t Trace::total_txs() const {
@@ -57,7 +49,7 @@ Bytes Trace::encode() const {
   return w.take();
 }
 
-Result<Trace> Trace::decode(const Bytes& bytes) {
+Result<Trace> Trace::decode(std::span<const std::uint8_t> bytes) {
   // The checksum covers everything before it, so it is verified first: any
   // mutated byte — header, tx payload, recorded root, or the checksum itself
   // — fails here before a single field is interpreted.
@@ -95,9 +87,9 @@ Result<Trace> Trace::decode(const Bytes& bytes) {
   trace.header.validators = validators.value();
   trace.header.genesis_grant = grant.value();
   trace.header.max_txs_per_block = max_txs.value();
-  auto genesis_root = read_digest(r);
-  if (!genesis_root.ok()) return genesis_root.error();
-  trace.header.genesis_root = genesis_root.value();
+  if (!r.fixed(trace.header.genesis_root).ok()) {
+    return make_error(errc::kTraceTruncated, "digest");
+  }
   if (trace.header.validators == 0 || trace.header.max_txs_per_block == 0) {
     return make_error(errc::kTraceBadCount, "empty validator set or block cap");
   }
@@ -119,7 +111,7 @@ Result<Trace> Trace::decode(const Bytes& bytes) {
     }
     round.txs.reserve(tx_count.value());
     for (std::uint32_t t = 0; t < tx_count.value(); ++t) {
-      auto raw = r.bytes();
+      auto raw = r.view();
       if (!raw.ok()) return make_error(errc::kTraceTruncated, "tx bytes");
       auto tx = ledger::Transaction::decode(raw.value());
       if (!tx.ok()) {
@@ -127,9 +119,9 @@ Result<Trace> Trace::decode(const Bytes& bytes) {
       }
       round.txs.push_back(std::move(tx).value());
     }
-    auto root = read_digest(r);
-    if (!root.ok()) return root.error();
-    round.commitment_root = root.value();
+    if (!r.fixed(round.commitment_root).ok()) {
+      return make_error(errc::kTraceTruncated, "digest");
+    }
     trace.rounds.push_back(std::move(round));
   }
   if (!r.exhausted()) {

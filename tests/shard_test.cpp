@@ -581,6 +581,45 @@ TEST(ShardedLedger, ComposedAccountProofVerifies) {
       verify_sharded_account_proof(wrong_shard, beacon->beacon_root).ok());
 }
 
+// A ledger that retains no history still anchors every round: the beacon
+// reads each shard's tip commitment, which the chain keeps at any retention.
+TEST(ShardedLedger, RetentionZeroCommitsRounds) {
+  Rng rng(67);
+  const crypto::Wallet proposer(rng);
+  const crypto::Wallet alice = wallet_on_shard(rng, 0, 2);
+  const crypto::Wallet carol = wallet_on_shard(rng, 0, 2);
+  const crypto::Wallet bob = wallet_on_shard(rng, 1, 2);
+  LedgerState genesis;
+  genesis.credit(alice.address(), 10'000);
+  genesis.credit(bob.address(), 1'000);
+  ShardConfig config;
+  config.num_shards = 2;
+  config.validators = {proposer.public_key()};
+  config.state_retention = 0;
+  ShardedLedger ledger(config, genesis);
+
+  Rng txrng(71);
+  for (std::uint64_t round = 0; round < 3; ++round) {
+    ASSERT_TRUE(
+        ledger.submit(make_transfer(alice, round, carol.address(), 10, 1, txrng))
+            .ok());
+    const auto beacon = ledger.commit_round(proposer, static_cast<Tick>(round));
+    ASSERT_TRUE(beacon.ok()) << "round " << round;
+    for (std::uint32_t s = 0; s < 2; ++s) {
+      EXPECT_EQ(beacon.value().shards[s].state_root,
+                ledger.state(s).commitment().root);
+      const std::int64_t tip = ledger.shard(s).height() - 1;
+      EXPECT_EQ(ledger.shard(s).commitment_at(tip - 1), nullptr);
+    }
+    const auto proof = ledger.prove_account(carol.address());
+    ASSERT_TRUE(proof.ok());
+    EXPECT_TRUE(verify_sharded_account_proof(proof.value(),
+                                             beacon.value().beacon_root)
+                    .ok());
+    EXPECT_EQ(proof.value().account.statement.balance, 10 * (round + 1));
+  }
+}
+
 TEST(ShardedLedger, ProveReceiptErrors) {
   CrossShardFixture f;
   EXPECT_EQ(f.ledger->prove_receipt(9, 0).error().code, errc::kShardBadConfig);

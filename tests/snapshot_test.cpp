@@ -402,15 +402,15 @@ TEST(SnapshotExport, ServesRetainedHeightsExactly) {
     EXPECT_EQ(snap.value().manifest.height, h);
     auto state = assemble_snapshot(snap.value().manifest, snap.value().chunks);
     ASSERT_TRUE(state.ok()) << "height " << h;
-    // The exported commitment must be the one retained when the block
-    // committed (absent only at the very edge of the ring).
-    if (const StateCommitment* expected = chain.commitment_at(h)) {
-      EXPECT_EQ(state.value().commitment(), *expected) << "height " << h;
-    }
+    // The exported commitment must be the one the ring holds for `h`.
+    const StateCommitment* expected = chain.commitment_at(h);
+    ASSERT_NE(expected, nullptr) << "height " << h;
+    EXPECT_EQ(state.value().commitment(), *expected) << "height " << h;
     // Must match the header the block chain itself committed to.
     EXPECT_EQ(snap.value().manifest.commitment.root,
               chain.block_at(h)->header.state_root);
   }
+  EXPECT_EQ(chain.commitment_at(tip - 9), nullptr);
   EXPECT_EQ(chain.export_snapshot(tip - 9).error().code, "chain.stale_height");
   EXPECT_EQ(chain.export_snapshot(chain.height()).error().code,
             "chain.bad_height");
@@ -450,6 +450,13 @@ TEST(SnapshotInstall, FreshReplicaReachesIdenticalCommitment) {
   EXPECT_EQ(replica.base_height(), snap_height + 1);
   EXPECT_EQ(replica.height(), snap_height + 1);
   EXPECT_EQ(replica.tip_hash(), anchor.hash());
+  // The anchor height is the replica's tip: its commitment is the
+  // manifest's, and a proof there verifies against the anchor header.
+  ASSERT_NE(replica.commitment_at(snap_height), nullptr);
+  EXPECT_EQ(*replica.commitment_at(snap_height), snap.value().manifest.commitment);
+  auto at_anchor = replica.prove_account(f.alice.address(), snap_height);
+  ASSERT_TRUE(at_anchor.ok());
+  EXPECT_TRUE(verify_account_proof(at_anchor.value(), anchor.state_root).ok());
 
   // Replay only the suffix; the replica must land byte-identical to the
   // source tip (the acceptance oracle for the whole feature).
@@ -461,6 +468,10 @@ TEST(SnapshotInstall, FreshReplicaReachesIdenticalCommitment) {
   EXPECT_EQ(replica.state().commitment(), source.state().commitment());
   EXPECT_EQ(replica.state().commitment(),
             source.state().full_rehash_commitment());
+  // The ring now serves the anchor height by rolling back the suffix.
+  auto rolled_back = replica.prove_account(f.alice.address(), snap_height);
+  ASSERT_TRUE(rolled_back.ok());
+  EXPECT_TRUE(verify_account_proof(rolled_back.value(), anchor.state_root).ok());
 
   // The snapshot-initialized replica keeps growing and serving proofs.
   f.grow(replica, 2);
