@@ -324,7 +324,7 @@ void BM_CommitmentAfterTouch(benchmark::State& state) {
       scratch.credit(crypto::Address{0x100000 + (tick * 16 + i) % accounts}, 1);
     }
     ++tick;
-    benchmark::DoNotOptimize(scratch.commitment());
+    benchmark::DoNotOptimize(ledger_state.commitment_with(scratch));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16);
 }

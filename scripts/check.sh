@@ -168,9 +168,11 @@ echo "== tsan: suites that run work on job queue workers =="
 # the subscription fan-out (worker-thread pushes racing subscribe/ack
 # handling), the end-to-end scenarios, and the sharded commit fan-out and
 # sealed-proposal differential (shard chains on queue workers).
+# Each binary runs outside ctest, so `timeout` turns a hang into a failure
+# (the slowest binary, ledger_test, takes ~33 s under TSan on 4 cores).
 for t in common_test job_queue_test crypto_test parallel_test ledger_test snapshot_test subscription_test net_test scenario_test shard_test sealed_test; do
   echo "-- tsan: ${t}"
-  TSAN_OPTIONS="halt_on_error=1" "./build-tsan/tests/${t}"
+  TSAN_OPTIONS="halt_on_error=1" timeout 900 "./build-tsan/tests/${t}"
 done
 
 echo "All checks passed."

@@ -94,7 +94,6 @@ inline constexpr const char* kNftNotOwner = "nft.not_owner";
 inline constexpr const char* kNftListed = "nft.listed";
 inline constexpr const char* kNftNotListed = "nft.not_listed";
 inline constexpr const char* kNftSelfPurchase = "nft.self_purchase";
-inline constexpr const char* kNftNoStore = "nft.no_store";
 
 // dao.* — DAO contract rejections (dao/contract.h).
 inline constexpr const char* kDaoUnknownMethod = "dao.unknown_method";
@@ -107,7 +106,6 @@ inline constexpr const char* kDaoVotingClosed = "dao.voting_closed";
 inline constexpr const char* kDaoVotingOpen = "dao.voting_open";
 inline constexpr const char* kDaoDoubleVote = "dao.double_vote";
 inline constexpr const char* kDaoAlreadyFinalized = "dao.already_finalized";
-inline constexpr const char* kDaoNoStore = "dao.no_store";
 
 // rep.* — on-chain reputation contract (reputation/contract.h).
 inline constexpr const char* kRepUnknownMethod = "rep.unknown_method";

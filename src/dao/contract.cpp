@@ -19,19 +19,6 @@ std::string vote_key(std::uint64_t id, crypto::Address a) {
   return vote_prefix(id) + std::to_string(a.value);
 }
 
-Bytes encode_u64(std::uint64_t v) {
-  ByteWriter w;
-  w.u64(v);
-  return w.take();
-}
-
-std::uint64_t read_u64(const Bytes* bytes, std::uint64_t fallback = 0) {
-  if (bytes == nullptr) return fallback;
-  ByteReader r(*bytes);
-  auto v = r.u64();
-  return v.ok() ? v.value() : fallback;
-}
-
 struct Meta {
   std::string title;
   std::uint64_t author = 0;
@@ -97,8 +84,8 @@ Status DaoContract::do_join(ledger::CallContext& ctx) const {
   if (ctx.get(key) != nullptr) {
     return Status::fail(errc::kDaoAlreadyMember, "caller already joined");
   }
-  ctx.put(key, encode_u64(1));
-  ctx.put("member_count", encode_u64(read_u64(ctx.get("member_count")) + 1));
+  ctx.put(key, ledger::store_encode<std::uint64_t>(1));
+  ctx.bump("member_count", 1);
   return {};
 }
 
@@ -110,8 +97,7 @@ Status DaoContract::do_propose(ledger::CallContext& ctx, const Bytes& args) cons
   auto title = r.str();
   if (!title.ok()) return Status::fail(errc::kDaoBadArgs, "missing title");
 
-  const std::uint64_t id = read_u64(ctx.get("next_id"));
-  ctx.put("next_id", encode_u64(id + 1));
+  const std::uint64_t id = ctx.bump("next_id", 1);
 
   Meta meta;
   meta.title = title.value();
@@ -191,7 +177,8 @@ Status DaoContract::do_finalize(ledger::CallContext& ctx, const Bytes& args) con
   // Turnout: head-count fraction of members (weight-independent, so whales
   // cannot manufacture quorum on their own under token weighting).
   const double members =
-      static_cast<double>(std::max<std::uint64_t>(1, read_u64(ctx.get("member_count"))));
+      static_cast<double>(std::max<std::uint64_t>(
+          1, ledger::store_decode<std::uint64_t>(ctx.get("member_count"))));
   const double turnout = static_cast<double>(voters) / members;
   const double decisive = counts[0] + counts[1];
   const double yes_share = decisive > 0.0 ? counts[0] / decisive : 0.0;
@@ -206,30 +193,22 @@ Status DaoContract::do_finalize(ledger::CallContext& ctx, const Bytes& args) con
 
 std::uint64_t DaoContract::member_count(const ledger::LedgerState& state,
                                         const std::string& contract) {
-  const auto* store = state.find_store(contract);
-  if (store == nullptr) return 0;
-  const auto it = store->find("member_count");
-  return it == store->end() ? 0 : read_u64(&it->second);
+  return ledger::store_decode<std::uint64_t>(state.store_get(contract, "member_count"));
 }
 
 std::uint64_t DaoContract::proposal_count(const ledger::LedgerState& state,
                                           const std::string& contract) {
-  const auto* store = state.find_store(contract);
-  if (store == nullptr) return 0;
-  const auto it = store->find("next_id");
-  return it == store->end() ? 0 : read_u64(&it->second);
+  return ledger::store_decode<std::uint64_t>(state.store_get(contract, "next_id"));
 }
 
 Result<DaoContract::ProposalView> DaoContract::proposal(
     const ledger::LedgerState& state, const std::string& contract,
     std::uint64_t id) {
-  const auto* store = state.find_store(contract);
-  if (store == nullptr) return make_error(errc::kDaoNoStore, "contract has no state");
-  const auto meta_it = store->find(meta_key(id));
-  if (meta_it == store->end()) {
+  const Bytes* meta_bytes = state.store_get(contract, meta_key(id));
+  if (meta_bytes == nullptr) {
     return make_error(errc::kDaoNoSuchProposal, "unknown proposal");
   }
-  auto meta = Meta::decode(meta_it->second);
+  auto meta = Meta::decode(*meta_bytes);
   if (!meta.ok()) return meta.error();
 
   ProposalView view;
@@ -237,10 +216,8 @@ Result<DaoContract::ProposalView> DaoContract::proposal(
   view.author = crypto::Address{meta.value().author};
   view.created_height = meta.value().created_height;
   view.status = static_cast<OnChainStatus>(meta.value().status);
-  const std::string prefix = vote_prefix(id);
-  for (auto it = store->lower_bound(prefix); it != store->end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    const auto record = decode_ballot(it->second);
+  for (const auto& key : state.store_keys_with_prefix(contract, vote_prefix(id))) {
+    const auto record = decode_ballot(*state.store_get(contract, key));
     if (!record.has_value()) continue;
     switch (record->choice) {
       case 0: view.yes += record->weight; break;

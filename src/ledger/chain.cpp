@@ -71,7 +71,7 @@ Block Blockchain::assemble(const crypto::Wallet& proposer,
   vstats_.record(outcome);
   for (const std::size_t i : outcome.applied) block.txs.push_back(candidates[i]);
   block.header.tx_root = Block::compute_tx_root(block.txs);
-  block.header.state_root = scratch.commitment().root;
+  block.header.state_root = state().commitment_with(scratch).root;
   block.header.proposer_sig = proposer.sign(block.header.signing_bytes(), rng);
   // Skipped candidates left no delta (LedgerView::apply is atomic), so the
   // overlay holds exactly this block's post-state over the current tip.
@@ -125,7 +125,7 @@ Status Blockchain::validate(const Block& block) const {
   if (auto s = check_header(block, digests); !s.ok()) return s;
   auto scratch = LedgerStateOverlay::reader(state());
   if (auto s = execute(block, scratch, digests); !s.ok()) return s;
-  if (scratch.commitment().root != block.header.state_root) {
+  if (state().commitment_with(scratch).root != block.header.state_root) {
     return Status::fail("block.bad_state_root", "post-state mismatch");
   }
   // A replica that votes for a proposal appends it next: keep the verified

@@ -231,16 +231,13 @@ void ValidatorCommittee::handle_vote(Validator& v, const Bytes& payload) {
   if (!crypto::verify(m.voter, vote_signing_bytes(m.height, m.block_hash), m.sig)) {
     return;
   }
-  v.votes[{m.height, crypto::digest_prefix64(m.block_hash)}].insert(m.voter.y);
+  v.votes[{m.height, m.block_hash}].insert(m.voter.y);
   try_commit(v);
 }
 
 void ValidatorCommittee::try_commit(Validator& v) {
   if (!v.pending.has_value()) return;
-  const crypto::Digest hash = v.pending->header.hash();
-  const auto key = std::make_pair(v.pending->header.height,
-                                  crypto::digest_prefix64(hash));
-  const auto it = v.votes.find(key);
+  const auto it = v.votes.find({v.pending->header.height, v.pending->header.hash()});
   if (it == v.votes.end() || it->second.size() < quorum()) return;
   if (v.chain.append(*v.pending).ok()) {
     v.mempool.remove_included(v.pending->txs);

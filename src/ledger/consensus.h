@@ -74,9 +74,10 @@ class ValidatorCommittee {
     Mempool mempool;
     NodeId node;
     Rng rng;
-    // Round-local: pending proposal and votes keyed by (height, block hash).
+    // Round-local: pending proposal and votes keyed by (height, full block
+    // hash), so a vote counts only for the exact block it signs.
     std::optional<Block> pending;
-    std::map<std::pair<std::int64_t, std::uint64_t>, std::set<std::uint64_t>> votes;
+    std::map<std::pair<std::int64_t, crypto::Digest>, std::set<std::uint64_t>> votes;
   };
 
   void on_message(std::size_t validator_index, const net::Message& msg);

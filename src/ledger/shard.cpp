@@ -35,24 +35,6 @@ std::string hex_u64(std::uint64_t v) {
   return out;
 }
 
-Bytes encode_u64(std::uint64_t v) {
-  ByteWriter w;
-  w.u64(v);
-  return w.take();
-}
-
-std::uint64_t decode_u64(const Bytes* bytes) {
-  if (bytes == nullptr) return 0;
-  ByteReader r(*bytes);
-  auto v = r.u64();
-  return v.ok() ? v.value() : 0;
-}
-
-/// Read-modify-write of a u64 counter in the contract's own store.
-void bump_counter(CallContext& ctx, const char* key, std::uint64_t delta) {
-  ctx.put(key, encode_u64(decode_u64(ctx.get(key)) + delta));
-}
-
 }  // namespace
 
 std::uint32_t shard_of(crypto::Address addr, std::size_t num_shards) {
@@ -219,12 +201,11 @@ Status XShardContract::lock(CallContext& ctx, const Bytes& raw) const {
   // (the nested call overlay would discard them anyway; failing early keeps
   // the error authoritative).
   if (Status s = ctx.burn(ctx.caller(), a.amount); !s.ok()) return s;
-  const std::uint64_t id = decode_u64(ctx.get(kXShardNextIdKey));
+  const std::uint64_t id = ctx.bump(kXShardNextIdKey, 1);
   const CrossShardReceipt receipt{id,          shard_id_, a.dest_shard,
                                   ctx.caller(), a.to,      a.amount};
   ctx.put(xshard_receipt_key(id), receipt.encode());
-  ctx.put(kXShardNextIdKey, encode_u64(id + 1));
-  bump_counter(ctx, kXShardLockedTotalKey, a.amount);
+  ctx.bump(kXShardLockedTotalKey, static_cast<std::int64_t>(a.amount));
   return {};
 }
 
@@ -274,8 +255,8 @@ Status XShardContract::mint(CallContext& ctx, const Bytes& raw) const {
   ctx.mint(rec.to, rec.amount);
   // The spent marker stores the minted amount so the invariant checker can
   // reconstruct per-source minted sums without decoding receipts.
-  ctx.put(spent, encode_u64(rec.amount));
-  bump_counter(ctx, kXShardMintedTotalKey, rec.amount);
+  ctx.put(spent, store_encode(rec.amount));
+  ctx.bump(kXShardMintedTotalKey, static_cast<std::int64_t>(rec.amount));
   return {};
 }
 
@@ -355,7 +336,7 @@ Status ShardedLedger::submit(Transaction tx, Tick now) {
 void ShardedLedger::refresh_receipts(Shard& shard) {
   const LedgerState& state = shard.chain->state();
   const std::uint64_t next =
-      decode_u64(state.store_get(kXShardContractName, kXShardNextIdKey));
+      store_decode<std::uint64_t>(state.store_get(kXShardContractName, kXShardNextIdKey));
   for (std::uint64_t id = shard.receipts_indexed; id < next; ++id) {
     const Bytes* bytes =
         state.store_get(kXShardContractName, xshard_receipt_key(id));

@@ -81,6 +81,17 @@ std::vector<crypto::MerkleMap::Entry> account_leaves(std::span<const Account> ac
   return leaves;
 }
 
+/// Hard failure in every build type unless `overlay` is directly over the
+/// state reading it: anything else would commit or hash the wrong delta.
+void require_direct_overlay(bool direct, const char* what,
+                            const LedgerStateOverlay& overlay) {
+  if (direct) return;
+  MV_LOG_ERROR << what << " of an overlay over another view ("
+               << overlay.touched() << " touched entries)";
+  std::clog.flush();  // abort() skips stream teardown; surface the message
+  std::abort();
+}
+
 }  // namespace
 
 // The key (address) is mixed in by MerkleMap's leaf hash; the payload
@@ -262,12 +273,7 @@ void LedgerState::load_accounts(const std::vector<Account>& sorted) {
 }
 
 StateUndo LedgerState::absorb(LedgerStateOverlay& overlay) {
-  if (overlay.writable_ != this) {
-    MV_LOG_ERROR << "LedgerState::absorb() of an overlay over another view ("
-                 << overlay.touched() << " touched entries)";
-    std::clog.flush();  // abort() skips stream teardown; surface the message
-    std::abort();
-  }
+  require_direct_overlay(overlay.writable_ == this, "LedgerState::absorb()", overlay);
   StateUndo undo;
   // Accounts: one ordered walk over every touched address; one table probe
   // each records the prior content and writes the post-state, whose leaf is
@@ -419,13 +425,18 @@ std::vector<std::string> LedgerState::store_keys_with_prefix(
   return out;
 }
 
-StateCommitment LedgerState::commitment_with(const CommitmentDelta& delta) const {
+StateCommitment LedgerState::commitment() const {
+  return commitment_with(LedgerStateOverlay::reader(*this));
+}
+
+StateCommitment LedgerState::commitment_with(const LedgerStateOverlay& block) const {
+  require_direct_overlay(block.base_ == this, "LedgerState::commitment_with()", block);
   StateCommitment c;
 
-  // Accounts: cached Merkle tree plus the delta's touched leaves.
+  // Accounts: cached Merkle tree plus the block's touched leaves.
   std::vector<Account> touched;
-  touched.reserve(delta.balances.size() + delta.nonces.size());
-  merge_maps(delta.balances, delta.nonces,
+  touched.reserve(block.balances_.size() + block.nonces_.size());
+  merge_maps(block.balances_, block.nonces_,
              [&](crypto::Address addr, const std::uint64_t* dbal,
                  const std::uint64_t* dnon) {
                const Account* base = accounts_.find(addr);
@@ -443,35 +454,32 @@ StateCommitment LedgerState::commitment_with(const CommitmentDelta& delta) const
 
   // Audit log: extend the running chain hash with the appended records.
   crypto::Digest h = audit_digest_;
-  for (const StoredAuditRecord* rec : delta.audit) h = chain_audit(h, *rec);
+  for (const StoredAuditRecord& rec : block.audit_appended_) h = chain_audit(h, rec);
   c.audit_digest = h;
-  c.audit_count = audit_log_.size() + delta.audit.size();
+  c.audit_count = audit_log_.size() + block.audit_appended_.size();
 
   // Contract stores: adjust the touched contracts' multiset digests, then
   // combine all per-contract digests in name order. A delta consisting
   // solely of tombstones still names the contract (store_erase materializes
   // an empty store on commit).
   std::map<std::string, StoreDigest> adjusted;
-  for (const auto& [contract, kv] : delta.stores) {
+  std::size_t contract_count = store_digests_.size();
+  for (const auto& [contract, kv] : block.stores_) {
     const auto base_it = store_digests_.find(contract);
+    if (base_it == store_digests_.end()) ++contract_count;
     StoreDigest sd = base_it != store_digests_.end() ? base_it->second : StoreDigest{};
-    for (const auto& [key, pval] : kv) {
+    for (const auto& [key, value] : kv) {
       const Bytes* old = store_get(contract, key);
       if (old != nullptr) {
         sd.sum.remove(store_entry_hash(key, *old));
         --sd.count;
       }
-      if (pval != nullptr && pval->has_value()) {
-        sd.sum.add(store_entry_hash(key, **pval));
+      if (value.has_value()) {
+        sd.sum.add(store_entry_hash(key, *value));
         ++sd.count;
       }
     }
     adjusted[contract] = sd;
-  }
-  std::size_t contract_count = store_digests_.size();
-  for (const auto& [name, sd] : adjusted) {
-    (void)sd;
-    if (!store_digests_.contains(name)) ++contract_count;
   }
   crypto::HashWriter stores_w;
   stores_w.u32(static_cast<std::uint32_t>(contract_count));
@@ -485,7 +493,7 @@ StateCommitment LedgerState::commitment_with(const CommitmentDelta& delta) const
              });
   c.stores_digest = stores_w.digest();
 
-  c.burned_fees = burned_fees_ + delta.burned;
+  c.burned_fees = burned_fees_ + block.burned_delta_;
   c.root = combine_commitment_root(c);
   return c;
 }
@@ -597,31 +605,6 @@ std::vector<std::string> LedgerStateOverlay::store_keys_with_prefix(
   return out;
 }
 
-StateCommitment LedgerStateOverlay::commitment_with(
-    const CommitmentDelta& above) const {
-  // Fold this overlay's delta under the layers stacked above it (above
-  // wins on equal keys — it is newer) and recurse toward the materialized
-  // base, which combines the flattened delta with its cached sections.
-  CommitmentDelta merged;
-  merged.balances = balances_;
-  for (const auto& [addr, value] : above.balances) merged.balances[addr] = value;
-  merged.nonces = nonces_;
-  for (const auto& [addr, value] : above.nonces) merged.nonces[addr] = value;
-  merged.audit.reserve(audit_appended_.size() + above.audit.size());
-  for (const auto& rec : audit_appended_) merged.audit.push_back(&rec);
-  merged.audit.insert(merged.audit.end(), above.audit.begin(), above.audit.end());
-  for (const auto& [contract, kv] : stores_) {
-    auto& dst = merged.stores[contract];
-    for (const auto& [key, value] : kv) dst[key] = &value;
-  }
-  for (const auto& [contract, kv] : above.stores) {
-    auto& dst = merged.stores[contract];
-    for (const auto& [key, pval] : kv) dst[key] = pval;
-  }
-  merged.burned = burned_delta_ + above.burned;
-  return base_->commitment_with(merged);
-}
-
 void LedgerStateOverlay::commit() {
   // Committing a reader() overlay would silently discard the whole delta, so
   // it is a hard failure in every build type — an assert compiles out in
@@ -670,6 +653,12 @@ void CallContext::put(const std::string& key, Bytes value) {
 
 void CallContext::erase(const std::string& key) {
   state_.store_erase(contract_name_, key);
+}
+
+std::uint64_t CallContext::bump(const std::string& key, std::int64_t delta) {
+  const auto prior = store_decode<std::uint64_t>(get(key));
+  put(key, store_encode(prior + static_cast<std::uint64_t>(delta)));
+  return prior;
 }
 
 std::vector<std::string> CallContext::keys_with_prefix(

@@ -11,14 +11,17 @@
 //    uses a nested overlay the same way.
 //
 // The materialized accounts live in one flat AccountTable (one probe per
-// account). State commitment is incremental (DESIGN.md §"State commitment"):
-// the accounts are Merkleized (crypto::MerkleMap), the audit log carries a
-// running chain hash, and each contract store an additive multiset digest,
-// so commitment() costs O(touched · log n) on an overlay instead of
-// re-hashing the world. full_rehash_commitment() recomputes everything from
-// scratch as a differential-testing oracle.
+// account). Commitments are LedgerState's alone (DESIGN.md §"State
+// commitment"): the accounts are Merkleized (crypto::MerkleMap), the audit
+// log carries a running chain hash, and each contract store an additive
+// multiset digest, so commitment() is a fold of cached sections, and
+// commitment_with(block) over at most one block overlay costs
+// O(touched · log n) instead of re-hashing the world.
+// full_rehash_commitment() recomputes everything from scratch as a
+// differential-testing oracle.
 #pragma once
 
+#include <concepts>
 #include <map>
 #include <memory>
 #include <optional>
@@ -44,13 +47,41 @@ struct StoredAuditRecord {
   Tick height = 0;
 };
 
-/// Per-contract ordered KV store. Ordered so commitments are canonical.
+/// Per-contract KV store. Store digests do not depend on entry order; the
+/// order serves the snapshot encoding and prefix scans (DAO ballots).
 using ContractStore = std::map<std::string, Bytes>;
 
+/// The one codec of fixed-width store values (counters, ids, addresses,
+/// prices, royalties, scores): ByteWriter's little-endian layout of T.
+/// Decoding is lenient: an absent (null) or short value reads as 0, so a
+/// counter needs no initialization.
+template <typename T>
+concept StoreScalar = std::same_as<T, std::uint64_t> ||
+                      std::same_as<T, std::int64_t> || std::same_as<T, std::uint32_t>;
+template <StoreScalar T>
+[[nodiscard]] Bytes store_encode(T v) {
+  ByteWriter w;
+  if constexpr (sizeof(T) == 4) {
+    w.u32(v);
+  } else {
+    w.u64(static_cast<std::uint64_t>(v));
+  }
+  return w.take();
+}
+template <StoreScalar T>
+[[nodiscard]] T store_decode(const Bytes* value) {
+  if (value == nullptr || value->size() < sizeof(T)) return 0;
+  ByteReader r(*value);
+  if constexpr (sizeof(T) == 4) {
+    return r.u32().value();
+  } else {
+    return static_cast<T>(r.u64().value());
+  }
+}
+
 /// Commitment to a full ledger state: one root digest plus the per-section
-/// digests it is combined from. Returned by LedgerView::commitment() on the
-/// materialized state and on overlays at any nesting depth; block headers
-/// carry `root`.
+/// digests it is combined from. Returned by LedgerState::commitment() and
+/// LedgerState::commitment_with(block); block headers carry `root`.
 struct StateCommitment {
   crypto::Digest root{};           ///< combined commitment (block header field)
   crypto::Digest accounts_root{};  ///< MerkleMap root over account leaves
@@ -113,18 +144,6 @@ struct StateUndo {
   std::uint64_t burned_delta = 0;     ///< fees the block burned
 };
 
-/// A view delta flattened for commitment computation: the overlay stack folds
-/// itself into one of these and hands it to the materialized base. Internal
-/// plumbing for commitment_with(); use LedgerView::commitment() instead.
-struct CommitmentDelta {
-  std::map<crypto::Address, std::uint64_t> balances;
-  std::map<crypto::Address, std::uint64_t> nonces;
-  std::vector<const StoredAuditRecord*> audit;  ///< appended, oldest first
-  /// contract -> key -> new value (pointer into an overlay; nullopt* = erase)
-  std::map<std::string, std::map<std::string, const std::optional<Bytes>*>> stores;
-  std::uint64_t burned = 0;
-};
-
 /// Mutation/read interface shared by the committed state and overlays.
 /// Transactions and contracts touch the ledger only through these
 /// primitives, so the same apply() runs against either layer.
@@ -162,20 +181,6 @@ class LedgerView {
                            const std::string& key) = 0;
   [[nodiscard]] virtual std::vector<std::string> store_keys_with_prefix(
       const std::string& contract, const std::string& prefix) const = 0;
-
-  // ---- state commitment ----
-  /// Commitment to this view's full state (root + per-section digests).
-  /// O(touched · log n) on an overlay — the base's cached Merkle tree and
-  /// section digests are combined with the delta without materializing —
-  /// and valid at any overlay nesting depth.
-  [[nodiscard]] StateCommitment commitment() const {
-    return commitment_with(CommitmentDelta{});
-  }
-  /// Internal: commitment of this view's state with `delta` stacked on top.
-  /// Overlays fold their own delta into `delta` and recurse into their base.
-  /// Public only so overlays can recurse through any LedgerView base.
-  [[nodiscard]] virtual StateCommitment commitment_with(
-      const CommitmentDelta& delta) const = 0;
 
   // ---- conveniences built on the primitives ----
   void credit(crypto::Address a, std::uint64_t amount);
@@ -247,8 +252,15 @@ class LedgerState final : public LedgerView {
       const std::string& contract, const std::string& prefix) const override;
 
   // ---- state commitment ----
-  [[nodiscard]] StateCommitment commitment_with(
-      const CommitmentDelta& delta) const override;
+  /// Commitment to this state: the cached sections, folded.
+  [[nodiscard]] StateCommitment commitment() const;
+  /// Commitment to this state with `block` applied, without materializing
+  /// it: `block`'s touched accounts, audit records, store entries and fees
+  /// are read in place and combined with the cached Merkle tree and section
+  /// digests, in O(touched · log n). `block` must be directly over this
+  /// state (reader or writer); anything else is a hard failure, as in
+  /// absorb().
+  [[nodiscard]] StateCommitment commitment_with(const LedgerStateOverlay& block) const;
   /// Oracle: recompute the commitment from the raw maps with no incremental
   /// caches (independent account-tree recursion, audit chain refold, store
   /// digests from scratch). Differential tests assert it equals commitment().
@@ -378,11 +390,6 @@ class LedgerStateOverlay final : public LedgerView {
   [[nodiscard]] std::vector<std::string> store_keys_with_prefix(
       const std::string& contract, const std::string& prefix) const override;
 
-  /// Folds this overlay's delta into `delta` (the layers stacked above it)
-  /// and recurses into the base, so the commitment works at any depth.
-  [[nodiscard]] StateCommitment commitment_with(
-      const CommitmentDelta& delta) const override;
-
   /// Re-point this overlay at `base` as a writer. `base` must hold exactly
   /// the state the delta was computed over (a sealed proposal moving from
   /// the shared genesis to the chain's materialized copy of it). O(1).
@@ -397,7 +404,8 @@ class LedgerStateOverlay final : public LedgerView {
   [[nodiscard]] std::size_t touched() const;
 
  private:
-  friend class LedgerState;  // absorb() consumes the delta directly
+  // absorb() consumes the delta and commitment_with() reads it in place.
+  friend class LedgerState;
 
   LedgerStateOverlay(const LedgerView* base, LedgerView* writable)
       : base_(base), writable_(writable) {}
@@ -431,6 +439,10 @@ class CallContext {
   [[nodiscard]] const Bytes* get(const std::string& key) const;
   void put(const std::string& key, Bytes value);
   void erase(const std::string& key);
+  /// Read-add-write of the u64 counter at `key` (store_decode/store_encode;
+  /// an absent counter reads as 0, arithmetic wraps modulo 2^64). Returns
+  /// the value before the add, so an id allocator is one call.
+  std::uint64_t bump(const std::string& key, std::int64_t delta);
   /// Iterate keys with a given prefix (ordered).
   [[nodiscard]] std::vector<std::string> keys_with_prefix(const std::string& prefix) const;
 

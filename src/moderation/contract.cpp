@@ -8,19 +8,6 @@ std::string report_key(std::uint64_t id) {
   return "report/" + std::to_string(id);
 }
 
-Bytes enc_u64(std::uint64_t v) {
-  ByteWriter w;
-  w.u64(v);
-  return w.take();
-}
-
-std::uint64_t dec_u64(const Bytes* b, std::uint64_t fallback = 0) {
-  if (b == nullptr) return fallback;
-  ByteReader r(*b);
-  auto v = r.u64();
-  return v.ok() ? v.value() : fallback;
-}
-
 /// Stored record: reporter || offender || kind || filed_height || status.
 /// (The free-form detail string is hashed into the record key space only via
 /// the transaction itself; the store keeps the adjudicable facts.)
@@ -78,8 +65,7 @@ Status ModerationContract::do_report(ledger::CallContext& ctx,
   if (offender.value() == ctx.caller().value) {
     return Status::fail(errc::kModSelfReport, "cannot report yourself");
   }
-  const std::uint64_t id = dec_u64(ctx.get("next_id"));
-  ctx.put("next_id", enc_u64(id + 1));
+  const std::uint64_t id = ctx.bump("next_id", 1);
   ReportView v;
   v.reporter = ctx.caller();
   v.offender = crypto::Address{offender.value()};
@@ -87,7 +73,7 @@ Status ModerationContract::do_report(ledger::CallContext& ctx,
   v.filed_height = ctx.height();
   v.status = ReportStatus::kOpen;
   ctx.put(report_key(id), encode_record(v));
-  ctx.put("open_count", enc_u64(dec_u64(ctx.get("open_count")) + 1));
+  ctx.bump("open_count", 1);
   return {};
 }
 
@@ -114,45 +100,32 @@ Status ModerationContract::do_resolve(ledger::CallContext& ctx,
   view->status = uphold.value() != 0 ? ReportStatus::kUpheld
                                      : ReportStatus::kDismissed;
   ctx.put(report_key(id.value()), encode_record(*view));
-  ctx.put("open_count", enc_u64(dec_u64(ctx.get("open_count")) - 1));
-  if (uphold.value() != 0) {
-    ctx.put("upheld_count", enc_u64(dec_u64(ctx.get("upheld_count")) + 1));
-  }
+  ctx.bump("open_count", -1);
+  if (uphold.value() != 0) ctx.bump("upheld_count", 1);
   return {};
 }
 
 std::uint64_t ModerationContract::report_count(const ledger::LedgerState& state,
                                                const std::string& contract) {
-  const auto* store = state.find_store(contract);
-  if (store == nullptr) return 0;
-  const auto it = store->find("next_id");
-  return it == store->end() ? 0 : dec_u64(&it->second);
+  return ledger::store_decode<std::uint64_t>(state.store_get(contract, "next_id"));
 }
 
 std::uint64_t ModerationContract::open_count(const ledger::LedgerState& state,
                                              const std::string& contract) {
-  const auto* store = state.find_store(contract);
-  if (store == nullptr) return 0;
-  const auto it = store->find("open_count");
-  return it == store->end() ? 0 : dec_u64(&it->second);
+  return ledger::store_decode<std::uint64_t>(state.store_get(contract, "open_count"));
 }
 
 std::uint64_t ModerationContract::upheld_count(const ledger::LedgerState& state,
                                                const std::string& contract) {
-  const auto* store = state.find_store(contract);
-  if (store == nullptr) return 0;
-  const auto it = store->find("upheld_count");
-  return it == store->end() ? 0 : dec_u64(&it->second);
+  return ledger::store_decode<std::uint64_t>(state.store_get(contract, "upheld_count"));
 }
 
 Result<ModerationContract::ReportView> ModerationContract::report(
     const ledger::LedgerState& state, const std::string& contract,
     std::uint64_t id) {
-  const auto* store = state.find_store(contract);
-  if (store == nullptr) return make_error(errc::kModNoSuchReport, "no contract state");
-  const auto it = store->find(report_key(id));
-  if (it == store->end()) return make_error(errc::kModNoSuchReport, "unknown report");
-  auto view = decode_record(it->second);
+  const Bytes* record = state.store_get(contract, report_key(id));
+  if (record == nullptr) return make_error(errc::kModNoSuchReport, "unknown report");
+  auto view = decode_record(*record);
   if (!view.has_value()) return make_error(errc::kModBadArgs, "corrupt record");
   return *view;
 }

@@ -10,35 +10,6 @@ std::string uri_key(std::uint64_t id) { return "token/" + std::to_string(id) + "
 std::string royalty_key(std::uint64_t id) { return "token/" + std::to_string(id) + "/royalty"; }
 std::string listing_key(std::uint64_t id) { return "listing/" + std::to_string(id); }
 
-Bytes enc_u64(std::uint64_t v) {
-  ByteWriter w;
-  w.u64(v);
-  return w.take();
-}
-Bytes enc_u32(std::uint32_t v) {
-  ByteWriter w;
-  w.u32(v);
-  return w.take();
-}
-Bytes enc_str(const std::string& s) {
-  ByteWriter w;
-  w.str(s);
-  return w.take();
-}
-
-std::uint64_t dec_u64(const Bytes* b, std::uint64_t fallback = 0) {
-  if (b == nullptr) return fallback;
-  ByteReader r(*b);
-  auto v = r.u64();
-  return v.ok() ? v.value() : fallback;
-}
-std::uint32_t dec_u32(const Bytes* b, std::uint32_t fallback = 0) {
-  if (b == nullptr) return fallback;
-  ByteReader r(*b);
-  auto v = r.u32();
-  return v.ok() ? v.value() : fallback;
-}
-
 constexpr std::uint32_t kMaxRoyaltyBps = 5000;  // 50% cap
 
 }  // namespace
@@ -63,12 +34,13 @@ Status NftContract::do_mint(ledger::CallContext& ctx, const Bytes& args) const {
   if (royalty.value() > kMaxRoyaltyBps) {
     return Status::fail(errc::kNftRoyaltyTooHigh, "royalty above 50%");
   }
-  const std::uint64_t id = dec_u64(ctx.get("next_token"));
-  ctx.put("next_token", enc_u64(id + 1));
-  ctx.put(owner_key(id), enc_u64(ctx.caller().value));
-  ctx.put(creator_key(id), enc_u64(ctx.caller().value));
-  ctx.put(uri_key(id), enc_str(uri.value()));
-  ctx.put(royalty_key(id), enc_u32(royalty.value()));
+  const std::uint64_t id = ctx.bump("next_token", 1);
+  ctx.put(owner_key(id), ledger::store_encode(ctx.caller().value));
+  ctx.put(creator_key(id), ledger::store_encode(ctx.caller().value));
+  ByteWriter stored_uri;
+  stored_uri.str(uri.value());
+  ctx.put(uri_key(id), stored_uri.take());
+  ctx.put(royalty_key(id), ledger::store_encode(royalty.value()));
   return {};
 }
 
@@ -81,13 +53,13 @@ Status NftContract::do_transfer(ledger::CallContext& ctx, const Bytes& args) con
   }
   const Bytes* owner = ctx.get(owner_key(token.value()));
   if (owner == nullptr) return Status::fail(errc::kNftNoSuchToken, "unknown token");
-  if (dec_u64(owner) != ctx.caller().value) {
+  if (ledger::store_decode<std::uint64_t>(owner) != ctx.caller().value) {
     return Status::fail(errc::kNftNotOwner, "caller does not own the token");
   }
   if (ctx.get(listing_key(token.value())) != nullptr) {
     return Status::fail(errc::kNftListed, "cancel the listing before transferring");
   }
-  ctx.put(owner_key(token.value()), enc_u64(to.value()));
+  ctx.put(owner_key(token.value()), ledger::store_encode(to.value()));
   return {};
 }
 
@@ -100,10 +72,10 @@ Status NftContract::do_list(ledger::CallContext& ctx, const Bytes& args) const {
   }
   const Bytes* owner = ctx.get(owner_key(token.value()));
   if (owner == nullptr) return Status::fail(errc::kNftNoSuchToken, "unknown token");
-  if (dec_u64(owner) != ctx.caller().value) {
+  if (ledger::store_decode<std::uint64_t>(owner) != ctx.caller().value) {
     return Status::fail(errc::kNftNotOwner, "caller does not own the token");
   }
-  ctx.put(listing_key(token.value()), enc_u64(price.value()));
+  ctx.put(listing_key(token.value()), ledger::store_encode(price.value()));
   return {};
 }
 
@@ -113,7 +85,7 @@ Status NftContract::do_cancel(ledger::CallContext& ctx, const Bytes& args) const
   if (!token.ok()) return Status::fail(errc::kNftBadArgs, "cancel(token: u64)");
   const Bytes* owner = ctx.get(owner_key(token.value()));
   if (owner == nullptr) return Status::fail(errc::kNftNoSuchToken, "unknown token");
-  if (dec_u64(owner) != ctx.caller().value) {
+  if (ledger::store_decode<std::uint64_t>(owner) != ctx.caller().value) {
     return Status::fail(errc::kNftNotOwner, "caller does not own the token");
   }
   if (ctx.get(listing_key(token.value())) == nullptr) {
@@ -129,13 +101,16 @@ Status NftContract::do_buy(ledger::CallContext& ctx, const Bytes& args) const {
   if (!token.ok()) return Status::fail(errc::kNftBadArgs, "buy(token: u64)");
   const Bytes* listing = ctx.get(listing_key(token.value()));
   if (listing == nullptr) return Status::fail(errc::kNftNotListed, "no open listing");
-  const std::uint64_t price = dec_u64(listing);
-  const crypto::Address seller{dec_u64(ctx.get(owner_key(token.value())))};
-  const crypto::Address creator{dec_u64(ctx.get(creator_key(token.value())))};
+  const std::uint64_t price = ledger::store_decode<std::uint64_t>(listing);
+  const crypto::Address seller{
+      ledger::store_decode<std::uint64_t>(ctx.get(owner_key(token.value())))};
+  const crypto::Address creator{
+      ledger::store_decode<std::uint64_t>(ctx.get(creator_key(token.value())))};
   if (seller == ctx.caller()) {
     return Status::fail(errc::kNftSelfPurchase, "cannot buy your own listing");
   }
-  const std::uint32_t royalty_bps = dec_u32(ctx.get(royalty_key(token.value())));
+  const std::uint32_t royalty_bps =
+      ledger::store_decode<std::uint32_t>(ctx.get(royalty_key(token.value())));
   const std::uint64_t royalty =
       price * royalty_bps / 10000;  // creator share of every sale
   const std::uint64_t seller_cut = price - royalty;
@@ -143,45 +118,35 @@ Status NftContract::do_buy(ledger::CallContext& ctx, const Bytes& args) const {
   if (royalty > 0) {
     if (auto s = ctx.transfer(ctx.caller(), creator, royalty); !s.ok()) return s;
   }
-  ctx.put(owner_key(token.value()), enc_u64(ctx.caller().value));
+  ctx.put(owner_key(token.value()), ledger::store_encode(ctx.caller().value));
   ctx.erase(listing_key(token.value()));
   return {};
 }
 
 std::uint64_t NftContract::token_count(const ledger::LedgerState& state) {
-  const auto* store = state.find_store("nft");
-  if (store == nullptr) return 0;
-  const auto it = store->find("next_token");
-  return it == store->end() ? 0 : dec_u64(&it->second);
+  return ledger::store_decode<std::uint64_t>(state.store_get("nft", "next_token"));
 }
 
 Result<NftContract::TokenView> NftContract::token(
     const ledger::LedgerState& state, std::uint64_t id) {
-  const auto* store = state.find_store("nft");
-  if (store == nullptr) return make_error(errc::kNftNoStore, "no contract state");
-  const auto owner = store->find(owner_key(id));
-  if (owner == store->end()) return make_error(errc::kNftNoSuchToken, "unknown token");
+  const Bytes* owner = state.store_get("nft", owner_key(id));
+  if (owner == nullptr) return make_error(errc::kNftNoSuchToken, "unknown token");
   TokenView view;
-  view.owner = crypto::Address{dec_u64(&owner->second)};
-  if (const auto it = store->find(creator_key(id)); it != store->end()) {
-    view.creator = crypto::Address{dec_u64(&it->second)};
-  }
-  if (const auto it = store->find(uri_key(id)); it != store->end()) {
-    ByteReader r(it->second);
+  view.owner = crypto::Address{ledger::store_decode<std::uint64_t>(owner)};
+  view.creator = crypto::Address{
+      ledger::store_decode<std::uint64_t>(state.store_get("nft", creator_key(id)))};
+  if (const Bytes* uri = state.store_get("nft", uri_key(id)); uri != nullptr) {
+    ByteReader r(*uri);
     if (auto s = r.str(); s.ok()) view.uri = s.value();
   }
-  if (const auto it = store->find(royalty_key(id)); it != store->end()) {
-    view.royalty_bps = dec_u32(&it->second);
-  }
+  view.royalty_bps =
+      ledger::store_decode<std::uint32_t>(state.store_get("nft", royalty_key(id)));
   return view;
 }
 
 std::uint64_t NftContract::listing_price(const ledger::LedgerState& state,
                                          std::uint64_t id) {
-  const auto* store = state.find_store("nft");
-  if (store == nullptr) return 0;
-  const auto it = store->find(listing_key(id));
-  return it == store->end() ? 0 : dec_u64(&it->second);
+  return ledger::store_decode<std::uint64_t>(state.store_get("nft", listing_key(id)));
 }
 
 std::vector<std::uint64_t> NftContract::tokens_of(

@@ -13,19 +13,6 @@ std::string last_key(std::uint64_t rater, std::uint64_t subject) {
   return "last/" + std::to_string(rater) + "/" + std::to_string(subject);
 }
 
-Bytes enc_i64(std::int64_t v) {
-  ByteWriter w;
-  w.i64(v);
-  return w.take();
-}
-
-std::int64_t dec_i64(const Bytes* b, std::int64_t fallback = 0) {
-  if (b == nullptr) return fallback;
-  ByteReader r(*b);
-  auto v = r.i64();
-  return v.ok() ? v.value() : fallback;
-}
-
 }  // namespace
 
 Status ReputationContract::call(ledger::CallContext& ctx,
@@ -55,28 +42,27 @@ Status ReputationContract::do_rate(ledger::CallContext& ctx,
   if (config_.cooldown_blocks > 0) {
     const std::string lk = last_key(ctx.caller().value, subject.value());
     if (const Bytes* last = ctx.get(lk); last != nullptr) {
-      const std::int64_t since = ctx.height() - dec_i64(last);
+      const std::int64_t since = ctx.height() - ledger::store_decode<std::int64_t>(last);
       if (since < config_.cooldown_blocks) {
         return Status::fail(errc::kRepCooldown,
                             "pair rated " + std::to_string(since) + " blocks ago");
       }
     }
-    ctx.put(lk, enc_i64(ctx.height()));
+    ctx.put(lk, ledger::store_encode(ctx.height()));
   }
   const std::string sk = score_key(subject.value());
-  const std::int64_t updated = std::clamp(dec_i64(ctx.get(sk)) + d,
-                                          config_.min_score, config_.max_score);
-  ctx.put(sk, enc_i64(updated));
+  const std::int64_t updated =
+      std::clamp(ledger::store_decode<std::int64_t>(ctx.get(sk)) + d,
+                 config_.min_score, config_.max_score);
+  ctx.put(sk, ledger::store_encode(updated));
   return {};
 }
 
 std::int64_t ReputationContract::score(const ledger::LedgerState& state,
                                        const std::string& contract,
                                        crypto::Address subject) {
-  const auto* store = state.find_store(contract);
-  if (store == nullptr) return 0;
-  const auto it = store->find(score_key(subject.value));
-  return it == store->end() ? 0 : dec_i64(&it->second);
+  return ledger::store_decode<std::int64_t>(
+      state.store_get(contract, score_key(subject.value)));
 }
 
 std::uint64_t ReputationContract::rated_count(const ledger::LedgerState& state,

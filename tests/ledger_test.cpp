@@ -774,6 +774,50 @@ TEST(Consensus, SurvivesMessageLoss) {
   EXPECT_GE(commits, 3);
 }
 
+TEST(Consensus, VotesForAnotherHashWithTheSamePrefixDoNotCommit) {
+  // Votes count only for the exact block hash they sign. A node in the
+  // leader's partition group intercepts the proposal and hands the leader
+  // quorum - 1 validly signed votes for a hash sharing the block hash's
+  // first 8 bytes; with the leader's own vote that would be a quorum if
+  // votes were keyed by a 64-bit prefix.
+  CommitteeFixture f;
+  ValidatorCommittee committee(f.network, 4, f.contracts, f.genesis, 8, f.rng);
+  committee.submit(make_transfer(f.alice, 0, f.bob.address(), 1, 1, f.rng));
+  NodeId spy = NodeId::invalid();
+  std::size_t forged = 0;
+  spy = f.network.add_node([&](const net::Message& msg) {
+    if (msg.topic != "propose") return;
+    const auto block = Block::decode(msg.payload());
+    if (!block.ok()) return;
+    const std::int64_t height = block.value().header.height;
+    crypto::Digest hash = block.value().header.hash();
+    hash.back() ^= 0x01;  // same first 8 bytes, different block
+    ByteWriter signing;
+    signing.str("vote");
+    signing.i64(height);
+    signing.raw(hash);
+    for (std::size_t i = 1; i < committee.quorum(); ++i) {
+      ByteWriter vote;
+      vote.i64(height);
+      vote.raw(hash);
+      crypto::write_key(vote, committee.wallet(i).public_key());
+      crypto::write_signature(vote, committee.wallet(i).sign(signing.data(), f.rng));
+      f.network.send(spy, committee.node(0), "vote", vote.take());
+      ++forged;
+    }
+  });
+  // Validator 0 leads height 0; only the spy shares its partition group.
+  f.network.set_group(committee.node(0), 1);
+  f.network.set_group(spy, 1);
+  EXPECT_FALSE(committee.run_round());
+  EXPECT_EQ(forged, committee.quorum() - 1);
+  EXPECT_EQ(committee.chain(0).height(), 0);
+  // Healed, the leader's next proposal commits on genuine votes.
+  f.network.heal();
+  EXPECT_TRUE(committee.run_round());
+  EXPECT_TRUE(committee.replicas_consistent());
+}
+
 class CommitteeSizeTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CommitteeSizeTest, QuorumIsTwoThirdsPlusOne) {
@@ -907,13 +951,72 @@ TEST(StateCommitment, SectionsIsolateWhatChanged) {
   EXPECT_EQ(after.stores_digest, before.stores_digest);  // stores untouched
 }
 
+// ------------------------------------------------------ store value codec
+
+TEST(StoreCodec, RoundTripsInByteWriterLayout) {
+  for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{1},
+                                std::uint64_t{0x0102030405060708},
+                                std::numeric_limits<std::uint64_t>::max()}) {
+    ByteWriter w;
+    w.u64(v);
+    const Bytes stored = store_encode(v);
+    EXPECT_EQ(stored, w.data());
+    EXPECT_EQ(store_decode<std::uint64_t>(&stored), v);
+  }
+  for (const std::int64_t v : {std::int64_t{-1}, std::int64_t{42},
+                               std::numeric_limits<std::int64_t>::min()}) {
+    ByteWriter w;
+    w.i64(v);
+    const Bytes stored = store_encode(v);
+    EXPECT_EQ(stored, w.data());
+    EXPECT_EQ(store_decode<std::int64_t>(&stored), v);
+  }
+  for (const std::uint32_t v : {std::uint32_t{0}, std::uint32_t{5000},
+                                std::numeric_limits<std::uint32_t>::max()}) {
+    ByteWriter w;
+    w.u32(v);
+    const Bytes stored = store_encode(v);
+    EXPECT_EQ(stored, w.data());
+    EXPECT_EQ(store_decode<std::uint32_t>(&stored), v);
+  }
+}
+
+TEST(StoreCodec, AbsentOrShortValueReadsAsZero) {
+  EXPECT_EQ(store_decode<std::uint64_t>(nullptr), 0u);
+  EXPECT_EQ(store_decode<std::int64_t>(nullptr), 0);
+  EXPECT_EQ(store_decode<std::uint32_t>(nullptr), 0u);
+  const Bytes seven(7, 0xff);
+  EXPECT_EQ(store_decode<std::uint64_t>(&seven), 0u);
+  EXPECT_EQ(store_decode<std::int64_t>(&seven), 0);
+  const Bytes three(3, 0xff);
+  EXPECT_EQ(store_decode<std::uint32_t>(&three), 0u);
+  // A longer value reads its leading field, as ByteReader does.
+  Bytes longer = store_encode(std::uint64_t{7});
+  longer.push_back(0xaa);
+  EXPECT_EQ(store_decode<std::uint64_t>(&longer), 7u);
+}
+
+TEST(StoreCodec, BumpAddsAndReturnsThePriorValue) {
+  LedgerState state;
+  CallContext ctx(state, "counters", crypto::Address{1}, 0);
+  EXPECT_EQ(ctx.bump("n", 1), 0u);  // absent reads as 0
+  EXPECT_EQ(ctx.bump("n", 5), 1u);
+  EXPECT_EQ(ctx.bump("n", -2), 6u);
+  ASSERT_NE(ctx.get("n"), nullptr);
+  EXPECT_EQ(*ctx.get("n"), store_encode(std::uint64_t{4}));
+  // Decrementing an absent counter wraps modulo 2^64, as u64 arithmetic does.
+  EXPECT_EQ(ctx.bump("z", -1), 0u);
+  EXPECT_EQ(store_decode<std::uint64_t>(ctx.get("z")),
+            std::numeric_limits<std::uint64_t>::max());
+}
+
 TEST(LedgerStateOverlay, ReaderComputesCommitmentWithoutMutatingBase) {
   Fixture f;
   const auto base_before = f.state.commitment();
   auto scratch = LedgerStateOverlay::reader(f.state);
   const auto tx = make_transfer(f.alice, 0, f.bob.address(), 100, 5, f.rng);
   ASSERT_TRUE(scratch.apply(tx, *f.contracts, 0).ok());
-  const auto oc = scratch.commitment();
+  const auto oc = f.state.commitment_with(scratch);
   EXPECT_NE(oc.root, base_before.root);
   EXPECT_EQ(f.state.commitment(), base_before);  // base untouched
 }
@@ -924,35 +1027,10 @@ TEST(LedgerStateOverlay, WriterCommitmentPredictsPostCommitState) {
   const auto tx = make_transfer(f.alice, 0, f.bob.address(), 100, 5, f.rng);
   ASSERT_TRUE(scratch.apply(tx, *f.contracts, 0).ok());
   scratch.store_put("reg", "k", Bytes{9});
-  const auto oc = scratch.commitment();
+  const auto oc = f.state.commitment_with(scratch);
   scratch.commit();
   EXPECT_EQ(f.state.commitment(), oc);
   EXPECT_EQ(f.state.commitment(), f.state.full_rehash_commitment());
-}
-
-TEST(LedgerStateOverlay, NestedOverlayCommitmentValidOverUnmaterializedBase) {
-  // The historical API computed a state root only on an overlay whose base
-  // was the materialized LedgerState; commitment() must work at any depth.
-  Fixture f;
-  auto outer = LedgerStateOverlay::writer(f.state);
-  ASSERT_TRUE(
-      outer.apply(make_transfer(f.alice, 0, f.bob.address(), 100, 5, f.rng),
-                  *f.contracts, 0)
-          .ok());
-  auto inner = LedgerStateOverlay::nested(outer);
-  ASSERT_TRUE(
-      inner.apply(make_transfer(f.bob, 0, f.alice.address(), 30, 2, f.rng),
-                  *f.contracts, 0)
-          .ok());
-  inner.store_put("reg", "k", Bytes{1});
-  inner.append_audit(
-      StoredAuditRecord{f.bob.address(), {"pose", "render", 3, "none"}, 0});
-  const auto nested_c = inner.commitment();
-  inner.commit();
-  EXPECT_EQ(outer.commitment(), nested_c);
-  outer.commit();
-  EXPECT_EQ(f.state.commitment(), nested_c);
-  EXPECT_EQ(f.state.full_rehash_commitment(), nested_c);
 }
 
 TEST(LedgerStateOverlay, OverlayTombstoneErasesBaseStoreKey) {
@@ -960,7 +1038,7 @@ TEST(LedgerStateOverlay, OverlayTombstoneErasesBaseStoreKey) {
   f.state.store_put("reg", "k", Bytes{1});
   auto scratch = LedgerStateOverlay::writer(f.state);
   scratch.store_erase("reg", "k");
-  const auto oc = scratch.commitment();
+  const auto oc = f.state.commitment_with(scratch);
   scratch.commit();
   EXPECT_EQ(f.state.store_get("reg", "k"), nullptr);
   EXPECT_EQ(f.state.commitment(), oc);
@@ -1017,7 +1095,7 @@ TEST(LedgerState, DifferentialCommitmentMatchesFullRehashOracle) {
           break;
       }
     }
-    const auto oc = scratch.commitment();
+    const auto oc = state.commitment_with(scratch);
     if (rng.chance(0.7)) {
       scratch.commit();
       ASSERT_EQ(state.commitment(), oc) << "block " << block;
@@ -1109,7 +1187,7 @@ TEST(LedgerState, AbsorbDifferentialMatchesPerKeyCommit) {
     stage(a);
     auto b = LedgerStateOverlay::writer(oracle);
     stage(b);
-    const StateCommitment expected = a.commitment();
+    const StateCommitment expected = state.commitment_with(a);
     pre_states.push_back(state);
     undos.push_back(state.absorb(a));
     b.commit();
@@ -1580,6 +1658,21 @@ TEST(LedgerStateOverlayDeathTest, CommitOnReaderAborts) {
   // Release builds used to compile the assert out and silently drop the
   // delta; the failure must be hard in every build type.
   EXPECT_DEATH(overlay.commit(), "read-only overlay");
+}
+
+TEST(LedgerStateOverlayDeathTest, CommitmentWithOverAnotherViewAborts) {
+  // A commitment reads one block overlay in place against the state it is
+  // directly over; an overlay over another view (here a nested one) would
+  // hash a delta that omits its parent's writes.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Fixture f;
+  auto outer = LedgerStateOverlay::writer(f.state);
+  outer.credit(f.alice.address(), 1);
+  auto inner = LedgerStateOverlay::nested(outer);
+  inner.credit(f.bob.address(), 1);
+  EXPECT_DEATH((void)f.state.commitment_with(inner), "commitment_with");
+  LedgerState other;
+  EXPECT_DEATH((void)other.commitment_with(outer), "commitment_with");
 }
 
 TEST(LedgerStateOverlay, CommitOnWriterFoldsDelta) {

@@ -386,7 +386,7 @@ TEST(ParallelBlockCheck, SigPreverifyMatchesSerialLoop) {
             std::numeric_limits<std::size_t>::max(),
             pass_digests ? std::span<const crypto::Digest>(digests)
                          : std::span<const crypto::Digest>());
-        return std::tuple(out, scratch.commitment(), config.sig_cache);
+        return std::tuple(out, f.genesis.commitment_with(scratch), config.sig_cache);
       };
       const auto [want, want_state, want_cache] = run({}, true);
       const std::size_t want_size = want_cache->size();

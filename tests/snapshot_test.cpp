@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -654,6 +655,10 @@ TEST(SnapshotBusyNack, DefersWithoutBurningRetryBudget) {
   NetFixture f(/*drop_rate=*/0.0);
   const std::int64_t snap_height = f.source.height() - 2;
 
+  // The pin's state outlives the queue: its destructor joins the worker.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
   JobQueueConfig qconfig;
   qconfig.threads = 1;
   qconfig.limit(JobClass::kSnapshotServe).max_depth = 1;
@@ -671,9 +676,22 @@ TEST(SnapshotBusyNack, DefersWithoutBurningRetryBudget) {
 
   // Pin the single worker, then fill the lane's depth allowance: every chunk
   // request from here until release is answered busy, deterministically.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
+  const auto unpin = [&] {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      release = true;
+    }
+    cv.notify_all();
+  };
+  // Every exit path (a failed ASSERT included) unpins the worker and lets
+  // admitted serves finish while the server they reference still exists.
+  struct Unpin {
+    std::function<void()> run;
+    ~Unpin() { run(); }
+  } unpin_on_exit{[&] {
+    unpin();
+    queue.drain();
+  }};
   ASSERT_TRUE(queue.submit(JobClass::kSnapshotServe, [&] {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return release; });
@@ -689,11 +707,7 @@ TEST(SnapshotBusyNack, DefersWithoutBurningRetryBudget) {
     f.clock.advance(1);
     f.net.step();
     if (t == 60) {
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        release = true;
-      }
-      cv.notify_all();
+      unpin();
       released = true;
     }
     if (released) queue.drain();
