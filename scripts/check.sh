@@ -112,6 +112,15 @@ echo "== gate: sharded ledger (beacon anchors, cross-shard receipts, multi-world
 # harness at every queue worker count.
 gate "sharded ledger tests" 'Shard|Beacon|CrossShard|MultiWorld'
 
+echo "== gate: trust chain: one header check (blocks, anchors, light clients, beacons) =="
+# Every header consumer decides through ledger/header_check.h. The table
+# sends the same forged headers (height, parent, off-schedule proposer,
+# flipped signature) to append, validate, a LightClient, a SubscriptionFeed
+# push, the snapshot anchor and a BeaconFollower and pins one header.* code
+# for all of them; the light-client battery and the beacon follower cases
+# (forgeries rejected, composed proofs only at an accepted beacon) ride along.
+gate "trust chain: one header check" 'HeaderCheck|LightClient|Beacon'
+
 echo "== lint: benches with off-thread work report wall-clock rates =="
 # A benchmark whose work runs on JobQueue/ThreadPool workers must not derive
 # its rates from the benchmark thread's CPU time: every registration in a

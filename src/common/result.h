@@ -46,6 +46,15 @@ inline constexpr const char* kChainNotFresh = "chain.not_fresh";
 inline constexpr const char* kChainBadAnchor = "chain.bad_anchor";
 inline constexpr const char* kChainBadBlockCount = "chain.bad_block_count";
 
+// header.* — the one signed-header check every header consumer shares
+// (ledger/header_check.h); light.* — light-client proof anchoring.
+inline constexpr const char* kHeaderBadHeight = "header.bad_height";
+inline constexpr const char* kHeaderBadParent = "header.bad_parent";
+inline constexpr const char* kHeaderWrongProposer = "header.wrong_proposer";
+inline constexpr const char* kHeaderBadSignature = "header.bad_signature";
+inline constexpr const char* kHeaderNoValidators = "header.no_validators";
+inline constexpr const char* kLightUnknownHeight = "light.unknown_height";
+
 // sub.* — subscription streaming (net/subscription.h, ledger/subscription.h).
 inline constexpr const char* kSubStaleFrom = "sub.stale_from";
 inline constexpr const char* kSubBadVersion = "sub.bad_version";

@@ -15,6 +15,25 @@ constexpr std::string_view kAnchorDomain = "mv.shard.anchor.v1";
 /// any deployment, low enough that a forged count cannot drive allocation.
 constexpr std::uint32_t kMaxShards = 1u << 16;
 
+/// Everything the proposer signs, in wire order; encode() appends the key
+/// and the signature. Works against any writer with the ByteWriter field
+/// interface (ByteWriter, HashWriter).
+template <typename Writer>
+void write_signing_fields(Writer& w, const BeaconHeader& h) {
+  w.i64(h.height);
+  w.raw(h.prev_hash);
+  w.i64(h.timestamp);
+  w.u32(static_cast<std::uint32_t>(h.shards.size()));
+  for (const ShardAnchor& a : h.shards) {
+    w.raw(a.state_root);
+    w.raw(a.receipts_root);
+  }
+  // The derived root is signed too: a proposer attests to the combination,
+  // not just the inputs, so a verifier holding only (root, signature) is
+  // covered without re-deriving.
+  w.raw(combine_beacon_root(h.shards));
+}
+
 }  // namespace
 
 crypto::Digest shard_anchor_digest(const ShardAnchor& anchor) {
@@ -51,24 +70,13 @@ bool verify_shard_anchor(const crypto::Digest& beacon_root, std::uint32_t index,
 
 Bytes BeaconHeader::signing_bytes() const {
   ByteWriter w;
-  w.i64(height);
-  w.raw(prev_hash);
-  w.i64(timestamp);
-  w.u32(static_cast<std::uint32_t>(shards.size()));
-  for (const ShardAnchor& a : shards) {
-    w.raw(a.state_root);
-    w.raw(a.receipts_root);
-  }
-  // The derived root is signed too: a proposer attests to the combination,
-  // not just the inputs, so a verifier holding only (root, signature) is
-  // covered without re-deriving.
-  w.raw(combine_beacon_root(shards));
+  write_signing_fields(w, *this);
   return w.take();
 }
 
 Bytes BeaconHeader::encode() const {
   ByteWriter w;
-  w.raw(signing_bytes());
+  write_signing_fields(w, *this);
   crypto::write_key(w, proposer_pub);
   crypto::write_signature(w, proposer_sig);
   return w.take();
@@ -113,11 +121,17 @@ Result<BeaconHeader> BeaconHeader::decode(std::span<const std::uint8_t> bytes) {
   return h;
 }
 
-crypto::Digest BeaconHeader::hash() const { return crypto::sha256(encode()); }
+crypto::Digest BeaconHeader::hash() const {
+  // Streams the exact encode() byte sequence; no intermediate buffer.
+  crypto::HashWriter w;
+  write_signing_fields(w, *this);
+  crypto::write_key(w, proposer_pub);
+  crypto::write_signature(w, proposer_sig);
+  return w.digest();
+}
 
 void BeaconArchive::push(BeaconHeader header) {
   std::unique_lock lock(mu_);
-  header.beacon_root = combine_beacon_root(header.shards);
   headers_.push_back(std::move(header));
 }
 
@@ -135,19 +149,6 @@ std::optional<ShardAnchor> BeaconArchive::anchor(std::int64_t height,
   const auto& shards = headers_[static_cast<std::size_t>(height)].shards;
   if (shard >= shards.size()) return std::nullopt;
   return shards[shard];
-}
-
-std::optional<BeaconHeader> BeaconArchive::header_at(std::int64_t height) const {
-  std::shared_lock lock(mu_);
-  if (height < 0 || height >= static_cast<std::int64_t>(headers_.size())) {
-    return std::nullopt;
-  }
-  return headers_[static_cast<std::size_t>(height)];
-}
-
-crypto::Digest BeaconArchive::tip_hash() const {
-  std::shared_lock lock(mu_);
-  return headers_.empty() ? crypto::Digest{} : headers_.back().hash();
 }
 
 }  // namespace mv::ledger

@@ -103,10 +103,6 @@ class BeaconArchive {
   /// yet archived / the shard index is out of range.
   [[nodiscard]] std::optional<ShardAnchor> anchor(std::int64_t height,
                                                  std::uint32_t shard) const;
-  /// Copy of the header at `height` (nullopt when absent).
-  [[nodiscard]] std::optional<BeaconHeader> header_at(std::int64_t height) const;
-  /// Hash of the newest archived header (zero digest when empty).
-  [[nodiscard]] crypto::Digest tip_hash() const;
 
  private:
   mutable std::shared_mutex mu_;

@@ -2,25 +2,43 @@
 
 namespace mv::ledger {
 
+namespace {
+
+/// Everything the proposer signs, in wire order; encode() appends the
+/// signature. Works against any writer with the ByteWriter field interface
+/// (ByteWriter, HashWriter).
+template <typename Writer>
+void write_signing_fields(Writer& w, const BlockHeader& h) {
+  w.i64(h.height);
+  w.raw(h.prev_hash);
+  w.raw(h.tx_root);
+  w.raw(h.state_root);
+  w.i64(h.timestamp);
+  crypto::write_key(w, h.proposer_pub);
+}
+
+}  // namespace
+
 Bytes BlockHeader::signing_bytes() const {
   ByteWriter w;
-  w.i64(height);
-  w.raw(prev_hash);
-  w.raw(tx_root);
-  w.raw(state_root);
-  w.i64(timestamp);
-  crypto::write_key(w, proposer_pub);
+  write_signing_fields(w, *this);
   return w.take();
 }
 
 Bytes BlockHeader::encode() const {
   ByteWriter w;
-  w.raw(signing_bytes());
+  write_signing_fields(w, *this);
   crypto::write_signature(w, proposer_sig);
   return w.take();
 }
 
-crypto::Digest BlockHeader::hash() const { return crypto::sha256(encode()); }
+crypto::Digest BlockHeader::hash() const {
+  // Streams the exact encode() byte sequence; no intermediate buffer.
+  crypto::HashWriter w;
+  write_signing_fields(w, *this);
+  crypto::write_signature(w, proposer_sig);
+  return w.digest();
+}
 
 Result<BlockHeader> BlockHeader::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);

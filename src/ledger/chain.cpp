@@ -7,6 +7,8 @@
 #include <string>
 #include <utility>
 
+#include "ledger/header_check.h"
+
 namespace mv::ledger {
 
 Blockchain::Blockchain(ChainConfig config,
@@ -49,11 +51,6 @@ const Block* Blockchain::block_at(std::int64_t height) const {
   return &blocks_[static_cast<std::size_t>(height - base_height_)];
 }
 
-const crypto::PublicKey& Blockchain::expected_proposer(std::int64_t height) const {
-  return config_.validators[static_cast<std::size_t>(height) %
-                            config_.validators.size()];
-}
-
 Block Blockchain::assemble(const crypto::Wallet& proposer,
                            const std::vector<Transaction>& candidates,
                            Tick timestamp, Rng& rng) const {
@@ -81,25 +78,15 @@ Block Blockchain::assemble(const crypto::Wallet& proposer,
 
 Status Blockchain::check_header(const Block& block,
                                 const std::vector<crypto::Digest>& digests) const {
-  const auto& h = block.header;
-  if (h.height != height()) {
-    return Status::fail("block.bad_height",
-                        "expected " + std::to_string(height()));
-  }
-  if (h.prev_hash != tip_hash()) {
-    return Status::fail("block.bad_parent", "prev_hash does not match tip");
-  }
-  if (h.proposer_pub != expected_proposer(h.height)) {
-    return Status::fail("block.wrong_proposer",
-                        "not this round's proposer (PoA round-robin)");
-  }
-  if (!crypto::verify(h.proposer_pub, h.signing_bytes(), h.proposer_sig)) {
-    return Status::fail("block.bad_proposer_sig", "header signature invalid");
+  if (auto s = check_signed_header(block.header, height(), tip_hash(),
+                                   config_.validators);
+      !s.ok()) {
+    return s;
   }
   if (block.txs.size() > config_.max_txs_per_block) {
     return Status::fail("block.too_many_txs", "exceeds max_txs_per_block");
   }
-  if (h.tx_root != Block::compute_tx_root(digests)) {
+  if (block.header.tx_root != Block::compute_tx_root(digests)) {
     return Status::fail("block.bad_tx_root", "Merkle root mismatch");
   }
   return {};
@@ -325,17 +312,18 @@ Status Blockchain::init_from_snapshot(const SnapshotManifest& manifest,
   }
   // Defense in depth: the caller is expected to have walked the header chain
   // (LightClient), but the anchor is cheap to re-check against this chain's
-  // own validator schedule before any state is installed.
+  // own validator schedule before any state is installed. Its parent is not
+  // held here: the anchor's own height and prev_hash stand in for the link,
+  // so the proposer schedule and the signature decide.
   if (anchor.height != manifest.height || anchor.height < 0) {
     return Status::fail(errc::kChainBadAnchor,
                         "anchor header height does not match the manifest");
   }
-  if (anchor.proposer_pub != expected_proposer(anchor.height)) {
-    return Status::fail(errc::kChainBadAnchor, "anchor proposer not in schedule");
-  }
-  if (!crypto::verify(anchor.proposer_pub, anchor.signing_bytes(),
-                      anchor.proposer_sig)) {
-    return Status::fail(errc::kChainBadAnchor, "anchor header signature invalid");
+  if (auto s = check_signed_header(anchor, anchor.height, anchor.prev_hash,
+                                   config_.validators);
+      !s.ok()) {
+    return Status::fail(errc::kChainBadAnchor,
+                        "anchor header: " + s.error().to_string());
   }
   if (anchor.state_root != manifest.commitment.root) {
     return Status::fail(errc::kChainBadAnchor,

@@ -82,9 +82,6 @@ class Blockchain {
   [[nodiscard]] const Block* block_at(std::int64_t height) const;
   [[nodiscard]] crypto::Digest tip_hash() const;
 
-  /// Expected proposer public key for a given height (round-robin PoA).
-  [[nodiscard]] const crypto::PublicKey& expected_proposer(std::int64_t height) const;
-
   /// Proposer side: trial-apply candidates in order, drop any that fail,
   /// stop at max_txs_per_block successes, and build a signed block on top of
   /// the current tip.
@@ -102,15 +99,16 @@ class Blockchain {
 
   /// Validate + commit. On any failure the chain is unchanged.
   ///
-  /// Every block first passes the checks that need no execution: height,
-  /// parent hash, proposer schedule, proposer signature, max_txs_per_block
-  /// and the tx_root recomputed from block.txs. A block whose header hash
-  /// matches the seal (left by assemble() or validate()) then commits the
-  /// sealed post-state; every other block (followers, import_blocks, a
-  /// tampered or re-signed proposal, a seal that was replaced or went stale)
-  /// is executed once, all-or-nothing, and committed. Either way the root
-  /// of the committed state must equal header.state_root, or the commit is
-  /// rolled back (LedgerState::apply_undo) and the block rejected with
+  /// Every block first passes the checks that need no execution:
+  /// check_signed_header (height, parent, schedule, signature; header.*
+  /// codes), max_txs_per_block and the tx_root recomputed from block.txs.
+  /// A block whose header hash matches the seal (left by assemble() or
+  /// validate()) then commits the sealed post-state; every other block
+  /// (followers, import_blocks, a tampered or re-signed proposal, a seal
+  /// that was replaced or went stale) is executed once, all-or-nothing, and
+  /// committed. Either way the root of the committed state must equal
+  /// header.state_root, or the commit is rolled back
+  /// (LedgerState::apply_undo) and the block rejected with
   /// "block.bad_state_root". ValidationStats::sealed_commits counts the
   /// sealed commits.
   [[nodiscard]] Status append(const Block& block);
@@ -168,7 +166,8 @@ class Blockchain {
 
   /// Install a verified snapshot into a fresh chain (no committed blocks).
   /// `anchor` must be the committed header at manifest.height: it is
-  /// re-checked here (proposer schedule + signature + state_root binding) on
+  /// re-checked here (check_signed_header's schedule and signature, then the
+  /// state_root binding; "chain.bad_anchor" naming the cause) on
   /// top of whatever header-chain verification the caller already did, the
   /// chunks are verified and decoded (assemble_snapshot), and the chain
   /// resumes at base_height() == anchor.height + 1 with anchor.hash() as the

@@ -1,6 +1,7 @@
 #include "ledger/consensus.h"
 
 #include "common/logging.h"
+#include "ledger/header_check.h"
 
 namespace mv::ledger {
 
@@ -103,9 +104,8 @@ bool ValidatorCommittee::run_round(Tick timeout) {
   for (const auto& v : validators_) {
     target_height = std::max(target_height, v.chain.height());
   }
-  const std::size_t leader_index =
-      static_cast<std::size_t>(target_height) % validators_.size();
-  Validator& leader = validators_[leader_index];
+  Validator& leader =
+      validators_[proposer_index(target_height, validators_.size())];
   const Tick round_start = network_.clock().now();
 
   const auto candidates = leader.mempool.select(

@@ -98,48 +98,11 @@ Status verify_account_proof(const AccountProof& ap,
 
 // ------------------------------------------------------------- LightClient
 
-Status LightClient::accept_header(const BlockHeader& header) {
-  if (header.height != height()) {
-    return Status::fail("light.bad_height",
-                        "expected height " + std::to_string(height()) + " got " +
-                            std::to_string(header.height));
-  }
-  const crypto::Digest expected_prev =
-      headers_.empty() ? config_.genesis_hash : headers_.back().hash();
-  if (header.prev_hash != expected_prev) {
-    return Status::fail("light.bad_parent", "prev_hash does not link to tip");
-  }
-  if (config_.validators.empty()) {
-    return Status::fail("light.no_validators", "validator set is empty");
-  }
-  const auto idx = static_cast<std::size_t>(header.height) %
-                   config_.validators.size();
-  if (header.proposer_pub.y != config_.validators[idx].y) {
-    return Status::fail("light.wrong_proposer",
-                        "header not signed by the scheduled proposer");
-  }
-  const Bytes msg = header.signing_bytes();
-  if (!crypto::verify(header.proposer_pub, msg, header.proposer_sig)) {
-    return Status::fail("light.bad_proposer_sig", "proposer signature invalid");
-  }
-  headers_.push_back(header);
-  return {};
-}
-
-const BlockHeader* LightClient::header_at(std::int64_t h) const {
-  if (h < 0 || h >= height()) return nullptr;
-  return &headers_[static_cast<std::size_t>(h)];
-}
-
-crypto::Digest LightClient::tip_hash() const {
-  return headers_.empty() ? config_.genesis_hash : headers_.back().hash();
-}
-
 Result<AccountStatement> LightClient::verify_account(
     const AccountProof& ap) const {
   const BlockHeader* header = header_at(ap.height);
   if (header == nullptr) {
-    return make_error("light.unknown_height",
+    return make_error(errc::kLightUnknownHeight,
                       "no accepted header at height " + std::to_string(ap.height));
   }
   if (Status s = verify_account_proof(ap, header->state_root); !s.ok()) {

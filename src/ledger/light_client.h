@@ -22,6 +22,7 @@
 #include "crypto/merkle_map.h"
 #include "crypto/wallet.h"
 #include "ledger/block.h"
+#include "ledger/header_check.h"
 #include "ledger/state.h"
 
 namespace mv::ledger {
@@ -65,36 +66,52 @@ struct AccountProof {
 
 struct LightClientConfig {
   std::vector<crypto::PublicKey> validators;  ///< round-robin proposer order
-  crypto::Digest genesis_hash{};              ///< prev_hash of block 0
+  crypto::Digest genesis_hash{};              ///< prev_hash of header 0
 };
 
-/// Follows the header chain and audits account statements against it.
-/// Holds headers only — never a LedgerState.
-class LightClient {
+/// Follows one signed header chain, holding the accepted headers only —
+/// never a LedgerState. LightClient follows blocks; BeaconFollower
+/// (ledger/shard.h) follows beacons.
+template <typename Header>
+class HeaderChain {
  public:
-  explicit LightClient(LightClientConfig config) : config_(std::move(config)) {}
+  explicit HeaderChain(LightClientConfig config) : config_(std::move(config)) {}
 
-  /// Accept the next header: height must extend the chain, prev_hash must
-  /// link (to genesis_hash for block 0), and the round-robin proposer for
-  /// that height must have signed it.
-  [[nodiscard]] Status accept_header(const BlockHeader& header);
+  /// Accept the next header through check_signed_header: height must extend
+  /// the chain, prev_hash must link (to genesis_hash for header 0), and the
+  /// round-robin proposer for that height must have signed it.
+  [[nodiscard]] Status accept_header(const Header& header) {
+    Status s = check_signed_header(header, height(), tip_hash(), config_.validators);
+    if (s.ok()) headers_.push_back(header);
+    return s;
+  }
 
   /// Number of accepted headers; the next accepted header has this height.
   [[nodiscard]] std::int64_t height() const {
     return static_cast<std::int64_t>(headers_.size());
   }
-  [[nodiscard]] const BlockHeader* header_at(std::int64_t h) const;
+  [[nodiscard]] const Header* header_at(std::int64_t h) const {
+    return h < 0 || h >= height() ? nullptr : &headers_[static_cast<std::size_t>(h)];
+  }
   /// Hash of the newest accepted header (genesis_hash when empty).
-  [[nodiscard]] crypto::Digest tip_hash() const;
+  [[nodiscard]] crypto::Digest tip_hash() const {
+    return headers_.empty() ? config_.genesis_hash : headers_.back().hash();
+  }
+
+ private:
+  LightClientConfig config_;
+  std::vector<Header> headers_;
+};
+
+/// Follows the block header chain and audits account statements against it.
+class LightClient : public HeaderChain<BlockHeader> {
+ public:
+  using HeaderChain::HeaderChain;
 
   /// Verify an account proof against the accepted header at proof.height and
   /// return the now-trustworthy statement.
   [[nodiscard]] Result<AccountStatement> verify_account(
       const AccountProof& ap) const;
-
- private:
-  LightClientConfig config_;
-  std::vector<BlockHeader> headers_;
 };
 
 }  // namespace mv::ledger

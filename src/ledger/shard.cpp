@@ -272,6 +272,22 @@ Status verify_sharded_account_proof(const ShardedAccountProof& proof,
   return verify_account_proof(proof.account, proof.anchor.state_root);
 }
 
+Result<AccountStatement> verify_sharded_account(const BeaconFollower& beacons,
+                                                const ShardedAccountProof& proof) {
+  const BeaconHeader* beacon = beacons.header_at(proof.beacon_height);
+  if (beacon == nullptr) {
+    return make_error(errc::kLightUnknownHeight,
+                      "no accepted beacon at height " +
+                          std::to_string(proof.beacon_height));
+  }
+  if (Status s = verify_sharded_account_proof(
+          proof, combine_beacon_root(beacon->shards));
+      !s.ok()) {
+    return s.error();
+  }
+  return proof.account.statement;
+}
+
 // ----------------------------------------------------------- ShardedLedger
 
 ShardedLedger::ShardedLedger(ShardConfig config, const LedgerState& genesis,

@@ -182,6 +182,17 @@ struct ShardedAccountProof {
 [[nodiscard]] Status verify_sharded_account_proof(
     const ShardedAccountProof& proof, const crypto::Digest& beacon_root);
 
+/// Follows a ShardedLedger's beacon chain with the light client's header
+/// check: seed it with {config().validators, beacon_genesis_hash()}.
+using BeaconFollower = HeaderChain<BeaconHeader>;
+
+/// Verify `proof` against the beacon `beacons` accepted at
+/// proof.beacon_height ("light.unknown_height" when it has none) and return
+/// the now-trustworthy account statement. The beacon root is recombined from
+/// the accepted header's signed anchors.
+[[nodiscard]] Result<AccountStatement> verify_sharded_account(
+    const BeaconFollower& beacons, const ShardedAccountProof& proof);
+
 class ShardedLedger {
  public:
   /// Every shard's registry starts as a copy of `contracts` (when given;
@@ -211,6 +222,11 @@ class ShardedLedger {
     return static_cast<std::int64_t>(beacons_.size());
   }
   [[nodiscard]] const BeaconHeader* beacon_at(std::int64_t height) const;
+  /// prev_hash of beacon 0 (a digest over every shard's genesis hash): a
+  /// BeaconFollower seeds its header chain with this.
+  [[nodiscard]] crypto::Digest beacon_genesis_hash() const {
+    return beacon_genesis_hash_;
+  }
   /// Receipts the driver has folded into shard `s`'s receipt tree.
   [[nodiscard]] std::uint64_t receipt_count(std::uint32_t s) const {
     return shards_[s].receipts_indexed;

@@ -156,7 +156,7 @@ void SubscriptionFeed::on_push(const net::Message& msg) {
                       net::encode_sub_ack(lc_.height()));
   auto push = CommitPush::decode(msg.payload());
   if (!push.ok()) {
-    ++rejected_;
+    reject(push.error());
     return;
   }
   const std::int64_t expected = lc_.height();
@@ -171,8 +171,8 @@ void SubscriptionFeed::on_push(const net::Message& msg) {
     subscribe(server_);
     return;
   }
-  if (!lc_.accept_header(push.value().header).ok()) {
-    ++rejected_;  // forged or corrupted header: push channel adds no trust
+  if (Status s = lc_.accept_header(push.value().header); !s.ok()) {
+    reject(s.error());  // forged or corrupted header: push channel adds no trust
     return;
   }
   ++consumed_;
@@ -187,7 +187,7 @@ void SubscriptionFeed::on_push(const net::Message& msg) {
       if (!watched) continue;
       auto statement = lc_.verify_account(ap);
       if (!statement.ok()) {
-        ++rejected_;
+        reject(statement.error());
         continue;
       }
       on_account(statement.value(), ap);

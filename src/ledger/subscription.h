@@ -124,10 +124,17 @@ class SubscriptionFeed {
   [[nodiscard]] std::uint64_t gaps_detected() const { return gaps_; }
   [[nodiscard]] std::uint64_t resubscribes() const { return resubscribes_; }
   [[nodiscard]] std::uint64_t rejected() const { return rejected_; }
+  /// Why the newest rejected push was refused (a header.* code for a forged
+  /// header); an empty code before any rejection.
+  [[nodiscard]] const Error& last_rejection() const { return last_rejection_; }
 
  private:
   void on_push(const net::Message& msg);
   void on_subscribe_resp(const net::Message& msg);
+  void reject(Error why) {
+    ++rejected_;
+    last_rejection_ = std::move(why);
+  }
 
   net::Network& network_;
   SubscriptionFeedConfig config_;
@@ -140,6 +147,7 @@ class SubscriptionFeed {
   std::uint64_t gaps_ = 0;          ///< pushes ahead of it (loss detected)
   std::uint64_t resubscribes_ = 0;  ///< gap-triggered re-subscriptions
   std::uint64_t rejected_ = 0;      ///< malformed/unverifiable pushes
+  Error last_rejection_;
 };
 
 }  // namespace mv::ledger

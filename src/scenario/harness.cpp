@@ -7,6 +7,7 @@
 #include <optional>
 
 #include "common/clock.h"
+#include "ledger/header_check.h"
 #include "net/network.h"
 #include "scenario/invariants.h"
 
@@ -133,8 +134,8 @@ Result<ReplayResult> execute(const ScenarioEnv& env, const TraceHeader& header,
                                s.error().to_string());
       }
     }
-    auto beacon =
-        ledger.commit_round(env.validators[r % env.validators.size()], tick);
+    auto beacon = ledger.commit_round(
+        env.validators[ledger::proposer_index(r, env.validators.size())], tick);
     if (!beacon.ok()) return diverged(r, beacon.error().to_string());
     // The all-valid discipline, enforced: a dropped tx means the generator
     // (or a stack regression) broke the determinism contract. Count what the

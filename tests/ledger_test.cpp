@@ -546,7 +546,7 @@ TEST(Blockchain, RejectsWrongProposer) {
   const Block block = chain.assemble(f.v1, {}, 0, f.rng);
   const auto s = chain.append(block);
   ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.error().code, "block.wrong_proposer");
+  EXPECT_EQ(s.error().code, "header.wrong_proposer");
 }
 
 TEST(Blockchain, RoundRobinAlternatesProposers) {
@@ -566,7 +566,7 @@ TEST(Blockchain, RejectsTamperedBlock) {
 
   Block wrong_root = block;
   wrong_root.header.tx_root[0] ^= 1;
-  EXPECT_EQ(chain.append(wrong_root).error().code, "block.bad_proposer_sig");
+  EXPECT_EQ(chain.append(wrong_root).error().code, "header.bad_signature");
 
   Block dropped_tx = block;
   dropped_tx.txs.clear();
@@ -1543,32 +1543,32 @@ TEST(LightClient, RejectsBadHeaders) {
                                  chain.genesis_hash()};
   {
     LightClient lc(config);  // out-of-order height
-    EXPECT_EQ(lc.accept_header(h1).error().code, "light.bad_height");
+    EXPECT_EQ(lc.accept_header(h1).error().code, "header.bad_height");
   }
   {
     LightClient lc(config);  // broken linkage
     BlockHeader bad = h0;
     bad.prev_hash[0] ^= 1;
-    EXPECT_EQ(lc.accept_header(bad).error().code, "light.bad_parent");
+    EXPECT_EQ(lc.accept_header(bad).error().code, "header.bad_parent");
   }
   {
     // Validator order swapped: h0 was proposed by v0, but this client
     // expects v1 at height 0.
     LightClient lc(LightClientConfig{{f.v1.public_key(), f.v0.public_key()},
                                      chain.genesis_hash()});
-    EXPECT_EQ(lc.accept_header(h0).error().code, "light.wrong_proposer");
+    EXPECT_EQ(lc.accept_header(h0).error().code, "header.wrong_proposer");
   }
   {
     LightClient lc(config);  // forged state root breaks the signature
     BlockHeader bad = h0;
     bad.state_root[0] ^= 1;
-    EXPECT_EQ(lc.accept_header(bad).error().code, "light.bad_proposer_sig");
+    EXPECT_EQ(lc.accept_header(bad).error().code, "header.bad_signature");
   }
   {
     LightClient lc(config);  // and the honest sequence is accepted
     ASSERT_TRUE(lc.accept_header(h0).ok());
     ASSERT_TRUE(lc.accept_header(h1).ok());
-    EXPECT_EQ(lc.accept_header(h0).error().code, "light.bad_height");  // replay
+    EXPECT_EQ(lc.accept_header(h0).error().code, "header.bad_height");  // replay
   }
 }
 

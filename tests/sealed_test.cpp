@@ -136,7 +136,7 @@ TEST(SealedProposal, SupersededProposalIsAcceptedThroughFullValidation) {
   EXPECT_EQ(chain.validation_stats().sealed_commits, 0u);
   EXPECT_EQ(chain.state().commitment().root, a.header.state_root);
   // b's seal went with that append; b itself is now stale.
-  EXPECT_EQ(chain.append(b).error().code, "block.bad_height");
+  EXPECT_EQ(chain.append(b).error().code, "header.bad_height");
   EXPECT_EQ(chain.height(), 1);
 }
 
@@ -148,7 +148,7 @@ TEST(SealedProposal, StaleSealIsNotUsedAfterAnotherAppend) {
   const Block other = f.propose(twin, 30);
   ASSERT_TRUE(chain.append(other).ok());  // full path; drops the seal
   EXPECT_EQ(chain.validation_stats().sealed_commits, 0u);
-  EXPECT_EQ(chain.append(sealed).error().code, "block.bad_height");
+  EXPECT_EQ(chain.append(sealed).error().code, "header.bad_height");
   EXPECT_EQ(chain.height(), 1);
   EXPECT_EQ(chain.state().commitment().root, other.header.state_root);
 
@@ -157,7 +157,7 @@ TEST(SealedProposal, StaleSealIsNotUsedAfterAnotherAppend) {
   const Block next = f.propose(chain, 5);
   Block tampered = next;
   tampered.header.timestamp += 1;
-  EXPECT_EQ(chain.append(tampered).error().code, "block.bad_proposer_sig");
+  EXPECT_EQ(chain.append(tampered).error().code, "header.bad_signature");
   const std::uint64_t applies = chain.validation_stats().applies;
   ASSERT_TRUE(chain.append(next).ok());
   EXPECT_EQ(chain.validation_stats().applies, applies + 1);
@@ -171,7 +171,7 @@ TEST(SealedProposal, WrongProposerIsRejectedOnTheSealedPath) {
   // check still runs on a sealed block.
   const Block block =
       chain.assemble(f.v1, f.transfers(chain, 10), 0, f.rng);
-  EXPECT_EQ(chain.append(block).error().code, "block.wrong_proposer");
+  EXPECT_EQ(chain.append(block).error().code, "header.wrong_proposer");
   EXPECT_EQ(chain.height(), 0);
 }
 
@@ -201,7 +201,7 @@ TEST(SealedProposal, InitFromSnapshotClearsTheSeal) {
                   .init_from_snapshot(snap.value().manifest, snap.value().chunks,
                                       source.blocks().back().header)
                   .ok());
-  EXPECT_EQ(replica.append(early).error().code, "block.bad_height");
+  EXPECT_EQ(replica.append(early).error().code, "header.bad_height");
 
   // The source's next block reaches the replica through full validation,
   // and the replica's own proposals seal again on its new base.

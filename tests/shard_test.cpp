@@ -1,7 +1,8 @@
 // Sharded ledger tests: beacon codec + anchor proofs, account partitioning,
 // single-shard byte-identity with the plain chain, thread-count determinism,
 // cross-shard lock-and-mint end to end, replay/stale-root/foreign-root
-// rejection, receipt codec mutation fuzz, and composed account proofs.
+// rejection, receipt codec mutation fuzz, composed account proofs, and the
+// beacon follower that checks every beacon header before a proof leans on it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "ledger/beacon.h"
+#include "ledger/header_check.h"
 #include "ledger/shard.h"
 
 namespace mv::ledger {
@@ -138,6 +140,114 @@ TEST(Beacon, ArchiveServesAnchors) {
   EXPECT_FALSE(archive.anchor(0, 2).has_value());  // shard out of range
   EXPECT_FALSE(archive.anchor(1, 0).has_value());  // height not archived
   EXPECT_FALSE(archive.anchor(-1, 0).has_value());
+}
+
+// ------------------------------------------------------- beacon follower
+
+/// Two validators take turns signing the beacons of a two-shard ledger;
+/// alice pays carol (both on shard 0) every round, so shard 0's anchor
+/// moves each round.
+struct BeaconChainFixture {
+  Rng rng{83};
+  crypto::Wallet validators[2] = {crypto::Wallet(rng), crypto::Wallet(rng)};
+  crypto::Wallet alice;
+  crypto::Wallet carol;
+  std::unique_ptr<ShardedLedger> ledger;
+  std::vector<BeaconHeader> beacons;
+
+  explicit BeaconChainFixture(int rounds)
+      : alice(wallet_on_shard(rng, 0, 2)), carol(wallet_on_shard(rng, 0, 2)) {
+    LedgerState genesis;
+    genesis.credit(alice.address(), 10'000);
+    ShardConfig config;
+    config.num_shards = 2;
+    config.validators = {validators[0].public_key(), validators[1].public_key()};
+    ledger = std::make_unique<ShardedLedger>(config, genesis);
+    for (int r = 0; r < rounds; ++r) {
+      const auto nonce = static_cast<std::uint64_t>(r);
+      EXPECT_TRUE(
+          ledger->submit(make_transfer(alice, nonce, carol.address(), 10, 1, rng)).ok());
+      auto beacon = ledger->commit_round(scheduled(r), r);
+      EXPECT_TRUE(beacon.ok());
+      beacons.push_back(beacon.value());
+    }
+  }
+
+  [[nodiscard]] const crypto::Wallet& scheduled(std::int64_t height) const {
+    return validators[proposer_index(height, 2)];
+  }
+  [[nodiscard]] BeaconFollower follower() const {
+    return BeaconFollower({ledger->config().validators, ledger->beacon_genesis_hash()});
+  }
+};
+
+TEST(BeaconFollower, AcceptsHonestBeaconsAndRejectsForgeries) {
+  BeaconChainFixture f(4);
+  BeaconFollower follower = f.follower();
+  {  // a flipped signature
+    BeaconHeader forged = f.beacons[0];
+    forged.proposer_sig.e ^= 1;
+    EXPECT_EQ(follower.accept_header(forged).error().code, "header.bad_signature");
+  }
+  {  // a validly signed beacon from the validator not scheduled at height 0
+    BeaconHeader forged = f.beacons[0];
+    forged.proposer_pub = f.validators[1].public_key();
+    forged.proposer_sig = f.validators[1].sign(forged.signing_bytes(), f.rng);
+    EXPECT_EQ(follower.accept_header(forged).error().code, "header.wrong_proposer");
+  }
+  {  // a re-anchored shard the scheduled proposer never signed
+    BeaconHeader forged = f.beacons[0];
+    forged.shards[0].state_root[0] ^= 1;
+    forged.beacon_root = combine_beacon_root(forged.shards);
+    EXPECT_EQ(follower.accept_header(forged).error().code, "header.bad_signature");
+  }
+  EXPECT_EQ(follower.height(), 0);
+
+  // Honest beacons, also after a round trip through the wire codec.
+  auto decoded = BeaconHeader::decode(f.beacons[0].encode());
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_TRUE(follower.accept_header(decoded.value()).ok());
+  {  // beacon 1, signed by its scheduled proposer, over the wrong parent
+    BeaconHeader forged = f.beacons[1];
+    forged.prev_hash = f.beacons[0].prev_hash;
+    forged.proposer_sig = f.scheduled(1).sign(forged.signing_bytes(), f.rng);
+    EXPECT_EQ(follower.accept_header(forged).error().code, "header.bad_parent");
+  }
+  for (std::size_t h = 1; h < f.beacons.size(); ++h) {
+    ASSERT_TRUE(follower.accept_header(f.beacons[h]).ok()) << "beacon " << h;
+  }
+  EXPECT_EQ(follower.height(), 4);
+  EXPECT_EQ(follower.tip_hash(), f.beacons.back().hash());
+  EXPECT_EQ(follower.accept_header(f.beacons[3]).error().code, "header.bad_height");
+}
+
+TEST(BeaconFollower, ComposedProofVerifiesOnlyAtAnAcceptedHeight) {
+  BeaconChainFixture f(2);
+  BeaconFollower follower = f.follower();
+  ASSERT_TRUE(follower.accept_header(f.beacons[0]).ok());
+
+  const auto proof = f.ledger->prove_account(f.carol.address());
+  ASSERT_TRUE(proof.ok());
+  ASSERT_EQ(proof.value().beacon_height, 1);
+  EXPECT_EQ(verify_sharded_account(follower, proof.value()).error().code,
+            "light.unknown_height");
+
+  ASSERT_TRUE(follower.accept_header(f.beacons[1]).ok());
+  const auto statement = verify_sharded_account(follower, proof.value());
+  ASSERT_TRUE(statement.ok());
+  EXPECT_EQ(statement.value().balance, 20u);
+
+  // Shard 0's root moved between the rounds: the proof does not hold at the
+  // earlier accepted beacon, nor with a changed statement or anchor.
+  auto earlier = proof.value();
+  earlier.beacon_height = 0;
+  EXPECT_FALSE(verify_sharded_account(follower, earlier).ok());
+  auto lie = proof.value();
+  lie.account.statement.balance += 1;
+  EXPECT_FALSE(verify_sharded_account(follower, lie).ok());
+  auto moved = proof.value();
+  moved.anchor.receipts_root[0] ^= 1;
+  EXPECT_FALSE(verify_sharded_account(follower, moved).ok());
 }
 
 // ------------------------------------------------------------ partitioning
