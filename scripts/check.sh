@@ -89,6 +89,13 @@ echo "== gate: scenario replay regression (golden traces, codec fuzz, invariants
 # follower at every height (DESIGN.md §7).
 gate "scenario replay-regression tests" 'Scenario(Trace|Golden|Invariant|Harness|Sealed)'
 
+echo "== gate: on-chain contract tallies (DAO, reputation, store codec) =="
+# Contracts read their stores by key only: a DAO vote adds its ballot to the
+# tally in the proposal record, and finalize decides from that tally. These
+# cases pin the tally (saturating under token weighting, quorum a head
+# count), the reputation counters and the shared store-value codec.
+gate "on-chain contract tallies" 'DaoContract|ReputationContract|StoreCodec'
+
 echo "== gate: parallel block check (caller-helps batches, byte-identical results) =="
 # On a threaded queue a block check verifies signatures and re-hashes the
 # accounts tree as caller-helps run_batch tasks. These cases pin that the

@@ -1,6 +1,6 @@
 #include "dao/contract.h"
 
-#include <cmath>
+#include <limits>
 
 namespace mv::dao {
 
@@ -12,11 +12,8 @@ std::string member_key(crypto::Address a) {
 std::string meta_key(std::uint64_t id) {
   return "prop/" + std::to_string(id) + "/meta";
 }
-std::string vote_prefix(std::uint64_t id) {
-  return "prop/" + std::to_string(id) + "/vote/";
-}
 std::string vote_key(std::uint64_t id, crypto::Address a) {
-  return vote_prefix(id) + std::to_string(a.value);
+  return "prop/" + std::to_string(id) + "/vote/" + std::to_string(a.value);
 }
 
 struct Meta {
@@ -24,13 +21,22 @@ struct Meta {
   std::uint64_t author = 0;
   std::int64_t created_height = 0;
   std::uint8_t status = 0;
+  OnChainTally tally;
 
+  /// The tally is appended from the first vote on, so a proposal nobody has
+  /// voted on encodes as its four leading fields alone.
   [[nodiscard]] Bytes encode() const {
     ByteWriter w;
     w.str(title);
     w.u64(author);
     w.i64(created_height);
     w.u8(status);
+    if (tally.voters != 0) {
+      w.u64(tally.yes);
+      w.u64(tally.no);
+      w.u64(tally.abstain);
+      w.u64(tally.voters);
+    }
     return w.take();
   }
 
@@ -49,26 +55,36 @@ struct Meta {
     auto status = r.u8();
     if (!status.ok()) return status.error();
     m.status = status.value();
+    if (r.exhausted()) return m;
+    for (std::uint64_t* field :
+         {&m.tally.yes, &m.tally.no, &m.tally.abstain, &m.tally.voters}) {
+      auto value = r.u64();
+      if (!value.ok()) return value.error();
+      *field = value.value();
+    }
     return m;
   }
 };
 
-struct BallotRecord {
-  std::uint8_t choice = 0;
-  std::uint64_t weight = 1;
-};
-
-std::optional<BallotRecord> decode_ballot(const Bytes& bytes) {
-  ByteReader r(bytes);
-  auto choice = r.u8();
-  if (!choice.ok() || choice.value() > 2) return std::nullopt;
-  BallotRecord record;
-  record.choice = choice.value();
-  if (auto weight = r.u64(); weight.ok()) record.weight = weight.value();
-  return record;
+/// The proposal record stored at `bytes` (null when there is none).
+Result<Meta> read_meta(const Bytes* bytes) {
+  if (bytes == nullptr) return make_error(errc::kDaoNoSuchProposal, "unknown proposal");
+  auto meta = Meta::decode(*bytes);
+  if (!meta.ok()) return make_error(errc::kDaoCorruptMeta, "meta undecodable");
+  return meta;
 }
 
 }  // namespace
+
+std::optional<OnChainBallot> OnChainBallot::decode(std::span<const std::uint8_t> bytes) {
+  ByteReader r(bytes);
+  auto choice = r.u8();
+  if (!choice.ok() || choice.value() > 2) return std::nullopt;
+  OnChainBallot ballot;
+  ballot.choice = choice.value();
+  if (auto weight = r.u64(); weight.ok()) ballot.weight = weight.value();
+  return ballot;
+}
 
 Status DaoContract::call(ledger::CallContext& ctx, const std::string& method,
                          const Bytes& args) const {
@@ -118,24 +134,22 @@ Status DaoContract::do_vote(ledger::CallContext& ctx, const Bytes& args) const {
   if (!id.ok() || !choice.ok() || choice.value() > 2) {
     return Status::fail(errc::kDaoBadArgs, "vote(id: u64, choice: 0|1|2)");
   }
-  const Bytes* meta_bytes = ctx.get(meta_key(id.value()));
-  if (meta_bytes == nullptr) {
-    return Status::fail(errc::kDaoNoSuchProposal, "unknown proposal");
-  }
-  auto meta = Meta::decode(*meta_bytes);
-  if (!meta.ok()) return Status::fail(errc::kDaoCorruptMeta, "meta undecodable");
-  if (meta.value().status != static_cast<std::uint8_t>(OnChainStatus::kVoting)) {
+  auto loaded = read_meta(ctx.get(meta_key(id.value())));
+  if (!loaded.ok()) return loaded.error();
+  Meta meta = std::move(loaded).value();
+  if (meta.status != static_cast<std::uint8_t>(OnChainStatus::kVoting)) {
     return Status::fail(errc::kDaoVotingClosed, "proposal finalized");
   }
-  if (ctx.height() >= meta.value().created_height + config_.voting_period_blocks) {
+  if (ctx.height() >= meta.created_height + config_.voting_period_blocks) {
     return Status::fail(errc::kDaoVotingClosed, "voting period elapsed");
   }
   const std::string key = vote_key(id.value(), ctx.caller());
   if (ctx.get(key) != nullptr) {
     return Status::fail(errc::kDaoDoubleVote, "ballot already cast");
   }
-  // Ballot record: choice + weight. Weight is the caller's balance at vote
-  // time under token weighting, 1 otherwise.
+  // Weight is the caller's balance at vote time under token weighting, 1
+  // otherwise. The ballot record backs the double-vote check; finalize reads
+  // the tally in the proposal record.
   const std::uint64_t weight =
       config_.token_weighted ? std::max<std::uint64_t>(1, ctx.balance(ctx.caller()))
                              : 1;
@@ -143,6 +157,14 @@ Status DaoContract::do_vote(ledger::CallContext& ctx, const Bytes& args) const {
   w.u8(choice.value());
   w.u64(weight);
   ctx.put(key, w.take());
+  // Weights saturate: under token weighting the same coins can vote again
+  // after a transfer, and a sum past 2^64 must not wrap.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  OnChainTally& t = meta.tally;
+  std::uint64_t& sum = choice.value() == 0 ? t.yes : choice.value() == 1 ? t.no : t.abstain;
+  sum = sum > kMax - weight ? kMax : sum + weight;
+  ++t.voters;
+  ctx.put(meta_key(id.value()), meta.encode());
   return {};
 }
 
@@ -150,13 +172,9 @@ Status DaoContract::do_finalize(ledger::CallContext& ctx, const Bytes& args) con
   ByteReader r(args);
   auto id = r.u64();
   if (!id.ok()) return Status::fail(errc::kDaoBadArgs, "finalize(id: u64)");
-  const Bytes* meta_bytes = ctx.get(meta_key(id.value()));
-  if (meta_bytes == nullptr) {
-    return Status::fail(errc::kDaoNoSuchProposal, "unknown proposal");
-  }
-  auto meta_result = Meta::decode(*meta_bytes);
-  if (!meta_result.ok()) return Status::fail(errc::kDaoCorruptMeta, "meta undecodable");
-  Meta meta = meta_result.value();
+  auto loaded = read_meta(ctx.get(meta_key(id.value())));
+  if (!loaded.ok()) return loaded.error();
+  Meta meta = std::move(loaded).value();
   if (meta.status != static_cast<std::uint8_t>(OnChainStatus::kVoting)) {
     return Status::fail(errc::kDaoAlreadyFinalized, "proposal closed");
   }
@@ -164,24 +182,15 @@ Status DaoContract::do_finalize(ledger::CallContext& ctx, const Bytes& args) con
     return Status::fail(errc::kDaoVotingOpen, "voting period not over");
   }
 
-  double counts[3] = {0, 0, 0};
-  std::uint64_t voters = 0;
-  for (const auto& key : ctx.keys_with_prefix(vote_prefix(id.value()))) {
-    const Bytes* ballot = ctx.get(key);
-    if (ballot == nullptr) continue;
-    const auto record = decode_ballot(*ballot);
-    if (!record.has_value()) continue;
-    counts[record->choice] += static_cast<double>(record->weight);
-    ++voters;
-  }
   // Turnout: head-count fraction of members (weight-independent, so whales
   // cannot manufacture quorum on their own under token weighting).
   const double members =
       static_cast<double>(std::max<std::uint64_t>(
           1, ledger::store_decode<std::uint64_t>(ctx.get("member_count"))));
-  const double turnout = static_cast<double>(voters) / members;
-  const double decisive = counts[0] + counts[1];
-  const double yes_share = decisive > 0.0 ? counts[0] / decisive : 0.0;
+  const double turnout = static_cast<double>(meta.tally.voters) / members;
+  const double yes = static_cast<double>(meta.tally.yes);
+  const double decisive = yes + static_cast<double>(meta.tally.no);
+  const double yes_share = decisive > 0.0 ? yes / decisive : 0.0;
 
   meta.status = static_cast<std::uint8_t>(
       (turnout >= config_.quorum && yes_share > config_.pass_threshold)
@@ -204,29 +213,11 @@ std::uint64_t DaoContract::proposal_count(const ledger::LedgerState& state,
 Result<DaoContract::ProposalView> DaoContract::proposal(
     const ledger::LedgerState& state, const std::string& contract,
     std::uint64_t id) {
-  const Bytes* meta_bytes = state.store_get(contract, meta_key(id));
-  if (meta_bytes == nullptr) {
-    return make_error(errc::kDaoNoSuchProposal, "unknown proposal");
-  }
-  auto meta = Meta::decode(*meta_bytes);
+  auto meta = read_meta(state.store_get(contract, meta_key(id)));
   if (!meta.ok()) return meta.error();
-
-  ProposalView view;
-  view.title = meta.value().title;
-  view.author = crypto::Address{meta.value().author};
-  view.created_height = meta.value().created_height;
-  view.status = static_cast<OnChainStatus>(meta.value().status);
-  for (const auto& key : state.store_keys_with_prefix(contract, vote_prefix(id))) {
-    const auto record = decode_ballot(*state.store_get(contract, key));
-    if (!record.has_value()) continue;
-    switch (record->choice) {
-      case 0: view.yes += record->weight; break;
-      case 1: view.no += record->weight; break;
-      case 2: view.abstain += record->weight; break;
-      default: break;
-    }
-  }
-  return view;
+  const Meta& m = meta.value();
+  return ProposalView{m.tally, m.title, crypto::Address{m.author},
+                      m.created_height, static_cast<OnChainStatus>(m.status)};
 }
 
 Bytes DaoContract::encode_propose(const std::string& title) {

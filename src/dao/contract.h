@@ -10,10 +10,13 @@
 // Methods (args are ByteWriter-encoded):
 //   join()                         — register the caller as a member
 //   propose(title: str)            — open a proposal; returns id via store
-//   vote(id: u64, choice: u8)      — cast yes(0)/no(1)/abstain(2)
+//   vote(id: u64, choice: u8)      — cast yes(0)/no(1)/abstain(2); the
+//                                    ballot joins the proposal's tally
 //   finalize(id: u64)              — close after the voting period elapsed
 #pragma once
 
+#include <optional>
+#include <span>
 #include <string>
 
 #include "ledger/state.h"
@@ -27,11 +30,32 @@ struct DaoContractConfig {
   double pass_threshold = 0.5;
   /// Token-weighted mode: a ballot weighs the caller's on-chain balance at
   /// vote time (the plutocratic DAO the paper contrasts with flat 1m1v).
-  /// Quorum is then measured against total weight cast rather than members.
+  /// Quorum stays a head count of members, so no weight can meet it alone.
   bool token_weighted = false;
 };
 
 enum class OnChainStatus : std::uint8_t { kVoting = 0, kPassed = 1, kRejected = 2 };
+
+/// One stored ballot: choice yes(0)/no(1)/abstain(2) and its weight.
+struct OnChainBallot {
+  std::uint8_t choice = 0;
+  std::uint64_t weight = 1;
+
+  /// nullopt for a choice out of range; a missing weight reads as 1.
+  [[nodiscard]] static std::optional<OnChainBallot> decode(
+      std::span<const std::uint8_t> bytes);
+};
+
+/// A proposal's running totals, kept in its record and updated by every
+/// vote (saturating, never wrapping).
+struct OnChainTally {
+  std::uint64_t yes = 0;
+  std::uint64_t no = 0;
+  std::uint64_t abstain = 0;
+  std::uint64_t voters = 0;
+
+  friend bool operator==(const OnChainTally&, const OnChainTally&) = default;
+};
 
 class DaoContract final : public ledger::Contract {
  public:
@@ -46,14 +70,11 @@ class DaoContract final : public ledger::Contract {
                                                   const std::string& contract);
   [[nodiscard]] static std::uint64_t proposal_count(const ledger::LedgerState& state,
                                                     const std::string& contract);
-  struct ProposalView {
+  struct ProposalView : OnChainTally {
     std::string title;
     crypto::Address author;
     std::int64_t created_height = 0;
     OnChainStatus status = OnChainStatus::kVoting;
-    std::uint64_t yes = 0;
-    std::uint64_t no = 0;
-    std::uint64_t abstain = 0;
   };
   [[nodiscard]] static Result<ProposalView> proposal(
       const ledger::LedgerState& state, const std::string& contract,

@@ -140,15 +140,19 @@ std::int64_t BeaconArchive::size() const {
   return static_cast<std::int64_t>(headers_.size());
 }
 
-std::optional<ShardAnchor> BeaconArchive::anchor(std::int64_t height,
-                                                 std::uint32_t shard) const {
+const BeaconHeader* BeaconArchive::at(std::int64_t height) const {
   std::shared_lock lock(mu_);
   if (height < 0 || height >= static_cast<std::int64_t>(headers_.size())) {
-    return std::nullopt;
+    return nullptr;
   }
-  const auto& shards = headers_[static_cast<std::size_t>(height)].shards;
-  if (shard >= shards.size()) return std::nullopt;
-  return shards[shard];
+  return &headers_[static_cast<std::size_t>(height)];
+}
+
+std::optional<ShardAnchor> BeaconArchive::anchor(std::int64_t height,
+                                                 std::uint32_t shard) const {
+  const BeaconHeader* header = at(height);
+  if (header == nullptr || shard >= header->shards.size()) return std::nullopt;
+  return header->shards[shard];
 }
 
 }  // namespace mv::ledger

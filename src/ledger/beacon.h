@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <shared_mutex>
 #include <vector>
@@ -93,12 +94,16 @@ struct BeaconHeader {
 /// source shard's anchor at beacon height h" deterministically during block
 /// application. Reads may come from validation worker threads while the
 /// driver appends between rounds; a shared_mutex keeps both honest.
+/// Headers never change once archived and sit in a deque, whose push_back
+/// moves no element, so a pointer from at() stays valid across later pushes.
 class BeaconArchive {
  public:
   /// Append the next header; height must equal size() (beacons are dense).
   void push(BeaconHeader header);
 
   [[nodiscard]] std::int64_t size() const;
+  /// The header at `height`, or nullptr when it is not archived yet.
+  [[nodiscard]] const BeaconHeader* at(std::int64_t height) const;
   /// Anchor of `shard` at beacon `height`, or nullopt when the height is not
   /// yet archived / the shard index is out of range.
   [[nodiscard]] std::optional<ShardAnchor> anchor(std::int64_t height,
@@ -106,7 +111,7 @@ class BeaconArchive {
 
  private:
   mutable std::shared_mutex mu_;
-  std::vector<BeaconHeader> headers_;
+  std::deque<BeaconHeader> headers_;
 };
 
 }  // namespace mv::ledger

@@ -337,13 +337,6 @@ ShardedLedger::ShardedLedger(ShardConfig config, const LedgerState& genesis,
   beacon_genesis_hash_ = crypto::sha256(genesis_tag.data());
 }
 
-const BeaconHeader* ShardedLedger::beacon_at(std::int64_t height) const {
-  if (height < 0 || height >= static_cast<std::int64_t>(beacons_.size())) {
-    return nullptr;
-  }
-  return &beacons_[static_cast<std::size_t>(height)];
-}
-
 Status ShardedLedger::submit(Transaction tx, Tick now) {
   Shard& sh = shards_[shard_of(tx.sender(), shards_.size())];
   return sh.pool.add(std::move(tx), sh.chain->state(), now);
@@ -408,8 +401,8 @@ Result<BeaconHeader> ShardedLedger::commit_round(const crypto::Wallet& proposer,
 
   BeaconHeader header;
   header.height = round;
-  header.prev_hash =
-      beacons_.empty() ? beacon_genesis_hash_ : beacons_.back().hash();
+  const BeaconHeader* prev = beacon_at(round - 1);
+  header.prev_hash = prev == nullptr ? beacon_genesis_hash_ : prev->hash();
   header.timestamp = timestamp;
   header.shards.reserve(shards_.size());
   for (Shard& sh : shards_) {
@@ -426,7 +419,6 @@ Result<BeaconHeader> ShardedLedger::commit_round(const crypto::Wallet& proposer,
   header.proposer_sig = proposer.sign(header.signing_bytes(), sig_rng);
 
   archive_->push(header);
-  beacons_.push_back(header);
   return header;
 }
 
@@ -435,7 +427,7 @@ Result<ReceiptProofBundle> ShardedLedger::prove_receipt(
   if (source_shard >= shards_.size()) {
     return make_error(errc::kShardBadConfig, "source shard out of range");
   }
-  if (beacons_.empty()) {
+  if (beacon_height() == 0) {
     return make_error(errc::kShardUnknownReceipt, "no beacon committed yet");
   }
   const Shard& sh = shards_[source_shard];
@@ -459,7 +451,8 @@ Result<ReceiptProofBundle> ShardedLedger::prove_receipt(
 
 Result<ShardedAccountProof> ShardedLedger::prove_account(
     crypto::Address addr) const {
-  if (beacons_.empty()) {
+  const BeaconHeader* tip = beacon_at(beacon_height() - 1);
+  if (tip == nullptr) {
     return make_error(errc::kChainBadHeight, "no beacon committed yet");
   }
   const std::uint32_t s = shard_of(addr, shards_.size());
@@ -468,9 +461,9 @@ Result<ShardedAccountProof> ShardedLedger::prove_account(
   if (!account.ok()) return account.error();
   ShardedAccountProof proof;
   proof.shard = s;
-  proof.beacon_height = beacon_height() - 1;
-  proof.anchor = beacons_.back().shards[s];
-  proof.anchor_proof = prove_shard_anchor(beacons_.back().shards, s);
+  proof.beacon_height = tip->height;
+  proof.anchor = tip->shards[s];
+  proof.anchor_proof = prove_shard_anchor(tip->shards, s);
   proof.account = std::move(account).value();
   return proof;
 }

@@ -218,10 +218,10 @@ class ShardedLedger {
     return archive_;
   }
   /// Beacons committed so far (the next commit_round produces this height).
-  [[nodiscard]] std::int64_t beacon_height() const {
-    return static_cast<std::int64_t>(beacons_.size());
+  [[nodiscard]] std::int64_t beacon_height() const { return archive_->size(); }
+  [[nodiscard]] const BeaconHeader* beacon_at(std::int64_t height) const {
+    return archive_->at(height);
   }
-  [[nodiscard]] const BeaconHeader* beacon_at(std::int64_t height) const;
   /// prev_hash of beacon 0 (a digest over every shard's genesis hash): a
   /// BeaconFollower seeds its header chain with this.
   [[nodiscard]] crypto::Digest beacon_genesis_hash() const {
@@ -286,7 +286,6 @@ class ShardedLedger {
   ShardConfig config_;
   std::shared_ptr<BeaconArchive> archive_;
   std::vector<Shard> shards_;
-  std::vector<BeaconHeader> beacons_;
   crypto::Digest beacon_genesis_hash_{};  ///< prev_hash of beacon 0
 };
 

@@ -413,18 +413,6 @@ void LedgerState::apply_undo(const StateUndo& undo) {
   burned_fees_ -= undo.burned_delta;
 }
 
-std::vector<std::string> LedgerState::store_keys_with_prefix(
-    const std::string& contract, const std::string& prefix) const {
-  std::vector<std::string> out;
-  const ContractStore* store = find_store(contract);
-  if (store == nullptr) return out;
-  for (auto it = store->lower_bound(prefix); it != store->end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    out.push_back(it->first);
-  }
-  return out;
-}
-
 StateCommitment LedgerState::commitment() const {
   return commitment_with(LedgerStateOverlay::reader(*this));
 }
@@ -587,24 +575,6 @@ void LedgerStateOverlay::store_erase(const std::string& contract,
   stores_[contract][key] = std::nullopt;
 }
 
-std::vector<std::string> LedgerStateOverlay::store_keys_with_prefix(
-    const std::string& contract, const std::string& prefix) const {
-  std::vector<std::string> out = base_->store_keys_with_prefix(contract, prefix);
-  const auto sit = stores_.find(contract);
-  if (sit == stores_.end()) return out;
-  for (auto it = sit->second.lower_bound(prefix); it != sit->second.end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    const auto pos = std::lower_bound(out.begin(), out.end(), it->first);
-    const bool present = pos != out.end() && *pos == it->first;
-    if (it->second.has_value()) {
-      if (!present) out.insert(pos, it->first);
-    } else if (present) {
-      out.erase(pos);
-    }
-  }
-  return out;
-}
-
 void LedgerStateOverlay::commit() {
   // Committing a reader() overlay would silently discard the whole delta, so
   // it is a hard failure in every build type — an assert compiles out in
@@ -659,11 +629,6 @@ std::uint64_t CallContext::bump(const std::string& key, std::int64_t delta) {
   const auto prior = store_decode<std::uint64_t>(get(key));
   put(key, store_encode(prior + static_cast<std::uint64_t>(delta)));
   return prior;
-}
-
-std::vector<std::string> CallContext::keys_with_prefix(
-    const std::string& prefix) const {
-  return state_.store_keys_with_prefix(contract_name_, prefix);
 }
 
 Status CallContext::transfer(crypto::Address from, crypto::Address to,

@@ -47,8 +47,9 @@ struct StoredAuditRecord {
   Tick height = 0;
 };
 
-/// Per-contract KV store. Store digests do not depend on entry order; the
-/// order serves the snapshot encoding and prefix scans (DAO ballots).
+/// Per-contract KV store. Contracts read it by key only (get/put/erase/bump);
+/// store digests do not depend on entry order, which serves only the
+/// snapshot encoding.
 using ContractStore = std::map<std::string, Bytes>;
 
 /// The one codec of fixed-width store values (counters, ids, addresses,
@@ -179,8 +180,6 @@ class LedgerView {
                          Bytes value) = 0;
   virtual void store_erase(const std::string& contract,
                            const std::string& key) = 0;
-  [[nodiscard]] virtual std::vector<std::string> store_keys_with_prefix(
-      const std::string& contract, const std::string& prefix) const = 0;
 
   // ---- conveniences built on the primitives ----
   void credit(crypto::Address a, std::uint64_t amount);
@@ -248,8 +247,6 @@ class LedgerState final : public LedgerView {
   /// side effect. The snapshot decoder uses this to rebuild empty stores,
   /// which the stores commitment covers (contract count + name).
   void materialize_store(const std::string& contract);
-  [[nodiscard]] std::vector<std::string> store_keys_with_prefix(
-      const std::string& contract, const std::string& prefix) const override;
 
   // ---- state commitment ----
   /// Commitment to this state: the cached sections, folded.
@@ -387,8 +384,6 @@ class LedgerStateOverlay final : public LedgerView {
   void store_put(const std::string& contract, const std::string& key,
                  Bytes value) override;
   void store_erase(const std::string& contract, const std::string& key) override;
-  [[nodiscard]] std::vector<std::string> store_keys_with_prefix(
-      const std::string& contract, const std::string& prefix) const override;
 
   /// Re-point this overlay at `base` as a writer. `base` must hold exactly
   /// the state the delta was computed over (a sealed proposal moving from
@@ -443,8 +438,6 @@ class CallContext {
   /// an absent counter reads as 0, arithmetic wraps modulo 2^64). Returns
   /// the value before the add, so an id allocator is one call.
   std::uint64_t bump(const std::string& key, std::int64_t delta);
-  /// Iterate keys with a given prefix (ordered).
-  [[nodiscard]] std::vector<std::string> keys_with_prefix(const std::string& prefix) const;
 
   // Funds held by accounts (escrow flows in the NFT market).
   [[nodiscard]] std::uint64_t balance(crypto::Address a) const { return state_.balance(a); }

@@ -67,7 +67,10 @@ std::int64_t ReputationContract::score(const ledger::LedgerState& state,
 
 std::uint64_t ReputationContract::rated_count(const ledger::LedgerState& state,
                                               const std::string& contract) {
-  return state.store_keys_with_prefix(contract, "score/").size();
+  const ledger::ContractStore* store = state.find_store(contract);
+  if (store == nullptr) return 0;
+  return static_cast<std::uint64_t>(std::ranges::count_if(
+      *store, [](const auto& entry) { return entry.first.starts_with("score/"); }));
 }
 
 Bytes ReputationContract::encode_rate(crypto::Address subject,

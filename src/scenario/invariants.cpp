@@ -1,6 +1,8 @@
 #include "scenario/invariants.h"
 
 #include <cstring>
+#include <limits>
+#include <map>
 
 #include "dao/contract.h"
 #include "moderation/contract.h"
@@ -69,15 +71,36 @@ void check_dao(const ledger::LedgerState& state, const InvariantOptions& opts,
   if (store == nullptr) return;
   std::uint64_t members = 0;
   std::uint64_t proposals = 0;
+  // The oracle for each proposal record's tally: its ballots recounted here,
+  // sharing no arithmetic with the contract. An undecodable ballot is left
+  // out, so it shows as a mismatch.
+  std::map<std::uint64_t, dao::OnChainTally> recount;
   for (const auto& [key, value] : *store) {
     if (starts_with(key, "member/")) ++members;
-    if (starts_with(key, "prop/") && ends_with(key, "/meta")) ++proposals;
+    if (!starts_with(key, "prop/")) continue;
+    const std::uint64_t id =
+        std::strtoull(key.c_str() + std::strlen("prop/"), nullptr, 10);
+    dao::OnChainTally& tally = recount[id];
+    if (ends_with(key, "/meta")) ++proposals;
     const std::size_t vote_at = key.find("/vote/");
-    if (starts_with(key, "prop/") && vote_at != std::string::npos) {
-      const std::string voter = key.substr(vote_at + std::strlen("/vote/"));
-      if (store->find("member/" + voter) == store->end()) {
-        out.push_back("dao: ballot from non-member " + voter + " on " + key);
-      }
+    if (vote_at == std::string::npos) continue;
+    const std::string voter = key.substr(vote_at + std::strlen("/vote/"));
+    if (store->find("member/" + voter) == store->end()) {
+      out.push_back("dao: ballot from non-member " + voter + " on " + key);
+    }
+    const auto ballot = dao::OnChainBallot::decode(value);
+    if (!ballot.has_value()) continue;
+    std::uint64_t* const sums[] = {&tally.yes, &tally.no, &tally.abstain};
+    std::uint64_t& sum = *sums[ballot->choice];
+    if (__builtin_add_overflow(sum, ballot->weight, &sum)) {
+      sum = std::numeric_limits<std::uint64_t>::max();
+    }
+    ++tally.voters;
+  }
+  for (const auto& [id, tally] : recount) {
+    const auto view = dao::DaoContract::proposal(state, opts.dao_contract, id);
+    if (!view.ok() || tally != view.value()) {
+      out.push_back("dao: tally != recount for proposal " + std::to_string(id));
     }
   }
   const std::uint64_t member_count =

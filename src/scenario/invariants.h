@@ -9,7 +9,8 @@
 //   - nft store shape:    owner-record count == next_token; every listing
 //                         points at an owned token
 //   - dao store shape:    every recorded ballot was cast by a member;
-//                         member_count and next_id match the key space
+//                         member_count and next_id match the key space;
+//                         every stored tally equals a recount of the ballots
 //   - reputation bounds:  every score within [min_score, max_score]
 //   - moderation counts:  open/upheld counters match the report records
 //   - optional full rehash: incremental accounts root == from-scratch root

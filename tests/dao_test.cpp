@@ -2,6 +2,8 @@
 // federated routing and escalation, and the on-chain DAO contract.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "dao/contract.h"
 #include "dao/dao.h"
 #include "dao/federated.h"
@@ -643,6 +645,85 @@ TEST(DaoContract, TokenWeightedBallotsFollowBalances) {
   EXPECT_EQ(view.no, 200u);
   // The same ballots under flat 1m1v (ContractFixture's "dao") would reject:
   // that contrast is the §III-B plutocracy concern, executable.
+}
+
+/// A token-weighted "tdao" over a bare LedgerState, calls at fee 0.
+struct TokenDaoFixture {
+  Rng rng{67};
+  std::shared_ptr<ledger::ContractRegistry> contracts =
+      std::make_shared<ledger::ContractRegistry>();
+  ledger::LedgerState state;
+
+  TokenDaoFixture() {
+    DaoContractConfig config;
+    config.name = "tdao";
+    config.voting_period_blocks = 10;
+    config.quorum = 0.2;
+    config.token_weighted = true;
+    contracts->install(std::make_shared<DaoContract>(config));
+  }
+
+  Status apply(const ledger::Transaction& tx, Tick height) {
+    return state.apply(tx, *contracts, height);
+  }
+  Status call(const crypto::Wallet& w, const std::string& method, Bytes args,
+              Tick height) {
+    return apply(ledger::make_contract_call(w, state.nonce(w.address()), "tdao",
+                                            method, std::move(args), 0, rng),
+                 height);
+  }
+};
+
+TEST(DaoContract, TokenWeightedTallySaturates) {
+  // Flash stake: the same 2^63 coins vote yes, move, and vote yes again. The
+  // true yes weight is 2^64; a wrapping tally would read 0 and lose to the
+  // single no coin-holder, a saturating one keeps yes ahead.
+  TokenDaoFixture f;
+  const crypto::Wallet a(f.rng), b(f.rng), c(f.rng);
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  f.state.credit(a.address(), kHalf);
+  f.state.credit(b.address(), 0);
+  f.state.credit(c.address(), 100);
+  for (const auto* w : {&a, &b, &c}) ASSERT_TRUE(f.call(*w, "join", {}, 0).ok());
+  ASSERT_TRUE(f.call(a, "propose", DaoContract::encode_propose("flash"), 1).ok());
+  ASSERT_TRUE(f.call(a, "vote", DaoContract::encode_vote(0, 0), 2).ok());
+  ASSERT_TRUE(f.apply(ledger::make_transfer(a, f.state.nonce(a.address()),
+                                            b.address(), kHalf, 0, f.rng),
+                      2)
+                  .ok());
+  ASSERT_GE(f.state.balance(b.address()), kHalf);
+  ASSERT_TRUE(f.call(b, "vote", DaoContract::encode_vote(0, 0), 3).ok());
+  ASSERT_TRUE(f.call(c, "vote", DaoContract::encode_vote(0, 1), 3).ok());
+  ASSERT_TRUE(f.call(c, "finalize", DaoContract::encode_finalize(0), 11).ok());
+
+  const auto view = DaoContract::proposal(f.state, "tdao", 0).value();
+  EXPECT_EQ(view.status, OnChainStatus::kPassed);
+  EXPECT_EQ(view.yes, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(view.no, 100u);
+  EXPECT_EQ(view.voters, 3u);
+}
+
+TEST(DaoContract, WhaleAloneCannotMeetQuorum) {
+  // Quorum is a head count of members, not a share of weight: one voter of
+  // ten holding 99% of the coins is 10% turnout, under the 20% quorum.
+  TokenDaoFixture f;
+  const crypto::Wallet whale(f.rng);
+  f.state.credit(whale.address(), 89'100);
+  ASSERT_TRUE(f.call(whale, "join", {}, 0).ok());
+  for (int i = 0; i < 9; ++i) {
+    const crypto::Wallet minnow(f.rng);
+    f.state.credit(minnow.address(), 100);
+    ASSERT_TRUE(f.call(minnow, "join", {}, 0).ok());
+  }
+  ASSERT_EQ(DaoContract::member_count(f.state, "tdao"), 10u);
+  ASSERT_TRUE(f.call(whale, "propose", DaoContract::encode_propose("capture"), 1).ok());
+  ASSERT_TRUE(f.call(whale, "vote", DaoContract::encode_vote(0, 0), 2).ok());
+  ASSERT_TRUE(f.call(whale, "finalize", DaoContract::encode_finalize(0), 11).ok());
+
+  const auto view = DaoContract::proposal(f.state, "tdao", 0).value();
+  EXPECT_EQ(view.yes, 89'100u);
+  EXPECT_EQ(view.voters, 1u);
+  EXPECT_EQ(view.status, OnChainStatus::kRejected);
 }
 
 TEST(DaoContract, WorksThroughConsensus) {

@@ -1690,20 +1690,10 @@ TEST(LedgerStateOverlay, CommitOnWriterFoldsDelta) {
   EXPECT_EQ(f.state.balance(f.alice.address()), 1010u);
 }
 
-// ------------------------------------------- overlay store-prefix vs oracle
+// ------------------------------------------------ overlay store reads vs oracle
 
 namespace {
 using StoreModel = std::map<std::string, Bytes>;
-
-/// Flattened oracle: keys of `model` carrying `prefix`, sorted (std::map).
-std::vector<std::string> oracle_keys(const StoreModel& model,
-                                     const std::string& prefix) {
-  std::vector<std::string> out;
-  for (const auto& [key, value] : model) {
-    if (key.compare(0, prefix.size(), prefix) == 0) out.push_back(key);
-  }
-  return out;
-}
 
 std::string random_store_key(Rng& rng) {
   const std::size_t len = 1 + rng.next_below(4);
@@ -1713,16 +1703,49 @@ std::string random_store_key(Rng& rng) {
   }
   return key;
 }
+
+/// Every key random_store_key can draw: 3 + 9 + 27 + 81 = 120.
+std::vector<std::string> every_store_key() {
+  std::vector<std::string> keys = {""};
+  std::vector<std::string> out;
+  for (int len = 1; len <= 4; ++len) {
+    std::vector<std::string> longer;
+    for (const std::string& key : keys) {
+      for (const char c : {'a', 'b', 'c'}) longer.push_back(key + c);
+    }
+    out.insert(out.end(), longer.begin(), longer.end());
+    keys = std::move(longer);
+  }
+  return out;
+}
+
+/// store_get on `view` agrees with the flattened `model` at every key:
+/// absent keys (never written, or tombstoned) read null, present keys read
+/// the model's bytes.
+::testing::AssertionResult reads_match(const LedgerView& view,
+                                       const std::string& contract,
+                                       const StoreModel& model) {
+  for (const std::string& key : every_store_key()) {
+    const Bytes* got = view.store_get(contract, key);
+    const auto want = model.find(key);
+    if (want == model.end() && got != nullptr) {
+      return ::testing::AssertionFailure() << "key '" << key << "' should be absent";
+    }
+    if (want != model.end() && (got == nullptr || *got != want->second)) {
+      return ::testing::AssertionFailure() << "key '" << key << "' reads wrong";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
 }  // namespace
 
-TEST(LedgerStateOverlay, StoreKeysWithPrefixMatchesFlattenedOracle) {
-  // Randomized differential test of the overlay's sorted base/delta merge:
-  // tombstones over base keys, re-insert after erase, and a nested overlay,
-  // all on a 3-letter alphabet so collisions are constant.
+TEST(LedgerStateOverlay, StoreGetMatchesFlattenedOracle) {
+  // Randomized differential test of overlay point reads: tombstones over base
+  // keys, re-insert after erase, and a nested overlay, all on a 3-letter
+  // alphabet so collisions are constant.
   Rng rng(424242);
   const std::string contract = "shop";
-  const std::vector<std::string> prefixes = {"",   "a",  "ab", "abc",
-                                             "b",  "bc", "c",  "cc"};
+  ASSERT_EQ(every_store_key().size(), 120u);
   for (int round = 0; round < 25; ++round) {
     LedgerState base;
     StoreModel base_model;
@@ -1755,30 +1778,17 @@ TEST(LedgerStateOverlay, StoreKeysWithPrefixMatchesFlattenedOracle) {
         o2_model[key] = Bytes{static_cast<std::uint8_t>(100 + i)};
       }
     }
-    for (const std::string& prefix : prefixes) {
-      ASSERT_EQ(base.store_keys_with_prefix(contract, prefix),
-                oracle_keys(base_model, prefix))
-          << "base, round " << round << ", prefix '" << prefix << "'";
-      ASSERT_EQ(o1.store_keys_with_prefix(contract, prefix),
-                oracle_keys(o1_model, prefix))
-          << "o1, round " << round << ", prefix '" << prefix << "'";
-      ASSERT_EQ(o2.store_keys_with_prefix(contract, prefix),
-                oracle_keys(o2_model, prefix))
-          << "o2 (nested), round " << round << ", prefix '" << prefix << "'";
-    }
+    ASSERT_TRUE(reads_match(base, contract, base_model)) << "base, round " << round;
+    ASSERT_TRUE(reads_match(o1, contract, o1_model)) << "o1, round " << round;
+    ASSERT_TRUE(reads_match(o2, contract, o2_model))
+        << "o2 (nested), round " << round;
     // Commit the stack down to the base; the flattened views must agree.
     o2.commit();
-    for (const std::string& prefix : prefixes) {
-      ASSERT_EQ(o1.store_keys_with_prefix(contract, prefix),
-                oracle_keys(o2_model, prefix))
-          << "o1 after o2.commit, round " << round;
-    }
+    ASSERT_TRUE(reads_match(o1, contract, o2_model))
+        << "o1 after o2.commit, round " << round;
     o1.commit();
-    for (const std::string& prefix : prefixes) {
-      ASSERT_EQ(base.store_keys_with_prefix(contract, prefix),
-                oracle_keys(o2_model, prefix))
-          << "base after commits, round " << round;
-    }
+    ASSERT_TRUE(reads_match(base, contract, o2_model))
+        << "base after commits, round " << round;
   }
 }
 

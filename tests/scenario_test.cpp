@@ -147,6 +147,7 @@ TEST(Scenario, AFullDayInTheMetaverse) {
 #include <condition_variable>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "scenario/harness.h"
 #include "scenario/invariants.h"
@@ -297,7 +298,7 @@ TEST(ScenarioGolden, MarketRushReplaysByteIdentically) {
   // The harness proposes every block, so every append commits a seal.
   EXPECT_EQ(run.value().validation.sealed_commits, 50u);
   EXPECT_EQ(crypto::to_hex(trace.value().rounds.back().commitment_root),
-            "6c43883703b218366a8817522db86b5f259a6d11527fac6ea54c3897b037e445");
+            "378161227160c99be9afb962181c9df035b8953388f171877c12c8ad4cda43cd");
 }
 
 TEST(ScenarioGolden, GovernanceWaveReplaysByteIdentically) {
@@ -309,7 +310,7 @@ TEST(ScenarioGolden, GovernanceWaveReplaysByteIdentically) {
   EXPECT_TRUE(run.value().violations.empty());
   EXPECT_EQ(run.value().committed_txs, 10000u);
   EXPECT_EQ(crypto::to_hex(trace.value().rounds.back().commitment_root),
-            "16feefe7223775685d888a6f803c6b275213b3093b46d405527c3f8b5ac006d5");
+            "5647dbf3e661e3fe841907c9d24e209eee09ca2806b616d4c194be24eb6ee254");
 }
 
 TEST(ScenarioGolden, SameSeedSameTraceDifferentSeedDifferentTrace) {
@@ -383,6 +384,36 @@ TEST(ScenarioGolden, MultiWorldTraceReplaysByteIdentically) {
   }
   EXPECT_EQ(crypto::to_hex(trace.value().rounds.back().commitment_root),
             "c0e8eec4b069e40f14a2dbed71f7b5b2c54d78ea8dd052b4887ea123cbd066ac");
+}
+
+/// SHA-256 over Transaction::encode() of every tx, round by round in order.
+std::string tx_column_hex(const Trace& trace) {
+  crypto::Sha256 h;
+  for (const TraceRound& round : trace.rounds) {
+    for (const ledger::Transaction& tx : round.txs) {
+      const Bytes bytes = tx.encode();
+      h.update(std::span<const std::uint8_t>(bytes.data(), bytes.size()));
+    }
+  }
+  return crypto::to_hex(h.finalize());
+}
+
+TEST(ScenarioGolden, TxColumnsArePinned) {
+  // Re-recording a golden trace because a root moved must keep what it
+  // replays: the transactions, byte for byte.
+  const std::pair<const char*, const char*> pins[] = {
+      {"governance_wave_1k.trace",
+       "e11e1d44b1f53bf8434a7988063ff9b412682fd3593cbddc905314ae301caa40"},
+      {"market_rush_1k.trace",
+       "c9ad5de481c84da5b2ccbd29569065ee88d863e22463ca2b3c8144b544246141"},
+      {"multi_world_3.trace",
+       "94cdc2478a12e12b4e3484946a399efe7f859b3434f3b4f6c945f688c2568b2b"},
+  };
+  for (const auto& [file, pin] : pins) {
+    auto trace = load_trace(std::string(kTraceDir) + "/" + file);
+    ASSERT_TRUE(trace.ok()) << file << ": " << trace.error().to_string();
+    EXPECT_EQ(tx_column_hex(trace.value()), pin) << file;
+  }
 }
 
 // -------------------------------------------------------------- invariants
