@@ -44,12 +44,7 @@ struct Block {
   /// Digest of every tx in `txs`, in order: the leaves of tx_root.
   [[nodiscard]] static std::vector<crypto::Digest> tx_digests(
       const std::vector<Transaction>& txs);
-  /// Merkle root over the digests of `txs` (order-sensitive).
-  [[nodiscard]] static crypto::Digest compute_tx_root(
-      const std::vector<Transaction>& txs) {
-    return compute_tx_root(tx_digests(txs));
-  }
-  /// Merkle root over already computed tx digests (tx_digests order).
+  /// Merkle root over tx digests in block order (tx_digests of the txs).
   [[nodiscard]] static crypto::Digest compute_tx_root(
       std::vector<crypto::Digest> digests);
   /// Merkle tree over the block's transactions, for inclusion proofs.

@@ -1,7 +1,6 @@
 #include "ledger/chain.h"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -60,14 +59,22 @@ Block Blockchain::assemble(const crypto::Wallet& proposer,
   block.header.timestamp = timestamp;
   block.header.proposer_pub = proposer.public_key();
 
+  // Each candidate is hashed once: the digests key the sig-cache lookups and
+  // the applied subset's are the tx_root leaves.
+  const std::vector<crypto::Digest> digests = Block::tx_digests(candidates);
   auto scratch = LedgerStateOverlay::reader(state());
   const auto outcome =
-      apply_block(scratch, candidates, *contracts_, block.header.height,
-                  config_.validation, ApplyMode::kSkipFailures,
-                  config_.max_txs_per_block);
+      apply_block(scratch, candidates, digests, *contracts_,
+                  block.header.height, config_.validation,
+                  ApplyMode::kSkipFailures, config_.max_txs_per_block);
   vstats_.record(outcome);
-  for (const std::size_t i : outcome.applied) block.txs.push_back(candidates[i]);
-  block.header.tx_root = Block::compute_tx_root(block.txs);
+  std::vector<crypto::Digest> leaves;
+  leaves.reserve(outcome.applied.size());
+  for (const std::size_t i : outcome.applied) {
+    block.txs.push_back(candidates[i]);
+    leaves.push_back(digests[i]);
+  }
+  block.header.tx_root = Block::compute_tx_root(std::move(leaves));
   block.header.state_root = state().commitment_with(scratch).root;
   block.header.proposer_sig = proposer.sign(block.header.signing_bytes(), rng);
   // Skipped candidates left no delta (LedgerView::apply is atomic), so the
@@ -95,9 +102,9 @@ Status Blockchain::check_header(const Block& block,
 Status Blockchain::execute(const Block& block, LedgerStateOverlay& scratch,
                            std::span<const crypto::Digest> digests) const {
   const auto outcome =
-      apply_block(scratch, block.txs, *contracts_, block.header.height,
-                  config_.validation, ApplyMode::kAllOrNothing,
-                  std::numeric_limits<std::size_t>::max(), digests);
+      apply_block(scratch, block.txs, digests, *contracts_,
+                  block.header.height, config_.validation,
+                  ApplyMode::kAllOrNothing);
   vstats_.record(outcome);
   if (!outcome.status.ok()) {
     return Status::fail("block.bad_tx",

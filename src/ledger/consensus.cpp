@@ -199,7 +199,6 @@ void ValidatorCommittee::handle_sync_response(Validator& v, const Bytes& payload
   if (block.value().header.height != v.chain.height()) return;  // stale/dup
   if (v.chain.append(block.value()).ok()) {
     v.mempool.remove_included(block.value().txs);
-    v.mempool.prune(v.chain.state());
   }
 }
 
@@ -241,7 +240,6 @@ void ValidatorCommittee::try_commit(Validator& v) {
   if (it == v.votes.end() || it->second.size() < quorum()) return;
   if (v.chain.append(*v.pending).ok()) {
     v.mempool.remove_included(v.pending->txs);
-    v.mempool.prune(v.chain.state());
   }
   v.pending.reset();
   // Garbage-collect vote sets for heights now below the chain tip.

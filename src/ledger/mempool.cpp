@@ -4,23 +4,15 @@
 
 namespace mv::ledger {
 
-namespace {
-std::uint64_t dedupe_key(const Transaction& tx) {
-  return crypto::digest_prefix64(tx.digest());
-}
-}  // namespace
-
-
 void Mempool::index_entry(const Entry& entry, const Locator& loc) {
-  by_digest_.emplace(entry.dedupe, loc);
   by_fee_.emplace(std::pair{entry.tx.fee, entry.seq}, loc);
   by_admission_.emplace(std::pair{entry.admitted, entry.seq}, loc);
 }
 
 Status Mempool::add(Transaction tx, const LedgerState& state, Tick now) {
-  // One digest serves both the dedupe key and the sig-cache key. A cache hit
-  // skips verification (the digest covers the signature bytes); a verified
-  // miss is remembered so block validation will not re-verify this tx.
+  // The digest keys the sig cache: a hit skips verification (the digest
+  // covers the signature bytes), and a verified miss is remembered so block
+  // validation will not re-verify this tx.
   const crypto::Digest digest = tx.digest();
   if (config_.sig_cache != nullptr &&
       config_.sig_cache->contains_and_touch(digest)) {
@@ -30,33 +22,37 @@ Status Mempool::add(Transaction tx, const LedgerState& state, Tick now) {
   } else if (config_.sig_cache != nullptr) {
     config_.sig_cache->insert(digest);
   }
-  const std::uint64_t dk = crypto::digest_prefix64(digest);
-  if (by_digest_.contains(dk)) {
-    return Status::fail(errc::kMempoolDuplicate, "transaction already pending");
-  }
+  // The digest covers sender and nonce, so the only pending transaction that
+  // can share it is the occupant of the same slot.
   const crypto::Address sender = tx.sender();
-  if (tx.nonce < state.nonce(sender)) {
-    return Status::fail(errc::kMempoolStaleNonce, "nonce already consumed");
-  }
   const std::uint64_t nonce = tx.nonce;
+  Entry* pending = nullptr;
   if (const auto sit = by_sender_.find(sender.value); sit != by_sender_.end()) {
     if (const auto it = sit->second.find(nonce); it != sit->second.end()) {
-      // Same sender+nonce already pending: replace-by-fee, strictly higher.
-      if (tx.fee <= it->second.tx.fee) {
-        return Status::fail(
-            errc::kMempoolUnderpriced,
-            "pending tx with this nonce pays an equal or higher fee");
-      }
-      by_digest_.erase(it->second.dedupe);
-      by_fee_.erase({it->second.tx.fee, it->second.seq});
-      by_admission_.erase({it->second.admitted, it->second.seq});
-      it->second = Entry{std::move(tx), dk, seq_++, now};
-      index_entry(it->second, Locator{sender.value, nonce});
-      ++stats_.replaced;
-      return {};
+      pending = &it->second;
     }
   }
-  if (config_.max_txs != 0 && by_digest_.size() >= config_.max_txs) {
+  if (pending != nullptr && pending->tx.digest() == digest) {
+    return Status::fail(errc::kMempoolDuplicate, "transaction already pending");
+  }
+  if (nonce < state.nonce(sender)) {
+    return Status::fail(errc::kMempoolStaleNonce, "nonce already consumed");
+  }
+  if (pending != nullptr) {
+    // Same sender+nonce already pending: replace-by-fee, strictly higher.
+    if (tx.fee <= pending->tx.fee) {
+      return Status::fail(
+          errc::kMempoolUnderpriced,
+          "pending tx with this nonce pays an equal or higher fee");
+    }
+    by_fee_.erase({pending->tx.fee, pending->seq});
+    by_admission_.erase({pending->admitted, pending->seq});
+    *pending = Entry{std::move(tx), seq_++, now};
+    index_entry(*pending, Locator{sender.value, nonce});
+    ++stats_.replaced;
+    return {};
+  }
+  if (config_.max_txs != 0 && by_fee_.size() >= config_.max_txs) {
     // Full: the newcomer must strictly out-pay the cheapest pending entry,
     // which it displaces. (Evicting before inserting keeps the queue
     // reference below valid — the victim may be the newcomer's own sender.)
@@ -82,11 +78,9 @@ Status Mempool::add(Transaction tx, const LedgerState& state, Tick now) {
     }
   }
   auto& queue = by_sender_[sender.value];
-  const auto [it, inserted] =
-      queue.emplace(nonce, Entry{std::move(tx), dk, seq_++, now});
+  const auto it = queue.emplace(nonce, Entry{std::move(tx), seq_++, now}).first;
   index_entry(it->second, Locator{sender.value, nonce});
   ++stats_.admitted;
-  (void)inserted;
   return {};
 }
 
@@ -170,7 +164,7 @@ std::vector<Transaction> Mempool::select(std::size_t max_txs,
     heads.push(Head{it->second.tx.fee, it->second.seq, &queue, it});
   }
   std::vector<Transaction> out;
-  out.reserve(std::min(max_txs, by_digest_.size()));
+  out.reserve(std::min(max_txs, size()));
   while (!heads.empty() && out.size() < max_txs) {
     const Head head = heads.top();
     heads.pop();
@@ -185,7 +179,6 @@ std::vector<Transaction> Mempool::select(std::size_t max_txs,
 
 void Mempool::erase_entry(std::uint64_t sender, SenderQueue::iterator it) {
   const auto sit = by_sender_.find(sender);
-  by_digest_.erase(it->second.dedupe);
   by_fee_.erase({it->second.tx.fee, it->second.seq});
   by_admission_.erase({it->second.admitted, it->second.seq});
   sit->second.erase(it);
@@ -203,37 +196,25 @@ bool Mempool::erase_located(const Locator& loc) {
 
 void Mempool::remove_included(const std::vector<Transaction>& txs) {
   for (const auto& tx : txs) {
-    const auto dit = by_digest_.find(dedupe_key(tx));
-    if (dit == by_digest_.end()) continue;
-    if (!erase_located(dit->second)) {
-      // Stale digest record; erase_entry would have removed it with the
-      // entry, so drop it here instead.
-      by_digest_.erase(dit);
-      ++stats_.repaired;
-    }
+    erase_located(Locator{tx.sender().value, tx.nonce});
   }
 }
 
-bool Mempool::self_check() const {
+bool Mempool::self_check(const LedgerState& state) const {
   std::size_t total = 0;
   for (const auto& [sender, queue] : by_sender_) {
     if (queue.empty()) return false;  // empty queues are erased eagerly
+    // Lowest pending nonce: at or above the committed one, never stale.
+    if (queue.begin()->first < state.nonce(crypto::Address{sender})) return false;
     total += queue.size();
   }
-  if (by_digest_.size() != total || by_fee_.size() != total ||
-      by_admission_.size() != total) {
-    return false;
-  }
+  if (by_fee_.size() != total || by_admission_.size() != total) return false;
   const auto resolve = [this](const Locator& loc) -> const Entry* {
     const auto sit = by_sender_.find(loc.sender);
     if (sit == by_sender_.end()) return nullptr;
     const auto it = sit->second.find(loc.nonce);
     return it == sit->second.end() ? nullptr : &it->second;
   };
-  for (const auto& [dk, loc] : by_digest_) {
-    const Entry* e = resolve(loc);
-    if (e == nullptr || e->dedupe != dk) return false;
-  }
   for (const auto& [key, loc] : by_fee_) {
     const Entry* e = resolve(loc);
     if (e == nullptr || e->tx.fee != key.first || e->seq != key.second) return false;
@@ -243,21 +224,6 @@ bool Mempool::self_check() const {
     if (e == nullptr || e->admitted != key.first || e->seq != key.second) return false;
   }
   return true;
-}
-
-void Mempool::prune(const LedgerState& state) {
-  for (auto sit = by_sender_.begin(); sit != by_sender_.end();) {
-    auto& queue = sit->second;
-    const std::uint64_t expected = state.nonce(crypto::Address{sit->first});
-    const auto keep_from = queue.lower_bound(expected);
-    for (auto it = queue.begin(); it != keep_from; ++it) {
-      by_digest_.erase(it->second.dedupe);
-      by_fee_.erase({it->second.tx.fee, it->second.seq});
-      by_admission_.erase({it->second.admitted, it->second.seq});
-    }
-    queue.erase(queue.begin(), keep_from);
-    sit = queue.empty() ? by_sender_.erase(sit) : std::next(sit);
-  }
 }
 
 }  // namespace mv::ledger

@@ -1,17 +1,22 @@
 // Mempool: pending transactions awaiting inclusion, ordered fee-first.
 //
-// Indexed four ways so every operation touches only the transactions involved:
-//  - by_sender_: per-sender nonce-ordered queues (selection walks each
-//    sender's runnable prefix in nonce order);
-//  - by_digest_: cached dedupe key -> (sender, nonce) locator (duplicate
-//    detection and eviction without re-hashing or scanning the pool);
+// A pending transaction has one identity, its (sender, nonce) slot, and a
+// slot holds at most one entry (replace-by-fee swaps it). A duplicate is the
+// slot's occupant itself (same full digest), and a committed block leaves the
+// pool by the slots it consumed. Every chain advance removes its block's
+// slots and admission refuses consumed nonces, so no entry ever pends below
+// its sender's committed nonce (self_check audits this).
+//
+// Indexed three ways so every operation touches only the transactions
+// involved:
+//  - by_sender_: per-sender nonce-ordered queues (the slots themselves;
+//    selection walks each sender's runnable prefix in nonce order);
 //  - by_fee_: (fee, seq) -> locator, so the lowest-fee victim for at-cap
 //    eviction is begin();
 //  - by_admission_: (admission tick, seq) -> locator, so expiry sweeps cost
 //    O(expired · log n) instead of a full scan.
-// Admission, selection, eviction, and expiry are O(log n) per transaction; the
-// historical implementation re-hashed every pending tx per selection pass and
-// scanned the whole pool per eviction (O(n²) around every block).
+// Admission, selection, removal, eviction, and expiry are O(log n) per
+// transaction.
 //
 // Unselected transactions no longer pend forever: each entry is stamped with
 // the network tick at admission and sweep_expired() drops entries older than
@@ -60,12 +65,13 @@ class Mempool {
  public:
   explicit Mempool(MempoolConfig config = {}) : config_(config) {}
 
-  /// Admit a transaction, stamped with admission tick `now`. Rejects
-  /// duplicates, bad signatures, and nonces already consumed by `state`. A
-  /// pending transaction with the same sender and nonce is replaced only by a
-  /// strictly higher fee ("mempool.underpriced" otherwise). At capacity the
-  /// lowest-fee entry is evicted if the newcomer strictly out-pays it;
-  /// otherwise the newcomer is rejected ("mempool.full").
+  /// Admit a transaction, stamped with admission tick `now`. Rejects bad
+  /// signatures, the slot's own pending transaction ("mempool.duplicate"),
+  /// and nonces already consumed by `state`. A pending transaction with the
+  /// same sender and nonce is replaced only by a strictly higher fee
+  /// ("mempool.underpriced" otherwise). At capacity the lowest-fee entry is
+  /// evicted if the newcomer strictly out-pays it; otherwise the newcomer is
+  /// rejected ("mempool.full").
   [[nodiscard]] Status add(Transaction tx, const LedgerState& state,
                            Tick now = 0);
 
@@ -81,28 +87,28 @@ class Mempool {
   [[nodiscard]] std::vector<Transaction> select(std::size_t max_txs,
                                                 const LedgerState& state) const;
 
-  /// Drop every transaction included in a committed block.
+  /// Erase the (sender, nonce) slot of every transaction in a committed
+  /// block, whatever variant pends there: the block consumed that nonce, so
+  /// a replacement admitted since assembly can never be included either.
   void remove_included(const std::vector<Transaction>& txs);
 
-  /// Drop transactions whose nonce has been consumed (stale after commits).
-  void prune(const LedgerState& state);
-
   /// Invariant audit: every index record resolves to a live entry whose key
-  /// fields match, all four indexes agree on the entry count, and no sender
-  /// queue is empty. O(n log n); meant for tests and debug sweeps.
-  [[nodiscard]] bool self_check() const;
+  /// fields match, all three indexes agree on the entry count, no sender
+  /// queue is empty, and no entry's nonce is below its sender's nonce in
+  /// `state` (the committed state the pool admits against). O(n log n);
+  /// meant for tests and replay checks.
+  [[nodiscard]] bool self_check(const LedgerState& state) const;
 
-  [[nodiscard]] std::size_t size() const { return by_digest_.size(); }
-  [[nodiscard]] bool empty() const { return by_digest_.empty(); }
+  [[nodiscard]] std::size_t size() const { return by_fee_.size(); }
+  [[nodiscard]] bool empty() const { return by_fee_.empty(); }
   [[nodiscard]] const MempoolConfig& config() const { return config_; }
   [[nodiscard]] const MempoolStats& stats() const { return stats_; }
 
  private:
   struct Entry {
     Transaction tx;
-    std::uint64_t dedupe = 0;  ///< cached digest prefix (hashed once, at add)
-    std::uint64_t seq = 0;     ///< admission order (FIFO fee tie-break)
-    Tick admitted = 0;         ///< network tick at admission (TTL anchor)
+    std::uint64_t seq = 0;  ///< admission order (FIFO fee tie-break)
+    Tick admitted = 0;      ///< network tick at admission (TTL anchor)
   };
   /// nonce -> entry, ordered so the runnable prefix is a forward walk.
   using SenderQueue = std::map<std::uint64_t, Entry>;
@@ -128,7 +134,6 @@ class Mempool {
   MempoolConfig config_;
   MempoolStats stats_;
   std::unordered_map<std::uint64_t, SenderQueue> by_sender_;
-  std::unordered_map<std::uint64_t, Locator> by_digest_;
   /// (fee, seq) -> locator; begin() is the cheapest (oldest first among ties).
   std::map<std::pair<std::uint64_t, std::uint64_t>, Locator> by_fee_;
   /// (admission tick, seq) -> locator; begin() is the oldest entry.

@@ -1,6 +1,7 @@
 #include "ledger/parallel.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace mv::ledger {
@@ -24,9 +25,7 @@ std::vector<Verdict> preverify(JobQueue& queue, const crypto::DigestLruSet& cach
                                std::span<const crypto::Digest> digests) {
   std::vector<std::size_t> misses;
   for (std::size_t i = 0; i < txs.size(); ++i) {
-    if (!cache.contains(digests.empty() ? txs[i].digest() : digests[i])) {
-      misses.push_back(i);
-    }
+    if (!cache.contains(digests[i])) misses.push_back(i);
   }
   std::vector<Verdict> verdicts(txs.size(), Verdict::kUnchecked);
   queue.run_batch(JobClass::kValidation,
@@ -67,10 +66,13 @@ bool signature_vouched(crypto::DigestLruSet& cache, const Transaction& tx,
 
 BlockApplyOutcome apply_block(LedgerStateOverlay& scratch,
                               const std::vector<Transaction>& txs,
+                              std::span<const crypto::Digest> digests,
                               const ContractRegistry& contracts, Tick height,
                               const ValidationConfig& config, ApplyMode mode,
-                              std::size_t max_applied,
-                              std::span<const crypto::Digest> digests) {
+                              std::size_t max_applied) {
+  if (digests.size() != txs.size()) {
+    throw std::invalid_argument("apply_block: one digest per transaction");
+  }
   BlockApplyOutcome out;
   crypto::DigestLruSet* const cache = config.sig_cache.get();
   // A block check on a threaded queue verifies its cache misses in parallel
@@ -85,8 +87,7 @@ BlockApplyOutcome apply_block(LedgerStateOverlay& scratch,
        ++i) {
     const bool preverified =
         cache != nullptr &&
-        signature_vouched(*cache, txs[i],
-                          digests.empty() ? txs[i].digest() : digests[i],
+        signature_vouched(*cache, txs[i], digests[i],
                           verdicts.empty() ? Verdict::kUnchecked : verdicts[i],
                           out);
     if (Status s = scratch.apply(txs[i], contracts, height, preverified); s.ok()) {

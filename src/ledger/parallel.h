@@ -111,14 +111,14 @@ struct ValidationStats {
 /// base state) one by one in block order, on the calling thread. In
 /// kSkipFailures mode application stops once `max_applied` transactions
 /// have succeeded (assembly passes the block cap), so an over-full candidate
-/// list yields exactly its first max_applied successes. `digests`, when
-/// non-empty, holds txs[i].digest() at index i (a block check computes them
-/// once for tx_root too); empty = each cache lookup hashes its tx.
+/// list yields exactly its first max_applied successes. `digests` holds
+/// txs[i].digest() at index i (Block::tx_digests: the caller computes them
+/// once for tx_root too) and keys the sig-cache lookups; a size other than
+/// txs.size() throws std::invalid_argument.
 [[nodiscard]] BlockApplyOutcome apply_block(
     LedgerStateOverlay& scratch, const std::vector<Transaction>& txs,
-    const ContractRegistry& contracts, Tick height,
-    const ValidationConfig& config, ApplyMode mode,
-    std::size_t max_applied = std::numeric_limits<std::size_t>::max(),
-    std::span<const crypto::Digest> digests = {});
+    std::span<const crypto::Digest> digests, const ContractRegistry& contracts,
+    Tick height, const ValidationConfig& config, ApplyMode mode,
+    std::size_t max_applied = std::numeric_limits<std::size_t>::max());
 
 }  // namespace mv::ledger

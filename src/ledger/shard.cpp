@@ -328,9 +328,7 @@ ShardedLedger::ShardedLedger(ShardConfig config, const LedgerState& genesis,
 
     sh.chain = std::make_unique<Blockchain>(std::move(chain_config), registry,
                                             std::move(genesis_states[s]));
-    MempoolConfig pool_config = config_.mempool;
-    pool_config.sig_cache = sh.sig_cache;
-    sh.pool = Mempool(pool_config);
+    sh.pool = Mempool(MempoolConfig{.sig_cache = sh.sig_cache});
 
     genesis_tag.raw(sh.chain->genesis_hash());
   }
@@ -376,7 +374,6 @@ Result<BeaconHeader> ShardedLedger::commit_round(const crypto::Wallet& proposer,
       return;
     }
     sh.pool.remove_included(block.txs);
-    sh.pool.prune(sh.chain->state());
   };
 
   // Shards validate concurrently on the shared queue's consensus lane and on

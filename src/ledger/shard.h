@@ -75,7 +75,6 @@ struct ShardConfig {
   /// instance).
   ValidationConfig validation;
   std::size_t state_retention = 8;
-  MempoolConfig mempool;
   /// Seed for the deterministic per-(round, shard) signing streams, so
   /// commit_round needs no caller-supplied Rng and block hashes are
   /// reproducible across runs and thread counts.

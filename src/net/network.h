@@ -82,9 +82,6 @@ struct NetworkStats {
   std::uint64_t snapshot_peers_promoted = 0;   ///< demoted peers recovered via clean serves
   std::uint64_t snapshot_busy_reroutes = 0;    ///< busy NACK re-aimed at another peer
   std::uint64_t snapshot_diff_chunks_reused = 0;  ///< served from the local diff base
-  // Subscription protocol counters (net/subscription.h).
-  std::uint64_t subscription_sheds = 0;    ///< whole-commit fan-outs shed
-  std::uint64_t subscribers_evicted = 0;   ///< dropped at the unacked cap
 };
 
 class Network {
@@ -160,9 +157,6 @@ class Network {
   void note_snapshot_diff_chunk_reused() {
     count(&NetworkStats::snapshot_diff_chunks_reused);
   }
-  // Subscription protocol events (net/subscription.h).
-  void note_subscription_shed() { count(&NetworkStats::subscription_sheds); }
-  void note_subscriber_evicted() { count(&NetworkStats::subscribers_evicted); }
   [[nodiscard]] SimClock& clock() { return clock_; }
 
  private:

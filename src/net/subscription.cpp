@@ -142,7 +142,6 @@ void SubscriptionServer::on_subscribe(const Message& msg) {
       ++rejected_stale_;
     } else {
       Subscriber sub;
-      sub.headers = req->headers;
       sub.accounts.insert(req->accounts.begin(), req->accounts.end());
       sub.stores.insert(req->stores.begin(), req->stores.end());
       // A resubscribe replaces the interest set and forgives the old unacked
@@ -203,7 +202,6 @@ void SubscriptionServer::publish(std::int64_t height,
     if (!admitted) {
       std::lock_guard<std::mutex> lock(mu_);
       ++commits_shed_;
-      network_.note_subscription_shed();
     }
     return;
   }
@@ -220,7 +218,6 @@ void SubscriptionServer::fan_out(const std::shared_ptr<const Bytes>& payload) {
       // unbounded per-client backlog. It can resubscribe once it recovers.
       it = subs_.erase(it);
       ++evicted_slow_;
-      network_.note_subscriber_evicted();
       continue;
     }
     (void)network_.send(self_, it->first, kSubPush, payload);

@@ -11,8 +11,9 @@
 // proofs + store events) is supplied by the ledger-side glue
 // (ledger/subscription.h). The hub owns:
 //
-//   - the subscriber registry (per-node interest sets: headers, account
-//     keys, store names) maintained from subscribe/unsubscribe messages;
+//   - the subscriber registry (per-node interest sets: account keys, store
+//     names) maintained from subscribe/unsubscribe messages; every
+//     subscriber gets every commit's push, header included;
 //   - zero-copy fan-out: one serialized payload per commit, shared across
 //     every subscriber via the network's shared_ptr<const Bytes> send path —
 //     never re-encoded or copied per subscriber;
@@ -72,7 +73,9 @@ struct SubscriptionRequest {
   /// in the retained ring are replayed at subscribe time; -1 = no catch-up,
   /// start with the next commit.
   std::int64_t from_height = -1;
-  bool headers = false;                  ///< push every committed header
+  /// Wire flag, validated ∈ {0, 1}. The hub pushes every commit's header to
+  /// every subscriber, so it does not store the flag.
+  bool headers = false;
   std::vector<std::uint64_t> accounts;   ///< crypto::Address values to watch
   std::vector<std::string> stores;       ///< contract stores (e.g. proposals)
 
@@ -164,7 +167,6 @@ class SubscriptionServer {
 
  private:
   struct Subscriber {
-    bool headers = false;
     std::set<std::uint64_t> accounts;
     std::set<std::string> stores;
     std::size_t unacked = 0;  ///< pushes sent and not yet acked

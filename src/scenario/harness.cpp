@@ -139,8 +139,7 @@ Result<ReplayResult> execute(const ScenarioEnv& env, const TraceHeader& header,
     if (!beacon.ok()) return diverged(r, beacon.error().to_string());
     // The all-valid discipline, enforced: a dropped tx means the generator
     // (or a stack regression) broke the determinism contract. Count what the
-    // shard blocks committed; empty pools would not prove it, because
-    // commit_round prunes them.
+    // shard blocks committed.
     std::size_t committed = 0;
     for (std::uint32_t s = 0; s < shards; ++s) {
       const ledger::Blockchain& chain = ledger.shard(s);

@@ -184,7 +184,7 @@ std::vector<std::string> check_invariants(const ledger::LedgerState& state,
       !(state.full_rehash_commitment() == state.commitment())) {
     out.push_back("commitment: full rehash diverges from incremental root");
   }
-  if (pool != nullptr && !pool->self_check()) {
+  if (pool != nullptr && !pool->self_check(state)) {
     out.push_back("mempool: self_check failed");
   }
   return out;

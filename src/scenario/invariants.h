@@ -14,7 +14,8 @@
 //   - reputation bounds:  every score within [min_score, max_score]
 //   - moderation counts:  open/upheld counters match the report records
 //   - optional full rehash: incremental accounts root == from-scratch root
-//   - optional mempool self_check
+//   - optional mempool self_check: indexes agree, and no entry pends below
+//                         its sender's committed nonce
 #pragma once
 
 #include <string>
@@ -45,7 +46,7 @@ struct InvariantOptions {
 };
 
 /// Returns one human-readable string per violated invariant (empty == clean).
-/// `pool`, when given, contributes Mempool::self_check().
+/// `pool`, when given, contributes Mempool::self_check(state).
 [[nodiscard]] std::vector<std::string> check_invariants(
     const ledger::LedgerState& state, const InvariantOptions& opts,
     const ledger::Mempool* pool = nullptr);

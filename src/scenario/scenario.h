@@ -171,7 +171,7 @@ class ScenarioGenerator {
   struct ProposalModel {
     std::int64_t created_height = 0;
     bool finalized = false;
-    std::set<std::size_t> voted;  ///< avatar indices (emission-time dedupe)
+    std::set<std::size_t> voted;  ///< avatar indices (none emits two ballots)
   };
   /// Wash-trade pair: two colluding avatars cycling one token at escalating
   /// prices. One state-machine step per round.

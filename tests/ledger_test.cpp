@@ -365,8 +365,27 @@ TEST(Mempool, RemoveIncludedAndPrune) {
   EXPECT_EQ(pool.size(), 1u);
   ASSERT_TRUE(f.state.apply(tx0, *f.contracts, 0).ok());
   ASSERT_TRUE(f.state.apply(tx1, *f.contracts, 0).ok());
-  pool.prune(f.state);
+  pool.remove_included({tx1});
   EXPECT_EQ(pool.size(), 0u);
+  EXPECT_TRUE(pool.self_check(f.state));
+}
+
+TEST(Mempool, RemoveIncludedDropsTheCommittedSlot) {
+  // A block consumes a (sender, nonce) slot, not one transaction: a
+  // replacement admitted after the block was assembled must leave the pool
+  // with the committed original, or it would pend below the sender's nonce.
+  Fixture f;
+  Mempool pool;
+  const auto x = make_transfer(f.alice, 0, f.bob.address(), 1, 1, f.rng);
+  const auto y = make_transfer(f.alice, 0, f.bob.address(), 2, 5, f.rng);
+  ASSERT_TRUE(pool.add(x, f.state).ok());
+  ASSERT_TRUE(pool.add(y, f.state).ok());  // replace-by-fee
+  EXPECT_EQ(pool.stats().replaced, 1u);
+  ASSERT_TRUE(f.state.apply(x, *f.contracts, 0).ok());  // the block carried x
+  pool.remove_included({x});
+  EXPECT_TRUE(pool.empty());
+  EXPECT_TRUE(pool.self_check(f.state));
+  EXPECT_EQ(pool.add(y, f.state).error().code, "mempool.stale_nonce");
 }
 
 TEST(Mempool, NonceGapBlocksSuccessors) {
@@ -436,16 +455,17 @@ TEST(Mempool, RemovalKeepsIndexesConsistent) {
   EXPECT_EQ(pool.size(), 3u);
   pool.remove_included({tx0, tx2});
   EXPECT_EQ(pool.size(), 1u);
-  // Dedupe entries of removed txs are gone: re-admission succeeds...
+  // The slots of removed txs are free: re-admission succeeds...
   ASSERT_TRUE(pool.add(tx0, f.state).ok());
   // ...while a still-pending tx is still recognized as a duplicate.
   EXPECT_EQ(pool.add(tx1, f.state).error().code, "mempool.duplicate");
   EXPECT_EQ(pool.size(), 2u);
-  // Prune drops everything below the committed nonce and clears dedupe keys.
+  // Committing both of alice's slots empties the pool.
   ASSERT_TRUE(f.state.apply(tx0, *f.contracts, 0).ok());
   ASSERT_TRUE(f.state.apply(tx1, *f.contracts, 0).ok());
-  pool.prune(f.state);
+  pool.remove_included({tx0, tx1});
   EXPECT_TRUE(pool.empty());
+  EXPECT_TRUE(pool.self_check(f.state));
   EXPECT_TRUE(pool.select(10, f.state).empty());
 }
 
@@ -1256,8 +1276,7 @@ TEST(Mempool, NonceGappedTxExpiresInsteadOfPendingForever) {
   ASSERT_EQ(picked.size(), 1u);
   ASSERT_TRUE(f.state.apply(picked[0], *f.contracts, 0).ok());
   pool.remove_included(picked);
-  pool.prune(f.state);
-  EXPECT_EQ(pool.size(), 1u);  // prune keeps it: nonce 2 is still future
+  EXPECT_EQ(pool.size(), 1u);  // nonce 2 is still future: it stays
   // Fresh traffic at tick 20 is untouched; the orphan (admitted at 0) ages out.
   ASSERT_TRUE(
       pool.add(make_transfer(f.bob, 0, f.alice.address(), 1, 1, f.rng), f.state, 20)
@@ -1809,11 +1828,11 @@ TEST(Mempool, SweepRecoversFromClockRegression) {
           .ok());
   EXPECT_EQ(pool.sweep_expired(5), 0u);  // regression: re-stamp, nothing drops
   EXPECT_EQ(pool.size(), 2u);
-  EXPECT_TRUE(pool.self_check());
+  EXPECT_TRUE(pool.self_check(f.state));
   EXPECT_EQ(pool.sweep_expired(15), 0u);  // age 10 == ttl: still pending
   EXPECT_EQ(pool.sweep_expired(16), 2u);  // age 11 > ttl: both expire
   EXPECT_TRUE(pool.empty());
-  EXPECT_TRUE(pool.self_check());
+  EXPECT_TRUE(pool.self_check(f.state));
   EXPECT_EQ(pool.stats().expired, 2u);
 }
 
@@ -1832,7 +1851,7 @@ TEST(Mempool, SweepMixedPastAndFutureStamps) {
   EXPECT_EQ(pool.size(), 2u);
   EXPECT_EQ(pool.sweep_expired(14), 1u);  // age 11: the tick-3 entry expires,
   EXPECT_EQ(pool.size(), 1u);             // and the future one re-stamps to 14
-  EXPECT_TRUE(pool.self_check());
+  EXPECT_TRUE(pool.self_check(f.state));
   EXPECT_EQ(pool.sweep_expired(25), 1u);  // 25 - 14 = 11 > ttl
   EXPECT_TRUE(pool.empty());
 }
@@ -1852,7 +1871,7 @@ TEST(Mempool, SweepTickBoundaryValues) {
                        f.state, std::numeric_limits<Tick>::max())
                   .ok());
   EXPECT_EQ(pool.sweep_expired(100), 0u);  // re-stamped to 100
-  EXPECT_TRUE(pool.self_check());
+  EXPECT_TRUE(pool.self_check(f.state));
   EXPECT_EQ(pool.sweep_expired(111), 1u);  // and expires 11 ticks later
   EXPECT_TRUE(pool.empty());
 }
@@ -1860,15 +1879,24 @@ TEST(Mempool, SweepTickBoundaryValues) {
 TEST(Mempool, RandomizedChurnKeepsIndexesConsistent) {
   // Churn every public mutation — admission, replace-by-fee, at-cap
   // eviction, expiry sweeps (including clock regressions), inclusion
-  // removal, pruning — and audit all four indexes after each batch.
+  // removal of committed blocks — and audit all three indexes and the
+  // no-stale-entry invariant after each batch. A block is selected, then
+  // admissions run (replacing some of its picks by fee) before it commits,
+  // as on a replica whose proposal is in flight.
   Fixture f;
   Rng rng(777);
   std::vector<crypto::Wallet> wallets;
-  for (int i = 0; i < 6; ++i) wallets.emplace_back(rng);
+  for (int i = 0; i < 6; ++i) {
+    wallets.emplace_back(rng);
+    f.state.credit(wallets.back().address(), 10'000);
+  }
   Mempool pool(MempoolConfig{.ttl = 30, .max_txs = 24});
   std::vector<std::uint64_t> next_nonce(wallets.size(), 0);
   Tick now = 0;
+  std::size_t committed = 0;
   for (int round = 0; round < 60; ++round) {
+    const std::vector<Transaction> block =
+        rng.chance(0.25) ? pool.select(4, f.state) : std::vector<Transaction>{};
     for (int op = 0; op < 8; ++op) {
       const std::size_t w = rng.next_below(wallets.size());
       const bool replay = rng.chance(0.2) && next_nonce[w] > 0;
@@ -1884,12 +1912,15 @@ TEST(Mempool, RandomizedChurnKeepsIndexesConsistent) {
                              : now + static_cast<Tick>(rng.next_below(20));
       (void)pool.sweep_expired(now);
     }
-    if (rng.chance(0.25)) {
-      pool.remove_included(pool.select(4, f.state));
+    for (const auto& tx : block) {
+      ASSERT_TRUE(f.state.apply(tx, *f.contracts, 0).ok()) << "round " << round;
     }
-    if (rng.chance(0.1)) pool.prune(f.state);
-    ASSERT_TRUE(pool.self_check()) << "round " << round;
+    pool.remove_included(block);
+    committed += block.size();
+    ASSERT_TRUE(pool.self_check(f.state)) << "round " << round;
   }
+  EXPECT_GT(committed, 0u);
+  EXPECT_GT(pool.stats().replaced, 0u);
   EXPECT_EQ(pool.stats().repaired, 0u);  // indexes never actually dangled
 }
 

@@ -9,7 +9,6 @@
 // queues.
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -289,7 +288,7 @@ TEST(ParallelValidation, InvalidBlockErrorsMatchSerialExactly) {
     block.txs = txs;
     block.header.height = 0;
     block.header.prev_hash = serial.tip_hash();
-    block.header.tx_root = Block::compute_tx_root(txs);
+    block.header.tx_root = Block::compute_tx_root(Block::tx_digests(txs));
     block.header.state_root = {};  // never reached: the bad tx fails first
     block.header.timestamp = 0;
     block.header.proposer_pub = f.proposer.public_key();
@@ -377,18 +376,16 @@ TEST(ParallelBlockCheck, SigPreverifyMatchesSerialLoop) {
     for (const std::size_t capacity :
          {std::size_t{1}, std::size_t{2}, crypto::DigestLruSet().capacity()}) {
       // Run the block on a fresh, prewarmed cache of `capacity`.
-      const auto run = [&](ValidationConfig config, bool pass_digests) {
+      const auto run = [&](ValidationConfig config) {
         config.sig_cache = std::make_shared<crypto::DigestLruSet>(capacity);
         for (const std::size_t i : c.prewarm) config.sig_cache->insert(valid[i].digest());
         auto scratch = LedgerStateOverlay::reader(f.genesis);
-        const BlockApplyOutcome out = apply_block(
-            scratch, c.txs, *f.contracts, 0, config, ApplyMode::kAllOrNothing,
-            std::numeric_limits<std::size_t>::max(),
-            pass_digests ? std::span<const crypto::Digest>(digests)
-                         : std::span<const crypto::Digest>());
+        const BlockApplyOutcome out =
+            apply_block(scratch, c.txs, digests, *f.contracts, 0, config,
+                        ApplyMode::kAllOrNothing);
         return std::tuple(out, f.genesis.commitment_with(scratch), config.sig_cache);
       };
-      const auto [want, want_state, want_cache] = run({}, true);
+      const auto [want, want_state, want_cache] = run({});
       const std::size_t want_size = want_cache->size();
       std::vector<bool> want_members;
       for (const auto& d : candidates) want_members.push_back(want_cache->contains(d));
@@ -396,27 +393,24 @@ TEST(ParallelBlockCheck, SigPreverifyMatchesSerialLoop) {
           capacity <= 2 ? lru_order(*want_cache, candidates)
                         : std::vector<crypto::Digest>{};
       for (const std::size_t workers : {0u, 1u, 2u, 4u}) {
-        for (const bool pass_digests : {true, false}) {
-          SCOPED_TRACE(testing::Message()
-                       << c.name << ", capacity " << capacity << ", " << workers
-                       << " workers, digests " << (pass_digests ? "given" : "hashed"));
-          const auto [got, got_state, got_cache] = run(on_queue(workers), pass_digests);
-          ASSERT_EQ(got.status.ok(), want.status.ok());
-          if (!want.status.ok()) {
-            EXPECT_EQ(got.failed_index, want.failed_index);
-            EXPECT_EQ(got.status.error().to_string(), want.status.error().to_string());
-          }
-          EXPECT_EQ(got.applied, want.applied);
-          EXPECT_EQ(got.sig_hits, want.sig_hits);
-          EXPECT_EQ(got.sig_misses, want.sig_misses);
-          EXPECT_EQ(got_state, want_state);
-          EXPECT_EQ(got_cache->size(), want_size);
-          for (std::size_t i = 0; i < candidates.size(); ++i) {
-            EXPECT_EQ(got_cache->contains(candidates[i]), want_members[i]) << "digest " << i;
-          }
-          if (capacity <= 2) {
-            EXPECT_EQ(lru_order(*got_cache, candidates), want_order);
-          }
+        SCOPED_TRACE(testing::Message() << c.name << ", capacity " << capacity
+                                        << ", " << workers << " workers");
+        const auto [got, got_state, got_cache] = run(on_queue(workers));
+        ASSERT_EQ(got.status.ok(), want.status.ok());
+        if (!want.status.ok()) {
+          EXPECT_EQ(got.failed_index, want.failed_index);
+          EXPECT_EQ(got.status.error().to_string(), want.status.error().to_string());
+        }
+        EXPECT_EQ(got.applied, want.applied);
+        EXPECT_EQ(got.sig_hits, want.sig_hits);
+        EXPECT_EQ(got.sig_misses, want.sig_misses);
+        EXPECT_EQ(got_state, want_state);
+        EXPECT_EQ(got_cache->size(), want_size);
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+          EXPECT_EQ(got_cache->contains(candidates[i]), want_members[i]) << "digest " << i;
+        }
+        if (capacity <= 2) {
+          EXPECT_EQ(lru_order(*got_cache, candidates), want_order);
         }
       }
     }

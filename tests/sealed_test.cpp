@@ -337,7 +337,7 @@ struct RollbackFixture : SealFixture {
     block.header.timestamp = follower.height();
     block.header.proposer_pub = proposer_for(follower).public_key();
     block.txs = std::move(txs);
-    block.header.tx_root = Block::compute_tx_root(block.txs);
+    block.header.tx_root = Block::compute_tx_root(Block::tx_digests(block.txs));
     block.header.state_root = state_root;
     block.header.proposer_sig =
         proposer_for(follower).sign(block.header.signing_bytes(), rng);

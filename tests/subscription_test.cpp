@@ -376,7 +376,6 @@ TEST(SubscriptionLifecycle, SlowSubscriberIsEvictedAtThePerClientCap) {
   EXPECT_EQ(stats.pushes_sent, 2u);
   EXPECT_EQ(stats.evicted_slow, 1u);
   EXPECT_EQ(server.subscriber_count(), 0u);
-  EXPECT_EQ(f.net.stats().subscribers_evicted, 1u);
 
   // Eviction is not a ban: a resubscribe (the recovered client's move)
   // reinstates it and resyncs the missed heights from the ring.
@@ -477,7 +476,6 @@ TEST(SubscriptionFlood, PushesShedGracefullyWhileConsensusNeverSheds) {
   EXPECT_EQ(qstats.of(JobClass::kConsensus).shed(), 0u);
   EXPECT_EQ(consensus_done.load(), 4);
   EXPECT_GT(qstats.of(JobClass::kClientQuery).shed(), 0u);
-  EXPECT_GE(f.net.stats().subscription_sheds, 4u);
 
   // Shed pushes never broke continuity: the next live push exposes the gap
   // and the retained ring (which kept every commit, shed or not) resyncs

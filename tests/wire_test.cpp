@@ -65,7 +65,7 @@ struct WireSet {
     header.height = 5;
     header.prev_hash = crypto::sha256(std::string_view("parent"));
     block.txs = {transfer, audit, call};
-    header.tx_root = Block::compute_tx_root(block.txs);
+    header.tx_root = Block::compute_tx_root(Block::tx_digests(block.txs));
     header.state_root = commitment.root;
     header.timestamp = 99;
     header.proposer_pub = wallet.public_key();
