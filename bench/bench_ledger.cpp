@@ -936,6 +936,30 @@ BENCHMARK(BM_JobQueueDispatch)
     ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 
+// The blocking run() a client proof query pays: one near-empty job on an
+// idle queue with `range(0)` workers. 0 = inline mode. With workers, nothing
+// is queued ahead of the job, so its caller runs it (caller-runs run()) and
+// every worker count should read close to inline; a queue that handed the
+// job to a worker would pay a wake-up and a completion wait here.
+void BM_JobQueueRun(benchmark::State& state) {
+  JobQueueConfig config;
+  config.threads = static_cast<std::size_t>(state.range(0));
+  JobQueue queue(config);
+  std::uint64_t sink = 0;
+  for (auto _ : state) {
+    queue.run(JobClass::kClientQuery, [&] { ++sink; });
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_JobQueueRun)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+
 // Mixed-priority overload: each iteration floods the three lowest classes
 // past their depth ceilings while a consensus batch pushes through, the
 // shape the admission shedding exists for. Emits the shed rate and

@@ -30,6 +30,17 @@ class ByteWriter {
   void bytes(std::span<const std::uint8_t> v);
   /// Raw append without a length prefix (for fixed-size digests).
   void raw(std::span<const std::uint8_t> v) { buf_.insert(buf_.end(), v.begin(), v.end()); }
+  /// A length-prefixed field written in place: `fill(*this)` appends the
+  /// field after a u32 prefix that is then set to its length. The same bytes
+  /// as bytes(encoding), without building the encoding in a buffer first.
+  template <typename Fill>
+  void prefixed(Fill&& fill) {
+    const std::size_t at = buf_.size();
+    u32(0);
+    fill(*this);
+    const auto len = static_cast<std::uint32_t>(buf_.size() - at - 4);
+    for (int i = 0; i < 4; ++i) buf_[at + i] = static_cast<std::uint8_t>(len >> (8 * i));
+  }
 
   [[nodiscard]] const Bytes& data() const { return buf_; }
   [[nodiscard]] Bytes take() { return std::move(buf_); }

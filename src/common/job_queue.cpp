@@ -1,6 +1,7 @@
 #include "common/job_queue.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 namespace mv {
@@ -99,7 +100,8 @@ bool JobQueue::admit_locked(ClassState& cs, const JobQueueConfig::Limit& limit) 
   return true;
 }
 
-void JobQueue::execute_inline(ClassState& cs, const std::function<void()>& fn) {
+void JobQueue::run_on_caller(ClassState& cs,
+                             const std::function<void()>& fn) noexcept {
   const auto t0 = Clock::now();
   fn();
   const double run_us = elapsed_us(t0, Clock::now());
@@ -107,6 +109,7 @@ void JobQueue::execute_inline(ClassState& cs, const std::function<void()>& fn) {
   cs.record_wait(0.0);
   cs.record_run(run_us);
   ++cs.completed;
+  if (--running_ == 0 && pending_ == 0) done_cv_.notify_all();
 }
 
 void JobQueue::enqueue_locked(ClassState& cs, Job job) {
@@ -123,8 +126,9 @@ bool JobQueue::submit(JobClass cls, std::function<void()> fn) {
       std::lock_guard<std::mutex> lock(mu_);
       if (!admit_locked(cs, limit)) return false;
       ++cs.submitted;
+      ++running_;
     }
-    execute_inline(cs, fn);
+    run_on_caller(cs, fn);
     return true;
   }
   {
@@ -139,20 +143,26 @@ bool JobQueue::submit(JobClass cls, std::function<void()> fn) {
 bool JobQueue::run(JobClass cls, const std::function<void()>& fn) {
   auto& cs = classes_[static_cast<std::size_t>(cls)];
   const auto& limit = config_.limits[static_cast<std::size_t>(cls)];
-  if (config_.threads == 0) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!admit_locked(cs, limit)) return false;
-      ++cs.submitted;
-    }
-    execute_inline(cs, fn);
-    return true;
-  }
-  auto ran = std::make_shared<bool>(false);
+  std::shared_ptr<bool> ran;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stop_ || !admit_locked(cs, limit)) return false;
-    enqueue_locked(cs, Job{fn, ran, nullptr, Clock::now()});
+    // A worker would start any job queued at cls's priority or higher first,
+    // so fn waits its turn behind them. Otherwise the caller, blocked either
+    // way, runs fn itself (inline mode queues nothing, so always).
+    const auto ahead = std::span(classes_).first(static_cast<std::size_t>(cls) + 1);
+    if (std::any_of(ahead.begin(), ahead.end(),
+                    [](const ClassState& lane) { return !lane.queue.empty(); })) {
+      ran = std::make_shared<bool>(false);
+      enqueue_locked(cs, Job{fn, ran, nullptr, Clock::now()});
+    } else {
+      ++cs.submitted;
+      ++running_;
+    }
+  }
+  if (ran == nullptr) {
+    run_on_caller(cs, fn);
+    return true;
   }
   work_cv_.notify_one();
   std::unique_lock<std::mutex> lock(mu_);
@@ -169,8 +179,9 @@ void JobQueue::run_batch(JobClass cls, std::size_t tasks,
       {
         std::lock_guard<std::mutex> lock(mu_);
         ++cs.submitted;
+        ++running_;
       }
-      execute_inline(cs, [&fn, i] { fn(i); });
+      run_on_caller(cs, [&fn, i] { fn(i); });
     }
     return;
   }

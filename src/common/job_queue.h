@@ -19,7 +19,12 @@
 //                   ceilings never trigger).
 //   threads >= 1  — queued: jobs are pulled by `threads` worker threads
 //                   the queue owns. Per-class FIFO order is start order;
-//                   jobs of different classes overlap freely.
+//                   jobs of different classes overlap freely. A blocking
+//                   run() is caller-runs: when no lane at its class's
+//                   priority or higher holds a queued job, the caller runs
+//                   fn itself (a wait of 0; a running job to drain()), since
+//                   no worker would start anything before it. Otherwise it
+//                   is queued and waits its turn like a submit().
 //
 // Shedding policy (per class, both knobs 0 = unlimited):
 //   - depth ceiling: a submit()/run() while the class already holds
@@ -43,10 +48,12 @@
 //
 // Threading contract: submit/run/run_batch/drain/stats are safe from any
 // thread, and run_batch() may nest inside a job. A job must not call run()
-// or drain() on its own queue: those wait for work only workers run, and
-// with few workers that self-wait deadlocks. The destructor abandons jobs
-// still queued (counted per class) after finishing the ones already running;
-// drain() first if completion matters.
+// or drain() on its own queue: a run() queued behind other work, and every
+// drain(), wait for work only workers run, and with few workers that
+// self-wait deadlocks. That run() on an idle lane happens to run on its
+// caller does not lift the rule. The destructor abandons jobs still queued
+// (counted per class) after finishing the ones already running; drain()
+// first if completion matters.
 #pragma once
 
 #include <array>
@@ -152,9 +159,12 @@ class JobQueue {
   /// not be run.
   bool submit(JobClass cls, std::function<void()> fn);
 
-  /// Synchronous sheddable execution: admission-checked, then blocks until
-  /// fn has run (on a worker, or inline). False = shed, fn not run. This is
-  /// the admission-control shape for request/response work (client queries).
+  /// Synchronous sheddable execution: admission-checked, then returns once
+  /// fn has run. False = shed, fn not run. This is the admission-control
+  /// shape for request/response work (client queries). When no lane at
+  /// cls's priority or higher holds a queued job (always, inline), fn runs
+  /// on the calling thread with a recorded wait of 0; otherwise it is queued
+  /// and the caller blocks until a worker has run it.
   bool run(JobClass cls, const std::function<void()>& fn);
 
   /// Run fn(0)..fn(tasks-1) as `tasks` tasks of `cls` and return once all
@@ -221,8 +231,12 @@ class JobQueue {
 
   /// Admission decision; callers hold mu_. True = admit.
   bool admit_locked(ClassState& cs, const JobQueueConfig::Limit& limit);
-  /// Inline-mode execution: record a zero wait, time the run, count it.
-  void execute_inline(ClassState& cs, const std::function<void()>& fn);
+  /// Run an admitted job on the calling thread (the caller counted it
+  /// submitted and running): record a zero wait, time the run, count it
+  /// completed and no longer running. noexcept: a job that throws ends the
+  /// process on its caller as it does on a worker, instead of unwinding
+  /// with the job still counted as running, which would hang drain().
+  void run_on_caller(ClassState& cs, const std::function<void()>& fn) noexcept;
   /// Enqueue under mu_ (caller already admitted) and count it submitted.
   void enqueue_locked(ClassState& cs, Job job);
   /// Claim and run `batch`'s tasks until none is left, then record their
@@ -240,7 +254,7 @@ class JobQueue {
   std::condition_variable done_cv_;  ///< waiters: batch done / queue drained
   std::array<ClassState, kJobClassCount> classes_;
   std::size_t pending_ = 0;  ///< queued jobs, all classes
-  std::size_t running_ = 0;  ///< jobs currently executing on workers
+  std::size_t running_ = 0;  ///< jobs currently executing, workers or callers
   bool stop_ = false;
 
   /// `threads` workers, each running worker_loop() until stop.

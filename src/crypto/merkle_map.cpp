@@ -558,6 +558,20 @@ bool MerkleMap::verify(const Digest& root, std::uint64_t key,
 
 Bytes MerkleMapProof::encode() const {
   ByteWriter w;
+  w.reserve(encoded_size());
+  write(w);
+  return w.take();
+}
+
+std::size_t MerkleMapProof::encoded_size() const {
+  std::size_t n = 3 + (has_terminal_leaf ? 8 + sizeof(Digest) : 0);
+  for (const MerkleMapProofStep& step : steps) {
+    n += 3 + sizeof(Digest) * step.siblings.size();
+  }
+  return n;
+}
+
+void MerkleMapProof::write(ByteWriter& w) const {
   w.u8(0x01);  // format version
   w.u8(has_terminal_leaf ? 0x01 : 0x00);
   w.u8(static_cast<std::uint8_t>(steps.size()));
@@ -571,7 +585,6 @@ Bytes MerkleMapProof::encode() const {
     w.u64(terminal_key);
     w.raw(terminal_value);
   }
-  return w.take();
 }
 
 Result<MerkleMapProof> MerkleMapProof::decode(std::span<const std::uint8_t> bytes) {

@@ -73,6 +73,10 @@ struct MerkleMapProof {
   /// bitmap cannot support, and trailing bytes — so that no byte of an
   /// encoded proof is semantically inert.
   [[nodiscard]] Bytes encode() const;
+  /// Append encode()'s bytes to `w`.
+  void write(ByteWriter& w) const;
+  /// encode()'s length, so a writer can be sized once.
+  [[nodiscard]] std::size_t encoded_size() const;
   [[nodiscard]] static Result<MerkleMapProof> decode(std::span<const std::uint8_t> bytes);
 };
 

@@ -245,8 +245,10 @@ Result<AccountProof> Blockchain::prove_account(crypto::Address addr,
   // Client proof queries ride the lowest-priority lane of the job queue when
   // one is configured: under overload they are the first traffic shed, and a
   // shed query answers immediately with chain.overloaded instead of queueing
-  // behind consensus work. Without a queue (or inline) behaviour is
-  // unchanged.
+  // behind consensus work. An admitted query with no job queued ahead of it
+  // runs here on the calling thread (JobQueue::run is caller-runs), so an
+  // idle queue costs the proof no thread handoff; one queued behind other
+  // work waits its turn on a worker. Without a queue behaviour is unchanged.
   if (JobQueue* queue = config_.validation.job_queue.get(); queue != nullptr) {
     std::optional<Result<AccountProof>> out;
     const bool ran = queue->run(JobClass::kClientQuery, [&] {

@@ -7,11 +7,15 @@ namespace mv::ledger {
 
 namespace {
 
-Bytes encode_ok(const Bytes& payload) {
+/// The ok envelope around a `payload_size`-byte payload that `fill` writes
+/// in place.
+template <typename Fill>
+Bytes encode_ok(std::size_t payload_size, Fill&& fill) {
   ByteWriter w;
+  w.reserve(4 + 1 + 4 + payload_size);
   w.u32(kClientApiVersion);
   w.u8(1);
-  w.bytes(payload);
+  w.prefixed(fill);
   return w.take();
 }
 
@@ -103,9 +107,7 @@ Bytes ClientApi::dispatch(const Bytes& request) const {
       if (!r.exhausted()) {
         return encode_err(Error{errc::kApiBadRequest, "trailing bytes"});
       }
-      ByteWriter w;
-      w.i64(tip_height());
-      return encode_ok(w.take());
+      return encode_ok(8, [&](ByteWriter& w) { w.i64(tip_height()); });
     }
     case ClientRequest::kHeader: {
       const auto height = r.i64();
@@ -114,7 +116,9 @@ Bytes ClientApi::dispatch(const Bytes& request) const {
       }
       auto h = header(height.value());
       if (!h.ok()) return encode_err(h.error());
-      return encode_ok(h.value().encode());
+      const Bytes header_bytes = h.value().encode();
+      return encode_ok(header_bytes.size(),
+                       [&](ByteWriter& w) { w.raw(header_bytes); });
     }
     case ClientRequest::kAccountProof: {
       const auto address = r.u64();
@@ -124,7 +128,8 @@ Bytes ClientApi::dispatch(const Bytes& request) const {
       }
       auto proof = account_proof(crypto::Address{address.value()}, height.value());
       if (!proof.ok()) return encode_err(proof.error());
-      return encode_ok(proof.value().encode());
+      const AccountProof& ap = proof.value();
+      return encode_ok(ap.encoded_size(), [&](ByteWriter& w) { ap.write(w); });
     }
   }
   return encode_err(Error{errc::kApiBadRequest,

@@ -9,6 +9,19 @@ namespace mv::ledger {
 
 Bytes AccountProof::encode() const {
   ByteWriter w;
+  w.reserve(encoded_size());
+  write(w);
+  return w.take();
+}
+
+std::size_t AccountProof::encoded_size() const {
+  // Address, height, the two flags, balance, nonce, the commitment sections
+  // and the Merkle path's length prefix, then the path.
+  return 8 + 8 + 1 + 1 + 8 + 8 + 3 * (sizeof(crypto::Digest) + 8) + 4 +
+         proof.encoded_size();
+}
+
+void AccountProof::write(ByteWriter& w) const {
   w.u64(address.value);
   w.i64(height);
   w.u8(statement.exists ? 1 : 0);
@@ -17,8 +30,7 @@ Bytes AccountProof::encode() const {
   w.u64(statement.nonce);
   // Commitment sections only; the combined root is derived, not transported.
   write_commitment_sections(w, commitment);
-  w.bytes(proof.encode());
-  return w.take();
+  w.prefixed([this](ByteWriter& inner) { proof.write(inner); });
 }
 
 Result<AccountProof> AccountProof::decode(std::span<const std::uint8_t> bytes) {

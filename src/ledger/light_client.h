@@ -51,6 +51,11 @@ struct AccountProof {
   crypto::MerkleMapProof proof;
 
   [[nodiscard]] Bytes encode() const;
+  /// Append encode()'s bytes to `w`, the Merkle path included: one buffer
+  /// holds the whole proof.
+  void write(ByteWriter& w) const;
+  /// encode()'s length, so a writer can be sized once.
+  [[nodiscard]] std::size_t encoded_size() const;
   /// Strict decode: rejects trailing bytes and malformed embedded proofs.
   /// `commitment.root` is recombined from the sections, never read off the
   /// wire — a served root that disagrees with its sections cannot survive.

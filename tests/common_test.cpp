@@ -205,6 +205,38 @@ TEST(Bytes, RoundTripScalars) {
   EXPECT_TRUE(r.exhausted());
 }
 
+TEST(Bytes, PrefixedWritesWhatBytesOfTheEncodingWrites) {
+  const auto inner = [](ByteWriter& w) {
+    w.u64(7);
+    w.str("nested");
+  };
+  ByteWriter encoding;
+  inner(encoding);
+  ByteWriter copied;
+  copied.u8(1);
+  copied.bytes(encoding.data());
+  copied.bytes(Bytes{});
+
+  ByteWriter in_place;
+  in_place.u8(1);
+  in_place.prefixed(inner);
+  in_place.prefixed([](ByteWriter&) {});
+  EXPECT_EQ(in_place.data(), copied.data());
+
+  // Nested fields: each prefix counts only its own field's bytes.
+  ByteWriter nested;
+  nested.prefixed([&](ByteWriter& w) {
+    w.u8(2);
+    w.prefixed(inner);
+  });
+  ByteWriter outer_encoding;
+  outer_encoding.u8(2);
+  outer_encoding.bytes(encoding.data());
+  ByteWriter nested_copied;
+  nested_copied.bytes(outer_encoding.data());
+  EXPECT_EQ(nested.data(), nested_copied.data());
+}
+
 TEST(Bytes, TruncatedReadFails) {
   ByteWriter w;
   w.u32(5);

@@ -1,5 +1,7 @@
 // JobQueue tests: inline-mode determinism, strict priority and per-class
-// FIFO under a single worker, depth/wait shedding and recovery, run_batch as
+// FIFO under a single worker, depth/wait shedding and recovery, caller-runs
+// run() (on the caller when idle, in turn behind queued work of its priority
+// or higher, counted by drain() while it runs), run_batch as
 // a thread pool (every task once, reuse across batches, inline on 0 workers),
 // caller-helps batches (nested in a job, with every worker busy),
 // exactly the configured number of worker threads, never-shed batches, stats
@@ -14,6 +16,7 @@
 #include <filesystem>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -216,6 +219,140 @@ TEST(JobQueueThreaded, WaitCeilingShedsUnderBacklogAndRecoversWhenDrained) {
   EXPECT_EQ(ran.load(), kJobs + 1);
 }
 
+// ---------------------------------------------------------------- caller-runs
+// A blocking run() with nothing queued ahead of it runs on its caller; with a
+// job queued at its priority or higher it waits its turn on a worker.
+
+TEST(JobQueueThreaded, IdleRunExecutesOnTheCallerWithZeroWait) {
+  JobQueueConfig config;
+  config.threads = 2;
+  JobQueue q(config);
+  const JobClassStats before = q.stats().of(JobClass::kClientQuery);
+  std::thread::id ran_on;
+  ASSERT_TRUE(q.run(JobClass::kClientQuery,
+                    [&] { ran_on = std::this_thread::get_id(); }));
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  const JobClassStats after = q.stats().of(JobClass::kClientQuery);
+  EXPECT_EQ(after.submitted, before.submitted + 1);
+  EXPECT_EQ(after.completed, before.completed + 1);
+  EXPECT_EQ(after.depth, 0u);
+  EXPECT_EQ(after.wait_max_us, 0.0);  // the one wait recorded is 0
+}
+
+TEST(JobQueueThreaded, RunQueuedBehindHigherClassWaitsItsTurn) {
+  JobQueueConfig config;
+  config.threads = 1;
+  JobQueue q(config);
+  Gate gate;
+  std::atomic<bool> started{false};
+  std::thread::id worker;
+  ASSERT_TRUE(q.submit(JobClass::kSnapshotServe, [&] {
+    worker = std::this_thread::get_id();
+    started.store(true);
+    gate.wait();
+  }));
+  ASSERT_TRUE(eventually([&] { return started.load(); }));
+
+  std::mutex order_mu;
+  std::vector<std::string> order;
+  ASSERT_TRUE(q.submit(JobClass::kConsensus, [&] {
+    std::lock_guard<std::mutex> lock(order_mu);
+    order.push_back("consensus");
+  }));
+  std::thread::id query_ran_on;
+  std::atomic<bool> query_returned{false};
+  std::thread client([&] {
+    EXPECT_TRUE(q.run(JobClass::kClientQuery, [&] {
+      query_ran_on = std::this_thread::get_id();
+      std::lock_guard<std::mutex> lock(order_mu);
+      order.push_back("query");
+    }));
+    query_returned.store(true);
+  });
+  // The query joins its lane instead of running on the client thread.
+  ASSERT_TRUE(eventually(
+      [&] { return q.stats().of(JobClass::kClientQuery).depth == 1; }));
+  EXPECT_FALSE(query_returned.load());
+
+  gate.release();
+  client.join();
+  EXPECT_EQ(order, (std::vector<std::string>{"consensus", "query"}));
+  EXPECT_EQ(query_ran_on, worker);
+  q.drain();
+  EXPECT_EQ(q.stats().completed(), 3u);
+}
+
+TEST(JobQueueThreaded, RunAboveQueuedLowerClassesRunsAtOnceOnTheCaller) {
+  JobQueueConfig config;
+  config.threads = 1;
+  JobQueue q(config);
+  Gate gate;
+  std::atomic<bool> started{false};
+  ASSERT_TRUE(q.submit(JobClass::kSnapshotServe, [&] {
+    started.store(true);
+    gate.wait();
+  }));
+  ASSERT_TRUE(eventually([&] { return started.load(); }));
+  std::atomic<int> low_ran{0};
+  ASSERT_TRUE(q.submit(JobClass::kValidation, [&] { ++low_ran; }));
+  ASSERT_TRUE(q.submit(JobClass::kClientQuery, [&] { ++low_ran; }));
+
+  // The only worker is parked, so run() returns before the gate opens only
+  // if its caller ran fn.
+  std::thread::id ran_on;
+  std::atomic<bool> returned{false};
+  std::thread caller([&] {
+    EXPECT_TRUE(q.run(JobClass::kConsensus,
+                      [&] { ran_on = std::this_thread::get_id(); }));
+    returned.store(true);
+  });
+  const std::thread::id caller_id = caller.get_id();
+  EXPECT_TRUE(eventually([&] { return returned.load(); }));
+  EXPECT_EQ(low_ran.load(), 0);
+  const JobQueueStats during = q.stats();
+  EXPECT_EQ(during.of(JobClass::kValidation).depth, 1u);
+  EXPECT_EQ(during.of(JobClass::kClientQuery).depth, 1u);
+
+  gate.release();
+  caller.join();
+  EXPECT_EQ(ran_on, caller_id);
+  q.drain();
+  EXPECT_EQ(low_ran.load(), 2);
+  EXPECT_EQ(q.stats().of(JobClass::kConsensus).wait_max_us, 0.0);
+}
+
+TEST(JobQueueThreaded, DrainWaitsForACallerRunJob) {
+  JobQueueConfig config;
+  config.threads = 2;
+  JobQueue q(config);
+  Gate gate;
+  std::atomic<bool> in_job{false};
+  std::thread::id ran_on;
+  std::thread caller([&] {
+    EXPECT_TRUE(q.run(JobClass::kClientQuery, [&] {
+      ran_on = std::this_thread::get_id();
+      in_job.store(true);
+      gate.wait();
+    }));
+  });
+  ASSERT_TRUE(eventually([&] { return in_job.load(); }));
+  EXPECT_EQ(ran_on, caller.get_id());
+
+  std::atomic<bool> drained{false};
+  std::thread drainer([&] {
+    q.drain();
+    drained.store(true);
+  });
+  std::this_thread::sleep_for(20ms);
+  EXPECT_FALSE(drained.load()) << "drain() returned while a job still ran";
+
+  gate.release();
+  caller.join();
+  drainer.join();
+  EXPECT_TRUE(drained.load());
+  EXPECT_EQ(q.stats().of(JobClass::kClientQuery).completed, 1u);
+}
+
 // ---------------------------------------------------------------- thread pool
 // run_batch is the fan-out the sharded ledger commits its shards on: each
 // task runs exactly once, one queue serves batch after batch, an empty batch
@@ -341,7 +478,9 @@ TEST(JobQueueThreaded, RunBatchNestedInsideAJobCompletes) {
   std::vector<int> hits(8, 0);
   std::thread::id job_thread;
   std::vector<std::thread::id> ran_on(hits.size());
-  ASSERT_TRUE(q.run(JobClass::kConsensus, [&] {
+  // submit, not run: an idle run() would execute on this thread and leave
+  // the worker free to pick up the batch's helper.
+  ASSERT_TRUE(q.submit(JobClass::kConsensus, [&] {
     job_thread = std::this_thread::get_id();
     // The only worker is running this job: the batch's helper can never
     // start, so the job's own thread runs every task.
@@ -350,6 +489,8 @@ TEST(JobQueueThreaded, RunBatchNestedInsideAJobCompletes) {
       ran_on[i] = std::this_thread::get_id();
     });
   }));
+  q.drain();
+  EXPECT_NE(job_thread, std::this_thread::get_id());
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i], 1) << "task " << i;
     EXPECT_EQ(ran_on[i], job_thread) << "task " << i;

@@ -621,6 +621,9 @@ TEST(ClientApiFacade, DispatchEnvelopeRoundTripsAndRejectsBadRequests) {
     EXPECT_TRUE(verify_account_proof(proof.value(),
                                      chain.block_at(2)->header.state_root)
                     .ok());
+    // Written into the envelope in place, byte for byte the proof's encode().
+    EXPECT_EQ(resp.payload,
+              chain.prove_account(f.alice.address(), 2).value().encode());
   }
   {  // version skew is an explicit answer, not silence
     ByteWriter w;

@@ -168,11 +168,14 @@ TEST(WireIdentity, MerkleMapProofs) {
               "eeb0dd230999a9b137cffb340da6313e752b86aabf899b7facdba80a67b2537b");
   expect_wire(w.terminal,
               "df92ef881835e365b3ae585b31e4bc54aef1c6c6f8ca1b965745410e282603e7");
+  EXPECT_EQ(w.membership.encoded_size(), w.membership.encode().size());
+  EXPECT_EQ(w.terminal.encoded_size(), w.terminal.encode().size());
 }
 
 TEST(WireIdentity, AccountProof) {
   expect_wire(wire_set().account,
               "2682d5294391a073744e51971f92bc961885165bf7f5652bb7fed1e6191d8a4b");
+  EXPECT_EQ(wire_set().account.encoded_size(), wire_set().account.encode().size());
 }
 
 TEST(WireIdentity, SnapshotManifest) {
