@@ -306,6 +306,39 @@ BENCHMARK(BM_FollowerAppend)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+// Genesis to first block at `range(0)` accounts, as a node joining a world
+// builds it: credit every account into a fresh state, hand the state to a
+// chain by value and append one sealed block. The chain adopts the state it
+// is given, so the state is built (and its accounts tree bulk-built from the
+// credits' pending leaves) once and never copied; the chain's teardown is
+// inside the timing.
+void BM_GenesisBuild(benchmark::State& state) {
+  const auto accounts = static_cast<std::size_t>(state.range(0));
+  Rng rng(4242);
+  crypto::Wallet validator(rng);
+  ChainConfig config;
+  config.validators = {validator.public_key()};
+  const auto contracts = std::make_shared<ContractRegistry>();
+  std::vector<crypto::Address> addrs(accounts);
+  for (crypto::Address& a : addrs) a = crypto::Address{rng.next_u64() | 1};
+  for (auto _ : state) {
+    LedgerState genesis;
+    for (const crypto::Address a : addrs) genesis.credit(a, 1'000);
+    Blockchain chain(config, contracts, std::move(genesis));
+    if (!chain.append(chain.assemble(validator, {}, 0, rng)).ok()) {
+      state.SkipWithError("first block append failed");
+      return;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(accounts));
+}
+BENCHMARK(BM_GenesisBuild)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 // Incremental commitment after touching a handful of accounts in a world of
 // `range(0)`: cost must track the touched set (O(touched · log n)), not the
 // world ("the seed re-hashed every account, store entry, and audit record

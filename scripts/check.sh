@@ -121,7 +121,10 @@ echo "== gate: follower rollback (forged state roots leave no trace) =="
 # committed state; a forged root is rolled back through the undo. These
 # cases pin that state, commitment, tip, retention ring, commit hook and
 # account proofs are exactly as before a rejected block (DESIGN.md §7).
-gate "follower rollback tests" 'FollowerRollback'
+# GenesisAdoption pins that a by-value chain commits every block (and
+# rolls back a forged one) in the genesis object it adopted, and that a
+# shared genesis is never written.
+gate "follower rollback tests" 'FollowerRollback|GenesisAdoption'
 
 echo "== gate: sharded ledger (beacon anchors, cross-shard receipts, multi-world) =="
 # The shard split's contract: N=1 byte-identity with the plain chain, beacon
@@ -167,7 +170,7 @@ MV_BENCH_NO_TABLE=1 ./build/bench/bench_e2e \
 
 echo "== bench: ledger microbenchmarks -> build/BENCH_ledger.json (median of 3) =="
 MV_BENCH_NO_TABLE=1 ./build/bench/bench_ledger \
-  --benchmark_filter='BM_BlockAssembleValidate|BM_BlockValidate|BM_FollowerAppend|BM_CommitmentAfterTouch|BM_TxApplyTransfer|BM_MempoolSelectRemove|BM_AccountProofRoundTrip|BM_AccountProofWire|BM_CatchUp|BM_DiffSnapshot|BM_SnapshotExportImport|BM_BlockValidateSigCache|BM_JobQueue|BM_SubscriptionFanout|BM_ShardedPipeline' \
+  --benchmark_filter='BM_BlockAssembleValidate|BM_BlockValidate|BM_FollowerAppend|BM_GenesisBuild|BM_CommitmentAfterTouch|BM_TxApplyTransfer|BM_MempoolSelectRemove|BM_AccountProofRoundTrip|BM_AccountProofWire|BM_CatchUp|BM_DiffSnapshot|BM_SnapshotExportImport|BM_BlockValidateSigCache|BM_JobQueue|BM_SubscriptionFanout|BM_ShardedPipeline' \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
   --benchmark_out=build/BENCH_ledger.json \

@@ -465,9 +465,12 @@ MerkleMapProof MerkleMap::prove(std::uint64_t key) const {
       const Ref kid = n.kids[i];
       if (kid == kNone) continue;
       step.bitmap |= static_cast<std::uint16_t>(1u << i);
-      if (i != nib) step.siblings.push_back(hash_of(kid));
+      if (i != nib) {
+        proof.siblings.push_back(hash_of(kid));
+        ++step.sibling_count;
+      }
     }
-    proof.steps.push_back(std::move(step));
+    proof.steps.push_back(step);
     r = n.kids[nib];
     if (r == kNone) return proof;  // absent slot: non-membership
     ++depth;
@@ -481,10 +484,10 @@ MerkleMapProof MerkleMap::prove(std::uint64_t key) const {
 
 namespace {
 
-/// Recompute one inner-node digest from a proof step, substituting `ours`
-/// (when given) for the child at `our_nib`. Must mirror inner_hash() byte
-/// for byte.
-Digest fold_step(const MerkleMapProofStep& step,
+/// Recompute one inner-node digest from a proof step and its `siblings`,
+/// substituting `ours` (when given) for the child at `our_nib`. Must mirror
+/// inner_hash() byte for byte.
+Digest fold_step(const MerkleMapProofStep& step, std::span<const Digest> siblings,
                  std::optional<unsigned> our_nib, const Digest& ours) {
   HashWriter w;
   w.u8(0x01);
@@ -496,7 +499,7 @@ Digest fold_step(const MerkleMapProofStep& step,
     if (our_nib.has_value() && i == *our_nib) {
       w.raw(ours);
     } else {
-      w.raw(step.siblings[s++]);
+      w.raw(siblings[s++]);
     }
   }
   return w.digest();
@@ -509,6 +512,15 @@ bool MerkleMap::verify(const Digest& root, std::uint64_t key,
                        const MerkleMapProof& proof) {
   const std::size_t depths = proof.steps.size();
   if (depths > 16) return false;
+  // Steps are folded deepest first, so their siblings are taken from the
+  // back; every step's count must be backed by digests.
+  std::size_t end = 0;
+  for (const MerkleMapProofStep& step : proof.steps) end += step.sibling_count;
+  if (end != proof.siblings.size()) return false;
+  const auto take = [&](const MerkleMapProofStep& step) {
+    end -= step.sibling_count;
+    return std::span(proof.siblings).subspan(end, step.sibling_count);
+  };
   Digest cur{};
   std::size_t deepest = depths;  // steps [0, deepest) are folded around `cur`
   if (value.has_value()) {
@@ -536,22 +548,16 @@ bool MerkleMap::verify(const Digest& root, std::uint64_t key,
     const unsigned nib = nibble(key, static_cast<int>(depths - 1));
     if ((last.bitmap >> nib) & 1u) return false;
     if (last.bitmap == 0) return false;
-    if (last.siblings.size() !=
-        static_cast<std::size_t>(std::popcount(last.bitmap))) {
-      return false;
-    }
-    cur = fold_step(last, std::nullopt, Digest{});
+    if (last.sibling_count != std::popcount(last.bitmap)) return false;
+    cur = fold_step(last, take(last), std::nullopt, Digest{});
     deepest = depths - 1;
   }
   for (std::size_t i = deepest; i-- > 0;) {
     const MerkleMapProofStep& step = proof.steps[i];
     const unsigned nib = nibble(key, static_cast<int>(i));
     if (((step.bitmap >> nib) & 1u) == 0) return false;
-    if (step.siblings.size() + 1 !=
-        static_cast<std::size_t>(std::popcount(step.bitmap))) {
-      return false;
-    }
-    cur = fold_step(step, nib, cur);
+    if (step.sibling_count + 1 != std::popcount(step.bitmap)) return false;
+    cur = fold_step(step, take(step), nib, cur);
   }
   return cur == root;
 }
@@ -564,22 +570,20 @@ Bytes MerkleMapProof::encode() const {
 }
 
 std::size_t MerkleMapProof::encoded_size() const {
-  std::size_t n = 3 + (has_terminal_leaf ? 8 + sizeof(Digest) : 0);
-  for (const MerkleMapProofStep& step : steps) {
-    n += 3 + sizeof(Digest) * step.siblings.size();
-  }
-  return n;
+  return 3 + (has_terminal_leaf ? 8 + sizeof(Digest) : 0) + 3 * steps.size() +
+         sizeof(Digest) * siblings.size();
 }
 
 void MerkleMapProof::write(ByteWriter& w) const {
   w.u8(0x01);  // format version
   w.u8(has_terminal_leaf ? 0x01 : 0x00);
   w.u8(static_cast<std::uint8_t>(steps.size()));
+  std::size_t s = 0;
   for (const MerkleMapProofStep& step : steps) {
     w.u8(static_cast<std::uint8_t>(step.bitmap));
     w.u8(static_cast<std::uint8_t>(step.bitmap >> 8));
-    w.u8(static_cast<std::uint8_t>(step.siblings.size()));
-    for (const Digest& d : step.siblings) w.raw(d);
+    w.u8(step.sibling_count);
+    for (std::size_t end = s + step.sibling_count; s < end; ++s) w.raw(siblings[s]);
   }
   if (has_terminal_leaf) {
     w.u64(terminal_key);
@@ -606,6 +610,9 @@ Result<MerkleMapProof> MerkleMapProof::decode(std::span<const std::uint8_t> byte
   }
   MerkleMapProof proof;
   proof.steps.reserve(step_count.value());
+  // At most 16 digests per step, so one reservation holds them all.
+  proof.siblings.reserve(std::min<std::size_t>(16u * step_count.value(),
+                                               r.remaining() / sizeof(Digest)));
   for (unsigned i = 0; i < step_count.value(); ++i) {
     MerkleMapProofStep step;
     const auto lo = r.u8();
@@ -624,11 +631,18 @@ Result<MerkleMapProof> MerkleMapProof::decode(std::span<const std::uint8_t> byte
       return make_error("proof.bad_sibling_count",
                         "sibling count inconsistent with bitmap");
     }
-    step.siblings.resize(sibling_count.value());
-    for (Digest& d : step.siblings) {
-      if (Status s = r.fixed(d); !s.ok()) return s.error();
+    step.sibling_count = sibling_count.value();
+    // The step's siblings are contiguous on the wire and in the proof: one
+    // read (one bounds check) fills them all.
+    const std::size_t at = proof.siblings.size();
+    proof.siblings.resize(at + step.sibling_count);
+    const std::span<std::byte> bytes =
+        std::as_writable_bytes(std::span(proof.siblings).subspan(at));
+    if (Status s = r.fixed({reinterpret_cast<std::uint8_t*>(bytes.data()), bytes.size()});
+        !s.ok()) {
+      return s.error();
     }
-    proof.steps.push_back(std::move(step));
+    proof.steps.push_back(step);
   }
   if ((flags.value() & 0x01u) != 0) {
     proof.has_terminal_leaf = true;

@@ -40,11 +40,13 @@ class JobQueue;
 namespace mv::crypto {
 
 /// One inner node on a key's lookup path, root-first at consecutive depths.
-/// `siblings` holds the digests of the present children in index order,
-/// excluding the child the path descends into (when that child is present).
+/// Its `sibling_count` sibling digests are the present children in index
+/// order, excluding the child the path descends into (when that child is
+/// present); they sit in MerkleMapProof::siblings after the digests of the
+/// steps above it.
 struct MerkleMapProofStep {
-  std::uint16_t bitmap = 0;      ///< present-children bitmap
-  std::vector<Digest> siblings;  ///< present child digests, index order
+  std::uint16_t bitmap = 0;        ///< present-children bitmap
+  std::uint8_t sibling_count = 0;  ///< this step's digests in `siblings`
 
   [[nodiscard]] bool operator==(const MerkleMapProofStep&) const = default;
 };
@@ -55,13 +57,15 @@ struct MerkleMapProofStep {
 ///  - membership: `steps` only — the deepest step's missing child slot is the
 ///    key's leaf (an empty `steps` means the whole map is that one leaf);
 ///  - non-membership, absent slot: the deepest step's bitmap has no bit at
-///    the key's nibble and `siblings` carries every present child;
+///    the key's nibble and its siblings are every present child;
 ///  - non-membership, colliding leaf: the path ends at the single leaf of a
 ///    different key (`terminal_key`/`terminal_value` reproduce its leaf
 ///    hash; the key prefix must match the lookup path);
 ///  - non-membership, empty map: no steps, no terminal — root is all-zero.
 struct MerkleMapProof {
   std::vector<MerkleMapProofStep> steps;  ///< root-first, depths 0..n-1
+  /// Every step's sibling digests, step by step in `steps` order.
+  std::vector<Digest> siblings;
   bool has_terminal_leaf = false;
   std::uint64_t terminal_key = 0;  ///< key of the colliding leaf
   Digest terminal_value{};         ///< its value digest (leaf-hash preimage)

@@ -7,11 +7,13 @@
 // identical digests.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -68,21 +70,35 @@ struct ShortInput {
 void sha256_short_batch(std::span<const ShortInput> msgs, Digest* out);
 
 /// sha256_short_batch over `n` preimages of one fixed width: `pack(i, p)`
-/// writes preimage i into the `Width`-byte buffer `p`, and result[i] is its
-/// digest. Leaf hashing (account leaves, MerkleMap leaves) lays its fixed
-/// preimages out through this one buffer-and-batch routine.
+/// writes preimage i into the `Width`-byte buffer `p`, and `emit(i, d)`
+/// receives its digest. Leaf hashing (account leaves, MerkleMap leaves)
+/// lays its fixed preimages out through this one buffer-and-batch routine.
+/// The preimages go a chunk at a time through a stack buffer, so a bulk
+/// build allocates nothing here.
+template <std::size_t Width, typename Pack, typename Emit>
+void sha256_fixed_batch(std::size_t n, Pack&& pack, Emit&& emit) {
+  static_assert(Width <= kSha256ShortMax, "preimage must fit one block");
+  constexpr std::size_t kChunk = 64;
+  std::array<std::uint8_t, kChunk * Width> preimages;
+  std::array<ShortInput, kChunk> inputs;
+  std::array<Digest, kChunk> out;
+  for (std::size_t base = 0; base < n; base += kChunk) {
+    const std::size_t m = std::min(kChunk, n - base);
+    for (std::size_t i = 0; i < m; ++i) {
+      std::uint8_t* p = preimages.data() + i * Width;
+      pack(base + i, p);
+      inputs[i] = {p, Width};
+    }
+    sha256_short_batch(std::span(inputs.data(), m), out.data());
+    for (std::size_t i = 0; i < m; ++i) emit(base + i, out[i]);
+  }
+}
+/// The same, collected: result[i] is the digest of preimage i.
 template <std::size_t Width, typename Pack>
 [[nodiscard]] std::vector<Digest> sha256_fixed_batch(std::size_t n, Pack&& pack) {
-  static_assert(Width <= kSha256ShortMax, "preimage must fit one block");
-  std::vector<std::uint8_t> preimages(n * Width);
-  std::vector<ShortInput> inputs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint8_t* p = preimages.data() + i * Width;
-    pack(i, p);
-    inputs[i] = {p, Width};
-  }
   std::vector<Digest> out(n);
-  sha256_short_batch(inputs, out.data());
+  sha256_fixed_batch<Width>(n, std::forward<Pack>(pack),
+                            [&](std::size_t i, const Digest& d) { out[i] = d; });
   return out;
 }
 

@@ -13,8 +13,11 @@ namespace mv::ledger {
 Blockchain::Blockchain(ChainConfig config,
                        std::shared_ptr<const ContractRegistry> contracts,
                        LedgerState genesis)
-    : Blockchain(std::move(config), std::move(contracts),
-                 std::make_shared<const LedgerState>(std::move(genesis))) {}
+    : config_(std::move(config)),
+      contracts_(std::move(contracts)),
+      state_(std::move(genesis)) {
+  anchor_genesis();
+}
 
 Blockchain::Blockchain(ChainConfig config,
                        std::shared_ptr<const ContractRegistry> contracts,
@@ -25,10 +28,14 @@ Blockchain::Blockchain(ChainConfig config,
   if (genesis_ == nullptr) {
     throw std::invalid_argument("Blockchain: null genesis state");
   }
+  anchor_genesis();
+}
+
+void Blockchain::anchor_genesis() {
   if (config_.validators.empty()) {
     throw std::invalid_argument("Blockchain: empty validator set");
   }
-  tip_commitment_ = genesis_->commitment();
+  tip_commitment_ = state().commitment();
   ByteWriter w;
   w.str("genesis");
   w.raw(tip_commitment_.root);
@@ -139,8 +146,8 @@ Status Blockchain::append(const Block& block) {
   // itself, so the header checks (tx_root included) run on both paths.
   const std::vector<crypto::Digest> digests = Block::tx_digests(block.txs);
   if (auto s = check_header(block, digests); !s.ok()) return s;
-  // First committed block: materialize the working copy of the shared
-  // genesis (a no-op on the copying constructor path).
+  // First committed block on a shared genesis: materialize the working
+  // copy (a no-op on an adopted genesis and after the first block).
   LedgerState& state = mutable_state();
   auto scratch = LedgerStateOverlay::writer(state);
   const bool sealed = seal.has_value() && seal->hash == block.header.hash();

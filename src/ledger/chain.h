@@ -48,16 +48,22 @@ struct ChainConfig {
 
 class Blockchain {
  public:
+  /// Adopts `genesis` as the chain's working state: the chain owns it from
+  /// here on and every block commits into that one object, so the state is
+  /// held once and no block ever copies it. Pass an rvalue to hand over a
+  /// state built for this chain; an lvalue is copied in first.
   Blockchain(ChainConfig config, std::shared_ptr<const ContractRegistry> contracts,
              LedgerState genesis);
-  /// Shares the genesis state instead of cloning it into the chain. The
-  /// mutable working copy is materialized lazily when the first block
-  /// commits, so a replica that bootstraps via init_from_snapshot() never
-  /// pays the O(state) genesis clone (or its teardown) at all — the chain
-  /// goes straight from empty to the decoded snapshot state. The caller must
-  /// not mutate the shared state; computing its commitment writes cached
-  /// hashes, so callers sharing one genesis across threads must call
-  /// genesis->commitment() once up front.
+  /// Shares the genesis state instead of owning it: for callers that start
+  /// several chains from one genesis. The mutable working copy is
+  /// materialized lazily when the first block commits, so a replica that
+  /// bootstraps via init_from_snapshot() never pays the O(state) genesis
+  /// clone (or its teardown) at all — the chain goes straight from empty to
+  /// the decoded snapshot state. The caller must not mutate the shared
+  /// state. Its first commitment() writes cached hashes and settles the
+  /// account leaves its credits left pending (ledger/state.h), so callers
+  /// sharing one genesis across threads must call genesis->commitment()
+  /// once up front.
   Blockchain(ChainConfig config, std::shared_ptr<const ContractRegistry> contracts,
              std::shared_ptr<const LedgerState> genesis);
 
@@ -231,14 +237,21 @@ class Blockchain {
   /// have a commitment_at and lie strictly below the tip.
   [[nodiscard]] Result<LedgerState> state_at(std::int64_t height) const;
 
-  /// The working state, or nullopt while the chain still *is* the genesis
-  /// state (no committed blocks, no installed snapshot). state() reads
-  /// through to *genesis_ in that case; mutable_state() materializes.
+  /// Both constructors' tail: the validator check and the genesis
+  /// commitment and hash.
+  void anchor_genesis();
+
+  /// The working state. On a shared genesis with no committed block and no
+  /// installed snapshot, state() reads through to *genesis_ and this
+  /// materializes the copy.
   [[nodiscard]] LedgerState& mutable_state();
 
   ChainConfig config_;
   std::shared_ptr<const ContractRegistry> contracts_;
+  /// The shared genesis (null when the chain adopted its genesis).
   std::shared_ptr<const LedgerState> genesis_;
+  /// The working state: the adopted genesis from construction, else empty
+  /// until mutable_state() copies *genesis_ or a snapshot installs.
   std::optional<LedgerState> state_;
   crypto::Digest genesis_hash_;
   std::vector<Block> blocks_;

@@ -1,5 +1,7 @@
 #include "ledger/state.h"
 
+#include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <span>
 #include <utility>
@@ -54,18 +56,21 @@ void merge_maps(const BaseMap& base, const DeltaMap& delta, Emit emit) {
   }
 }
 
-/// account_leaf_digest of every account in one batched pass: the preimage
-/// (flag || balance || nonce, 17 bytes — the byte stream account_leaf_digest
-/// hashes) fits a single compression block, so pairs run in interleaved SHA
-/// lanes.
+/// The preimage account_leaf_digest hashes (flag || balance || nonce, 17
+/// bytes): it fits a single compression block, so batches of them run in
+/// interleaved SHA lanes.
+constexpr std::size_t kAccountLeafWidth = 1 + 8 + 8;
+void pack_account_leaf(const Account& a, std::uint8_t* p) {
+  p[0] = a.has_balance ? 1 : 0;
+  crypto::store_le64(p + 1, a.balance);
+  crypto::store_le64(p + 9, a.nonce);
+}
+
+/// account_leaf_digest of every account in one batched pass.
 std::vector<crypto::Digest> account_leaf_digests(std::span<const Account> accounts) {
-  return crypto::sha256_fixed_batch<1 + 8 + 8>(
-      accounts.size(), [&](std::size_t i, std::uint8_t* p) {
-        const Account& a = accounts[i];
-        p[0] = a.has_balance ? 1 : 0;
-        crypto::store_le64(p + 1, a.balance);
-        crypto::store_le64(p + 9, a.nonce);
-      });
+  return crypto::sha256_fixed_batch<kAccountLeafWidth>(
+      accounts.size(),
+      [&](std::size_t i, std::uint8_t* p) { pack_account_leaf(accounts[i], p); });
 }
 
 /// Merkle leaf updates for accounts whose content changed: put the leaf of
@@ -79,6 +84,40 @@ std::vector<crypto::MerkleMap::Entry> account_leaves(std::span<const Account> ac
                         accounts[i].live() ? std::optional(digests[i]) : std::nullopt);
   }
   return leaves;
+}
+
+/// Sort addresses ascending: LSD radix, one byte a pass. All eight byte
+/// histograms come from one read, and a byte that every address shares
+/// costs no pass. Linear in the count: a comparison sort was a sizeable
+/// share of settling a freshly credited 10^4-account genesis.
+void sort_addresses(std::vector<crypto::Address>& addrs) {
+  if (addrs.empty()) return;
+  std::array<std::array<std::size_t, 256>, 8> counts{};
+  for (const crypto::Address a : addrs) {
+    for (std::size_t b = 0; b < 8; ++b) ++counts[b][(a.value >> (8 * b)) & 0xFF];
+  }
+  std::vector<crypto::Address> out(addrs.size());
+  for (std::size_t b = 0; b < 8; ++b) {
+    std::array<std::size_t, 256>& at = counts[b];
+    if (at[(addrs[0].value >> (8 * b)) & 0xFF] == addrs.size()) continue;
+    std::size_t sum = 0;
+    for (std::size_t& c : at) sum += std::exchange(c, sum);
+    for (const crypto::Address a : addrs) out[at[(a.value >> (8 * b)) & 0xFF]++] = a;
+    addrs.swap(out);
+  }
+}
+
+/// The accounts tree of `n` live accounts in strictly ascending address
+/// order, `at(i)` yielding account i, built in one pass: the leaf digests
+/// are batched straight into the sorted leaves for
+/// MerkleMap::from_sorted_leaves.
+template <typename At>
+crypto::MerkleMap account_tree_of(std::size_t n, At at) {
+  std::vector<std::pair<std::uint64_t, crypto::Digest>> leaves(n);
+  crypto::sha256_fixed_batch<kAccountLeafWidth>(
+      n, [&](std::size_t i, std::uint8_t* p) { pack_account_leaf(at(i), p); },
+      [&](std::size_t i, const crypto::Digest& d) { leaves[i] = {at(i).addr.value, d}; });
+  return crypto::MerkleMap::from_sorted_leaves(leaves);
 }
 
 /// Hard failure in every build type unless `overlay` is directly over the
@@ -230,50 +269,65 @@ std::uint64_t LedgerState::nonce(crypto::Address a) const {
   return account != nullptr ? account->nonce : 0;
 }
 
-void LedgerState::refresh_account_leaf(const Account& account) {
-  if (account.live()) {
-    account_tree_.put(account.addr.value,
-                      account_leaf_digest(account.has_balance, account.balance,
-                                          account.nonce));
-  } else {
-    account_tree_.erase(account.addr.value);
-  }
-}
-
 void LedgerState::set_balance(crypto::Address a, std::uint64_t value) {
-  Account next;
   accounts_.update(a, [&](Account& account) {
     account.has_balance = true;
     account.balance = value;
-    next = account;
   });
-  refresh_account_leaf(next);
+  record_pending_leaf(a);
 }
 
 void LedgerState::set_nonce(crypto::Address a, std::uint64_t value) {
-  Account next;
-  accounts_.update(a, [&](Account& account) {
-    account.nonce = value;
-    next = account;
-  });
-  refresh_account_leaf(next);
+  accounts_.update(a, [&](Account& account) { account.nonce = value; });
+  record_pending_leaf(a);
+}
+
+void LedgerState::record_pending_leaf(crypto::Address a) {
+  pending_leaves_.push_back(a);
+  // Repeated writes to the same accounts settle early rather than let the
+  // record outgrow the state it describes.
+  if (pending_leaves_.size() > 2 * accounts_.size() + 1024) settle_account_leaves();
+}
+
+void LedgerState::settle_account_leaves() const {
+  if (pending_leaves_.empty()) return;
+  std::vector<crypto::Address> addrs = std::exchange(pending_leaves_, {});
+  sort_addresses(addrs);
+  addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
+  if (account_tree_.size() == 0) {
+    // Every live account is pending: build the tree in one pass. The
+    // gather holds pointers into the table, which nothing writes until the
+    // build is done, rather than copies of the accounts.
+    std::vector<const Account*> live;
+    live.reserve(addrs.size());
+    for (const crypto::Address addr : addrs) {
+      if (const Account* account = accounts_.find(addr)) live.push_back(account);
+    }
+    account_tree_ = account_tree_of(
+        live.size(), [&](std::size_t i) -> const Account& { return *live[i]; });
+    return;
+  }
+  std::vector<Account> accounts;
+  accounts.reserve(addrs.size());
+  for (const crypto::Address addr : addrs) {
+    const Account* account = accounts_.find(addr);
+    accounts.push_back(account != nullptr ? *account : Account{addr});
+  }
+  account_tree_.update(account_leaves(accounts));
 }
 
 void LedgerState::load_accounts(const std::vector<Account>& sorted) {
   accounts_ = AccountTable();
   accounts_.reserve(sorted.size());
-  std::vector<std::pair<std::uint64_t, crypto::Digest>> leaves;
-  leaves.reserve(sorted.size());
-  const std::vector<crypto::Digest> digests = account_leaf_digests(sorted);
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    accounts_.put(sorted[i]);
-    leaves.emplace_back(sorted[i].addr.value, digests[i]);
-  }
-  account_tree_ = crypto::MerkleMap::from_sorted_leaves(leaves);
+  for (const Account& account : sorted) accounts_.put(account);
+  pending_leaves_.clear();
+  account_tree_ = account_tree_of(
+      sorted.size(), [&](std::size_t i) -> const Account& { return sorted[i]; });
 }
 
 StateUndo LedgerState::absorb(LedgerStateOverlay& overlay) {
   require_direct_overlay(overlay.writable_ == this, "LedgerState::absorb()", overlay);
+  settle_account_leaves();
   StateUndo undo;
   // Accounts: one ordered walk over every touched address; one table probe
   // each records the prior content and writes the post-state, whose leaf is
@@ -389,6 +443,7 @@ LedgerState LedgerState::content_clone() const {
 }
 
 void LedgerState::apply_undo(const StateUndo& undo) {
+  settle_account_leaves();
   for (const auto& [contract, su] : undo.stores) {
     for (const auto& [key, prior] : su.entries) {
       if (prior.has_value()) {
@@ -419,6 +474,7 @@ StateCommitment LedgerState::commitment() const {
 
 StateCommitment LedgerState::commitment_with(const LedgerStateOverlay& block) const {
   require_direct_overlay(block.base_ == this, "LedgerState::commitment_with()", block);
+  settle_account_leaves();
   StateCommitment c;
 
   // Accounts: cached Merkle tree plus the block's touched leaves.

@@ -19,6 +19,15 @@
 // O(touched · log n) instead of re-hashing the world.
 // full_rehash_commitment() recomputes everything from scratch as a
 // differential-testing oracle.
+//
+// When account leaves are hashed: a block's accounts are re-leafed by the
+// absorb() that commits it, in one batch. A set_balance/set_nonce (and so a
+// credit) outside a block only records the address; the first reader of
+// the accounts tree (commitment, commitment_with, absorb, apply_undo,
+// prove_account, flush_account_tree) settles every recorded address in one
+// sorted batch — a bulk build (MerkleMap::from_sorted_leaves) when the tree
+// is empty, as for a genesis built by credits, and MerkleMap::update
+// otherwise. Roots do not depend on when the leaves were hashed.
 #pragma once
 
 #include <concepts>
@@ -26,6 +35,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/clock.h"
@@ -211,13 +221,11 @@ class LedgerState final : public LedgerView {
 
   /// Snapshot-install fast path: replace the whole account section from
   /// entries in strictly ascending address order. The table is filled once
-  /// at its final size and the accounts Merkle tree is bulk-built from
-  /// sorted leaves (MerkleMap::from_sorted_leaves) — one leaf hash per
-  /// account, no per-key descents — instead of n set_balance/set_nonce
-  /// round trips through refresh_account_leaf. Every entry must be live()
-  /// (a balance entry or nonzero nonce); order and liveness are the
-  /// caller's contract (the strict snapshot decoder enforces both before
-  /// calling).
+  /// at its final size and the accounts Merkle tree is bulk-built from the
+  /// sorted leaves (MerkleMap::from_sorted_leaves, the same build that
+  /// settles a credited genesis). Every entry must be live() (a balance
+  /// entry or nonzero nonce); order and liveness are the caller's contract
+  /// (the strict snapshot decoder enforces both before calling).
   void load_accounts(const std::vector<Account>& sorted);
 
   /// Commit a writer overlay over this state in one pass and return the
@@ -303,19 +311,28 @@ class LedgerState final : public LedgerView {
   /// Re-hash the accounts tree's dirty paths as parallel tasks on `queue`
   /// (crypto::MerkleMap::flush), so that the next commitment() folds only
   /// its top two levels. The commitment is the same with or without it.
-  void flush_account_tree(JobQueue& queue) const { account_tree_.flush(queue); }
+  void flush_account_tree(JobQueue& queue) const {
+    settle_account_leaves();
+    account_tree_.flush(queue);
+  }
 
   /// Merkle inclusion proof for `a` against the current accounts_root (a
   /// non-membership proof when the account has no leaf). Pair with
   /// commitment() for the section digests a verifier recombines.
   [[nodiscard]] crypto::MerkleMapProof prove_account(crypto::Address a) const {
+    settle_account_leaves();
     return account_tree_.prove(a.value);
   }
 
  private:
-  /// Re-derive the Merkle leaf of `account`'s address from its content
-  /// (absent when the account is not live()).
-  void refresh_account_leaf(const Account& account);
+  /// Bring the accounts tree up to date with the addresses set_balance and
+  /// set_nonce recorded: one sorted batch of leaves, bulk-built into an
+  /// empty tree. Every reader of account_tree_ calls this first. Like the
+  /// tree's own hash caches it writes from const readers, so a state read
+  /// from several threads must be committed once before it is shared.
+  void settle_account_leaves() const;
+  /// Record that `a`'s leaf is stale (set_balance, set_nonce).
+  void record_pending_leaf(crypto::Address a);
 
   /// Incrementally maintained digest of one contract store.
   struct StoreDigest {
@@ -336,7 +353,11 @@ class LedgerState final : public LedgerView {
   std::uint64_t burned_fees_ = 0;
 
   // Maintained commitment sections (see DESIGN.md §"State commitment").
-  crypto::MerkleMap account_tree_;                  ///< addr -> account leaf
+  /// addr -> account leaf, for every live account not in pending_leaves_.
+  mutable crypto::MerkleMap account_tree_;
+  /// Addresses written outside a block since the last settle, unordered and
+  /// possibly repeated; their leaves in account_tree_ are stale.
+  mutable std::vector<crypto::Address> pending_leaves_;
   crypto::Digest audit_digest_{};                   ///< running chain hash
   std::map<std::string, StoreDigest> store_digests_;  ///< mirrors contracts_
 };

@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 
+#include "common/job_queue.h"
 #include "ledger/audit.h"
 #include "ledger/chain.h"
 #include "ledger/consensus.h"
@@ -1225,6 +1226,155 @@ TEST(LedgerState, AbsorbDifferentialMatchesPerKeyCommit) {
   // Newest-first through every undo lands on the empty state.
   for (std::size_t i = undos.size(); i-- > 0;) state.apply_undo(undos[i]);
   expect_same_state(state, LedgerState{}, "fully rolled back");
+}
+
+TEST(LedgerState, DeferredLeafDifferentialMatchesOracles) {
+  // A set_balance/set_nonce outside a block only records the address; the
+  // first reader of the accounts tree settles every pending leaf in one
+  // sorted batch (a bulk build when the tree is empty). Random interleavings
+  // of direct writes, writer-overlay commit()s and copies with every reader
+  // (commitment, commitment_with, prove_account, absorb, apply_undo,
+  // flush_account_tree) must agree with the from-scratch oracle and with a
+  // twin whose accounts were set by one load_accounts: same accounts root,
+  // byte-equal proofs.
+  Rng rng(2727);
+  JobQueue inline_queue(JobQueueConfig{});
+  LedgerState state;
+  std::optional<StateUndo> undo;  // the last absorb's, until the next commit
+  // Staged from a seed, so one delta can be written to several views.
+  // Funded accounts 1..40 keep their balance entry; 41..56 only ever get
+  // nonces, so a nonce of 0 erases their leaf; 57+ are fresh when first hit.
+  const auto stage = [](LedgerView& v, std::uint64_t seed, bool block) {
+    Rng r(seed);
+    const std::uint64_t ops = 1 + r.next_below(40);
+    for (std::uint64_t i = 0; i < ops; ++i) {
+      switch (r.next_below(5)) {
+        case 0:
+          v.set_nonce(crypto::Address{r.next_below(16) + 41}, r.next_below(3));
+          break;
+        case 1:
+          v.credit(crypto::Address{57 + r.next_below(1'000'000)}, r.next_below(100));
+          break;
+        case 2:
+          v.set_nonce(crypto::Address{r.next_below(40) + 1}, r.next_below(4));
+          break;
+        default:
+          v.credit(crypto::Address{r.next_below(40) + 1}, r.next_below(1000));
+          break;
+      }
+    }
+    if (!block) return;
+    v.store_put("reg", "k" + std::to_string(r.next_below(8)), Bytes{1});
+    v.append_audit(StoredAuditRecord{crypto::Address{r.next_below(40) + 1},
+                                     {"gaze", "ads", 1, "none"}, 0});
+    v.add_burned_fees(r.next_below(3));
+  };
+  const auto twin_of = [](const LedgerState& s) {
+    LedgerState twin;
+    twin.load_accounts(s.sorted_accounts());
+    return twin;
+  };
+  const auto check = [&](const LedgerState& s, const std::string& where) {
+    const StateCommitment c = s.commitment();
+    ASSERT_EQ(c, s.full_rehash_commitment()) << where;
+    const StateCommitment t = twin_of(s).commitment();
+    ASSERT_EQ(c.accounts_root, t.accounts_root) << where;
+    ASSERT_EQ(c.account_count, t.account_count) << where;
+  };
+
+  std::size_t readers_with_pending = 0;
+  for (int step = 0; step < 2000 && !HasFailure(); ++step) {
+    const std::string where = "step " + std::to_string(step);
+    const std::uint64_t seed = rng.next_u64();
+    // Direct writes before most readers, so that they meet pending leaves.
+    if (rng.chance(0.7)) {
+      stage(state, rng.next_u64(), false);
+      ++readers_with_pending;
+    }
+    switch (rng.next_below(9)) {
+      case 0:  // writer-overlay commit(): set_* on the state, deferred too
+      {
+        auto scratch = LedgerStateOverlay::writer(state);
+        stage(scratch, seed, true);
+        scratch.commit();
+        undo.reset();
+        break;
+      }
+      case 1:
+        check(state, where);
+        break;
+      case 2: {  // commitment_with vs the same delta written into a copy
+        auto block = LedgerStateOverlay::reader(state);
+        stage(block, seed, true);
+        LedgerState oracle = state;
+        stage(oracle, seed, true);
+        ASSERT_EQ(state.commitment_with(block), oracle.full_rehash_commitment())
+            << where;
+        break;
+      }
+      case 3: {  // proofs: byte-equal to the twin's, verified on its root
+        const LedgerState twin = twin_of(state);
+        const crypto::Digest root = twin.commitment().accounts_root;
+        for (int q = 0; q < 4; ++q) {
+          const crypto::Address a{q == 0 ? 57 + rng.next_below(1'000'000)
+                                         : rng.next_below(56) + 1};
+          const crypto::MerkleMapProof proof = state.prove_account(a);
+          ASSERT_EQ(proof.encode(), twin.prove_account(a).encode()) << where;
+          const Account* account = state.accounts().find(a);
+          const std::optional<crypto::Digest> leaf =
+              account == nullptr
+                  ? std::nullopt
+                  : std::optional(account_leaf_digest(
+                        account->has_balance, account->balance, account->nonce));
+          ASSERT_TRUE(crypto::MerkleMap::verify(root, a.value, leaf, proof)) << where;
+        }
+        break;
+      }
+      case 4: {  // absorb: its undo restores the pre-state exactly
+        const LedgerState before = state;
+        auto block = LedgerStateOverlay::writer(state);
+        stage(block, seed, true);
+        const StateCommitment expected = state.commitment_with(block);
+        undo = state.absorb(block);
+        ASSERT_EQ(state.commitment(), expected) << where;
+        LedgerState rolled = state;
+        rolled.apply_undo(*undo);
+        ASSERT_EQ(rolled.commitment(), before.full_rehash_commitment()) << where;
+        ASSERT_EQ(rolled.sorted_accounts(), before.sorted_accounts()) << where;
+        break;
+      }
+      case 5:  // apply_undo over direct writes made since the absorb
+        if (undo.has_value()) {
+          state.apply_undo(*undo);
+          undo.reset();
+          check(state, where);
+        }
+        break;
+      case 6: {  // copies carry their pending leaves and stay independent
+        LedgerState copy = state;
+        stage(state, seed, false);
+        check(copy, where + " copy");
+        check(state, where + " original");
+        if (rng.chance(0.5)) {
+          state = std::move(copy);
+          undo.reset();
+        }
+        break;
+      }
+      case 7:
+        state.flush_account_tree(inline_queue);
+        check(state, where);
+        break;
+      default:  // start over: the next reader bulk-builds from an empty tree
+        if (rng.chance(0.2)) {
+          state = LedgerState{};
+          undo.reset();
+        }
+        break;
+    }
+  }
+  check(state, "end");
+  EXPECT_GT(readers_with_pending, 1000u);
 }
 
 // ---------------------------------------------------------- mempool TTL/cap

@@ -468,6 +468,46 @@ TEST(FollowerRollback, ForgedRootsOnAThreadedQueueAreRolledBack) {
   EXPECT_GT(queue->stats().of(JobClass::kValidation).completed, 0u);
 }
 
+TEST(GenesisAdoption, ByValueChainCommitsIntoTheStateItWasGiven) {
+  // The by-value constructor adopts its genesis: every block, and the
+  // rollback of a forged one, works on that one object; no block copies it.
+  RollbackFixture f;
+  const LedgerState* adopted = &f.follower.state();
+  ASSERT_TRUE(f.advance(10));
+  EXPECT_EQ(&f.follower.state(), adopted);
+  const Status s = f.follower.append(
+      f.forge(f.busy_txs(20), f.follower.state().commitment().root));
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.error().code, "block.bad_state_root");
+  EXPECT_EQ(&f.follower.state(), adopted);
+  ASSERT_TRUE(f.advance(11));
+  EXPECT_EQ(&f.follower.state(), adopted);
+  EXPECT_EQ(f.follower.state().commitment(), f.source.state().commitment());
+}
+
+TEST(GenesisAdoption, SharedGenesisIsLeftUntouched) {
+  // The shared-genesis constructor reads through to the shared state until
+  // the first block, then commits into its own copy; the shared state never
+  // changes, and a second chain on it commits the same block alike.
+  SealFixture f;
+  const auto shared = std::make_shared<const LedgerState>(f.genesis);
+  const StateCommitment genesis = shared->commitment();
+  const std::vector<Account> accounts = shared->sorted_accounts();
+  Blockchain a(f.config, std::make_shared<ContractRegistry>(), shared);
+  Blockchain b(f.config, std::make_shared<ContractRegistry>(), shared);
+  EXPECT_EQ(&a.state(), shared.get());
+  const Block block = f.propose(a, 10);
+  ASSERT_TRUE(a.append(block).ok());
+  EXPECT_NE(&a.state(), shared.get());
+  EXPECT_EQ(&b.state(), shared.get());
+  ASSERT_TRUE(b.append(block).ok());
+  EXPECT_EQ(a.state().commitment(), b.state().commitment());
+  EXPECT_NE(a.state().commitment(), genesis);
+  EXPECT_EQ(shared->commitment(), genesis);
+  EXPECT_EQ(shared->full_rehash_commitment(), genesis);
+  EXPECT_EQ(shared->sorted_accounts(), accounts);
+}
+
 TEST(FollowerRollback, FailingTxMidBlockLeavesStateUntouched) {
   RollbackFixture f;
   for (std::uint64_t b = 0; b < 2; ++b) ASSERT_TRUE(f.advance(10 + b));
