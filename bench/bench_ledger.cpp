@@ -1104,19 +1104,6 @@ BENCHMARK(BM_SubscriptionFanout)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-void BM_MerkleProof256(benchmark::State& state) {
-  std::vector<crypto::Digest> leaves;
-  for (int i = 0; i < 256; ++i) {
-    leaves.push_back(crypto::sha256(std::string_view{"leaf" + std::to_string(i)}));
-  }
-  const crypto::MerkleTree tree(leaves);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.prove(i++ % 256));
-  }
-}
-BENCHMARK(BM_MerkleProof256)->UseRealTime();
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -67,6 +67,14 @@ echo "== gate: mempool: one record per (sender, nonce) =="
 # and the audit that no entry pends below its sender's committed nonce.
 gate "mempool: one record per (sender, nonce)" 'Mempool'
 
+echo "== gate: one commit path (replica, committee, sharded ledger) =="
+# Both drivers admit, propose and commit through ledger::Replica (DESIGN.md
+# §7). These cases pin that a commit empties the pool on every path (the
+# committee's quorum and sync paths, every shard of a round), that each
+# replica owns the signature cache its chain and pool share, and the
+# committee's behaviour under partitions, message loss and misdirected votes.
+gate "one commit path" 'Replica|Consensus|ShardedLedger'
+
 echo "== gate: snapshot differential + mutation fuzz must run (not be skipped) =="
 # The snapshot codec's safety net: decode must reproduce the commitment
 # byte-identically (differential vs full_rehash_commitment) and no

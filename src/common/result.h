@@ -37,10 +37,8 @@ inline constexpr const char* kApiNoSubscriptionService =
 
 // chain.* — Blockchain query/install failures (ledger/chain.h).
 inline constexpr const char* kChainBadHeight = "chain.bad_height";
-inline constexpr const char* kChainPrunedHeight = "chain.pruned_height";
 inline constexpr const char* kChainStaleHeight = "chain.stale_height";
 inline constexpr const char* kChainOverloaded = "chain.overloaded";
-inline constexpr const char* kChainBadTxIndex = "chain.bad_tx_index";
 inline constexpr const char* kChainRetentionCorrupt = "chain.retention_corrupt";
 inline constexpr const char* kChainNotFresh = "chain.not_fresh";
 inline constexpr const char* kChainBadAnchor = "chain.bad_anchor";

@@ -1,63 +1,24 @@
 #include "crypto/merkle.h"
 
-#include <stdexcept>
-
 namespace mv::crypto {
 
-Digest MerkleTree::parent(const Digest& left, const Digest& right) {
-  Sha256 h;
-  const std::uint8_t domain = 0x01;  // interior-node domain separator
-  h.update(std::span<const std::uint8_t>(&domain, 1));
-  h.update(std::span<const std::uint8_t>(left.data(), left.size()));
-  h.update(std::span<const std::uint8_t>(right.data(), right.size()));
-  return h.finalize();
-}
-
-MerkleTree::MerkleTree(std::vector<Digest> leaves) : leaves_(leaves.size()) {
-  if (leaves.empty()) {
-    root_ = Digest{};
-    return;
-  }
-  levels_.push_back(std::move(leaves));
-  while (levels_.back().size() > 1) {
-    const auto& below = levels_.back();
-    std::vector<Digest> level;
-    level.reserve((below.size() + 1) / 2);
-    for (std::size_t i = 0; i < below.size(); i += 2) {
-      // Odd node pairs with itself (Bitcoin-style duplication).
-      const Digest& left = below[i];
-      const Digest& right = (i + 1 < below.size()) ? below[i + 1] : below[i];
-      level.push_back(parent(left, right));
+Digest merkle_root(std::vector<Digest> leaves) {
+  if (leaves.empty()) return Digest{};
+  constexpr std::uint8_t kInterior = 0x01;
+  std::size_t n = leaves.size();
+  while (n > 1) {
+    for (std::size_t i = 0; i < n; i += 2) {
+      const Digest& left = leaves[i];
+      const Digest& right = i + 1 < n ? leaves[i + 1] : leaves[i];
+      Sha256 h;
+      h.update(std::span<const std::uint8_t>(&kInterior, 1));
+      h.update(std::span<const std::uint8_t>(left.data(), left.size()));
+      h.update(std::span<const std::uint8_t>(right.data(), right.size()));
+      leaves[i / 2] = h.finalize();
     }
-    levels_.push_back(std::move(level));
+    n = (n + 1) / 2;
   }
-  root_ = levels_.back().front();
-}
-
-MerkleProof MerkleTree::prove(std::size_t index) const {
-  if (index >= leaves_) throw std::out_of_range("MerkleTree::prove: bad index");
-  MerkleProof proof;
-  std::size_t i = index;
-  for (std::size_t level = 0; level + 1 < levels_.size(); ++level) {
-    const auto& nodes = levels_[level];
-    const std::size_t sibling = (i % 2 == 0) ? i + 1 : i - 1;
-    MerkleStep step;
-    step.sibling_on_left = (i % 2 == 1);
-    step.sibling = sibling < nodes.size() ? nodes[sibling] : nodes[i];
-    proof.push_back(step);
-    i /= 2;
-  }
-  return proof;
-}
-
-bool MerkleTree::verify(const Digest& leaf, const MerkleProof& proof,
-                        const Digest& root) {
-  Digest acc = leaf;
-  for (const auto& step : proof) {
-    acc = step.sibling_on_left ? parent(step.sibling, acc)
-                               : parent(acc, step.sibling);
-  }
-  return acc == root;
+  return leaves.front();
 }
 
 }  // namespace mv::crypto

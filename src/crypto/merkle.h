@@ -1,46 +1,20 @@
-// Merkle trees over SHA-256.
+// Merkle roots over SHA-256.
 //
-// Block bodies commit to their transaction set via a Merkle root; audit
-// clients verify inclusion of a single data-collection record with a
-// logarithmic proof (DESIGN.md E7).
+// A block header commits to its transaction set, and a snapshot manifest to
+// its chunks, through the root of a binary Merkle tree over their digests.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "crypto/sha256.h"
 
 namespace mv::crypto {
 
-struct MerkleStep {
-  Digest sibling;
-  bool sibling_on_left = false;
-};
-
-using MerkleProof = std::vector<MerkleStep>;
-
-class MerkleTree {
- public:
-  /// Build from leaf digests. An empty tree has the all-zero root.
-  explicit MerkleTree(std::vector<Digest> leaves);
-
-  [[nodiscard]] const Digest& root() const { return root_; }
-  [[nodiscard]] std::size_t leaf_count() const { return leaves_; }
-
-  /// Inclusion proof for leaf `index`.
-  [[nodiscard]] MerkleProof prove(std::size_t index) const;
-
-  /// Verify that `leaf` at some position hashes up to `root` via `proof`.
-  [[nodiscard]] static bool verify(const Digest& leaf, const MerkleProof& proof,
-                                   const Digest& root);
-
-  /// Hash two children into a parent (domain-separated from leaf hashing).
-  [[nodiscard]] static Digest parent(const Digest& left, const Digest& right);
-
- private:
-  std::size_t leaves_ = 0;
-  std::vector<std::vector<Digest>> levels_;  // levels_[0] = leaves
-  Digest root_{};
-};
+/// Root of the binary tree over `leaves`, folded level by level in place.
+/// An odd node at the end of a level pairs with itself (Bitcoin-style
+/// duplication); interior nodes hash 0x01 || left || right, domain-separated
+/// from the leaves. One leaf is its own root; no leaves give the all-zero
+/// root.
+[[nodiscard]] Digest merkle_root(std::vector<Digest> leaves);
 
 }  // namespace mv::crypto

@@ -3,9 +3,8 @@
 // "A distributed ledger (Blockchain) can register any party's data collection
 // and processing activities in the metaverse." AuditClient is the party-side
 // helper that files records; AuditQuery is the regulator/user-side view that
-// inspects the committed log and checks inclusion proofs, plus the
-// data-monopoly check the paper calls for ("the metaverse should guarantee no
-// data monopoly from any parties").
+// inspects the committed log, plus the data-monopoly check the paper calls
+// for ("the metaverse should guarantee no data monopoly from any parties").
 #pragma once
 
 #include <map>

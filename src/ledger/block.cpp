@@ -109,11 +109,7 @@ std::vector<crypto::Digest> Block::tx_digests(const std::vector<Transaction>& tx
 }
 
 crypto::Digest Block::compute_tx_root(std::vector<crypto::Digest> digests) {
-  return crypto::MerkleTree(std::move(digests)).root();
-}
-
-crypto::MerkleTree Block::tx_tree() const {
-  return crypto::MerkleTree(tx_digests(txs));
+  return crypto::merkle_root(std::move(digests));
 }
 
 }  // namespace mv::ledger

@@ -47,8 +47,6 @@ struct Block {
   /// Merkle root over tx digests in block order (tx_digests of the txs).
   [[nodiscard]] static crypto::Digest compute_tx_root(
       std::vector<crypto::Digest> digests);
-  /// Merkle tree over the block's transactions, for inclusion proofs.
-  [[nodiscard]] crypto::MerkleTree tx_tree() const;
 };
 
 }  // namespace mv::ledger

@@ -214,22 +214,6 @@ Result<LedgerState> Blockchain::state_at(std::int64_t height) const {
   return state;
 }
 
-Result<crypto::MerkleProof> Blockchain::prove_tx(std::int64_t block_height,
-                                                 std::size_t tx_index) const {
-  if (block_height < 0 || block_height >= height()) {
-    return make_error(errc::kChainBadHeight, "no such block");
-  }
-  const Block* block = block_at(block_height);
-  if (block == nullptr) {
-    return make_error(errc::kChainPrunedHeight,
-                      "block below the snapshot base is not held");
-  }
-  if (tx_index >= block->txs.size()) {
-    return make_error(errc::kChainBadTxIndex, "no such transaction");
-  }
-  return block->tx_tree().prove(tx_index);
-}
-
 AccountProof make_account_proof(const LedgerState& state,
                                 const StateCommitment& commitment,
                                 crypto::Address addr, std::int64_t height) {
@@ -395,14 +379,6 @@ Result<std::size_t> Blockchain::import_blocks(const Bytes& data) {
     ++appended;
   }
   return appended;
-}
-
-bool Blockchain::verify_tx_inclusion(std::int64_t block_height,
-                                     const crypto::Digest& tx_digest,
-                                     const crypto::MerkleProof& proof) const {
-  const Block* block = block_at(block_height);
-  if (block == nullptr) return false;
-  return crypto::MerkleTree::verify(tx_digest, proof, block->header.tx_root);
 }
 
 }  // namespace mv::ledger

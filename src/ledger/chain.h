@@ -135,15 +135,6 @@ class Blockchain {
   /// so the append() that follows the vote does not execute the block again.
   [[nodiscard]] Status validate(const Block& block) const;
 
-  /// Merkle inclusion proof for tx `tx_index` of block `block_height`.
-  [[nodiscard]] Result<crypto::MerkleProof> prove_tx(std::int64_t block_height,
-                                                     std::size_t tx_index) const;
-
-  /// Verify an inclusion proof against a committed header.
-  [[nodiscard]] bool verify_tx_inclusion(std::int64_t block_height,
-                                         const crypto::Digest& tx_digest,
-                                         const crypto::MerkleProof& proof) const;
-
   /// Account proof (balance/nonce leaf + Merkle path to the accounts root)
   /// anchored at block `block_height`'s state commitment. Serves the tip and
   /// every height the retention ring covers (config.state_retention heights

@@ -33,8 +33,6 @@ Bytes encode_err(const Error& e) {
 Error ClientApi::to_api_error(Error e) {
   if (e.code == errc::kChainBadHeight) {
     e.code = errc::kApiBadHeight;
-  } else if (e.code == errc::kChainPrunedHeight) {
-    e.code = errc::kApiPrunedHeight;
   } else if (e.code == errc::kChainStaleHeight) {
     e.code = errc::kApiStaleHeight;
   } else if (e.code == errc::kChainOverloaded) {

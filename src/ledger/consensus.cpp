@@ -63,22 +63,12 @@ ValidatorCommittee::ValidatorCommittee(
   }
   validators_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    // One verified-signature memo per replica, shared between its mempool
-    // and its chain: a tx verified at admission is vouched for at assembly
-    // and commit (crypto/digest_lru.h).
-    auto sig_cache = std::make_shared<crypto::DigestLruSet>();
-    ChainConfig chain_config = config;
-    chain_config.validation.sig_cache = sig_cache;
-    MempoolConfig mempool_config;
-    mempool_config.sig_cache = std::move(sig_cache);
-    validators_.push_back(Validator{
-        std::move(wallets[i]),
-        Blockchain(std::move(chain_config), contracts, genesis),
-        Mempool{mempool_config},
-        NodeId::invalid(),
-        rng.fork(),
-        std::nullopt,
-        {}});
+    validators_.push_back(Validator{std::move(wallets[i]),
+                                    Replica(config, contracts, genesis),
+                                    NodeId::invalid(),
+                                    rng.fork(),
+                                    std::nullopt,
+                                    {}});
     validators_.back().node = network_.add_node(
         [this, i](const net::Message& msg) { on_message(i, msg); });
   }
@@ -87,7 +77,7 @@ ValidatorCommittee::ValidatorCommittee(
 void ValidatorCommittee::submit(const Transaction& tx) {
   const Tick now = network_.clock().now();
   for (auto& v : validators_) {
-    (void)v.mempool.add(tx, v.chain.state(), now);
+    (void)v.replica.submit(tx, now);
   }
 }
 
@@ -96,22 +86,19 @@ bool ValidatorCommittee::run_round(Tick timeout) {
   // Expire transactions that have lingered past their TTL (nonce-gapped or
   // priced out) before this round selects candidates.
   for (auto& v : validators_) {
-    (void)v.mempool.sweep_expired(network_.clock().now());
+    (void)v.replica.pool().sweep_expired(network_.clock().now());
   }
   // Rotation follows the committee's best height, so a lagging replica 0
   // cannot anchor leader election to a stale view.
   std::int64_t target_height = 0;
   for (const auto& v : validators_) {
-    target_height = std::max(target_height, v.chain.height());
+    target_height = std::max(target_height, v.replica.chain().height());
   }
   Validator& leader =
       validators_[proposer_index(target_height, validators_.size())];
   const Tick round_start = network_.clock().now();
 
-  const auto candidates = leader.mempool.select(
-      leader.chain.config().max_txs_per_block, leader.chain.state());
-  const Block block = leader.chain.assemble(leader.wallet, candidates,
-                                            round_start, leader.rng);
+  const Block block = leader.replica.propose(leader.wallet, round_start, leader.rng);
   // Encode the proposal once; the local delivery and every broadcast
   // recipient share the same buffer.
   const auto encoded = std::make_shared<const Bytes>(block.encode());
@@ -124,7 +111,7 @@ bool ValidatorCommittee::run_round(Tick timeout) {
   network_.broadcast(leader.node, "propose", encoded);
   network_.run_until_idle(timeout);
 
-  const bool committed = leader.chain.height() >= target_height + 1;
+  const bool committed = leader.replica.chain().height() >= target_height + 1;
   if (committed) {
     ++stats_.committed_blocks;
     stats_.committed_txs += block.txs.size();
@@ -153,21 +140,22 @@ void ValidatorCommittee::on_message(std::size_t validator_index,
 void ValidatorCommittee::handle_propose(Validator& v, const net::Message& msg) {
   auto block = Block::decode(msg.payload());
   if (!block.ok()) return;
-  if (block.value().header.height > v.chain.height()) {
+  const Blockchain& chain = v.replica.chain();
+  if (block.value().header.height > chain.height()) {
     // We are behind (missed commits during a partition): pull the missing
     // blocks from whoever is ahead, starting at our own height.
     ByteWriter w;
-    w.i64(v.chain.height());
+    w.i64(chain.height());
     network_.broadcast(v.node, "sync_req", w.take());
     return;
   }
-  if (block.value().header.height < v.chain.height()) {
+  if (block.value().header.height < chain.height()) {
     // The proposer itself is behind: ship it the blocks it missed so the
     // next round's leader rotation is computed from a caught-up replica.
     serve_blocks(v, msg.from, block.value().header.height);
     return;
   }
-  if (!v.chain.validate(block.value()).ok()) {
+  if (!chain.validate(block.value()).ok()) {
     MV_LOG_DEBUG << "validator rejected proposal at height "
                  << block.value().header.height;
     return;
@@ -179,9 +167,10 @@ void ValidatorCommittee::handle_propose(Validator& v, const net::Message& msg) {
 
 void ValidatorCommittee::serve_blocks(Validator& v, NodeId to,
                                       std::int64_t from_height) {
-  for (std::int64_t h = std::max(v.chain.base_height(), from_height);
-       h < v.chain.height(); ++h) {
-    network_.send(v.node, to, "sync_resp", v.chain.block_at(h)->encode());
+  const Blockchain& chain = v.replica.chain();
+  for (std::int64_t h = std::max(chain.base_height(), from_height);
+       h < chain.height(); ++h) {
+    network_.send(v.node, to, "sync_resp", chain.block_at(h)->encode());
   }
 }
 
@@ -196,10 +185,8 @@ void ValidatorCommittee::handle_sync_request(Validator& v,
 void ValidatorCommittee::handle_sync_response(Validator& v, const Bytes& payload) {
   auto block = Block::decode(payload);
   if (!block.ok()) return;
-  if (block.value().header.height != v.chain.height()) return;  // stale/dup
-  if (v.chain.append(block.value()).ok()) {
-    v.mempool.remove_included(block.value().txs);
-  }
+  if (block.value().header.height != v.replica.chain().height()) return;  // stale/dup
+  commit(v, block.value());
 }
 
 void ValidatorCommittee::broadcast_vote(Validator& v, const Block& block) {
@@ -220,7 +207,7 @@ void ValidatorCommittee::handle_vote(Validator& v, const Bytes& payload) {
   const VoteMsg& m = vote.value();
   // The voter must belong to the committee and the signature must verify.
   bool known = false;
-  for (const auto& pub : v.chain.config().validators) {
+  for (const auto& pub : v.replica.chain().config().validators) {
     if (pub == m.voter) {
       known = true;
       break;
@@ -238,20 +225,23 @@ void ValidatorCommittee::try_commit(Validator& v) {
   if (!v.pending.has_value()) return;
   const auto it = v.votes.find({v.pending->header.height, v.pending->header.hash()});
   if (it == v.votes.end() || it->second.size() < quorum()) return;
-  if (v.chain.append(*v.pending).ok()) {
-    v.mempool.remove_included(v.pending->txs);
-  }
+  const Block block = std::move(*v.pending);
   v.pending.reset();
-  // Garbage-collect vote sets for heights now below the chain tip.
-  std::erase_if(v.votes, [&](const auto& entry) {
-    return entry.first.first < v.chain.height();
-  });
+  commit(v, block);
+}
+
+void ValidatorCommittee::commit(Validator& v, const Block& block) {
+  (void)v.replica.commit(block);
+  const std::int64_t tip = v.replica.chain().height();
+  if (v.pending.has_value() && v.pending->header.height < tip) v.pending.reset();
+  std::erase_if(v.votes,
+                [&](const auto& entry) { return entry.first.first < tip; });
 }
 
 bool ValidatorCommittee::replicas_consistent() const {
   for (std::size_t i = 1; i < validators_.size(); ++i) {
-    if (validators_[i].chain.height() != validators_[0].chain.height()) return false;
-    if (validators_[i].chain.tip_hash() != validators_[0].chain.tip_hash()) return false;
+    if (chain(i).height() != chain(0).height()) return false;
+    if (chain(i).tip_hash() != chain(0).tip_hash()) return false;
   }
   return true;
 }

@@ -17,8 +17,7 @@
 #include <optional>
 #include <set>
 
-#include "ledger/chain.h"
-#include "ledger/mempool.h"
+#include "ledger/replica.h"
 #include "net/network.h"
 
 namespace mv::ledger {
@@ -39,8 +38,9 @@ class ValidatorCommittee {
  public:
   /// Creates `n` validators with fresh wallets, replicas of the same genesis,
   /// and nodes on `network`. `validation` configures block application on
-  /// every replica (ledger/parallel.h): the sig cache and the queue that
-  /// serves proof queries. Blocks apply serially either way.
+  /// every replica (ledger/parallel.h): the queue that serves proof queries
+  /// and spreads block checks. Its sig_cache is not read; every replica owns
+  /// one (ledger/replica.h). Blocks apply serially either way.
   ValidatorCommittee(net::Network& network, std::size_t n,
                      std::shared_ptr<const ContractRegistry> contracts,
                      const LedgerState& genesis, std::size_t max_txs_per_block,
@@ -55,8 +55,12 @@ class ValidatorCommittee {
   bool run_round(Tick timeout = 1000);
 
   [[nodiscard]] std::size_t size() const { return validators_.size(); }
-  [[nodiscard]] const Blockchain& chain(std::size_t i) const { return validators_[i].chain; }
-  [[nodiscard]] const Mempool& mempool(std::size_t i) const { return validators_[i].mempool; }
+  [[nodiscard]] const Blockchain& chain(std::size_t i) const {
+    return validators_[i].replica.chain();
+  }
+  [[nodiscard]] const Mempool& mempool(std::size_t i) const {
+    return validators_[i].replica.pool();
+  }
   [[nodiscard]] const crypto::Wallet& wallet(std::size_t i) const { return validators_[i].wallet; }
   [[nodiscard]] NodeId node(std::size_t i) const { return validators_[i].node; }
   [[nodiscard]] const ConsensusStats& stats() const { return stats_; }
@@ -70,8 +74,7 @@ class ValidatorCommittee {
  private:
   struct Validator {
     crypto::Wallet wallet;
-    Blockchain chain;
-    Mempool mempool;
+    Replica replica;
     NodeId node;
     Rng rng;
     // Round-local: pending proposal and votes keyed by (height, full block
@@ -87,6 +90,10 @@ class ValidatorCommittee {
   void handle_sync_response(Validator& v, const Bytes& payload);
   void serve_blocks(Validator& v, NodeId to, std::int64_t from_height);
   void try_commit(Validator& v);
+  /// The one commit tail, for the quorum path and the sync path alike:
+  /// Replica::commit, then drop a pending proposal the chain has passed and
+  /// the vote sets below the tip.
+  void commit(Validator& v, const Block& block);
   void broadcast_vote(Validator& v, const Block& block);
 
   net::Network& network_;

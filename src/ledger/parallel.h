@@ -30,9 +30,9 @@ struct ValidationConfig {
   /// Verified-signature memo (crypto/digest_lru.h). When set, apply_block
   /// consults it before verifying each transaction's signature and remembers
   /// fresh verifications, so a tx checked at mempool admission is not
-  /// re-verified at assembly and again at commit. Share one instance per
-  /// replica (with its mempool); tampering changes the digest, so a hit is as
-  /// strong as re-verifying. null = verify every time.
+  /// re-verified at assembly and again at commit. ledger::Replica creates
+  /// one per replica and shares it with its mempool; tampering changes the
+  /// digest, so a hit is as strong as re-verifying. null = verify every time.
   std::shared_ptr<crypto::DigestLruSet> sig_cache;
   /// The process executor (common/job_queue.h). With workers, a block
   /// check uses its kValidation lane for two stages that share no state:

@@ -295,13 +295,12 @@ ShardedLedger::ShardedLedger(ShardConfig config, const LedgerState& genesis,
     : config_(std::move(config)), archive_(std::make_shared<BeaconArchive>()) {
   if (config_.num_shards == 0) config_.num_shards = 1;
   auto genesis_states = partition_genesis(genesis, config_.num_shards);
-  shards_.resize(config_.num_shards);
+  // Reserved up front: commit hooks hold references to shard chains.
+  shards_.reserve(config_.num_shards);
 
   ByteWriter genesis_tag;
   genesis_tag.str("mv.beacon.genesis.v1");
   for (std::uint32_t s = 0; s < config_.num_shards; ++s) {
-    Shard& sh = shards_[s];
-
     auto registry = contracts != nullptr
                         ? std::make_shared<ContractRegistry>(*contracts)
                         : std::make_shared<ContractRegistry>();
@@ -319,29 +318,23 @@ ShardedLedger::ShardedLedger(ShardConfig config, const LedgerState& genesis,
     // ShardedLedger::prove_account) runs inline instead of taking a
     // kClientQuery hop per shard proof.
     chain_config.validation.job_queue = nullptr;
-    if (config_.validation.sig_cache != nullptr) {
-      // The LRU is single-threaded; shards committing concurrently each get
-      // their own instance instead of racing on the shared one.
-      sh.sig_cache = std::make_shared<crypto::DigestLruSet>();
-      chain_config.validation.sig_cache = sh.sig_cache;
-    }
 
-    sh.chain = std::make_unique<Blockchain>(std::move(chain_config), registry,
-                                            std::move(genesis_states[s]));
-    sh.pool = Mempool(MempoolConfig{.sig_cache = sh.sig_cache});
-
-    genesis_tag.raw(sh.chain->genesis_hash());
+    shards_.push_back(Shard{Replica(std::move(chain_config), registry,
+                                    std::move(genesis_states[s])),
+                            {},
+                            0});
+    genesis_tag.raw(shards_.back().replica.chain().genesis_hash());
   }
   beacon_genesis_hash_ = crypto::sha256(genesis_tag.data());
 }
 
 Status ShardedLedger::submit(Transaction tx, Tick now) {
-  Shard& sh = shards_[shard_of(tx.sender(), shards_.size())];
-  return sh.pool.add(std::move(tx), sh.chain->state(), now);
+  return shards_[shard_of(tx.sender(), shards_.size())].replica.submit(
+      std::move(tx), now);
 }
 
 void ShardedLedger::refresh_receipts(Shard& shard) {
-  const LedgerState& state = shard.chain->state();
+  const LedgerState& state = shard.replica.chain().state();
   const std::uint64_t next =
       store_decode<std::uint64_t>(state.store_get(kXShardContractName, kXShardNextIdKey));
   for (std::uint64_t id = shard.receipts_indexed; id < next; ++id) {
@@ -360,20 +353,13 @@ Result<BeaconHeader> ShardedLedger::commit_round(const crypto::Wallet& proposer,
   std::vector<Status> results(shards_.size());
 
   const auto commit_shard = [&](std::size_t s) {
-    Shard& sh = shards_[s];
-    const auto selected =
-        sh.pool.select(config_.max_txs_per_block, sh.chain->state());
+    Replica& replica = shards_[s].replica;
     // Deterministic per-(round, shard) signing stream: block hashes are
     // reproducible across runs, thread counts, and shard interleavings.
     Rng rng(config_.seed ^
             (kRoundSalt * (static_cast<std::uint64_t>(round) + 1)) ^
             (kShardSalt * (static_cast<std::uint64_t>(s) + 1)));
-    const Block block = sh.chain->assemble(proposer, selected, timestamp, rng);
-    if (Status s_append = sh.chain->append(block); !s_append.ok()) {
-      results[s] = std::move(s_append);
-      return;
-    }
-    sh.pool.remove_included(block.txs);
+    results[s] = replica.commit(replica.propose(proposer, timestamp, rng));
   };
 
   // Shards validate concurrently on the shared queue's consensus lane and on
@@ -404,8 +390,9 @@ Result<BeaconHeader> ShardedLedger::commit_round(const crypto::Wallet& proposer,
   header.shards.reserve(shards_.size());
   for (Shard& sh : shards_) {
     refresh_receipts(sh);
+    const Blockchain& chain = sh.replica.chain();
     ShardAnchor anchor;
-    anchor.state_root = sh.chain->commitment_at(sh.chain->height() - 1)->root;
+    anchor.state_root = chain.commitment_at(chain.height() - 1)->root;
     anchor.receipts_root = sh.receipts.root();
     header.shards.push_back(anchor);
   }
@@ -434,7 +421,7 @@ Result<ReceiptProofBundle> ShardedLedger::prove_receipt(
                           " not covered by a beacon yet");
   }
   const Bytes* bytes =
-      sh.chain->state().store_get(kXShardContractName, xshard_receipt_key(id));
+      state(source_shard).store_get(kXShardContractName, xshard_receipt_key(id));
   if (bytes == nullptr) {
     return make_error(errc::kShardUnknownReceipt, "receipt bytes missing");
   }
@@ -453,7 +440,7 @@ Result<ShardedAccountProof> ShardedLedger::prove_account(
     return make_error(errc::kChainBadHeight, "no beacon committed yet");
   }
   const std::uint32_t s = shard_of(addr, shards_.size());
-  const Blockchain& chain = *shards_[s].chain;
+  const Blockchain& chain = shard(s);
   auto account = chain.prove_account(addr, chain.height() - 1);
   if (!account.ok()) return account.error();
   ShardedAccountProof proof;

@@ -4,12 +4,12 @@
 // The single-chain pipeline serializes every world's traffic through one
 // mempool -> assemble -> commit path. ShardedLedger statically partitions
 // accounts by world id — a stable hash of the address picks the shard — and
-// gives each shard its own Mempool, its own Blockchain (LedgerState +
-// validator, reusing ValidationConfig), and its own per-shard
-// StateCommitment. Shards commit their round blocks concurrently on the
-// shared JobQueue's kConsensus lane, then the driver folds the per-shard
-// anchors into a signed BeaconHeader (ledger/beacon.h), so end-to-end
-// throughput scales with shard count instead of one pipeline.
+// gives each shard its own Replica (ledger/replica.h: a Blockchain over the
+// shard's LedgerState, reusing ValidationConfig, with its Mempool) and so
+// its own per-shard StateCommitment. Shards commit their round blocks
+// concurrently on the shared JobQueue's kConsensus lane, then the driver
+// folds the per-shard anchors into a signed BeaconHeader (ledger/beacon.h),
+// so end-to-end throughput scales with shard count instead of one pipeline.
 //
 // Cross-shard transfers use lock-and-mint receipts — no shared mutable
 // state, no 2PC:
@@ -38,10 +38,8 @@
 #include <optional>
 #include <vector>
 
-#include "crypto/digest_lru.h"
 #include "ledger/beacon.h"
-#include "ledger/chain.h"
-#include "ledger/mempool.h"
+#include "ledger/replica.h"
 
 namespace mv::ledger {
 
@@ -70,9 +68,9 @@ struct ShardConfig {
   /// per-shard chains, so a composed prove_account builds its shard proof
   /// inline rather than through a kClientQuery hop, and shard blocks check
   /// on the thread that commits them.
-  /// A non-null sig_cache requests per-shard verified-signature caches (the
-  /// LRU is single-threaded; shards get one each instead of sharing the
-  /// instance).
+  /// validation.sig_cache is not read: every shard's replica owns its own
+  /// verified-signature cache (the LRU is single-threaded). The member stays
+  /// only because existing callers still set it.
   ValidationConfig validation;
   std::size_t state_retention = 8;
   /// Seed for the deterministic per-(round, shard) signing streams, so
@@ -203,15 +201,17 @@ class ShardedLedger {
   [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
   [[nodiscard]] const ShardConfig& config() const { return config_; }
   [[nodiscard]] const Blockchain& shard(std::uint32_t s) const {
-    return *shards_[s].chain;
+    return shards_[s].replica.chain();
   }
   /// Mutable shard chain, for hanging a commit hook (the scenario harness's
   /// SubscriptionPublisher rides shard 0). Appending blocks through it
   /// bypasses commit_round, so that shard's chain and the beacon go out of
   /// step: never append through this handle.
-  [[nodiscard]] Blockchain& shard(std::uint32_t s) { return *shards_[s].chain; }
+  [[nodiscard]] Blockchain& shard(std::uint32_t s) {
+    return shards_[s].replica.chain();
+  }
   [[nodiscard]] const Mempool& mempool(std::uint32_t s) const {
-    return shards_[s].pool;
+    return shards_[s].replica.pool();
   }
   [[nodiscard]] std::shared_ptr<const BeaconArchive> archive() const {
     return archive_;
@@ -262,21 +262,17 @@ class ShardedLedger {
 
   /// Per-shard committed state, for invariant checks and tests.
   [[nodiscard]] const LedgerState& state(std::uint32_t s) const {
-    return shards_[s].chain->state();
+    return shard(s).state();
   }
 
  private:
   struct Shard {
-    std::unique_ptr<Blockchain> chain;
-    Mempool pool;
-    std::shared_ptr<crypto::DigestLruSet> sig_cache;  ///< per-shard (LRU is 1-thread)
+    Replica replica;
     /// Mirror of the shard's "receipt/<id>" store entries: id -> sha256 of
     /// the receipt bytes. Receipts are append-only with dense ids, so the
     /// refresh after each round folds exactly the new suffix.
     crypto::MerkleMap receipts;
     std::uint64_t receipts_indexed = 0;
-
-    Shard() : pool(MempoolConfig{}) {}
   };
 
   /// Fold store receipts [receipts_indexed, next_id) into the receipt tree.

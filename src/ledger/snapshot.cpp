@@ -77,7 +77,7 @@ crypto::Digest snapshot_chunk_digest(std::uint32_t index,
 }
 
 crypto::Digest SnapshotManifest::chunk_root() const {
-  return crypto::MerkleTree(chunk_digests).root();
+  return crypto::merkle_root(chunk_digests);
 }
 
 Bytes SnapshotManifest::encode() const {

@@ -73,9 +73,6 @@ Result<ReplayResult> execute(const ScenarioEnv& env, const TraceHeader& header,
   sc.num_shards = shards;
   sc.validators = env.validator_keys();
   sc.max_txs_per_block = header.max_txs_per_block;
-  // Non-null requests a verified-signature cache per shard, shared with
-  // that shard's mempool.
-  sc.validation.sig_cache = std::make_shared<crypto::DigestLruSet>();
   sc.validation.job_queue = opts.job_queue;
   sc.seed = header.seed ^ kExecSalt;
   ledger::ShardedLedger ledger(std::move(sc), env.genesis, env.contracts);

@@ -12,6 +12,7 @@
 #include "ledger/chain.h"
 #include "ledger/consensus.h"
 #include "ledger/mempool.h"
+#include "ledger/replica.h"
 #include "net/gossip.h"
 
 namespace mv::ledger {
@@ -606,24 +607,6 @@ TEST(Blockchain, RejectsReplayedBlock) {
   EXPECT_FALSE(chain.append(block).ok());
 }
 
-TEST(Blockchain, TxInclusionProof) {
-  ChainFixture f;
-  Blockchain chain = f.make_chain();
-  std::vector<Transaction> txs;
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    txs.push_back(make_transfer(f.alice, i, f.bob.address(), 1, 0, f.rng));
-  }
-  ASSERT_TRUE(chain.append(chain.assemble(f.v0, txs, 0, f.rng)).ok());
-  for (std::size_t i = 0; i < 5; ++i) {
-    auto proof = chain.prove_tx(0, i);
-    ASSERT_TRUE(proof.ok());
-    EXPECT_TRUE(chain.verify_tx_inclusion(0, txs[i].digest(), proof.value()));
-    EXPECT_FALSE(chain.verify_tx_inclusion(0, txs[(i + 1) % 5].digest(), proof.value()));
-  }
-  EXPECT_FALSE(chain.prove_tx(3, 0).ok());
-  EXPECT_FALSE(chain.prove_tx(0, 99).ok());
-}
-
 TEST(Blockchain, ExportImportReplaysIdentically) {
   ChainFixture f;
   Blockchain source = f.make_chain();
@@ -678,6 +661,48 @@ TEST(Blockchain, ImportRejectsForgedCount) {
   EXPECT_FALSE(fresh.import_blocks(w.take()).ok());
 }
 
+// ---------------------------------------------------------------- replica
+
+TEST(Replica, CommitEmptiesThePoolAndSharesOneSigCache) {
+  ChainFixture f;
+  // A cache in the config is not the replica's: it creates its own.
+  const auto foreign = std::make_shared<crypto::DigestLruSet>();
+  f.config.validation.sig_cache = foreign;
+  Replica replica(f.config, f.contracts, f.state);
+  const auto& cache = replica.chain().config().validation.sig_cache;
+  ASSERT_NE(cache, nullptr);
+  EXPECT_NE(cache, foreign);
+  EXPECT_EQ(replica.pool().config().sig_cache, cache);
+
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(
+        replica.submit(make_transfer(f.alice, i, f.bob.address(), 1, 1, f.rng), 0)
+            .ok());
+  }
+  const Block block = replica.propose(f.v0, 0, f.rng);
+  ASSERT_EQ(block.txs.size(), 3u);
+  EXPECT_EQ(replica.pool().size(), 3u);  // proposing leaves the pool alone
+  ASSERT_TRUE(replica.commit(block).ok());
+  EXPECT_EQ(replica.chain().height(), 1);
+  EXPECT_TRUE(replica.pool().empty());
+  // Admission verified each signature; assembly found all three cached.
+  EXPECT_EQ(replica.chain().validation_stats().sig_cache_hits, 3u);
+  EXPECT_EQ(replica.chain().validation_stats().sig_cache_misses, 0u);
+}
+
+TEST(Replica, RejectedCommitKeepsThePool) {
+  ChainFixture f;
+  Replica replica(f.config, f.contracts, f.state);
+  ASSERT_TRUE(
+      replica.submit(make_transfer(f.alice, 0, f.bob.address(), 1, 1, f.rng), 0)
+          .ok());
+  Block block = replica.propose(f.v0, 0, f.rng);
+  block.header.timestamp += 1;  // no longer what the proposer signed
+  EXPECT_FALSE(replica.commit(block).ok());
+  EXPECT_EQ(replica.chain().height(), 0);
+  EXPECT_EQ(replica.pool().size(), 1u);
+}
+
 // ---------------------------------------------------------------- consensus
 
 struct CommitteeFixture {
@@ -704,6 +729,9 @@ TEST(Consensus, CommitsAcrossAllReplicas) {
   EXPECT_EQ(committee.chain(0).height(), 1);
   EXPECT_EQ(committee.chain(0).state().balance(f.bob.address()), 100u);
   EXPECT_EQ(committee.stats().committed_txs, 10u);
+  for (std::size_t i = 0; i < committee.size(); ++i) {
+    EXPECT_TRUE(committee.mempool(i).empty()) << "replica " << i;
+  }
 }
 
 TEST(Consensus, MultipleRoundsRotateLeaders) {
@@ -758,6 +786,9 @@ TEST(Consensus, LaggardCatchesUpAfterPartitionHeals) {
   ASSERT_TRUE(committee.run_round());
   EXPECT_TRUE(committee.replicas_consistent());
   EXPECT_EQ(committee.chain(3).height(), 4);
+  // The blocks carrying the 12 transactions reached validator 3 only through
+  // the sync path, which commits through the replica too.
+  EXPECT_TRUE(committee.mempool(3).empty());
 }
 
 TEST(Consensus, LaggingLeaderIsRescuedByPeers) {

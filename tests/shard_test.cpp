@@ -379,6 +379,9 @@ std::vector<crypto::Digest> run_sharded_workload(std::size_t queue_threads) {
     const auto beacon = ledger.commit_round(proposer, round);
     EXPECT_TRUE(beacon.ok());
     roots.push_back(beacon.value().beacon_root);
+    for (std::uint32_t s = 0; s < kShards; ++s) {
+      EXPECT_TRUE(ledger.mempool(s).empty()) << "shard " << s << " round " << round;
+    }
   }
   return roots;
 }
@@ -387,6 +390,40 @@ TEST(ShardedLedger, BeaconRootsStableAcrossThreadCounts) {
   const auto inline_roots = run_sharded_workload(0);
   const auto threaded_roots = run_sharded_workload(4);
   EXPECT_EQ(inline_roots, threaded_roots);
+}
+
+// Every shard's replica owns a verified-signature cache, whether or not the
+// config carries one: a signature verified at submit is a cache hit when the
+// shard assembles its block.
+TEST(ShardedLedger, EveryShardCachesSignaturesWithoutAConfiguredCache) {
+  Rng rng(37);
+  const crypto::Wallet proposer(rng);
+  const std::size_t kShards = 3;
+  std::vector<crypto::Wallet> senders;
+  LedgerState genesis;
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    senders.push_back(wallet_on_shard(rng, s, kShards));
+    genesis.credit(senders.back().address(), 1'000);
+  }
+  ShardConfig config;
+  config.num_shards = kShards;
+  config.validators = {proposer.public_key()};
+  ASSERT_EQ(config.validation.sig_cache, nullptr);
+  ShardedLedger ledger(config, genesis);
+
+  Rng txrng(41);
+  for (const auto& sender : senders) {
+    ASSERT_TRUE(
+        ledger.submit(make_transfer(sender, 0, proposer.address(), 5, 1, txrng))
+            .ok());
+  }
+  ASSERT_TRUE(ledger.commit_round(proposer, 0).ok());
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(ledger.shard(s).height(), 1);
+    EXPECT_TRUE(ledger.mempool(s).empty()) << "shard " << s;
+    EXPECT_GT(ledger.shard(s).validation_stats().sig_cache_hits, 0u)
+        << "shard " << s;
+  }
 }
 
 // --------------------------------------------------- cross-shard transfer
