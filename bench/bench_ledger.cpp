@@ -225,8 +225,7 @@ BENCHMARK(BM_BlockValidate)
 // which is where state layout shows. Blocks come from a proposer chain
 // built before the timed loop; each block moves 512 distinct senders to 512
 // distinct recipients. When the pre-built blocks run out, a fresh follower
-// (and a fresh signature cache) is set up untimed and takes block 0
-// untimed too, since the first append also copies the genesis state.
+// (a copy of the genesis and a fresh signature cache) is set up untimed.
 // `range(0)` is the follower's queue workers: 0 runs the serial block check,
 // workers spread its signature checks and accounts re-hash over the queue
 // (the calling thread helping).
@@ -240,25 +239,25 @@ void BM_FollowerAppend(benchmark::State& state) {
   crypto::Wallet validator(rng);
   std::vector<crypto::Wallet> senders;
   senders.reserve(kTxs);
-  auto genesis = std::make_shared<LedgerState>();
+  LedgerState genesis;
   for (std::size_t i = 0; i < kTxs; ++i) {
     senders.emplace_back(rng);
-    genesis->credit(senders.back().address(), 1'000'000);
+    genesis.credit(senders.back().address(), 1'000'000);
   }
   std::vector<crypto::Address> recipients;
-  while (genesis->account_count() < kAccounts) {
+  while (genesis.account_count() < kAccounts) {
     const crypto::Address a{rng.next_u64() | 1};
-    if (genesis->has_account(a)) continue;
-    genesis->credit(a, 1'000);
+    if (genesis.has_account(a)) continue;
+    genesis.credit(a, 1'000);
     recipients.push_back(a);
   }
+  (void)genesis.commitment();  // settled once: every chain copies a built tree
   ChainConfig config;
   config.validators = {validator.public_key()};
   config.max_txs_per_block = kTxs;
-  std::shared_ptr<const LedgerState> shared = genesis;
   std::vector<Block> blocks;
   {
-    Blockchain proposer(config, contracts, shared);
+    Blockchain proposer(config, contracts, genesis);
     for (std::size_t h = 0; h < kBlocks; ++h) {
       std::vector<Transaction> txs;
       txs.reserve(kTxs);
@@ -279,17 +278,15 @@ void BM_FollowerAppend(benchmark::State& state) {
     ChainConfig fc = config;
     fc.validation.sig_cache = std::make_shared<crypto::DigestLruSet>();
     fc.validation.job_queue = queue;
-    auto follower = std::make_unique<Blockchain>(fc, contracts, shared);
-    (void)follower->append(blocks[0]);
-    return follower;
+    return std::make_unique<Blockchain>(fc, contracts, genesis);
   };
   std::unique_ptr<Blockchain> follower = fresh_follower();
-  std::size_t next = 1;
+  std::size_t next = 0;
   for (auto _ : state) {
     if (next == kBlocks) {
       state.PauseTiming();
       follower = fresh_follower();
-      next = 1;
+      next = 0;
       state.ResumeTiming();
     }
     if (!follower->append(blocks[next++]).ok()) {
@@ -309,9 +306,9 @@ BENCHMARK(BM_FollowerAppend)
 // Genesis to first block at `range(0)` accounts, as a node joining a world
 // builds it: credit every account into a fresh state, hand the state to a
 // chain by value and append one sealed block. The chain adopts the state it
-// is given, so the state is built (and its accounts tree bulk-built from the
-// credits' pending leaves) once and never copied; the chain's teardown is
-// inside the timing.
+// is given, so the state is built (and its accounts tree loaded from the
+// credits' pending leaves by one MerkleMap::update) once and never copied;
+// the chain's teardown is inside the timing.
 void BM_GenesisBuild(benchmark::State& state) {
   const auto accounts = static_cast<std::size_t>(state.range(0));
   Rng rng(4242);
@@ -508,10 +505,10 @@ struct CatchUpFixture {
   ChainConfig config;
   std::shared_ptr<ContractRegistry> contracts =
       std::make_shared<ContractRegistry>();
-  /// Shared across replicas (lazy-materialization constructor): replica
-  /// construction stops costing an O(state) genesis clone, which would
-  /// otherwise dwarf the catch-up path under measurement at 100k accounts.
-  std::shared_ptr<const LedgerState> genesis;
+  /// Every replica starts from a copy of it, taken outside the timing: an
+  /// O(state) genesis clone would otherwise dwarf the catch-up path under
+  /// measurement at 100k accounts.
+  LedgerState genesis;
   std::unique_ptr<Blockchain> source;
   /// Serving side of the suffix bench: a real server exports once and then
   /// answers every replica from the pinned entry, so iterations measure the
@@ -544,7 +541,8 @@ CatchUpFixture& catchup_fixture(std::size_t accounts, std::size_t history) {
     senders.emplace_back(rng);
     genesis.credit(senders.back().address(), 100'000'000);
   }
-  f->genesis = std::make_shared<const LedgerState>(std::move(genesis));
+  (void)genesis.commitment();  // settled once: every replica copies a built tree
+  f->genesis = std::move(genesis);
   f->source = std::make_unique<Blockchain>(f->config, f->contracts, f->genesis);
   std::vector<std::uint64_t> nonces(kSenders, 0);
   for (std::size_t h = 0; h < history; ++h) {
@@ -572,8 +570,10 @@ void BM_CatchUpFullReplay(benchmark::State& state) {
   const auto history = static_cast<std::size_t>(state.range(1));
   CatchUpFixture& f = catchup_fixture(accounts, history);
   for (auto _ : state) {
+    state.PauseTiming();
     Blockchain replica(f.config, f.contracts, f.genesis);
-    const auto n = replica.import_blocks(f.source->export_blocks());
+    state.ResumeTiming();
+    const auto n = replica.import_blocks(f.source->export_blocks_from(0));
     if (!n.ok() || replica.tip_hash() != f.source->tip_hash()) {
       state.SkipWithError("full replay did not converge");
       return;
@@ -605,7 +605,9 @@ void BM_CatchUpSnapshotSuffix(benchmark::State& state) {
       state.SkipWithError("snapshot export failed");
       return;
     }
+    state.PauseTiming();
     Blockchain replica(f.config, f.contracts, f.genesis);
+    state.ResumeTiming();
     if (!replica
              .init_from_snapshot(snap->manifest, snap->chunks,
                                  f.source->block_at(snap_height)->header)
@@ -644,7 +646,7 @@ struct SwarmBenchFixture {
   ChainConfig config;
   std::shared_ptr<ContractRegistry> contracts =
       std::make_shared<ContractRegistry>();
-  std::shared_ptr<const LedgerState> genesis;
+  LedgerState genesis;
   std::unique_ptr<Blockchain> source;
   std::vector<std::unique_ptr<SnapshotExportCache>> caches;
 
@@ -658,7 +660,7 @@ struct SwarmBenchFixture {
     }
     crypto::Wallet sender(rng);
     g.credit(sender.address(), 100'000'000);
-    genesis = std::make_shared<const LedgerState>(std::move(g));
+    genesis = std::move(g);
     source = std::make_unique<Blockchain>(config, contracts, genesis);
     std::uint64_t nonce = 0;
     for (std::size_t h = 0; h < kHistory; ++h) {

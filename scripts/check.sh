@@ -129,9 +129,9 @@ echo "== gate: follower rollback (forged state roots leave no trace) =="
 # committed state; a forged root is rolled back through the undo. These
 # cases pin that state, commitment, tip, retention ring, commit hook and
 # account proofs are exactly as before a rejected block (DESIGN.md §7).
-# GenesisAdoption pins that a by-value chain commits every block (and
-# rolls back a forged one) in the genesis object it adopted, and that a
-# shared genesis is never written.
+# GenesisAdoption pins that a chain commits every block (and rolls back a
+# forged one) in the genesis object it adopted, and that chains started
+# from copies of one genesis commit alike and never write the original.
 gate "follower rollback tests" 'FollowerRollback|GenesisAdoption'
 
 echo "== gate: sharded ledger (beacon anchors, cross-shard receipts, multi-world) =="

@@ -188,41 +188,6 @@ MerkleMap::Committed MerkleMap::merge(Ref node, int depth,
   return {inner_hash(children), total};
 }
 
-void MerkleMap::build_children(
-    Ref dst, int depth, std::span<const std::pair<std::uint64_t, Digest>> leaves,
-    std::span<const Digest> leaf_hashes) {
-  assert(depth < 16);
-  const auto runs = nibble_runs(leaves, depth,
-                                [](const auto& kv) { return kv.first; });
-  // Siblings first, side by side in their arenas; then each inner sibling's
-  // own children.
-  for (unsigned nib = 0; nib < 16; ++nib) {
-    const std::size_t len = runs[nib + 1] - runs[nib];
-    if (len == 0) continue;
-    const std::size_t at = runs[nib];
-    inners_[dst].kids[nib] =
-        len == 1 ? new_leaf(leaves[at].first, leaves[at].second, leaf_hashes[at])
-                 : new_inner(static_cast<std::uint32_t>(len));
-  }
-  for (unsigned nib = 0; nib < 16; ++nib) {
-    const Ref kid = inners_[dst].kids[nib];
-    if (kid == kNone || is_leaf(kid)) continue;
-    const std::size_t at = runs[nib];
-    const std::size_t len = runs[nib + 1] - at;
-    build_children(kid, depth + 1, leaves.subspan(at, len),
-                   leaf_hashes.subspan(at, len));
-  }
-  // Hash on the way back up while the children are cache-hot; every child
-  // is final now, so the arenas no longer move under these pointers.
-  std::array<const Digest*, 16> children{};
-  for (unsigned nib = 0; nib < 16; ++nib) {
-    const Ref kid = inners_[dst].kids[nib];
-    if (kid != kNone) children[nib] = &hash_of(kid);
-  }
-  inners_[dst].hash = inner_hash(children);
-  inners_[dst].dirty = false;
-}
-
 MerkleMap::Ref MerkleMap::split(Ref a, Ref b, int depth) {
   const std::uint64_t ka = leaf(a).key;
   const std::uint64_t kb = leaf(b).key;
@@ -241,48 +206,6 @@ MerkleMap::Ref MerkleMap::split(Ref a, Ref b, int depth) {
     inners_[n].kids[na] = next;
     n = next;
   }
-}
-
-void MerkleMap::copy_children(const MerkleMap& from, Ref src, Ref dst) {
-  const Inner& s = from.inners_[src];
-  for (unsigned nib = 0; nib < 16; ++nib) {
-    const Ref kid = s.kids[nib];
-    if (kid == kNone) continue;
-    Ref copy = kNone;
-    if (is_leaf(kid)) {
-      copy = leaf_ref(static_cast<std::uint32_t>(leaves_.size()));
-      leaves_.push_back(from.leaf(kid));
-    } else {
-      copy = static_cast<Ref>(inners_.size());
-      inners_.push_back(from.inners_[kid]);
-    }
-    inners_[dst].kids[nib] = copy;
-  }
-  for (unsigned nib = 0; nib < 16; ++nib) {
-    const Ref kid = s.kids[nib];
-    if (kid != kNone && !is_leaf(kid)) {
-      copy_children(from, kid, inners_[dst].kids[nib]);
-    }
-  }
-}
-
-MerkleMap::MerkleMap(const MerkleMap& other) : size_(other.size_) {
-  if (other.root_ == kNone) return;
-  leaves_.reserve(other.leaves_.size() - other.free_leaves_.size());
-  inners_.reserve(other.inners_.size() - other.free_inners_.size());
-  if (is_leaf(other.root_)) {
-    root_ = leaf_ref(0);
-    leaves_.push_back(other.leaf(other.root_));
-    return;
-  }
-  root_ = 0;
-  inners_.push_back(other.inners_[other.root_]);
-  copy_children(other, other.root_, root_);
-}
-
-MerkleMap& MerkleMap::operator=(const MerkleMap& other) {
-  if (this != &other) *this = MerkleMap(other);
-  return *this;
 }
 
 Digest MerkleMap::leaf_hash(std::uint64_t key, const Digest& value) {
@@ -334,30 +257,6 @@ void MerkleMap::put_hashed(std::uint64_t key, const Digest& value,
   if (added) ++size_;
 }
 
-MerkleMap MerkleMap::from_sorted_leaves(
-    std::span<const std::pair<std::uint64_t, Digest>> leaves) {
-#ifndef NDEBUG
-  for (std::size_t i = 1; i < leaves.size(); ++i) {
-    assert(leaves[i - 1].first < leaves[i].first);
-  }
-#endif
-  MerkleMap m;
-  if (leaves.empty()) return m;
-  const std::vector<Digest> leaf_hashes =
-      batch_leaf_hashes(leaves.size(), [&](std::size_t i) {
-        return std::tie(leaves[i].first, leaves[i].second);
-      });
-  m.size_ = leaves.size();
-  m.leaves_.reserve(leaves.size());
-  if (leaves.size() == 1) {
-    m.root_ = m.new_leaf(leaves[0].first, leaves[0].second, leaf_hashes[0]);
-    return m;
-  }
-  m.root_ = m.new_inner(static_cast<std::uint32_t>(leaves.size()));
-  m.build_children(m.root_, 0, leaves, leaf_hashes);
-  return m;
-}
-
 void MerkleMap::update(std::span<const Entry> entries) {
   std::vector<std::size_t> puts;
   puts.reserve(entries.size());
@@ -369,6 +268,7 @@ void MerkleMap::update(std::span<const Entry> entries) {
         const auto& [key, value] = entries[puts[j]];
         return std::tie(key, *value);
       });
+  if (root_ == kNone) leaves_.reserve(puts.size());  // a bulk load
   std::size_t j = 0;
   for (const auto& [key, value] : entries) {
     if (value.has_value()) {

@@ -95,33 +95,16 @@ class MerkleMap {
     std::size_t count = 0;
   };
 
-  MerkleMap() = default;
-  /// Copies are laid out afresh, depth first with every node's children
-  /// adjacent, so a copy of a churned map is as compact as a bulk-built one.
-  /// Cached (and dirty) inner hashes are copied as they are.
-  MerkleMap(const MerkleMap& other);
-  MerkleMap& operator=(const MerkleMap& other);
-  MerkleMap(MerkleMap&&) noexcept = default;
-  MerkleMap& operator=(MerkleMap&&) noexcept = default;
-
   /// Insert or update. O(log n) index work; hashing is deferred to root().
   void put(std::uint64_t key, const Digest& value);
 
-  /// Bulk construction from strictly ascending (key, value-digest) pairs:
-  /// the tree is built by structural recursion over the sorted span — one
-  /// arena slot per node, no descents, no splits — so loading n keys costs
-  /// O(n) instead of n incremental puts. Leaf hashes run batched and inner
-  /// hashes are computed eagerly, so root() afterwards is a cache read. The
-  /// root is identical to n puts of the same pairs (the commitment is
-  /// defined on the key set alone). Ascending order is the caller's
-  /// contract; it is assert-checked in debug builds.
-  [[nodiscard]] static MerkleMap from_sorted_leaves(
-      std::span<const std::pair<std::uint64_t, Digest>> leaves);
   /// Batched point updates: put (engaged value) or erase (nullopt) each
   /// key, in order — the same result as the equivalent put()/erase() calls,
   /// but the leaf hashes of all puts run in one sha256_short_batch pass.
-  /// Committing a block into the ledger state refreshes its touched account
-  /// leaves through this.
+  /// This is the one way the ledger state grows its accounts tree: a block
+  /// commit refreshes its touched account leaves through it, and a credited
+  /// genesis or an installed snapshot loads every leaf through it into an
+  /// empty map (which reserves the leaf arena for the puts first).
   void update(std::span<const Entry> entries);
   /// Remove a key (no-op when absent).
   void erase(std::uint64_t key);
@@ -210,14 +193,6 @@ class MerkleMap {
   /// Inner chain from `depth` down to where the keys of the leaves `a` and
   /// `b` diverge; returns its top.
   Ref split(Ref a, Ref b, int depth);
-  /// Lay out copies of the children of `from`'s inner `src` next to each
-  /// other, link them under this map's inner `dst`, then descend.
-  void copy_children(const MerkleMap& from, Ref src, Ref dst);
-  /// Build the children of inner `dst` at `depth` from a sorted leaf span
-  /// (adjacent, then descend) and hash `dst` eagerly.
-  void build_children(Ref dst, int depth,
-                      std::span<const std::pair<std::uint64_t, Digest>> leaves,
-                      std::span<const Digest> leaf_hashes);
   struct DeltaEntry;
   [[nodiscard]] Committed merge(Ref node, int depth,
                                 std::span<const DeltaEntry> entries) const;

@@ -65,8 +65,8 @@ struct ShortInput {
 /// compressed in interleaved lanes to hide the per-block latency chain of
 /// sha256rnds2 (the serial one-shot path is latency-bound, not
 /// throughput-bound); elsewhere this degrades to a loop over sha256().
-/// Bulk leaf hashing (snapshot install, MerkleMap::from_sorted_leaves) is
-/// the intended caller. `out` must hold msgs.size() digests.
+/// Bulk leaf hashing (account leaf digests, MerkleMap::update) is the
+/// intended caller. `out` must hold msgs.size() digests.
 void sha256_short_batch(std::span<const ShortInput> msgs, Digest* out);
 
 /// sha256_short_batch over `n` preimages of one fixed width: `pack(i, p)`

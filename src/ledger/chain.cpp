@@ -15,37 +15,16 @@ Blockchain::Blockchain(ChainConfig config,
                        LedgerState genesis)
     : config_(std::move(config)),
       contracts_(std::move(contracts)),
-      state_(std::move(genesis)) {
-  anchor_genesis();
-}
-
-Blockchain::Blockchain(ChainConfig config,
-                       std::shared_ptr<const ContractRegistry> contracts,
-                       std::shared_ptr<const LedgerState> genesis)
-    : config_(std::move(config)),
-      contracts_(std::move(contracts)),
-      genesis_(std::move(genesis)) {
-  if (genesis_ == nullptr) {
-    throw std::invalid_argument("Blockchain: null genesis state");
-  }
-  anchor_genesis();
-}
-
-void Blockchain::anchor_genesis() {
+      state_(std::make_unique<LedgerState>(std::move(genesis))) {
   if (config_.validators.empty()) {
     throw std::invalid_argument("Blockchain: empty validator set");
   }
-  tip_commitment_ = state().commitment();
+  tip_commitment_ = state_->commitment();
   ByteWriter w;
   w.str("genesis");
   w.raw(tip_commitment_.root);
   genesis_hash_ = crypto::sha256(w.data());
   base_hash_ = genesis_hash_;
-}
-
-LedgerState& Blockchain::mutable_state() {
-  if (!state_.has_value()) state_ = *genesis_;
-  return *state_;
 }
 
 crypto::Digest Blockchain::tip_hash() const {
@@ -146,16 +125,11 @@ Status Blockchain::append(const Block& block) {
   // itself, so the header checks (tx_root included) run on both paths.
   const std::vector<crypto::Digest> digests = Block::tx_digests(block.txs);
   if (auto s = check_header(block, digests); !s.ok()) return s;
-  // First committed block on a shared genesis: materialize the working
-  // copy (a no-op on an adopted genesis and after the first block).
-  LedgerState& state = mutable_state();
+  LedgerState& state = *state_;
   auto scratch = LedgerStateOverlay::writer(state);
   const bool sealed = seal.has_value() && seal->hash == block.header.hash();
   if (sealed) {
-    // The delta was computed over state() when it was sealed; that may have
-    // been the shared genesis, which mutable_state() has since copied.
-    scratch = std::move(seal->post);
-    scratch.rebase_writer(state);
+    scratch = std::move(seal->post);  // a reader over this state
   } else if (auto s = execute(block, scratch, digests); !s.ok()) {
     return s;
   }
@@ -193,17 +167,13 @@ const StateCommitment* Blockchain::commitment_at(std::int64_t height) const {
   return &retained_[retained_.size() - static_cast<std::size_t>(back)].restored;
 }
 
-void Blockchain::roll_back(LedgerState& state, std::int64_t height) const {
+Result<LedgerState> Blockchain::state_at(std::int64_t height) const {
+  LedgerState state = this->state();
   // back() reverts the tip block; one slot per block in (height, tip].
   const auto blocks = static_cast<std::size_t>(this->height() - 1 - height);
   for (std::size_t i = 1; i <= blocks; ++i) {
     state.apply_undo(retained_[retained_.size() - i].undo);
   }
-}
-
-Result<LedgerState> Blockchain::state_at(std::int64_t height) const {
-  LedgerState state = this->state();
-  roll_back(state, height);
   // Sanity anchor: the ring's commitment for `height` must be reproduced
   // exactly.
   if (const StateCommitment* expected = commitment_at(height);
@@ -288,18 +258,13 @@ Result<Snapshot> Blockchain::export_snapshot(std::int64_t height,
                       "height " + std::to_string(height) +
                           " is beyond the retention window");
   }
-  if (height == this->height() - 1) {
-    return build_snapshot(state(), height, *commitment, chunk_size);
-  }
-  // Historical export: roll the undo ring back over a content-only copy (no
-  // O(state) Merkle-tree clone) and take the manifest commitment from the
-  // ring. The receiver's trust chain (header.state_root == manifest root →
-  // per-chunk digests → decoded-state commitment re-check) verifies the
-  // result end to end, so a corrupt ring cannot produce an
-  // installable-but-wrong snapshot — it produces one every receiver rejects.
-  LedgerState content = state().content_clone();
-  roll_back(content, height);
-  return build_snapshot(content, height, *commitment, chunk_size);
+  if (height == this->height() - 1) return build_snapshot(state(), height, chunk_size);
+  // Historical export: the same verified roll-back as a historical
+  // prove_account, so a corrupt ring fails the export here instead of
+  // producing a snapshot every receiver rejects.
+  auto state = state_at(height);
+  if (!state.ok()) return state.error();
+  return build_snapshot(state.value(), height, chunk_size);
 }
 
 Status Blockchain::init_from_snapshot(const SnapshotManifest& manifest,
@@ -333,15 +298,13 @@ Status Blockchain::init_from_snapshot(const SnapshotManifest& manifest,
   if (!state.ok()) {
     return Status::fail(state.error().code, state.error().message);
   }
-  state_ = std::move(state).value();
+  *state_ = std::move(state).value();
   base_height_ = anchor.height + 1;
   base_hash_ = anchor.hash();
   retained_.clear();
   tip_commitment_ = manifest.commitment;
   return {};
 }
-
-Bytes Blockchain::export_blocks() const { return export_blocks_from(base_height_); }
 
 Bytes Blockchain::export_blocks_from(std::int64_t from_height) const {
   const std::int64_t start = std::clamp(from_height, base_height_, height());

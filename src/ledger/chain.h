@@ -51,25 +51,12 @@ class Blockchain {
   /// Adopts `genesis` as the chain's working state: the chain owns it from
   /// here on and every block commits into that one object, so the state is
   /// held once and no block ever copies it. Pass an rvalue to hand over a
-  /// state built for this chain; an lvalue is copied in first.
+  /// state built for this chain; an lvalue is copied in first, so several
+  /// chains can start from copies of one genesis.
   Blockchain(ChainConfig config, std::shared_ptr<const ContractRegistry> contracts,
              LedgerState genesis);
-  /// Shares the genesis state instead of owning it: for callers that start
-  /// several chains from one genesis. The mutable working copy is
-  /// materialized lazily when the first block commits, so a replica that
-  /// bootstraps via init_from_snapshot() never pays the O(state) genesis
-  /// clone (or its teardown) at all — the chain goes straight from empty to
-  /// the decoded snapshot state. The caller must not mutate the shared
-  /// state. Its first commitment() writes cached hashes and settles the
-  /// account leaves its credits left pending (ledger/state.h), so callers
-  /// sharing one genesis across threads must call genesis->commitment()
-  /// once up front.
-  Blockchain(ChainConfig config, std::shared_ptr<const ContractRegistry> contracts,
-             std::shared_ptr<const LedgerState> genesis);
 
-  [[nodiscard]] const LedgerState& state() const {
-    return state_.has_value() ? *state_ : *genesis_;
-  }
+  [[nodiscard]] const LedgerState& state() const { return *state_; }
   [[nodiscard]] const ChainConfig& config() const { return config_; }
   [[nodiscard]] const ContractRegistry& contracts() const { return *contracts_; }
 
@@ -157,7 +144,9 @@ class Blockchain {
 
   /// Build a verified snapshot of the state as of block `height` (the tip or
   /// any height the retention ring covers; "chain.stale_height" beyond).
-  /// O(state) — historical heights additionally roll back through the ring.
+  /// O(state). A historical height is rebuilt as a historical
+  /// prove_account rebuilds it, and fails with "chain.retention_corrupt"
+  /// when the rolled-back state misses the ring's commitment.
   [[nodiscard]] Result<Snapshot> export_snapshot(
       std::int64_t height, std::size_t chunk_size = kSnapshotChunkSize) const;
 
@@ -182,11 +171,10 @@ class Blockchain {
   /// several threads at once (replicas are single-threaded by design).
   [[nodiscard]] const ValidationStats& validation_stats() const { return vstats_; }
 
-  /// Serialize every committed block (bootstrap/archive format).
-  [[nodiscard]] Bytes export_blocks() const;
-  /// Serialize the suffix starting at `from_height` (snapshot catch-up
-  /// serves this instead of the full archive). Heights below base_height()
-  /// are not held; the stream starts at max(from_height, base_height()).
+  /// Serialize the blocks from `from_height` on (bootstrap/archive format;
+  /// 0 for every held block, snapshot catch-up serves a suffix). Heights
+  /// below base_height() are not held; the stream starts at
+  /// max(from_height, base_height()).
   [[nodiscard]] Bytes export_blocks_from(std::int64_t from_height) const;
   /// Replay an exported stream from this chain's current height, fully
   /// re-validating each block. Stops at the first invalid block (the valid
@@ -218,32 +206,19 @@ class Blockchain {
     StateUndo undo;
     StateCommitment restored;
   };
-  /// Revert `state` (a copy of the tip state) to block `height`'s post-state
-  /// through the ring's undos of blocks (height, tip]; `height` must have a
-  /// commitment_at.
-  void roll_back(LedgerState& state, std::int64_t height) const;
-  /// Reconstruct the post-state of block `height` by rolling the tip state
-  /// back through the ring (O(state) copy + O(touched) per rolled-back
-  /// block) and checking it against commitment_at(height). `height` must
-  /// have a commitment_at and lie strictly below the tip.
+  /// Reconstruct the post-state of block `height` by rolling a copy of the
+  /// tip state back through the ring's undos of blocks (height, tip]
+  /// (O(state) copy + O(touched) per rolled-back block) and checking it
+  /// against commitment_at(height) ("chain.retention_corrupt" otherwise).
+  /// `height` must have a commitment_at and lie strictly below the tip.
   [[nodiscard]] Result<LedgerState> state_at(std::int64_t height) const;
-
-  /// Both constructors' tail: the validator check and the genesis
-  /// commitment and hash.
-  void anchor_genesis();
-
-  /// The working state. On a shared genesis with no committed block and no
-  /// installed snapshot, state() reads through to *genesis_ and this
-  /// materializes the copy.
-  [[nodiscard]] LedgerState& mutable_state();
 
   ChainConfig config_;
   std::shared_ptr<const ContractRegistry> contracts_;
-  /// The shared genesis (null when the chain adopted its genesis).
-  std::shared_ptr<const LedgerState> genesis_;
-  /// The working state: the adopted genesis from construction, else empty
-  /// until mutable_state() copies *genesis_ or a snapshot installs.
-  std::optional<LedgerState> state_;
+  /// The working state: the adopted genesis, or an installed snapshot. It
+  /// lives on the heap so that it keeps its address when the chain moves: a
+  /// held seal's overlay reads through to it.
+  std::unique_ptr<LedgerState> state_;
   crypto::Digest genesis_hash_;
   std::vector<Block> blocks_;
   std::int64_t base_height_ = 0;  ///< height of blocks_[0] (snapshot offset)

@@ -193,9 +193,9 @@ Result<LedgerState> decode_snapshot_payload(std::span<const std::uint8_t> bytes)
     return make_error("snapshot.bad_count", "account count exceeds payload");
   }
   std::uint64_t prev_addr = 0;
-  // Entries are validated into a sorted seed list and bulk-loaded in one
-  // pass (LedgerState::load_accounts) — per-entry set_balance/set_nonce
-  // round trips through the Merkle tree made install O(state)-rehash-bound.
+  // Entries are validated into a sorted seed list and loaded in one pass
+  // (LedgerState::load_accounts): the table is sized once and the leaves go
+  // into the accounts tree as one MerkleMap::update batch.
   std::vector<Account> seeds;
   seeds.reserve(std::min<std::uint64_t>(account_count.value(), 1u << 20));
   for (std::uint64_t i = 0; i < account_count.value(); ++i) {
@@ -298,16 +298,10 @@ Result<LedgerState> decode_snapshot_payload(std::span<const std::uint8_t> bytes)
 
 Snapshot build_snapshot(const LedgerState& state, std::int64_t height,
                         std::size_t chunk_size) {
-  return build_snapshot(state, height, state.commitment(), chunk_size);
-}
-
-Snapshot build_snapshot(const LedgerState& state, std::int64_t height,
-                        const StateCommitment& commitment,
-                        std::size_t chunk_size) {
   Snapshot snap;
   const Bytes payload = encode_snapshot_payload(state);
   snap.manifest.height = height;
-  snap.manifest.commitment = commitment;
+  snap.manifest.commitment = state.commitment();
   snap.manifest.chunk_size = static_cast<std::uint32_t>(chunk_size);
   snap.manifest.total_bytes = payload.size();
   const auto count = static_cast<std::uint32_t>(

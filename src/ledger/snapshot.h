@@ -86,17 +86,6 @@ struct Snapshot {
                                       std::int64_t height,
                                       std::size_t chunk_size = kSnapshotChunkSize);
 
-/// build_snapshot with a precomputed commitment — the export fast path: the
-/// chain's retention ring already holds the post-state commitment of every
-/// retained height, so a historical export can roll back a content-only copy
-/// (LedgerState::content_clone) and skip the O(state) Merkle-tree clone that
-/// state.commitment() would require. `commitment` must be the commitment of
-/// `state`; the receiver's trust chain rejects the snapshot otherwise.
-[[nodiscard]] Snapshot build_snapshot(const LedgerState& state,
-                                      std::int64_t height,
-                                      const StateCommitment& commitment,
-                                      std::size_t chunk_size);
-
 /// Verify `chunks` against the manifest (count, exact sizes, per-chunk
 /// digests), reassemble and decode the payload, and check that the decoded
 /// state's commitment reproduces manifest.commitment byte-identically.

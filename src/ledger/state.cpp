@@ -107,19 +107,6 @@ void sort_addresses(std::vector<crypto::Address>& addrs) {
   }
 }
 
-/// The accounts tree of `n` live accounts in strictly ascending address
-/// order, `at(i)` yielding account i, built in one pass: the leaf digests
-/// are batched straight into the sorted leaves for
-/// MerkleMap::from_sorted_leaves.
-template <typename At>
-crypto::MerkleMap account_tree_of(std::size_t n, At at) {
-  std::vector<std::pair<std::uint64_t, crypto::Digest>> leaves(n);
-  crypto::sha256_fixed_batch<kAccountLeafWidth>(
-      n, [&](std::size_t i, std::uint8_t* p) { pack_account_leaf(at(i), p); },
-      [&](std::size_t i, const crypto::Digest& d) { leaves[i] = {at(i).addr.value, d}; });
-  return crypto::MerkleMap::from_sorted_leaves(leaves);
-}
-
 /// Hard failure in every build type unless `overlay` is directly over the
 /// state reading it: anything else would commit or hash the wrong delta.
 void require_direct_overlay(bool direct, const char* what,
@@ -294,26 +281,22 @@ void LedgerState::settle_account_leaves() const {
   std::vector<crypto::Address> addrs = std::exchange(pending_leaves_, {});
   sort_addresses(addrs);
   addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
-  if (account_tree_.size() == 0) {
-    // Every live account is pending: build the tree in one pass. The
-    // gather holds pointers into the table, which nothing writes until the
-    // build is done, rather than copies of the accounts.
-    std::vector<const Account*> live;
-    live.reserve(addrs.size());
-    for (const crypto::Address addr : addrs) {
-      if (const Account* account = accounts_.find(addr)) live.push_back(account);
-    }
-    account_tree_ = account_tree_of(
-        live.size(), [&](std::size_t i) -> const Account& { return *live[i]; });
-    return;
-  }
-  std::vector<Account> accounts;
-  accounts.reserve(addrs.size());
-  for (const crypto::Address addr : addrs) {
-    const Account* account = accounts_.find(addr);
-    accounts.push_back(account != nullptr ? *account : Account{addr});
-  }
-  account_tree_.update(account_leaves(accounts));
+  // The leaf digests are batched straight from table lookups, with no copy
+  // of the accounts: packing a preimage engages its entry's value, and an
+  // address the table no longer holds keeps nullopt and is erased.
+  std::vector<crypto::MerkleMap::Entry> leaves(addrs.size());
+  crypto::sha256_fixed_batch<kAccountLeafWidth>(
+      addrs.size(),
+      [&](std::size_t i, std::uint8_t* p) {
+        leaves[i].first = addrs[i].value;
+        const Account* account = accounts_.find(addrs[i]);
+        if (account != nullptr) leaves[i].second.emplace();
+        pack_account_leaf(account != nullptr ? *account : Account{addrs[i]}, p);
+      },
+      [&](std::size_t i, const crypto::Digest& d) {
+        if (leaves[i].second.has_value()) *leaves[i].second = d;
+      });
+  account_tree_.update(leaves);
 }
 
 void LedgerState::load_accounts(const std::vector<Account>& sorted) {
@@ -321,12 +304,12 @@ void LedgerState::load_accounts(const std::vector<Account>& sorted) {
   accounts_.reserve(sorted.size());
   for (const Account& account : sorted) accounts_.put(account);
   pending_leaves_.clear();
-  account_tree_ = account_tree_of(
-      sorted.size(), [&](std::size_t i) -> const Account& { return sorted[i]; });
+  account_tree_ = crypto::MerkleMap();
+  account_tree_.update(account_leaves(sorted));
 }
 
 StateUndo LedgerState::absorb(LedgerStateOverlay& overlay) {
-  require_direct_overlay(overlay.writable_ == this, "LedgerState::absorb()", overlay);
+  require_direct_overlay(overlay.base_ == this, "LedgerState::absorb()", overlay);
   settle_account_leaves();
   StateUndo undo;
   // Accounts: one ordered walk over every touched address; one table probe
@@ -429,17 +412,6 @@ void LedgerState::store_erase(const std::string& contract,
 void LedgerState::materialize_store(const std::string& contract) {
   contracts_[contract];
   store_digests_[contract];
-}
-
-LedgerState LedgerState::content_clone() const {
-  LedgerState copy;
-  copy.accounts_ = accounts_;
-  copy.audit_log_ = audit_log_;
-  copy.contracts_ = contracts_;
-  copy.burned_fees_ = burned_fees_;
-  copy.audit_digest_ = audit_digest_;
-  copy.store_digests_ = store_digests_;
-  return copy;
 }
 
 void LedgerState::apply_undo(const StateUndo& undo) {

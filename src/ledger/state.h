@@ -25,9 +25,9 @@
 // credit) outside a block only records the address; the first reader of
 // the accounts tree (commitment, commitment_with, absorb, apply_undo,
 // prove_account, flush_account_tree) settles every recorded address in one
-// sorted batch — a bulk build (MerkleMap::from_sorted_leaves) when the tree
-// is empty, as for a genesis built by credits, and MerkleMap::update
-// otherwise. Roots do not depend on when the leaves were hashed.
+// sorted batch. Every one of these, and load_accounts, grows the tree
+// through MerkleMap::update, whether it is empty (a genesis built by
+// credits) or not. Roots do not depend on when the leaves were hashed.
 #pragma once
 
 #include <concepts>
@@ -219,22 +219,24 @@ class LedgerState final : public LedgerView {
   void set_balance(crypto::Address a, std::uint64_t value) override;
   void set_nonce(crypto::Address a, std::uint64_t value) override;
 
-  /// Snapshot-install fast path: replace the whole account section from
-  /// entries in strictly ascending address order. The table is filled once
-  /// at its final size and the accounts Merkle tree is bulk-built from the
-  /// sorted leaves (MerkleMap::from_sorted_leaves, the same build that
-  /// settles a credited genesis). Every entry must be live() (a balance
-  /// entry or nonzero nonce); order and liveness are the caller's contract
-  /// (the strict snapshot decoder enforces both before calling).
+  /// Snapshot install: replace the whole account section from entries in
+  /// strictly ascending address order. The table is filled once at its
+  /// final size and the sorted leaves go into an empty accounts tree
+  /// through one MerkleMap::update, the call a block commit makes. Every
+  /// entry must be live() (a balance entry or nonzero nonce); order and
+  /// liveness are the caller's contract (the strict snapshot decoder
+  /// enforces both before calling).
   void load_accounts(const std::vector<Account>& sorted);
 
-  /// Commit a writer overlay over this state in one pass and return the
-  /// inverse of what it wrote. Balances and nonces are walked in one ordered
+  /// Commit an overlay over this state in one pass and return the inverse
+  /// of what it wrote. Balances and nonces are walked in one ordered
   /// merge: each touched account costs one table probe, which records its
   /// prior content and writes the new one, and its leaf is refreshed exactly
   /// once (digests and Merkle leaf hashes batched). Store
   /// entries, audit records and burned fees follow. The overlay is left
-  /// empty; its base must be this state (a hard failure otherwise).
+  /// empty. Its base must be this state, as for commitment_with(): a reader
+  /// overlay (a sealed proposal) commits as it was built, and any other
+  /// overlay is a hard failure.
   /// apply_undo(result) restores the pre-commit state exactly.
   [[nodiscard]] StateUndo absorb(LedgerStateOverlay& overlay);
 
@@ -298,16 +300,6 @@ class LedgerState final : public LedgerView {
   /// undos must be applied newest-first; anything else corrupts the state.
   void apply_undo(const StateUndo& undo);
 
-  /// Snapshot-export fast path: a copy carrying the raw content sections
-  /// (accounts, audit log, stores, burned fees, cached section
-  /// digests) but an EMPTY accounts Merkle tree — cloning the tree is the
-  /// dominant cost of a full copy, and the exporter takes the manifest
-  /// commitment from the chain's retention ring instead. apply_undo works on
-  /// the clone (leaf refreshes land in a small scratch tree), but any
-  /// commitment-bearing API touching the accounts tree returns garbage by
-  /// construction: the clone must stay local to the export path.
-  [[nodiscard]] LedgerState content_clone() const;
-
   /// Re-hash the accounts tree's dirty paths as parallel tasks on `queue`
   /// (crypto::MerkleMap::flush), so that the next commitment() folds only
   /// its top two levels. The commitment is the same with or without it.
@@ -326,8 +318,8 @@ class LedgerState final : public LedgerView {
 
  private:
   /// Bring the accounts tree up to date with the addresses set_balance and
-  /// set_nonce recorded: one sorted batch of leaves, bulk-built into an
-  /// empty tree. Every reader of account_tree_ calls this first. Like the
+  /// set_nonce recorded: one sorted batch of leaves through
+  /// MerkleMap::update. Every reader of account_tree_ calls this first. Like the
   /// tree's own hash caches it writes from const readers, so a state read
   /// from several threads must be committed once before it is shared.
   void settle_account_leaves() const;
@@ -376,7 +368,8 @@ class LedgerStateOverlay final : public LedgerView {
  public:
   /// Read-only base: trial application without the right to commit
   /// (block validation on a const chain). commit() is a hard failure
-  /// (logged abort) in every build type — it would discard the delta.
+  /// (logged abort) in every build type — it would discard the delta. The
+  /// state it reads may still absorb it (a sealed proposal).
   [[nodiscard]] static LedgerStateOverlay reader(const LedgerView& base) {
     return LedgerStateOverlay(&base, nullptr);
   }
@@ -405,11 +398,6 @@ class LedgerStateOverlay final : public LedgerView {
   void store_put(const std::string& contract, const std::string& key,
                  Bytes value) override;
   void store_erase(const std::string& contract, const std::string& key) override;
-
-  /// Re-point this overlay at `base` as a writer. `base` must hold exactly
-  /// the state the delta was computed over (a sealed proposal moving from
-  /// the shared genesis to the chain's materialized copy of it). O(1).
-  void rebase_writer(LedgerView& base) { base_ = writable_ = &base; }
 
   /// Fold the delta into the (writable) base. O(touched entries). A block's
   /// overlay over the materialized state commits through

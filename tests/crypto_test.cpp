@@ -398,8 +398,9 @@ TEST(MerkleMap, ArenaChurnMatchesReferenceOracle) {
   // Erase-heavy churn: each round erases most keys (emptying whole subtrees
   // and collapsing inner nodes, which frees arena slots) and inserts fresh
   // ones that reuse those slots. Root, size, lookups and proofs must match
-  // the structural oracle every round, and so must a copy and a bulk build
-  // of the same set. The map is emptied completely once and rebuilt.
+  // the structural oracle every round, and so must a copy and a bulk load
+  // (one update() into an empty map) of the same set. The map is emptied
+  // completely once and rebuilt.
   Rng rng(5150);
   MerkleMap m;
   std::map<std::uint64_t, Digest> model;
@@ -452,9 +453,10 @@ TEST(MerkleMap, ArenaChurnMatchesReferenceOracle) {
     ASSERT_EQ(m.root(), root) << where;
     const MerkleMap copy = m;
     ASSERT_EQ(copy.root(), root) << where;
-    const std::vector<std::pair<std::uint64_t, Digest>> leaves(model.begin(),
-                                                               model.end());
-    ASSERT_EQ(MerkleMap::from_sorted_leaves(leaves).root(), root) << where;
+    const std::vector<MerkleMap::Entry> leaves(model.begin(), model.end());
+    MerkleMap loaded;
+    loaded.update(leaves);
+    ASSERT_EQ(loaded.root(), root) << where;
     for (int i = 0; i < 40; ++i) {
       const auto it = std::next(
           model.begin(), static_cast<std::ptrdiff_t>(rng.next_below(model.size())));
@@ -471,11 +473,12 @@ TEST(MerkleMap, ArenaChurnMatchesReferenceOracle) {
   }
 }
 
-TEST(MerkleMap, FromSortedLeavesMatchesIncrementalBuild) {
-  // The bulk loader (batched leaf hashing, eager inner hashing) must be
-  // bit-identical to put()-loop construction and to the structural oracle,
-  // across sizes that hit every shape: single leaf, one full nibble fanout,
-  // clustered low keys (deep shared prefixes), and large random spreads.
+TEST(MerkleMap, UpdateIntoEmptyMapMatchesIncrementalBuild) {
+  // A bulk load (one update() of sorted leaves into an empty map, leaf
+  // hashes batched) must be bit-identical to put()-loop construction and to
+  // the structural oracle, across sizes that hit every shape: single leaf,
+  // one full nibble fanout, clustered low keys (deep shared prefixes), and
+  // large random spreads.
   Rng rng(4242);
   for (const std::size_t n : {1u, 2u, 15u, 16u, 17u, 100u, 1000u, 5000u}) {
     std::map<std::uint64_t, Digest> model;
@@ -484,9 +487,9 @@ TEST(MerkleMap, FromSortedLeavesMatchesIncrementalBuild) {
           rng.chance(0.3) ? rng.next_below(256) : rng.next_u64();
       model[key] = value_digest(rng.next_u64());
     }
-    const std::vector<std::pair<std::uint64_t, Digest>> leaves(model.begin(),
-                                                               model.end());
-    const MerkleMap bulk = MerkleMap::from_sorted_leaves(leaves);
+    const std::vector<MerkleMap::Entry> leaves(model.begin(), model.end());
+    MerkleMap bulk;
+    bulk.update(leaves);
     MerkleMap incremental;
     for (const auto& [k, v] : model) incremental.put(k, v);
     ASSERT_EQ(bulk.size(), n);

@@ -16,9 +16,12 @@
 #include <filesystem>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/job_queue.h"
 #include "ledger/chain.h"
@@ -407,46 +410,68 @@ TEST(ThreadPool, ZeroWorkersRunsInline) {
   EXPECT_EQ(q.stats().completed(), hits.size());
 }
 
-/// Threads in this process, or 0 where /proc is unavailable.
-std::size_t live_threads() {
+/// Ids of this process's threads, or none where /proc is unavailable.
+std::set<pid_t> thread_ids() {
+  std::set<pid_t> ids;
   std::error_code ec;
   std::filesystem::directory_iterator it("/proc/self/task", ec);
-  if (ec) return 0;
-  std::size_t n = 0;
-  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) ++n;
-  return n;
+  if (ec) return ids;
+  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    ids.insert(static_cast<pid_t>(std::stol(it->path().filename().string())));
+  }
+  return ids;
 }
 
 // The queue owns exactly `threads` threads, all of them workers: that many
-// tasks can be in flight at once, no helper thread is spawned beside them,
-// and the destructor joins every one.
+// jobs run at once on distinct threads that did not exist before the queue,
+// a job queued while every one of them is busy waits for one, and the
+// destructor joins them all. The ids are read inside submit() jobs, which
+// never run on the caller, rather than by counting /proc/self/task, which
+// also lists the threads a sanitizer runtime starts.
 TEST(JobQueueThreaded, OwnsExactlyTheConfiguredWorkerThreads) {
   constexpr std::size_t kWorkers = 4;
-  const std::size_t before = live_threads();
+  const std::set<pid_t> before = thread_ids();
+  std::set<pid_t> workers;
   {
+    std::mutex m;
+    std::condition_variable cv;
+    std::vector<pid_t> held;  ///< one id per job holding a worker
+    bool release = false;
+    std::atomic<pid_t> extra{0};
     JobQueueConfig config;
     config.threads = kWorkers;
     JobQueue q(config);
-    if (before != 0) {
-      EXPECT_EQ(live_threads(), before + kWorkers);
+    for (std::size_t i = 0; i < kWorkers; ++i) {
+      ASSERT_TRUE(q.submit(JobClass::kConsensus, [&] {
+        std::unique_lock<std::mutex> lock(m);
+        held.push_back(::gettid());
+        cv.notify_all();
+        cv.wait_for(lock, 5s, [&] { return release; });
+      }));
     }
-
-    std::mutex m;
-    std::condition_variable cv;
-    std::size_t arrived = 0;
-    bool all_met = true;
-    q.run_batch(JobClass::kConsensus, kWorkers, [&](std::size_t) {
+    {
       std::unique_lock<std::mutex> lock(m);
-      ++arrived;
-      cv.notify_all();
-      if (!cv.wait_for(lock, 5s, [&] { return arrived == kWorkers; })) {
-        all_met = false;
-      }
-    });
-    EXPECT_TRUE(all_met) << "fewer than " << kWorkers << " concurrent workers";
+      EXPECT_TRUE(cv.wait_for(lock, 5s, [&] { return held.size() == kWorkers; }))
+          << "fewer than " << kWorkers << " concurrent workers";
+    }
+    // Every worker is held, so a further job has no thread to start on.
+    ASSERT_TRUE(q.submit(JobClass::kConsensus, [&] { extra = ::gettid(); }));
+    std::this_thread::sleep_for(50ms);
+    EXPECT_EQ(extra.load(), 0) << "a job ran while every worker was held";
+    {
+      std::lock_guard<std::mutex> lock(m);
+      release = true;
+    }
+    cv.notify_all();
+    q.drain();
+    workers.insert(held.begin(), held.end());
+    EXPECT_EQ(workers.size(), kWorkers) << "held jobs shared a thread";
+    EXPECT_TRUE(workers.contains(extra.load())) << "a job ran off the workers";
   }
-  if (before != 0) {
-    EXPECT_EQ(live_threads(), before);
+  const std::set<pid_t> after = thread_ids();
+  for (const pid_t tid : workers) {
+    EXPECT_FALSE(before.contains(tid)) << "worker " << tid << " predates the queue";
+    EXPECT_FALSE(after.contains(tid)) << "worker " << tid << " outlived the queue";
   }
 }
 

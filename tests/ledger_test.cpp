@@ -619,7 +619,7 @@ TEST(Blockchain, ExportImportReplaysIdentically) {
   }
 
   Blockchain fresh = f.make_chain();
-  auto imported = fresh.import_blocks(source.export_blocks());
+  auto imported = fresh.import_blocks(source.export_blocks_from(0));
   ASSERT_TRUE(imported.ok());
   EXPECT_EQ(imported.value(), 4u);
   EXPECT_EQ(fresh.height(), source.height());
@@ -627,7 +627,7 @@ TEST(Blockchain, ExportImportReplaysIdentically) {
   EXPECT_EQ(fresh.state().commitment().root, source.state().commitment().root);
 
   // Re-importing onto a synced node is a no-op.
-  auto again = fresh.import_blocks(source.export_blocks());
+  auto again = fresh.import_blocks(source.export_blocks_from(0));
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value(), 0u);
 }
@@ -639,7 +639,7 @@ TEST(Blockchain, ImportRejectsTamperedArchive) {
     const auto& proposer = (h % 2 == 0) ? f.v0 : f.v1;
     ASSERT_TRUE(source.append(source.assemble(proposer, {}, h, f.rng)).ok());
   }
-  Bytes archive = source.export_blocks();
+  Bytes archive = source.export_blocks_from(0);
   archive[archive.size() / 2] ^= 0xff;  // corrupt a middle block
   Blockchain fresh = f.make_chain();
   const auto imported = fresh.import_blocks(archive);
@@ -1262,12 +1262,12 @@ TEST(LedgerState, AbsorbDifferentialMatchesPerKeyCommit) {
 TEST(LedgerState, DeferredLeafDifferentialMatchesOracles) {
   // A set_balance/set_nonce outside a block only records the address; the
   // first reader of the accounts tree settles every pending leaf in one
-  // sorted batch (a bulk build when the tree is empty). Random interleavings
-  // of direct writes, writer-overlay commit()s and copies with every reader
-  // (commitment, commitment_with, prove_account, absorb, apply_undo,
-  // flush_account_tree) must agree with the from-scratch oracle and with a
-  // twin whose accounts were set by one load_accounts: same accounts root,
-  // byte-equal proofs.
+  // sorted MerkleMap::update batch, into an empty tree or not. Random
+  // interleavings of direct writes, writer-overlay commit()s and copies with
+  // every reader (commitment, commitment_with, prove_account, absorb,
+  // apply_undo, flush_account_tree) must agree with the from-scratch oracle
+  // and with a twin whose accounts were set by one load_accounts: same
+  // accounts root, byte-equal proofs.
   Rng rng(2727);
   JobQueue inline_queue(JobQueueConfig{});
   LedgerState state;
@@ -1396,7 +1396,7 @@ TEST(LedgerState, DeferredLeafDifferentialMatchesOracles) {
         state.flush_account_tree(inline_queue);
         check(state, where);
         break;
-      default:  // start over: the next reader bulk-builds from an empty tree
+      default:  // start over: the next reader settles into an empty tree
         if (rng.chance(0.2)) {
           state = LedgerState{};
           undo.reset();

@@ -91,7 +91,7 @@ TEST(SealedProposal, ProposerCommitsSealedFollowerValidatesInFull) {
 
   // import_blocks always validates in full.
   Blockchain imported = f.make_chain();
-  auto n = imported.import_blocks(proposer.export_blocks());
+  auto n = imported.import_blocks(proposer.export_blocks_from(0));
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(n.value(), 4u);
   EXPECT_EQ(imported.validation_stats().sealed_commits, 0u);
@@ -225,18 +225,6 @@ TEST(SealedProposal, SealFollowsAMovedChain) {
   EXPECT_EQ(moved.validation_stats().sealed_commits, 2u);
   EXPECT_EQ(moved.state().commitment().root, block.header.state_root);
   EXPECT_EQ(moved.state().commitment(), moved.state().full_rehash_commitment());
-}
-
-TEST(SealedProposal, SharedGenesisStaysUntouched) {
-  SealFixture f;
-  auto genesis = std::make_shared<const LedgerState>(f.genesis);
-  const StateCommitment before = genesis->commitment();
-  Blockchain chain(f.config, std::make_shared<ContractRegistry>(), genesis);
-  const Block block = f.propose(chain, 10);  // reader over *genesis
-  ASSERT_TRUE(chain.append(block).ok());
-  EXPECT_EQ(chain.validation_stats().sealed_commits, 1u);
-  EXPECT_EQ(genesis->commitment(), before);
-  EXPECT_EQ(chain.state().commitment().root, block.header.state_root);
 }
 
 // ------------------------------------------------------- FollowerRollback
@@ -486,26 +474,27 @@ TEST(GenesisAdoption, ByValueChainCommitsIntoTheStateItWasGiven) {
 }
 
 TEST(GenesisAdoption, SharedGenesisIsLeftUntouched) {
-  // The shared-genesis constructor reads through to the shared state until
-  // the first block, then commits into its own copy; the shared state never
-  // changes, and a second chain on it commits the same block alike.
+  // Chains that start from one genesis each adopt a copy of it, taken while
+  // its credits still wait to be settled: every chain commits into its own
+  // copy, two chains commit the same block alike, and the genesis they were
+  // copied from never changes.
   SealFixture f;
-  const auto shared = std::make_shared<const LedgerState>(f.genesis);
-  const StateCommitment genesis = shared->commitment();
-  const std::vector<Account> accounts = shared->sorted_accounts();
-  Blockchain a(f.config, std::make_shared<ContractRegistry>(), shared);
-  Blockchain b(f.config, std::make_shared<ContractRegistry>(), shared);
-  EXPECT_EQ(&a.state(), shared.get());
+  const std::vector<Account> accounts = f.genesis.sorted_accounts();
+  Blockchain a = f.make_chain();
+  Blockchain b = f.make_chain();
+  const StateCommitment genesis = f.genesis.full_rehash_commitment();
+  EXPECT_EQ(a.state().commitment(), genesis);
+  EXPECT_NE(&a.state(), &b.state());
   const Block block = f.propose(a, 10);
   ASSERT_TRUE(a.append(block).ok());
-  EXPECT_NE(&a.state(), shared.get());
-  EXPECT_EQ(&b.state(), shared.get());
+  EXPECT_EQ(b.state().commitment(), genesis);
   ASSERT_TRUE(b.append(block).ok());
+  EXPECT_EQ(a.validation_stats().sealed_commits, 1u);
+  EXPECT_EQ(b.validation_stats().sealed_commits, 0u);
   EXPECT_EQ(a.state().commitment(), b.state().commitment());
   EXPECT_NE(a.state().commitment(), genesis);
-  EXPECT_EQ(shared->commitment(), genesis);
-  EXPECT_EQ(shared->full_rehash_commitment(), genesis);
-  EXPECT_EQ(shared->sorted_accounts(), accounts);
+  EXPECT_EQ(f.genesis.commitment(), genesis);
+  EXPECT_EQ(f.genesis.sorted_accounts(), accounts);
 }
 
 TEST(FollowerRollback, FailingTxMidBlockLeavesStateUntouched) {

@@ -592,7 +592,7 @@ TEST(SnapshotTransfer, LossyNetworkCatchUpConverges) {
   EXPECT_EQ(f.replica.state().commitment(), f.source.state().commitment());
   // ...and identically to a replica that replayed the full history.
   Blockchain full_replay = f.ledger.make_chain();
-  ASSERT_TRUE(full_replay.import_blocks(f.source.export_blocks()).ok());
+  ASSERT_TRUE(full_replay.import_blocks(f.source.export_blocks_from(0)).ok());
   EXPECT_EQ(f.replica.state().commitment(), full_replay.state().commitment());
 
   // The network was genuinely lossy and the protocol genuinely retried.
@@ -888,7 +888,7 @@ TEST(SnapshotSwarm, StripedLossyCatchUpConvergesAcrossPeers) {
   EXPECT_EQ(f.replica.tip_hash(), f.source.tip_hash());
   EXPECT_EQ(f.replica.state().commitment(), f.source.state().commitment());
   Blockchain full_replay = f.ledger.make_chain();
-  ASSERT_TRUE(full_replay.import_blocks(f.source.export_blocks()).ok());
+  ASSERT_TRUE(full_replay.import_blocks(f.source.export_blocks_from(0)).ok());
   EXPECT_EQ(f.replica.state().commitment(), full_replay.state().commitment());
 
   // The stripe genuinely spread: more than one peer served verified chunks
