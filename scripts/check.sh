@@ -42,8 +42,10 @@ gate() {
 echo "== gate: differential commitment test must run (not be skipped) =="
 # The incremental-vs-full-rehash differential test is the commitment format's
 # safety net; --no-tests=error fails if a rename makes the filter match
-# nothing, and the grep fails if gtest reports it skipped.
-gate "differential commitment test" 'Differential'
+# nothing, and the grep fails if gtest reports it skipped. The overlay's own
+# cases ride along: commit, tombstones, the flattened store oracle and the
+# death tests for committing a reader or hashing an indirect overlay.
+gate "differential commitment test" 'Differential|LedgerStateOverlay'
 
 echo "== gate: proof fuzz (10k keys + mutation sweep) must run (not be skipped) =="
 # Every present key must prove, every absent key must non-membership-prove,

@@ -190,12 +190,11 @@ AccountProof make_account_proof(const LedgerState& state,
   AccountProof ap;
   ap.address = addr;
   ap.height = height;
-  const auto bal = state.find_balance(addr);
-  const std::uint64_t nonce = state.nonce(addr);
-  ap.statement.has_balance = bal.has_value();
-  ap.statement.balance = bal.value_or(0);
-  ap.statement.nonce = nonce;
-  ap.statement.exists = bal.has_value() || nonce != 0;
+  const Account account = state.account(addr);
+  ap.statement.has_balance = account.has_balance;
+  ap.statement.balance = account.balance;
+  ap.statement.nonce = account.nonce;
+  ap.statement.exists = account.live();
   ap.commitment = commitment;
   ap.proof = state.prove_account(addr);
   return ap;

@@ -49,9 +49,7 @@ std::vector<LedgerState> partition_genesis(const LedgerState& genesis,
   // An unordered walk: a shard's table and tree do not depend on the order
   // its accounts arrive in.
   for (const Account& a : genesis.accounts()) {
-    LedgerState& shard = out[shard_of(a.addr, num_shards)];
-    if (a.has_balance) shard.set_balance(a.addr, a.balance);
-    if (a.nonce != 0) shard.set_nonce(a.addr, a.nonce);
+    out[shard_of(a.addr, num_shards)].put_account(a);
   }
   // Non-account sections have no per-account home; they stay on shard 0.
   // A normal genesis carries none of them.

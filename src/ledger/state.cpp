@@ -159,17 +159,34 @@ Status read_commitment_sections(ByteReader& r, StateCommitment& out) {
 
 // ------------------------------------------------------------- LedgerView
 
+void LedgerView::set_balance(crypto::Address a, std::uint64_t value) {
+  Account next = account(a);
+  next.has_balance = true;
+  next.balance = value;
+  put_account(next);
+}
+
+void LedgerView::set_nonce(crypto::Address a, std::uint64_t value) {
+  Account next = account(a);
+  next.nonce = value;
+  put_account(next);
+}
+
 void LedgerView::credit(crypto::Address a, std::uint64_t amount) {
-  set_balance(a, find_balance(a).value_or(0) + amount);
+  Account next = account(a);
+  next.has_balance = true;
+  next.balance += amount;
+  put_account(next);
 }
 
 Status LedgerView::debit(crypto::Address a, std::uint64_t amount) {
-  const auto bal = find_balance(a);
-  if (!bal.has_value() || *bal < amount) {
+  Account next = account(a);
+  if (!next.has_balance || next.balance < amount) {
     return Status::fail(errc::kStateInsufficientFunds,
                         "balance below " + std::to_string(amount));
   }
-  set_balance(a, *bal - amount);
+  next.balance -= amount;
+  put_account(next);
   return {};
 }
 
@@ -182,9 +199,15 @@ Status LedgerView::apply(const Transaction& tx,
     return Status::fail(errc::kTxBadSignature, "signature does not verify");
   }
   const crypto::Address sender = tx.sender();
-  if (tx.nonce != nonce(sender)) {
+  // One read of the sender serves the nonce check, the affordability check
+  // and, for transfers and audit records, its one write (debit and nonce
+  // bump together). All checks come before any mutation, which keeps those
+  // branches trivially atomic. A sender without a balance entry reads a
+  // balance of 0 and is never given one.
+  Account from = account(sender);
+  if (tx.nonce != from.nonce) {
     return Status::fail(errc::kTxBadNonce,
-                        "expected " + std::to_string(nonce(sender)) + " got " +
+                        "expected " + std::to_string(from.nonce) + " got " +
                             std::to_string(tx.nonce));
   }
   switch (tx.kind) {
@@ -194,25 +217,26 @@ Status LedgerView::apply(const Transaction& tx,
       if (!body.value().to.valid()) {
         return Status::fail(errc::kTxBadRecipient, "null recipient");
       }
-      // All checks before any mutation keeps this branch trivially atomic.
-      // One lookup serves the affordability check and the debit.
       const std::uint64_t need = tx.fee + body.value().amount;
-      const auto bal = find_balance(sender);
-      if (bal.value_or(0) < need) {
+      if (from.balance < need) {
         return Status::fail(errc::kStateInsufficientFunds, "cannot cover amount + fee");
       }
-      if (bal.has_value()) set_balance(sender, *bal - need);
+      if (from.has_balance) from.balance -= need;
+      from.nonce = tx.nonce + 1;
+      put_account(from);
+      // After the sender's write, so that a transfer to oneself reads it.
       credit(body.value().to, body.value().amount);
       break;
     }
     case TxKind::kAuditRecord: {
       auto body = AuditRecordBody::decode(tx.payload);
       if (!body.ok()) return Status::fail(body.error().code, body.error().message);
-      const auto bal = find_balance(sender);
-      if (bal.value_or(0) < tx.fee) {
+      if (from.balance < tx.fee) {
         return Status::fail(errc::kStateInsufficientFunds, "cannot cover fee");
       }
-      if (bal.has_value()) set_balance(sender, *bal - tx.fee);
+      if (from.has_balance) from.balance -= tx.fee;
+      from.nonce = tx.nonce + 1;
+      put_account(from);
       append_audit(StoredAuditRecord{sender, std::move(body).value(), height});
       break;
     }
@@ -221,7 +245,7 @@ Status LedgerView::apply(const Transaction& tx,
       if (contract == nullptr) {
         return Status::fail(errc::kTxUnknownContract, tx.contract);
       }
-      if (balance(sender) < tx.fee) {
+      if (from.balance < tx.fee) {
         return Status::fail(errc::kStateInsufficientFunds, "cannot cover fee");
       }
       // Contract bodies may fail after arbitrary writes; running the call in
@@ -234,43 +258,26 @@ Status LedgerView::apply(const Transaction& tx,
         return status;
       }
       scratch.commit();
+      set_nonce(sender, tx.nonce + 1);
       break;
     }
     default:
       return Status::fail(errc::kTxBadKind, "unknown transaction kind");
   }
-  set_nonce(sender, tx.nonce + 1);
   add_burned_fees(tx.fee);
   return {};
 }
 
 // ------------------------------------------------------------ LedgerState
 
-std::optional<std::uint64_t> LedgerState::find_balance(crypto::Address a) const {
-  const Account* account = accounts_.find(a);
-  return account != nullptr ? account->balance_entry() : std::nullopt;
+Account LedgerState::account(crypto::Address a) const {
+  const Account* found = accounts_.find(a);
+  return found != nullptr ? *found : Account{a};
 }
 
-std::uint64_t LedgerState::nonce(crypto::Address a) const {
-  const Account* account = accounts_.find(a);
-  return account != nullptr ? account->nonce : 0;
-}
-
-void LedgerState::set_balance(crypto::Address a, std::uint64_t value) {
-  accounts_.update(a, [&](Account& account) {
-    account.has_balance = true;
-    account.balance = value;
-  });
-  record_pending_leaf(a);
-}
-
-void LedgerState::set_nonce(crypto::Address a, std::uint64_t value) {
-  accounts_.update(a, [&](Account& account) { account.nonce = value; });
-  record_pending_leaf(a);
-}
-
-void LedgerState::record_pending_leaf(crypto::Address a) {
-  pending_leaves_.push_back(a);
+void LedgerState::put_account(const Account& account) {
+  (void)accounts_.put(account);
+  pending_leaves_.push_back(account.addr);
   // Repeated writes to the same accounts settle early rather than let the
   // record outgrow the state it describes.
   if (pending_leaves_.size() > 2 * accounts_.size() + 1024) settle_account_leaves();
@@ -312,25 +319,13 @@ StateUndo LedgerState::absorb(LedgerStateOverlay& overlay) {
   require_direct_overlay(overlay.base_ == this, "LedgerState::absorb()", overlay);
   settle_account_leaves();
   StateUndo undo;
-  // Accounts: one ordered walk over every touched address; one table probe
-  // each records the prior content and writes the post-state, whose leaf is
-  // then rebuilt once.
-  std::vector<Account> touched;
-  touched.reserve(overlay.balances_.size() + overlay.nonces_.size());
-  undo.accounts.reserve(touched.capacity());
-  merge_maps(
-      overlay.balances_, overlay.nonces_,
-      [&](crypto::Address addr, const std::uint64_t* bal, const std::uint64_t* n) {
-        undo.accounts.push_back(accounts_.update(addr, [&](Account& account) {
-          if (bal != nullptr) {
-            account.has_balance = true;
-            account.balance = *bal;
-          }
-          if (n != nullptr) account.nonce = *n;
-          touched.push_back(account);
-        }));
-      });
-  account_tree_.update(account_leaves(touched));
+  // Accounts: one table probe per post-image (ascending by address) writes
+  // it and records the prior content; the images' leaves are then rebuilt
+  // in one batch.
+  const std::vector<Account> images = overlay.account_images();
+  undo.accounts.reserve(images.size());
+  for (const Account& image : images) undo.accounts.push_back(accounts_.put(image));
+  account_tree_.update(account_leaves(images));
 
   for (auto& [contract, delta] : overlay.stores_) {
     StateUndo::StoreUndo& su = undo.stores[contract];
@@ -346,8 +341,7 @@ StateUndo LedgerState::absorb(LedgerStateOverlay& overlay) {
   undo.burned_delta = overlay.burned_delta_;
   burned_fees_ += overlay.burned_delta_;
 
-  overlay.balances_.clear();
-  overlay.nonces_.clear();
+  overlay.accounts_.clear();
   overlay.audit_appended_.clear();
   overlay.stores_.clear();
   overlay.burned_delta_ = 0;
@@ -397,18 +391,6 @@ std::optional<Bytes> LedgerState::write_store_entry(const std::string& contract,
   return prior;
 }
 
-void LedgerState::store_put(const std::string& contract, const std::string& key,
-                            Bytes value) {
-  (void)write_store_entry(contract, key, std::move(value));
-}
-
-void LedgerState::store_erase(const std::string& contract,
-                              const std::string& key) {
-  // Deliberately creates the (empty) store if missing — matches the
-  // historical CallContext::erase semantics that the commitment covers.
-  (void)write_store_entry(contract, key, std::nullopt);
-}
-
 void LedgerState::materialize_store(const std::string& contract) {
   contracts_[contract];
   store_digests_[contract];
@@ -418,11 +400,7 @@ void LedgerState::apply_undo(const StateUndo& undo) {
   settle_account_leaves();
   for (const auto& [contract, su] : undo.stores) {
     for (const auto& [key, prior] : su.entries) {
-      if (prior.has_value()) {
-        store_put(contract, key, *prior);
-      } else {
-        store_erase(contract, key);
-      }
+      (void)write_store_entry(contract, key, prior);
     }
     if (!su.existed) {
       // The block materialized this store; un-create it. All its entries
@@ -449,22 +427,8 @@ StateCommitment LedgerState::commitment_with(const LedgerStateOverlay& block) co
   settle_account_leaves();
   StateCommitment c;
 
-  // Accounts: cached Merkle tree plus the block's touched leaves.
-  std::vector<Account> touched;
-  touched.reserve(block.balances_.size() + block.nonces_.size());
-  merge_maps(block.balances_, block.nonces_,
-             [&](crypto::Address addr, const std::uint64_t* dbal,
-                 const std::uint64_t* dnon) {
-               const Account* base = accounts_.find(addr);
-               Account account = base != nullptr ? *base : Account{addr};
-               if (dbal != nullptr) {
-                 account.has_balance = true;
-                 account.balance = *dbal;
-               }
-               if (dnon != nullptr) account.nonce = *dnon;
-               touched.push_back(account);
-             });
-  const auto accounts = account_tree_.root_with(account_leaves(touched));
+  // Accounts: cached Merkle tree plus the leaves of the block's post-images.
+  const auto accounts = account_tree_.root_with(account_leaves(block.account_images()));
   c.accounts_root = accounts.root;
   c.account_count = accounts.count;
 
@@ -553,24 +517,16 @@ StateCommitment LedgerState::full_rehash_commitment() const {
 
 // ----------------------------------------------------- LedgerStateOverlay
 
-std::optional<std::uint64_t> LedgerStateOverlay::find_balance(
-    crypto::Address a) const {
-  const auto it = balances_.find(a);
-  if (it != balances_.end()) return it->second;
-  return base_->find_balance(a);
+Account LedgerStateOverlay::account(crypto::Address a) const {
+  const auto it = accounts_.find(a);
+  return it != accounts_.end() ? it->second : base_->account(a);
 }
 
-std::uint64_t LedgerStateOverlay::nonce(crypto::Address a) const {
-  const auto it = nonces_.find(a);
-  return it != nonces_.end() ? it->second : base_->nonce(a);
-}
-
-void LedgerStateOverlay::set_balance(crypto::Address a, std::uint64_t value) {
-  balances_[a] = value;
-}
-
-void LedgerStateOverlay::set_nonce(crypto::Address a, std::uint64_t value) {
-  nonces_[a] = value;
+std::vector<Account> LedgerStateOverlay::account_images() const {
+  std::vector<Account> images;
+  images.reserve(accounts_.size());
+  for (const auto& [addr, image] : accounts_) images.push_back(image);
+  return images;
 }
 
 std::uint64_t LedgerStateOverlay::burned_fees() const {
@@ -593,16 +549,6 @@ const Bytes* LedgerStateOverlay::store_get(const std::string& contract,
   return base_->store_get(contract, key);
 }
 
-void LedgerStateOverlay::store_put(const std::string& contract,
-                                   const std::string& key, Bytes value) {
-  stores_[contract][key] = std::move(value);
-}
-
-void LedgerStateOverlay::store_erase(const std::string& contract,
-                                     const std::string& key) {
-  stores_[contract][key] = std::nullopt;
-}
-
 void LedgerStateOverlay::commit() {
   // Committing a reader() overlay would silently discard the whole delta, so
   // it is a hard failure in every build type — an assert compiles out in
@@ -613,28 +559,22 @@ void LedgerStateOverlay::commit() {
     std::clog.flush();  // abort() skips stream teardown; surface the message
     std::abort();
   }
-  for (const auto& [addr, value] : balances_) writable_->set_balance(addr, value);
-  for (const auto& [addr, value] : nonces_) writable_->set_nonce(addr, value);
+  for (const auto& [addr, image] : accounts_) writable_->put_account(image);
   for (auto& rec : audit_appended_) writable_->append_audit(std::move(rec));
   for (auto& [contract, delta] : stores_) {
     for (auto& [key, value] : delta) {
-      if (value.has_value()) {
-        writable_->store_put(contract, key, std::move(*value));
-      } else {
-        writable_->store_erase(contract, key);
-      }
+      writable_->store_write(contract, key, std::move(value));
     }
   }
   writable_->add_burned_fees(burned_delta_);
-  balances_.clear();
-  nonces_.clear();
+  accounts_.clear();
   audit_appended_.clear();
   stores_.clear();
   burned_delta_ = 0;
 }
 
 std::size_t LedgerStateOverlay::touched() const {
-  std::size_t n = balances_.size() + nonces_.size() + audit_appended_.size();
+  std::size_t n = accounts_.size() + audit_appended_.size();
   for (const auto& [contract, delta] : stores_) n += delta.size();
   return n;
 }

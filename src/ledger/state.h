@@ -1,14 +1,17 @@
 // Ledger state: balances, nonces, the on-chain audit log, and per-contract
 // key-value stores.
 //
-// Two layers share one mutation interface (LedgerView):
+// Two layers share one mutation interface (LedgerView), whose account
+// primitives read and write one whole Account record and whose store
+// primitive writes one entry (a value, or nullopt to erase):
 //  - LedgerState is the committed, materialized state (a plain value type);
 //  - LedgerStateOverlay is a copy-on-write delta over a base view, built via
-//    the named factories reader()/writer()/nested(). Block assembly and
-//    validation trial-apply transactions on an overlay and commit (or
-//    discard) only the touched accounts/keys, so the per-block cost is
-//    proportional to the block, not to the world. Contract-call atomicity
-//    uses a nested overlay the same way.
+//    the named factories reader()/writer()/nested(). It holds post-images:
+//    each touched account whole, each touched store key as its value or a
+//    tombstone. Block assembly and validation trial-apply transactions on
+//    an overlay and commit (or discard) only the touched accounts/keys, so
+//    the per-block cost is proportional to the block, not to the world.
+//    Contract-call atomicity uses a nested overlay the same way.
 //
 // The materialized accounts live in one flat AccountTable (one probe per
 // account). Commitments are LedgerState's alone (DESIGN.md §"State
@@ -21,13 +24,14 @@
 // differential-testing oracle.
 //
 // When account leaves are hashed: a block's accounts are re-leafed by the
-// absorb() that commits it, in one batch. A set_balance/set_nonce (and so a
-// credit) outside a block only records the address; the first reader of
-// the accounts tree (commitment, commitment_with, absorb, apply_undo,
-// prove_account, flush_account_tree) settles every recorded address in one
-// sorted batch. Every one of these, and load_accounts, grows the tree
-// through MerkleMap::update, whether it is empty (a genesis built by
-// credits) or not. Roots do not depend on when the leaves were hashed.
+// absorb() that commits it, in one batch. A put_account (and so a
+// set_balance, set_nonce or credit) outside a block only records the
+// address; the first reader of the accounts tree (commitment,
+// commitment_with, absorb, apply_undo, prove_account, flush_account_tree)
+// settles every recorded address in one sorted batch. Every one of these,
+// and load_accounts, grows the tree through MerkleMap::update, whether it
+// is empty (a genesis built by credits) or not. Roots do not depend on when
+// the leaves were hashed.
 #pragma once
 
 #include <concepts>
@@ -157,26 +161,38 @@ struct StateUndo {
 
 /// Mutation/read interface shared by the committed state and overlays.
 /// Transactions and contracts touch the ledger only through these
-/// primitives, so the same apply() runs against either layer.
+/// primitives, so the same apply() runs against either layer. An account is
+/// read and written whole (one Account record); a store entry is written
+/// through one call that puts (engaged) or erases (nullopt).
 class LedgerView {
  public:
   virtual ~LedgerView() = default;
 
   // ---- accounts ----
+  /// `a`'s account; a leafless Account{a} when it does not exist.
+  [[nodiscard]] virtual Account account(crypto::Address a) const = 0;
+  /// Replace `account.addr`'s content with `account`; a leafless account
+  /// (no balance entry, nonce 0) removes it.
+  virtual void put_account(const Account& account) = 0;
+
   /// Balance entry, or nullopt when the account was never credited. The
   /// distinction matters: debit refuses unknown accounts, and a zero entry
   /// is part of the state commitment.
-  [[nodiscard]] virtual std::optional<std::uint64_t> find_balance(
-      crypto::Address a) const = 0;
+  [[nodiscard]] std::optional<std::uint64_t> find_balance(crypto::Address a) const {
+    return account(a).balance_entry();
+  }
   [[nodiscard]] std::uint64_t balance(crypto::Address a) const {
-    return find_balance(a).value_or(0);
+    return account(a).balance;
   }
   [[nodiscard]] bool has_account(crypto::Address a) const {
-    return find_balance(a).has_value();
+    return account(a).has_balance;
   }
-  [[nodiscard]] virtual std::uint64_t nonce(crypto::Address a) const = 0;
-  virtual void set_balance(crypto::Address a, std::uint64_t value) = 0;
-  virtual void set_nonce(crypto::Address a, std::uint64_t value) = 0;
+  [[nodiscard]] std::uint64_t nonce(crypto::Address a) const { return account(a).nonce; }
+  void set_balance(crypto::Address a, std::uint64_t value);
+  void set_nonce(crypto::Address a, std::uint64_t value);
+  void credit(crypto::Address a, std::uint64_t amount);
+  /// Debit; fails if the balance is insufficient (or the account is unknown).
+  [[nodiscard]] Status debit(crypto::Address a, std::uint64_t amount);
 
   // ---- fees / audit ----
   [[nodiscard]] virtual std::uint64_t burned_fees() const = 0;
@@ -186,15 +202,17 @@ class LedgerView {
   // ---- contract stores ----
   [[nodiscard]] virtual const Bytes* store_get(const std::string& contract,
                                                const std::string& key) const = 0;
-  virtual void store_put(const std::string& contract, const std::string& key,
-                         Bytes value) = 0;
-  virtual void store_erase(const std::string& contract,
-                           const std::string& key) = 0;
-
-  // ---- conveniences built on the primitives ----
-  void credit(crypto::Address a, std::uint64_t amount);
-  /// Debit; fails if the balance is insufficient (or the account is unknown).
-  [[nodiscard]] Status debit(crypto::Address a, std::uint64_t amount);
+  /// Put (engaged) or erase (nullopt) `key` in `contract`'s store. Either
+  /// creates the store if missing: an empty store is part of the
+  /// commitment.
+  virtual void store_write(const std::string& contract, const std::string& key,
+                           std::optional<Bytes> value) = 0;
+  void store_put(const std::string& contract, const std::string& key, Bytes value) {
+    store_write(contract, key, std::move(value));
+  }
+  void store_erase(const std::string& contract, const std::string& key) {
+    store_write(contract, key, std::nullopt);
+  }
 
   /// Validate and apply one transaction at the given height.
   /// Checks: signature, nonce equality, fee affordability, kind-specific body.
@@ -213,11 +231,8 @@ class LedgerStateOverlay;
 class LedgerState final : public LedgerView {
  public:
   // ---- accounts ----
-  [[nodiscard]] std::optional<std::uint64_t> find_balance(
-      crypto::Address a) const override;
-  [[nodiscard]] std::uint64_t nonce(crypto::Address a) const override;
-  void set_balance(crypto::Address a, std::uint64_t value) override;
-  void set_nonce(crypto::Address a, std::uint64_t value) override;
+  [[nodiscard]] Account account(crypto::Address a) const override;
+  void put_account(const Account& account) override;
 
   /// Snapshot install: replace the whole account section from entries in
   /// strictly ascending address order. The table is filled once at its
@@ -229,10 +244,9 @@ class LedgerState final : public LedgerView {
   void load_accounts(const std::vector<Account>& sorted);
 
   /// Commit an overlay over this state in one pass and return the inverse
-  /// of what it wrote. Balances and nonces are walked in one ordered
-  /// merge: each touched account costs one table probe, which records its
-  /// prior content and writes the new one, and its leaf is refreshed exactly
-  /// once (digests and Merkle leaf hashes batched). Store
+  /// of what it wrote. Each account post-image costs one table probe, which
+  /// records its prior content and writes the image, and its leaf is
+  /// refreshed exactly once (digests and Merkle leaf hashes batched). Store
   /// entries, audit records and burned fees follow. The overlay is left
   /// empty. Its base must be this state, as for commitment_with(): a reader
   /// overlay (a sealed proposal) commits as it was built, and any other
@@ -250,9 +264,10 @@ class LedgerState final : public LedgerView {
   [[nodiscard]] const ContractStore* find_store(const std::string& contract) const;
   [[nodiscard]] const Bytes* store_get(const std::string& contract,
                                        const std::string& key) const override;
-  void store_put(const std::string& contract, const std::string& key,
-                 Bytes value) override;
-  void store_erase(const std::string& contract, const std::string& key) override;
+  void store_write(const std::string& contract, const std::string& key,
+                   std::optional<Bytes> value) override {
+    (void)write_store_entry(contract, key, std::move(value));
+  }
   /// Create `contract`'s (empty) store if missing, mirroring store_erase's
   /// side effect. The snapshot decoder uses this to rebuild empty stores,
   /// which the stores commitment covers (contract count + name).
@@ -317,14 +332,12 @@ class LedgerState final : public LedgerView {
   }
 
  private:
-  /// Bring the accounts tree up to date with the addresses set_balance and
-  /// set_nonce recorded: one sorted batch of leaves through
+  /// Bring the accounts tree up to date with the addresses put_account
+  /// recorded: one sorted batch of leaves through
   /// MerkleMap::update. Every reader of account_tree_ calls this first. Like the
   /// tree's own hash caches it writes from const readers, so a state read
   /// from several threads must be committed once before it is shared.
   void settle_account_leaves() const;
-  /// Record that `a`'s leaf is stale (set_balance, set_nonce).
-  void record_pending_leaf(crypto::Address a);
 
   /// Incrementally maintained digest of one contract store.
   struct StoreDigest {
@@ -332,9 +345,8 @@ class LedgerState final : public LedgerView {
     std::uint64_t count = 0;   ///< live entries
   };
 
-  /// Put (engaged) or erase (nullopt) `key` in `contract`'s store, creating
-  /// the store if missing and keeping its digest in step. Returns the prior
-  /// value (nullopt = absent).
+  /// store_write, keeping the store's digest in step. Returns the prior
+  /// value (nullopt = absent) for absorb's undo.
   std::optional<Bytes> write_store_entry(const std::string& contract,
                                          const std::string& key,
                                          std::optional<Bytes> value);
@@ -347,7 +359,7 @@ class LedgerState final : public LedgerView {
   // Maintained commitment sections (see DESIGN.md §"State commitment").
   /// addr -> account leaf, for every live account not in pending_leaves_.
   mutable crypto::MerkleMap account_tree_;
-  /// Addresses written outside a block since the last settle, unordered and
+  /// Addresses put_account wrote since the last settle, unordered and
   /// possibly repeated; their leaves in account_tree_ are stale.
   mutable std::vector<crypto::Address> pending_leaves_;
   crypto::Digest audit_digest_{};                   ///< running chain hash
@@ -355,8 +367,11 @@ class LedgerState final : public LedgerView {
 };
 
 /// Copy-on-write delta over a base view. Reads fall through to the base;
-/// writes land in the overlay. commit() folds the delta into the base in
-/// O(touched); discarding the overlay (destruction) costs the same.
+/// writes land in the overlay as post-images: a touched account is held
+/// whole (its first write reads it through from the base once), a touched
+/// store key as its value or a tombstone. commit() writes each image into
+/// the base in O(touched); discarding the overlay (destruction) costs the
+/// same.
 ///
 /// Construct via the named factories — the intent is part of the call site:
 ///   auto scratch = LedgerStateOverlay::reader(base);   // no commit right
@@ -383,11 +398,10 @@ class LedgerStateOverlay final : public LedgerView {
     return LedgerStateOverlay(&parent, &parent);
   }
 
-  [[nodiscard]] std::optional<std::uint64_t> find_balance(
-      crypto::Address a) const override;
-  [[nodiscard]] std::uint64_t nonce(crypto::Address a) const override;
-  void set_balance(crypto::Address a, std::uint64_t value) override;
-  void set_nonce(crypto::Address a, std::uint64_t value) override;
+  [[nodiscard]] Account account(crypto::Address a) const override;
+  void put_account(const Account& account) override {
+    accounts_.insert_or_assign(account.addr, account);
+  }
 
   [[nodiscard]] std::uint64_t burned_fees() const override;
   void add_burned_fees(std::uint64_t amount) override { burned_delta_ += amount; }
@@ -395,9 +409,10 @@ class LedgerStateOverlay final : public LedgerView {
 
   [[nodiscard]] const Bytes* store_get(const std::string& contract,
                                        const std::string& key) const override;
-  void store_put(const std::string& contract, const std::string& key,
-                 Bytes value) override;
-  void store_erase(const std::string& contract, const std::string& key) override;
+  void store_write(const std::string& contract, const std::string& key,
+                   std::optional<Bytes> value) override {
+    stores_[contract].insert_or_assign(key, std::move(value));
+  }
 
   /// Fold the delta into the (writable) base. O(touched entries). A block's
   /// overlay over the materialized state commits through
@@ -414,11 +429,14 @@ class LedgerStateOverlay final : public LedgerView {
   LedgerStateOverlay(const LedgerView* base, LedgerView* writable)
       : base_(base), writable_(writable) {}
 
+  /// The account post-images, ascending by address.
+  [[nodiscard]] std::vector<Account> account_images() const;
+
   const LedgerView* base_ = nullptr;  ///< read fall-through
   LedgerView* writable_ = nullptr;    ///< commit target (null = read-only)
 
-  std::map<crypto::Address, std::uint64_t> balances_;
-  std::map<crypto::Address, std::uint64_t> nonces_;
+  /// Post-image of every touched account (a leafless image = removed).
+  std::map<crypto::Address, Account> accounts_;
   std::vector<StoredAuditRecord> audit_appended_;
   /// nullopt marks a deletion (tombstone).
   std::map<std::string, std::map<std::string, std::optional<Bytes>>> stores_;

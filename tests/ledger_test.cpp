@@ -79,6 +79,19 @@ TEST(LedgerState, TransferMovesFunds) {
   EXPECT_EQ(f.state.balance(f.bob.address()), 600u);
   EXPECT_EQ(f.state.nonce(f.alice.address()), 1u);
   EXPECT_EQ(f.state.burned_fees(), 5u);
+
+  // A transfer to oneself pays only the fee, on an overlay and on the state:
+  // the credit reads the sender's debited record, not a stale copy.
+  const auto self = make_transfer(f.alice, 1, f.alice.address(), 50, 5, f.rng);
+  {
+    auto block = LedgerStateOverlay::reader(f.state);
+    ASSERT_TRUE(block.apply(self, *f.contracts, 0).ok());
+    EXPECT_EQ(block.balance(f.alice.address()), 890u);
+    EXPECT_EQ(block.nonce(f.alice.address()), 2u);
+  }
+  ASSERT_TRUE(f.state.apply(self, *f.contracts, 0).ok());
+  EXPECT_EQ(f.state.balance(f.alice.address()), 890u);
+  EXPECT_EQ(f.state.nonce(f.alice.address()), 2u);
 }
 
 TEST(LedgerState, RejectsWrongNonce) {
@@ -1174,21 +1187,28 @@ void expect_same_state(const LedgerState& a, const LedgerState& b,
 
 TEST(LedgerState, AbsorbDifferentialMatchesPerKeyCommit) {
   // absorb() commits a block's overlay in one pass (one table probe and
-  // one batched leaf refresh per touched account). The
-  // oracle commits the same overlay key by key through commit(), i.e.
-  // set_balance/set_nonce/store_put/store_erase on a copy. Both must agree
-  // on every section and commitment, and absorb's undo must restore the
+  // one batched leaf refresh per account post-image). Part of each block is
+  // staged, as a contract call is, in a nested overlay that takes its images
+  // from the block overlay and commits into it before the block's
+  // commitment_with. One oracle commits the same ops key by key through a
+  // writer overlay's commit(), i.e. put_account/store_write on a copy;
+  // another writes them straight into a state with no overlay at all, so
+  // an image seeded wrongly (a balance entry that was not there, a nonce
+  // dropped) shows even where every overlay agrees. All three must agree on
+  // every section and commitment, and absorb's undo must restore the
   // pre-state exactly — per block, and chained back to the empty state.
   Rng rng(1515);
   LedgerState state;   // absorb side
   LedgerState oracle;  // per-key side
+  LedgerState flat;    // overlay-free side
   std::vector<LedgerState> pre_states;
   std::vector<StateUndo> undos;
   const std::array<std::string, 3> contracts{"nft", "dao", "reg"};
   for (int block = 0; block < 120; ++block) {
-    // Both overlays are staged from the same seed, so they hold one delta.
-    const std::uint64_t seed = rng.next_u64();
-    const auto stage = [&contracts, block, seed](LedgerView& v) {
+    // Every side is staged from the same two seeds, so they hold one delta.
+    const std::uint64_t block_seed = rng.next_u64();
+    const std::uint64_t call_seed = rng.next_u64();
+    const auto stage = [&contracts, block](LedgerView& v, std::uint64_t seed) {
       Rng r(seed);
       // Funded accounts 1..40; 41..56 only ever get nonces, so writing one
       // back to 0 must erase its leaf; 57+ are brand new when first hit.
@@ -1236,9 +1256,17 @@ TEST(LedgerState, AbsorbDifferentialMatchesPerKeyCommit) {
     };
     const std::string where = "block " + std::to_string(block);
     auto a = LedgerStateOverlay::writer(state);
-    stage(a);
+    stage(a, block_seed);
+    {
+      auto call = LedgerStateOverlay::nested(a);
+      stage(call, call_seed);
+      call.commit();
+    }
     auto b = LedgerStateOverlay::writer(oracle);
-    stage(b);
+    stage(b, block_seed);
+    stage(b, call_seed);
+    stage(flat, block_seed);
+    stage(flat, call_seed);
     const StateCommitment expected = state.commitment_with(a);
     pre_states.push_back(state);
     undos.push_back(state.absorb(a));
@@ -1246,6 +1274,7 @@ TEST(LedgerState, AbsorbDifferentialMatchesPerKeyCommit) {
     EXPECT_EQ(a.touched(), 0u) << where;
     ASSERT_EQ(state.commitment(), expected) << where;
     expect_same_state(state, oracle, where);
+    expect_same_state(state, flat, where + " flat");
     ASSERT_EQ(state.commitment(), state.full_rehash_commitment()) << where;
     ASSERT_EQ(state.account_count(), expected.account_count) << where;
 

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -645,6 +644,62 @@ TEST(SnapshotTransfer, QueueServedChunksConvergeAndShedRecoversViaRetry) {
   EXPECT_GT(queue.stats().of(JobClass::kSnapshotServe).completed, 0u);
 }
 
+/// A one-worker queue whose kSnapshotServe lane saturate() fills: a job
+/// that waits for unpin() pins the worker and a second one takes the lane's
+/// depth allowance of 1, so every chunk request a server on this queue sees
+/// is answered busy until unpin(). The pin's state is declared before the
+/// queue, so it outlives the worker the queue's destructor joins, and the
+/// destructor unpins and drains first: a test that stops at a failed ASSERT
+/// ends instead of joining a pinned worker forever. Serves admitted after
+/// unpin() reference their server, so a test drains before its server goes.
+class PinnedServeQueue {
+ public:
+  PinnedServeQueue() : queue_(config()) {}
+  ~PinnedServeQueue() {
+    unpin();
+    queue_.drain();
+  }
+  PinnedServeQueue(const PinnedServeQueue&) = delete;
+  PinnedServeQueue& operator=(const PinnedServeQueue&) = delete;
+
+  [[nodiscard]] JobQueue& queue() { return queue_; }
+
+  /// Pin the worker and fill the lane; false if either job was refused.
+  [[nodiscard]] bool saturate() {
+    if (!queue_.submit(JobClass::kSnapshotServe, [this] {
+          std::unique_lock<std::mutex> lock(mu_);
+          cv_.wait(lock, [this] { return released_; });
+        })) {
+      return false;
+    }
+    while (queue_.stats().of(JobClass::kSnapshotServe).depth > 0) {
+      std::this_thread::yield();
+    }
+    return queue_.submit(JobClass::kSnapshotServe, [] {});
+  }
+
+  void unpin() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  static JobQueueConfig config() {
+    JobQueueConfig c;
+    c.threads = 1;
+    c.limit(JobClass::kSnapshotServe).max_depth = 1;
+    return c;
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool released_ = false;
+  JobQueue queue_;
+};
+
 TEST(SnapshotBusyNack, DefersWithoutBurningRetryBudget) {
   // A saturated serve lane answers chunk requests with an explicit busy
   // NACK. The client must park those requests on a backoff timer — not
@@ -654,14 +709,8 @@ TEST(SnapshotBusyNack, DefersWithoutBurningRetryBudget) {
   NetFixture f(/*drop_rate=*/0.0);
   const std::int64_t snap_height = f.source.height() - 2;
 
-  // The pin's state outlives the queue: its destructor joins the worker.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  JobQueueConfig qconfig;
-  qconfig.threads = 1;
-  qconfig.limit(JobClass::kSnapshotServe).max_depth = 1;
-  JobQueue queue(qconfig);
+  PinnedServeQueue busy;
+  JobQueue& queue = busy.queue();
   net::SnapshotServer server(f.net, make_snapshot_source(f.source, 512),
                              &queue);
   SnapshotCatchup catchup(f.net, f.replica, f.lc,
@@ -673,32 +722,10 @@ TEST(SnapshotBusyNack, DefersWithoutBurningRetryBudget) {
   server.bind(server_node);
   catchup.bind(client_node);
 
-  // Pin the single worker, then fill the lane's depth allowance: every chunk
-  // request from here until release is answered busy, deterministically.
-  const auto unpin = [&] {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      release = true;
-    }
-    cv.notify_all();
-  };
-  // Every exit path (a failed ASSERT included) unpins the worker and lets
-  // admitted serves finish while the server they reference still exists.
-  struct Unpin {
-    std::function<void()> run;
-    ~Unpin() { run(); }
-  } unpin_on_exit{[&] {
-    unpin();
-    queue.drain();
-  }};
-  ASSERT_TRUE(queue.submit(JobClass::kSnapshotServe, [&] {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return release; });
-  }));
-  while (queue.stats().of(JobClass::kSnapshotServe).depth > 0) {
-    std::this_thread::yield();
-  }
-  ASSERT_TRUE(queue.submit(JobClass::kSnapshotServe, [] {}));
+  // Every chunk request from here until the unpin is answered busy,
+  // deterministically. Once unpinned, each step's admitted serves are
+  // drained in the loop, so none is left when an ASSERT below stops the test.
+  ASSERT_TRUE(busy.saturate());
 
   ASSERT_TRUE(catchup.start(server_node, snap_height).ok());
   bool released = false;
@@ -706,7 +733,7 @@ TEST(SnapshotBusyNack, DefersWithoutBurningRetryBudget) {
     f.clock.advance(1);
     f.net.step();
     if (t == 60) {
-      unpin();
+      busy.unpin();
       released = true;
     }
     if (released) queue.drain();
@@ -1001,28 +1028,15 @@ TEST(SnapshotSwarm, BusyPeerReroutesInsteadOfFailing) {
 
   // Server 0 is wrapped in a saturated queue: its worker is pinned and the
   // lane is full, so every chunk request it sees is answered with a busy
-  // NACK for the whole test.
-  JobQueueConfig qconfig;
-  qconfig.threads = 1;
-  qconfig.limit(JobClass::kSnapshotServe).max_depth = 1;
-  JobQueue queue(qconfig);
+  // NACK for the whole test (no serve is ever admitted).
+  PinnedServeQueue busy;
   SnapshotExportCache busy_cache;
   net::SnapshotServer busy_server(
-      f.net, make_snapshot_source(f.source, 256, &busy_cache), &queue);
+      f.net, make_snapshot_source(f.source, 256, &busy_cache), &busy.queue());
   const NodeId busy_node =
       f.net.add_node([&](const net::Message& m) { busy_server.handle(m); });
   busy_server.bind(busy_node);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  ASSERT_TRUE(queue.submit(JobClass::kSnapshotServe, [&] {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return release; });
-  }));
-  while (queue.stats().of(JobClass::kSnapshotServe).depth > 0) {
-    std::this_thread::yield();
-  }
-  ASSERT_TRUE(queue.submit(JobClass::kSnapshotServe, [] {}));
+  ASSERT_TRUE(busy.saturate());
 
   SnapshotCatchup catchup(
       f.net, f.replica, f.lc,
@@ -1038,12 +1052,6 @@ TEST(SnapshotSwarm, BusyPeerReroutesInsteadOfFailing) {
   f.run(catchup);
   ASSERT_TRUE(catchup.done())
       << (catchup.failure() ? catchup.failure()->to_string() : "timed out");
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  queue.drain();  // no serve may outlive the server it references
 
   EXPECT_EQ(f.replica.height(), f.source.height());
   EXPECT_EQ(f.replica.state().commitment(), f.source.state().commitment());
@@ -1065,26 +1073,13 @@ TEST(SnapshotSwarm, SinglePersistentlyBusyPeerIsStillADeadEnd) {
   NetFixture f(/*drop_rate=*/0.0);
   const std::int64_t snap_height = f.source.height() - 2;
 
-  JobQueueConfig qconfig;
-  qconfig.threads = 1;
-  qconfig.limit(JobClass::kSnapshotServe).max_depth = 1;
-  JobQueue queue(qconfig);
+  PinnedServeQueue busy;
   net::SnapshotServer server(f.net, make_snapshot_source(f.source, 512),
-                             &queue);
+                             &busy.queue());
   const NodeId server_node =
       f.net.add_node([&](const net::Message& m) { server.handle(m); });
   server.bind(server_node);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  ASSERT_TRUE(queue.submit(JobClass::kSnapshotServe, [&] {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return release; });
-  }));
-  while (queue.stats().of(JobClass::kSnapshotServe).depth > 0) {
-    std::this_thread::yield();
-  }
-  ASSERT_TRUE(queue.submit(JobClass::kSnapshotServe, [] {}));
+  ASSERT_TRUE(busy.saturate());
 
   SnapshotCatchup catchup(f.net, f.replica, f.lc,
                           net::SnapshotTransferConfig{4, 8, 6, 4});
@@ -1096,12 +1091,6 @@ TEST(SnapshotSwarm, SinglePersistentlyBusyPeerIsStillADeadEnd) {
   f.run(catchup);
   ASSERT_TRUE(catchup.failed());
   EXPECT_EQ(catchup.failure()->code, "snapshot.server_busy");
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  queue.drain();
   EXPECT_EQ(f.replica.height(), 0);
   EXPECT_EQ(f.net.stats().snapshot_syncs_failed, 1u);
 }
