@@ -305,6 +305,74 @@ BENCHMARK(BM_FollowerAppend)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+// Proposer round: assemble() of a 512-transfer block over `range(0)` funded
+// accounts, then the sealed append() that commits it — the proposer's
+// counterpart of BM_FollowerAppend. The append hashes nothing that assemble
+// hashed (no tx digest, tx_root, account leaf or tree node again): it
+// adopts the seal's staged digests. Each block moves 512 distinct senders
+// to distinct recipients; the candidate lists are signed before the timed
+// loop, and when they run out a fresh chain over the genesis is set up
+// untimed.
+void BM_ProposerRound(benchmark::State& state) {
+  const auto accounts = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kTxs = 512;
+  constexpr std::size_t kBlocks = 24;
+  Rng rng(23);
+  auto contracts = std::make_shared<ContractRegistry>();
+  crypto::Wallet validator(rng);
+  std::vector<crypto::Wallet> senders;
+  senders.reserve(kTxs);
+  LedgerState genesis;
+  for (std::size_t i = 0; i < kTxs; ++i) {
+    senders.emplace_back(rng);
+    genesis.credit(senders.back().address(), 1'000'000);
+  }
+  std::vector<crypto::Address> recipients;
+  while (genesis.account_count() < accounts) {
+    const crypto::Address a{rng.next_u64() | 1};
+    if (genesis.has_account(a)) continue;
+    genesis.credit(a, 1'000);
+    recipients.push_back(a);
+  }
+  (void)genesis.commitment();  // settled once: every chain copies a built tree
+  ChainConfig config;
+  config.validators = {validator.public_key()};
+  config.max_txs_per_block = kTxs;
+  std::vector<std::vector<Transaction>> rounds(kBlocks);
+  for (std::size_t h = 0; h < kBlocks; ++h) {
+    rounds[h].reserve(kTxs);
+    for (std::size_t i = 0; i < kTxs; ++i) {
+      rounds[h].push_back(make_transfer(senders[i], h,
+                                        recipients[(h * kTxs + i) % recipients.size()],
+                                        1 + i % 100, 1, rng));
+    }
+  }
+  auto chain = std::make_unique<Blockchain>(config, contracts, genesis);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    if (next == kBlocks) {
+      state.PauseTiming();
+      chain = std::make_unique<Blockchain>(config, contracts, genesis);
+      next = 0;
+      state.ResumeTiming();
+    }
+    const Block block =
+        chain->assemble(validator, rounds[next], static_cast<Tick>(next), rng);
+    ++next;
+    if (block.txs.size() != kTxs || !chain->append(block).ok()) {
+      state.SkipWithError("proposer rejected its own block");
+      return;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kTxs));
+}
+BENCHMARK(BM_ProposerRound)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 // Genesis to first block at `range(0)` accounts, as a node joining a world
 // builds it: credit every account into a fresh state, hand the state to a
 // chain by value and append one sealed block. The chain adopts the state it
@@ -356,7 +424,7 @@ void BM_CommitmentAfterTouch(benchmark::State& state) {
       scratch.credit(crypto::Address{0x100000 + (tick * 16 + i) % accounts}, 1);
     }
     ++tick;
-    benchmark::DoNotOptimize(ledger_state.commitment_with(scratch));
+    benchmark::DoNotOptimize(ledger_state.stage(scratch).commitment);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 16);
 }

@@ -136,6 +136,16 @@ echo "== gate: follower rollback (forged state roots leave no trace) =="
 # from copies of one genesis commit alike and never write the original.
 gate "follower rollback tests" 'FollowerRollback|GenesisAdoption'
 
+echo "== gate: sealed commits hash once (staged digests adopted, never trusted blind) =="
+# A sealed append installs the digests assemble() or validate() staged
+# instead of hashing the block again (DESIGN.md §7). These cases pin that
+# every cached digest stays equal to the from-scratch commitment after each
+# sealed commit, that every seal miss takes the full path, that a proposer
+# on the sealed path matches a fully validating follower at every height,
+# and that MerkleMap::adopt of a stage lands on update()'s tree with no
+# dirty node, or stamps nothing on a changed base.
+gate "sealed commits hash once" 'SealedProposal|ScenarioSealed|StageThenAdopt'
+
 echo "== gate: sharded ledger (beacon anchors, cross-shard receipts, multi-world) =="
 # The shard split's contract: N=1 byte-identity with the plain chain, beacon
 # roots stable across thread counts, lock-and-mint receipts with replay and
@@ -180,7 +190,7 @@ MV_BENCH_NO_TABLE=1 ./build/bench/bench_e2e \
 
 echo "== bench: ledger microbenchmarks -> build/BENCH_ledger.json (median of 3) =="
 MV_BENCH_NO_TABLE=1 ./build/bench/bench_ledger \
-  --benchmark_filter='BM_BlockAssembleValidate|BM_BlockValidate|BM_FollowerAppend|BM_GenesisBuild|BM_CommitmentAfterTouch|BM_TxApplyTransfer|BM_MempoolSelectRemove|BM_AccountProofRoundTrip|BM_AccountProofWire|BM_CatchUp|BM_DiffSnapshot|BM_SnapshotExportImport|BM_BlockValidateSigCache|BM_JobQueue|BM_SubscriptionFanout|BM_ShardedPipeline' \
+  --benchmark_filter='BM_BlockAssembleValidate|BM_BlockValidate|BM_FollowerAppend|BM_ProposerRound|BM_GenesisBuild|BM_CommitmentAfterTouch|BM_TxApplyTransfer|BM_MempoolSelectRemove|BM_AccountProofRoundTrip|BM_AccountProofWire|BM_CatchUp|BM_DiffSnapshot|BM_SnapshotExportImport|BM_BlockValidateSigCache|BM_JobQueue|BM_SubscriptionFanout|BM_ShardedPipeline' \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
   --benchmark_out=build/BENCH_ledger.json \

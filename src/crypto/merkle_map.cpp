@@ -35,14 +35,29 @@ Digest inner_hash(const std::array<const Digest*, 16>& children) {
   return w.digest();
 }
 
+/// The top `depth` nibbles of `key`, the rest zeroed: the prefix of the
+/// subtree at `depth` on the key's path.
+std::uint64_t prefix_of(std::uint64_t key, int depth) {
+  return depth == 0 ? 0 : key & (~std::uint64_t{0} << (64 - 4 * depth));
+}
+
+using StagedNode = MerkleMap::Staged::Node;
+
 /// Canonical commitment of an explicit (key, leaf_hash) set at `depth`.
-/// `leaves` must be sorted by key and unique. Shared by the virtual-merge
-/// path (collision regions) and the reference oracle.
+/// `leaves` must be sorted by key and unique. Shared by the staging walk
+/// (collision regions), which passes `nodes` to record the inner digests in
+/// pre-order, and the reference oracle.
 Digest build_from_leaves(int depth,
-                         std::span<const std::pair<std::uint64_t, Digest>> leaves) {
+                         std::span<const std::pair<std::uint64_t, Digest>> leaves,
+                         std::vector<StagedNode>* nodes = nullptr) {
   if (leaves.empty()) return Digest{};
   if (leaves.size() == 1) return leaves[0].second;
   assert(depth < 16);
+  const std::size_t at = nodes != nullptr ? nodes->size() : 0;
+  if (nodes != nullptr) {
+    nodes->push_back({prefix_of(leaves[0].first, depth), {},
+                      static_cast<std::uint8_t>(depth)});
+  }
   std::array<Digest, 16> slots;
   std::array<const Digest*, 16> children{};
   std::size_t i = 0;
@@ -50,12 +65,14 @@ Digest build_from_leaves(int depth,
     std::size_t j = i;
     while (j < leaves.size() && nibble(leaves[j].first, depth) == nib) ++j;
     if (j > i) {
-      slots[nib] = build_from_leaves(depth + 1, leaves.subspan(i, j - i));
+      slots[nib] = build_from_leaves(depth + 1, leaves.subspan(i, j - i), nodes);
       children[nib] = &slots[nib];
       i = j;
     }
   }
-  return inner_hash(children);
+  const Digest hash = inner_hash(children);
+  if (nodes != nullptr) (*nodes)[at].hash = hash;
+  return hash;
 }
 
 /// MerkleMap::leaf_hash of `n` (key, value) pairs in one batched pass:
@@ -69,6 +86,20 @@ std::vector<Digest> batch_leaf_hashes(std::size_t n, At at) {
     p[0] = 0x00;
     store_le64(p + 1, key);
     std::memcpy(p + 9, value.data(), 32);
+  });
+}
+
+/// The leaf hashes of the puts (engaged values) among `entries`, in order,
+/// in one batched pass.
+std::vector<Digest> put_leaf_hashes(std::span<const MerkleMap::Entry> entries) {
+  std::vector<std::size_t> puts;
+  puts.reserve(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].second.has_value()) puts.push_back(i);
+  }
+  return batch_leaf_hashes(puts.size(), [&](std::size_t j) {
+    const auto& [key, value] = entries[puts[j]];
+    return std::tie(key, *value);
   });
 }
 
@@ -88,12 +119,6 @@ std::array<std::size_t, 17> nibble_runs(std::span<const Item> items, int depth,
 }
 
 }  // namespace
-
-/// One root_with() entry with its leaf hash computed: an update or a tombstone.
-struct MerkleMap::DeltaEntry {
-  std::uint64_t key = 0;
-  std::optional<Digest> leaf;  ///< nullopt = erase
-};
 
 MerkleMap::Ref MerkleMap::new_leaf(std::uint64_t key, const Digest& value,
                                    const Digest& hash) {
@@ -139,53 +164,64 @@ void MerkleMap::ensure(Ref r) const {
 }
 
 MerkleMap::Committed MerkleMap::merge(Ref node, int depth,
-                                      std::span<const DeltaEntry> entries) const {
-  if (entries.empty()) {
+                                      std::span<const Staged::Update> updates,
+                                      std::vector<Staged::Node>& nodes) const {
+  if (updates.empty()) {
     if (node == kNone) return {};
     return {hash_of(node), count_of(node)};
   }
   if (node == kNone || is_leaf(node)) {
     // Materialize the merged leaf set: the node's leaf (unless overridden by
-    // a delta entry with the same key) plus every delta insert. Collision
-    // regions are small — at most |delta| + 1 leaves — so building them
-    // explicitly keeps this path simple without hurting the O(touched·log n)
-    // bound.
+    // an update with the same key) plus every put. Collision regions are
+    // small — at most |delta| + 1 leaves — so building them explicitly keeps
+    // this path simple without hurting the O(touched·log n) bound.
     std::vector<std::pair<std::uint64_t, Digest>> leaves;
-    leaves.reserve(entries.size() + 1);
+    leaves.reserve(updates.size() + 1);
     const Leaf* pending = node != kNone ? &leaf(node) : nullptr;
-    for (const auto& e : entries) {
-      if (pending != nullptr && pending->key <= e.key) {
-        if (pending->key < e.key) leaves.emplace_back(pending->key, pending->hash);
-        const bool overridden = pending->key == e.key;
-        pending = nullptr;  // equal key: delta overrides the base leaf
-        if (overridden && !e.leaf.has_value()) continue;
+    for (const Staged::Update& u : updates) {
+      if (pending != nullptr && pending->key <= u.key) {
+        if (pending->key < u.key) leaves.emplace_back(pending->key, pending->hash);
+        const bool overridden = pending->key == u.key;
+        pending = nullptr;  // equal key: the update overrides the base leaf
+        if (overridden && !u.value.has_value()) continue;
       }
-      if (e.leaf.has_value()) leaves.emplace_back(e.key, *e.leaf);
+      if (u.value.has_value()) leaves.emplace_back(u.key, u.leaf);
     }
     if (pending != nullptr) leaves.emplace_back(pending->key, pending->hash);
-    return {build_from_leaves(depth, leaves), leaves.size()};
+    return {build_from_leaves(depth, leaves, &nodes), leaves.size()};
   }
-  // Inner node: partition the (sorted) delta by this depth's nibble and
+  // Inner node: partition the (sorted) updates by this depth's nibble and
   // recurse; untouched children contribute their cached digest for free.
+  // The node's record goes in before its children's (pre-order) and is
+  // dropped again if the merged subtree holds fewer than two keys.
+  const std::size_t at = nodes.size();
+  nodes.push_back({prefix_of(updates[0].key, depth), {}, static_cast<std::uint8_t>(depth)});
   const Inner& n = inners_[node];
-  const auto runs = nibble_runs(entries, depth,
-                                [](const DeltaEntry& e) { return e.key; });
+  const auto runs = nibble_runs(updates, depth,
+                                [](const Staged::Update& u) { return u.key; });
   std::array<Digest, 16> slots;
   std::array<const Digest*, 16> children{};
   std::size_t total = 0;
   const Digest* single = nullptr;
   for (unsigned nib = 0; nib < 16; ++nib) {
     const Committed r = merge(n.kids[nib], depth + 1,
-                              entries.subspan(runs[nib], runs[nib + 1] - runs[nib]));
+                              updates.subspan(runs[nib], runs[nib + 1] - runs[nib]),
+                              nodes);
     if (r.count == 0) continue;
     slots[nib] = r.root;
     children[nib] = &slots[nib];
     single = &slots[nib];
     total += r.count;
   }
-  if (total == 0) return {};
-  if (total == 1) return {*single, 1};
-  return {inner_hash(children), total};
+  if (total < 2) {
+    // At most one key left below: no child recorded a node either.
+    assert(nodes.size() == at + 1);
+    nodes.pop_back();
+    if (total == 0) return {};
+    return {*single, 1};
+  }
+  nodes[at].hash = inner_hash(children);
+  return {nodes[at].hash, total};
 }
 
 MerkleMap::Ref MerkleMap::split(Ref a, Ref b, int depth) {
@@ -258,17 +294,8 @@ void MerkleMap::put_hashed(std::uint64_t key, const Digest& value,
 }
 
 void MerkleMap::update(std::span<const Entry> entries) {
-  std::vector<std::size_t> puts;
-  puts.reserve(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    if (entries[i].second.has_value()) puts.push_back(i);
-  }
-  const std::vector<Digest> leaf_hashes =
-      batch_leaf_hashes(puts.size(), [&](std::size_t j) {
-        const auto& [key, value] = entries[puts[j]];
-        return std::tie(key, *value);
-      });
-  if (root_ == kNone) leaves_.reserve(puts.size());  // a bulk load
+  const std::vector<Digest> leaf_hashes = put_leaf_hashes(entries);
+  if (root_ == kNone) leaves_.reserve(leaf_hashes.size());  // a bulk load
   std::size_t j = 0;
   for (const auto& [key, value] : entries) {
     if (value.has_value()) {
@@ -557,29 +584,81 @@ Result<MerkleMapProof> MerkleMapProof::decode(std::span<const std::uint8_t> byte
   return proof;
 }
 
-MerkleMap::Committed MerkleMap::root_with(std::span<const Entry> delta) const {
+MerkleMap::Staged MerkleMap::stage(std::span<const Entry> delta) const {
 #ifndef NDEBUG
   for (std::size_t i = 1; i < delta.size(); ++i) {
     assert(delta[i - 1].first < delta[i].first);
   }
 #endif
-  if (delta.empty()) return {root(), size_};
-  (void)root();  // flush cached hashes so merge() can trust them
-  std::vector<std::pair<std::uint64_t, Digest>> puts;
-  puts.reserve(delta.size());
-  for (const auto& [key, value] : delta) {
-    if (value.has_value()) puts.emplace_back(key, *value);
+  Staged staged;
+  staged.base_root = root();  // also flushes the cached hashes merge() trusts
+  if (delta.empty()) {
+    staged.committed = {staged.base_root, size_};
+    return staged;
   }
-  const std::vector<Digest> leaf_hashes = batch_leaf_hashes(
-      puts.size(), [&](std::size_t i) { return std::tie(puts[i].first, puts[i].second); });
-  std::vector<DeltaEntry> entries;
-  entries.reserve(delta.size());
+  const std::vector<Digest> leaf_hashes = put_leaf_hashes(delta);
+  staged.updates.reserve(delta.size());
   std::size_t j = 0;
   for (const auto& [key, value] : delta) {
-    entries.push_back(DeltaEntry{
-        key, value.has_value() ? std::optional(leaf_hashes[j++]) : std::nullopt});
+    staged.updates.push_back(
+        {key, value, value.has_value() ? leaf_hashes[j++] : Digest{}});
   }
-  return merge(root_, 0, entries);
+  staged.nodes.reserve(2 * delta.size());
+  staged.committed = merge(root_, 0, staged.updates, staged.nodes);
+  return staged;
+}
+
+void MerkleMap::adopt(const Staged& staged) {
+  const bool same_base = root() == staged.base_root;
+  if (root_ == kNone) leaves_.reserve(staged.updates.size());
+  for (const Staged::Update& u : staged.updates) {
+    if (u.value.has_value()) {
+      put_hashed(u.key, *u.value, u.leaf);
+    } else {
+      erase(u.key);
+    }
+  }
+  if (!same_base || root_ == kNone) return;
+  std::size_t next = 0;
+  (void)stamp(root_, 0, 0, staged.nodes, next);
+}
+
+bool MerkleMap::stamp(Ref r, int depth, std::uint64_t prefix,
+                      std::span<const Staged::Node> nodes, std::size_t& next) {
+  // A clean node's whole subtree is clean (put and erase dirty every node on
+  // their path), so the walk descends through dirty nodes only.
+  if (r == kNone || is_leaf(r) || !inners_[r].dirty) return true;
+  while (next < nodes.size() &&
+         (nodes[next].prefix < prefix ||
+          (nodes[next].prefix == prefix && nodes[next].depth < depth))) {
+    ++next;
+  }
+  const Digest* hash = nullptr;
+  if (next < nodes.size() && nodes[next].prefix == prefix && nodes[next].depth == depth) {
+    hash = &nodes[next++].hash;
+  }
+  bool clean = hash != nullptr;
+  for (unsigned nib = 0; nib < 16; ++nib) {
+    const Ref kid = inners_[r].kids[nib];
+    const std::uint64_t kid_prefix =
+        prefix | (std::uint64_t{nib} << (60 - 4 * depth));
+    clean = stamp(kid, depth + 1, kid_prefix, nodes, next) && clean;
+  }
+  if (!clean) return false;
+  inners_[r].hash = *hash;
+  inners_[r].dirty = false;
+  return true;
+}
+
+std::size_t MerkleMap::dirty_nodes() const {
+  std::size_t dirty = 0;
+  const auto walk = [&](const auto& self, Ref r) -> void {
+    if (r == kNone || is_leaf(r)) return;
+    if (inners_[r].dirty) ++dirty;
+    for (const Ref kid : inners_[r].kids) self(self, kid);
+  };
+  walk(walk, root_);
+  return dirty;
 }
 
 Digest merkle_map_reference_root(

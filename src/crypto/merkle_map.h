@@ -11,10 +11,13 @@
 // The in-memory tree caches every subtree digest and re-hashes only dirtied
 // paths, so after m point updates the next root() costs O(m · log n) hashing
 // instead of O(n). Its nodes live in two flat arenas (leaves, inner nodes)
-// linked by 32-bit indices, not one heap allocation per node. root_with()
+// linked by 32-bit indices, not one heap allocation per node. stage()
 // computes the root of "this map plus a delta" without mutating the map at
 // all — the ledger state overlay uses it to commit to a block's post-state
-// in O(touched · log n).
+// in O(touched · log n) — and keeps every digest it hashed on the way: each
+// put's leaf hash and each inner node's digest, keyed by (key prefix,
+// depth). adopt() later applies that delta with those digests, so a block
+// that was staged before it commits (a sealed proposal) is hashed once.
 //
 // prove(key) produces a compact inclusion proof — the present-children
 // bitmap and sibling digests of every inner node on the key's nibble path —
@@ -89,10 +92,34 @@ class MerkleMap {
   /// One point update: key -> new value digest, or nullopt to erase the key.
   using Entry = std::pair<std::uint64_t, std::optional<Digest>>;
 
-  /// Root and key count of the map with a delta applied (root_with).
+  /// Root and key count of the map with a delta applied (stage).
   struct Committed {
     Digest root{};
     std::size_t count = 0;
+  };
+
+  /// A delta together with every digest its post-state root needed: what
+  /// stage() computes and adopt() applies.
+  struct Staged {
+    /// One point update with its leaf hash (unused for an erase).
+    struct Update {
+      std::uint64_t key = 0;
+      std::optional<Digest> value;  ///< nullopt = erase
+      Digest leaf{};                ///< leaf_hash(key, *value)
+    };
+    /// Digest of the inner node spanning the keys whose top `depth` nibbles
+    /// are `prefix`'s (the rest of `prefix` is zero).
+    struct Node {
+      std::uint64_t prefix = 0;
+      Digest hash{};
+      std::uint8_t depth = 0;
+    };
+    Committed committed;  ///< root and key count with the delta applied
+    Digest base_root{};   ///< root() of the map it was staged on
+    std::vector<Update> updates;  ///< the delta, in its (ascending) order
+    /// Every inner node of the post-delta tree that the stage hashed, in
+    /// pre-order: ascending by (prefix, depth).
+    std::vector<Node> nodes;
   };
 
   /// Insert or update. O(log n) index work; hashing is deferred to root().
@@ -124,10 +151,24 @@ class MerkleMap {
 
   /// Root and key count of this map with `delta` (strictly ascending keys)
   /// applied on top — erases of absent keys ignored — without mutating the
-  /// map. O(|delta| · log n) hashing against the cached tree; the count
-  /// falls out of the same descent. Ascending order is the caller's
+  /// map. O(|delta| · log n) hashing against the cached tree, in one walk
+  /// that also yields the count, keeps each put's leaf hash and records
+  /// each inner digest it computes. Ascending order is the caller's
   /// contract; it is assert-checked in debug builds.
-  [[nodiscard]] Committed root_with(std::span<const Entry> delta) const;
+  [[nodiscard]] Staged stage(std::span<const Entry> delta) const;
+
+  /// Apply a staged delta: the same result as update() of its entries, but
+  /// the puts take the staged leaf hashes. When root() still equals the
+  /// staged base root, every node the delta dirtied also takes its staged
+  /// digest, so the next root() hashes nothing; on any other base those
+  /// nodes stay dirty and root() hashes them as after update(). A node is
+  /// stamped only when its staged digest exists and its whole subtree is
+  /// clean, so a partial stage can cost hashing but never a wrong root.
+  void adopt(const Staged& staged);
+
+  /// Inner nodes whose cached digest is stale, i.e. that the next root()
+  /// re-hashes (diagnostics; O(n)).
+  [[nodiscard]] std::size_t dirty_nodes() const;
 
   /// Inclusion proof for a present key, non-membership proof otherwise.
   /// O(log n); flushes dirty hash caches like root().
@@ -193,9 +234,17 @@ class MerkleMap {
   /// Inner chain from `depth` down to where the keys of the leaves `a` and
   /// `b` diverge; returns its top.
   Ref split(Ref a, Ref b, int depth);
-  struct DeltaEntry;
+  /// stage()'s walk: the root and count of the subtree `node` at `depth`
+  /// with `updates` (all under its prefix) applied; appends the inner
+  /// digests it computes to `nodes` in pre-order.
   [[nodiscard]] Committed merge(Ref node, int depth,
-                                std::span<const DeltaEntry> entries) const;
+                                std::span<const Staged::Update> updates,
+                                std::vector<Staged::Node>& nodes) const;
+  /// adopt()'s stamp: give each dirty inner node under `r` (at `depth`, key
+  /// prefix `prefix`) its digest from `nodes`, advancing `next` through
+  /// them in pre-order. Returns whether `r`'s subtree is clean.
+  bool stamp(Ref r, int depth, std::uint64_t prefix,
+             std::span<const Staged::Node> nodes, std::size_t& next);
 
   std::vector<Leaf> leaves_;
   std::vector<Inner> inners_;

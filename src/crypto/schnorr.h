@@ -46,6 +46,8 @@ struct KeyPair {
 struct Signature {
   std::uint64_t e = 0;  ///< challenge = H(r || m) mod q
   std::uint64_t s = 0;  ///< response  = (k - x*e) mod q
+
+  [[nodiscard]] bool operator==(const Signature&) const = default;
 };
 
 /// Wire layout of keys and signatures, the one codec every signed object

@@ -1,5 +1,6 @@
 #include "crypto/wallet.h"
 
+#include <array>
 #include <sstream>
 
 namespace mv::crypto {
@@ -11,10 +12,11 @@ std::string Address::to_string() const {
 }
 
 Address address_of(const PublicKey& pub) {
-  ByteWriter w;
-  write_key(w, pub);
-  const Digest d = sha256(w.data());
-  std::uint64_t v = digest_prefix64(d);
+  // write_key's 8 bytes, u64(y), laid out on the stack: this runs several
+  // times per transaction, and a ByteWriter would allocate for them.
+  std::array<std::uint8_t, 8> key{};
+  store_le64(key.data(), pub.y);
+  std::uint64_t v = digest_prefix64(sha256(key));
   if (v == 0) v = 1;  // reserve 0 as the null address
   return Address{v};
 }

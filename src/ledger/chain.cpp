@@ -61,16 +61,18 @@ Block Blockchain::assemble(const crypto::Wallet& proposer,
     leaves.push_back(digests[i]);
   }
   block.header.tx_root = Block::compute_tx_root(std::move(leaves));
-  block.header.state_root = state().commitment_with(scratch).root;
+  LedgerState::Staged staged = state().stage(scratch);
+  block.header.state_root = staged.commitment.root;
   block.header.proposer_sig = proposer.sign(block.header.signing_bytes(), rng);
   // Skipped candidates left no delta (LedgerView::apply is atomic), so the
   // overlay holds exactly this block's post-state over the current tip.
-  sealed_.emplace(Sealed{block.header.hash(), std::move(scratch)});
+  sealed_.emplace(
+      Sealed{block.header.hash(), std::move(scratch), std::move(staged), block.txs});
   return block;
 }
 
 Status Blockchain::check_header(const Block& block,
-                                const std::vector<crypto::Digest>& digests) const {
+                                const std::vector<crypto::Digest>* digests) const {
   if (auto s = check_signed_header(block.header, height(), tip_hash(),
                                    config_.validators);
       !s.ok()) {
@@ -79,7 +81,7 @@ Status Blockchain::check_header(const Block& block,
   if (block.txs.size() > config_.max_txs_per_block) {
     return Status::fail("block.too_many_txs", "exceeds max_txs_per_block");
   }
-  if (block.header.tx_root != Block::compute_tx_root(digests)) {
+  if (digests != nullptr && block.header.tx_root != Block::compute_tx_root(*digests)) {
     return Status::fail("block.bad_tx_root", "Merkle root mismatch");
   }
   return {};
@@ -102,17 +104,20 @@ Status Blockchain::execute(const Block& block, LedgerStateOverlay& scratch,
 
 Status Blockchain::validate(const Block& block) const {
   const std::vector<crypto::Digest> digests = Block::tx_digests(block.txs);
-  if (auto s = check_header(block, digests); !s.ok()) return s;
+  if (auto s = check_header(block, &digests); !s.ok()) return s;
   auto scratch = LedgerStateOverlay::reader(state());
   if (auto s = execute(block, scratch, digests); !s.ok()) return s;
-  if (state().commitment_with(scratch).root != block.header.state_root) {
+  LedgerState::Staged staged = state().stage(scratch);
+  if (staged.commitment.root != block.header.state_root) {
     return Status::fail("block.bad_state_root", "post-state mismatch");
   }
   // A replica that votes for a proposal appends it next: keep the verified
-  // post-state as the seal so that append commits it without re-executing.
-  // An existing seal (this chain's own proposal) is left alone.
+  // post-state, its staged digests and the checked tx list as the seal, so
+  // that append commits it without executing or hashing it again. An
+  // existing seal (this chain's own proposal) is left alone.
   if (!sealed_.has_value()) {
-    sealed_.emplace(Sealed{block.header.hash(), std::move(scratch)});
+    sealed_.emplace(
+        Sealed{block.header.hash(), std::move(scratch), std::move(staged), block.txs});
   }
   return {};
 }
@@ -122,21 +127,28 @@ Status Blockchain::append(const Block& block) {
   // under it, and a rejected block leaves no reason to keep it.
   std::optional<Sealed> seal = std::exchange(sealed_, std::nullopt);
   // The header hash binds tx_root and state_root, but not the tx list
-  // itself, so the header checks (tx_root included) run on both paths.
-  const std::vector<crypto::Digest> digests = Block::tx_digests(block.txs);
-  if (auto s = check_header(block, digests); !s.ok()) return s;
+  // itself. A block is the sealed proposal only if its txs are the seal's
+  // too: the seal's tx_root was computed (assemble) or checked (validate)
+  // over exactly those txs, so it is not recomputed. Every other block
+  // hashes its txs for the tx_root check and the signature cache.
+  const bool sealed = seal.has_value() && seal->hash == block.header.hash() &&
+                      seal->txs == block.txs;
+  std::vector<crypto::Digest> digests;
+  if (!sealed) digests = Block::tx_digests(block.txs);
+  if (auto s = check_header(block, sealed ? nullptr : &digests); !s.ok()) return s;
   LedgerState& state = *state_;
   auto scratch = LedgerStateOverlay::writer(state);
-  const bool sealed = seal.has_value() && seal->hash == block.header.hash();
   if (sealed) {
     scratch = std::move(seal->post);  // a reader over this state
   } else if (auto s = execute(block, scratch, digests); !s.ok()) {
     return s;
   }
-  // Commit first, then check the root once, on the committed state. The
-  // undo recorded by the commit is the rollback of a mismatch; it also
-  // feeds the retention ring and tells the commit hook what was touched.
-  StateUndo undo = state.absorb(scratch);
+  // Commit first, then check the root once, on the committed state. A
+  // sealed commit installs the digests its stage computed, so the check
+  // folds the staged sections and hashes no tree node. The undo recorded by
+  // the commit is the rollback of a mismatch; it also feeds the retention
+  // ring and tells the commit hook what was touched.
+  StateUndo undo = state.absorb(scratch, sealed ? &seal->staged : nullptr);
   if (JobQueue* queue = config_.validation.threaded_queue(); queue != nullptr) {
     state.flush_account_tree(*queue);
   }
@@ -147,7 +159,8 @@ Status Blockchain::append(const Block& block) {
   }
   if (sealed) ++vstats_.sealed_commits;
   StateCommitment restored = std::exchange(tip_commitment_, std::move(committed));
-  blocks_.push_back(block);
+  // A sealed block's tx list moves into history from the seal.
+  blocks_.push_back(sealed ? Block{block.header, std::move(seal->txs)} : block);
   if (commit_hook_) commit_hook_(block, undo);
   if (config_.state_retention > 0) {
     retained_.push_back(Retained{std::move(undo), std::move(restored)});

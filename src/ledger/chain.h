@@ -80,10 +80,11 @@ class Blockchain {
   /// the current tip.
   ///
   /// The proposal is sealed: the chain keeps {header hash, post-state
-  /// overlay} in one slot, so appending this block commits the state that
-  /// assembly already computed instead of executing it a second time. A new
-  /// assemble() replaces the seal; append() and init_from_snapshot() drop
-  /// it. validate() fills an empty slot and leaves a held seal alone.
+  /// overlay, its staged digests, tx list} in one slot, so appending this
+  /// block commits the state that assembly already computed and hashed
+  /// instead of executing or hashing it a second time. A new assemble()
+  /// replaces the seal; append() and init_from_snapshot() drop it.
+  /// validate() fills an empty slot and leaves a held seal alone.
   /// Because they write the seal, calls to assemble(), validate() and
   /// append() on one chain must not overlap.
   [[nodiscard]] Block assemble(const crypto::Wallet& proposer,
@@ -94,13 +95,17 @@ class Blockchain {
   ///
   /// Every block first passes the checks that need no execution:
   /// check_signed_header (height, parent, schedule, signature; header.*
-  /// codes), max_txs_per_block and the tx_root recomputed from block.txs.
-  /// A block whose header hash matches the seal (left by assemble() or
-  /// validate()) then commits the sealed post-state; every other block
-  /// (followers, import_blocks, a tampered or re-signed proposal, a seal
-  /// that was replaced or went stale) is executed once, all-or-nothing, and
-  /// committed. Either way the root of the committed state must equal
-  /// header.state_root, or the commit is rolled back
+  /// codes) and max_txs_per_block. A block whose header hash and tx list
+  /// match the seal (left by assemble() or validate()) is the sealed
+  /// proposal: its tx_root was computed or checked over those txs when the
+  /// seal was made, and it commits the sealed post-state with the staged
+  /// digests (LedgerState::absorb with the stage), hashing no tx, tree node,
+  /// store entry or audit record again. Every other block (followers,
+  /// import_blocks, a tampered or re-signed proposal, a tx list swapped
+  /// under the sealed header, a seal that was replaced or went stale) has
+  /// its tx_root recomputed from block.txs and is executed once,
+  /// all-or-nothing, and committed. Either way the root of the committed
+  /// state must equal header.state_root, or the commit is rolled back
   /// (LedgerState::apply_undo) and the block rejected with
   /// "block.bad_state_root". ValidationStats::sealed_commits counts the
   /// sealed commits.
@@ -185,9 +190,10 @@ class Blockchain {
   /// The checks that need no execution: height, parent, proposer schedule
   /// and signature, block size, tx_root. `digests` is
   /// Block::tx_digests(block.txs), computed once per block check and shared
-  /// with execute().
+  /// with execute(); null for a sealed proposal, whose tx_root the seal
+  /// already vouches for.
   [[nodiscard]] Status check_header(const Block& block,
-                                    const std::vector<crypto::Digest>& digests) const;
+                                    const std::vector<crypto::Digest>* digests) const;
   /// Apply the block's transactions all-or-nothing onto `scratch` (an
   /// overlay over the current state); "block.bad_tx" names the first that
   /// fails. On success the overlay holds the block's delta. `digests` feeds
@@ -231,13 +237,15 @@ class Blockchain {
   StateCommitment tip_commitment_;
   mutable ValidationStats vstats_;
   /// The last assembled (or, with no proposal of its own, validated) block:
-  /// its header hash and the post-state delta computed over the state it
-  /// was built on. Only append() and init_from_snapshot() change that
-  /// state, and both drop the seal, so a live seal always describes the
-  /// current tip.
+  /// its header hash, the post-state delta computed over the state it was
+  /// built on, that delta's staged commitment digests, and its tx list.
+  /// Only append() and init_from_snapshot() change that state, and both
+  /// drop the seal, so a live seal always describes the current tip.
   struct Sealed {
     crypto::Digest hash;
     LedgerStateOverlay post;
+    LedgerState::Staged staged;
+    std::vector<Transaction> txs;
   };
   mutable std::optional<Sealed> sealed_;
   CommitHook commit_hook_;

@@ -107,13 +107,13 @@ void sort_addresses(std::vector<crypto::Address>& addrs) {
   }
 }
 
-/// Hard failure in every build type unless `overlay` is directly over the
-/// state reading it: anything else would commit or hash the wrong delta.
-void require_direct_overlay(bool direct, const char* what,
-                            const LedgerStateOverlay& overlay) {
-  if (direct) return;
-  MV_LOG_ERROR << what << " of an overlay over another view ("
-               << overlay.touched() << " touched entries)";
+/// Hard failure in every build type unless `ok`: `what` names the misuse,
+/// and going on would commit or hash the wrong delta. Overlays must be
+/// directly over the state reading them, and a stage must describe the
+/// state absorbing it.
+void require(bool ok, const char* what, const LedgerStateOverlay& overlay) {
+  if (ok) return;
+  MV_LOG_ERROR << what << " (" << overlay.touched() << " touched entries)";
   std::clog.flush();  // abort() skips stream teardown; surface the message
   std::abort();
 }
@@ -315,29 +315,57 @@ void LedgerState::load_accounts(const std::vector<Account>& sorted) {
   account_tree_.update(account_leaves(sorted));
 }
 
-StateUndo LedgerState::absorb(LedgerStateOverlay& overlay) {
-  require_direct_overlay(overlay.base_ == this, "LedgerState::absorb()", overlay);
+StateUndo LedgerState::absorb(LedgerStateOverlay& overlay, const Staged* staged) {
+  require(overlay.base_ == this,
+          "LedgerState::absorb() of an overlay over another view", overlay);
   settle_account_leaves();
   StateUndo undo;
   // Accounts: one table probe per post-image (ascending by address) writes
   // it and records the prior content; the images' leaves are then rebuilt
-  // in one batch.
+  // in one batch, or adopted with the tree nodes from the stage.
   const std::vector<Account> images = overlay.account_images();
   undo.accounts.reserve(images.size());
   for (const Account& image : images) undo.accounts.push_back(accounts_.put(image));
-  account_tree_.update(account_leaves(images));
+  if (staged != nullptr) {
+    require(staged->accounts.updates.size() == images.size(),
+            "LedgerState::absorb() of a stage of another overlay", overlay);
+    account_tree_.adopt(staged->accounts);
+  } else {
+    account_tree_.update(account_leaves(images));
+  }
 
   for (auto& [contract, delta] : overlay.stores_) {
     StateUndo::StoreUndo& su = undo.stores[contract];
     su.existed = contracts_.contains(contract);
-    for (auto& [key, value] : delta) {
-      su.entries.emplace_hint(su.entries.end(), key,
-                              write_store_entry(contract, key, std::move(value)));
+    ContractStore& store = contracts_[contract];
+    StoreDigest& digest = store_digests_[contract];
+    const Staged::Store* adopted = nullptr;
+    if (staged != nullptr) {
+      const auto it = staged->stores.find(contract);
+      require(it != staged->stores.end() && it->second.base == digest,
+              "LedgerState::absorb() of a stage that lacks a touched store or has "
+              "another base for it",
+              overlay);
+      adopted = &it->second;
     }
+    for (auto& [key, value] : delta) {
+      su.entries.emplace_hint(
+          su.entries.end(), key,
+          write_store_entry(store, adopted != nullptr ? nullptr : &digest, key,
+                            std::move(value)));
+    }
+    if (adopted != nullptr) digest = adopted->post;
   }
   undo.audit_count = audit_log_.size();
   undo.audit_digest = audit_digest_;
-  for (auto& rec : overlay.audit_appended_) append_audit(std::move(rec));
+  if (staged != nullptr) {
+    require(staged->base_audit_digest == audit_digest_,
+            "LedgerState::absorb() of a stage with another audit base", overlay);
+    for (auto& rec : overlay.audit_appended_) audit_log_.push_back(std::move(rec));
+    audit_digest_ = staged->commitment.audit_digest;
+  } else {
+    for (auto& rec : overlay.audit_appended_) append_audit(std::move(rec));
+  }
   undo.burned_delta = overlay.burned_delta_;
   burned_fees_ += overlay.burned_delta_;
 
@@ -366,22 +394,25 @@ const Bytes* LedgerState::store_get(const std::string& contract,
   return it == store->end() ? nullptr : &it->second;
 }
 
-std::optional<Bytes> LedgerState::write_store_entry(const std::string& contract,
+std::optional<Bytes> LedgerState::write_store_entry(ContractStore& store,
+                                                    StoreDigest* digest,
                                                     const std::string& key,
                                                     std::optional<Bytes> value) {
-  ContractStore& store = contracts_[contract];
-  StoreDigest& sd = store_digests_[contract];
   std::optional<Bytes> prior;
   auto it = store.find(key);
   if (it != store.end()) {
-    sd.sum.remove(store_entry_hash(key, it->second));
-    --sd.count;
+    if (digest != nullptr) {
+      digest->sum.remove(store_entry_hash(key, it->second));
+      --digest->count;
+    }
     prior = std::move(it->second);
     if (!value.has_value()) store.erase(it);
   }
   if (value.has_value()) {
-    sd.sum.add(store_entry_hash(key, *value));
-    ++sd.count;
+    if (digest != nullptr) {
+      digest->sum.add(store_entry_hash(key, *value));
+      ++digest->count;
+    }
     if (it != store.end()) {
       it->second = std::move(*value);
     } else {
@@ -399,8 +430,10 @@ void LedgerState::materialize_store(const std::string& contract) {
 void LedgerState::apply_undo(const StateUndo& undo) {
   settle_account_leaves();
   for (const auto& [contract, su] : undo.stores) {
+    ContractStore& store = contracts_[contract];
+    StoreDigest& digest = store_digests_[contract];
     for (const auto& [key, prior] : su.entries) {
-      (void)write_store_entry(contract, key, prior);
+      (void)write_store_entry(store, &digest, key, prior);
     }
     if (!su.existed) {
       // The block materialized this store; un-create it. All its entries
@@ -419,20 +452,23 @@ void LedgerState::apply_undo(const StateUndo& undo) {
 }
 
 StateCommitment LedgerState::commitment() const {
-  return commitment_with(LedgerStateOverlay::reader(*this));
+  return stage(LedgerStateOverlay::reader(*this)).commitment;
 }
 
-StateCommitment LedgerState::commitment_with(const LedgerStateOverlay& block) const {
-  require_direct_overlay(block.base_ == this, "LedgerState::commitment_with()", block);
+LedgerState::Staged LedgerState::stage(const LedgerStateOverlay& block) const {
+  require(block.base_ == this, "LedgerState::stage() of an overlay over another view",
+          block);
   settle_account_leaves();
-  StateCommitment c;
+  Staged staged;
+  StateCommitment& c = staged.commitment;
 
   // Accounts: cached Merkle tree plus the leaves of the block's post-images.
-  const auto accounts = account_tree_.root_with(account_leaves(block.account_images()));
-  c.accounts_root = accounts.root;
-  c.account_count = accounts.count;
+  staged.accounts = account_tree_.stage(account_leaves(block.account_images()));
+  c.accounts_root = staged.accounts.committed.root;
+  c.account_count = staged.accounts.committed.count;
 
   // Audit log: extend the running chain hash with the appended records.
+  staged.base_audit_digest = audit_digest_;
   crypto::Digest h = audit_digest_;
   for (const StoredAuditRecord& rec : block.audit_appended_) h = chain_audit(h, rec);
   c.audit_digest = h;
@@ -442,12 +478,13 @@ StateCommitment LedgerState::commitment_with(const LedgerStateOverlay& block) co
   // combine all per-contract digests in name order. A delta consisting
   // solely of tombstones still names the contract (store_erase materializes
   // an empty store on commit).
-  std::map<std::string, StoreDigest> adjusted;
   std::size_t contract_count = store_digests_.size();
   for (const auto& [contract, kv] : block.stores_) {
     const auto base_it = store_digests_.find(contract);
     if (base_it == store_digests_.end()) ++contract_count;
-    StoreDigest sd = base_it != store_digests_.end() ? base_it->second : StoreDigest{};
+    const StoreDigest base =
+        base_it != store_digests_.end() ? base_it->second : StoreDigest{};
+    StoreDigest sd = base;
     for (const auto& [key, value] : kv) {
       const Bytes* old = store_get(contract, key);
       if (old != nullptr) {
@@ -459,14 +496,14 @@ StateCommitment LedgerState::commitment_with(const LedgerStateOverlay& block) co
         ++sd.count;
       }
     }
-    adjusted[contract] = sd;
+    staged.stores.emplace(contract, Staged::Store{base, sd});
   }
   crypto::HashWriter stores_w;
   stores_w.u32(static_cast<std::uint32_t>(contract_count));
-  merge_maps(store_digests_, adjusted,
+  merge_maps(store_digests_, staged.stores,
              [&stores_w](const std::string& name, const StoreDigest* base_sd,
-                         const StoreDigest* adj_sd) {
-               const StoreDigest& sd = adj_sd != nullptr ? *adj_sd : *base_sd;
+                         const Staged::Store* touched) {
+               const StoreDigest& sd = touched != nullptr ? touched->post : *base_sd;
                stores_w.str(name);
                stores_w.u64(sd.count);
                stores_w.raw(sd.sum.bytes());
@@ -475,7 +512,7 @@ StateCommitment LedgerState::commitment_with(const LedgerStateOverlay& block) co
 
   c.burned_fees = burned_fees_ + block.burned_delta_;
   c.root = combine_commitment_root(c);
-  return c;
+  return staged;
 }
 
 StateCommitment LedgerState::full_rehash_commitment() const {

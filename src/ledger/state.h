@@ -18,16 +18,19 @@
 // commitment"): the accounts are Merkleized (crypto::MerkleMap), the audit
 // log carries a running chain hash, and each contract store an additive
 // multiset digest, so commitment() is a fold of cached sections, and
-// commitment_with(block) over at most one block overlay costs
-// O(touched · log n) instead of re-hashing the world.
+// stage(block) over at most one block overlay costs O(touched · log n)
+// instead of re-hashing the world. A stage keeps what it hashed (account
+// leaves and tree nodes, the touched stores' digests, the extended audit
+// chain), and absorb(block, &staged) installs those digests instead of
+// hashing the block a second time: a sealed proposal is hashed once.
 // full_rehash_commitment() recomputes everything from scratch as a
 // differential-testing oracle.
 //
 // When account leaves are hashed: a block's accounts are re-leafed by the
 // absorb() that commits it, in one batch. A put_account (and so a
 // set_balance, set_nonce or credit) outside a block only records the
-// address; the first reader of the accounts tree (commitment,
-// commitment_with, absorb, apply_undo, prove_account, flush_account_tree)
+// address; the first reader of the accounts tree (commitment, stage,
+// absorb, apply_undo, prove_account, flush_account_tree)
 // settles every recorded address in one sorted batch. Every one of these,
 // and load_accounts, grows the tree through MerkleMap::update, whether it
 // is empty (a genesis built by credits) or not. Roots do not depend on when
@@ -96,7 +99,7 @@ template <StoreScalar T>
 
 /// Commitment to a full ledger state: one root digest plus the per-section
 /// digests it is combined from. Returned by LedgerState::commitment() and
-/// LedgerState::commitment_with(block); block headers carry `root`.
+/// carried by LedgerState::stage(block); block headers carry `root`.
 struct StateCommitment {
   crypto::Digest root{};           ///< combined commitment (block header field)
   crypto::Digest accounts_root{};  ///< MerkleMap root over account leaves
@@ -230,6 +233,29 @@ class LedgerStateOverlay;
 
 class LedgerState final : public LedgerView {
  public:
+  // ---- staged commitments (stage, absorb) ----
+  /// Incrementally maintained digest of one contract store.
+  struct StoreDigest {
+    crypto::SetHash sum;       ///< multiset hash over (key, value) entries
+    std::uint64_t count = 0;   ///< live entries
+
+    [[nodiscard]] bool operator==(const StoreDigest&) const = default;
+  };
+  /// The commitment of this state with a block applied, plus every digest
+  /// computing it took (stage()), for absorb() to install.
+  struct Staged {
+    StateCommitment commitment;  ///< the post-state commitment
+    crypto::MerkleMap::Staged accounts;  ///< account leaves and tree nodes
+    crypto::Digest base_audit_digest{};  ///< the chain hash it extended
+    /// A touched store's digest before and after the block (a store the
+    /// block creates starts from the empty digest).
+    struct Store {
+      StoreDigest base;
+      StoreDigest post;
+    };
+    std::map<std::string, Store> stores;  ///< every store the block touched
+  };
+
   // ---- accounts ----
   [[nodiscard]] Account account(crypto::Address a) const override;
   void put_account(const Account& account) override;
@@ -248,11 +274,20 @@ class LedgerState final : public LedgerView {
   /// records its prior content and writes the image, and its leaf is
   /// refreshed exactly once (digests and Merkle leaf hashes batched). Store
   /// entries, audit records and burned fees follow. The overlay is left
-  /// empty. Its base must be this state, as for commitment_with(): a reader
-  /// overlay (a sealed proposal) commits as it was built, and any other
-  /// overlay is a hard failure.
+  /// empty. Its base must be this state, as for stage(): a reader overlay
+  /// (a sealed proposal) commits as it was built, and any other overlay is
+  /// a hard failure.
+  ///
+  /// `staged`, when given, must be stage(overlay) taken on this state as it
+  /// is now: the commit then hashes nothing. The accounts tree adopts the
+  /// staged leaves and nodes (crypto::MerkleMap::adopt, which stamps them
+  /// only on an unchanged tree), and the touched stores and the audit chain
+  /// take their staged digests. A stage of another overlay, a store or
+  /// audit base that is not this state's, or a touched store the stage
+  /// lacks is a hard failure.
   /// apply_undo(result) restores the pre-commit state exactly.
-  [[nodiscard]] StateUndo absorb(LedgerStateOverlay& overlay);
+  [[nodiscard]] StateUndo absorb(LedgerStateOverlay& overlay,
+                                 const Staged* staged = nullptr);
 
   // ---- audit log (§II-D) ----
   [[nodiscard]] const std::vector<StoredAuditRecord>& audit_log() const {
@@ -266,7 +301,8 @@ class LedgerState final : public LedgerView {
                                        const std::string& key) const override;
   void store_write(const std::string& contract, const std::string& key,
                    std::optional<Bytes> value) override {
-    (void)write_store_entry(contract, key, std::move(value));
+    (void)write_store_entry(contracts_[contract], &store_digests_[contract], key,
+                            std::move(value));
   }
   /// Create `contract`'s (empty) store if missing, mirroring store_erase's
   /// side effect. The snapshot decoder uses this to rebuild empty stores,
@@ -279,10 +315,11 @@ class LedgerState final : public LedgerView {
   /// Commitment to this state with `block` applied, without materializing
   /// it: `block`'s touched accounts, audit records, store entries and fees
   /// are read in place and combined with the cached Merkle tree and section
-  /// digests, in O(touched · log n). `block` must be directly over this
-  /// state (reader or writer); anything else is a hard failure, as in
-  /// absorb().
-  [[nodiscard]] StateCommitment commitment_with(const LedgerStateOverlay& block) const;
+  /// digests, in O(touched · log n). The result keeps those digests, so
+  /// absorb(block, &result) commits the block without hashing it again.
+  /// `block` must be directly over this state (reader or writer); anything
+  /// else is a hard failure, as in absorb().
+  [[nodiscard]] Staged stage(const LedgerStateOverlay& block) const;
   /// Oracle: recompute the commitment from the raw maps with no incremental
   /// caches (independent account-tree recursion, audit chain refold, store
   /// digests from scratch). Differential tests assert it equals commitment().
@@ -339,17 +376,13 @@ class LedgerState final : public LedgerView {
   /// from several threads must be committed once before it is shared.
   void settle_account_leaves() const;
 
-  /// Incrementally maintained digest of one contract store.
-  struct StoreDigest {
-    crypto::SetHash sum;       ///< multiset hash over (key, value) entries
-    std::uint64_t count = 0;   ///< live entries
-  };
-
-  /// store_write, keeping the store's digest in step. Returns the prior
-  /// value (nullopt = absent) for absorb's undo.
-  std::optional<Bytes> write_store_entry(const std::string& contract,
-                                         const std::string& key,
-                                         std::optional<Bytes> value);
+  /// Write one entry of `store`, keeping `digest` in step unless it is
+  /// null (absorb installing a staged digest). Returns the prior value
+  /// (nullopt = absent) for absorb's undo.
+  static std::optional<Bytes> write_store_entry(ContractStore& store,
+                                                StoreDigest* digest,
+                                                const std::string& key,
+                                                std::optional<Bytes> value);
 
   AccountTable accounts_;
   std::vector<StoredAuditRecord> audit_log_;
@@ -423,7 +456,7 @@ class LedgerStateOverlay final : public LedgerView {
   [[nodiscard]] std::size_t touched() const;
 
  private:
-  // absorb() consumes the delta and commitment_with() reads it in place.
+  // absorb() consumes the delta and stage() reads it in place.
   friend class LedgerState;
 
   LedgerStateOverlay(const LedgerView* base, LedgerView* writable)

@@ -67,6 +67,9 @@ struct Transaction {
 
   /// Signature check against the embedded public key.
   [[nodiscard]] bool signature_valid() const;
+
+  /// Field-wise equality (equal transactions have equal encodings).
+  [[nodiscard]] bool operator==(const Transaction&) const = default;
 };
 
 /// Build-and-sign helpers.

@@ -290,6 +290,26 @@ TEST(Wallet, SignaturesVerifyAgainstPublicKey) {
   EXPECT_TRUE(verify(w.public_key(), msg, sig));
 }
 
+TEST(Wallet, AddressOfIsSha256OfTheKeyEncoding) {
+  // address_of hashes write_key's bytes; the first 8 digest bytes are the
+  // address, and a zero prefix (the null address) maps to 1.
+  const auto reference = [](PublicKey pub) {
+    ByteWriter w;
+    write_key(w, pub);
+    const std::uint64_t v = digest_prefix64(sha256(w.data()));
+    return Address{v == 0 ? 1 : v};
+  };
+  Rng rng(53);
+  for (int i = 0; i < 100000; ++i) {
+    const PublicKey pub{rng.next_u64()};
+    ASSERT_EQ(address_of(pub), reference(pub)) << pub.y;
+  }
+  for (const std::uint64_t y : {std::uint64_t{0}, std::uint64_t{1}, kFieldP - 1,
+                                ~std::uint64_t{0}}) {
+    EXPECT_EQ(address_of(PublicKey{y}), reference(PublicKey{y})) << y;
+  }
+}
+
 TEST(Wallet, AddressToStringHex) {
   Address a{0xff};
   EXPECT_EQ(a.to_string(), "0xff");
@@ -676,11 +696,132 @@ TEST(MerkleMap, RootWithMatchesMaterializedApplication) {
     }
     const Digest before = base.root();
     const std::vector<MerkleMap::Entry> entries(delta.begin(), delta.end());
-    const MerkleMap::Committed with = base.root_with(entries);
+    const MerkleMap::Committed with = base.stage(entries).committed;
     ASSERT_EQ(with.root, reference_of(expected)) << "round " << round;
     ASSERT_EQ(with.count, expected.size()) << "round " << round;
-    ASSERT_EQ(base.root(), before);  // root_with must not mutate the map
+    ASSERT_EQ(base.root(), before);  // stage must not mutate the map
     ASSERT_EQ(base.size(), model.size());
+  }
+}
+
+TEST(MerkleMap, StageThenAdoptMatchesUpdate) {
+  // adopt(stage(delta)) must leave the map update(delta) would: the
+  // reference root, the key count, proofs of every key that verify, and,
+  // because each node the delta dirtied takes its staged digest, no dirty
+  // node at all. Deltas mix puts that split a leaf (a key one bit from a
+  // present one), erases that collapse a node, erases of absent keys and
+  // value changes, on dense and on random keys, from an empty map and a
+  // one-key map up.
+  Rng rng(4141);
+  const auto adopt_and_check = [](MerkleMap& map, const MerkleMap::Staged& staged,
+                                  const std::map<std::uint64_t, Digest>& model,
+                                  bool expect_clean, const std::string& where) {
+    ASSERT_EQ(staged.committed.root, reference_of(model)) << where;
+    ASSERT_EQ(staged.committed.count, model.size()) << where;
+    map.adopt(staged);
+    if (expect_clean) {
+      ASSERT_EQ(map.dirty_nodes(), 0u) << where;
+    }
+    ASSERT_EQ(map.size(), model.size()) << where;
+    const Digest root = map.root();
+    ASSERT_EQ(root, reference_of(model)) << where;
+    for (const auto& [key, value] : model) {
+      ASSERT_TRUE(MerkleMap::verify(root, key, value, map.prove(key)))
+          << where << ": key " << key;
+    }
+  };
+  // A random delta over `model`: ~1/4 value changes, ~1/4 erases (a few of
+  // absent keys), ~1/4 leaf-splitting puts next to present keys, the rest
+  // fresh keys from `fresh`.
+  const auto random_delta = [&](std::map<std::uint64_t, Digest>& model, std::size_t ops,
+                                const auto& fresh) {
+    std::map<std::uint64_t, std::optional<Digest>> delta;
+    for (std::size_t op = 0; op < ops; ++op) {
+      const auto pick = [&] {
+        return std::next(model.begin(),
+                         static_cast<std::ptrdiff_t>(rng.next_below(model.size())))
+            ->first;
+      };
+      const std::uint64_t roll = rng.next_below(4);
+      std::uint64_t key = 0;
+      if (model.empty() || roll == 3) {
+        key = fresh();
+      } else if (roll == 2) {
+        key = pick() ^ (std::uint64_t{1} << rng.next_below(8));
+      } else {
+        key = rng.chance(0.1) ? fresh() : pick();
+      }
+      if (roll == 1) {
+        delta[key] = std::nullopt;
+      } else {
+        delta[key] = value_digest(rng.next_u64());
+      }
+    }
+    for (const auto& [key, value] : delta) {
+      if (value.has_value()) {
+        model[key] = *value;
+      } else {
+        model.erase(key);
+      }
+    }
+    return std::vector<MerkleMap::Entry>(delta.begin(), delta.end());
+  };
+
+  std::uint64_t next_dense = 0;
+  const auto dense = [&] { return 0x100000 + next_dense++; };
+  const auto sparse = [&] { return rng.next_u64(); };
+  for (const bool use_dense : {true, false}) {
+    for (const std::size_t start : {std::size_t{0}, std::size_t{1}, std::size_t{600}}) {
+      MerkleMap map;
+      std::map<std::uint64_t, Digest> model;
+      std::vector<MerkleMap::Entry> seed;
+      for (std::size_t i = 0; i < start; ++i) {
+        const std::uint64_t key = use_dense ? dense() : sparse();
+        model[key] = value_digest(key);
+      }
+      for (const auto& [key, value] : model) seed.emplace_back(key, value);
+      map.update(seed);
+      for (int round = 0; round < 12; ++round) {
+        const std::string where = std::string(use_dense ? "dense" : "random") +
+                                  " start " + std::to_string(start) + " round " +
+                                  std::to_string(round);
+        const std::size_t ops = round == 0 ? 1 : 1 + rng.next_below(80);
+        const std::vector<MerkleMap::Entry> delta =
+            use_dense ? random_delta(model, ops, dense) : random_delta(model, ops, sparse);
+        const MerkleMap::Staged staged = map.stage(delta);
+        adopt_and_check(map, staged, model, true, where);
+        if (HasFatalFailure()) return;
+      }
+      // Erase every key in one staged delta: the map ends empty.
+      std::vector<MerkleMap::Entry> wipe;
+      for (const auto& [key, value] : model) wipe.emplace_back(key, std::nullopt);
+      model.clear();
+      adopt_and_check(map, map.stage(wipe), model, true, "wipe");
+      EXPECT_EQ(map.root(), Digest{});
+    }
+  }
+
+  // A stage taken before a later mutation: adopt sees another base, stamps
+  // nothing, and root() still hashes the right tree.
+  MerkleMap map;
+  std::map<std::uint64_t, Digest> model;
+  std::vector<MerkleMap::Entry> seed;
+  for (std::uint64_t i = 0; i < 300; ++i) model[0x100000 + i] = value_digest(i);
+  for (const auto& [key, value] : model) seed.emplace_back(key, value);
+  map.update(seed);
+  const std::vector<MerkleMap::Entry> delta =
+      random_delta(model, 40, [&] { return rng.next_u64(); });
+  const MerkleMap::Staged staged = map.stage(delta);
+  const std::uint64_t late = 0x100000 + 1000;
+  map.put(late, value_digest(late));
+  model[late] = value_digest(late);
+  map.adopt(staged);
+  EXPECT_GT(map.dirty_nodes(), 0u);
+  MerkleMap::Staged restaged = map.stage({});  // the right root, now hashed
+  EXPECT_EQ(restaged.committed.root, reference_of(model));
+  EXPECT_EQ(map.dirty_nodes(), 0u);
+  for (const auto& [key, value] : model) {
+    ASSERT_TRUE(MerkleMap::verify(map.root(), key, value, map.prove(key)));
   }
 }
 

@@ -1081,7 +1081,7 @@ TEST(LedgerStateOverlay, ReaderComputesCommitmentWithoutMutatingBase) {
   auto scratch = LedgerStateOverlay::reader(f.state);
   const auto tx = make_transfer(f.alice, 0, f.bob.address(), 100, 5, f.rng);
   ASSERT_TRUE(scratch.apply(tx, *f.contracts, 0).ok());
-  const auto oc = f.state.commitment_with(scratch);
+  const auto oc = f.state.stage(scratch).commitment;
   EXPECT_NE(oc.root, base_before.root);
   EXPECT_EQ(f.state.commitment(), base_before);  // base untouched
 }
@@ -1092,7 +1092,7 @@ TEST(LedgerStateOverlay, WriterCommitmentPredictsPostCommitState) {
   const auto tx = make_transfer(f.alice, 0, f.bob.address(), 100, 5, f.rng);
   ASSERT_TRUE(scratch.apply(tx, *f.contracts, 0).ok());
   scratch.store_put("reg", "k", Bytes{9});
-  const auto oc = f.state.commitment_with(scratch);
+  const auto oc = f.state.stage(scratch).commitment;
   scratch.commit();
   EXPECT_EQ(f.state.commitment(), oc);
   EXPECT_EQ(f.state.commitment(), f.state.full_rehash_commitment());
@@ -1103,7 +1103,7 @@ TEST(LedgerStateOverlay, OverlayTombstoneErasesBaseStoreKey) {
   f.state.store_put("reg", "k", Bytes{1});
   auto scratch = LedgerStateOverlay::writer(f.state);
   scratch.store_erase("reg", "k");
-  const auto oc = f.state.commitment_with(scratch);
+  const auto oc = f.state.stage(scratch).commitment;
   scratch.commit();
   EXPECT_EQ(f.state.store_get("reg", "k"), nullptr);
   EXPECT_EQ(f.state.commitment(), oc);
@@ -1160,7 +1160,7 @@ TEST(LedgerState, DifferentialCommitmentMatchesFullRehashOracle) {
           break;
       }
     }
-    const auto oc = state.commitment_with(scratch);
+    const auto oc = state.stage(scratch).commitment;
     if (rng.chance(0.7)) {
       scratch.commit();
       ASSERT_EQ(state.commitment(), oc) << "block " << block;
@@ -1190,7 +1190,7 @@ TEST(LedgerState, AbsorbDifferentialMatchesPerKeyCommit) {
   // one batched leaf refresh per account post-image). Part of each block is
   // staged, as a contract call is, in a nested overlay that takes its images
   // from the block overlay and commits into it before the block's
-  // commitment_with. One oracle commits the same ops key by key through a
+  // stage. One oracle commits the same ops key by key through a
   // writer overlay's commit(), i.e. put_account/store_write on a copy;
   // another writes them straight into a state with no overlay at all, so
   // an image seeded wrongly (a balance entry that was not there, a nonce
@@ -1267,7 +1267,7 @@ TEST(LedgerState, AbsorbDifferentialMatchesPerKeyCommit) {
     stage(b, call_seed);
     stage(flat, block_seed);
     stage(flat, call_seed);
-    const StateCommitment expected = state.commitment_with(a);
+    const StateCommitment expected = state.stage(a).commitment;
     pre_states.push_back(state);
     undos.push_back(state.absorb(a));
     b.commit();
@@ -1293,7 +1293,7 @@ TEST(LedgerState, DeferredLeafDifferentialMatchesOracles) {
   // first reader of the accounts tree settles every pending leaf in one
   // sorted MerkleMap::update batch, into an empty tree or not. Random
   // interleavings of direct writes, writer-overlay commit()s and copies with
-  // every reader (commitment, commitment_with, prove_account, absorb,
+  // every reader (commitment, stage, prove_account, absorb,
   // apply_undo, flush_account_tree) must agree with the from-scratch oracle
   // and with a twin whose accounts were set by one load_accounts: same
   // accounts root, byte-equal proofs.
@@ -1363,12 +1363,12 @@ TEST(LedgerState, DeferredLeafDifferentialMatchesOracles) {
       case 1:
         check(state, where);
         break;
-      case 2: {  // commitment_with vs the same delta written into a copy
+      case 2: {  // stage() vs the same delta written into a copy
         auto block = LedgerStateOverlay::reader(state);
         stage(block, seed, true);
         LedgerState oracle = state;
         stage(oracle, seed, true);
-        ASSERT_EQ(state.commitment_with(block), oracle.full_rehash_commitment())
+        ASSERT_EQ(state.stage(block).commitment, oracle.full_rehash_commitment())
             << where;
         break;
       }
@@ -1394,7 +1394,7 @@ TEST(LedgerState, DeferredLeafDifferentialMatchesOracles) {
         const LedgerState before = state;
         auto block = LedgerStateOverlay::writer(state);
         stage(block, seed, true);
-        const StateCommitment expected = state.commitment_with(block);
+        const StateCommitment expected = state.stage(block).commitment;
         undo = state.absorb(block);
         ASSERT_EQ(state.commitment(), expected) << where;
         LedgerState rolled = state;
@@ -1899,9 +1899,9 @@ TEST(LedgerStateOverlayDeathTest, CommitmentWithOverAnotherViewAborts) {
   outer.credit(f.alice.address(), 1);
   auto inner = LedgerStateOverlay::nested(outer);
   inner.credit(f.bob.address(), 1);
-  EXPECT_DEATH((void)f.state.commitment_with(inner), "commitment_with");
+  EXPECT_DEATH((void)f.state.stage(inner), "LedgerState::stage");
   LedgerState other;
-  EXPECT_DEATH((void)other.commitment_with(outer), "commitment_with");
+  EXPECT_DEATH((void)other.stage(outer), "LedgerState::stage");
 }
 
 TEST(LedgerStateOverlay, CommitOnWriterFoldsDelta) {

@@ -383,7 +383,7 @@ TEST(ParallelBlockCheck, SigPreverifyMatchesSerialLoop) {
         const BlockApplyOutcome out =
             apply_block(scratch, c.txs, digests, *f.contracts, 0, config,
                         ApplyMode::kAllOrNothing);
-        return std::tuple(out, f.genesis.commitment_with(scratch), config.sig_cache);
+        return std::tuple(out, f.genesis.stage(scratch).commitment, config.sig_cache);
       };
       const auto [want, want_state, want_cache] = run({});
       const std::size_t want_size = want_cache->size();

@@ -673,6 +673,83 @@ TEST(ScenarioSealed, MixedCityWithFailingCandidatesMatchesFollower) {
   }
 }
 
+TEST(SealedProposal, SealedCommitKeepsEveryCachedDigestTrue) {
+  // A sealed commit installs the digests its stage computed (account leaves
+  // and tree nodes, the touched stores' digests, the audit chain) instead of
+  // hashing the block again. After every sealed commit of a mixed_city
+  // trace, on a proposer (seal from assemble) and on a voting replica (seal
+  // from validate), the cached commitment must equal the from-scratch one,
+  // the retained tip commitment must equal it too, and every account the
+  // block touched must prove against the block's state root.
+  ScenarioConfig config;
+  config.mix = "mixed_city";
+  config.seed = 29;
+  config.avatars = 200;
+  config.rounds = 10;
+  config.txs_per_round = 80;
+  config.max_txs_per_block = 128;
+  auto rec = record(config);
+  ASSERT_TRUE(rec.ok()) << rec.error().to_string();
+  const Trace& trace = rec.value().trace;
+  auto env_r = build_env(trace.header);
+  ASSERT_TRUE(env_r.ok()) << env_r.error().to_string();
+  const ScenarioEnv& env = env_r.value();
+
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
+    SCOPED_TRACE("queue workers " + std::to_string(workers));
+    ledger::ChainConfig cc;
+    cc.validators = env.validator_keys();
+    cc.max_txs_per_block = trace.header.max_txs_per_block;
+    JobQueueConfig qc;
+    qc.threads = workers;
+    cc.validation.job_queue = std::make_shared<JobQueue>(qc);
+    ledger::Blockchain proposer(cc, env.contracts, env.genesis);
+    ledger::Blockchain voter(cc, env.contracts, env.genesis);
+    std::vector<crypto::Address> touched;
+    proposer.set_commit_hook([&](const ledger::Block&, const ledger::StateUndo& undo) {
+      for (const ledger::Account& prior : undo.accounts) touched.push_back(prior.addr);
+    });
+    ledger::Mempool pool(ledger::MempoolConfig{});
+    Rng exec_rng(trace.header.seed ^ 0xd16e57ULL);
+
+    const auto check = [&](const ledger::Blockchain& chain, std::int64_t h,
+                           const crypto::Digest& state_root) {
+      const ledger::LedgerState& state = chain.state();
+      ASSERT_EQ(state.commitment(), state.full_rehash_commitment()) << "height " << h;
+      ASSERT_EQ(*chain.commitment_at(h), state.commitment()) << "height " << h;
+      ASSERT_EQ(state.commitment().root, state_root) << "height " << h;
+      for (const crypto::Address addr : touched) {
+        const auto ap = chain.prove_account(addr, h);
+        ASSERT_TRUE(ap.ok()) << ap.error().to_string();
+        ASSERT_TRUE(ledger::verify_account_proof(ap.value(), state_root).ok())
+            << "height " << h << " account " << addr.to_string();
+      }
+    };
+    for (std::size_t r = 0; r < trace.rounds.size(); ++r) {
+      for (const auto& tx : trace.rounds[r].txs) {
+        ASSERT_TRUE(pool.add(tx, proposer.state(), static_cast<Tick>(r)).ok());
+      }
+      const auto selected = pool.select(cc.max_txs_per_block, proposer.state());
+      const auto& wallet = env.validators[r % env.validators.size()];
+      const ledger::Block block =
+          proposer.assemble(wallet, selected, static_cast<Tick>(r), exec_rng);
+      ASSERT_EQ(block.header.state_root, trace.rounds[r].commitment_root) << "round " << r;
+      ASSERT_TRUE(voter.validate(block).ok()) << "round " << r;
+      touched.clear();
+      ASSERT_TRUE(proposer.append(block).ok()) << "round " << r;
+      ASSERT_TRUE(voter.append(block).ok()) << "round " << r;
+      pool.remove_included(block.txs);
+      ASSERT_FALSE(touched.empty());
+      const auto h = static_cast<std::int64_t>(r);
+      check(proposer, h, block.header.state_root);
+      check(voter, h, block.header.state_root);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_EQ(proposer.validation_stats().sealed_commits, trace.rounds.size());
+    EXPECT_EQ(voter.validation_stats().sealed_commits, trace.rounds.size());
+  }
+}
+
 TEST(ScenarioSealed, FourShardLedgerMatchesFollowers) {
   constexpr std::size_t kShards = 4;
   constexpr int kRounds = 6;
