@@ -327,8 +327,15 @@ StateUndo LedgerState::absorb(LedgerStateOverlay& overlay, const Staged* staged)
   undo.accounts.reserve(images.size());
   for (const Account& image : images) undo.accounts.push_back(accounts_.put(image));
   if (staged != nullptr) {
-    require(staged->accounts.updates.size() == images.size(),
-            "LedgerState::absorb() of a stage of another overlay", overlay);
+    // The stage must name the same accounts, each put or erased as its
+    // image is; comparing the leaf values would mean hashing them again.
+    const auto& updates = staged->accounts.updates;
+    bool same = updates.size() == images.size();
+    for (std::size_t i = 0; same && i < images.size(); ++i) {
+      same = updates[i].key == images[i].addr.value &&
+             updates[i].value.has_value() == images[i].live();
+    }
+    require(same, "LedgerState::absorb() of a stage of another overlay", overlay);
     account_tree_.adopt(staged->accounts);
   } else {
     account_tree_.update(account_leaves(images));

@@ -282,9 +282,10 @@ class LedgerState final : public LedgerView {
   /// is now: the commit then hashes nothing. The accounts tree adopts the
   /// staged leaves and nodes (crypto::MerkleMap::adopt, which stamps them
   /// only on an unchanged tree), and the touched stores and the audit chain
-  /// take their staged digests. A stage of another overlay, a store or
-  /// audit base that is not this state's, or a touched store the stage
-  /// lacks is a hard failure.
+  /// take their staged digests. A stage whose account updates are not the
+  /// overlay's images (address, put or erase; the leaf values are not
+  /// re-hashed), a store or audit base that is not this state's, or a
+  /// touched store the stage lacks is a hard failure.
   /// apply_undo(result) restores the pre-commit state exactly.
   [[nodiscard]] StateUndo absorb(LedgerStateOverlay& overlay,
                                  const Staged* staged = nullptr);

@@ -1904,6 +1904,20 @@ TEST(LedgerStateOverlayDeathTest, CommitmentWithOverAnotherViewAborts) {
   EXPECT_DEATH((void)other.stage(outer), "LedgerState::stage");
 }
 
+TEST(LedgerStateOverlayDeathTest, AbsorbWithAStageOfAnotherOverlayAborts) {
+  // A sealed commit installs the stage's digests without re-hashing the
+  // overlay, so a stage of another overlay touching as many accounts would
+  // leave the accounts tree out of step with the table.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Fixture f;
+  auto committed = LedgerStateOverlay::reader(f.state);
+  committed.credit(f.alice.address(), 1);
+  auto other = LedgerStateOverlay::reader(f.state);
+  other.credit(f.bob.address(), 1);
+  const LedgerState::Staged staged = f.state.stage(other);
+  EXPECT_DEATH((void)f.state.absorb(committed, &staged), "stage of another overlay");
+}
+
 TEST(LedgerStateOverlay, CommitOnWriterFoldsDelta) {
   Fixture f;
   auto overlay = LedgerStateOverlay::writer(f.state);
