@@ -65,8 +65,9 @@ echo "== gate: mempool: one record per (sender, nonce) =="
 # A pending transaction's one identity is its (sender, nonce) slot: a
 # duplicate is the slot's own occupant, replace-by-fee swaps it, and a
 # committed block removes the slots it consumed, whatever variant pends
-# there. These cases pin admission, selection, eviction, expiry and removal,
-# and the audit that no entry pends below its sender's committed nonce.
+# there. These cases pin admission, selection, eviction and removal, TTL
+# expiry against a brute-force stamp model (clock regressions included), and
+# the audit that no entry pends below its sender's committed nonce.
 gate "mempool: one record per (sender, nonce)" 'Mempool'
 
 echo "== gate: one commit path (replica, committee, sharded ledger) =="
@@ -84,8 +85,9 @@ echo "== gate: snapshot differential + mutation fuzz must run (not be skipped) =
 gate "snapshot codec/mutation tests" 'Snapshot(Codec|ManifestCodec|Assembly)'
 
 echo "== gate: job queue battery (priority, shedding, determinism) must run =="
-# The queue is the scheduler under every subsystem; its suite must never be
-# silently renamed away or skipped.
+# The queue is the scheduler under every subsystem; its suites (JobQueue*,
+# including the JobQueueBatch run_batch cases) must never be silently renamed
+# away or skipped.
 gate "job queue tests" 'JobQueue'
 
 echo "== gate: subscription read path + client API taxonomy must run =="
@@ -203,10 +205,13 @@ cmake --build build-asan -j "${jobs}"
 echo "== ctest: asan-ubsan =="
 ctest --test-dir build-asan --output-on-failure -j "${jobs}"
 
+# The suites that run work on job queue workers, built and run under TSan.
+tsan_suites=(common_test job_queue_test crypto_test parallel_test ledger_test
+  snapshot_test subscription_test net_test scenario_test shard_test sealed_test)
+
 echo "== configure + build: tsan =="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMV_TSAN=ON
-cmake --build build-tsan -j "${jobs}" --target \
-  common_test job_queue_test crypto_test parallel_test ledger_test snapshot_test subscription_test net_test scenario_test shard_test sealed_test
+cmake --build build-tsan -j "${jobs}" --target "${tsan_suites[@]}"
 
 echo "== tsan: suites that run work on job queue workers =="
 # halt_on_error turns the first data race into a non-zero exit instead of a
@@ -221,7 +226,7 @@ echo "== tsan: suites that run work on job queue workers =="
 # sealed-proposal differential (shard chains on queue workers).
 # Each binary runs outside ctest, so `timeout` turns a hang into a failure
 # (the slowest binary, ledger_test, takes ~33 s under TSan on 4 cores).
-for t in common_test job_queue_test crypto_test parallel_test ledger_test snapshot_test subscription_test net_test scenario_test shard_test sealed_test; do
+for t in "${tsan_suites[@]}"; do
   echo "-- tsan: ${t}"
   TSAN_OPTIONS="halt_on_error=1" timeout 900 "./build-tsan/tests/${t}"
 done

@@ -4,11 +4,6 @@
 
 namespace mv::ledger {
 
-void Mempool::index_entry(const Entry& entry, const Locator& loc) {
-  by_fee_.emplace(std::pair{entry.tx.fee, entry.seq}, loc);
-  by_admission_.emplace(std::pair{entry.admitted, entry.seq}, loc);
-}
-
 Status Mempool::add(Transaction tx, const LedgerState& state, Tick now) {
   // The digest keys the sig cache: a hit skips verification (the digest
   // covers the signature bytes), and a verified miss is remembered so block
@@ -23,7 +18,9 @@ Status Mempool::add(Transaction tx, const LedgerState& state, Tick now) {
     config_.sig_cache->insert(digest);
   }
   // The digest covers sender and nonce, so the only pending transaction that
-  // can share it is the occupant of the same slot.
+  // can share it is the occupant of the same slot. Field-wise equality is
+  // the same test without a second hash: the digest hashes the encoding,
+  // which writes every field.
   const crypto::Address sender = tx.sender();
   const std::uint64_t nonce = tx.nonce;
   Entry* pending = nullptr;
@@ -32,7 +29,7 @@ Status Mempool::add(Transaction tx, const LedgerState& state, Tick now) {
       pending = &it->second;
     }
   }
-  if (pending != nullptr && pending->tx.digest() == digest) {
+  if (pending != nullptr && pending->tx == tx) {
     return Status::fail(errc::kMempoolDuplicate, "transaction already pending");
   }
   if (nonce < state.nonce(sender)) {
@@ -46,9 +43,9 @@ Status Mempool::add(Transaction tx, const LedgerState& state, Tick now) {
           "pending tx with this nonce pays an equal or higher fee");
     }
     by_fee_.erase({pending->tx.fee, pending->seq});
-    by_admission_.erase({pending->admitted, pending->seq});
     *pending = Entry{std::move(tx), seq_++, now};
-    index_entry(*pending, Locator{sender.value, nonce});
+    by_fee_.emplace(std::pair{pending->tx.fee, pending->seq},
+                    Locator{sender.value, nonce});
     ++stats_.replaced;
     return {};
   }
@@ -79,64 +76,42 @@ Status Mempool::add(Transaction tx, const LedgerState& state, Tick now) {
   }
   auto& queue = by_sender_[sender.value];
   const auto it = queue.emplace(nonce, Entry{std::move(tx), seq_++, now}).first;
-  index_entry(it->second, Locator{sender.value, nonce});
+  by_fee_.emplace(std::pair{it->second.tx.fee, it->second.seq},
+                  Locator{sender.value, nonce});
   ++stats_.admitted;
   return {};
 }
 
 std::size_t Mempool::sweep_expired(Tick now) {
   if (config_.ttl == 0) return 0;
+  // One walk drops every expired entry. When the survivors are all stamped
+  // after `now` (a replica clock that regressed), they re-stamp to `now` so
+  // the TTL applies from the regressed clock instead of never; a survivor
+  // stamped at or before `now` leaves every stamp as it is.
   std::size_t dropped = 0;
-  while (!by_admission_.empty()) {
-    const auto oldest = by_admission_.begin();
-    const Tick admitted = oldest->first.first;
-    if (admitted > now) {
-      // The clock regressed past the oldest stamp — and by_admission_ is
-      // ordered, so *every* entry is future-stamped. The historical code
-      // broke here, which left such entries unexpirable forever; re-stamp
-      // them all to `now` so the TTL applies from the regressed clock.
-      restamp_future_entries(now);
-      break;
+  bool all_future = true;
+  for (auto sit = by_sender_.begin(); sit != by_sender_.end();) {
+    SenderQueue& queue = sit->second;
+    for (auto it = queue.begin(); it != queue.end();) {
+      const Tick admitted = it->second.admitted;
+      if (admitted <= now && now - admitted > config_.ttl) {
+        by_fee_.erase({it->second.tx.fee, it->second.seq});
+        it = queue.erase(it);
+        ++dropped;
+      } else {
+        all_future = all_future && admitted > now;
+        ++it;
+      }
     }
-    if (now - admitted <= config_.ttl) break;
-    const Locator loc = oldest->second;
-    if (!erase_located(loc)) {
-      // Stale admission record: the entry it names is gone. Discard the
-      // record instead of erasing through an end() iterator.
-      by_admission_.erase(oldest);
-      ++stats_.repaired;
-      continue;
+    sit = queue.empty() ? by_sender_.erase(sit) : std::next(sit);
+  }
+  if (all_future) {
+    for (auto& [sender, queue] : by_sender_) {
+      for (auto& [nonce, entry] : queue) entry.admitted = now;
     }
-    ++dropped;
   }
   stats_.expired += dropped;
   return dropped;
-}
-
-void Mempool::restamp_future_entries(Tick now) {
-  std::vector<std::pair<Tick, std::uint64_t>> stale_keys;
-  std::vector<std::pair<std::uint64_t, Locator>> restamped;  // seq, locator
-  for (auto it = by_admission_.rbegin();
-       it != by_admission_.rend() && it->first.first > now; ++it) {
-    stale_keys.push_back(it->first);
-    const Locator loc = it->second;
-    const auto sit = by_sender_.find(loc.sender);
-    if (sit == by_sender_.end()) {
-      ++stats_.repaired;
-      continue;
-    }
-    const auto eit = sit->second.find(loc.nonce);
-    if (eit == sit->second.end()) {
-      ++stats_.repaired;
-      continue;
-    }
-    eit->second.admitted = now;
-    restamped.emplace_back(eit->second.seq, loc);
-  }
-  for (const auto& key : stale_keys) by_admission_.erase(key);
-  for (const auto& [seq, loc] : restamped) {
-    by_admission_.emplace(std::pair{now, seq}, loc);
-  }
 }
 
 std::vector<Transaction> Mempool::select(std::size_t max_txs,
@@ -180,7 +155,6 @@ std::vector<Transaction> Mempool::select(std::size_t max_txs,
 void Mempool::erase_entry(std::uint64_t sender, SenderQueue::iterator it) {
   const auto sit = by_sender_.find(sender);
   by_fee_.erase({it->second.tx.fee, it->second.seq});
-  by_admission_.erase({it->second.admitted, it->second.seq});
   sit->second.erase(it);
   if (sit->second.empty()) by_sender_.erase(sit);
 }
@@ -208,7 +182,7 @@ bool Mempool::self_check(const LedgerState& state) const {
     if (queue.begin()->first < state.nonce(crypto::Address{sender})) return false;
     total += queue.size();
   }
-  if (by_fee_.size() != total || by_admission_.size() != total) return false;
+  if (by_fee_.size() != total) return false;
   const auto resolve = [this](const Locator& loc) -> const Entry* {
     const auto sit = by_sender_.find(loc.sender);
     if (sit == by_sender_.end()) return nullptr;
@@ -218,10 +192,6 @@ bool Mempool::self_check(const LedgerState& state) const {
   for (const auto& [key, loc] : by_fee_) {
     const Entry* e = resolve(loc);
     if (e == nullptr || e->tx.fee != key.first || e->seq != key.second) return false;
-  }
-  for (const auto& [key, loc] : by_admission_) {
-    const Entry* e = resolve(loc);
-    if (e == nullptr || e->admitted != key.first || e->seq != key.second) return false;
   }
   return true;
 }

@@ -2,21 +2,19 @@
 //
 // A pending transaction has one identity, its (sender, nonce) slot, and a
 // slot holds at most one entry (replace-by-fee swaps it). A duplicate is the
-// slot's occupant itself (same full digest), and a committed block leaves the
-// pool by the slots it consumed. Every chain advance removes its block's
+// slot's occupant itself (an equal transaction), and a committed block leaves
+// the pool by the slots it consumed. Every chain advance removes its block's
 // slots and admission refuses consumed nonces, so no entry ever pends below
 // its sender's committed nonce (self_check audits this).
 //
-// Indexed three ways so every operation touches only the transactions
-// involved:
+// The slots and one index beside them:
 //  - by_sender_: per-sender nonce-ordered queues (the slots themselves;
-//    selection walks each sender's runnable prefix in nonce order);
+//    selection walks each sender's runnable prefix in nonce order, and an
+//    expiry sweep walks every queue);
 //  - by_fee_: (fee, seq) -> locator, so the lowest-fee victim for at-cap
-//    eviction is begin();
-//  - by_admission_: (admission tick, seq) -> locator, so expiry sweeps cost
-//    O(expired · log n) instead of a full scan.
-// Admission, selection, removal, eviction, and expiry are O(log n) per
-// transaction.
+//    eviction is begin().
+// Admission, selection, removal and eviction are O(log n) per transaction;
+// an expiry sweep walks the whole pool once.
 //
 // Unselected transactions no longer pend forever: each entry is stamped with
 // the network tick at admission and sweep_expired() drops entries older than
@@ -58,7 +56,7 @@ struct MempoolStats {
   std::uint64_t expired = 0;           ///< dropped by TTL sweep
   std::uint64_t evicted_low_fee = 0;   ///< displaced by a better-paying tx
   std::uint64_t rejected_full = 0;     ///< refused: pool full, fee too low
-  std::uint64_t repaired = 0;          ///< dangling index records discarded
+  std::uint64_t repaired = 0;          ///< dangling fee records discarded
 };
 
 class Mempool {
@@ -75,10 +73,12 @@ class Mempool {
   [[nodiscard]] Status add(Transaction tx, const LedgerState& state,
                            Tick now = 0);
 
-  /// Drop entries admitted more than `ttl` ticks before `now`. Returns the
-  /// number dropped. O(expired · log n); no-op when ttl == 0. Entries stamped
-  /// in the future (a replica clock that regressed) are re-stamped to `now`
-  /// so they expire normally instead of pending forever.
+  /// Drop entries admitted more than `ttl` ticks before `now` (those with
+  /// `admitted <= now && now - admitted > ttl`). Returns the number dropped.
+  /// O(n) per call, one walk of the sender queues; no-op when ttl == 0. When
+  /// every surviving entry is stamped in the future (a replica clock that
+  /// regressed), all of them are re-stamped to `now` so they expire normally
+  /// instead of pending forever.
   std::size_t sweep_expired(Tick now);
 
   /// Select up to `max_txs` transactions for a block, highest fee first but
@@ -92,10 +92,10 @@ class Mempool {
   /// a replacement admitted since assembly can never be included either.
   void remove_included(const std::vector<Transaction>& txs);
 
-  /// Invariant audit: every index record resolves to a live entry whose key
-  /// fields match, all three indexes agree on the entry count, no sender
-  /// queue is empty, and no entry's nonce is below its sender's nonce in
-  /// `state` (the committed state the pool admits against). O(n log n);
+  /// Invariant audit: every fee record resolves to a live entry whose key
+  /// fields match, the fee index and the slots agree on the entry count, no
+  /// sender queue is empty, and no entry's nonce is below its sender's nonce
+  /// in `state` (the committed state the pool admits against). O(n log n);
   /// meant for tests and replay checks.
   [[nodiscard]] bool self_check(const LedgerState& state) const;
 
@@ -118,26 +118,20 @@ class Mempool {
     std::uint64_t nonce = 0;
   };
 
-  void index_entry(const Entry& entry, const Locator& loc);
-  /// Erase one entry and every index record pointing at it; drops the
-  /// sender's queue when it empties.
+  /// Erase one entry and its fee record; drops the sender's queue when it
+  /// empties.
   void erase_entry(std::uint64_t sender, SenderQueue::iterator it);
   /// Resolve a locator defensively (find(), never operator[]) and erase the
   /// entry it names. Returns false — touching nothing — when the locator is
-  /// stale (no such sender, or no such nonce in its queue); callers then
-  /// discard the dangling index record instead of erasing through end().
+  /// stale (no such sender, or no such nonce in its queue); at-cap eviction
+  /// then discards the dangling fee record instead of erasing through end().
   bool erase_located(const Locator& loc);
-  /// Clock-regression repair: re-stamp every future-stamped entry
-  /// (admitted > now) to `now` and re-key by_admission_ accordingly.
-  void restamp_future_entries(Tick now);
 
   MempoolConfig config_;
   MempoolStats stats_;
   std::unordered_map<std::uint64_t, SenderQueue> by_sender_;
   /// (fee, seq) -> locator; begin() is the cheapest (oldest first among ties).
   std::map<std::pair<std::uint64_t, std::uint64_t>, Locator> by_fee_;
-  /// (admission tick, seq) -> locator; begin() is the oldest entry.
-  std::map<std::pair<Tick, std::uint64_t>, Locator> by_admission_;
   std::uint64_t seq_ = 0;
 };
 

@@ -356,12 +356,12 @@ TEST(JobQueueThreaded, DrainWaitsForACallerRunJob) {
   EXPECT_EQ(q.stats().of(JobClass::kClientQuery).completed, 1u);
 }
 
-// ---------------------------------------------------------------- thread pool
+// ------------------------------------------------------------- batch fan-out
 // run_batch is the fan-out the sharded ledger commits its shards on: each
 // task runs exactly once, one queue serves batch after batch, an empty batch
 // calls nothing, and zero workers runs the batch inline on the caller.
 
-TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
+TEST(JobQueueBatch, RunsEveryTaskExactlyOnce) {
   JobQueueConfig config;
   config.threads = 4;
   JobQueue q(config);
@@ -375,7 +375,7 @@ TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
   EXPECT_EQ(q.stats().completed(), hits.size());
 }
 
-TEST(ThreadPool, ReusableAcrossBatches) {
+TEST(JobQueueBatch, ReusableAcrossBatches) {
   for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
     SCOPED_TRACE(testing::Message() << workers << " workers");
     JobQueueConfig config;
@@ -395,7 +395,7 @@ TEST(ThreadPool, ReusableAcrossBatches) {
   }
 }
 
-TEST(ThreadPool, ZeroWorkersRunsInline) {
+TEST(JobQueueBatch, ZeroWorkersRunsInline) {
   JobQueueConfig config;
   config.threads = 0;
   JobQueue q(config);

@@ -883,6 +883,61 @@ TEST(Consensus, VotesForAnotherHashWithTheSamePrefixDoNotCommit) {
   EXPECT_TRUE(committee.replicas_consistent());
 }
 
+TEST(Consensus, LaggardCommitsUncertifiedSyncBlock) {
+  // Pins a known attack, not a defense. A sync response carries a bare block,
+  // and the laggard commits any block the scheduled proposer signed at its
+  // height: nothing shows that a quorum voted for it. So a byzantine proposer
+  // forks a laggard with a second block it signed for a height the committee
+  // already committed. A commit certificate (a quorum of vote signatures over
+  // the block hash, checked on every commit path) must turn this test into a
+  // rejection: the laggard then stays at height 0 until the certified block
+  // arrives.
+  CommitteeFixture f;
+  const std::size_t n = 4;
+  ValidatorCommittee committee(f.network, n, f.contracts, f.genesis, 8, f.rng);
+  const std::size_t proposer = proposer_index(0, n);
+  const std::size_t laggard = (proposer + 1) % n;
+  committee.submit(make_transfer(f.alice, 0, f.bob.address(), 10, 1, f.rng));
+
+  // Every link into the laggard drops; the other three commit height 0.
+  const auto links_into_laggard = [&](double drop_rate) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i == laggard) continue;
+      f.network.set_link(committee.node(i), committee.node(laggard),
+                         net::LinkParams{.base_latency = 1.0, .jitter = 1.0,
+                                         .drop_rate = drop_rate});
+    }
+  };
+  links_into_laggard(1.0);
+  ASSERT_TRUE(committee.run_round());
+  ASSERT_EQ(committee.chain(proposer).height(), 1);
+  ASSERT_EQ(committee.chain(laggard).height(), 0);
+  links_into_laggard(0.0);
+
+  // The same proposer signs a different valid block for height 0 on a fresh
+  // chain from the same genesis, and sends it to the laggard as a sync reply.
+  ChainConfig config = committee.chain(proposer).config();
+  config.validation.sig_cache = nullptr;
+  const Blockchain fresh(config, f.contracts, f.genesis);
+  const crypto::Wallet carol{f.rng};
+  const Block forged = fresh.assemble(
+      committee.wallet(proposer),
+      {make_transfer(f.alice, 0, carol.address(), 5, 1, f.rng)}, 1, f.rng);
+  ASSERT_TRUE(fresh.validate(forged).ok());
+  const crypto::Digest honest = committee.chain(proposer).block_at(0)->header.hash();
+  ASSERT_NE(forged.header.hash(), honest);
+  f.network.send(committee.node(proposer), committee.node(laggard), "sync_resp",
+                 forged.encode());
+  f.network.run_until_idle(1000);
+
+  // The laggard committed a block no quorum ever voted for: its history forks.
+  ASSERT_EQ(committee.chain(laggard).height(), 1);
+  EXPECT_EQ(committee.chain(laggard).block_at(0)->header.hash(), forged.header.hash());
+  EXPECT_NE(committee.chain(laggard).block_at(0)->header.hash(), honest);
+  EXPECT_EQ(committee.chain(laggard).state().balance(carol.address()), 5u);
+  EXPECT_FALSE(committee.replicas_consistent());
+}
+
 class CommitteeSizeTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(CommitteeSizeTest, QuorumIsTwoThirdsPlusOne) {
@@ -2146,6 +2201,109 @@ TEST(Mempool, RandomizedChurnKeepsIndexesConsistent) {
   EXPECT_GT(committed, 0u);
   EXPECT_GT(pool.stats().replaced, 0u);
   EXPECT_EQ(pool.stats().repaired, 0u);  // indexes never actually dangled
+}
+
+TEST(Mempool, RandomizedSweepMatchesStampModel) {
+  // A brute-force model of the expiry rule: it keeps each pending slot's
+  // transaction and admission stamp. A sweep at `now` drops every entry with
+  // `stamp <= now && now - stamp > ttl`; if entries survive and all of them
+  // are stamped after `now` (the clock regressed), all re-stamp to `now`.
+  // Admissions, replacements, removals of the oldest entry right before a
+  // regressed sweep, and sweeps run at random; each sweep's dropped count and
+  // every survivor's stamp must match the model.
+  Fixture f;
+  Rng rng(4242);
+  std::vector<crypto::Wallet> wallets;
+  for (int i = 0; i < 6; ++i) wallets.emplace_back(rng);
+  constexpr Tick kTtl = 30;
+  // Uncapped (no eviction), and with a sig cache so the probes below re-add
+  // pending transactions without re-verifying them.
+  Mempool pool(MempoolConfig{.ttl = kTtl,
+                             .max_txs = 0,
+                             .sig_cache = std::make_shared<crypto::DigestLruSet>()});
+  struct Slot {
+    Transaction tx;
+    Tick stamp = 0;
+  };
+  std::map<std::pair<std::size_t, std::uint64_t>, Slot> model;
+
+  // Reads the pool's stamps without an accessor: on a copy of the pool, a
+  // sweep at `s + ttl + 1` drops exactly the entries stamped at or before
+  // `s` and keeps every later-stamped one pending (its re-add is refused as
+  // a duplicate). Probing each model stamp `s` pins every survivor's stamp.
+  const auto expect_stamps = [&](int round) {
+    std::set<Tick> stamps;
+    for (const auto& [slot, entry] : model) stamps.insert(entry.stamp);
+    for (const Tick s : stamps) {
+      Mempool probe = pool;
+      std::size_t stale = 0;
+      for (const auto& [slot, entry] : model) stale += entry.stamp <= s ? 1 : 0;
+      ASSERT_EQ(probe.sweep_expired(s + kTtl + 1), stale)
+          << "round " << round << ", stamp " << s;
+      ASSERT_EQ(probe.size(), model.size() - stale) << "round " << round;
+      for (const auto& [slot, entry] : model) {
+        if (entry.stamp <= s) continue;
+        ASSERT_EQ(probe.add(entry.tx, f.state, 0).error().code, "mempool.duplicate")
+            << "round " << round << ": slot stamped " << entry.stamp
+            << " left the pool at a sweep for stamp " << s;
+      }
+    }
+  };
+
+  Tick now = 0;
+  std::size_t expired = 0;
+  std::size_t restamps = 0;
+  std::size_t removed_oldest = 0;
+  for (int round = 0; round < 200; ++round) {
+    for (int op = 0; op < 4; ++op) {
+      const std::size_t w = rng.next_below(wallets.size());
+      const std::uint64_t nonce = rng.next_below(8);
+      auto tx = make_transfer(wallets[w], nonce, f.bob.address(), 1,
+                              1 + rng.next_below(9), f.rng);
+      if (pool.add(tx, f.state, now).ok()) model[{w, nonce}] = Slot{std::move(tx), now};
+    }
+    ASSERT_EQ(pool.size(), model.size()) << "round " << round;
+    if (!rng.chance(0.5)) continue;
+    const bool regress = rng.chance(0.3);
+    now = regress ? std::max<Tick>(0, now - static_cast<Tick>(rng.next_below(60)))
+                  : now + static_cast<Tick>(rng.next_below(25));
+    if (regress && !model.empty() && rng.chance(0.5)) {
+      // The oldest entry leaves by inclusion before the regressed sweep.
+      const auto oldest = std::min_element(
+          model.begin(), model.end(),
+          [](const auto& a, const auto& b) { return a.second.stamp < b.second.stamp; });
+      pool.remove_included({oldest->second.tx});
+      model.erase(oldest);
+      ++removed_oldest;
+    }
+    std::size_t dropped = 0;
+    bool all_future = true;
+    for (auto it = model.begin(); it != model.end();) {
+      const Tick stamp = it->second.stamp;
+      if (stamp <= now && now - stamp > kTtl) {
+        it = model.erase(it);
+        ++dropped;
+      } else {
+        all_future = all_future && stamp > now;
+        ++it;
+      }
+    }
+    if (all_future && !model.empty()) {
+      for (auto& [slot, entry] : model) entry.stamp = now;
+      ++restamps;
+    }
+    expired += dropped;
+    ASSERT_EQ(pool.sweep_expired(now), dropped) << "round " << round << ", now " << now;
+    ASSERT_EQ(pool.size(), model.size()) << "round " << round;
+    ASSERT_TRUE(pool.self_check(f.state)) << "round " << round;
+    expect_stamps(round);
+    if (testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(pool.stats().expired, expired);
+  EXPECT_GT(expired, 0u);
+  EXPECT_GT(restamps, 0u);
+  EXPECT_GT(removed_oldest, 0u);
+  EXPECT_EQ(pool.stats().repaired, 0u);
 }
 
 }  // namespace
