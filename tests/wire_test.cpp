@@ -6,6 +6,7 @@
 // codec refactor that moves a single byte fails here.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,7 @@ struct WireSet {
   CommitPush push;
   net::SubscriptionRequest request;
   net::SubscriptionResponse response;
+  Bytes payload;  ///< encode_snapshot_payload of the state behind `manifest`
 
   WireSet() {
     Rng rng(20220706);
@@ -92,6 +94,7 @@ struct WireSet {
     account.proof = state.prove_account(addr);
 
     manifest = build_snapshot(state, header.height, 256).manifest;
+    payload = encode_snapshot_payload(state);
 
     beacon.height = 2;
     beacon.prev_hash = crypto::sha256(std::string_view("beacon parent"));
@@ -207,6 +210,87 @@ TEST(WireIdentity, Subscription) {
               "8b4dda3a6d7ab7a78edaf59eb423268c9fb502aea336d93a940f61b2c1831b2f");
   expect_wire(w.response,
               "d0157821df88f63aaa6181e64cae2f86b2637a92b4942cb52fc5ff72315be933");
+}
+
+/// One decode outcome: "ok" or the error code. The subscription codecs are
+/// pinned on acceptance alone (`with_code` false): they carried no error
+/// code when these digests were recorded.
+template <typename T>
+std::string outcome(const Result<T>& decoded, bool with_code) {
+  if (decoded.ok()) return "ok";
+  return with_code ? decoded.error().code : "rejected";
+}
+template <typename T>
+std::string outcome(const std::optional<T>& decoded, bool /*with_code*/) {
+  return decoded.has_value() ? "ok" : "rejected";
+}
+
+/// SHA-256 over the decode outcomes of every strict prefix of `wire`, then of
+/// `wire` with each single byte flipped (^ 0xFF), in that order. A codec
+/// refactor that moves any rejection to another code, or turns one into an
+/// acceptance, changes the digest.
+template <typename Decode>
+std::string outcomes_digest(const Bytes& wire, Decode&& decode,
+                            bool with_code = true) {
+  std::string seq;
+  for (std::size_t len = 0; len < wire.size(); ++len) {
+    seq += outcome(decode(std::span(wire).first(len)), with_code);
+    seq += '\n';
+  }
+  Bytes flipped = wire;
+  for (std::size_t i = 0; i < wire.size(); ++i) {
+    flipped[i] ^= 0xFF;
+    seq += outcome(decode(std::span<const std::uint8_t>(flipped)), with_code);
+    seq += '\n';
+    flipped[i] ^= 0xFF;
+  }
+  return crypto::to_hex(crypto::sha256(std::string_view(seq)));
+}
+
+template <typename T>
+std::string type_outcomes(const T& value, bool with_code = true) {
+  return outcomes_digest(
+      value.encode(),
+      [](std::span<const std::uint8_t> b) { return T::decode(b); }, with_code);
+}
+
+TEST(WireIdentity, DecodeOutcomes) {
+  const WireSet& w = wire_set();
+  EXPECT_EQ(type_outcomes(w.transfer),
+            "0b33446630b3a27670864dc96e9b4e2391a1b1317a1d67d82a727d09b6a863cf");
+  EXPECT_EQ(type_outcomes(w.audit),
+            "6861b7f9bf19f9b9a971bc0ca62d3b8afdb43c9cfa2f2fd6d54e4222f67da174");
+  EXPECT_EQ(type_outcomes(w.call),
+            "97a88e1a938af2f130c6e91a9e8d4a45b658f32714ca4a472e534840473797bb");
+  EXPECT_EQ(type_outcomes(w.header),
+            "fbdfe432c6a83ee7e28dae715f23b1421089ecdd8a78877e55aee36d93b98095");
+  EXPECT_EQ(type_outcomes(w.block),
+            "af114dde29b8a625b804e1061fd12f5e7c3ed5e4e0507049ce2fcf0ccab53c8a");
+  EXPECT_EQ(type_outcomes(w.membership),
+            "2f23fc5b47de5254e926e0a86143333df9ec0a0417a9d973e120e8c8cbbe5451");
+  EXPECT_EQ(type_outcomes(w.terminal),
+            "85e3dbb9a38f7b1c50affd303c25ad6d3c7ab1b9ddfc0ac43270df7d12d30050");
+  EXPECT_EQ(type_outcomes(w.account),
+            "0ac1ac6e3c395473f14541ccbccbda55ccc8c974afa061713fa3d96f94f4abae");
+  EXPECT_EQ(type_outcomes(w.manifest),
+            "1832e56824c9e1c8890ca3c005d86847776d5b8d52778bb46d7dc32d84dab6f2");
+  EXPECT_EQ(type_outcomes(w.beacon),
+            "b044ad23e2d8a068e1e069dc43e84dafc09ab06f19870ebb29f1bfc7a74edb62");
+  EXPECT_EQ(type_outcomes(w.receipt),
+            "3d97018a417ae0cc0baff40d2b360fc48cb23c9c3b239de121f69bebd7ba4e42");
+  EXPECT_EQ(type_outcomes(w.mint),
+            "a5737d33106c457d57a8a8fe62737eaa7e1ae798b2f0e7c749aafa7e046a0ba1");
+  EXPECT_EQ(type_outcomes(w.push),
+            "ba56fca82b22f85b2454de8ba13a1a6938f31759c0581f1e8159fb38eae1c09c");
+  EXPECT_EQ(type_outcomes(w.request, /*with_code=*/false),
+            "86d76fe10030af73570405b6fdb62c7bcfa7743df9b9edf6c54e24ef8c50b051");
+  EXPECT_EQ(type_outcomes(w.response, /*with_code=*/false),
+            "9df107b0d0ea04c1dbe03f4de011d67fc78dc7a615cd67e70ccf24eb98357a5a");
+  EXPECT_EQ(outcomes_digest(w.payload,
+                            [](std::span<const std::uint8_t> b) {
+                              return decode_snapshot_payload(b);
+                            }),
+            "e44c88503f15bf9f3baf16d1ee90f6d52cf4e14302b718e3bf27b313d87c6982");
 }
 
 }  // namespace
