@@ -51,8 +51,12 @@ echo "== gate: proof fuzz (10k keys + mutation sweep) must run (not be skipped) 
 # Every present key must prove, every absent key must non-membership-prove,
 # and no single-byte mutation of an encoded proof may survive verification.
 # WireIdentity pins the encoding of every public wire type to a SHA-256 and
-# requires decode + re-encode to reproduce it byte for byte.
-gate "proof fuzz test" 'ProofFuzz|WireIdentity'
+# requires decode + re-encode to reproduce it byte for byte; its
+# DecodeOutcomes case pins which error each truncation and byte flip decodes
+# to. StrictDecode rides along: one trailing byte after a transaction body,
+# contract arguments or a block stream must be refused, so a decoder that
+# stops calling ByteReader::finish() fails this gate.
+gate "proof fuzz test" 'ProofFuzz|WireIdentity|StrictDecode'
 
 echo "== gate: ledger state layout (account table + arena Merkle map) =="
 # The flat state's safety net: the open-addressing AccountTable against a

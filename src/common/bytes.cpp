@@ -1,13 +1,11 @@
 #include "common/bytes.h"
 
-#include <algorithm>
+#include <string>
 
 namespace mv {
 
 namespace {
 constexpr char kHex[] = "0123456789abcdef";
-
-Error truncated() { return make_error("bytes.truncated", "buffer ended mid-field"); }
 }  // namespace
 
 void ByteWriter::u32(std::uint32_t v) {
@@ -35,76 +33,61 @@ void ByteWriter::bytes(std::span<const std::uint8_t> v) {
   buf_.insert(buf_.end(), v.begin(), v.end());
 }
 
-Result<std::uint8_t> ByteReader::u8() {
-  if (!need(1)) return truncated();
-  return data_[pos_++];
-}
-
-Result<std::uint32_t> ByteReader::u32() {
-  if (!need(4)) return truncated();
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
-  return v;
-}
-
-Result<std::uint64_t> ByteReader::u64() {
-  if (!need(8)) return truncated();
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
-  return v;
-}
-
-Result<std::int64_t> ByteReader::i64() {
-  auto v = u64();
-  if (!v.ok()) return v.error();
-  return static_cast<std::int64_t>(v.value());
-}
-
-Result<double> ByteReader::f64() {
-  auto bits = u64();
-  if (!bits.ok()) return bits.error();
+double ByteReader::read_f64() {
+  const std::uint64_t bits = read_u64();
   double v = 0;
-  const std::uint64_t b = bits.value();
-  std::memcpy(&v, &b, sizeof(v));
+  std::memcpy(&v, &bits, sizeof(v));
   return v;
 }
 
-Result<std::span<const std::uint8_t>> ByteReader::take(std::size_t n) {
-  if (!need(n)) return truncated();
-  const auto out = data_.subspan(pos_, n);
-  pos_ += n;
-  return out;
+std::string ByteReader::read_str() {
+  const auto v = read_view();
+  return std::string(reinterpret_cast<const char*>(v.data()), v.size());
 }
 
-Result<std::string> ByteReader::str() {
-  auto v = view();
-  if (!v.ok()) return v.error();
-  return std::string(reinterpret_cast<const char*>(v.value().data()), v.value().size());
+Bytes ByteReader::read_bytes() {
+  const auto v = read_view();
+  return Bytes(v.begin(), v.end());
 }
 
-Result<Bytes> ByteReader::bytes() {
-  auto v = view();
-  if (!v.ok()) return v.error();
-  return Bytes(v.value().begin(), v.value().end());
+Bytes ByteReader::read_raw(std::size_t n) {
+  const auto v = take_bytes(n);
+  return Bytes(v.begin(), v.end());
 }
 
-Result<std::span<const std::uint8_t>> ByteReader::view() {
-  auto len = u32();
-  if (!len.ok()) return len.error();
-  return take(len.value());
+std::uint32_t ByteReader::count(std::size_t min_entry_bytes, const char* code) {
+  return static_cast<std::uint32_t>(
+      count_of(read_u32(), min_entry_bytes, code));
 }
 
-Status ByteReader::fixed(std::span<std::uint8_t> out) {
-  auto v = take(out.size());
-  if (!v.ok()) return v.error();
-  std::copy(v.value().begin(), v.value().end(), out.begin());
+std::uint64_t ByteReader::count64(std::size_t min_entry_bytes, const char* code) {
+  return count_of(read_u64(), min_entry_bytes, code);
+}
+
+std::uint64_t ByteReader::count_of(std::uint64_t n, std::size_t min_entry_bytes,
+                                   const char* code) {
+  if (n > remaining() / min_entry_bytes) {
+    fail(code, "count " + std::to_string(n) + " exceeds the remaining " +
+                   std::to_string(remaining()) + " bytes");
+  }
+  return ok() ? n : 0;
+}
+
+void ByteReader::fail_truncated() { fail(truncated_code_, "buffer ended mid-field"); }
+
+void ByteReader::fail(std::string code, std::string message) {
+  if (!ok()) return;
+  error_ = Error{std::move(code), std::move(message)};
+  pos_ = data_.size();  // every later read fails and returns zero
+}
+
+Status ByteReader::finish(const char* trailing_code) {
+  if (!ok()) return *error_;
+  if (!exhausted()) {
+    return Status::fail(trailing_code,
+                        std::to_string(remaining()) + " unparsed trailing bytes");
+  }
   return {};
-}
-
-Result<Bytes> ByteReader::raw(std::size_t n) {
-  auto v = take(n);
-  if (!v.ok()) return v.error();
-  return Bytes(v.value().begin(), v.value().end());
 }
 
 std::string to_hex(std::span<const std::uint8_t> data) {

@@ -43,6 +43,7 @@ inline constexpr const char* kChainRetentionCorrupt = "chain.retention_corrupt";
 inline constexpr const char* kChainNotFresh = "chain.not_fresh";
 inline constexpr const char* kChainBadAnchor = "chain.bad_anchor";
 inline constexpr const char* kChainBadBlockCount = "chain.bad_block_count";
+inline constexpr const char* kChainTrailing = "chain.trailing_bytes";
 
 // header.* — the one signed-header check every header consumer shares
 // (ledger/header_check.h); light.* — light-client proof anchoring.
@@ -59,6 +60,7 @@ inline constexpr const char* kSubBadVersion = "sub.bad_version";
 inline constexpr const char* kSubNotSubscribed = "sub.not_subscribed";
 inline constexpr const char* kSubBusy = "sub.busy";
 inline constexpr const char* kSubBadPush = "sub.bad_push";
+inline constexpr const char* kSubMalformed = "sub.malformed";
 
 // snapshot.* — snapshot codec + transfer (ledger/snapshot.h,
 // net/snapshot_transfer.h).
@@ -72,6 +74,7 @@ inline constexpr const char* kSnapshotUntrustedManifest =
     "snapshot.untrusted_manifest";
 inline constexpr const char* kSnapshotNoManifest = "snapshot.no_manifest";
 inline constexpr const char* kSnapshotNoPeers = "snapshot.no_peers";
+inline constexpr const char* kSnapshotBadMessage = "snapshot.bad_message";
 
 // mempool.* — admission failures (ledger/mempool.h).
 inline constexpr const char* kMempoolBadSignature = "mempool.bad_signature";

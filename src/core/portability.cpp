@@ -17,38 +17,18 @@ Bytes GovernancePack::encode() const {
 
 Result<GovernancePack> GovernancePack::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  auto tag = r.str();
-  if (!tag.ok()) return tag.error();
-  if (tag.value() != "mvgovpack/1") {
-    return make_error("pack.bad_format", "unknown pack format tag");
-  }
+  if (r.read_str() != "mvgovpack/1") r.fail("pack.bad_format", "unknown pack format tag");
   GovernancePack pack;
-  auto module_count = r.u32();
-  if (!module_count.ok()) return module_count.error();
-  if (module_count.value() > r.remaining() / 4) {
-    return make_error("pack.bad_count", "module count exceeds payload");
+  const std::uint32_t module_count = r.count(4, "pack.bad_count");
+  for (std::uint32_t i = 0; i < module_count; ++i) {
+    pack.governance_modules.push_back(r.read_str());
   }
-  for (std::uint32_t i = 0; i < module_count.value(); ++i) {
-    auto name = r.str();
-    if (!name.ok()) return name.error();
-    pack.governance_modules.push_back(name.value());
+  const std::uint32_t binding_count = r.count(8, "pack.bad_count");
+  for (std::uint32_t i = 0; i < binding_count; ++i) {
+    std::string region = r.read_str();
+    pack.region_regulations.emplace(std::move(region), r.read_str());
   }
-  auto binding_count = r.u32();
-  if (!binding_count.ok()) return binding_count.error();
-  if (binding_count.value() > r.remaining() / 8) {
-    return make_error("pack.bad_count", "binding count exceeds payload");
-  }
-  for (std::uint32_t i = 0; i < binding_count.value(); ++i) {
-    auto region = r.str();
-    if (!region.ok()) return region.error();
-    auto regulation = r.str();
-    if (!regulation.ok()) return regulation.error();
-    pack.region_regulations.emplace(region.value(), regulation.value());
-  }
-  if (!r.exhausted()) {
-    return make_error("pack.trailing_bytes", "unparsed trailing data");
-  }
-  return pack;
+  return r.finish(std::move(pack), "pack.trailing_bytes");
 }
 
 GovernancePack export_governance_pack(Metaverse& metaverse) {

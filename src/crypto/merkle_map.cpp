@@ -520,68 +520,44 @@ void MerkleMapProof::write(ByteWriter& w) const {
 
 Result<MerkleMapProof> MerkleMapProof::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  const auto version = r.u8();
-  if (!version.ok()) return version.error();
-  if (version.value() != 0x01) {
-    return make_error("proof.bad_version", "unknown proof format version");
-  }
-  const auto flags = r.u8();
-  if (!flags.ok()) return flags.error();
-  if ((flags.value() & ~0x01u) != 0) {
-    return make_error("proof.bad_flags", "reserved flag bits set");
-  }
-  const auto step_count = r.u8();
-  if (!step_count.ok()) return step_count.error();
-  if (step_count.value() > 16) {
-    return make_error("proof.bad_depth", "more steps than key nibbles");
-  }
+  if (r.read_u8() != 0x01) r.fail("proof.bad_version", "unknown proof format version");
+  const std::uint8_t flags = r.read_u8();
+  if ((flags & ~0x01u) != 0) r.fail("proof.bad_flags", "reserved flag bits set");
+  const std::uint8_t step_count = r.read_u8();
+  if (step_count > 16) r.fail("proof.bad_depth", "more steps than key nibbles");
   MerkleMapProof proof;
-  proof.steps.reserve(step_count.value());
+  proof.steps.reserve(step_count);
   // At most 16 digests per step, so one reservation holds them all.
-  proof.siblings.reserve(std::min<std::size_t>(16u * step_count.value(),
+  proof.siblings.reserve(std::min<std::size_t>(16u * step_count,
                                                r.remaining() / sizeof(Digest)));
-  for (unsigned i = 0; i < step_count.value(); ++i) {
+  for (unsigned i = 0; i < step_count; ++i) {
     MerkleMapProofStep step;
-    const auto lo = r.u8();
-    if (!lo.ok()) return lo.error();
-    const auto hi = r.u8();
-    if (!hi.ok()) return hi.error();
-    step.bitmap = static_cast<std::uint16_t>(lo.value() |
-                                             (unsigned{hi.value()} << 8));
-    const auto sibling_count = r.u8();
-    if (!sibling_count.ok()) return sibling_count.error();
+    const std::uint8_t lo = r.read_u8();
+    const std::uint8_t hi = r.read_u8();
+    step.bitmap = static_cast<std::uint16_t>(lo | (unsigned{hi} << 8));
+    const std::uint8_t sibling_count = r.read_u8();
     const unsigned present = static_cast<unsigned>(std::popcount(step.bitmap));
     // An honest step carries either every present child (terminating
     // absent-slot step) or all but the one on the path.
-    if (sibling_count.value() > present ||
-        sibling_count.value() + 1u < present) {
-      return make_error("proof.bad_sibling_count",
-                        "sibling count inconsistent with bitmap");
+    if (sibling_count > present || sibling_count + 1u < present) {
+      r.fail("proof.bad_sibling_count", "sibling count inconsistent with bitmap");
     }
-    step.sibling_count = sibling_count.value();
+    step.sibling_count = sibling_count;
     // The step's siblings are contiguous on the wire and in the proof: one
     // read (one bounds check) fills them all.
     const std::size_t at = proof.siblings.size();
     proof.siblings.resize(at + step.sibling_count);
-    const std::span<std::byte> bytes =
+    const std::span<std::byte> raw =
         std::as_writable_bytes(std::span(proof.siblings).subspan(at));
-    if (Status s = r.fixed({reinterpret_cast<std::uint8_t*>(bytes.data()), bytes.size()});
-        !s.ok()) {
-      return s.error();
-    }
+    r.read_fixed({reinterpret_cast<std::uint8_t*>(raw.data()), raw.size()});
     proof.steps.push_back(step);
   }
-  if ((flags.value() & 0x01u) != 0) {
+  if ((flags & 0x01u) != 0) {
     proof.has_terminal_leaf = true;
-    const auto key = r.u64();
-    if (!key.ok()) return key.error();
-    proof.terminal_key = key.value();
-    if (Status s = r.fixed(proof.terminal_value); !s.ok()) return s.error();
+    proof.terminal_key = r.read_u64();
+    r.read_fixed(proof.terminal_value);
   }
-  if (!r.exhausted()) {
-    return make_error("proof.trailing_bytes", "proof has trailing bytes");
-  }
-  return proof;
+  return r.finish(std::move(proof), "proof.trailing_bytes");
 }
 
 MerkleMap::Staged MerkleMap::stage(std::span<const Entry> delta) const {

@@ -99,20 +99,10 @@ bool verify(const PublicKey& pub, std::span<const std::uint8_t> message,
   return challenge(r, message) == sig.e;
 }
 
-Status read_key(ByteReader& r, PublicKey& out) {
-  auto y = r.u64();
-  if (!y.ok()) return y.error();
-  out.y = y.value();
-  return {};
-}
+PublicKey read_key(ByteReader& r) { return PublicKey{r.read_u64()}; }
 
-Status read_signature(ByteReader& r, Signature& out) {
-  auto e = r.u64();
-  if (!e.ok()) return e.error();
-  auto s = r.u64();
-  if (!s.ok()) return s.error();
-  out = Signature{e.value(), s.value()};
-  return {};
+Signature read_signature(ByteReader& r) {
+  return Signature{r.read_u64(), r.read_u64()};  // braced: e, then s
 }
 
 }  // namespace mv::crypto

@@ -63,8 +63,8 @@ void write_signature(Writer& w, const Signature& sig) {
   w.u64(sig.e);
   w.u64(sig.s);
 }
-[[nodiscard]] Status read_key(ByteReader& r, PublicKey& out);
-[[nodiscard]] Status read_signature(ByteReader& r, Signature& out);
+[[nodiscard]] PublicKey read_key(ByteReader& r);
+[[nodiscard]] Signature read_signature(ByteReader& r);
 
 /// Sample a fresh keypair.
 [[nodiscard]] KeyPair generate_keypair(Rng& rng);

@@ -40,28 +40,21 @@ struct Meta {
     return w.take();
   }
 
+  /// Lenient on purpose, no finish(): the tally is an optional suffix.
   [[nodiscard]] static Result<Meta> decode(std::span<const std::uint8_t> bytes) {
     ByteReader r(bytes);
     Meta m;
-    auto title = r.str();
-    if (!title.ok()) return title.error();
-    m.title = title.value();
-    auto author = r.u64();
-    if (!author.ok()) return author.error();
-    m.author = author.value();
-    auto height = r.i64();
-    if (!height.ok()) return height.error();
-    m.created_height = height.value();
-    auto status = r.u8();
-    if (!status.ok()) return status.error();
-    m.status = status.value();
-    if (r.exhausted()) return m;
-    for (std::uint64_t* field :
-         {&m.tally.yes, &m.tally.no, &m.tally.abstain, &m.tally.voters}) {
-      auto value = r.u64();
-      if (!value.ok()) return value.error();
-      *field = value.value();
+    m.title = r.read_str();
+    m.author = r.read_u64();
+    m.created_height = r.read_i64();
+    m.status = r.read_u8();
+    if (!r.exhausted()) {
+      for (std::uint64_t* field :
+           {&m.tally.yes, &m.tally.no, &m.tally.abstain, &m.tally.voters}) {
+        *field = r.read_u64();
+      }
     }
+    if (!r.ok()) return r.error();
     return m;
   }
 };
@@ -76,13 +69,14 @@ Result<Meta> read_meta(const Bytes* bytes) {
 
 }  // namespace
 
-std::optional<OnChainBallot> OnChainBallot::decode(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  auto choice = r.u8();
-  if (!choice.ok() || choice.value() > 2) return std::nullopt;
+Result<OnChainBallot> OnChainBallot::decode(std::span<const std::uint8_t> bytes) {
+  ByteReader r(bytes, errc::kDaoCorruptMeta);
   OnChainBallot ballot;
-  ballot.choice = choice.value();
-  if (auto weight = r.u64(); weight.ok()) ballot.weight = weight.value();
+  ballot.choice = r.read_u8();
+  if (ballot.choice > 2) r.fail(errc::kDaoCorruptMeta, "ballot choice not in {0,1,2}");
+  if (!r.ok()) return r.error();
+  // Lenient on purpose, no finish(): a ballot without its weight reads 1.
+  if (const std::uint64_t weight = r.read_u64(); r.ok()) ballot.weight = weight;
   return ballot;
 }
 
@@ -109,14 +103,15 @@ Status DaoContract::do_propose(ledger::CallContext& ctx, const Bytes& args) cons
   if (ctx.get(member_key(ctx.caller())) == nullptr) {
     return Status::fail(errc::kDaoNotAMember, "join first");
   }
-  ByteReader r(args);
-  auto title = r.str();
-  if (!title.ok()) return Status::fail(errc::kDaoBadArgs, "missing title");
+  // propose(title: str)
+  ByteReader r(args, errc::kDaoBadArgs);
+  std::string title = r.read_str();
+  if (Status s = r.finish(errc::kDaoBadArgs); !s.ok()) return s;
 
   const std::uint64_t id = ctx.bump("next_id", 1);
 
   Meta meta;
-  meta.title = title.value();
+  meta.title = std::move(title);
   meta.author = ctx.caller().value;
   meta.created_height = ctx.height();
   meta.status = static_cast<std::uint8_t>(OnChainStatus::kVoting);
@@ -128,13 +123,13 @@ Status DaoContract::do_vote(ledger::CallContext& ctx, const Bytes& args) const {
   if (ctx.get(member_key(ctx.caller())) == nullptr) {
     return Status::fail(errc::kDaoNotAMember, "join first");
   }
-  ByteReader r(args);
-  auto id = r.u64();
-  auto choice = r.u8();
-  if (!id.ok() || !choice.ok() || choice.value() > 2) {
-    return Status::fail(errc::kDaoBadArgs, "vote(id: u64, choice: 0|1|2)");
-  }
-  auto loaded = read_meta(ctx.get(meta_key(id.value())));
+  // vote(id: u64, choice: 0|1|2)
+  ByteReader r(args, errc::kDaoBadArgs);
+  const std::uint64_t id = r.read_u64();
+  const std::uint8_t choice = r.read_u8();
+  if (choice > 2) r.fail(errc::kDaoBadArgs, "choice not in {0,1,2}");
+  if (Status s = r.finish(errc::kDaoBadArgs); !s.ok()) return s;
+  auto loaded = read_meta(ctx.get(meta_key(id)));
   if (!loaded.ok()) return loaded.error();
   Meta meta = std::move(loaded).value();
   if (meta.status != static_cast<std::uint8_t>(OnChainStatus::kVoting)) {
@@ -143,7 +138,7 @@ Status DaoContract::do_vote(ledger::CallContext& ctx, const Bytes& args) const {
   if (ctx.height() >= meta.created_height + config_.voting_period_blocks) {
     return Status::fail(errc::kDaoVotingClosed, "voting period elapsed");
   }
-  const std::string key = vote_key(id.value(), ctx.caller());
+  const std::string key = vote_key(id, ctx.caller());
   if (ctx.get(key) != nullptr) {
     return Status::fail(errc::kDaoDoubleVote, "ballot already cast");
   }
@@ -154,25 +149,26 @@ Status DaoContract::do_vote(ledger::CallContext& ctx, const Bytes& args) const {
       config_.token_weighted ? std::max<std::uint64_t>(1, ctx.balance(ctx.caller()))
                              : 1;
   ByteWriter w;
-  w.u8(choice.value());
+  w.u8(choice);
   w.u64(weight);
   ctx.put(key, w.take());
   // Weights saturate: under token weighting the same coins can vote again
   // after a transfer, and a sum past 2^64 must not wrap.
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   OnChainTally& t = meta.tally;
-  std::uint64_t& sum = choice.value() == 0 ? t.yes : choice.value() == 1 ? t.no : t.abstain;
+  std::uint64_t& sum = choice == 0 ? t.yes : choice == 1 ? t.no : t.abstain;
   sum = sum > kMax - weight ? kMax : sum + weight;
   ++t.voters;
-  ctx.put(meta_key(id.value()), meta.encode());
+  ctx.put(meta_key(id), meta.encode());
   return {};
 }
 
 Status DaoContract::do_finalize(ledger::CallContext& ctx, const Bytes& args) const {
-  ByteReader r(args);
-  auto id = r.u64();
-  if (!id.ok()) return Status::fail(errc::kDaoBadArgs, "finalize(id: u64)");
-  auto loaded = read_meta(ctx.get(meta_key(id.value())));
+  // finalize(id: u64)
+  ByteReader r(args, errc::kDaoBadArgs);
+  const std::uint64_t id = r.read_u64();
+  if (Status s = r.finish(errc::kDaoBadArgs); !s.ok()) return s;
+  auto loaded = read_meta(ctx.get(meta_key(id)));
   if (!loaded.ok()) return loaded.error();
   Meta meta = std::move(loaded).value();
   if (meta.status != static_cast<std::uint8_t>(OnChainStatus::kVoting)) {
@@ -196,7 +192,7 @@ Status DaoContract::do_finalize(ledger::CallContext& ctx, const Bytes& args) con
       (turnout >= config_.quorum && yes_share > config_.pass_threshold)
           ? OnChainStatus::kPassed
           : OnChainStatus::kRejected);
-  ctx.put(meta_key(id.value()), meta.encode());
+  ctx.put(meta_key(id), meta.encode());
   return {};
 }
 

@@ -15,7 +15,6 @@
 //   finalize(id: u64)              — close after the voting period elapsed
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string>
 
@@ -41,8 +40,8 @@ struct OnChainBallot {
   std::uint8_t choice = 0;
   std::uint64_t weight = 1;
 
-  /// nullopt for a choice out of range; a missing weight reads as 1.
-  [[nodiscard]] static std::optional<OnChainBallot> decode(
+  /// dao.corrupt_meta for a choice out of range; a missing weight reads as 1.
+  [[nodiscard]] static Result<OnChainBallot> decode(
       std::span<const std::uint8_t> bytes);
 };
 

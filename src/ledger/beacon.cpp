@@ -85,40 +85,28 @@ Bytes BeaconHeader::encode() const {
 Result<BeaconHeader> BeaconHeader::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   BeaconHeader h;
-  auto height = r.i64();
-  if (!height.ok()) return height.error();
-  h.height = height.value();
-  if (Status s = r.fixed(h.prev_hash); !s.ok()) return s.error();
-  auto ts = r.i64();
-  if (!ts.ok()) return ts.error();
-  h.timestamp = ts.value();
-  auto count = r.u32();
-  if (!count.ok()) return count.error();
-  if (count.value() == 0 || count.value() > kMaxShards ||
-      static_cast<std::size_t>(count.value()) * 64 > r.remaining()) {
-    return make_error(errc::kBeaconBadCount, "shard count out of range");
+  h.height = r.read_i64();
+  r.read_fixed(h.prev_hash);
+  h.timestamp = r.read_i64();
+  // Each anchor is two digests.
+  const std::uint32_t count = r.count(64, errc::kBeaconBadCount);
+  if (count == 0 || count > kMaxShards) {
+    r.fail(errc::kBeaconBadCount, "shard count out of range");
   }
-  h.shards.resize(count.value());
+  h.shards.resize(r.ok() ? count : 0);
   for (ShardAnchor& a : h.shards) {
-    if (Status s = r.fixed(a.state_root); !s.ok()) return s.error();
-    if (Status s = r.fixed(a.receipts_root); !s.ok()) return s.error();
+    r.read_fixed(a.state_root);
+    r.read_fixed(a.receipts_root);
   }
   crypto::Digest root{};
-  if (Status s = r.fixed(root); !s.ok()) return s.error();
+  r.read_fixed(root);
   // The root is derived state: recompute it and refuse a stream whose
   // claimed root disagrees — no semantically inert bytes.
-  h.beacon_root = combine_beacon_root(h.shards);
-  if (root != h.beacon_root) {
-    return make_error(errc::kBeaconBadRoot, "beacon root does not recombine");
-  }
-  if (Status s = crypto::read_key(r, h.proposer_pub); !s.ok()) return s.error();
-  if (Status s = crypto::read_signature(r, h.proposer_sig); !s.ok()) {
-    return s.error();
-  }
-  if (!r.exhausted()) {
-    return make_error(errc::kBeaconTrailing, "trailing bytes after header");
-  }
-  return h;
+  if (r.ok()) h.beacon_root = combine_beacon_root(h.shards);
+  if (root != h.beacon_root) r.fail(errc::kBeaconBadRoot, "beacon root does not recombine");
+  h.proposer_pub = crypto::read_key(r);
+  h.proposer_sig = crypto::read_signature(r);
+  return r.finish(std::move(h), errc::kBeaconTrailing);
 }
 
 crypto::Digest BeaconHeader::hash() const {

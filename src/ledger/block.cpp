@@ -43,23 +43,14 @@ crypto::Digest BlockHeader::hash() const {
 Result<BlockHeader> BlockHeader::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   BlockHeader header;
-  auto height = r.i64();
-  if (!height.ok()) return height.error();
-  header.height = height.value();
-  if (Status s = r.fixed(header.prev_hash); !s.ok()) return s.error();
-  if (Status s = r.fixed(header.tx_root); !s.ok()) return s.error();
-  if (Status s = r.fixed(header.state_root); !s.ok()) return s.error();
-  auto ts = r.i64();
-  if (!ts.ok()) return ts.error();
-  header.timestamp = ts.value();
-  if (Status s = crypto::read_key(r, header.proposer_pub); !s.ok()) return s.error();
-  if (Status s = crypto::read_signature(r, header.proposer_sig); !s.ok()) {
-    return s.error();
-  }
-  if (!r.exhausted()) {
-    return make_error("block.trailing_bytes", "unparsed trailing header data");
-  }
-  return header;
+  header.height = r.read_i64();
+  r.read_fixed(header.prev_hash);
+  r.read_fixed(header.tx_root);
+  r.read_fixed(header.state_root);
+  header.timestamp = r.read_i64();
+  header.proposer_pub = crypto::read_key(r);
+  header.proposer_sig = crypto::read_signature(r);
+  return r.finish(std::move(header), "block.trailing_bytes");
 }
 
 Bytes Block::encode() const {
@@ -72,33 +63,13 @@ Bytes Block::encode() const {
 
 Result<Block> Block::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  auto header_bytes = r.view();
-  if (!header_bytes.ok()) return header_bytes.error();
-
   Block block;
-  auto header = BlockHeader::decode(header_bytes.value());
-  if (!header.ok()) return header.error();
-  block.header = std::move(header).value();
-
-  auto count = r.u32();
-  if (!count.ok()) return count.error();
-  // Every encoded tx costs at least its 4-byte length prefix; a count beyond
-  // that bound is forged (and must not drive a huge reserve()).
-  if (count.value() > r.remaining() / 4) {
-    return make_error("block.bad_tx_count", "tx count exceeds payload size");
-  }
-  block.txs.reserve(count.value());
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto tx_bytes = r.view();
-    if (!tx_bytes.ok()) return tx_bytes.error();
-    auto tx = Transaction::decode(tx_bytes.value());
-    if (!tx.ok()) return tx.error();
-    block.txs.push_back(std::move(tx).value());
-  }
-  if (!r.exhausted()) {
-    return make_error("block.trailing_bytes", "unparsed trailing data");
-  }
-  return block;
+  block.header = r.nested<BlockHeader>();
+  // Every encoded tx costs at least its 4-byte length prefix.
+  const std::uint32_t count = r.count(4, "block.bad_tx_count");
+  block.txs.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) block.txs.push_back(r.nested<Transaction>());
+  return r.finish(std::move(block), "block.trailing_bytes");
 }
 
 std::vector<crypto::Digest> Block::tx_digests(const std::vector<Transaction>& txs) {

@@ -331,29 +331,23 @@ Bytes Blockchain::export_blocks_from(std::int64_t from_height) const {
 
 Result<std::size_t> Blockchain::import_blocks(const Bytes& data) {
   ByteReader r(data);
-  auto count = r.u32();
-  if (!count.ok()) return count.error();
-  if (count.value() > r.remaining() / 4) {
-    return make_error(errc::kChainBadBlockCount, "count exceeds payload size");
-  }
+  const std::uint32_t count = r.count(4, errc::kChainBadBlockCount);
   std::size_t appended = 0;
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto block_bytes = r.view();
-    if (!block_bytes.ok()) return block_bytes.error();
-    auto block = Block::decode(block_bytes.value());
-    if (!block.ok()) return block.error();
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const Block block = r.nested<Block>();
+    if (!r.ok()) break;
     // Skip blocks we already have (replaying a full archive onto a node
     // that is partially synced).
-    if (block.value().header.height < height()) continue;
-    if (auto s = append(block.value()); !s.ok()) {
+    if (block.header.height < height()) continue;
+    if (auto s = append(block); !s.ok()) {
       return make_error(s.error().code,
                         "import stopped at height " +
-                            std::to_string(block.value().header.height) + ": " +
+                            std::to_string(block.header.height) + ": " +
                             s.error().message);
     }
     ++appended;
   }
-  return appended;
+  return r.finish(appended, errc::kChainTrailing);
 }
 
 }  // namespace mv::ledger

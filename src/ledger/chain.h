@@ -183,7 +183,8 @@ class Blockchain {
   [[nodiscard]] Bytes export_blocks_from(std::int64_t from_height) const;
   /// Replay an exported stream from this chain's current height, fully
   /// re-validating each block. Stops at the first invalid block (the valid
-  /// prefix stays committed). Returns the number of blocks appended.
+  /// prefix stays committed); bytes after the last block fail the import
+  /// once its blocks are in. Returns the number of blocks appended.
   [[nodiscard]] Result<std::size_t> import_blocks(const Bytes& data);
 
  private:

@@ -86,53 +86,43 @@ Status ClientApi::drop_subscriber(NodeId node) {
 }
 
 Bytes ClientApi::dispatch(const Bytes& request) const {
-  ByteReader r(request);
-  const auto version = r.u32();
-  const auto kind = r.u8();
-  if (!version.ok() || !kind.ok()) {
-    return encode_err(
-        Error{errc::kApiBadRequest, "truncated request envelope"});
-  }
-  if (version.value() != kClientApiVersion) {
+  // Every malformed request, truncated or trailing, is api.bad_request.
+  ByteReader r(request, errc::kApiBadRequest);
+  const std::uint32_t version = r.read_u32();
+  const std::uint8_t kind = r.read_u8();
+  if (!r.ok()) return encode_err(r.error());
+  if (version != kClientApiVersion) {
     return encode_err(Error{errc::kApiBadVersion,
-                            "client speaks version " +
-                                std::to_string(version.value()) +
+                            "client speaks version " + std::to_string(version) +
                                 ", node speaks " +
                                 std::to_string(kClientApiVersion)});
   }
-  switch (static_cast<ClientRequest>(kind.value())) {
+  switch (static_cast<ClientRequest>(kind)) {
     case ClientRequest::kTip: {
-      if (!r.exhausted()) {
-        return encode_err(Error{errc::kApiBadRequest, "trailing bytes"});
-      }
+      if (Status s = r.finish(errc::kApiBadRequest); !s.ok()) return encode_err(s.error());
       return encode_ok(8, [&](ByteWriter& w) { w.i64(tip_height()); });
     }
     case ClientRequest::kHeader: {
-      const auto height = r.i64();
-      if (!height.ok() || !r.exhausted()) {
-        return encode_err(Error{errc::kApiBadRequest, "malformed header request"});
-      }
-      auto h = header(height.value());
+      const std::int64_t height = r.read_i64();
+      if (Status s = r.finish(errc::kApiBadRequest); !s.ok()) return encode_err(s.error());
+      auto h = header(height);
       if (!h.ok()) return encode_err(h.error());
       const Bytes header_bytes = h.value().encode();
       return encode_ok(header_bytes.size(),
                        [&](ByteWriter& w) { w.raw(header_bytes); });
     }
     case ClientRequest::kAccountProof: {
-      const auto address = r.u64();
-      const auto height = r.i64();
-      if (!address.ok() || !height.ok() || !r.exhausted()) {
-        return encode_err(Error{errc::kApiBadRequest, "malformed proof request"});
-      }
-      auto proof = account_proof(crypto::Address{address.value()}, height.value());
+      const crypto::Address address{r.read_u64()};
+      const std::int64_t height = r.read_i64();
+      if (Status s = r.finish(errc::kApiBadRequest); !s.ok()) return encode_err(s.error());
+      auto proof = account_proof(address, height);
       if (!proof.ok()) return encode_err(proof.error());
       const AccountProof& ap = proof.value();
       return encode_ok(ap.encoded_size(), [&](ByteWriter& w) { ap.write(w); });
     }
   }
   return encode_err(Error{errc::kApiBadRequest,
-                          "unknown request kind " +
-                              std::to_string(kind.value())});
+                          "unknown request kind " + std::to_string(kind)});
 }
 
 }  // namespace mv::ledger

@@ -33,13 +33,11 @@ struct VoteMsg {
   [[nodiscard]] static Result<VoteMsg> decode(std::span<const std::uint8_t> bytes) {
     ByteReader r(bytes);
     VoteMsg v;
-    auto h = r.i64();
-    if (!h.ok()) return h.error();
-    v.height = h.value();
-    if (Status s = r.fixed(v.block_hash); !s.ok()) return s.error();
-    if (Status s = crypto::read_key(r, v.voter); !s.ok()) return s.error();
-    if (Status s = crypto::read_signature(r, v.sig); !s.ok()) return s.error();
-    return v;
+    v.height = r.read_i64();
+    r.read_fixed(v.block_hash);
+    v.voter = crypto::read_key(r);
+    v.sig = crypto::read_signature(r);
+    return r.finish(v, "vote.trailing_bytes");
   }
 };
 
@@ -177,9 +175,9 @@ void ValidatorCommittee::serve_blocks(Validator& v, NodeId to,
 void ValidatorCommittee::handle_sync_request(Validator& v,
                                              const net::Message& msg) {
   ByteReader r(msg.payload());
-  auto from_height = r.i64();
-  if (!from_height.ok()) return;
-  serve_blocks(v, msg.from, from_height.value());
+  const std::int64_t from_height = r.read_i64();
+  if (!r.finish("sync.trailing_bytes").ok()) return;
+  serve_blocks(v, msg.from, from_height);
 }
 
 void ValidatorCommittee::handle_sync_response(Validator& v, const Bytes& payload) {

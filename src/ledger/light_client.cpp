@@ -36,40 +36,20 @@ void AccountProof::write(ByteWriter& w) const {
 Result<AccountProof> AccountProof::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   AccountProof ap;
-  auto addr = r.u64();
-  if (!addr.ok()) return addr.error();
-  ap.address = crypto::Address{addr.value()};
-  auto height = r.i64();
-  if (!height.ok()) return height.error();
-  ap.height = height.value();
-  auto exists = r.u8();
-  if (!exists.ok()) return exists.error();
-  auto has_balance = r.u8();
-  if (!has_balance.ok()) return has_balance.error();
-  if (exists.value() > 1 || has_balance.value() > 1) {
-    return make_error("proof.bad_statement", "flag byte is not 0 or 1");
+  ap.address = crypto::Address{r.read_u64()};
+  ap.height = r.read_i64();
+  const std::uint8_t exists = r.read_u8();
+  const std::uint8_t has_balance = r.read_u8();
+  if (exists > 1 || has_balance > 1) {
+    r.fail("proof.bad_statement", "flag byte is not 0 or 1");
   }
-  ap.statement.exists = exists.value() == 1;
-  ap.statement.has_balance = has_balance.value() == 1;
-  auto balance = r.u64();
-  if (!balance.ok()) return balance.error();
-  ap.statement.balance = balance.value();
-  auto nonce = r.u64();
-  if (!nonce.ok()) return nonce.error();
-  ap.statement.nonce = nonce.value();
-
-  if (Status s = read_commitment_sections(r, ap.commitment); !s.ok()) {
-    return s.error();
-  }
-  auto proof_bytes = r.view();
-  if (!proof_bytes.ok()) return proof_bytes.error();
-  auto proof = crypto::MerkleMapProof::decode(proof_bytes.value());
-  if (!proof.ok()) return proof.error();
-  ap.proof = std::move(proof).value();
-  if (!r.exhausted()) {
-    return make_error("proof.trailing_bytes", "unconsumed bytes after proof");
-  }
-  return ap;
+  ap.statement.exists = exists == 1;
+  ap.statement.has_balance = has_balance == 1;
+  ap.statement.balance = r.read_u64();
+  ap.statement.nonce = r.read_u64();
+  ap.commitment = read_commitment_sections(r);
+  ap.proof = r.nested<crypto::MerkleMapProof>();
+  return r.finish(std::move(ap), "proof.trailing_bytes");
 }
 
 Status verify_account_proof(const AccountProof& ap,

@@ -78,37 +78,18 @@ Bytes CrossShardReceipt::encode() const {
 
 Result<CrossShardReceipt> CrossShardReceipt::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  auto magic = r.str();
-  if (!magic.ok()) return magic.error();
-  if (magic.value() != kReceiptMagic) {
-    return make_error(errc::kXShardBadArgs, "bad receipt magic");
-  }
+  if (r.read_str() != kReceiptMagic) r.fail(errc::kXShardBadArgs, "bad receipt magic");
   CrossShardReceipt rec;
-  auto id = r.u64();
-  if (!id.ok()) return id.error();
-  rec.id = id.value();
-  auto source = r.u32();
-  if (!source.ok()) return source.error();
-  rec.source_shard = source.value();
-  auto dest = r.u32();
-  if (!dest.ok()) return dest.error();
-  rec.dest_shard = dest.value();
-  auto from = r.u64();
-  if (!from.ok()) return from.error();
-  rec.from.value = from.value();
-  auto to = r.u64();
-  if (!to.ok()) return to.error();
-  rec.to.value = to.value();
-  auto amount = r.u64();
-  if (!amount.ok()) return amount.error();
-  rec.amount = amount.value();
-  if (!r.exhausted()) {
-    return make_error(errc::kXShardBadArgs, "trailing bytes after receipt");
-  }
+  rec.id = r.read_u64();
+  rec.source_shard = r.read_u32();
+  rec.dest_shard = r.read_u32();
+  rec.from.value = r.read_u64();
+  rec.to.value = r.read_u64();
+  rec.amount = r.read_u64();
   if (rec.source_shard == rec.dest_shard || !rec.to.valid() || rec.amount == 0) {
-    return make_error(errc::kXShardBadArgs, "receipt fields out of range");
+    r.fail(errc::kXShardBadArgs, "receipt fields out of range");
   }
-  return rec;
+  return r.finish(rec, errc::kXShardBadArgs);
 }
 
 Bytes XShardLockArgs::encode() const {
@@ -122,19 +103,10 @@ Bytes XShardLockArgs::encode() const {
 Result<XShardLockArgs> XShardLockArgs::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   XShardLockArgs a;
-  auto dest = r.u32();
-  if (!dest.ok()) return dest.error();
-  a.dest_shard = dest.value();
-  auto to = r.u64();
-  if (!to.ok()) return to.error();
-  a.to.value = to.value();
-  auto amount = r.u64();
-  if (!amount.ok()) return amount.error();
-  a.amount = amount.value();
-  if (!r.exhausted()) {
-    return make_error(errc::kXShardBadArgs, "trailing bytes after lock args");
-  }
-  return a;
+  a.dest_shard = r.read_u32();
+  a.to.value = r.read_u64();
+  a.amount = r.read_u64();
+  return r.finish(a, errc::kXShardBadArgs);
 }
 
 Bytes XShardMintArgs::encode() const {
@@ -149,22 +121,11 @@ Bytes XShardMintArgs::encode() const {
 Result<XShardMintArgs> XShardMintArgs::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   XShardMintArgs a;
-  auto height = r.i64();
-  if (!height.ok()) return height.error();
-  a.beacon_height = height.value();
-  auto source = r.u32();
-  if (!source.ok()) return source.error();
-  a.source_shard = source.value();
-  auto receipt = r.view();
-  if (!receipt.ok()) return receipt.error();
-  a.receipt = receipt.value();
-  auto proof = r.view();
-  if (!proof.ok()) return proof.error();
-  a.proof = proof.value();
-  if (!r.exhausted()) {
-    return make_error(errc::kXShardBadArgs, "trailing bytes after mint args");
-  }
-  return a;
+  a.beacon_height = r.read_i64();
+  a.source_shard = r.read_u32();
+  a.receipt = r.read_view();
+  a.proof = r.read_view();
+  return r.finish(a, errc::kXShardBadArgs);
 }
 
 std::string xshard_receipt_key(std::uint64_t id) {

@@ -95,46 +95,26 @@ Bytes SnapshotManifest::encode() const {
 Result<SnapshotManifest> SnapshotManifest::decode(
     std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  const auto version = r.u8();
-  if (!version.ok()) return version.error();
-  if (version.value() != kManifestVersion) {
-    return make_error("snapshot.bad_version", "unknown manifest version");
+  if (r.read_u8() != kManifestVersion) {
+    r.fail("snapshot.bad_version", "unknown manifest version");
   }
   SnapshotManifest m;
-  const auto height = r.i64();
-  if (!height.ok()) return height.error();
-  m.height = height.value();
-  if (m.height < 0) return make_error("snapshot.bad_height", "negative height");
+  m.height = r.read_i64();
+  if (m.height < 0) r.fail("snapshot.bad_height", "negative height");
   // The root is recombined, never transported: a manifest whose sections
   // disagree with its root cannot exist by construction.
-  if (Status s = read_commitment_sections(r, m.commitment); !s.ok()) {
-    return s.error();
-  }
-
-  const auto chunk_size = r.u32();
-  if (!chunk_size.ok()) return chunk_size.error();
-  m.chunk_size = chunk_size.value();
-  const auto total = r.u64();
-  if (!total.ok()) return total.error();
-  m.total_bytes = total.value();
-  const auto count = r.u32();
-  if (!count.ok()) return count.error();
+  m.commitment = read_commitment_sections(r);
+  m.chunk_size = r.read_u32();
+  m.total_bytes = r.read_u64();
+  const std::uint32_t count = r.count(crypto::Digest{}.size(), "snapshot.bad_geometry");
   if (m.chunk_size == 0 || m.total_bytes == 0 ||
-      count.value() != chunk_count_for(m.total_bytes, m.chunk_size)) {
-    return make_error("snapshot.bad_geometry",
-                      "chunk count inconsistent with total_bytes/chunk_size");
+      count != chunk_count_for(m.total_bytes, m.chunk_size)) {
+    r.fail("snapshot.bad_geometry",
+           "chunk count inconsistent with total_bytes/chunk_size");
   }
-  if (count.value() > r.remaining() / crypto::Digest{}.size()) {
-    return make_error("snapshot.bad_geometry", "chunk count exceeds payload");
-  }
-  m.chunk_digests.resize(count.value());
-  for (crypto::Digest& d : m.chunk_digests) {
-    if (Status s = r.fixed(d); !s.ok()) return s.error();
-  }
-  if (!r.exhausted()) {
-    return make_error("snapshot.trailing_bytes", "manifest has trailing bytes");
-  }
-  return m;
+  m.chunk_digests.resize(count);
+  for (crypto::Digest& d : m.chunk_digests) r.read_fixed(d);
+  return r.finish(std::move(m), "snapshot.trailing_bytes");
 }
 
 Bytes encode_snapshot_payload(const LedgerState& state) {
@@ -180,120 +160,69 @@ Bytes encode_snapshot_payload(const LedgerState& state) {
 
 Result<LedgerState> decode_snapshot_payload(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  const auto tag = r.str();
-  if (!tag.ok()) return tag.error();
-  if (tag.value() != kPayloadTag) {
-    return make_error("snapshot.bad_tag", "unknown snapshot format");
-  }
+  if (r.read_str() != kPayloadTag) r.fail("snapshot.bad_tag", "unknown snapshot format");
   LedgerState state;
 
-  const auto account_count = r.u64();
-  if (!account_count.ok()) return account_count.error();
-  if (account_count.value() > r.remaining() / kMinAccountEntry) {
-    return make_error("snapshot.bad_count", "account count exceeds payload");
-  }
+  const std::uint64_t account_count = r.count64(kMinAccountEntry, "snapshot.bad_count");
   std::uint64_t prev_addr = 0;
   // Entries are validated into a sorted seed list and loaded in one pass
   // (LedgerState::load_accounts): the table is sized once and the leaves go
   // into the accounts tree as one MerkleMap::update batch.
   std::vector<Account> seeds;
-  seeds.reserve(std::min<std::uint64_t>(account_count.value(), 1u << 20));
-  for (std::uint64_t i = 0; i < account_count.value(); ++i) {
-    const auto addr = r.u64();
-    if (!addr.ok()) return addr.error();
-    if (i != 0 && addr.value() <= prev_addr) {
-      return make_error("snapshot.bad_order", "account addresses not ascending");
+  seeds.reserve(std::min<std::uint64_t>(account_count, 1u << 20));
+  for (std::uint64_t i = 0; i < account_count; ++i) {
+    const std::uint64_t addr = r.read_u64();
+    if (i != 0 && addr <= prev_addr) {
+      r.fail("snapshot.bad_order", "account addresses not ascending");
     }
-    prev_addr = addr.value();
-    const auto flags = r.u8();
-    if (!flags.ok()) return flags.error();
-    if (flags.value() > 1) {
-      return make_error("snapshot.bad_flags", "account flags not in {0,1}");
-    }
-    const bool has_balance = flags.value() == 1;
-    std::uint64_t balance = 0;
-    if (has_balance) {
-      const auto bal = r.u64();
-      if (!bal.ok()) return bal.error();
-      balance = bal.value();
-    }
-    const auto nonce = r.u64();
-    if (!nonce.ok()) return nonce.error();
-    if (!has_balance && nonce.value() == 0) {
+    prev_addr = addr;
+    const std::uint8_t flags = r.read_u8();
+    if (flags > 1) r.fail("snapshot.bad_flags", "account flags not in {0,1}");
+    const bool has_balance = flags == 1;
+    const std::uint64_t balance = has_balance ? r.read_u64() : 0;
+    const std::uint64_t nonce = r.read_u64();
+    if (!has_balance && nonce == 0) {
       // A leafless entry would be semantically inert — not canonical.
-      return make_error("snapshot.bad_entry", "entry carries no account leaf");
+      r.fail("snapshot.bad_entry", "entry carries no account leaf");
     }
-    seeds.push_back(Account{crypto::Address{addr.value()}, balance,
-                            nonce.value(), has_balance});
+    seeds.push_back(Account{crypto::Address{addr}, balance, nonce, has_balance});
   }
-  state.load_accounts(seeds);
+  // Only a cleanly decoded, strictly ascending seed list may reach the tree.
+  if (r.ok()) state.load_accounts(seeds);
 
-  const auto audit_count = r.u64();
-  if (!audit_count.ok()) return audit_count.error();
-  if (audit_count.value() > r.remaining() / kMinAuditEntry) {
-    return make_error("snapshot.bad_count", "audit count exceeds payload");
-  }
-  for (std::uint64_t i = 0; i < audit_count.value(); ++i) {
-    const auto collector = r.u64();
-    if (!collector.ok()) return collector.error();
-    const auto body_bytes = r.view();
-    if (!body_bytes.ok()) return body_bytes.error();
-    auto body = AuditRecordBody::decode(body_bytes.value());
-    if (!body.ok()) return body.error();
-    // AuditRecordBody::decode tolerates trailing bytes (it reads embedded
-    // framings elsewhere); the snapshot's framing is strict, so require the
-    // canonical re-encoding to reproduce the wire bytes exactly.
-    if (!std::ranges::equal(body.value().encode(), body_bytes.value())) {
-      return make_error("snapshot.bad_entry", "audit body not canonical");
-    }
-    const auto height = r.i64();
-    if (!height.ok()) return height.error();
-    state.append_audit(StoredAuditRecord{crypto::Address{collector.value()},
-                                         std::move(body).value(),
-                                         height.value()});
+  const std::uint64_t audit_count = r.count64(kMinAuditEntry, "snapshot.bad_count");
+  for (std::uint64_t i = 0; i < audit_count; ++i) {
+    const crypto::Address collector{r.read_u64()};
+    // The snapshot's framing is strict: the body fills its field exactly.
+    ByteReader body(r.read_view());
+    AuditRecordBody record = r.take(
+        body.finish(AuditRecordBody::read(body), "snapshot.bad_entry"));
+    state.append_audit(StoredAuditRecord{collector, std::move(record), r.read_i64()});
   }
 
-  const auto contract_count = r.u32();
-  if (!contract_count.ok()) return contract_count.error();
-  if (contract_count.value() > r.remaining() / kMinContractEntry) {
-    return make_error("snapshot.bad_count", "contract count exceeds payload");
-  }
+  const std::uint32_t contract_count = r.count(kMinContractEntry, "snapshot.bad_count");
   std::string prev_name;
-  for (std::uint32_t i = 0; i < contract_count.value(); ++i) {
-    const auto name = r.str();
-    if (!name.ok()) return name.error();
-    if (i != 0 && name.value() <= prev_name) {
-      return make_error("snapshot.bad_order", "contract names not ascending");
+  for (std::uint32_t i = 0; i < contract_count; ++i) {
+    std::string name = r.read_str();
+    if (i != 0 && name <= prev_name) {
+      r.fail("snapshot.bad_order", "contract names not ascending");
     }
-    prev_name = name.value();
-    state.materialize_store(name.value());
-    const auto entry_count = r.u64();
-    if (!entry_count.ok()) return entry_count.error();
-    if (entry_count.value() > r.remaining() / kMinStoreEntry) {
-      return make_error("snapshot.bad_count", "store entry count exceeds payload");
-    }
+    state.materialize_store(name);
+    const std::uint64_t entry_count = r.count64(kMinStoreEntry, "snapshot.bad_count");
     std::string prev_key;
-    for (std::uint64_t k = 0; k < entry_count.value(); ++k) {
-      const auto key = r.str();
-      if (!key.ok()) return key.error();
-      if (k != 0 && key.value() <= prev_key) {
-        return make_error("snapshot.bad_order", "store keys not ascending");
+    for (std::uint64_t k = 0; k < entry_count; ++k) {
+      std::string key = r.read_str();
+      if (k != 0 && key <= prev_key) {
+        r.fail("snapshot.bad_order", "store keys not ascending");
       }
-      prev_key = key.value();
-      auto value = r.bytes();
-      if (!value.ok()) return value.error();
-      state.store_put(name.value(), key.value(), std::move(value).value());
+      state.store_put(name, key, r.read_bytes());
+      prev_key = std::move(key);
     }
+    prev_name = std::move(name);
   }
 
-  const auto burned = r.u64();
-  if (!burned.ok()) return burned.error();
-  state.add_burned_fees(burned.value());
-
-  if (!r.exhausted()) {
-    return make_error("snapshot.trailing_bytes", "payload has trailing bytes");
-  }
-  return state;
+  state.add_burned_fees(r.read_u64());
+  return r.finish(std::move(state), "snapshot.trailing_bytes");
 }
 
 Snapshot build_snapshot(const LedgerState& state, std::int64_t height,

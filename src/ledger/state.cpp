@@ -140,21 +140,16 @@ crypto::Digest combine_commitment_root(const StateCommitment& c) {
   return w.digest();
 }
 
-Status read_commitment_sections(ByteReader& r, StateCommitment& out) {
-  if (Status s = r.fixed(out.accounts_root); !s.ok()) return s;
-  auto account_count = r.u64();
-  if (!account_count.ok()) return account_count.error();
-  out.account_count = account_count.value();
-  if (Status s = r.fixed(out.audit_digest); !s.ok()) return s;
-  auto audit_count = r.u64();
-  if (!audit_count.ok()) return audit_count.error();
-  out.audit_count = audit_count.value();
-  if (Status s = r.fixed(out.stores_digest); !s.ok()) return s;
-  auto burned = r.u64();
-  if (!burned.ok()) return burned.error();
-  out.burned_fees = burned.value();
-  out.root = combine_commitment_root(out);
-  return {};
+StateCommitment read_commitment_sections(ByteReader& r) {
+  StateCommitment c;
+  r.read_fixed(c.accounts_root);
+  c.account_count = r.read_u64();
+  r.read_fixed(c.audit_digest);
+  c.audit_count = r.read_u64();
+  r.read_fixed(c.stores_digest);
+  c.burned_fees = r.read_u64();
+  c.root = combine_commitment_root(c);
+  return c;
 }
 
 // ------------------------------------------------------------- LedgerView

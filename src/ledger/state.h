@@ -88,12 +88,14 @@ template <StoreScalar T>
 }
 template <StoreScalar T>
 [[nodiscard]] T store_decode(const Bytes* value) {
+  // Lenient on purpose, no finish(): a missing or short value reads 0 (an
+  // absent counter is zero) and a longer one its leading field.
   if (value == nullptr || value->size() < sizeof(T)) return 0;
   ByteReader r(*value);
   if constexpr (sizeof(T) == 4) {
-    return r.u32().value();
+    return r.read_u32();
   } else {
-    return static_cast<T>(r.u64().value());
+    return static_cast<T>(r.read_u64());
   }
 }
 
@@ -132,7 +134,7 @@ void write_commitment_sections(Writer& w, const StateCommitment& c) {
 /// Inverse of write_commitment_sections. `out.root` is recombined from the
 /// sections (combine_commitment_root), never read off the wire, so a served
 /// root that disagrees with its sections cannot exist.
-[[nodiscard]] Status read_commitment_sections(ByteReader& r, StateCommitment& out);
+[[nodiscard]] StateCommitment read_commitment_sections(ByteReader& r);
 
 /// Digest of one account leaf as committed in the accounts MerkleMap:
 /// sha256(u8(has_balance) || u64(balance) || u64(nonce)). A leaf exists iff

@@ -24,51 +24,22 @@ Bytes CommitPush::encode() const {
 
 Result<CommitPush> CommitPush::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  const auto version = r.u32();
-  if (!version.ok()) return version.error();
-  if (version.value() != kCommitPushVersion) {
-    return make_error(errc::kSubBadVersion, "unknown CommitPush version " +
-                                                std::to_string(version.value()));
+  if (const std::uint32_t version = r.read_u32(); version != kCommitPushVersion) {
+    r.fail(errc::kSubBadVersion, "unknown CommitPush version " + std::to_string(version));
   }
   CommitPush push;
-  auto header_bytes = r.view();
-  if (!header_bytes.ok()) return header_bytes.error();
-  auto header = BlockHeader::decode(header_bytes.value());
-  if (!header.ok()) return header.error();
-  push.header = std::move(header).value();
-  const auto n_proofs = r.u32();
-  if (!n_proofs.ok()) return n_proofs.error();
-  // Every element costs at least its 4-byte length prefix; a count beyond
-  // that is forged and must not drive a huge reserve().
-  if (n_proofs.value() > r.remaining() / 4) {
-    return make_error(errc::kSubBadPush, "proof count exceeds payload size");
+  push.header = r.nested<BlockHeader>();
+  // Every element costs at least its 4-byte length prefix.
+  const std::uint32_t n_proofs = r.count(4, errc::kSubBadPush);
+  push.proofs.reserve(n_proofs);
+  for (std::uint32_t i = 0; i < n_proofs; ++i) push.proofs.push_back(r.nested<AccountProof>());
+  const std::uint32_t n_events = r.count(4, errc::kSubBadPush);
+  push.events.reserve(n_events);
+  // Braced initializers evaluate in order: contract, then key.
+  for (std::uint32_t i = 0; i < n_events; ++i) {
+    push.events.push_back(StoreEvent{r.read_str(), r.read_str()});
   }
-  push.proofs.reserve(n_proofs.value());
-  for (std::uint32_t i = 0; i < n_proofs.value(); ++i) {
-    auto proof_bytes = r.view();
-    if (!proof_bytes.ok()) return proof_bytes.error();
-    auto proof = AccountProof::decode(proof_bytes.value());
-    if (!proof.ok()) return proof.error();
-    push.proofs.push_back(std::move(proof).value());
-  }
-  const auto n_events = r.u32();
-  if (!n_events.ok()) return n_events.error();
-  if (n_events.value() > r.remaining() / 4) {
-    return make_error(errc::kSubBadPush, "event count exceeds payload size");
-  }
-  push.events.reserve(n_events.value());
-  for (std::uint32_t i = 0; i < n_events.value(); ++i) {
-    auto contract = r.str();
-    if (!contract.ok()) return contract.error();
-    auto key = r.str();
-    if (!key.ok()) return key.error();
-    push.events.push_back(
-        StoreEvent{std::move(contract).value(), std::move(key).value()});
-  }
-  if (!r.exhausted()) {
-    return make_error(errc::kSubBadPush, "unparsed trailing data");
-  }
-  return push;
+  return r.finish(std::move(push), errc::kSubBadPush);
 }
 
 // -------------------------------------------------- SubscriptionPublisher
@@ -206,9 +177,9 @@ void SubscriptionFeed::on_push(const net::Message& msg) {
 void SubscriptionFeed::on_subscribe_resp(const net::Message& msg) {
   if (msg.from != server_) return;
   const auto resp = net::SubscriptionResponse::decode(msg.payload());
-  if (!resp.has_value()) return;
-  server_earliest_ = resp->earliest;
-  if (resp->code == errc::kSubStaleFrom) {
+  if (!resp.ok()) return;
+  server_earliest_ = resp.value().earliest;
+  if (resp.value().code == errc::kSubStaleFrom) {
     // The ring moved past us; pushes cannot rebuild the missing headers.
     // The owner must bootstrap from a snapshot and construct a fresh feed
     // anchored there.

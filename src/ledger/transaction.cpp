@@ -11,11 +11,10 @@ Bytes TransferBody::encode() const {
 
 Result<TransferBody> TransferBody::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  auto to = r.u64();
-  if (!to.ok()) return to.error();
-  auto amount = r.u64();
-  if (!amount.ok()) return amount.error();
-  return TransferBody{crypto::Address{to.value()}, amount.value()};
+  TransferBody body;
+  body.to = crypto::Address{r.read_u64()};
+  body.amount = r.read_u64();
+  return r.finish(body, "tx.trailing_bytes");
 }
 
 Bytes AuditRecordBody::encode() const {
@@ -29,16 +28,16 @@ Bytes AuditRecordBody::encode() const {
 
 Result<AuditRecordBody> AuditRecordBody::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  auto category = r.str();
-  if (!category.ok()) return category.error();
-  auto purpose = r.str();
-  if (!purpose.ok()) return purpose.error();
-  auto subject = r.u64();
-  if (!subject.ok()) return subject.error();
-  auto pet = r.str();
-  if (!pet.ok()) return pet.error();
-  return AuditRecordBody{category.value(), purpose.value(), subject.value(),
-                         pet.value()};
+  return r.finish(read(r), "tx.trailing_bytes");
+}
+
+AuditRecordBody AuditRecordBody::read(ByteReader& r) {
+  AuditRecordBody body;
+  body.data_category = r.read_str();
+  body.purpose = r.read_str();
+  body.subject = r.read_u64();
+  body.pet_applied = r.read_str();
+  return body;
 }
 
 namespace {
@@ -81,33 +80,19 @@ Bytes Transaction::encode() const {
 Result<Transaction> Transaction::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   Transaction tx;
-  if (Status s = crypto::read_key(r, tx.sender_pub); !s.ok()) return s.error();
-  auto nonce = r.u64();
-  if (!nonce.ok()) return nonce.error();
-  tx.nonce = nonce.value();
-  auto kind = r.u8();
-  if (!kind.ok()) return kind.error();
-  if (kind.value() > static_cast<std::uint8_t>(TxKind::kContractCall)) {
-    return make_error("tx.bad_kind", "unknown transaction kind");
+  tx.sender_pub = crypto::read_key(r);
+  tx.nonce = r.read_u64();
+  const std::uint8_t kind = r.read_u8();
+  if (kind > static_cast<std::uint8_t>(TxKind::kContractCall)) {
+    r.fail("tx.bad_kind", "unknown transaction kind");
   }
-  tx.kind = static_cast<TxKind>(kind.value());
-  auto contract = r.str();
-  if (!contract.ok()) return contract.error();
-  tx.contract = std::move(contract).value();
-  auto method = r.str();
-  if (!method.ok()) return method.error();
-  tx.method = std::move(method).value();
-  auto payload = r.bytes();
-  if (!payload.ok()) return payload.error();
-  tx.payload = std::move(payload).value();
-  auto fee = r.u64();
-  if (!fee.ok()) return fee.error();
-  tx.fee = fee.value();
-  if (Status s = crypto::read_signature(r, tx.sig); !s.ok()) return s.error();
-  if (!r.exhausted()) {
-    return make_error("tx.trailing_bytes", "unparsed trailing data");
-  }
-  return tx;
+  tx.kind = static_cast<TxKind>(kind);
+  tx.contract = r.read_str();
+  tx.method = r.read_str();
+  tx.payload = r.read_bytes();
+  tx.fee = r.read_u64();
+  tx.sig = crypto::read_signature(r);
+  return r.finish(std::move(tx), "tx.trailing_bytes");
 }
 
 crypto::Digest Transaction::digest() const {

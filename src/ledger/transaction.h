@@ -43,6 +43,8 @@ struct AuditRecordBody {
 
   [[nodiscard]] Bytes encode() const;
   [[nodiscard]] static Result<AuditRecordBody> decode(std::span<const std::uint8_t> bytes);
+  /// The fields alone, read into `r`'s latch; the caller finishes `r`.
+  [[nodiscard]] static AuditRecordBody read(ByteReader& r);
 };
 
 struct Transaction {

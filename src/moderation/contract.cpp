@@ -21,23 +21,19 @@ Bytes encode_record(const ModerationContract::ReportView& v) {
   return w.take();
 }
 
-std::optional<ModerationContract::ReportView> decode_record(const Bytes& bytes) {
-  ByteReader r(bytes);
+/// Lenient on purpose, no finish(): the record is the contract's own store
+/// value, never peer input.
+Result<ModerationContract::ReportView> decode_record(const Bytes& bytes) {
+  ByteReader r(bytes, errc::kModBadArgs);
   ModerationContract::ReportView v;
-  auto reporter = r.u64();
-  auto offender = r.u64();
-  auto kind = r.u8();
-  auto height = r.i64();
-  auto status = r.u8();
-  if (!reporter.ok() || !offender.ok() || !kind.ok() || !height.ok() ||
-      !status.ok() || status.value() > 2) {
-    return std::nullopt;
-  }
-  v.reporter = crypto::Address{reporter.value()};
-  v.offender = crypto::Address{offender.value()};
-  v.kind = kind.value();
-  v.filed_height = height.value();
-  v.status = static_cast<ReportStatus>(status.value());
+  v.reporter = crypto::Address{r.read_u64()};
+  v.offender = crypto::Address{r.read_u64()};
+  v.kind = r.read_u8();
+  v.filed_height = r.read_i64();
+  const std::uint8_t status = r.read_u8();
+  if (status > 2) r.fail(errc::kModBadArgs, "report status not in {0,1,2}");
+  v.status = static_cast<ReportStatus>(status);
+  if (!r.ok()) return r.error();
   return v;
 }
 
@@ -53,23 +49,23 @@ Status ModerationContract::call(ledger::CallContext& ctx,
 
 Status ModerationContract::do_report(ledger::CallContext& ctx,
                                      const Bytes& args) const {
-  ByteReader r(args);
-  auto offender = r.u64();
-  auto kind = r.u8();
-  auto detail = r.str();
-  if (!offender.ok() || !kind.ok() || !detail.ok() || offender.value() == 0 ||
-      kind.value() > config_.max_kind) {
-    return Status::fail(errc::kModBadArgs,
-                        "report(offender: address, kind: u8, detail: str)");
+  // report(offender: address, kind: u8, detail: str)
+  ByteReader r(args, errc::kModBadArgs);
+  const crypto::Address offender{r.read_u64()};
+  const std::uint8_t kind = r.read_u8();
+  (void)r.read_view();  // detail: carried by the transaction, not stored
+  if (!offender.valid() || kind > config_.max_kind) {
+    r.fail(errc::kModBadArgs, "null offender or unknown kind");
   }
-  if (offender.value() == ctx.caller().value) {
+  if (Status s = r.finish(errc::kModBadArgs); !s.ok()) return s;
+  if (offender == ctx.caller()) {
     return Status::fail(errc::kModSelfReport, "cannot report yourself");
   }
   const std::uint64_t id = ctx.bump("next_id", 1);
   ReportView v;
   v.reporter = ctx.caller();
-  v.offender = crypto::Address{offender.value()};
-  v.kind = kind.value();
+  v.offender = offender;
+  v.kind = kind;
   v.filed_height = ctx.height();
   v.status = ReportStatus::kOpen;
   ctx.put(report_key(id), encode_record(v));
@@ -83,25 +79,25 @@ Status ModerationContract::do_resolve(ledger::CallContext& ctx,
     return Status::fail(errc::kModNotModerator,
                         "resolve is restricted to the moderator identity");
   }
-  ByteReader r(args);
-  auto id = r.u64();
-  auto uphold = r.u8();
-  if (!id.ok() || !uphold.ok() || uphold.value() > 1) {
-    return Status::fail(errc::kModBadArgs, "resolve(id: u64, uphold: 0|1)");
-  }
-  const Bytes* record = ctx.get(report_key(id.value()));
+  // resolve(id: u64, uphold: 0|1)
+  ByteReader r(args, errc::kModBadArgs);
+  const std::uint64_t id = r.read_u64();
+  const std::uint8_t uphold = r.read_u8();
+  if (uphold > 1) r.fail(errc::kModBadArgs, "uphold not in {0,1}");
+  if (Status s = r.finish(errc::kModBadArgs); !s.ok()) return s;
+  const Bytes* record = ctx.get(report_key(id));
   if (record == nullptr) {
     return Status::fail(errc::kModNoSuchReport, "unknown report");
   }
-  auto view = decode_record(*record);
-  if (!view.has_value() || view->status != ReportStatus::kOpen) {
+  auto decoded = decode_record(*record);
+  if (!decoded.ok() || decoded.value().status != ReportStatus::kOpen) {
     return Status::fail(errc::kModAlreadyResolved, "report closed");
   }
-  view->status = uphold.value() != 0 ? ReportStatus::kUpheld
-                                     : ReportStatus::kDismissed;
-  ctx.put(report_key(id.value()), encode_record(*view));
+  ReportView view = decoded.value();
+  view.status = uphold != 0 ? ReportStatus::kUpheld : ReportStatus::kDismissed;
+  ctx.put(report_key(id), encode_record(view));
   ctx.bump("open_count", -1);
-  if (uphold.value() != 0) ctx.bump("upheld_count", 1);
+  if (uphold != 0) ctx.bump("upheld_count", 1);
   return {};
 }
 
@@ -125,9 +121,7 @@ Result<ModerationContract::ReportView> ModerationContract::report(
     std::uint64_t id) {
   const Bytes* record = state.store_get(contract, report_key(id));
   if (record == nullptr) return make_error(errc::kModNoSuchReport, "unknown report");
-  auto view = decode_record(*record);
-  if (!view.has_value()) return make_error(errc::kModBadArgs, "corrupt record");
-  return *view;
+  return decode_record(*record);
 }
 
 Bytes ModerationContract::encode_report(crypto::Address offender,

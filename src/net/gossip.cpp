@@ -77,13 +77,10 @@ void Gossip::on_message(const Message& msg) {
     return;
   }
   ByteReader reader(msg.payload());
-  const auto shard = reader.u32();
-  if (!shard.ok()) return;  // malformed frame: drop, don't relay
-  if (interested(msg.to, shard.value())) {
-    const auto inner = reader.raw(reader.remaining());
-    deliver_(msg.to, inner.value());
-  }
-  relay(msg.to, msg.payload_buf, shard.value());
+  const std::uint32_t shard = reader.read_u32();
+  if (!reader.ok()) return;  // malformed frame: drop, don't relay
+  if (interested(msg.to, shard)) deliver_(msg.to, reader.read_raw(reader.remaining()));
+  relay(msg.to, msg.payload_buf, shard);
 }
 
 void Gossip::relay(NodeId from, const std::shared_ptr<const Bytes>& payload,

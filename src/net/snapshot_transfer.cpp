@@ -17,11 +17,10 @@ Bytes encode_height_req(std::int64_t height) {
   return w.take();
 }
 
-std::optional<std::int64_t> decode_height_req(const Bytes& payload) {
+Result<std::int64_t> decode_height_req(const Bytes& payload) {
   ByteReader r(payload);
-  const auto height = r.i64();
-  if (!height.ok() || !r.exhausted()) return std::nullopt;
-  return height.value();
+  const std::int64_t height = r.read_i64();
+  return r.finish(height, errc::kSnapshotBadMessage);
 }
 
 struct ChunkReq {
@@ -36,12 +35,12 @@ Bytes encode_chunk_req(const ChunkReq& req) {
   return w.take();
 }
 
-std::optional<ChunkReq> decode_chunk_req(const Bytes& payload) {
+Result<ChunkReq> decode_chunk_req(const Bytes& payload) {
   ByteReader r(payload);
-  const auto height = r.i64();
-  const auto index = r.u32();
-  if (!height.ok() || !index.ok() || !r.exhausted()) return std::nullopt;
-  return ChunkReq{height.value(), index.value()};
+  ChunkReq req;
+  req.height = r.read_i64();
+  req.index = r.read_u32();
+  return r.finish(req, errc::kSnapshotBadMessage);
 }
 
 // Response status byte. kBusy is the chunk path's explicit load-shed NACK:
@@ -70,24 +69,15 @@ Bytes encode_resp(const Resp& resp, bool with_index) {
   return w.take();
 }
 
-std::optional<Resp> decode_resp(const Bytes& payload, bool with_index) {
+Result<Resp> decode_resp(const Bytes& payload, bool with_index) {
   ByteReader r(payload);
   Resp resp;
-  const auto height = r.i64();
-  if (!height.ok()) return std::nullopt;
-  resp.height = height.value();
-  if (with_index) {
-    const auto index = r.u32();
-    if (!index.ok()) return std::nullopt;
-    resp.index = index.value();
-  }
-  const auto status = r.u8();
-  if (!status.ok() || status.value() > kRespBusy) return std::nullopt;
-  resp.status = status.value();
-  auto data = r.bytes();
-  if (!data.ok() || !r.exhausted()) return std::nullopt;
-  resp.data = std::move(data).value();
-  return resp;
+  resp.height = r.read_i64();
+  if (with_index) resp.index = r.read_u32();
+  resp.status = r.read_u8();
+  if (resp.status > kRespBusy) r.fail(errc::kSnapshotBadMessage, "unknown status");
+  resp.data = r.read_bytes();
+  return r.finish(std::move(resp), errc::kSnapshotBadMessage);
 }
 
 }  // namespace
@@ -97,18 +87,19 @@ std::optional<Resp> decode_resp(const Bytes& payload, bool with_index) {
 bool SnapshotServer::handle(const Message& msg) {
   if (msg.topic == kSnapshotManifestReq) {
     const auto height = decode_height_req(msg.payload());
-    if (!height.has_value()) return true;
+    if (!height.ok()) return true;
     Resp resp;
-    resp.height = *height;
-    resp.data = source_.manifest ? source_.manifest(*height) : Bytes{};
+    resp.height = height.value();
+    resp.data = source_.manifest ? source_.manifest(resp.height) : Bytes{};
     resp.status = resp.data.empty() ? kRespRefused : kRespOk;
     (void)network_.send(self_, msg.from, kSnapshotManifestResp,
                         encode_resp(resp, /*with_index=*/false));
     return true;
   }
   if (msg.topic == kSnapshotChunkReq) {
-    const auto req = decode_chunk_req(msg.payload());
-    if (!req.has_value()) return true;
+    const auto decoded = decode_chunk_req(msg.payload());
+    if (!decoded.ok()) return true;
+    const ChunkReq req = decoded.value();
     if (queue_ != nullptr) {
       // Served off the simulation thread as kSnapshotServe work. A shed job
       // is answered inline with a busy NACK — producing it costs no source
@@ -116,8 +107,8 @@ bool SnapshotServer::handle(const Message& msg) {
       // never shed — and the client backs off immediately instead of
       // spending timeout ticks and a retry on what looks like loss.
       const NodeId requester = msg.from;
-      const std::int64_t height = req->height;
-      const std::uint32_t index = req->index;
+      const std::int64_t height = req.height;
+      const std::uint32_t index = req.index;
       const bool admitted = queue_->submit(
           JobClass::kSnapshotServe, [this, requester, height, index] {
             serve_chunk(requester, height, index);
@@ -133,15 +124,15 @@ bool SnapshotServer::handle(const Message& msg) {
       }
       return true;
     }
-    serve_chunk(msg.from, req->height, req->index);
+    serve_chunk(msg.from, req.height, req.index);
     return true;
   }
   if (msg.topic == kSnapshotBlocksReq) {
     const auto from_height = decode_height_req(msg.payload());
-    if (!from_height.has_value()) return true;
+    if (!from_height.ok()) return true;
     Resp resp;
-    resp.height = *from_height;
-    resp.data = source_.blocks ? source_.blocks(*from_height) : Bytes{};
+    resp.height = from_height.value();
+    resp.data = source_.blocks ? source_.blocks(resp.height) : Bytes{};
     // An empty archive is still a valid answer (the peer is already caught
     // up); only a missing callback refuses.
     resp.status = source_.blocks ? kRespOk : kRespRefused;
@@ -366,9 +357,10 @@ void SnapshotClient::on_manifest(const Message& msg) {
   if (from < 0) return;
   PeerState& peer = peers_[static_cast<std::size_t>(from)];
   if (peer.has_manifest || peer.refused) return;  // duplicate answer
-  const auto resp = decode_resp(msg.payload(), /*with_index=*/false);
-  if (!resp.has_value() || resp->height != height_) return;
-  if (!resp->ok()) {
+  const auto decoded = decode_resp(msg.payload(), /*with_index=*/false);
+  if (!decoded.ok() || decoded.value().height != height_) return;
+  const Resp& resp = decoded.value();
+  if (!resp.ok()) {
     peer.refused = true;
     if (phase_ == Phase::kManifest && all_peers_refused()) {
       fail(errc::kSnapshotUnavailable, "no peer serves this height");
@@ -381,7 +373,7 @@ void SnapshotClient::on_manifest(const Message& msg) {
     // same snapshot agree exactly). A divergent manifest is either another
     // chunk geometry — useless for striping — or a lying peer; both are
     // struck out of the stripe.
-    if (resp->data == manifest_bytes_) {
+    if (resp.data == manifest_bytes_) {
       peer.has_manifest = true;
       if (phase_ == Phase::kChunks) fill_window();
     } else {
@@ -389,7 +381,7 @@ void SnapshotClient::on_manifest(const Message& msg) {
     }
     return;
   }
-  auto digests = hooks_.accept_manifest(height_, resp->data);
+  auto digests = hooks_.accept_manifest(height_, resp.data);
   if (!digests.ok()) {
     // This peer's manifest failed authentication. That poisons the peer,
     // not necessarily the sync: another peer may still deliver a manifest
@@ -409,7 +401,7 @@ void SnapshotClient::on_manifest(const Message& msg) {
     fail(errc::kSnapshotBadManifest, "manifest commits to zero chunks");
     return;
   }
-  manifest_bytes_ = resp->data;
+  manifest_bytes_ = resp.data;
   peer.has_manifest = true;
   chunks_.assign(expected_.size(), Bytes{});
   inflight_.assign(expected_.size(), std::nullopt);
@@ -441,12 +433,13 @@ void SnapshotClient::on_chunk(const Message& msg) {
   if (phase_ != Phase::kChunks) return;
   const int from = peer_index(msg.from);
   if (from < 0) return;
-  const auto resp = decode_resp(msg.payload(), /*with_index=*/true);
-  if (!resp.has_value() || resp->height != height_ ||
-      resp->index >= have_.size()) {
+  auto decoded = decode_resp(msg.payload(), /*with_index=*/true);
+  if (!decoded.ok() || decoded.value().height != height_ ||
+      decoded.value().index >= have_.size()) {
     return;
   }
-  const std::uint32_t index = resp->index;
+  Resp resp = std::move(decoded).value();
+  const std::uint32_t index = resp.index;
   if (have_[index]) return;  // duplicate after a retried request
   auto& slot = inflight_[index];
   if (!slot.has_value()) return;  // stale reply from an abandoned sync
@@ -454,7 +447,7 @@ void SnapshotClient::on_chunk(const Message& msg) {
     return;  // answer from a peer this chunk is no longer routed to
   }
   PeerState& peer = peers_[slot->peer];
-  if (resp->status == kRespBusy) {
+  if (resp.status == kRespBusy) {
     // The server shed the serve job and said so. An honest "busy" never
     // charges the loss-retry budget. With other peers available the request
     // is re-aimed at the least-loaded one immediately; alone with the busy
@@ -487,7 +480,7 @@ void SnapshotClient::on_chunk(const Message& msg) {
                       config_.backoff * static_cast<Tick>(slot->busy_defers);
     return;
   }
-  if (!resp->ok()) {
+  if (!resp.ok()) {
     // The peer advertised this snapshot but refuses one of its chunks —
     // inconsistent, so stop trusting it. Another peer can still serve the
     // chunk; only a swarm with no peer left fails.
@@ -501,7 +494,7 @@ void SnapshotClient::on_chunk(const Message& msg) {
     request_chunk(index, static_cast<std::size_t>(other));
     return;
   }
-  if (hooks_.chunk_digest(index, resp->data) != expected_[index]) {
+  if (hooks_.chunk_digest(index, resp.data) != expected_[index]) {
     // Corrupted in flight (or a lying peer): never installed, re-requested
     // like a loss — preferring a different peer, and striking the one that
     // served garbage so a byzantine replica drops out of the stripe.
@@ -515,7 +508,7 @@ void SnapshotClient::on_chunk(const Message& msg) {
     return;
   }
   network_.note_snapshot_chunk_verified();
-  chunks_[index] = std::move(resp->data);
+  chunks_[index] = std::move(resp.data);
   have_[index] = true;
   --peer.inflight;
   ++peer.served;
@@ -532,13 +525,14 @@ void SnapshotClient::on_chunk(const Message& msg) {
 void SnapshotClient::on_blocks(const Message& msg) {
   if (phase_ != Phase::kBlocks) return;
   if (msg.from != peers_[blocks_peer_].id) return;
-  const auto resp = decode_resp(msg.payload(), /*with_index=*/false);
-  if (!resp.has_value() || resp->height != replay_from_) return;
-  if (!resp->ok()) {
+  const auto decoded = decode_resp(msg.payload(), /*with_index=*/false);
+  if (!decoded.ok() || decoded.value().height != replay_from_) return;
+  const Resp& resp = decoded.value();
+  if (!resp.ok()) {
     fail(errc::kSnapshotUnavailable, "peer does not serve the block suffix");
     return;
   }
-  if (Status s = hooks_.replay(resp->data); !s.ok()) {
+  if (Status s = hooks_.replay(resp.data); !s.ok()) {
     fail(s.error().code, s.error().message);
     return;
   }

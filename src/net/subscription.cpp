@@ -19,39 +19,23 @@ Bytes SubscriptionRequest::encode() const {
   return w.take();
 }
 
-std::optional<SubscriptionRequest> SubscriptionRequest::decode(
+Result<SubscriptionRequest> SubscriptionRequest::decode(
     std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
   SubscriptionRequest req;
-  const auto version = r.u32();
-  const auto from = r.i64();
-  const auto headers = r.u8();
-  if (!version.ok() || !from.ok() || !headers.ok() || headers.value() > 1) {
-    return std::nullopt;
-  }
-  req.version = version.value();
-  req.from_height = from.value();
-  req.headers = headers.value() == 1;
-  const auto n_accounts = r.u32();
-  // Each declared element costs at least one wire byte; a count beyond the
-  // remaining payload is a forged length, rejected before any allocation.
-  if (!n_accounts.ok() || n_accounts.value() > r.remaining()) return std::nullopt;
-  req.accounts.reserve(n_accounts.value());
-  for (std::uint32_t i = 0; i < n_accounts.value(); ++i) {
-    const auto a = r.u64();
-    if (!a.ok()) return std::nullopt;
-    req.accounts.push_back(a.value());
-  }
-  const auto n_stores = r.u32();
-  if (!n_stores.ok() || n_stores.value() > r.remaining()) return std::nullopt;
-  req.stores.reserve(n_stores.value());
-  for (std::uint32_t i = 0; i < n_stores.value(); ++i) {
-    auto s = r.str();
-    if (!s.ok()) return std::nullopt;
-    req.stores.push_back(std::move(s).value());
-  }
-  if (!r.exhausted()) return std::nullopt;
-  return req;
+  req.version = r.read_u32();
+  req.from_height = r.read_i64();
+  const std::uint8_t headers = r.read_u8();
+  if (headers > 1) r.fail(errc::kSubMalformed, "headers flag not in {0,1}");
+  req.headers = headers == 1;
+  // Each declared element costs at least one wire byte.
+  const std::uint32_t n_accounts = r.count(1, errc::kSubMalformed);
+  req.accounts.reserve(n_accounts);
+  for (std::uint32_t i = 0; i < n_accounts; ++i) req.accounts.push_back(r.read_u64());
+  const std::uint32_t n_stores = r.count(1, errc::kSubMalformed);
+  req.stores.reserve(n_stores);
+  for (std::uint32_t i = 0; i < n_stores; ++i) req.stores.push_back(r.read_str());
+  return r.finish(std::move(req), errc::kSubMalformed);
 }
 
 Bytes SubscriptionResponse::encode() const {
@@ -63,23 +47,15 @@ Bytes SubscriptionResponse::encode() const {
   return w.take();
 }
 
-std::optional<SubscriptionResponse> SubscriptionResponse::decode(
+Result<SubscriptionResponse> SubscriptionResponse::decode(
     std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
   SubscriptionResponse resp;
-  const auto version = r.u32();
-  auto code = r.str();
-  const auto earliest = r.i64();
-  const auto tip = r.i64();
-  if (!version.ok() || !code.ok() || !earliest.ok() || !tip.ok() ||
-      !r.exhausted()) {
-    return std::nullopt;
-  }
-  resp.version = version.value();
-  resp.code = std::move(code).value();
-  resp.earliest = earliest.value();
-  resp.tip = tip.value();
-  return resp;
+  resp.version = r.read_u32();
+  resp.code = r.read_str();
+  resp.earliest = r.read_i64();
+  resp.tip = r.read_i64();
+  return r.finish(std::move(resp), errc::kSubMalformed);
 }
 
 namespace {
@@ -90,11 +66,10 @@ Bytes encode_ack(std::int64_t height) {
   return w.take();
 }
 
-std::optional<std::int64_t> decode_ack(const Bytes& payload) {
+Result<std::int64_t> decode_ack(const Bytes& payload) {
   ByteReader r(payload);
-  const auto height = r.i64();
-  if (!height.ok() || !r.exhausted()) return std::nullopt;
-  return height.value();
+  const std::int64_t height = r.read_i64();
+  return r.finish(height, errc::kSubMalformed);
 }
 
 }  // namespace
@@ -120,8 +95,9 @@ bool SubscriptionServer::handle(const Message& msg) {
 }
 
 void SubscriptionServer::on_subscribe(const Message& msg) {
-  const auto req = SubscriptionRequest::decode(msg.payload());
-  if (!req.has_value()) return;  // malformed: drop, like other protocols
+  const auto decoded = SubscriptionRequest::decode(msg.payload());
+  if (!decoded.ok()) return;  // malformed: drop, like other protocols
+  const SubscriptionRequest& req = decoded.value();
 
   SubscriptionResponse resp;
   // Replayed entries, gathered under the lock, sent after it (shared
@@ -131,26 +107,26 @@ void SubscriptionServer::on_subscribe(const Message& msg) {
     std::lock_guard<std::mutex> lock(mu_);
     resp.earliest = retained_.empty() ? -1 : retained_.front().first;
     resp.tip = latest_;
-    if (req->version != kSubWireVersion) {
+    if (req.version != kSubWireVersion) {
       resp.code = errc::kSubBadVersion;
       ++rejected_version_;
-    } else if (req->from_height >= 0 && req->from_height <= latest_ &&
-               (retained_.empty() || retained_.front().first > req->from_height)) {
+    } else if (req.from_height >= 0 && req.from_height <= latest_ &&
+               (retained_.empty() || retained_.front().first > req.from_height)) {
       // The client needs heights the ring no longer holds: it must bootstrap
       // from a snapshot instead. `earliest` tells it where pushes resume.
       resp.code = errc::kSubStaleFrom;
       ++rejected_stale_;
     } else {
       Subscriber sub;
-      sub.accounts.insert(req->accounts.begin(), req->accounts.end());
-      sub.stores.insert(req->stores.begin(), req->stores.end());
+      sub.accounts.insert(req.accounts.begin(), req.accounts.end());
+      sub.stores.insert(req.stores.begin(), req.stores.end());
       // A resubscribe replaces the interest set and forgives the old unacked
       // backlog — the client proved liveness by speaking to us again.
       subs_[msg.from] = std::move(sub);
       ++subscribed_;
-      if (req->from_height >= 0) {
+      if (req.from_height >= 0) {
         for (const auto& [h, payload] : retained_) {
-          if (h < req->from_height) continue;
+          if (h < req.from_height) continue;
           replay.emplace_back(h, payload);
         }
         auto& registered = subs_[msg.from];
@@ -172,8 +148,7 @@ void SubscriptionServer::on_unsubscribe(const Message& msg) {
 }
 
 void SubscriptionServer::on_ack(const Message& msg) {
-  const auto height = decode_ack(msg.payload());
-  if (!height.has_value()) return;
+  if (!decode_ack(msg.payload()).ok()) return;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = subs_.find(msg.from);
   if (it == subs_.end()) return;  // ack from an evicted/removed subscriber

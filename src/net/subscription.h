@@ -36,7 +36,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -80,7 +79,7 @@ struct SubscriptionRequest {
   std::vector<std::string> stores;       ///< contract stores (e.g. proposals)
 
   [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static std::optional<SubscriptionRequest> decode(
+  [[nodiscard]] static Result<SubscriptionRequest> decode(
       std::span<const std::uint8_t> payload);
 };
 
@@ -96,7 +95,7 @@ struct SubscriptionResponse {
 
   [[nodiscard]] bool ok() const { return code.empty(); }
   [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static std::optional<SubscriptionResponse> decode(
+  [[nodiscard]] static Result<SubscriptionResponse> decode(
       std::span<const std::uint8_t> payload);
 };
 

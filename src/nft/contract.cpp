@@ -25,92 +25,93 @@ Status NftContract::call(ledger::CallContext& ctx, const std::string& method,
 }
 
 Status NftContract::do_mint(ledger::CallContext& ctx, const Bytes& args) const {
-  ByteReader r(args);
-  auto uri = r.str();
-  auto royalty = r.u32();
-  if (!uri.ok() || !royalty.ok()) {
-    return Status::fail(errc::kNftBadArgs, "mint(uri: str, royalty_bps: u32)");
-  }
-  if (royalty.value() > kMaxRoyaltyBps) {
+  // mint(uri: str, royalty_bps: u32)
+  ByteReader r(args, errc::kNftBadArgs);
+  const std::string uri = r.read_str();
+  const std::uint32_t royalty = r.read_u32();
+  if (Status s = r.finish(errc::kNftBadArgs); !s.ok()) return s;
+  if (royalty > kMaxRoyaltyBps) {
     return Status::fail(errc::kNftRoyaltyTooHigh, "royalty above 50%");
   }
   const std::uint64_t id = ctx.bump("next_token", 1);
   ctx.put(owner_key(id), ledger::store_encode(ctx.caller().value));
   ctx.put(creator_key(id), ledger::store_encode(ctx.caller().value));
   ByteWriter stored_uri;
-  stored_uri.str(uri.value());
+  stored_uri.str(uri);
   ctx.put(uri_key(id), stored_uri.take());
-  ctx.put(royalty_key(id), ledger::store_encode(royalty.value()));
+  ctx.put(royalty_key(id), ledger::store_encode(royalty));
   return {};
 }
 
 Status NftContract::do_transfer(ledger::CallContext& ctx, const Bytes& args) const {
-  ByteReader r(args);
-  auto token = r.u64();
-  auto to = r.u64();
-  if (!token.ok() || !to.ok() || to.value() == 0) {
-    return Status::fail(errc::kNftBadArgs, "transfer(token: u64, to: address)");
-  }
-  const Bytes* owner = ctx.get(owner_key(token.value()));
+  // transfer(token: u64, to: address)
+  ByteReader r(args, errc::kNftBadArgs);
+  const std::uint64_t token = r.read_u64();
+  const std::uint64_t to = r.read_u64();
+  if (to == 0) r.fail(errc::kNftBadArgs, "null recipient");
+  if (Status s = r.finish(errc::kNftBadArgs); !s.ok()) return s;
+  const Bytes* owner = ctx.get(owner_key(token));
   if (owner == nullptr) return Status::fail(errc::kNftNoSuchToken, "unknown token");
   if (ledger::store_decode<std::uint64_t>(owner) != ctx.caller().value) {
     return Status::fail(errc::kNftNotOwner, "caller does not own the token");
   }
-  if (ctx.get(listing_key(token.value())) != nullptr) {
+  if (ctx.get(listing_key(token)) != nullptr) {
     return Status::fail(errc::kNftListed, "cancel the listing before transferring");
   }
-  ctx.put(owner_key(token.value()), ledger::store_encode(to.value()));
+  ctx.put(owner_key(token), ledger::store_encode(to));
   return {};
 }
 
 Status NftContract::do_list(ledger::CallContext& ctx, const Bytes& args) const {
-  ByteReader r(args);
-  auto token = r.u64();
-  auto price = r.u64();
-  if (!token.ok() || !price.ok() || price.value() == 0) {
-    return Status::fail(errc::kNftBadArgs, "list(token: u64, price: u64 > 0)");
-  }
-  const Bytes* owner = ctx.get(owner_key(token.value()));
+  // list(token: u64, price: u64 > 0)
+  ByteReader r(args, errc::kNftBadArgs);
+  const std::uint64_t token = r.read_u64();
+  const std::uint64_t price = r.read_u64();
+  if (price == 0) r.fail(errc::kNftBadArgs, "zero price");
+  if (Status s = r.finish(errc::kNftBadArgs); !s.ok()) return s;
+  const Bytes* owner = ctx.get(owner_key(token));
   if (owner == nullptr) return Status::fail(errc::kNftNoSuchToken, "unknown token");
   if (ledger::store_decode<std::uint64_t>(owner) != ctx.caller().value) {
     return Status::fail(errc::kNftNotOwner, "caller does not own the token");
   }
-  ctx.put(listing_key(token.value()), ledger::store_encode(price.value()));
+  ctx.put(listing_key(token), ledger::store_encode(price));
   return {};
 }
 
 Status NftContract::do_cancel(ledger::CallContext& ctx, const Bytes& args) const {
-  ByteReader r(args);
-  auto token = r.u64();
-  if (!token.ok()) return Status::fail(errc::kNftBadArgs, "cancel(token: u64)");
-  const Bytes* owner = ctx.get(owner_key(token.value()));
+  // cancel(token: u64)
+  ByteReader r(args, errc::kNftBadArgs);
+  const std::uint64_t token = r.read_u64();
+  if (Status s = r.finish(errc::kNftBadArgs); !s.ok()) return s;
+  const Bytes* owner = ctx.get(owner_key(token));
   if (owner == nullptr) return Status::fail(errc::kNftNoSuchToken, "unknown token");
   if (ledger::store_decode<std::uint64_t>(owner) != ctx.caller().value) {
     return Status::fail(errc::kNftNotOwner, "caller does not own the token");
   }
-  if (ctx.get(listing_key(token.value())) == nullptr) {
+  if (ctx.get(listing_key(token)) == nullptr) {
     return Status::fail(errc::kNftNotListed, "no open listing");
   }
-  ctx.erase(listing_key(token.value()));
+  ctx.erase(listing_key(token));
   return {};
 }
 
 Status NftContract::do_buy(ledger::CallContext& ctx, const Bytes& args) const {
-  ByteReader r(args);
-  auto token = r.u64();
-  if (!token.ok()) return Status::fail(errc::kNftBadArgs, "buy(token: u64)");
-  const Bytes* listing = ctx.get(listing_key(token.value()));
+  // buy(token: u64)
+  ByteReader r(args, errc::kNftBadArgs);
+  const std::uint64_t token = r.read_u64();
+  if (Status s = r.finish(errc::kNftBadArgs); !s.ok()) return s;
+  const Bytes* listing = ctx.get(listing_key(token));
   if (listing == nullptr) return Status::fail(errc::kNftNotListed, "no open listing");
   const std::uint64_t price = ledger::store_decode<std::uint64_t>(listing);
   const crypto::Address seller{
-      ledger::store_decode<std::uint64_t>(ctx.get(owner_key(token.value())))};
+      ledger::store_decode<std::uint64_t>(ctx.get(owner_key(token)))};
   const crypto::Address creator{
-      ledger::store_decode<std::uint64_t>(ctx.get(creator_key(token.value())))};
+      ledger::store_decode<std::uint64_t>(ctx.get(creator_key(token)))};
   if (seller == ctx.caller()) {
     return Status::fail(errc::kNftSelfPurchase, "cannot buy your own listing");
   }
   const std::uint32_t royalty_bps =
-      ledger::store_decode<std::uint32_t>(ctx.get(royalty_key(token.value())));
+      ledger::store_decode<std::uint32_t>(ctx.get(royalty_key(token)));
   const std::uint64_t royalty =
       price * royalty_bps / 10000;  // creator share of every sale
   const std::uint64_t seller_cut = price - royalty;
@@ -118,8 +119,8 @@ Status NftContract::do_buy(ledger::CallContext& ctx, const Bytes& args) const {
   if (royalty > 0) {
     if (auto s = ctx.transfer(ctx.caller(), creator, royalty); !s.ok()) return s;
   }
-  ctx.put(owner_key(token.value()), ledger::store_encode(ctx.caller().value));
-  ctx.erase(listing_key(token.value()));
+  ctx.put(owner_key(token), ledger::store_encode(ctx.caller().value));
+  ctx.erase(listing_key(token));
   return {};
 }
 
@@ -135,9 +136,10 @@ Result<NftContract::TokenView> NftContract::token(
   view.owner = crypto::Address{ledger::store_decode<std::uint64_t>(owner)};
   view.creator = crypto::Address{
       ledger::store_decode<std::uint64_t>(state.store_get("nft", creator_key(id)))};
+  // Lenient on purpose: a missing or undecodable uri reads as empty.
   if (const Bytes* uri = state.store_get("nft", uri_key(id)); uri != nullptr) {
     ByteReader r(*uri);
-    if (auto s = r.str(); s.ok()) view.uri = s.value();
+    view.uri = r.read_str();
   }
   view.royalty_bps =
       ledger::store_decode<std::uint32_t>(state.store_get("nft", royalty_key(id)));

@@ -24,23 +24,21 @@ Status ReputationContract::call(ledger::CallContext& ctx,
 
 Status ReputationContract::do_rate(ledger::CallContext& ctx,
                                    const Bytes& args) const {
-  ByteReader r(args);
-  auto subject = r.u64();
-  auto delta = r.i64();
-  if (!subject.ok() || !delta.ok() || subject.value() == 0 ||
-      delta.value() == 0) {
-    return Status::fail(errc::kRepBadArgs, "rate(subject: address, delta: i64)");
-  }
-  if (subject.value() == ctx.caller().value) {
+  // rate(subject: address, delta: i64)
+  ByteReader r(args, errc::kRepBadArgs);
+  const crypto::Address subject{r.read_u64()};
+  const std::int64_t d = r.read_i64();
+  if (!subject.valid() || d == 0) r.fail(errc::kRepBadArgs, "null subject or zero delta");
+  if (Status s = r.finish(errc::kRepBadArgs); !s.ok()) return s;
+  if (subject == ctx.caller()) {
     return Status::fail(errc::kRepSelfRating, "cannot rate yourself");
   }
-  const std::int64_t d = delta.value();
   if (d > config_.max_abs_delta || d < -config_.max_abs_delta) {
     return Status::fail(errc::kRepDeltaTooLarge,
                         "|delta| above " + std::to_string(config_.max_abs_delta));
   }
   if (config_.cooldown_blocks > 0) {
-    const std::string lk = last_key(ctx.caller().value, subject.value());
+    const std::string lk = last_key(ctx.caller().value, subject.value);
     if (const Bytes* last = ctx.get(lk); last != nullptr) {
       const std::int64_t since = ctx.height() - ledger::store_decode<std::int64_t>(last);
       if (since < config_.cooldown_blocks) {
@@ -50,7 +48,7 @@ Status ReputationContract::do_rate(ledger::CallContext& ctx,
     }
     ctx.put(lk, ledger::store_encode(ctx.height()));
   }
-  const std::string sk = score_key(subject.value());
+  const std::string sk = score_key(subject.value);
   const std::int64_t updated =
       std::clamp(ledger::store_decode<std::int64_t>(ctx.get(sk)) + d,
                  config_.min_score, config_.max_score);

@@ -89,10 +89,10 @@ void check_dao(const ledger::LedgerState& state, const InvariantOptions& opts,
       out.push_back("dao: ballot from non-member " + voter + " on " + key);
     }
     const auto ballot = dao::OnChainBallot::decode(value);
-    if (!ballot.has_value()) continue;
+    if (!ballot.ok()) continue;
     std::uint64_t* const sums[] = {&tally.yes, &tally.no, &tally.abstain};
-    std::uint64_t& sum = *sums[ballot->choice];
-    if (__builtin_add_overflow(sum, ballot->weight, &sum)) {
+    std::uint64_t& sum = *sums[ballot.value().choice];
+    if (__builtin_add_overflow(sum, ballot.value().weight, &sum)) {
       sum = std::numeric_limits<std::uint64_t>::max();
     }
     ++tally.voters;

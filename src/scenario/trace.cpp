@@ -63,71 +63,42 @@ Result<Trace> Trace::decode(std::span<const std::uint8_t> bytes) {
     return make_error(errc::kTraceBadChecksum, "integrity digest mismatch");
   }
 
-  ByteReader r(body);
-  auto version = r.u32();
-  if (!version.ok()) return make_error(errc::kTraceTruncated, "version");
-  if (version.value() != kTraceVersion) {
-    return make_error(errc::kTraceBadVersion,
-                      "trace version " + std::to_string(version.value()));
+  // Every truncation is trace.truncated; a transaction that fails its own
+  // decoder is trace.bad_tx.
+  ByteReader r(body, errc::kTraceTruncated);
+  if (const std::uint32_t version = r.read_u32(); version != kTraceVersion) {
+    r.fail(errc::kTraceBadVersion, "trace version " + std::to_string(version));
   }
   Trace trace;
-  auto scenario = r.str();
-  auto seed = r.u64();
-  auto avatars = r.u64();
-  auto validators = r.u32();
-  auto grant = r.u64();
-  auto max_txs = r.u32();
-  if (!scenario.ok() || !seed.ok() || !avatars.ok() || !validators.ok() ||
-      !grant.ok() || !max_txs.ok()) {
-    return make_error(errc::kTraceTruncated, "header");
-  }
-  trace.header.scenario = scenario.value();
-  trace.header.seed = seed.value();
-  trace.header.avatars = avatars.value();
-  trace.header.validators = validators.value();
-  trace.header.genesis_grant = grant.value();
-  trace.header.max_txs_per_block = max_txs.value();
-  if (!r.fixed(trace.header.genesis_root).ok()) {
-    return make_error(errc::kTraceTruncated, "digest");
-  }
+  trace.header.scenario = r.read_str();
+  trace.header.seed = r.read_u64();
+  trace.header.avatars = r.read_u64();
+  trace.header.validators = r.read_u32();
+  trace.header.genesis_grant = r.read_u64();
+  trace.header.max_txs_per_block = r.read_u32();
+  r.read_fixed(trace.header.genesis_root);
   if (trace.header.validators == 0 || trace.header.max_txs_per_block == 0) {
-    return make_error(errc::kTraceBadCount, "empty validator set or block cap");
+    r.fail(errc::kTraceBadCount, "empty validator set or block cap");
   }
 
-  auto round_count = r.u32();
-  if (!round_count.ok()) return make_error(errc::kTraceTruncated, "rounds");
-  if (static_cast<std::uint64_t>(round_count.value()) * kMinRoundBytes >
-      r.remaining()) {
-    return make_error(errc::kTraceBadCount, "round count exceeds stream");
-  }
-  trace.rounds.reserve(round_count.value());
-  for (std::uint32_t i = 0; i < round_count.value(); ++i) {
+  const std::uint32_t round_count = r.count(kMinRoundBytes, errc::kTraceBadCount);
+  trace.rounds.reserve(round_count);
+  for (std::uint32_t i = 0; i < round_count; ++i) {
     TraceRound round;
-    auto tx_count = r.u32();
-    if (!tx_count.ok()) return make_error(errc::kTraceTruncated, "tx count");
-    if (static_cast<std::uint64_t>(tx_count.value()) * kMinTxBytes >
-        r.remaining()) {
-      return make_error(errc::kTraceBadCount, "tx count exceeds stream");
-    }
-    round.txs.reserve(tx_count.value());
-    for (std::uint32_t t = 0; t < tx_count.value(); ++t) {
-      auto raw = r.view();
-      if (!raw.ok()) return make_error(errc::kTraceTruncated, "tx bytes");
-      auto tx = ledger::Transaction::decode(raw.value());
-      if (!tx.ok()) {
-        return make_error(errc::kTraceBadTx, tx.error().to_string());
+    const std::uint32_t tx_count = r.count(kMinTxBytes, errc::kTraceBadCount);
+    round.txs.reserve(tx_count);
+    for (std::uint32_t t = 0; t < tx_count; ++t) {
+      auto tx = ledger::Transaction::decode(r.read_view());
+      if (tx.ok()) {
+        round.txs.push_back(std::move(tx).value());
+      } else {
+        r.fail(errc::kTraceBadTx, tx.error().to_string());
       }
-      round.txs.push_back(std::move(tx).value());
     }
-    if (!r.fixed(round.commitment_root).ok()) {
-      return make_error(errc::kTraceTruncated, "digest");
-    }
+    r.read_fixed(round.commitment_root);
     trace.rounds.push_back(std::move(round));
   }
-  if (!r.exhausted()) {
-    return make_error(errc::kTraceBadCount, "trailing bytes before checksum");
-  }
-  return trace;
+  return r.finish(std::move(trace), errc::kTraceBadCount);
 }
 
 Result<Trace> load_trace(const std::string& path) {

@@ -2,6 +2,7 @@
 // bus, statistics.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -252,6 +253,77 @@ TEST(Bytes, TruncatedStringFails) {
   w.u32(100);  // declares 100 bytes that are not there
   ByteReader r(w.data());
   EXPECT_FALSE(r.str().ok());
+}
+
+TEST(Bytes, ReaderLatchesTheFirstFailure) {
+  ByteWriter w;
+  w.u32(7);
+  w.u8(9);
+  ByteReader r(w.data());
+  EXPECT_EQ(r.read_u32(), 7u);
+  EXPECT_EQ(r.read_u64(), 0u);  // truncated: zero, and latched
+  EXPECT_FALSE(r.ok());
+  // Every later read is zero or empty, even one the bytes could have held,
+  // and a later semantic failure does not replace the first.
+  EXPECT_EQ(r.read_u8(), 0u);
+  EXPECT_EQ(r.read_str(), "");
+  std::array<std::uint8_t, 4> fixed{1, 2, 3, 4};
+  r.read_fixed(fixed);
+  EXPECT_EQ(fixed, (std::array<std::uint8_t, 4>{}));
+  r.fail("later.failure", "ignored");
+  const Status s = r.finish("x.trailing");
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.error().code, "bytes.truncated");
+  // The Result accessors report the latched failure too.
+  EXPECT_EQ(r.u8().error().code, "bytes.truncated");
+}
+
+TEST(Bytes, ReaderTruncationCodeIsTheCallersChoice) {
+  ByteReader r(Bytes{1}, "args.bad");
+  EXPECT_EQ(r.read_u32(), 0u);
+  EXPECT_EQ(r.finish("args.bad").error().code, "args.bad");
+}
+
+TEST(Bytes, CountRefusesWhatTheRemainingBytesCannotHold) {
+  ByteWriter w;
+  w.u32(3);
+  w.raw(Bytes(24, 0));
+  {
+    ByteReader r(w.data());
+    EXPECT_EQ(r.count(8, "x.bad_count"), 3u);  // 3 * 8 == 24 fits exactly
+    EXPECT_TRUE(r.ok());
+  }
+  {
+    ByteReader r(w.data());
+    EXPECT_EQ(r.count(9, "x.bad_count"), 0u);  // 3 * 9 > 24: forged
+    EXPECT_EQ(r.finish("x.trailing").error().code, "x.bad_count");
+  }
+  ByteWriter big;
+  big.u64(std::uint64_t{1} << 60);
+  ByteReader r(big.data());
+  EXPECT_EQ(r.count64(1, "x.bad_count"), 0u);
+  EXPECT_EQ(r.error().code, "x.bad_count");
+}
+
+TEST(Bytes, FinishRefusesTrailingBytes) {
+  ByteWriter w;
+  w.u64(5);
+  w.u8(0);
+  ByteReader r(w.data());
+  EXPECT_EQ(r.read_u64(), 5u);
+  const Result<std::uint64_t> out = r.finish(std::uint64_t{5}, "x.trailing");
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.error().code, "x.trailing");
+  EXPECT_EQ(r.read_u8(), 0u);
+  EXPECT_TRUE(r.finish("x.trailing").ok());
+}
+
+TEST(Bytes, NestedResultsFoldIntoTheLatch) {
+  ByteReader r(Bytes{});
+  EXPECT_EQ(r.take(Result<int>(4)), 4);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.take(Result<int>(make_error("inner.bad", "nested"))), 0);
+  EXPECT_EQ(r.finish("x.trailing").error().code, "inner.bad");
 }
 
 TEST(Bytes, HexEncoding) {

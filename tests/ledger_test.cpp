@@ -2158,8 +2158,8 @@ TEST(Mempool, SweepTickBoundaryValues) {
 TEST(Mempool, RandomizedChurnKeepsIndexesConsistent) {
   // Churn every public mutation — admission, replace-by-fee, at-cap
   // eviction, expiry sweeps (including clock regressions), inclusion
-  // removal of committed blocks — and audit all three indexes and the
-  // no-stale-entry invariant after each batch. A block is selected, then
+  // removal of committed blocks — and audit the slots, the fee index and
+  // the no-stale-entry invariant after each batch. A block is selected, then
   // admissions run (replacing some of its picks by fee) before it commits,
   // as on a replica whose proposal is in flight.
   Fixture f;

@@ -125,17 +125,18 @@ TEST(SubscriptionWire, RequestAndResponseCodecsAreStrict) {
   req.accounts = {1, 0xFFFF'FFFF'FFFF'FFFFull, 42};
   req.stores = {"kv", "governance"};
   const Bytes bytes = req.encode();
-  const auto back = net::SubscriptionRequest::decode(bytes);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->version, net::kSubWireVersion);
-  EXPECT_EQ(back->from_height, 4);
-  EXPECT_TRUE(back->headers);
-  EXPECT_EQ(back->accounts, req.accounts);
-  EXPECT_EQ(back->stores, req.stores);
+  const auto decoded = net::SubscriptionRequest::decode(bytes);
+  ASSERT_TRUE(decoded.ok());
+  const net::SubscriptionRequest& back = decoded.value();
+  EXPECT_EQ(back.version, net::kSubWireVersion);
+  EXPECT_EQ(back.from_height, 4);
+  EXPECT_TRUE(back.headers);
+  EXPECT_EQ(back.accounts, req.accounts);
+  EXPECT_EQ(back.stores, req.stores);
 
   Bytes trailing = bytes;
   trailing.push_back(0);
-  EXPECT_FALSE(net::SubscriptionRequest::decode(trailing).has_value());
+  EXPECT_EQ(net::SubscriptionRequest::decode(trailing).error().code, errc::kSubMalformed);
 
   // A forged element count larger than the remaining payload is rejected
   // before any allocation.
@@ -144,18 +145,19 @@ TEST(SubscriptionWire, RequestAndResponseCodecsAreStrict) {
   w.i64(0);
   w.u8(1);
   w.u32(0x00FF'FFFF);
-  EXPECT_FALSE(net::SubscriptionRequest::decode(w.take()).has_value());
+  EXPECT_EQ(net::SubscriptionRequest::decode(w.take()).error().code, errc::kSubMalformed);
 
   net::SubscriptionResponse resp;
   resp.code = errc::kSubStaleFrom;
   resp.earliest = 9;
   resp.tip = 12;
-  const auto resp_back = net::SubscriptionResponse::decode(resp.encode());
-  ASSERT_TRUE(resp_back.has_value());
-  EXPECT_FALSE(resp_back->ok());
-  EXPECT_EQ(resp_back->code, errc::kSubStaleFrom);
-  EXPECT_EQ(resp_back->earliest, 9);
-  EXPECT_EQ(resp_back->tip, 12);
+  const auto resp_decoded = net::SubscriptionResponse::decode(resp.encode());
+  ASSERT_TRUE(resp_decoded.ok());
+  const net::SubscriptionResponse& resp_back = resp_decoded.value();
+  EXPECT_FALSE(resp_back.ok());
+  EXPECT_EQ(resp_back.code, errc::kSubStaleFrom);
+  EXPECT_EQ(resp_back.earliest, 9);
+  EXPECT_EQ(resp_back.tip, 12);
 }
 
 TEST(SubscriptionWire, CommitPushCodecRoundTripsAndRejectsMutations) {
